@@ -33,7 +33,7 @@ from repro.cachenet.protocol import (CacheUnavailable, FrameError,
                                      write_frame)
 from repro.core.answer_cache import MISS, AnswerCache, AnswerKey
 from repro.core.batch import PlanCache
-from repro.core.plan import LogicalPlan
+from repro.core.plan import BoundPlan, LogicalPlan
 from repro.data.datatypes import decode_scalar, encode_scalar
 from repro.obs.context import current_trace
 from repro.obs.metrics import MetricsRegistry
@@ -321,9 +321,10 @@ class RemotePlanCache(_RemoteCacheMixin, PlanCache):
 
     Keys stay ``(query, lake fingerprint)``; the fingerprint doubles as
     the tier namespace, so invalidating a changed lake drops exactly its
-    plans.  Plans fetched from the tier re-enter through
-    :meth:`LogicalPlan.from_dict` — the wire carries dicts, the cache
-    holds validated IR.
+    plans.  Entries fetched from the tier re-enter through
+    :meth:`BoundPlan.from_dict` — the wire carries dicts (the plan dict,
+    with the bound replies under its additive ``"bindings"`` key), the
+    cache holds validated IR.
     """
 
     def __init__(self, client: CacheClient, capacity: int = 128,
@@ -332,7 +333,7 @@ class RemotePlanCache(_RemoteCacheMixin, PlanCache):
         self._client = client
         self._metrics = metrics
 
-    def _local_put(self, key: tuple[str, str], plan: LogicalPlan) -> None:
+    def _local_put(self, key: tuple[str, str], plan: BoundPlan) -> None:
         """Plain LRU insert: no remote forwarding, no hit/miss counting
         (used to install tier replies without echoing them back)."""
         with self._lock:
@@ -342,7 +343,7 @@ class RemotePlanCache(_RemoteCacheMixin, PlanCache):
                 self._entries.popitem(last=False)
                 self._evictions += 1
 
-    def get(self, key: tuple[str, str]) -> LogicalPlan | None:
+    def get(self, key: tuple[str, str]) -> BoundPlan | None:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
@@ -358,7 +359,7 @@ class RemotePlanCache(_RemoteCacheMixin, PlanCache):
             self._metric("cachenet_hits" if value is not None
                          else "cachenet_misses")
         if value is not None:
-            plan = LogicalPlan.from_dict(value)
+            plan = BoundPlan.from_dict(value)
             self._local_put(key, plan)
             with self._lock:
                 self._hits += 1
@@ -367,7 +368,9 @@ class RemotePlanCache(_RemoteCacheMixin, PlanCache):
             self._misses += 1
         return None
 
-    def put(self, key: tuple[str, str], plan: LogicalPlan) -> None:
+    def put(self, key: tuple[str, str],
+            plan: BoundPlan | LogicalPlan) -> None:
+        plan = BoundPlan.of(plan)
         self._local_put(key, plan)
         query, fingerprint = key
         try:

@@ -9,8 +9,9 @@ write the exact ``repro-plan-cache/v1`` / ``repro-answer-cache/v1``
 formats, so a tier snapshot and a ``--plan-cache-file`` from any session
 are interchangeable).  Values are validated on the way in: a ``put`` into
 the plan space round-trips through
-:meth:`~repro.core.plan.LogicalPlan.from_dict`, so a corrupt payload is
-rejected at the wire instead of poisoning every future replica.
+:meth:`~repro.core.plan.BoundPlan.from_dict` (the plan dict plus its
+optional ``"bindings"``), so a corrupt payload is rejected at the wire
+instead of poisoning every future replica.
 
 The server is deliberately stdlib-threads-plus-sockets: one daemon
 thread per connection over :mod:`socketserver`, one strict
@@ -45,7 +46,7 @@ from repro.cachenet.protocol import (PROTOCOL_NAME, PROTOCOL_VERSION,
                                      read_frame, write_frame)
 from repro.core.answer_cache import AnswerCache
 from repro.core.batch import PlanCache
-from repro.core.plan import LogicalPlan
+from repro.core.plan import BoundPlan
 from repro.data.datatypes import decode_scalar, encode_scalar
 
 DEFAULT_PLAN_CAPACITY = 4096
@@ -322,7 +323,7 @@ class CacheTierServer:
         if space == "plan":
             # from_dict round-trip: validation at the wire, and the GET
             # path serves a canonical re-encoding, never raw client bytes.
-            plan = LogicalPlan.from_dict(request["value"])
+            plan = BoundPlan.from_dict(request["value"])
             self.plans.put((request["key"], request["ns"]), plan)
             return {"ok": True}
         if space == "answer":

@@ -5,7 +5,9 @@ us: amortization of the planning phase across repeated queries, amortization
 of modality-model inference across repeated (object, question) pairs, and
 aggregate statistics.  This module provides all three:
 
-- :class:`PlanCache` — a thread-safe LRU cache of logical plans keyed on
+- :class:`PlanCache` — a thread-safe LRU cache of bound plans
+  (:class:`~repro.core.plan.BoundPlan`: the logical plan plus the model's
+  discovery and mapping replies from its last clean run) keyed on
   ``(query, lake fingerprint)``.  The fingerprint
   (:meth:`~repro.data.catalog.DataLake.fingerprint`) guarantees a cached
   plan is only reused against a structurally identical lake.  Because the
@@ -46,7 +48,7 @@ from typing import Iterable, Sequence
 from repro.core.answer_cache import AnswerCache
 from repro.core.engine import Engine, EngineConfig
 from repro.core.persist import atomic_write_text
-from repro.core.plan import LogicalPlan, QueryResult
+from repro.core.plan import BoundPlan, LogicalPlan, QueryResult
 from repro.data.catalog import DataLake
 from repro.llm.interface import LanguageModel
 from repro.obs.trace import QueryTelemetry
@@ -60,15 +62,17 @@ PLAN_CACHE_FORMAT = "repro-plan-cache/v1"
 
 
 class PlanCache:
-    """A bounded LRU cache of logical plans.
+    """A bounded LRU cache of bound plans.
 
     Thread safety: every operation — lookups, insertions, LRU bookkeeping,
     and the hit/miss/eviction counters — happens under one internal lock,
     so a single ``PlanCache`` may be shared by any number of concurrently
     running :class:`~repro.core.engine.Engine` instances (this is how
     :meth:`repro.session.Session.batch` shares one cache across its worker
-    engines).  Cached plans themselves are never mutated by the engine, so
-    handing the same ``LogicalPlan`` object to several threads is safe.
+    engines).  Entries are immutable (:class:`~repro.core.plan.BoundPlan`)
+    and only ever replaced whole by :meth:`put`, so handing the same
+    entry to several threads is safe and a plan's bound replies are
+    evicted, dropped and persisted with it.
     """
 
     def __init__(self, capacity: int = 128):
@@ -77,7 +81,7 @@ class PlanCache:
                              f"{capacity}")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple[str, str], LogicalPlan] = \
+        self._entries: OrderedDict[tuple[str, str], BoundPlan] = \
             OrderedDict()
         self._hits = 0
         self._misses = 0
@@ -91,7 +95,7 @@ class PlanCache:
         with self._lock:
             return key in self._entries
 
-    def get(self, key: tuple[str, str]) -> LogicalPlan | None:
+    def get(self, key: tuple[str, str]) -> BoundPlan | None:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
@@ -100,9 +104,12 @@ class PlanCache:
             self._misses += 1
             return None
 
-    def put(self, key: tuple[str, str], plan: LogicalPlan) -> None:
+    def put(self, key: tuple[str, str],
+            plan: BoundPlan | LogicalPlan) -> None:
+        """Store *plan* under *key*, replacing any previous entry (a bare
+        ``LogicalPlan`` is stored as an entry without bound replies)."""
         with self._lock:
-            self._entries[key] = plan
+            self._entries[key] = BoundPlan.of(plan)
             self._entries.move_to_end(key)
             if len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -131,12 +138,12 @@ class PlanCache:
         with self._lock:
             return self._hits, self._misses, self._evictions
 
-    def items(self) -> list[tuple[tuple[str, str], LogicalPlan]]:
-        """A consistent snapshot of ``(key, plan)`` pairs in LRU order.
+    def items(self) -> list[tuple[tuple[str, str], BoundPlan]]:
+        """A consistent snapshot of ``(key, entry)`` pairs in LRU order.
 
         Used by the process backend to ship warm plans to worker
-        initializers; the plans themselves are never mutated, so sharing
-        the objects is safe.
+        initializers; entries are immutable, so sharing the objects is
+        safe.
         """
         with self._lock:
             return list(self._entries.items())
@@ -164,6 +171,10 @@ class PlanCache:
 
         Entries are written in LRU order (least-recent first), so a
         :meth:`load` restores both the plans and the eviction order.
+        A plan's bound replies ride inside its ``"plan"`` dict under the
+        additive ``"bindings"`` key, emitted only when present — files
+        written before bindings existed load unchanged and re-save
+        byte-identically.
         The write is atomic (temp file + ``os.replace``), so a save
         interrupted by SIGTERM — or racing another save to the same
         path — can never leave a torn file.  Returns the number of
@@ -198,7 +209,7 @@ class PlanCache:
         entries = payload.get("entries", [])[-cache.capacity:]
         for entry in entries:
             key = (entry["query"], entry["lake_fingerprint"])
-            cache._entries[key] = LogicalPlan.from_dict(entry["plan"])
+            cache._entries[key] = BoundPlan.from_dict(entry["plan"])
         return cache
 
 

@@ -15,8 +15,11 @@ three pluggable parts (:mod:`repro.core.interfaces`):
 
 Flow per query:
 
+0. *Lookup*: fetch the plan cache's :class:`~repro.core.plan.BoundPlan`
+   for ``(query, lake fingerprint)`` — the logical plan plus the model's
+   discovery and mapping replies from the plan's last clean run.
 1. *Discovery*: ask the planner which columns are relevant.
-2. *Planning*: ask for a logical plan (or reuse one from the plan cache).
+2. *Planning*: ask for a logical plan (or reuse the cached one).
 3. For each logical step, interleaved: *Mapping* (bind the step to a
    physical operator + arguments) then *Execution* (run the operator over
    the shared :class:`~repro.operators.base.ExecutionContext`).  Each
@@ -25,9 +28,19 @@ Flow per query:
    step with feedback and backtracking to planning (bounded by
    ``max_replans``).
 
-Every prompt/response pair is recorded in ``last_transcript``; everything
-that happened lands in the returned :class:`~repro.core.plan.QueryResult`'s
-:class:`~repro.core.plan.PlanTrace`, including per-phase wall-clock timings.
+Discovery and mapping build their prompt first and reuse the bound reply
+when — and only when — it answered a prompt with the same digest
+(:func:`~repro.core.prompts.prompt_digest`); otherwise the model is asked
+as before and the refreshed ``BoundPlan`` replaces the cache entry.  A
+fully warm query therefore makes no model call, yet the observation-fed
+interleaving stays exact: a step whose observations differ has a
+different prompt and goes back to the model.
+
+Every prompt/response pair actually sent is recorded in
+``last_transcript`` (a reused reply sends nothing); everything that
+happened lands in the returned :class:`~repro.core.plan.QueryResult`'s
+:class:`~repro.core.plan.PlanTrace`, including per-phase wall-clock
+timings.
 
 :class:`QueryEngine` is the pre-Session spelling of this class and is kept
 as a deprecated shim; new code goes through :class:`repro.session.Session`.
@@ -42,9 +55,11 @@ from dataclasses import dataclass, field
 
 from repro.core.interfaces import (Executor, Mapper, Planner, PromptMapper,
                                    PromptPlanner, RegistryExecutor)
-from repro.core.plan import (ErrorEvent, LogicalPlan, Observation,
-                             PhysicalStep, PlanTrace, QueryResult)
-from repro.core.prompts import ColumnHint
+from repro.core.parsing import MappingDecision
+from repro.core.plan import (BoundPlan, BoundReply, ErrorEvent, LogicalPlan,
+                             LogicalStep, Observation, PhysicalStep,
+                             PlanTrace, QueryResult)
+from repro.core.prompts import ColumnHint, prompt_digest
 from repro.data.catalog import DataLake
 from repro.data.table import Table
 from repro.errors import ReproError
@@ -53,6 +68,7 @@ from repro.llm.interface import LanguageModel, Transcript
 from repro.obs import (MetricsRegistry, StageTrace, TelemetryConfig,
                        TraceContext, pop_trace, push_trace,
                        resolve_cost_model)
+from repro.obs.trace import MEMO_MISS_REASONS, MEMO_NOTE
 from repro.operators.base import ExecutionContext
 from repro.plotting.spec import PlotSpec
 from repro.relational.sqlexec import SQLBridge
@@ -82,6 +98,34 @@ class _StepFailure:
 
     event: ErrorEvent
     should_replan: bool
+
+
+@dataclass
+class _Bindings:
+    """One query's view of its plan-cache entry.
+
+    *cached* is what the lookup returned and *stored_mappings* the
+    mapping replies usable for the plan now running (the cached ones
+    when the cached plan runs, none for a fresh plan).  *discovery* and
+    *mappings* collect the replies this run used — reused or freshly
+    asked (*asked* counts the latter) — and become the next entry.
+    *complete* turns false when a reply could not be captured (a role
+    without the prompt/read pair, an attempt with error feedback); the
+    plan is then stored without bound replies.
+    """
+
+    cached: BoundPlan | None
+    stored_mappings: tuple[BoundReply, ...] = ()
+    discovery: BoundReply | None = None
+    mappings: list[BoundReply] = field(default_factory=list)
+    asked: int = 0
+    complete: bool = True
+
+
+def _prompt_pair(role: object, build: str, read: str) -> tuple | None:
+    """``(build prompt, read reply)`` when *role* offers both methods."""
+    pair = getattr(role, build, None), getattr(role, read, None)
+    return pair if None not in pair else None
 
 
 class Engine:
@@ -124,6 +168,10 @@ class Engine:
         #: registration copy dominated warm batches on 10k-row lakes).
         self.sql_bridge = SQLBridge()
         self.last_transcript = Transcript()
+        #: the :class:`~repro.core.plan.BoundPlan` the most recent query
+        #: wrote to the plan cache, ``None`` when it wrote nothing —
+        #: worker lanes ship it back to the parent's cache.
+        self.last_put: BoundPlan | None = None
         #: optional per-span hook called with each
         #: :class:`~repro.obs.StageTrace` the moment it is recorded —
         #: the query service's event stream
@@ -155,6 +203,7 @@ class Engine:
         trace = PlanTrace(query=query, trace_id=context.trace_id)
         transcript = Transcript()
         self.last_transcript = transcript
+        self.last_put = None
         started = time.perf_counter()
         # Activate the trace on this thread so components below the
         # engine (cachenet RPCs) attach their spans to this query.
@@ -174,9 +223,9 @@ class Engine:
     def fingerprint(self) -> str:
         """Fingerprint of the lake, used as part of the plan-cache key.
 
-        Recomputed per access (it is a handful of sha256 updates), so a
-        lake mutated through ``DataLake.add`` after engine construction
-        never reuses stale cache keys.
+        Recomputed per access — once per query — so a lake mutated
+        through ``DataLake.add`` after engine construction never reuses
+        stale cache keys.
         """
         return self.lake.fingerprint()
 
@@ -186,15 +235,22 @@ class Engine:
 
     def _answer(self, query: str, trace: PlanTrace,
                 transcript: Transcript) -> QueryResult:
+        # One lookup per query, before discovery: the entry carries the
+        # discovery reply too.  The key is computed once and reused by
+        # the put in _remember.
+        key = (query, self.fingerprint)
+        bindings = _Bindings(self.plan_cache.get(key)
+                             if self.plan_cache is not None else None)
         hints: list[ColumnHint] = []
         if self.config.use_discovery:
-            hints = self._discover(query, trace, transcript)
+            hints = self._discover(query, bindings, trace, transcript)
 
         replans = 0
         planning_feedback = ""
         while True:
             try:
-                plan, from_cache = self._plan(query, hints, trace, transcript,
+                plan, from_cache = self._plan(query, hints, bindings, trace,
+                                              transcript,
                                               error_feedback=planning_feedback)
             except ReproError as exc:
                 trace.errors.append(ErrorEvent("planning", None, str(exc)))
@@ -203,11 +259,14 @@ class Engine:
             trace.telemetry.mark_plan_cache(from_cache)
             trace.physical_steps = []
             trace.observations = []
-            outcome = self._run_plan(query, plan, hints, trace, transcript)
+            bindings.stored_mappings = (bindings.cached.mappings
+                                        if from_cache else ())
+            bindings.mappings = []
+            outcome = self._run_plan(query, plan, hints, bindings, trace,
+                                     transcript)
             if isinstance(outcome, QueryResult):
-                if (outcome.ok and self.plan_cache is not None
-                        and not from_cache):
-                    self.plan_cache.put((query, self.fingerprint), plan)
+                if outcome.ok and self.plan_cache is not None:
+                    self._remember(key, plan, from_cache, bindings, trace)
                 return outcome
             # _StepFailure
             if outcome.should_replan and replans < self.config.max_replans:
@@ -219,21 +278,95 @@ class Engine:
             return QueryResult(kind="error", error=outcome.event.message,
                                trace=trace)
 
-    def _discover(self, query: str, trace: PlanTrace,
+    def _remember(self, key: tuple[str, str], plan: LogicalPlan,
+                  from_cache: bool, bindings: _Bindings,
+                  trace: PlanTrace) -> None:
+        """Write this run's plan (and replies) back to the plan cache.
+
+        Replies are bound only after a clean run — no failed discovery,
+        no retried step, no replan (each leaves an error event) — with
+        every reply captured.  A fresh plan is always stored; a cached
+        one is re-stored only when some reply had to be asked afresh.
+        """
+        clean = bindings.complete and not trace.errors
+        if from_cache and not (clean and bindings.asked):
+            return
+        bound = (BoundPlan(plan, bindings.discovery,
+                           tuple(bindings.mappings))
+                 if clean else BoundPlan(plan))
+        self.plan_cache.put(key, bound)
+        self.last_put = bound
+
+    def _bound_or_ask(self, stored: BoundReply | None, build, read, ask,
+                      bindings: _Bindings, trace: PlanTrace,
+                      transcript: Transcript,
+                      notes: dict) -> tuple[object, BoundReply | None]:
+        """``(answer, the reply it came from)`` for one model exchange.
+
+        *stored* is reused — parsed by *read* — only when it answered a
+        prompt with the digest of the one *build* renders now; otherwise
+        *ask* sends the prompt, and the exchange it records (the exact
+        prompt sent, and the reply) becomes the reply to bind.  The
+        outcome is named either way: ``notes["memo"]`` and the matching
+        per-query counter say ``hit`` or why not.
+        """
+        if stored is None:
+            outcome = "absent"
+        elif stored.digest == prompt_digest(build()):
+            self._note_memo("hit", trace, notes)
+            return read(stored.response), stored
+        else:
+            outcome = "digest_changed"
+        self._note_memo(outcome, trace, notes)
+        mark = len(transcript.entries)
+        answer = ask()
+        bindings.asked += 1
+        # Exactly one recorded exchange ties the reply to its prompt;
+        # anything else and nothing is bound for this query.
+        exchanges = transcript.entries[mark:]
+        if len(exchanges) != 1:
+            bindings.complete = False
+            return answer, None
+        sent = exchanges[0]
+        return answer, BoundReply(prompt_digest(sent.messages), sent.response)
+
+    @staticmethod
+    def _note_memo(outcome: str, trace: PlanTrace, notes: dict) -> None:
+        notes[MEMO_NOTE] = outcome
+        trace.telemetry.mark_memo(outcome)
+
+    def _discover(self, query: str, bindings: _Bindings, trace: PlanTrace,
                   transcript: Transcript) -> list[ColumnHint]:
         started = time.perf_counter()
         mark = len(transcript.entries)
+        notes: dict = {}
+        planner, lake = self.planner, self.lake
         try:
-            return self.planner.discover(self.lake, query, transcript)
+            pair = _prompt_pair(planner, "discovery_prompt",
+                                "read_discovery")
+            if pair is None:
+                bindings.complete = False
+                return planner.discover(lake, query, transcript)
+            build, read = pair
+            cached = bindings.cached
+            hints, bindings.discovery = self._bound_or_ask(
+                cached.discovery if cached is not None else None,
+                lambda: build(lake, query),
+                lambda response: read(lake, response),
+                lambda: planner.discover(lake, query, transcript),
+                bindings, trace, transcript, notes)
+            return hints
         except ReproError as exc:
             trace.errors.append(ErrorEvent(
                 "planning", None, f"discovery failed: {exc}", recovered=True))
             return []
         finally:
             self._tick(trace, "discovery", started)
-            self._span(trace, transcript, "discovery", started, mark)
+            self._span(trace, transcript, "discovery", started, mark,
+                       notes=notes)
 
-    def _plan(self, query: str, hints: list[ColumnHint], trace: PlanTrace,
+    def _plan(self, query: str, hints: list[ColumnHint],
+              bindings: _Bindings, trace: PlanTrace,
               transcript: Transcript,
               error_feedback: str = "") -> tuple[LogicalPlan, bool]:
         started = time.perf_counter()
@@ -241,10 +374,8 @@ class Engine:
         try:
             # A replan must not reuse the plan that just failed: bypass the
             # cache whenever error feedback is present.
-            if self.plan_cache is not None and not error_feedback:
-                cached = self.plan_cache.get((query, self.fingerprint))
-                if cached is not None:
-                    return cached, True
+            if bindings.cached is not None and not error_feedback:
+                return bindings.cached.plan, True
             plan = self.planner.plan(self.lake, query, hints, transcript,
                                      few_shot=self.config.few_shot,
                                      error_feedback=error_feedback)
@@ -253,8 +384,36 @@ class Engine:
             self._tick(trace, "planning", started)
             self._span(trace, transcript, "planning", started, mark)
 
+    def _map(self, tables: dict[str, Table], cards: list, step: LogicalStep,
+             position: int, hints: list[ColumnHint], window: list[str],
+             feedback: str, bindings: _Bindings, trace: PlanTrace,
+             transcript: Transcript, notes: dict) -> MappingDecision:
+        """The mapping decision for the step at *position* of the plan."""
+        mapper = self.mapper
+        pair = _prompt_pair(mapper, "mapping_prompt", "read_mapping")
+        if pair is None or feedback:
+            # A retry (error feedback) is never served from, or bound
+            # into, the cache.
+            bindings.complete = False
+            if pair is not None:
+                self._note_memo("retry", trace, notes)
+            return mapper.map_step(tables, cards, step, hints, window,
+                                   transcript, error_feedback=feedback)
+        build, read = pair
+        stored = bindings.stored_mappings
+        decision, reply = self._bound_or_ask(
+            stored[position] if position < len(stored) else None,
+            lambda: build(tables, cards, step, hints, window), read,
+            lambda: mapper.map_step(tables, cards, step, hints, window,
+                                    transcript),
+            bindings, trace, transcript, notes)
+        if reply is not None:
+            bindings.mappings.append(reply)
+        return decision
+
     def _run_plan(self, query: str, plan: LogicalPlan,
-                  hints: list[ColumnHint], trace: PlanTrace,
+                  hints: list[ColumnHint], bindings: _Bindings,
+                  trace: PlanTrace,
                   transcript: Transcript) -> QueryResult | _StepFailure:
         context = ExecutionContext(
             tables={name: self.lake.table(name)
@@ -268,7 +427,7 @@ class Engine:
         last_table: Table | None = None
         last_plot: PlotSpec | None = None
 
-        for step in plan:
+        for position, step in enumerate(plan):
             feedback = ""
             step_events: list[ErrorEvent] = []
             succeeded = False
@@ -276,17 +435,19 @@ class Engine:
                 phase = "mapping"
                 started = time.perf_counter()
                 mark = len(transcript.entries)
+                notes: dict = {}
                 try:
                     window = observations[-self.config.max_observations:]
-                    decision = self.mapper.map_step(
-                        context.tables, cards, step, hints, window,
-                        transcript, error_feedback=feedback)
+                    decision = self._map(context.tables, cards, step,
+                                         position, hints, window, feedback,
+                                         bindings, trace, transcript, notes)
                     self._tick(trace, "mapping", started)
                     self._span(trace, transcript, "mapping", started, mark,
-                               step_index=step.index)
+                               step_index=step.index, notes=notes)
                     phase = "execution"
                     started = time.perf_counter()
                     mark = len(transcript.entries)
+                    notes = {}
                     execution = self.executor.execute(decision, context)
                     result = execution.result
                     self._tick(trace, "execution", started)
@@ -304,7 +465,7 @@ class Engine:
                     # prompt too — those tokens were spent on this attempt.
                     self._span(trace, transcript, phase, started, mark,
                                step_index=step.index,
-                               notes={"error": str(exc)[:200]})
+                               notes={**notes, "error": str(exc)[:200]})
                     if analysis is not None and analysis.backtrack_to_planning:
                         return _StepFailure(event, should_replan=True)
                     feedback = str(exc)
@@ -399,6 +560,14 @@ class Engine:
             value = telemetry.counters.get(name)
             if value:
                 metrics.increment(name, value)
+        value = telemetry.counters.get("binding_memo_hits")
+        if value:
+            metrics.increment("binding_memo_hits_total", value)
+        for reason in MEMO_MISS_REASONS:
+            value = telemetry.counters.get(f"binding_memo_misses_{reason}")
+            if value:
+                metrics.increment(
+                    f'binding_memo_misses_total{{reason="{reason}"}}', value)
         if trace.replans:
             metrics.increment("replans_total", trace.replans)
         if telemetry.spans:

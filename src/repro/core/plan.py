@@ -17,13 +17,15 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.data.datatypes import decode_scalar, encode_scalar
 from repro.data.table import Table
 from repro.obs.trace import QueryTelemetry
 from repro.plotting.spec import PlotSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 def encode_params(params: dict) -> dict:
@@ -142,6 +144,10 @@ class LogicalPlan:
 
     def dataflow_graph(self) -> "nx.DiGraph":
         """Table-level dataflow DAG (tables and steps as nodes)."""
+        # Imported here: this is the package's only networkx call site,
+        # and a module-scope import costs every ``import repro`` (and
+        # every spawned worker lane) ~130 ms and ~20 MB.
+        import networkx as nx
         graph = nx.DiGraph()
         for step in self.steps:
             step_node = f"step:{step.index}"
@@ -154,6 +160,76 @@ class LogicalPlan:
                 graph.add_node(step.output, kind="table")
                 graph.add_edge(step_node, step.output)
         return graph
+
+
+@dataclass(frozen=True)
+class BoundReply:
+    """One model reply, remembered with the prompt it answered.
+
+    *digest* identifies the exact prompt (:func:`repro.core.prompts.
+    prompt_digest`); *response* is the model's reply text, verbatim, so a
+    reuse goes through the same parser a live reply does.
+    """
+
+    digest: str
+    response: str
+
+    def to_dict(self) -> dict:
+        return {"digest": self.digest, "response": self.response}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "BoundReply":
+        return cls(digest=data["digest"], response=data["response"])
+
+
+@dataclass(frozen=True)
+class BoundPlan:
+    """What the plan cache stores under ``(query, lake fingerprint)``: a
+    logical plan plus what the model answered while that plan last ran.
+
+    *discovery* is the discovery reply and *mappings* holds one mapping
+    reply per logical step, in plan order; both are empty for a plan that
+    has not (yet) run cleanly end to end.  The engine reuses a reply only
+    when the prompt it is about to send digests to the stored value —
+    the cache key alone is not enough, because the lake fingerprint is
+    shape-only while mapping prompts carry observations (content).
+
+    Instances are immutable: a refreshed binding is a new ``BoundPlan``
+    that replaces the old one through ``PlanCache.put``, so concurrent
+    engines never see a half-updated entry.  The bindings ride
+    :meth:`to_dict` under the additive ``"bindings"`` key (emitted only
+    when present) — the plan-cache file, the cachenet wire and the
+    process-lane warm payload all carry this one dict — and never enter
+    ``LogicalPlan.to_dict()`` or a ``PlanTrace``.
+    """
+
+    plan: LogicalPlan
+    discovery: BoundReply | None = None
+    mappings: tuple[BoundReply, ...] = ()
+
+    @classmethod
+    def of(cls, plan: "LogicalPlan | BoundPlan") -> "BoundPlan":
+        """*plan* itself when already bound, else a binding-less entry."""
+        return plan if isinstance(plan, cls) else cls(plan)
+
+    def to_dict(self) -> dict:
+        data = self.plan.to_dict()
+        if self.discovery is not None or self.mappings:
+            data["bindings"] = {
+                "discovery": (self.discovery.to_dict()
+                              if self.discovery is not None else None),
+                "mappings": [reply.to_dict() for reply in self.mappings]}
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "BoundPlan":
+        bindings = data.get("bindings") or {}
+        discovery = bindings.get("discovery")
+        return cls(plan=LogicalPlan.from_dict(data),
+                   discovery=(BoundReply.from_dict(discovery)
+                              if discovery is not None else None),
+                   mappings=tuple(BoundReply.from_dict(reply)
+                                  for reply in bindings.get("mappings", [])))
 
 
 @dataclass

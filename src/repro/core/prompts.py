@@ -8,6 +8,7 @@ planning prompt additionally carries few-shot example translations.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.data.catalog import DataLake
@@ -123,6 +124,22 @@ def render_hints(hints: list[ColumnHint]) -> str:
         return ""
     return ("These columns are potentially relevant:\n"
             + "\n".join(h.render() for h in hints))
+
+
+def prompt_digest(messages: list[ChatMessage]) -> str:
+    """Digest of one rendered chat prompt (roles and contents, in order).
+
+    Two prompts digest equally iff the model would be sent the same
+    text; the plan cache's bound replies (:class:`repro.core.plan.
+    BoundReply`) are reused on exactly that condition.
+    """
+    digest = hashlib.sha256()
+    for message in messages:
+        digest.update(message.role.value.encode("ascii"))
+        digest.update(b"\0")
+        digest.update(message.content.encode("utf-8"))
+        digest.update(b"\0")
+    return digest.hexdigest()[:32]
 
 
 def build_planning_prompt(lake: DataLake, query: str,

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.batch import (BatchReport, _fold_cache_deltas, _fold_result)
-from repro.core.plan import ErrorEvent, LogicalPlan, PlanTrace, QueryResult
+from repro.core.plan import BoundPlan, ErrorEvent, PlanTrace, QueryResult
 from repro.data.datatypes import decode_scalar, encode_scalar
 from repro.exec.base import BackendError, ExecutionBackend, register_backend
 from repro.exec.procworker import initialize_worker, run_worker_query
@@ -333,12 +333,13 @@ class ProcessBackend(ExecutionBackend):
         result = QueryResult.from_dict(payload["result"])
         fresh_plan = payload.get("fresh_plan")
         if fresh_plan is not None:
-            # Ship worker-synthesized plans back into the parent cache so
+            # Ship what the worker wrote to its plan cache (a fresh plan,
+            # or refreshed bound replies) back into the parent cache so
             # plan persistence (--plan-cache-file) and later thread/serial
             # batches stay warm; put() does not touch hit/miss counters.
             session.plan_cache.put(
                 (task.query, self._plan_fingerprint),
-                LogicalPlan.from_dict(fresh_plan))
+                BoundPlan.from_dict(fresh_plan))
         for fingerprint, question, answer_type, answer in payload.get(
                 "fresh_answers", []):
             # Same for freshly inferred modality answers: the traffic is

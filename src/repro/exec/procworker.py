@@ -2,7 +2,7 @@
 
 Everything in this module runs inside a pool worker process.  The
 contract with the parent (:mod:`repro.exec.process`) is JSON-shaped on
-the hot path: the parent ships ``LogicalPlan.to_dict()`` payloads in and
+the hot path: the parent ships ``BoundPlan.to_dict()`` payloads in and
 receives ``QueryResult.to_dict()`` payloads back, so big objects (tables,
 rendered images) never cross the pipe — the worker rebuilds its own lake
 deterministically from the :class:`~repro.datasets.LakeSpec` generation
@@ -27,7 +27,7 @@ from repro.cachenet import RemoteAnswerCache
 from repro.core.answer_cache import AnswerCache, AnswerKey
 from repro.core.batch import PlanCache
 from repro.core.engine import Engine
-from repro.core.plan import LogicalPlan
+from repro.core.plan import BoundPlan
 from repro.data.datatypes import decode_scalar, encode_scalar
 from repro.datasets import LakeSpec
 from repro.obs import MetricsRegistry, TraceContext, TraceContextError
@@ -77,7 +77,7 @@ def initialize_worker(payload: dict) -> None:
     (cell-level, not just shape — see :meth:`~repro.data.catalog.
     DataLake.content_fingerprint`), the (pickled) brain / role overrides
     / engine config, local cache capacities, and the parent's warm plans
-    as ``LogicalPlan.to_dict()`` payloads.  A fingerprint mismatch means
+    as ``BoundPlan.to_dict()`` payloads.  A fingerprint mismatch means
     ``(dataset, seed, scale)`` generation is not deterministic on this
     host — that must fail loudly, not serve answers about a silently
     different lake.
@@ -117,7 +117,7 @@ def initialize_worker(payload: dict) -> None:
             payload["answer_cache_capacity"])
     for entry in payload["plans"]:
         plan_cache.put((entry["query"], plan_key_fingerprint),
-                       LogicalPlan.from_dict(entry["plan"]))
+                       BoundPlan.from_dict(entry["plan"]))
     for fingerprint_, question, answer_type, answer in payload["answers"]:
         answer_cache.put((fingerprint_, question, answer_type),
                          decode_scalar(answer))
@@ -153,7 +153,8 @@ def run_worker_query(query: str, trace: dict | None = None) -> dict:
     under a locally minted context).
 
     Returns a JSON-shaped payload: ``{"ok": True, "result": <QueryResult
-    dict>, "fresh_plan": <plan dict or None>, "fresh_answers": [...],
+    dict>, "fresh_plan": <the ``BoundPlan`` dict this query wrote to the
+    lane's plan cache, or None>, "fresh_answers": [...],
     ...cache deltas}`` on any engine outcome (including engine-level
     error results), or ``{"ok": False, "error": ..., "traceback": ...}``
     when the engine itself crashed with a non-Repro exception.  Crashes
@@ -185,13 +186,11 @@ def run_worker_query(query: str, trace: dict | None = None) -> dict:
         return payload
     finally:
         engine.trace_context = None
-    payload = {"ok": True, "result": result.to_dict(), "fresh_plan": None,
+    fresh_plan = engine.last_put
+    payload = {"ok": True, "result": result.to_dict(),
+               "fresh_plan": (fresh_plan.to_dict()
+                              if fresh_plan is not None else None),
                "fresh_answers": answer_cache.drain(),
                "metrics_delta": metrics.delta_since(before_metrics)}
-    trace = result.trace
-    if (result.ok and trace is not None
-            and not trace.telemetry.plan_cache_hit
-            and trace.logical_plan is not None):
-        payload["fresh_plan"] = trace.logical_plan.to_dict()
     payload.update(_cache_deltas(before_plan, before_answer))
     return payload

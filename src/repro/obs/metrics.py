@@ -67,7 +67,9 @@ def _prom_value(value: float) -> str:
 def render_prometheus(snapshot: dict) -> str:
     """A metrics snapshot in Prometheus text exposition format (0.0.4).
 
-    Counters render as ``counter`` samples, derived rates as ``gauge``,
+    Counters render as ``counter`` samples (a ``{label="value"}`` suffix
+    in a counter's name becomes the sample's label set), derived rates
+    as ``gauge``,
     histograms as the standard ``_bucket``/``_sum``/``_count`` triple
     (bucket counts are already cumulative in the snapshot).  The nested
     ``cachenet_server`` block a tier-backed
@@ -82,12 +84,21 @@ def render_prometheus(snapshot: dict) -> str:
         lines.append(f"# TYPE {name} {kind}")
         lines.extend(samples)
 
+    family = None
     for name in sorted(snapshot.get("counters", {})):
         value = snapshot["counters"][name]
         if not isinstance(value, (int, float)):
             continue
-        metric = _prom_name(name)
-        emit(metric, "counter", [f"{metric} {_prom_value(value)}"])
+        # A counter name may carry a label set (``name{reason="..."}``);
+        # the labelled samples of one family share its TYPE line.
+        base, brace, labels = name.partition("{")
+        metric = _prom_name(base)
+        sample = f"{metric}{brace}{labels} {_prom_value(value)}"
+        if metric == family:
+            lines.append(sample)
+        else:
+            emit(metric, "counter", [sample])
+            family = metric
     for name in sorted(snapshot.get("histograms", {})):
         histogram = snapshot["histograms"][name]
         metric = _prom_name(name + "_seconds")

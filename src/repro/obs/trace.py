@@ -15,7 +15,8 @@ Cross-backend parity needs a *canonical* form: wall-clock durations are
 never reproducible, and any counter that reflects cache locality (a
 thread race or a worker-local cache can turn a hit into a miss without
 changing the answer) may legitimately diverge, as may the token traffic
-of a planning attempt that was or was not served from cache.
+of a discovery, planning or mapping attempt that was or was not served
+from the plan cache (and the ``memo`` note saying which).
 :meth:`QueryTelemetry.canonicalize` blanks exactly those fields, so
 serial, thread, and process reports agree byte-for-byte on everything
 else — see :meth:`repro.core.batch.BatchReport.canonical_results`.
@@ -25,6 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: Why a discovery or mapping prompt went to the model although the
+#: plan cache was consulted: no reply is bound to the plan (``absent``),
+#: the bound reply answered a different prompt (``digest_changed``), or
+#: the attempt carries error feedback and is never served from the cache
+#: (``retry``).
+MEMO_MISS_REASONS = ("absent", "digest_changed", "retry")
+
 #: Counters that reflect cache locality rather than query semantics;
 #: blanked by :meth:`QueryTelemetry.canonicalize` because a thread race
 #: or a worker-local cache can legitimately flip them between backends.
@@ -32,11 +40,18 @@ LOCALITY_COUNTERS = frozenset({
     "plan_from_cache", "plan_cache_hits", "plan_cache_misses",
     "answer_cache_hits", "answer_cache_misses",
     "vision_inferences", "text_inferences",
+    "binding_memo_hits", *(f"binding_memo_misses_{reason}"
+                           for reason in MEMO_MISS_REASONS),
 })
 
 #: Stage names whose token/cost figures depend on cache locality (a
-#: cached plan skips the planner call entirely), zeroed in canonical form.
-_LOCALITY_STAGES = ("planning",)
+#: cached plan skips the planner call entirely, a bound reply skips the
+#: discovery or mapping call), zeroed in canonical form.
+_LOCALITY_STAGES = ("discovery", "planning", "mapping")
+
+#: Span note recording whether a bound reply served the stage (``"hit"``)
+#: or why not; locality, so dropped from the canonical form.
+MEMO_NOTE = "memo"
 
 #: Span-name prefixes that exist only when a remote cache tier is
 #: attached *and* the local front cache missed — pure locality, so the
@@ -105,6 +120,12 @@ class QueryTelemetry:
         """
         self.counters["plan_from_cache"] = 1 if hit else 0
         self.count("plan_cache_hits" if hit else "plan_cache_misses")
+
+    def mark_memo(self, outcome: str) -> None:
+        """Record one bound-reply lookup: ``"hit"``, or the reason
+        (:data:`MEMO_MISS_REASONS`) the prompt went to the model."""
+        self.count("binding_memo_hits" if outcome == "hit"
+                   else f"binding_memo_misses_{outcome}")
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -201,7 +222,8 @@ class QueryTelemetry:
         """Normalize a ``to_dict()`` payload for cross-backend comparison.
 
         Zeroes wall-clock durations everywhere, zeroes token/cost figures
-        of locality-dependent stages (:data:`_LOCALITY_STAGES`), drops
+        and drops the ``memo`` note of locality-dependent stages
+        (:data:`_LOCALITY_STAGES`), drops
         spans that only exist on a cache miss against a remote tier
         (:data:`_LOCALITY_SPAN_PREFIXES`), and drops
         :data:`LOCALITY_COUNTERS`; everything else must be byte-identical
@@ -218,6 +240,9 @@ class QueryTelemetry:
                 span["token_in"] = 0
                 span["token_out"] = 0
                 span["cost_usd"] = 0.0
+                span["notes"] = {key: value for key, value
+                                 in span.get("notes", {}).items()
+                                 if key != MEMO_NOTE}
             spans.append(span)
         counters = {name: value
                     for name, value in data.get("counters", {}).items()

@@ -11,7 +11,8 @@ slow query can never stall another client's poll.
 Endpoints::
 
     POST   /queries              submit → 202 {"id": ..., "status": "queued"}
-    GET    /queries/{id}         poll; carries QueryResult.to_dict() once done
+    GET    /queries/{id}         poll; carries the answer once done
+                                 (``?trace=1`` adds the full PlanTrace)
     DELETE /queries/{id}         cancel a still-queued job
     GET    /queries/{id}/events  NDJSON stream of lifecycle + span events
     GET    /healthz              liveness + queue occupancy
@@ -52,7 +53,7 @@ from repro.obs import (SlowQueryLog, TraceBuffer, TraceContext,
                        TraceContextError, TraceExporter, TracePipeline,
                        render_prometheus, render_snapshot)
 from repro.serve.admission import AdmissionError
-from repro.serve.jobs import LANE_BACKENDS, JobManager
+from repro.serve.jobs import LANE_BACKENDS, JobManager, encode_json
 from repro.serve.schemas import error_body, parse_submit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -164,10 +165,17 @@ async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
     return _Request(method=method, path=path, headers=headers, body=body)
 
 
-def _encode_response(status: int, payload: dict,
+def _truthy(params: dict[str, list[str]], name: str) -> bool:
+    """Whether query-string flag *name* is switched on."""
+    return params.get(name, ["0"])[-1] in ("1", "true", "yes")
+
+
+def _encode_response(status: int, payload: dict | bytes,
                      extra_headers: tuple[tuple[str, str], ...] = (),
                      keep_alive: bool = True) -> bytes:
-    body = (json.dumps(payload) + "\n").encode("utf-8")
+    """One JSON response; *payload* may be an already encoded body (a
+    finished job's frozen bytes), which is sent as is."""
+    body = payload if isinstance(payload, bytes) else encode_json(payload)
     lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
              "Content-Type: application/json",
              f"Content-Length: {len(body)}",
@@ -343,7 +351,8 @@ class QueryServer:
         match = _JOB_PATH.match(path)
         if match:
             if method == "GET":
-                return self._respond_job(match.group("id"), writer, keep)
+                return self._respond_job(match.group("id"), writer, keep,
+                                         query_string)
             if method == "DELETE":
                 return self._respond_cancel(match.group("id"), writer, keep)
             writer.write(_encode_response(
@@ -410,7 +419,7 @@ class QueryServer:
                                 "numbers"), keep_alive=keep))
             return keep
         status = params.get("status", [None])[-1]
-        slow_only = params.get("slow", ["0"])[-1] in ("1", "true", "yes")
+        slow_only = _truthy(params, "slow")
         traces = self.traces.buffer.recent(
             limit=max(1, min(limit, 500)),
             min_duration_ms=min_duration_ms,
@@ -473,14 +482,16 @@ class QueryServer:
         return keep
 
     def _respond_job(self, job_id: str, writer: asyncio.StreamWriter,
-                     keep: bool) -> bool:
+                     keep: bool, query_string: str = "") -> bool:
         job = self.jobs.get(job_id)
         if job is None:
             writer.write(_encode_response(
                 404, error_body("not_found", f"no job {job_id!r}"),
                 keep_alive=keep))
             return keep
-        writer.write(_encode_response(200, job.to_dict(), keep_alive=keep))
+        want_trace = _truthy(parse_qs(query_string), "trace")
+        writer.write(_encode_response(200, job.encoded(trace=want_trace),
+                                      keep_alive=keep))
         return keep
 
     def _respond_cancel(self, job_id: str, writer: asyncio.StreamWriter,
@@ -521,8 +532,7 @@ class QueryServer:
         cursor = 0
         while True:
             events, finished = job.events_since(cursor)
-            for event in events:
-                writer.write((json.dumps(event) + "\n").encode("utf-8"))
+            writer.writelines(events)
             cursor += len(events)
             await writer.drain()
             if finished and not events:

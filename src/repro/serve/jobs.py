@@ -10,6 +10,13 @@ poll-able status plus an append-only event log (one entry per
 :class:`~repro.obs.StageTrace` span as execution progresses, which the
 ``GET /queries/{id}/events`` endpoint streams as NDJSON).
 
+A finished job is *frozen*: its poll bodies are encoded once, when the
+worker resolves it, and every later poll is served from those bytes; the
+live :class:`~repro.core.plan.QueryResult` graph is released.  A job a
+client may still poll thus costs its encoded answer, its deflated trace
+and its event lines — not a tree of Python objects re-serialised per
+poll.
+
 Failure semantics mirror the process backend
 (:mod:`repro.exec.process`): a per-job timeout abandons the stuck
 engine (the worker replaces it and moves on) and resolves the job with a
@@ -26,10 +33,12 @@ only ever touches thread-safe state.
 from __future__ import annotations
 
 import itertools
+import json
 import queue
 import secrets
 import threading
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import TYPE_CHECKING, Callable
@@ -58,6 +67,12 @@ JOB_STATUSES = ("queued", "running", "done", "cancelled")
 _STOP = object()
 
 
+def encode_json(payload: object) -> bytes:
+    """One JSON document as a newline-terminated line — the encoding of
+    every job response body and every event-log entry."""
+    return (json.dumps(payload) + "\n").encode("utf-8")
+
+
 class Job:
     """One submitted query and everything that happened to it."""
 
@@ -78,14 +93,20 @@ class Job:
         #: can stitch the trees together.
         self.remote_parent = remote_parent
         self.status = "queued"
-        self.result: QueryResult | None = None
         self.worker_id: int | None = None
         self.submitted = time.perf_counter()
         self.queue_wait_s: float | None = None
         self.run_s: float | None = None
         self._lock = threading.Lock()
-        self._events: list[dict] = []
+        #: the event log, one encoded NDJSON line per event.
+        self._events: list[bytes] = []
         self._finished = threading.Event()
+        #: frozen at :meth:`finish`: the poll body (answer, no trace) as
+        #: encoded JSON, and the result's ``PlanTrace`` payload as
+        #: deflated JSON — the trace is most of a result's bytes and is
+        #: read only by ``?trace=1``.
+        self._body: bytes | None = None
+        self._trace: bytes | None = None
         self.emit({"event": "queued", "job_id": self.id,
                    "query": self.query,
                    "trace_id": self.context.trace_id})
@@ -95,18 +116,20 @@ class Job:
     # ------------------------------------------------------------------
 
     def emit(self, event: dict) -> None:
+        line = encode_json(event)
         with self._lock:
             if self._finished.is_set():
                 # A span from an abandoned (timed-out) engine arriving
                 # after resolution would confuse stream consumers.
                 return
-            self._events.append(event)
+            self._events.append(line)
 
     def emit_span(self, span: StageTrace) -> None:
         self.emit({"event": "span", "span": span.to_dict()})
 
-    def events_since(self, index: int) -> tuple[list[dict], bool]:
-        """Events appended at or after *index*, plus the finished flag."""
+    def events_since(self, index: int) -> tuple[list[bytes], bool]:
+        """Event lines (encoded NDJSON) appended at or after *index*,
+        plus the finished flag."""
         with self._lock:
             return self._events[index:], self._finished.is_set()
 
@@ -127,14 +150,31 @@ class Job:
         return True
 
     def finish(self, result: QueryResult) -> None:
+        """Resolve the job and freeze it: the response bodies are encoded
+        here, once, and *result* itself is not kept."""
         self.emit({"event": "done", "status": "done",
                    "kind": result.kind, "ok": result.ok})
+        run_s = None
+        if self.queue_wait_s is not None:
+            run_s = (time.perf_counter() - self.submitted
+                     - self.queue_wait_s)
+        # Encoded outside the lock (a running job has one writer, this
+        # worker), so a large table never stalls a concurrent poll.
+        answer = result.to_dict()
+        trace = zlib.compress(encode_json(answer["trace"]), 1)
+        answer["trace"] = None
+        payload = self._header()
+        payload["status"] = "done"
+        if run_s is not None:
+            payload["run_ms"] = round(run_s * 1000, 3)
+        payload["ok"] = result.ok
+        payload["result"] = answer
+        body = encode_json(payload)
         with self._lock:
             self.status = "done"
-            self.result = result
-            if self.queue_wait_s is not None:
-                self.run_s = (time.perf_counter() - self.submitted
-                              - self.queue_wait_s)
+            self.run_s = run_s
+            self._body = body
+            self._trace = trace
             self._finished.set()
 
     def cancel(self) -> bool:
@@ -159,26 +199,52 @@ class Job:
     def wait(self, timeout: float | None = None) -> bool:
         return self._finished.wait(timeout)
 
-    def to_dict(self) -> dict:
-        """The ``GET /queries/{id}`` payload (result included once done)."""
+    @property
+    def result(self) -> QueryResult | None:
+        """The finished job's result (trace included), decoded from the
+        frozen bodies on each access; ``None`` until the job is done."""
+        if self._body is None:
+            return None
+        return QueryResult.from_dict(self.to_dict(trace=True)["result"])
+
+    def _header(self) -> dict:
+        """The status fields of the poll payload."""
+        payload = {
+            "id": self.id,
+            "status": self.status,
+            "query": self.query,
+            "client": self.client,
+            "trace_id": self.context.trace_id,
+            "links": job_links(self.id, trace_id=self.context.trace_id),
+        }
+        if self.queue_wait_s is not None:
+            payload["queue_wait_ms"] = round(self.queue_wait_s * 1000, 3)
+        return payload
+
+    def to_dict(self, trace: bool = False) -> dict:
+        """The ``GET /queries/{id}`` payload.
+
+        Once done it carries ``ok`` and ``result`` — the answer
+        (``QueryResult.to_dict()`` with ``trace: null``); *trace* fills
+        ``result.trace`` with the full ``PlanTrace`` payload
+        (``?trace=1``).
+        """
         with self._lock:
-            payload = {
-                "id": self.id,
-                "status": self.status,
-                "query": self.query,
-                "client": self.client,
-                "trace_id": self.context.trace_id,
-                "links": job_links(self.id,
-                                   trace_id=self.context.trace_id),
-            }
-            if self.queue_wait_s is not None:
-                payload["queue_wait_ms"] = round(self.queue_wait_s * 1000, 3)
-            if self.run_s is not None:
-                payload["run_ms"] = round(self.run_s * 1000, 3)
-            if self.result is not None:
-                payload["ok"] = self.result.ok
-                payload["result"] = self.result.to_dict()
-            return payload
+            if self._body is None:
+                return self._header()
+        payload = json.loads(self._body)
+        if trace:
+            payload["result"]["trace"] = json.loads(
+                zlib.decompress(self._trace))
+        return payload
+
+    def encoded(self, trace: bool = False) -> bytes:
+        """:meth:`to_dict` as an encoded response body — for a finished
+        job without *trace*, the frozen bytes themselves."""
+        body = self._body
+        if body is not None and not trace:
+            return body
+        return encode_json(self.to_dict(trace))
 
 
 class JobManager:
@@ -413,7 +479,7 @@ class JobManager:
             else:
                 result = self._fold_lane_payload(job, index, payload)
             # Spans crossed the pipe inside the result; replay them onto
-            # the event stream so NDJSON consumers see the same shape as
+            # the event log so NDJSON consumers see the same shape as
             # thread lanes (post-hoc rather than live).
             for span in result.telemetry.spans:
                 job.emit_span(span)
@@ -472,7 +538,7 @@ class JobManager:
         caches, and fall back to an in-parent engine when the worker's
         engine crashed.
         """
-        from repro.core.plan import LogicalPlan
+        from repro.core.plan import BoundPlan
         from repro.data.datatypes import decode_scalar
         session = self.session
         session.metrics_registry.merge_delta(payload.get("metrics_delta"))
@@ -499,7 +565,7 @@ class JobManager:
         if fresh_plan is not None:
             session.plan_cache.put(
                 (job.query, session.lake.fingerprint()),
-                LogicalPlan.from_dict(fresh_plan))
+                BoundPlan.from_dict(fresh_plan))
         for fingerprint, question, answer_type, answer in payload.get(
                 "fresh_answers", []):
             session.answer_cache.put(

@@ -2,8 +2,9 @@
 
 The wire format is plain JSON riding the lossless plan IR: a submitted
 query comes in as ``{"query": ...}``, a finished job goes out carrying
-``QueryResult.to_dict()`` verbatim, and the event stream is one JSON
-object per line (NDJSON).  This module owns the validation of inbound
+``QueryResult.to_dict()`` (the answer; its ``trace`` is filled in only
+for ``?trace=1``), and the event stream is one JSON object per line
+(NDJSON).  This module owns the validation of inbound
 payloads and the shaping of outbound ones, so the HTTP layer
 (:mod:`repro.serve.app`) stays a thin router.
 """

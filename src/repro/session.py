@@ -13,9 +13,11 @@ the engine configuration, and the two caches — behind three methods:
 
 The CLI, the benchmark harness, and the test suite all drive the system
 through this facade.  Both caches are shared by every query and batch of
-the session, so repeated workloads run warm; plans survive across runs via
-:meth:`save_plan_cache` / :meth:`load_plan_cache` (the serializable plan
-IR makes the cache file portable).
+the session, so repeated workloads run warm — a repeated query reuses its
+plan *and* the model's discovery and mapping replies bound to it
+(:class:`~repro.core.plan.BoundPlan`), so it makes no LLM call; plans
+survive across runs via :meth:`save_plan_cache` / :meth:`load_plan_cache`
+(the serializable plan IR makes the cache file portable).
 
 Underneath, a session composes :class:`~repro.core.engine.Engine` instances
 from pluggable :class:`~repro.core.interfaces.Planner` /
@@ -260,7 +262,12 @@ class Session:
 
     @property
     def last_transcript(self) -> Transcript:
-        """Prompt/response transcript of the most recent :meth:`query`."""
+        """Prompt/response transcript of the most recent :meth:`query`.
+
+        Lists only the prompts actually sent to the model: a phase served
+        from the plan cache's bound replies sends nothing, so a fully
+        warm query leaves the transcript empty.
+        """
         engines = self._pool(1)
         return engines[0].last_transcript
 

@@ -240,9 +240,10 @@ def test_worker_initializer_seeds_shipped_plans(monkeypatch):
     monkeypatch.setattr(procworker, "_STATE", {})
     query = "How many players are taller than 200?"
     session = Session("rotowire")
-    plan = session.query(query).trace.logical_plan
+    session.query(query)
+    (_key, entry), = session.plan_cache.items()  # what the parent ships
     procworker.initialize_worker(make_worker_payload(
-        session, plans=[{"query": query, "plan": plan.to_dict()}]))
+        session, plans=[{"query": query, "plan": entry.to_dict()}]))
     payload = procworker.run_worker_query(query)
     assert payload["ok"]
     assert payload["fresh_plan"] is None      # never planned: shipped plan

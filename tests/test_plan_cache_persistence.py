@@ -25,8 +25,8 @@ def test_save_and_load_restore_entries(tmp_path):
     restored = PlanCache.load(path)
     assert len(restored) == 2
     assert restored.capacity == 8
-    assert restored.get(("q1", "fp")) == _plan("one")
-    assert restored.get(("q2", "fp")) == _plan("two")
+    assert restored.get(("q1", "fp")).plan == _plan("one")
+    assert restored.get(("q2", "fp")).plan == _plan("two")
     assert restored.get(("q3", "fp")) is None
     # Counters start fresh: 2 hits + 1 miss from the lines above only.
     assert restored.snapshot() == (2, 1, 0)

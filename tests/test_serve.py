@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.core.plan import QueryResult
 from repro.llm.brain import SimulatedBrain
 from repro.serve.app import ServeConfig, ServerHandle
 from repro.session import Session
@@ -89,8 +90,16 @@ def test_submit_poll_roundtrip_matches_direct_query(serve, rotowire_lake):
     expected = Session(rotowire_lake).query(
         "How many players are taller than 200?")
     assert done["result"]["value"] == expected.to_dict()["value"]
-    # the polled result is the full lossless IR, trace included
-    assert done["result"]["trace"]["telemetry"]["spans"]
+    # the poll carries the answer only; ?trace=1 adds the lossless trace
+    assert done["result"]["trace"] is None
+    status, _, traced = client.request("GET",
+                                       f"/queries/{body['id']}?trace=1")
+    assert status == 200
+    assert traced["result"]["trace"]["telemetry"]["spans"]
+    assert {**traced["result"], "trace": None} == done["result"]
+    restored = QueryResult.from_dict(traced["result"])
+    assert restored.value == expected.value
+    assert QueryResult.from_dict(done["result"]).value == expected.value
     client.close()
 
 
@@ -217,7 +226,9 @@ def test_job_timeout_resolves_with_worker_error_event(serve, rotowire_lake):
     done = client.poll_done(body["id"])
     assert done["ok"] is False
     assert done["result"]["kind"] == "error"
-    errors = done["result"]["trace"]["errors"]
+    assert "timed out" in done["result"]["error"]  # the slim form says why
+    _, _, traced = client.request("GET", f"/queries/{body['id']}?trace=1")
+    errors = traced["result"]["trace"]["errors"]
     assert len(errors) == 1
     assert errors[0]["phase"] == "worker"
     assert "timed out" in errors[0]["message"]

@@ -105,8 +105,8 @@ def test_job_manager_runs_jobs_and_records_metrics(rotowire_lake):
         assert payload["ok"] is True
         assert payload["result"]["kind"] == "value"
         assert payload["queue_wait_ms"] >= 0
-        events = [event["event"]
-                  for event in jobs[0].events_since(0)[0]]
+        events = [json.loads(line)["event"]
+                  for line in jobs[0].events_since(0)[0]]
         assert events[0] == "queued" and events[-1] == "done"
         assert "span" in events
         counters = session.metrics_registry.counters()
@@ -154,6 +154,64 @@ def test_crash_result_resolves_as_worker_error(rotowire_lake):
         assert "Boom" in crash.error
         counters = session.metrics_registry.counters()
         assert counters["serve_worker_failures_total"] == 1
+    finally:
+        manager.close()
+
+
+def test_finished_jobs_are_frozen_and_cheap_to_keep(artwork_lake,
+                                                    monkeypatch):
+    """A finished job keeps encoded bodies, not the live result graph:
+    500 of them retain at most 9 KB each, and polling one re-serialises
+    nothing."""
+    import gc
+    import tracemalloc
+
+    from repro.core.plan import QueryResult
+
+    queries = ["How many paintings are depicting a sword?",
+               "How many paintings are there?",
+               "Plot the number of paintings for each century."]
+    session = Session(artwork_lake)
+    for query in queries:
+        session.query(query)
+    manager = JobManager(session, workers=2, queue_depth=64,
+                         per_client_limit=64, max_jobs_kept=1024)
+    try:
+        # Lanes, engines and lazily built state exist before measuring.
+        for query in queries * 2:
+            assert manager.submit(query, "warm-up").wait(30)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for index in range(500):
+                job = manager.submit(queries[index % len(queries)], "client")
+                assert job.wait(30)
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        retained = sum(stat.size_diff
+                       for stat in after.compare_to(before, "filename"))
+        assert len(manager.jobs()) == 506
+        assert retained / 500 <= 9 * 1024, retained / 500
+
+        calls = []
+        original = QueryResult.to_dict
+        monkeypatch.setattr(
+            QueryResult, "to_dict",
+            lambda self: calls.append(self) or original(self))
+        slim = json.loads(job.encoded())
+        assert job.encoded() is job.encoded()  # the frozen bytes
+        full = json.loads(job.encoded(trace=True))
+        assert not calls
+        assert slim["status"] == "done" and slim["ok"] is True
+        assert slim["result"]["trace"] is None
+        assert full["result"]["trace"]["telemetry"]["spans"]
+        assert {**full["result"], "trace": None} == slim["result"]
+        # Job.result is decoded from the frozen bodies on demand.
+        assert job.result.ok and job.result.trace.physical_steps
+        assert job.result.describe() == session.query(job.query).describe()
     finally:
         manager.close()
 
