@@ -45,7 +45,8 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.plan import ErrorEvent, PlanTrace, QueryResult
 from repro.obs import StageTrace, TraceContext, build_trace_record
-from repro.serve.admission import AdmissionController, AdmissionError
+from repro.serve.admission import (AdmissionController, AdmissionError,
+                                   StartPacer)
 from repro.serve.schemas import job_links
 
 #: Where a job's query actually executes: ``thread`` runs it on an
@@ -281,6 +282,7 @@ class JobManager:
         self.admission = AdmissionController(
             queue_depth=queue_depth, per_client_limit=per_client_limit,
             retry_after_s=retry_after_s, metrics=self.metrics)
+        self._pacer = StartPacer(metrics=self.metrics)
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._jobs: dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
@@ -409,6 +411,21 @@ class JobManager:
         else:
             self._thread_worker(index)
 
+    def _take(self, index: int) -> Job | None:
+        """The next job for lane *index*, moved to ``running`` once its
+        start slot is due; ``None`` when the lane should stop."""
+        while True:
+            item = self._queue.get()
+            if item is _STOP:
+                return None
+            self._pacer.wait_turn()
+            job: Job = item
+            if job.take_for_run(index):
+                self.admission.mark_started()
+                self.metrics.observe("serve_queue_wait", job.queue_wait_s)
+                return job
+            # cancelled while queued; admission already released
+
     def _thread_worker(self, index: int) -> None:
         engine = self.session.make_engine()
         # A single-thread inner executor per worker enforces the per-job
@@ -417,16 +434,7 @@ class JobManager:
         # backend's lane-teardown semantics without killing the worker.
         inner = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"repro-serve-run-{index}")
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                inner.shutdown(wait=False)
-                return
-            job: Job = item
-            if not job.take_for_run(index):
-                continue  # cancelled while queued; admission released
-            self.admission.mark_started()
-            self.metrics.observe("serve_queue_wait", job.queue_wait_s)
+        while (job := self._take(index)) is not None:
             engine.span_listener = job.emit_span
             engine.trace_context = job.context
             try:
@@ -443,6 +451,7 @@ class JobManager:
                 engine.span_listener = None
                 engine.trace_context = None
             self._finish(job, index, result)
+        inner.shutdown(wait=False)
 
     def _process_worker(self, index: int) -> None:
         """Worker loop of the ``process`` lane backend: each worker owns
@@ -456,16 +465,7 @@ class JobManager:
         """
         from repro.exec.process import _Lane, default_start_method
         lane = _Lane(index, default_start_method())
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                lane.close()
-                return
-            job: Job = item
-            if not job.take_for_run(index):
-                continue
-            self.admission.mark_started()
-            self.metrics.observe("serve_queue_wait", job.queue_wait_s)
+        while (job := self._take(index)) is not None:
             try:
                 lane.ensure(self._lane_payload())
                 future = lane.submit(job.query, job.context.to_dict())
@@ -484,6 +484,7 @@ class JobManager:
             for span in result.telemetry.spans:
                 job.emit_span(span)
             self._finish(job, index, result)
+        lane.close()
 
     def _finish(self, job: Job, index: int, result: QueryResult) -> None:
         job.finish(result)

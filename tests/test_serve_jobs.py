@@ -5,11 +5,14 @@ harness's record shape."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from repro.llm.brain import SimulatedBrain
-from repro.serve.admission import AdmissionController, AdmissionError
+from repro.obs import MetricsRegistry
+from repro.serve.admission import (START_INTERVAL_S, AdmissionController,
+                                   AdmissionError, StartPacer)
 from repro.serve.jobs import JobManager
 from repro.serve.loadtest import LoadTestConfig, healthy, percentile, run_loadtest
 from repro.serve.schemas import SchemaError, parse_submit
@@ -87,9 +90,46 @@ def test_admission_rejections_counted_in_metrics(rotowire_lake):
         manager.close()
 
 
+def test_start_pacer_spaces_a_backlog_and_starts_an_idle_lane_at_once():
+    metrics = MetricsRegistry()
+    pacer = StartPacer(interval_s=0.02, metrics=metrics)
+    started = time.perf_counter()
+    pacer.wait_turn()
+    assert time.perf_counter() - started < 0.015      # idle: no wait
+    for _ in range(4):
+        pacer.wait_turn()
+    # Four more turns claimed back to back sit on a fixed schedule, one
+    # interval apart, however late each sleep woke up.
+    assert time.perf_counter() - started >= 4 * 0.02
+    assert metrics.counters()["serve_starts_paced_total"] == 4
+    time.sleep(0.03)
+    again = time.perf_counter()
+    pacer.wait_turn()
+    assert time.perf_counter() - again < 0.015
+    assert metrics.counters()["serve_starts_paced_total"] == 4
+
+
 # ----------------------------------------------------------------------
 # Job manager
 # ----------------------------------------------------------------------
+
+def test_job_manager_spaces_job_starts_across_lanes(rotowire_lake):
+    session = Session(rotowire_lake)
+    manager = JobManager(session, workers=2)
+    try:
+        jobs = [manager.submit("Who is the tallest player?", "burst")
+                for _ in range(5)]
+        for job in jobs:
+            assert job.wait(30) and job.result.ok
+        starts = sorted(job.submitted + job.queue_wait_s for job in jobs)
+        gaps = [later - earlier for earlier, later in zip(starts, starts[1:])]
+        # take_for_run stamps the start a moment after the slot came due.
+        assert min(gaps) >= START_INTERVAL_S * 0.5
+        assert session.metrics_registry.counters()[
+            "serve_starts_paced_total"] >= 3
+    finally:
+        manager.close()
+
 
 def test_job_manager_runs_jobs_and_records_metrics(rotowire_lake):
     session = Session(rotowire_lake)
