@@ -26,6 +26,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from typing import Iterable, Sequence
 
 from repro.cachenet.protocol import (CacheUnavailable, FrameError,
                                      check_hello_reply, hello_request,
@@ -307,9 +308,9 @@ class _RemoteCacheMixin:
     _client: CacheClient
     _metrics: MetricsRegistry | None
 
-    def _metric(self, name: str) -> None:
-        if self._metrics is not None:
-            self._metrics.increment(name)
+    def _metric(self, name: str, value: int = 1) -> None:
+        if self._metrics is not None and value:
+            self._metrics.increment(name, value)
 
     @property
     def client(self) -> CacheClient:
@@ -396,40 +397,52 @@ class RemoteAnswerCache(_RemoteCacheMixin, AnswerCache):
         self._client = client
         self._metrics = metrics
 
-    def _local_put(self, key: AnswerKey, answer: object) -> None:
-        """Plain LRU insert; see :meth:`RemotePlanCache._local_put`."""
+    def get_many(self, keys: Sequence[AnswerKey]) -> list[object]:
+        """Local front first; the keys it lacks go to the tier in one
+        ``mget``, and what the tier holds is installed locally.  Each key
+        counts one hit or one miss wherever it was found; a tier that is
+        down costs one ``cachenet_fallbacks`` and reads as all-missed."""
         with self._lock:
-            self._entries[key] = answer
-            self._entries.move_to_end(key)
-            if len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-
-    def get(self, key: AnswerKey) -> object:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return self._entries[key]
+            found = self._take(keys)
+        absent = [slot for slot, answer in enumerate(found)
+                  if answer is MISS]
+        if not absent:
+            return found
         try:
-            hit, answer = self._client.get_answer(key)
+            replies = self._client.mget(
+                "answer", [list(keys[slot]) for slot in absent])
         except CacheUnavailable:
             self._metric("cachenet_fallbacks")
-            hit, answer = False, None
-        else:
-            self._metric("cachenet_hits" if hit else "cachenet_misses")
-        if hit:
-            self._local_put(key, answer)
-            with self._lock:
-                self._hits += 1
-            return answer
+            replies = []
+        fetched = []
+        for slot, reply in zip(absent, replies):
+            if reply.get("hit"):
+                found[slot] = decode_scalar(reply.get("value"))
+                fetched.append((keys[slot], found[slot]))
+        self._metric("cachenet_hits", len(fetched))
+        self._metric("cachenet_misses", len(replies) - len(fetched))
+        self.install(fetched)
         with self._lock:
-            self._misses += 1
-        return MISS
+            self._hits += len(fetched)
+            self._misses += len(absent) - len(fetched)
+        return found
 
-    def put(self, key: AnswerKey, answer: object) -> None:
-        self._local_put(key, answer)
+    def install(self, entries: Iterable[tuple[AnswerKey, object]]) -> None:
+        """Store in the local front only — for entries the tier already
+        holds or is sent separately (never forwarded, never journaled
+        by a worker lane as fresh inference)."""
+        AnswerCache.put_many(self, entries)
+
+    def put_many(self,
+                 entries: Iterable[tuple[AnswerKey, object]]) -> None:
+        """Install locally, then forward in one best-effort ``mput``."""
+        entries = list(entries)
+        if not entries:
+            return
+        self.install(entries)
         try:
-            self._client.put_answer(key, answer)
+            self._client.mput("answer", [
+                {"key": list(key), "value": encode_scalar(answer)}
+                for key, answer in entries])
         except CacheUnavailable:
             self._metric("cachenet_fallbacks")

@@ -26,7 +26,10 @@ Thread safety: every operation (lookups, insertions, and the hit/miss/eviction
 counters) is performed under one internal lock, so a single ``AnswerCache``
 may be shared by any number of concurrently executing operators — this is how
 :meth:`repro.session.Session.batch` shares one cache across its worker
-engines.
+engines.  The modality operators look a column up with one
+:meth:`AnswerCache.get_many` and store its misses with one
+:meth:`AnswerCache.put_many`; the single-key ``get``/``put`` are the same
+operations on one key.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import json
 import threading
 from collections import OrderedDict
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from repro.core.persist import atomic_write_text
 from repro.data.datatypes import decode_scalar, encode_scalar
@@ -87,21 +91,42 @@ class AnswerCache:
 
     def get(self, key: AnswerKey) -> object:
         """The cached answer for *key*, or :data:`MISS`."""
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return self._entries[key]
-            self._misses += 1
-            return MISS
+        return self.get_many((key,))[0]
 
     def put(self, key: AnswerKey, answer: object) -> None:
+        self.put_many(((key, answer),))
+
+    def get_many(self, keys: Sequence[AnswerKey]) -> list[object]:
+        """The cached answer or :data:`MISS` for each key, under one lock
+        acquisition; every key counts as one hit or one miss."""
         with self._lock:
-            self._entries[key] = answer
-            self._entries.move_to_end(key)
-            if len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
+            found = self._take(keys)
+            self._misses += sum(answer is MISS for answer in found)
+        return found
+
+    def put_many(self,
+                 entries: Iterable[tuple[AnswerKey, object]]) -> None:
+        """Store every ``(key, answer)`` pair under one lock acquisition."""
+        with self._lock:
+            for key, answer in entries:
+                self._entries[key] = answer
+                self._entries.move_to_end(key)
+                if len(self._entries) > self.capacity:
+                    self._entries.popitem(last=False)
+                    self._evictions += 1
+
+    def _take(self, keys: Sequence[AnswerKey]) -> list[object]:
+        """Lookup with the lock held: present keys are refreshed and
+        counted as hits; absent ones come back :data:`MISS`, uncounted."""
+        entries = self._entries
+        found = [entries.get(key, MISS) for key in keys]
+        hits = 0
+        for key, answer in zip(keys, found):
+            if answer is not MISS:
+                entries.move_to_end(key)
+                hits += 1
+        self._hits += hits
+        return found
 
     def clear(self) -> None:
         """Drop all entries (counters are kept)."""

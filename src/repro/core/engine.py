@@ -72,6 +72,8 @@ from repro.obs.trace import MEMO_MISS_REASONS, MEMO_NOTE
 from repro.operators.base import ExecutionContext
 from repro.plotting.spec import PlotSpec
 from repro.relational.sqlexec import SQLBridge
+from repro.text.qa import BartQASim
+from repro.vision.blip import Blip2Sim
 
 
 @dataclass
@@ -167,6 +169,11 @@ class Engine:
         #: once per content fingerprint instead of once per SQL step (the
         #: registration copy dominated warm batches on 10k-row lakes).
         self.sql_bridge = SQLBridge()
+        #: engine-lifetime modality models, one per lane as loaded models
+        #: would be: what the vision model has worked out about an image
+        #: (its detection memo) serves every later question about it.
+        self.vision_model = Blip2Sim()
+        self.text_model = BartQASim()
         self.last_transcript = Transcript()
         #: the :class:`~repro.core.plan.BoundPlan` the most recent query
         #: wrote to the plan cache, ``None`` when it wrote nothing —
@@ -418,6 +425,8 @@ class Engine:
         context = ExecutionContext(
             tables={name: self.lake.table(name)
                     for name in self.lake.source_names},
+            vision_model=self.vision_model,
+            text_model=self.text_model,
             answer_cache=self.answer_cache,
             sql_bridge=self.sql_bridge,
             telemetry=trace.telemetry,

@@ -22,6 +22,7 @@ inference actually performed, so warm queries add nothing to the pipe.
 from __future__ import annotations
 
 import traceback
+from typing import Iterable
 
 from repro.cachenet import RemoteAnswerCache
 from repro.core.answer_cache import AnswerCache, AnswerKey
@@ -37,12 +38,12 @@ _STATE: dict[str, object] = {}
 
 
 class _JournalMixin:
-    """Journals fresh ``put`` calls on top of any answer cache.
+    """Journals fresh puts on top of any answer cache.
 
-    Operators only ``put`` after real model inference, so the journal of
+    Operators only put after real model inference, so the journal of
     one query is exactly the set of answers the worker just learned —
     what gets shipped back to the parent cache.  Tier fills on the
-    remote variant go through ``_local_put`` and are therefore *not*
+    remote variant go through ``install`` and are therefore *not*
     journaled (the parent can fetch those from the tier itself).
     """
 
@@ -50,9 +51,11 @@ class _JournalMixin:
         super().__init__(*args, **kwargs)
         self.journal: list[tuple[AnswerKey, object]] = []
 
-    def put(self, key: AnswerKey, answer: object) -> None:
-        super().put(key, answer)
-        self.journal.append((key, answer))
+    def put_many(self,
+                 entries: Iterable[tuple[AnswerKey, object]]) -> None:
+        entries = list(entries)
+        super().put_many(entries)
+        self.journal.extend(entries)
 
     def drain(self) -> list[list[object]]:
         """The journaled entries, JSON-encoded, and an empty journal."""
@@ -118,9 +121,9 @@ def initialize_worker(payload: dict) -> None:
     for entry in payload["plans"]:
         plan_cache.put((entry["query"], plan_key_fingerprint),
                        BoundPlan.from_dict(entry["plan"]))
-    for fingerprint_, question, answer_type, answer in payload["answers"]:
-        answer_cache.put((fingerprint_, question, answer_type),
-                         decode_scalar(answer))
+    answer_cache.put_many(
+        ((fingerprint_, question, answer_type), decode_scalar(answer))
+        for fingerprint_, question, answer_type, answer in payload["answers"])
     answer_cache.journal = []  # seeding is not fresh inference
     engine = Engine(lake, model=payload["brain"], config=payload["config"],
                     planner=payload["planner"], mapper=payload["mapper"],

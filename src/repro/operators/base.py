@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.answer_cache import AnswerCache
+from repro.data.datatypes import DataType
 from repro.data.table import Table
 from repro.errors import OperatorError, UnknownTableError
 from repro.obs.trace import QueryTelemetry
@@ -67,9 +68,12 @@ class ExecutionContext:
         if self.telemetry is not None:
             self.telemetry.count(name, value)
 
-    def record_answer_lookup(self, hit: bool) -> None:
-        """Record one answer-cache lookup outcome."""
-        self.count("answer_cache_hits" if hit else "answer_cache_misses")
+    def record_answer_lookup(self, hit: bool, lookups: int = 1) -> None:
+        """Record *lookups* answer-cache lookups with the same outcome
+        (a counter appears in the telemetry only once it is non-zero)."""
+        if lookups:
+            self.count("answer_cache_hits" if hit else "answer_cache_misses",
+                       lookups)
 
 
 @dataclass
@@ -116,6 +120,23 @@ class PhysicalOperator:
                 f"({'; '.join(args)})",
                 operator=self.name)
         return [a.strip() for a in args]
+
+    def require_column(self, context: ExecutionContext, table_name: str,
+                       column: str, dtype: DataType) -> Table:
+        """The table *table_name*, checked to hold *column* with type
+        *dtype* (what a modality operator needs before it reads cells)."""
+        table = context.resolve(table_name)
+        if column not in table:
+            raise OperatorError(
+                f"table {table_name!r} has no column {column!r}",
+                operator=self.name)
+        if table.dtype(column) is not dtype:
+            article = "an" if dtype.name[0] in "AEIOU" else "a"
+            raise OperatorError(
+                f"column {column!r} has type {table.dtype(column).value}, "
+                f"but {self.name} needs {article} {dtype.name} column",
+                operator=self.name)
+        return table
 
 
 class OperatorRegistry:

@@ -8,12 +8,14 @@ each row before the extractive QA model answers from the row's text.
 
 from __future__ import annotations
 
-from repro.core.answer_cache import MISS, text_fingerprint
+from typing import Iterator
+
+from repro.core.answer_cache import AnswerKey, text_fingerprint
 from repro.data.datatypes import DataType
-from repro.errors import OperatorError
 from repro.operators.base import (ExecutionContext, OperatorCard,
                                   OperatorResult, PhysicalOperator,
                                   register_operator)
+from repro.operators.modality import answer_column
 from repro.operators.visual_qa import answer_dtype, cast_answer
 from repro.text.qa import instantiate_template
 
@@ -36,38 +38,27 @@ class TextQAOperator(PhysicalOperator):
     def run(self, context: ExecutionContext, args: list[str]) -> OperatorResult:
         table_name, text_column, new_column, template, answer_type = (
             self.require_args(args, 5))
-        table = context.resolve(table_name)
-        if text_column not in table:
-            raise OperatorError(
-                f"table {table_name!r} has no column {text_column!r}",
-                operator=self.name)
-        if table.dtype(text_column) is not DataType.TEXT:
-            raise OperatorError(
-                f"column {text_column!r} has type "
-                f"{table.dtype(text_column).value}, but {self.name} needs a "
-                "TEXT column", operator=self.name)
-        cache = context.answer_cache
+        table = self.require_column(context, table_name, text_column,
+                                    DataType.TEXT)
         cache_type = answer_type.strip().lower()
-        answers = []
-        for row in table.rows():
-            document = row[text_column]
-            if document is None:
-                answers.append(None)
-                continue
-            question = instantiate_template(template, row)
-            if cache is not None:
-                key = (text_fingerprint(str(document)), question, cache_type)
-                cached = cache.get(key)
-                context.record_answer_lookup(cached is not MISS)
-                if cached is not MISS:
-                    answers.append(cached)
+        model = context.text_model
+
+        def instantiated() -> Iterator[tuple[AnswerKey, tuple] | None]:
+            for row in table.rows():
+                if row[text_column] is None:
+                    yield None
                     continue
-            raw = context.text_model.answer(str(document), question)
-            context.count("text_inferences")
-            answer = cast_answer(raw, answer_type, self.name)
-            if cache is not None:
-                cache.put(key, answer)
-            answers.append(answer)
+                document = str(row[text_column])
+                question = instantiate_template(template, row)
+                yield ((text_fingerprint(document), question, cache_type),
+                       (document, question))
+
+        answers = answer_column(
+            context, instantiated(),
+            lambda asked: [
+                cast_answer(model.answer(document, question), answer_type,
+                            self.name) for document, question in asked],
+            "text_inferences")
         result = table.with_column(new_column, answer_dtype(answer_type),
                                    answers)
         samples = result.sample_values(new_column)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-from repro.core.answer_cache import MISS
+from typing import Callable, Iterator, Sequence
+
+from repro.core.answer_cache import AnswerKey
 from repro.data.datatypes import DataType
+from repro.data.table import Table
 from repro.errors import OperatorError
 from repro.operators.base import (ExecutionContext, OperatorCard,
                                   OperatorResult, PhysicalOperator,
                                   register_operator)
+from repro.operators.modality import answer_column
 from repro.vision.image import Image
 
 _ANSWER_CASTS = {
@@ -46,6 +50,40 @@ def answer_dtype(answer_type: str) -> DataType:
     return _ANSWER_DTYPES.get(answer_type.strip().lower(), DataType.STRING)
 
 
+def answer_images(operator: PhysicalOperator, context: ExecutionContext,
+                  table_name: str, image_column: str, question: str,
+                  answer_type: str,
+                  infer: Callable[[list[Image]], Sequence[object]],
+                  ) -> tuple[Table, list[object]]:
+    """What VisualQA and Image Select share: *question* asked of every
+    image of a column through the modality batch seam.  Returns ``(table,
+    one answer per row)``; null cells answer ``None``.
+
+    Cache keys are ``(image fingerprint, question, answer_type)``.
+    Images are keyed batch by batch (:meth:`Image.keyed`): a lazy lake
+    image without a digest is rendered once, that raster is what *infer*
+    sees on a cache miss, and it is dropped with its batch instead of
+    staying on the lake.
+    """
+    table = operator.require_column(context, table_name, image_column,
+                                    DataType.IMAGE)
+
+    def keyed() -> Iterator[tuple[AnswerKey, Image] | None]:
+        for image in table.column(image_column):
+            if image is None:
+                yield None
+                continue
+            if not isinstance(image, Image):
+                raise OperatorError(
+                    f"column {image_column!r} holds {type(image).__name__}, "
+                    "not images", operator=operator.name)
+            view = image.keyed()
+            yield (view.fingerprint(), question, answer_type), view
+
+    answers = answer_column(context, keyed(), infer, "vision_inferences")
+    return table, answers
+
+
 class VisualQAOperator(PhysicalOperator):
     """Ask a question about every image in a column; store typed answers."""
 
@@ -62,40 +100,12 @@ class VisualQAOperator(PhysicalOperator):
     def run(self, context: ExecutionContext, args: list[str]) -> OperatorResult:
         table_name, image_column, new_column, question, answer_type = (
             self.require_args(args, 5))
-        table = context.resolve(table_name)
-        if image_column not in table:
-            raise OperatorError(
-                f"table {table_name!r} has no column {image_column!r}",
-                operator=self.name)
-        if table.dtype(image_column) is not DataType.IMAGE:
-            raise OperatorError(
-                f"column {image_column!r} has type "
-                f"{table.dtype(image_column).value}, but {self.name} needs "
-                "an IMAGE column", operator=self.name)
-        cache = context.answer_cache
-        cache_type = answer_type.strip().lower()
-        answers = []
-        for value in table.column(image_column):
-            if value is None:
-                answers.append(None)
-                continue
-            if not isinstance(value, Image):
-                raise OperatorError(
-                    f"column {image_column!r} holds {type(value).__name__}, "
-                    "not images", operator=self.name)
-            if cache is not None:
-                key = (value.fingerprint(), question, cache_type)
-                cached = cache.get(key)
-                context.record_answer_lookup(cached is not MISS)
-                if cached is not MISS:
-                    answers.append(cached)
-                    continue
-            raw = context.vision_model.answer(value, question)
-            context.count("vision_inferences")
-            answer = cast_answer(raw, answer_type, self.name)
-            if cache is not None:
-                cache.put(key, answer)
-            answers.append(answer)
+        table, answers = answer_images(
+            self, context, table_name, image_column, question,
+            answer_type.strip().lower(),
+            lambda images: [
+                cast_answer(raw, answer_type, self.name) for raw in
+                context.vision_model.answer_many(images, question)])
         result = table.with_column(new_column, answer_dtype(answer_type),
                                    answers)
         samples = result.sample_values(new_column)
@@ -117,35 +127,11 @@ class ImageSelectOperator(PhysicalOperator):
 
     def run(self, context: ExecutionContext, args: list[str]) -> OperatorResult:
         table_name, image_column, description = self.require_args(args, 3)
-        table = context.resolve(table_name)
-        if image_column not in table:
-            raise OperatorError(
-                f"table {table_name!r} has no column {image_column!r}",
-                operator=self.name)
-        if table.dtype(image_column) is not DataType.IMAGE:
-            raise OperatorError(
-                f"column {image_column!r} has type "
-                f"{table.dtype(image_column).value}, but {self.name} needs "
-                "an IMAGE column", operator=self.name)
-        cache = context.answer_cache
-        mask = []
-        for value in table.column(image_column):
-            if value is None:
-                mask.append(False)
-                continue
-            if cache is not None:
-                key = (value.fingerprint(), description, "select")
-                cached = cache.get(key)
-                context.record_answer_lookup(cached is not MISS)
-                if cached is not MISS:
-                    mask.append(cached)
-                    continue
-            keep = context.vision_model.matches_description(value, description)
-            context.count("vision_inferences")
-            if cache is not None:
-                cache.put(key, keep)
-            mask.append(keep)
-        result = table.filter(mask)
+        table, matches = answer_images(
+            self, context, table_name, image_column, description, "select",
+            lambda images: context.vision_model.matches_many(images,
+                                                             description))
+        result = table.filter([bool(keep) for keep in matches])
         observation = (
             f"Image Select kept {result.num_rows} of {table.num_rows} rows "
             f"matching {description!r}.")

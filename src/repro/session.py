@@ -357,8 +357,7 @@ class Session:
             remote = RemoteAnswerCache(self._cache_client, cache.capacity,
                                        metrics=self.metrics_registry)
             entries = cache.items()
-            for key, answer in entries:
-                remote._local_put(key, answer)
+            remote.install(entries)
             self._publish("answer", [
                 {"key": list(key), "value": encode_scalar(answer)}
                 for key, answer in entries])

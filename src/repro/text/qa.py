@@ -18,6 +18,7 @@ import re
 from repro.errors import OperatorError
 
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
+_PLACEHOLDER_RE = re.compile(r"<([A-Za-z_][A-Za-z0-9_]*)>")
 
 #: statistic keyword → regex capturing "<number> <keyword>"
 _STAT_WORDS = {
@@ -69,7 +70,7 @@ def instantiate_template(template: str, row: dict[str, object]) -> str:
                 operator="Text Question Answering")
         return str(row[column])
 
-    return re.sub(r"<([A-Za-z_][A-Za-z0-9_]*)>", replace, template)
+    return _PLACEHOLDER_RE.sub(replace, template)
 
 
 class BartQASim:

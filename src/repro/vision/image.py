@@ -52,6 +52,27 @@ class Image:
             self._fingerprint = digest.hexdigest()[:24]
         return self._fingerprint
 
+    def loaded(self) -> "Image":
+        """This image with its raster in memory — itself, for an eager
+        image.  A reader that wants pixels without making the lake keep
+        them (:class:`~repro.vision.renderer.LazyImage`) goes through
+        here."""
+        return self
+
+    def keyed(self) -> "Image":
+        """An equal image whose :meth:`fingerprint` is already memoized.
+
+        When hashing needs the raster anyway (no digest yet) the
+        :meth:`loaded` image is returned, so a caller that keys a batch
+        and then shows the cache misses to a model renders each lazy
+        image once, not twice.
+        """
+        if self._fingerprint is not None:
+            return self
+        view = self.loaded()
+        self._fingerprint = view.fingerprint()
+        return view
+
     def to_dict(self) -> dict:
         """JSON-safe lossless encoding (raw pixel bytes, base64)."""
         return {

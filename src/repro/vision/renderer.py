@@ -75,51 +75,76 @@ class LazyImage(Image):
     def width(self) -> int:
         return self._scene.width
 
+    def loaded(self) -> Image:
+        """The rendered image; a transient eager twin while this one is
+        un-rendered, so the lake never retains a raster for a reader."""
+        if self._pixels is not None:
+            return self
+        twin = render_scene(self._scene, path=self.path)
+        twin._fingerprint = self._fingerprint
+        return twin
+
     def fingerprint(self) -> str:
         if self._fingerprint is None:
             if self._pixels is None:
-                # Hash a transient render; drop the raster, keep the digest.
-                self._fingerprint = render_scene(
-                    self._scene, path=self.path).fingerprint()
+                self.keyed()  # hash a transient twin; keep only the digest
             else:
-                self._fingerprint = Image(self._pixels,
-                                          path=self.path).fingerprint()
+                super().fingerprint()
         return self._fingerprint
 
 
 def _draw_object(pixels: np.ndarray, obj: SceneObject,
                  rng: np.random.Generator) -> None:
     category = CATEGORIES[obj.category]
-    mask = glyph_mask(pixels.shape[0], pixels.shape[1], category.shape,
-                      obj.cx, obj.cy, obj.size)
+    rows, columns, mask = _glyph_patch(pixels.shape[0], pixels.shape[1],
+                                       category.shape, obj.cx, obj.cy,
+                                       obj.size)
     count = int(mask.sum())
     if count == 0:
         return
     color = np.array(category.color, dtype=np.int16)
     noise = rng.integers(-COLOR_JITTER, COLOR_JITTER + 1,
                          size=(count, 3), dtype=np.int16)
-    pixels[mask] = np.clip(color[None, :] + noise, 0, 255)
+    pixels[rows, columns][mask] = np.clip(color[None, :] + noise, 0, 255)
 
 
 def glyph_mask(height: int, width: int, shape: str,
                cx: int, cy: int, size: int) -> np.ndarray:
     """Boolean mask of the glyph footprint (shared with tests)."""
-    ys, xs = np.mgrid[0:height, 0:width]
-    dx = xs - cx
-    dy = ys - cy
+    rows, columns, patch = _glyph_patch(height, width, shape, cx, cy, size)
+    mask = np.zeros((height, width), dtype=bool)
+    mask[rows, columns] = patch
+    return mask
+
+
+def _glyph_patch(height: int, width: int, shape: str, cx: int, cy: int,
+                 size: int) -> tuple[slice, slice, np.ndarray]:
+    """The glyph inside its bounding box, clipped to the frame.
+
+    Returns ``(rows, columns, mask)`` with ``mask`` covering
+    ``frame[rows, columns]``.  No glyph reaches further than *reach*
+    pixels from its centre, so everything outside the box is background
+    and the row-major order of the set pixels is that of the whole frame.
+    """
+    thickness = max(1, size // 2)
+    reach = max(abs(size), thickness) if shape == "cross" else abs(size)
+    rows = slice(max(cy - reach, 0), max(min(cy + reach + 1, height), 0))
+    columns = slice(max(cx - reach, 0), max(min(cx + reach + 1, width), 0))
+    dy = np.arange(rows.start, rows.stop)[:, None] - cy
+    dx = np.arange(columns.start, columns.stop)[None, :] - cx
     if shape == "circle":
-        return dx * dx + dy * dy <= size * size
-    if shape == "square":
-        return (np.abs(dx) <= size) & (np.abs(dy) <= size)
-    if shape == "diamond":
-        return np.abs(dx) + np.abs(dy) <= size
-    if shape == "cross":
-        thickness = max(1, size // 2)
+        mask = dx * dx + dy * dy <= size * size
+    elif shape == "square":
+        mask = (np.abs(dx) <= size) & (np.abs(dy) <= size)
+    elif shape == "diamond":
+        mask = np.abs(dx) + np.abs(dy) <= size
+    elif shape == "cross":
         vertical = (np.abs(dx) <= thickness) & (np.abs(dy) <= size)
         horizontal = (np.abs(dy) <= thickness) & (np.abs(dx) <= size)
-        return vertical | horizontal
-    if shape == "triangle":
-        inside = (dy >= -size) & (dy <= size)
-        half_width = (dy + size) / 2.0
-        return inside & (np.abs(dx) <= half_width)
-    raise ValueError(f"unknown glyph shape {shape!r}")
+        mask = vertical | horizontal
+    elif shape == "triangle":
+        mask = ((dy >= -size) & (dy <= size)
+                & (np.abs(dx) <= (dy + size) / 2.0))
+    else:
+        raise ValueError(f"unknown glyph shape {shape!r}")
+    return rows, columns, mask

@@ -14,6 +14,7 @@ that colour segmentation with tolerance 30 cannot confuse categories.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 
 
@@ -50,18 +51,26 @@ CATEGORIES: dict[str, Category] = {c.name: c for c in [
 ]}
 
 
+def _word_index() -> dict[str, Category]:
+    """Every noun that names a category: canonical names first, then
+    synonyms (the earlier category wins a shared one), then the naive
+    plural ``name + "s"``."""
+    words: dict[str, Category] = dict(CATEGORIES)
+    for category in CATEGORIES.values():
+        for synonym in category.synonyms:
+            words.setdefault(synonym, category)
+    for category in CATEGORIES.values():
+        words.setdefault(category.name + "s", category)
+    return words
+
+
+_WORDS = _word_index()
+_WORD_RE = re.compile(r"[A-Za-z]+")
+
+
 def category_for_word(word: str) -> Category | None:
     """Resolve a (possibly plural / synonym) noun to a category."""
-    lowered = word.strip().lower()
-    if lowered in CATEGORIES:
-        return CATEGORIES[lowered]
-    for category in CATEGORIES.values():
-        if lowered in category.synonyms:
-            return category
-    # Naive singularization: strip a trailing 's'.
-    if lowered.endswith("s") and lowered[:-1] in CATEGORIES:
-        return CATEGORIES[lowered[:-1]]
-    return None
+    return _WORDS.get(word.strip().lower())
 
 
 def categories_in_phrase(phrase: str) -> list[Category]:
@@ -71,14 +80,12 @@ def categories_in_phrase(phrase: str) -> list[Category]:
     the NL intent parser (to spot multi-modal predicates such as
     "depicting Madonna and Child").
     """
-    import re
-
-    found: list[Category] = []
-    for word in re.findall(r"[A-Za-z]+", phrase.lower()):
-        category = category_for_word(word)
-        if category is not None and category not in found:
-            found.append(category)
-    return found
+    found: dict[str, Category] = {}
+    for word in _WORD_RE.findall(phrase.lower()):
+        category = _WORDS.get(word)
+        if category is not None:
+            found.setdefault(category.name, category)
+    return list(found.values())
 
 
 @dataclass(frozen=True)
