@@ -76,6 +76,11 @@ from repro.text.qa import BartQASim
 from repro.vision.blip import Blip2Sim
 
 
+#: values of :attr:`EngineConfig.relational_engine`; a SQL / Join step
+#: counts the one that ran it as ``sql_engine_<name>``.
+RELATIONAL_ENGINES = ("columnar", "native", "sqlite")
+
+
 @dataclass
 class EngineConfig:
     """Tunables of the execution loop."""
@@ -577,6 +582,14 @@ class Engine:
             if value:
                 metrics.increment(
                     f'binding_memo_misses_total{{reason="{reason}"}}', value)
+        for engine in RELATIONAL_ENGINES:
+            value = telemetry.counters.get(f"sql_engine_{engine}")
+            if value:
+                metrics.increment(f'sql_engine_total{{engine="{engine}"}}',
+                                  value)
+        value = telemetry.counters.get("colexec_declined")
+        if value:
+            metrics.increment("colexec_declined_total", value)
         if trace.replans:
             metrics.increment("replans_total", trace.replans)
         if telemetry.spans:

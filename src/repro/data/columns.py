@@ -17,6 +17,13 @@ the column to object storage.  That strictness is what keeps
 with the historical row store, so pre-columnar plan/answer caches and
 cachenet payloads keep their keys.
 
+Two construction paths share that rule.  :class:`ColumnBuilder` appends
+one value at a time (streaming ingestion, generators);
+:func:`build_column` packs a whole list in one typed pass when every
+non-null value has the store's exact type, and hands anything else to
+the builder.  Gathers (:meth:`Column.take`) on fixed-width stores are
+one numpy fancy-index over the raw buffers.
+
 The store mode is process-global: ``columnar`` (default) packs typed
 columns, ``row`` forces plain-list storage everywhere.  The ``row`` mode
 exists so benchmarks can measure the row-store baseline
@@ -30,6 +37,8 @@ import sys
 from array import array
 from datetime import date
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.data.datatypes import DataType
 
@@ -57,6 +66,16 @@ def set_table_store(mode: str) -> str:
     previous = _store_mode
     _store_mode = mode
     return previous
+
+
+def _gather(buffer: array | bytearray, idx: np.ndarray) -> array | bytearray:
+    """A fixed-width *buffer* (typed ``array`` or byte mask) at positions
+    *idx*, gathered in one numpy pass."""
+    if isinstance(buffer, bytearray):
+        return bytearray(np.frombuffer(buffer, dtype=np.uint8)[idx].tobytes())
+    out = array(buffer.typecode)
+    out.frombytes(np.frombuffer(buffer, dtype=buffer.typecode)[idx].tobytes())
+    return out
 
 
 class Column:
@@ -135,12 +154,9 @@ class _MaskedColumn(Column):
     def __len__(self) -> int:
         return len(self.data)
 
-    def _take_into(self, cls, indices: Sequence[int],
-                   typecode: str) -> "Column":
-        data = self.data
-        nulls = self.nulls
-        return cls(array(typecode, (data[i] for i in indices)),
-                   bytearray(nulls[i] for i in indices))
+    def take(self, indices: Sequence[int]) -> "Column":
+        idx = np.asarray(indices, dtype=np.intp)
+        return type(self)(_gather(self.data, idx), _gather(self.nulls, idx))
 
 
 class IntColumn(_MaskedColumn):
@@ -156,9 +172,6 @@ class IntColumn(_MaskedColumn):
     def iter_values(self) -> Iterator[object]:
         for raw, null in zip(self.data, self.nulls):
             yield None if null else raw
-
-    def take(self, indices: Sequence[int]) -> "IntColumn":
-        return self._take_into(IntColumn, indices, "q")
 
     def _append(self, value: object) -> bool:
         if value is None:
@@ -186,9 +199,6 @@ class FloatColumn(_MaskedColumn):
         for raw, null in zip(self.data, self.nulls):
             yield None if null else raw
 
-    def take(self, indices: Sequence[int]) -> "FloatColumn":
-        return self._take_into(FloatColumn, indices, "d")
-
     def _append(self, value: object) -> bool:
         if value is None:
             self.data.append(0.0)
@@ -214,12 +224,6 @@ class BoolColumn(_MaskedColumn):
     def iter_values(self) -> Iterator[object]:
         for raw, null in zip(self.data, self.nulls):
             yield None if null else bool(raw)
-
-    def take(self, indices: Sequence[int]) -> "BoolColumn":
-        data = self.data
-        nulls = self.nulls
-        return BoolColumn(bytearray(data[i] for i in indices),
-                          bytearray(nulls[i] for i in indices))
 
     def _append(self, value: object) -> bool:
         if value is None:
@@ -247,9 +251,6 @@ class DateColumn(_MaskedColumn):
         fromordinal = date.fromordinal
         for raw, null in zip(self.data, self.nulls):
             yield None if null else fromordinal(raw)
-
-    def take(self, indices: Sequence[int]) -> "DateColumn":
-        return self._take_into(DateColumn, indices, "q")
 
     def _append(self, value: object) -> bool:
         if value is None:
@@ -285,11 +286,11 @@ class StringColumn(Column):
             yield None if code < 0 else pool[code]
 
     def take(self, indices: Sequence[int]) -> "StringColumn":
-        codes = self.codes
         # The pool is shared with the source column (both are immutable
         # by convention), so a take is just a code gather.
-        return StringColumn(array("i", (codes[i] for i in indices)),
-                            self.pool)
+        return StringColumn(
+            _gather(self.codes, np.asarray(indices, dtype=np.intp)),
+            self.pool)
 
     def code_of(self, text: str) -> int | None:
         """The dictionary code for *text*, or ``None`` when absent."""
@@ -358,10 +359,74 @@ class ColumnBuilder:
         return column
 
 
+#: The one Python type each typed store accepts (``type(v) is T``).
+_EXACT_TYPES = {
+    DataType.INTEGER: int,
+    DataType.FLOAT: float,
+    DataType.BOOLEAN: bool,
+    DataType.DATE: date,
+    DataType.STRING: str,
+}
+_NONE_TYPE = type(None)
+
+
+def _pack(values: list[object], dtype: DataType) -> Column | None:
+    """*values* packed into *dtype*'s typed store in bulk, or ``None``
+    when the per-value builder must decide: a modality dtype, any value
+    whose type is not exactly the store's (bool in ints, datetime in
+    dates, ``str`` subclasses, mixes), or an int past int64.  Whatever
+    this returns equals what :class:`ColumnBuilder` builds from the same
+    list — class, values and string pool order."""
+    exact = _EXACT_TYPES.get(dtype)
+    if exact is None:
+        return None
+    kinds = set(map(type, values))
+    nullable = _NONE_TYPE in kinds
+    kinds.discard(_NONE_TYPE)
+    if not kinds <= {exact}:
+        return None
+    if exact is str:
+        # First-occurrence pool order, exactly as appends would grow it.
+        pool = [sys.intern(text) for text in dict.fromkeys(values)
+                if text is not None]
+        lookup: dict[object, int] = {text: code
+                                     for code, text in enumerate(pool)}
+        lookup[None] = -1
+        return StringColumn(array("i", map(lookup.__getitem__, values)),
+                            pool)
+    nulls = (bytearray([value is None for value in values]) if nullable
+             else bytearray(len(values)))
+    if exact is bool:
+        return BoolColumn(bytearray(map(bool, values)), nulls)
+    if exact is date:
+        return DateColumn(array("q", [0 if value is None
+                                      else value.toordinal()
+                                      for value in values]), nulls)
+    if nullable:
+        fill = 0.0 if exact is float else 0
+        values = [fill if value is None else value for value in values]
+    if exact is float:
+        return FloatColumn(array("d", values), nulls)
+    try:
+        return IntColumn(array("q", values), nulls)
+    except OverflowError:
+        return None  # past int64: the builder promotes to object storage
+
+
 def build_column(values: Iterable[object], dtype: DataType) -> Column:
-    """Pack *values* into the best storage for *dtype* in one pass."""
+    """Pack *values* into the best storage for *dtype*.
+
+    A list packs in bulk when it can (:func:`_pack`: one type scan, one
+    typed-buffer construction); everything else — other iterables, the
+    row store, lists the typed store cannot represent exactly — streams
+    through :class:`ColumnBuilder`, which builds the same column.
+    """
     if isinstance(values, Column):
         return values
+    if isinstance(values, list) and _store_mode == "columnar":
+        packed = _pack(values, dtype)
+        if packed is not None:
+            return packed
     builder = ColumnBuilder(dtype)
     builder.extend(values)
     return builder.finish()

@@ -105,16 +105,35 @@ def infer_type(value: object) -> DataType:
     )
 
 
+#: :func:`infer_type` of every value whose exact type is a key (``None``
+#: for nulls, which do not vote).
+_KNOWN_TYPES: dict[type, DataType | None] = {
+    bool: DataType.BOOLEAN,
+    int: DataType.INTEGER,
+    float: DataType.FLOAT,
+    str: DataType.STRING,
+    date: DataType.DATE,
+    datetime: DataType.DATE,
+    type(None): None,
+}
+
+
 def infer_column_type(values: list[object]) -> DataType:
     """Infer a column datatype from its values (ignoring ``None``).
 
     Mixed int/float widens to float; any other mix raises.
     """
-    seen: set[DataType] = set()
-    for value in values:
-        if value is None:
-            continue
-        seen.add(infer_type(value))
+    kinds = set(map(type, values))
+    if kinds.issubset(_KNOWN_TYPES):
+        # Decided from the distinct exact types, one lookup each.
+        seen = {_KNOWN_TYPES[kind] for kind in kinds} - {None}
+    else:
+        # Subclasses and unknown types: the per-value rule (and error).
+        seen = set()
+        for value in values:
+            if value is None:
+                continue
+            seen.add(infer_type(value))
     if not seen:
         return DataType.STRING
     if seen == {DataType.INTEGER, DataType.FLOAT}:

@@ -58,17 +58,19 @@ class JoinOperator(PhysicalOperator):
                     f"(available columns: {table.column_names})",
                     operator=self.name)
         result = None
-        if context.relational_engine != "sqlite":
+        engine = context.relational_engine
+        if engine != "sqlite":
             # In-process join in the bridge's result representation;
             # shapes it cannot reproduce byte-identically fall through.
             try:
                 result = colexec.join_tables(left, right, left_on, right_on)
             except colexec.UnsupportedSQL:
-                result = None
+                context.count("colexec_declined")
         try:
             if result is not None:
                 pass
             elif context.sql_bridge is not None:
+                engine = "sqlite"
                 sql = build_join_sql(left_name, right_name, left_on,
                                      right_on, left.column_names,
                                      right.column_names)
@@ -76,9 +78,11 @@ class JoinOperator(PhysicalOperator):
                     sql, {left_name: left, right_name: right},
                     known=context.tables)
             else:
+                engine = "native"
                 result = join(left, right, left_on, right_on)
         except ReproError as exc:
             raise OperatorError(str(exc), operator=self.name) from exc
+        context.count(f"sql_engine_{engine}")
         context.count("joins_executed")
         observation = (
             f"Join produced a table with {result.num_rows} rows and "

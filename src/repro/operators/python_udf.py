@@ -8,7 +8,7 @@ AST-validated sandbox.
 
 from __future__ import annotations
 
-from repro.data.datatypes import DataType, infer_column_type
+from repro.data.datatypes import infer_column_type
 from repro.errors import (CodeGenerationError, OperatorError,
                           SandboxViolationError)
 from repro.operators.base import (ExecutionContext, OperatorCard,
@@ -51,17 +51,18 @@ class PythonOperator(PhysicalOperator):
             raise OperatorError(str(exc), operator=self.name) from exc
         context.count("udf_calls")
 
-        values = []
-        for value in table.column(input_column):
+        values: list[object] = []
+        append = values.append
+        for row, value in enumerate(table.column(input_column)):
             if value is None:
-                values.append(None)
+                append(None)
                 continue
             try:
-                values.append(transform(value))
+                append(transform(value))
             except Exception as exc:  # generated code may fail arbitrarily
                 raise OperatorError(
-                    f"generated code failed on value {value!r}: {exc}",
-                    operator=self.name) from exc
+                    f"generated code failed on row {row} (value {value!r}): "
+                    f"{exc}", operator=self.name) from exc
         dtype = infer_column_type(values)
         result = table.with_column(new_column, dtype, values)
         samples = result.sample_values(new_column)

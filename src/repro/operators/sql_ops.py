@@ -52,14 +52,15 @@ class SQLOperator(PhysicalOperator):
         context.count("sql_statements")
         tables = referenced_tables(sql, context.tables)
         result = None
-        if context.relational_engine != "sqlite":
+        engine = context.relational_engine
+        if engine != "sqlite":
             # In-process execution over column storage; anything outside
             # the proven-identical envelope falls through to the bridge.
             try:
-                result = colexec.execute(sql, tables,
-                                         engine=context.relational_engine)
+                result = colexec.execute(sql, tables, engine=engine)
             except colexec.UnsupportedSQL:
-                result = None
+                context.count("colexec_declined")
+                engine = "sqlite"
         if result is None:
             try:
                 if context.sql_bridge is not None:
@@ -75,6 +76,7 @@ class SQLOperator(PhysicalOperator):
                         result = executor.execute(sql)
             except ReproError as exc:
                 raise OperatorError(str(exc), operator=self.name) from exc
+        context.count(f"sql_engine_{engine}")
         observation = (
             f"SQL returned a table with {result.num_rows} rows and columns "
             f"{result.column_names}.")

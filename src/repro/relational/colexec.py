@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import operator
 import re
-from array import array
 from dataclasses import dataclass
 from datetime import date
 from typing import Callable, Sequence
@@ -42,7 +41,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.data.columns import (BoolColumn, Column, DateColumn, FloatColumn,
-                                IntColumn, StringColumn)
+                                IntColumn, ObjectColumn, StringColumn,
+                                build_column)
 from repro.data.datatypes import DataType
 from repro.data.schema import ColumnSpec, Schema
 from repro.data.table import Table
@@ -1087,37 +1087,17 @@ def _take_sql_column(storage: object, indices: Sequence[int] | None
     the identity projection: the storage itself is shared (columns are
     immutable once inside a table).
     """
-    if indices is None:
-        if isinstance(storage, StringColumn):
-            return storage, DataType.STRING
-        if isinstance(storage, (IntColumn, FloatColumn)):
-            typed = (DataType.INTEGER if isinstance(storage, IntColumn)
-                     else DataType.FLOAT)
-            return storage, (typed if 0 in storage.nulls
-                             else DataType.STRING)
+    if not isinstance(storage, (StringColumn, IntColumn, FloatColumn)):
         return None
-    if isinstance(storage, StringColumn):
-        idx = np.asarray(indices, dtype=np.intp)
-        codes = array("i")
-        codes.frombytes(
-            np.frombuffer(storage.codes, dtype=np.int32)[idx].tobytes())
-        return StringColumn(codes, storage.pool), DataType.STRING
-    if isinstance(storage, (IntColumn, FloatColumn)):
-        idx = np.asarray(indices, dtype=np.intp)
-        np_dtype = np.int64 if isinstance(storage, IntColumn) else np.float64
-        data = array("q" if isinstance(storage, IntColumn) else "d")
-        data.frombytes(
-            np.frombuffer(storage.data, dtype=np_dtype)[idx].tobytes())
-        nulls = bytearray(
-            bytes(np.frombuffer(bytes(storage.nulls), dtype=np.uint8)[idx]))
-        # _infer_sql_dtype over {int|float, None}: typed if any value
-        # survives, STRING for an all-null (or empty) projection.
-        if isinstance(storage, IntColumn):
-            dtype = DataType.INTEGER if 0 in nulls else DataType.STRING
-            return IntColumn(data, nulls), dtype
-        dtype = DataType.FLOAT if 0 in nulls else DataType.STRING
-        return FloatColumn(data, nulls), dtype
-    return None
+    taken = storage if indices is None else storage.take(indices)
+    if isinstance(taken, StringColumn):
+        return taken, DataType.STRING
+    # _infer_sql_dtype over {int|float, None}: typed if any value
+    # survives, STRING for an all-null (or empty) projection.
+    if 0 not in taken.nulls:
+        return taken, DataType.STRING
+    return taken, (DataType.INTEGER if isinstance(taken, IntColumn)
+                   else DataType.FLOAT)
 
 
 def _build_result(named_columns: list[tuple[str, object,
@@ -1221,15 +1201,46 @@ def _sqlite_join(left: Table, right: Table,
             left_indices.append(i)
             right_indices.append(j)
 
-    result = left.take(left_indices)
+    return _assemble_join(left, right, left_indices, right_indices,
+                          renames, right_on if right_on == left_on else None)
+
+
+def _assemble_join(left: Table, right: Table, left_indices: list[int],
+                   right_indices: list[int], renames: dict[str, str],
+                   merged_key: str | None) -> Table:
+    """The joined table, gathered column by column from both sides'
+    storage.  Its schema is the one appending each right column with
+    :meth:`Table.with_column` builds: left specs (descriptions, foreign
+    keys, primary key kept), then bare right specs; a right name that
+    already exists replaces the earlier column at the end and, as
+    ``with_column``'s ``project`` does, drops the foreign keys and the
+    primary key."""
+    schema = left.schema
+    specs = {spec.name: spec for spec in schema.columns}
+    columns = {name: left.storage(name).take(left_indices)
+               for name in left.column_names}
+    clashed = False
     for name in right.column_names:
-        if name == right_on and right_on == left_on:
+        if name == merged_key:
             continue  # merged into the single left-side key column
-        values = right.column(name)
-        picked = [values[j] for j in right_indices]
-        result = result.with_column(renames.get(name, name),
-                                    right.dtype(name), picked)
-    return result
+        out = renames.get(name, name)
+        if out in specs:
+            del specs[out], columns[out]
+            clashed = True
+        dtype = right.dtype(name)
+        column = right.storage(name).take(right_indices)
+        if isinstance(column, ObjectColumn) and not dtype.is_modality:
+            # The gather may have dropped every value that forced object
+            # storage; the column then packs like any other result list.
+            column = build_column(column.values, dtype)
+        specs[out] = ColumnSpec(out, dtype)
+        columns[out] = column
+    return Table(Schema(list(specs.values()),
+                        description=schema.description,
+                        foreign_keys=[] if clashed
+                        else list(schema.foreign_keys),
+                        primary_key=None if clashed else schema.primary_key),
+                 columns)
 
 
 # ----------------------------------------------------------------------

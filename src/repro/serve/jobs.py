@@ -487,12 +487,14 @@ class JobManager:
         lane.close()
 
     def _finish(self, job: Job, index: int, result: QueryResult) -> None:
+        duration_s = time.perf_counter() - job.submitted
+        # Record before resolving: a poll that sees the job done must
+        # also find its trace in the ring and the export spool.
+        self._record_trace(job, index, result, duration_s)
         job.finish(result)
         self.admission.release_running(job.client)
         self.metrics.increment("serve_jobs_completed_total")
-        duration_s = time.perf_counter() - job.submitted
         self.metrics.observe("serve_job_latency", duration_s)
-        self._record_trace(job, index, result, duration_s)
 
     def _record_trace(self, job: Job, index: int, result: QueryResult,
                       duration_s: float) -> None:

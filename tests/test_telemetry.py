@@ -364,6 +364,54 @@ def test_execution_context_counts_are_safe_without_telemetry():
     assert telemetry.counters["answer_cache_misses"] == 1
 
 
+def test_sql_and_join_steps_count_the_engine_that_ran_them():
+    from repro.operators.join import JoinOperator
+    from repro.operators.sql_ops import SQLOperator
+    from repro.relational.sqlexec import SQLBridge
+
+    lake = load_lake("rotowire")
+    tables = {name: source.table for name, source in lake.sources.items()}
+
+    def counters(engine: str, operator, args) -> dict:
+        telemetry = QueryTelemetry()
+        context = ExecutionContext(tables=dict(tables), telemetry=telemetry,
+                                   relational_engine=engine,
+                                   sql_bridge=SQLBridge())
+        operator.run(context, args)
+        return {name: value for name, value in telemetry.counters.items()
+                if name.startswith(("sql_engine_", "colexec_"))}
+
+    supported = ["SELECT name FROM players WHERE height_cm > 200"]
+    declined = ["SELECT UPPER(name) AS u FROM players"]
+    join = ["players", "teams", "team", "name"]
+    assert counters("columnar", SQLOperator(), supported) == {
+        "sql_engine_columnar": 1}
+    assert counters("native", SQLOperator(), supported) == {
+        "sql_engine_native": 1}
+    assert counters("sqlite", SQLOperator(), supported) == {
+        "sql_engine_sqlite": 1}
+    assert counters("columnar", SQLOperator(), declined) == {
+        "sql_engine_sqlite": 1, "colexec_declined": 1}
+    assert counters("columnar", JoinOperator(), join) == {
+        "sql_engine_columnar": 1}
+    assert counters("sqlite", JoinOperator(), join) == {
+        "sql_engine_sqlite": 1}
+
+
+def test_engine_counts_fold_into_labelled_session_metrics():
+    from repro.obs import render_prometheus
+
+    with Session("rotowire") as session:
+        result = session.query(QUERY)
+        counters = session.metrics()["counters"]
+        exposition = render_prometheus(session.observability_snapshot())
+    ran = result.telemetry.counters["sql_engine_columnar"]
+    assert ran == result.telemetry.counters["sql_statements"]
+    assert counters['sql_engine_total{engine="columnar"}'] == ran
+    assert "colexec_declined_total" not in counters
+    assert f'repro_sql_engine_total{{engine="columnar"}} {ran}' in exposition
+
+
 # ----------------------------------------------------------------------
 # The worker pipe itself, driven in-process
 # ----------------------------------------------------------------------
