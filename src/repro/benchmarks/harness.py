@@ -39,7 +39,7 @@ from repro.benchmarks.workloads import (WORKLOAD_VERSION, workload,
                                         workload_names)
 from repro.cliargs import backend_list, positive_float, positive_int
 from repro.core.batch import BatchReport
-from repro.core.engine import EngineConfig
+from repro.core.engine import RELATIONAL_ENGINES, EngineConfig
 from repro.data.catalog import DataLake
 from repro.data.columns import set_table_store, table_store
 from repro.datasets import DATASET_NAMES, load_lake
@@ -55,7 +55,6 @@ DEFAULT_LLM_LATENCY_MS = 10.0
 DEFAULT_OUTPUT = "BENCH_parallel.json"
 
 _STORES = ("columnar", "row")
-_ENGINES = ("columnar", "native", "sqlite")
 
 
 @dataclass
@@ -108,7 +107,7 @@ class BenchConfig:
                 f"{', '.join(workload_names())}")
         for label, value, allowed in (
                 ("store", self.store, _STORES),
-                ("engine", self.engine, _ENGINES),
+                ("engine", self.engine, RELATIONAL_ENGINES),
                 ("baseline_store", self.baseline_store, _STORES)):
             if value is not None and value not in allowed:
                 raise ValueError(f"unknown {label} {value!r}; available: "
@@ -424,7 +423,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="table store for the measured grid "
                              "(default: inherit REPRO_TABLE_STORE, "
                              "i.e. columnar)")
-    parser.add_argument("--engine", choices=_ENGINES, default=None,
+    parser.add_argument("--engine", choices=RELATIONAL_ENGINES, default=None,
                         help="relational engine for the measured grid "
                              "(default: inherit REPRO_RELATIONAL_ENGINE, "
                              "i.e. columnar)")

@@ -253,18 +253,6 @@ class CacheClient:
         self.request({"op": "put", "space": "plan", "ns": ns,
                       "key": query, "value": plan_dict})
 
-    def get_answer(self, key: AnswerKey) -> tuple[bool, object]:
-        """``(hit, decoded answer)`` for *key* from the answer space."""
-        reply = self.request({"op": "get", "space": "answer",
-                              "key": list(key)})
-        if not reply.get("hit"):
-            return False, None
-        return True, decode_scalar(reply.get("value"))
-
-    def put_answer(self, key: AnswerKey, answer: object) -> None:
-        self.request({"op": "put", "space": "answer", "key": list(key),
-                      "value": encode_scalar(answer)})
-
     def mget(self, space: str, keys: list, ns: str | None = None) -> list:
         request = {"op": "mget", "space": space,
                    "keys": [{"key": key} for key in keys]}

@@ -13,16 +13,12 @@ through :class:`repro.session.Session`; ``--plan-cache-file`` rehydrates
 the plan cache before the run and persists it afterwards, so a repeated
 batch plans nothing.  The ``bench`` subcommand forwards to
 :mod:`repro.benchmarks.harness`.
-
-The pre-subcommand spelling (``repro --dataset ... --query/--batch ...``)
-keeps working but emits a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 from repro.cliargs import backend_name, positive_float, positive_int
@@ -123,33 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
              "traces, slowest queries ('repro trace --help')")
     subparsers.add_parser(
         "fuzz", add_help=False,
-        help="differential query fuzzer: sqlite / columnar / native "
-             "engines must agree byte-for-byte ('repro fuzz --help')")
-    return parser
-
-
-def build_legacy_parser() -> argparse.ArgumentParser:
-    """The deprecated flag-style parser (``repro --dataset ... --query``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Answer natural-language queries over a multi-modal "
-                    "data lake (CAESURA reproduction).",
-        epilog="This flag-style invocation is deprecated; use the 'repro "
-               "query' / 'repro batch' subcommands.")
-    _add_lake_arguments(parser)
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--query", help="one natural-language query")
-    source.add_argument("--batch", metavar="FILE",
-                        help="file with one query per line ('#' comments "
-                             "and blank lines are skipped)")
-    parser.add_argument("--cache-size", type=positive_int, default=None,
-                        help="LRU plan-cache capacity for batch mode "
-                             "(default: 128, or the capacity persisted "
-                             "in --plan-cache-file)")
-    parser.add_argument("--workers", type=positive_int, default=1,
-                        help="worker threads for batch mode (default: 1)")
-    parser.add_argument("--trace", action="store_true",
-                        help="print the physical plan and per-phase timings")
+        help="differential query fuzzer: sqlite / columnar engines "
+             "must agree byte-for-byte ('repro fuzz --help')")
     return parser
 
 
@@ -192,24 +163,22 @@ def _build_session(args: argparse.Namespace,
     config = EngineConfig(use_discovery=not args.no_discovery)
     session = Session(lake, config=config,
                       plan_cache_size=cache_size or 128,
-                      cache_url=getattr(args, "cache_url", None))
+                      cache_url=args.cache_url)
     if args.plan_cache_file and Path(args.plan_cache_file).exists():
         # An explicit --cache-size wins over the capacity persisted in
         # the file; otherwise the file's own capacity is kept, so a
         # flag-less run never truncates a larger persisted cache.
         session.load_plan_cache(args.plan_cache_file, capacity=cache_size)
-    answer_cache_file = getattr(args, "answer_cache_file", None)
-    if answer_cache_file and Path(answer_cache_file).exists():
-        session.load_answer_cache(answer_cache_file)
+    if args.answer_cache_file and Path(args.answer_cache_file).exists():
+        session.load_answer_cache(args.answer_cache_file)
     return session
 
 
 def _finish(session: Session, args: argparse.Namespace) -> None:
     if args.plan_cache_file:
         session.save_plan_cache(args.plan_cache_file)
-    answer_cache_file = getattr(args, "answer_cache_file", None)
-    if answer_cache_file:
-        session.save_answer_cache(answer_cache_file)
+    if args.answer_cache_file:
+        session.save_answer_cache(args.answer_cache_file)
     session.close()
 
 
@@ -221,7 +190,8 @@ def _run_query(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _run_batch(args: argparse.Namespace, path: str) -> int:
+def _run_batch(args: argparse.Namespace) -> int:
+    path = args.file
     try:
         queries = read_batch_file(path)
     except OSError as exc:
@@ -232,15 +202,14 @@ def _run_batch(args: argparse.Namespace, path: str) -> int:
         return 2
     session = _build_session(args, cache_size=args.cache_size)
     report = session.batch(queries, workers=args.workers,
-                           backend=getattr(args, "backend", None))
+                           backend=args.backend)
     print(report.render())
-    metrics_file = getattr(args, "metrics_file", None)
-    if metrics_file:
+    if args.metrics_file:
         # Same serialization as the service's GET /metrics endpoint
         # (repro.obs.render_snapshot), so dumps and scrapes diff cleanly;
         # the observability snapshot folds in the cache tier's STATS when
         # the session has a --cache-url.
-        Path(metrics_file).write_text(
+        Path(args.metrics_file).write_text(
             render_snapshot(session.observability_snapshot()),
             encoding="utf-8")
     _finish(session, args)
@@ -274,27 +243,14 @@ def main(argv: list[str] | None = None) -> int:
     if argv[0] == "fuzz":
         from repro.testing.fuzz import main as fuzz_main
         return fuzz_main(argv[1:])
-    if argv[0].startswith("-") and argv[0] not in ("--version", "-h",
-                                                   "--help"):
-        # Flag-style invocation (repro --dataset ... --query/--batch ...)
-        # is the deprecated pre-subcommand surface.
-        warnings.warn(
-            "flag-style invocation (repro --dataset ... --query/--batch) "
-            "is deprecated; use the 'repro query' / 'repro batch' "
-            "subcommands",
-            DeprecationWarning, stacklevel=2)
-        args = build_legacy_parser().parse_args(argv)
-        if args.batch:
-            return _run_batch(args, args.batch)
-        return _run_query(args)
 
-    # Subcommand style.  An unknown first word lands here too and gets
-    # argparse's "invalid choice" error listing the real subcommands.
+    # An unknown first word lands here too and gets argparse's "invalid
+    # choice" error listing the real subcommands.
     args = build_parser().parse_args(argv)
     if args.command == "query":
         return _run_query(args)
     if args.command == "batch":
-        return _run_batch(args, args.file)
+        return _run_batch(args)
     build_parser().print_help()
     return 0
 

@@ -27,9 +27,6 @@ step counts, and cache hit-rates.  Two different clocks are reported:
 one worker would have spent), while ``elapsed_seconds`` is the real
 wall-clock of the whole batch; throughput is computed from the latter, so
 it stays honest once queries run concurrently.
-
-:class:`BatchRunner` and :class:`ParallelBatchRunner` are the pre-Session
-entry points, kept as deprecated shims over the same internals.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ import json
 import queue
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -46,11 +42,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.core.answer_cache import AnswerCache
-from repro.core.engine import Engine, EngineConfig
+from repro.core.engine import Engine
 from repro.core.persist import atomic_write_text
 from repro.core.plan import BoundPlan, LogicalPlan, QueryResult
-from repro.data.catalog import DataLake
-from repro.llm.interface import LanguageModel
 from repro.obs.trace import QueryTelemetry
 
 _STAGES = ("discovery", "planning", "mapping", "execution")
@@ -218,9 +212,7 @@ class QueryStats:
     """Per-query line of a batch report.
 
     Timing and cache locality live in the telemetry-derived fields
-    ``plan_cache_hit`` / ``total_seconds`` plus the token/cost columns;
-    the pre-telemetry spellings ``cache_hit`` and ``seconds`` survive as
-    deprecated read-only properties.
+    ``plan_cache_hit`` / ``total_seconds`` plus the token/cost columns.
     """
 
     query: str
@@ -232,20 +224,6 @@ class QueryStats:
     token_in: int = 0
     token_out: int = 0
     cost_usd: float = 0.0
-
-    @property
-    def cache_hit(self) -> bool:
-        warnings.warn(
-            "QueryStats.cache_hit is deprecated; use "
-            "stat.plan_cache_hit", DeprecationWarning, stacklevel=2)
-        return self.plan_cache_hit
-
-    @property
-    def seconds(self) -> float:
-        warnings.warn(
-            "QueryStats.seconds is deprecated; use "
-            "stat.total_seconds", DeprecationWarning, stacklevel=2)
-        return self.total_seconds
 
     def to_dict(self) -> dict:
         # Both spellings are written so pre-telemetry readers of archived
@@ -584,66 +562,3 @@ def execute_batch(engines: Sequence[Engine],
                        plan_before, answer_before)
     return report
 
-
-class BatchRunner:
-    """Deprecated pre-Session serial batch entry point.
-
-    Construction emits one :class:`DeprecationWarning`; use
-    :meth:`repro.session.Session.batch` instead.  The plan cache and
-    answer cache live on the runner, so consecutive :meth:`run` calls
-    share warmth; each :class:`BatchReport` still only accounts the cache
-    activity of its own run.
-    """
-
-    def __init__(self, lake: DataLake, model: LanguageModel | None = None,
-                 config: EngineConfig | None = None, cache_size: int = 128,
-                 answer_cache_size: int = DEFAULT_ANSWER_CACHE_SIZE):
-        warnings.warn(
-            "BatchRunner is deprecated; use repro.session.Session "
-            "(e.g. Session(lake).batch(queries))",
-            DeprecationWarning, stacklevel=2)
-        self.cache = PlanCache(cache_size)
-        self.answer_cache = AnswerCache(answer_cache_size)
-        self.engine = Engine(lake, model=model, config=config,
-                             plan_cache=self.cache,
-                             answer_cache=self.answer_cache)
-
-    def run(self, queries: Sequence[str] | Iterable[str]) -> BatchReport:
-        return execute_batch([self.engine], queries, self.cache,
-                             self.answer_cache)
-
-
-class ParallelBatchRunner:
-    """Deprecated pre-Session parallel batch entry point.
-
-    Construction emits one :class:`DeprecationWarning`; use
-    :meth:`repro.session.Session.batch` with ``workers=N`` instead.
-
-    When *model* is given, the single instance is shared by all workers and
-    must be thread-safe (:class:`~repro.llm.brain.SimulatedBrain` is — it
-    keeps no mutable state across calls).  When it is ``None``, each worker
-    engine gets its own default brain.
-    """
-
-    def __init__(self, lake: DataLake, model: LanguageModel | None = None,
-                 config: EngineConfig | None = None, cache_size: int = 128,
-                 workers: int = 4,
-                 answer_cache_size: int = DEFAULT_ANSWER_CACHE_SIZE):
-        warnings.warn(
-            "ParallelBatchRunner is deprecated; use repro.session.Session "
-            "(e.g. Session(lake).batch(queries, workers=N))",
-            DeprecationWarning, stacklevel=2)
-        if workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
-        self.workers = workers
-        self.cache = PlanCache(cache_size)
-        self.answer_cache = AnswerCache(answer_cache_size)
-        self._engines = [
-            Engine(lake, model=model, config=config,
-                   plan_cache=self.cache, answer_cache=self.answer_cache)
-            for _ in range(workers)
-        ]
-
-    def run(self, queries: Sequence[str] | Iterable[str]) -> BatchReport:
-        return execute_batch(self._engines, queries, self.cache,
-                             self.answer_cache)

@@ -40,17 +40,13 @@ Every prompt/response pair actually sent is recorded in
 ``last_transcript`` (a reused reply sends nothing); everything that
 happened lands in the returned :class:`~repro.core.plan.QueryResult`'s
 :class:`~repro.core.plan.PlanTrace`, including per-phase wall-clock
-timings.
-
-:class:`QueryEngine` is the pre-Session spelling of this class and is kept
-as a deprecated shim; new code goes through :class:`repro.session.Session`.
+timings.  :class:`repro.session.Session` is the public facade over it.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from repro.core.interfaces import (Executor, Mapper, Planner, PromptMapper,
@@ -78,7 +74,7 @@ from repro.vision.blip import Blip2Sim
 
 #: values of :attr:`EngineConfig.relational_engine`; a SQL / Join step
 #: counts the one that ran it as ``sql_engine_<name>``.
-RELATIONAL_ENGINES = ("columnar", "native", "sqlite")
+RELATIONAL_ENGINES = ("columnar", "sqlite")
 
 
 @dataclass
@@ -91,12 +87,19 @@ class EngineConfig:
     few_shot: bool = True         # include few-shot examples when planning
     max_observations: int = 6     # observations fed into each mapping prompt
     #: which relational engine executes SQL / Join steps: ``"columnar"``
-    #: (vectorized kernels over column storage, sqlite fallback),
-    #: ``"native"`` (row-wise repro.relational.ops, sqlite fallback), or
-    #: ``"sqlite"`` (always the bridge).  All three are byte-identical —
-    #: the differential fuzzer (repro.testing.fuzz) asserts it.
+    #: (vectorized kernels over column storage, sqlite fallback) or
+    #: ``"sqlite"`` (always the bridge).  Both are byte-identical — the
+    #: differential fuzzer (repro.testing.fuzz) asserts it.
     relational_engine: str = field(default_factory=lambda: os.environ.get(
         "REPRO_RELATIONAL_ENGINE", "columnar"))
+
+    def __post_init__(self) -> None:
+        if self.relational_engine not in RELATIONAL_ENGINES:
+            raise ValueError(
+                f"unknown relational engine {self.relational_engine!r} "
+                f"(EngineConfig.relational_engine / "
+                f"REPRO_RELATIONAL_ENGINE); choose one of "
+                f"{', '.join(RELATIONAL_ENGINES)}")
 
 
 @dataclass
@@ -600,25 +603,3 @@ class Engine:
         for phase, seconds in trace.timings.items():
             metrics.observe(f"latency_{phase}", seconds)
 
-
-class QueryEngine(Engine):
-    """Deprecated pre-Session engine entry point.
-
-    Construction emits one :class:`DeprecationWarning`; behaviour is
-    identical to :class:`Engine` plus the historical :meth:`answer`
-    spelling.  Use :class:`repro.session.Session` instead.
-    """
-
-    def __init__(self, lake: DataLake, model: LanguageModel | None = None,
-                 config: EngineConfig | None = None, plan_cache=None,
-                 answer_cache=None):
-        warnings.warn(
-            "QueryEngine is deprecated; use repro.session.Session "
-            "(e.g. Session(lake).query(...))",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(lake, model=model, config=config,
-                         plan_cache=plan_cache, answer_cache=answer_cache)
-
-    def answer(self, query: str) -> QueryResult:
-        """Historical name of :meth:`Engine.query`."""
-        return self.query(query)

@@ -15,7 +15,6 @@ persistence, process workers, result archives).
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -337,23 +336,6 @@ class PlanTrace:
     #: across the process-lane wire so a worker's result joins the
     #: parent's trace.  ``None`` on pre-tracing payloads.
     trace_id: str | None = None
-
-    @property
-    def plan_cache_hit(self) -> bool:
-        """Deprecated — use ``trace.telemetry.plan_cache_hit``."""
-        warnings.warn(
-            "PlanTrace.plan_cache_hit is deprecated; use "
-            "trace.telemetry.plan_cache_hit",
-            DeprecationWarning, stacklevel=2)
-        return self.telemetry.plan_cache_hit
-
-    @plan_cache_hit.setter
-    def plan_cache_hit(self, hit: bool) -> None:
-        warnings.warn(
-            "PlanTrace.plan_cache_hit is deprecated; use "
-            "trace.telemetry.mark_plan_cache(hit)",
-            DeprecationWarning, stacklevel=2)
-        self.telemetry.counters["plan_from_cache"] = 1 if hit else 0
 
     @property
     def crashed(self) -> bool:

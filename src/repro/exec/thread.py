@@ -14,8 +14,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ThreadBackend(ExecutionBackend):
     """Drain the workload through a thread pool of per-worker engines.
 
-    This is the pre-``repro.exec`` ``ParallelBatchRunner`` strategy: one
-    engine per worker thread (engines carry per-query mutable state), all
+    One engine per worker thread (engines carry per-query mutable state), all
     sharing the session's thread-safe plan and answer caches.  It scales
     latency-bound work — simulated or real LLM round trips sleep without
     holding the GIL — but CPU-bound table work serializes on the GIL; use

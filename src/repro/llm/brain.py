@@ -30,15 +30,15 @@ from datetime import date
 
 from repro.core.parsing import (MappingDecision, PromptTable,
                                 parse_prompt_tables, parse_request)
-from repro.relational.ops import join_renames
 from repro.core.plan import LogicalPlan, LogicalStep
 from repro.core.prompts import (DISCOVERY_MARKER, ERROR_MARKER,
                                 MAPPING_MARKER, PLANNING_MARKER)
 from repro.errors import LLMError
 from repro.llm.interface import ChatMessage
-from repro.obs.cost import DEFAULT_COST_MODEL
 from repro.llm.nl import (DepictsFilter, QueryIntent, RelationalFilter,
                           parse_query)
+from repro.obs.cost import DEFAULT_COST_MODEL
+from repro.relational.sqlexec import join_renames
 
 # ----------------------------------------------------------------------
 # Schema helpers
@@ -316,7 +316,7 @@ def _emit_joins(builder: _Builder, needed: list[str],
     SQL ``JOIN ... USING``); cross-column keys ("players.team =
     teams.name") emit the two-column phrasing mapped to the Join
     operator.  Right-side name clashes follow
-    :func:`repro.relational.ops.join_renames`, and the returned column
+    :func:`repro.relational.sqlexec.join_renames`, and the returned column
     set reflects them.
     """
     base = needed[0]

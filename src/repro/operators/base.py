@@ -24,7 +24,7 @@ from repro.data.table import Table
 from repro.errors import OperatorError, UnknownTableError
 from repro.obs.trace import QueryTelemetry
 from repro.plotting.spec import PlotSpec
-from repro.relational.sqlexec import SQLBridge
+from repro.relational.sqlexec import SQLBridge, run_sql
 from repro.text.qa import BartQASim
 from repro.vision.blip import Blip2Sim
 
@@ -50,8 +50,8 @@ class ExecutionContext:
     #: :meth:`count` / :meth:`record_answer_lookup`.
     telemetry: QueryTelemetry | None = None
     #: which relational engine executes SQL / Join steps: ``"columnar"``
-    #: and ``"native"`` run supported statements in-process
-    #: (:mod:`repro.relational.colexec`) and fall back to the sqlite
+    #: runs supported statements in-process
+    #: (:mod:`repro.relational.colexec`) and falls back to the sqlite
     #: bridge; ``"sqlite"`` always uses the bridge.
     relational_engine: str = "columnar"
 
@@ -62,6 +62,15 @@ class ExecutionContext:
 
     def bind(self, name: str, table: Table) -> None:
         self.tables[name] = table
+
+    def run_sql(self, sql: str, tables: dict[str, Table]) -> Table:
+        """Run one SELECT over *tables* through the sqlite bridge: the
+        engine-lifetime :attr:`sql_bridge` when set (registrations
+        memoized on content fingerprints, pruned against :attr:`tables`),
+        else a one-shot in-memory database."""
+        if self.sql_bridge is not None:
+            return self.sql_bridge.execute(sql, tables, known=self.tables)
+        return run_sql(sql, tables)
 
     def count(self, name: str, value: int = 1) -> None:
         """Bump a telemetry counter; no-op when telemetry is unset."""

@@ -11,12 +11,12 @@ every other operator — the engine loop is untouched; the card below is all
 the mapping prompt needs (the paper's "provide all necessary information
 about their behavior in the prompt").
 
-Execution goes through the engine's fingerprint-memoized
-:class:`~repro.relational.sqlexec.SQLBridge` when one is in the context
-(the statement comes from :func:`~repro.relational.sqlexec.build_join_sql`,
-so warmed-up lake tables are not re-copied into sqlite), and falls back to
-the native hash join (:func:`repro.relational.ops.join`) otherwise.  Both
-paths produce identically-shaped, identically-ordered tables.
+Execution tries colexec's in-process join first (unless the context asks
+for the sqlite engine) and otherwise runs the statement
+:func:`~repro.relational.sqlexec.build_join_sql` builds on the sqlite
+bridge (:meth:`~repro.operators.base.ExecutionContext.run_sql`), the same
+path the SQL operator falls back to.  Both paths produce
+identically-shaped, identically-ordered tables.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.operators.base import (ExecutionContext, OperatorCard,
                                   OperatorResult, PhysicalOperator,
                                   register_operator)
 from repro.relational import colexec
-from repro.relational.ops import join
 from repro.relational.sqlexec import build_join_sql
 
 
@@ -66,22 +65,15 @@ class JoinOperator(PhysicalOperator):
                 result = colexec.join_tables(left, right, left_on, right_on)
             except colexec.UnsupportedSQL:
                 context.count("colexec_declined")
-        try:
-            if result is not None:
-                pass
-            elif context.sql_bridge is not None:
-                engine = "sqlite"
-                sql = build_join_sql(left_name, right_name, left_on,
-                                     right_on, left.column_names,
-                                     right.column_names)
-                result = context.sql_bridge.execute(
-                    sql, {left_name: left, right_name: right},
-                    known=context.tables)
-            else:
-                engine = "native"
-                result = join(left, right, left_on, right_on)
-        except ReproError as exc:
-            raise OperatorError(str(exc), operator=self.name) from exc
+        if result is None:
+            engine = "sqlite"
+            sql = build_join_sql(left_name, right_name, left_on, right_on,
+                                 left.column_names, right.column_names)
+            try:
+                result = context.run_sql(sql, {left_name: left,
+                                               right_name: right})
+            except ReproError as exc:
+                raise OperatorError(str(exc), operator=self.name) from exc
         context.count(f"sql_engine_{engine}")
         context.count("joins_executed")
         observation = (

@@ -16,7 +16,6 @@ from repro.operators.base import (ExecutionContext, OperatorCard,
                                   OperatorResult, PhysicalOperator,
                                   register_operator)
 from repro.relational import colexec
-from repro.relational.sqlexec import SQLExecutor
 
 
 def referenced_tables(sql: str, tables: dict[str, Table]) -> dict[str, Table]:
@@ -57,23 +56,13 @@ class SQLOperator(PhysicalOperator):
             # In-process execution over column storage; anything outside
             # the proven-identical envelope falls through to the bridge.
             try:
-                result = colexec.execute(sql, tables, engine=engine)
+                result = colexec.execute(sql, tables)
             except colexec.UnsupportedSQL:
                 context.count("colexec_declined")
                 engine = "sqlite"
         if result is None:
             try:
-                if context.sql_bridge is not None:
-                    # Engine-lifetime connection: registration is memoized
-                    # on content fingerprints, pruned against the current
-                    # context.
-                    result = context.sql_bridge.execute(sql, tables,
-                                                        known=context.tables)
-                else:
-                    with SQLExecutor() as executor:
-                        for name, table in tables.items():
-                            executor.register(name, table)
-                        result = executor.execute(sql)
+                result = context.run_sql(sql, tables)
             except ReproError as exc:
                 raise OperatorError(str(exc), operator=self.name) from exc
         context.count(f"sql_engine_{engine}")

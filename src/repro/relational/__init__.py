@@ -1,30 +1,16 @@
-"""Relational engine: expressions, native operators, SQL guard, sqlite bridge."""
+"""Relational engine: expressions, SQL guard, sqlite bridge, columnar executor."""
 
 from repro.relational.expressions import (Expr, evaluate_predicate,
                                           parse_expression)
 from repro.relational.guard import validate_select_only
-from repro.relational.ops import (AGGREGATES, distinct, group_aggregate, join,
-                                  limit, normalize_aggregate, project, rename,
-                                  select, sort, union_all)
 from repro.relational.sqlexec import ObjectStore, SQLExecutor, run_sql
 
 __all__ = [
-    "AGGREGATES",
     "Expr",
     "ObjectStore",
     "SQLExecutor",
-    "distinct",
     "evaluate_predicate",
-    "group_aggregate",
-    "join",
-    "limit",
-    "normalize_aggregate",
     "parse_expression",
-    "project",
-    "rename",
     "run_sql",
-    "select",
-    "sort",
-    "union_all",
     "validate_select_only",
 ]

@@ -15,25 +15,16 @@ left-row-major joins, NULLs-first ascending sorts, first-occurrence
 DISTINCT), the same duplicate-name suffixing.  Any statement — or data
 shape — outside the envelope where that equivalence is *proven* raises
 :class:`UnsupportedSQL` and the caller falls back to the bridge, so
-correctness never depends on this module being clever enough.
-
-Two execution engines share the parser and the guards:
-
-``columnar``
-    Filters via numpy masks over typed column buffers; aggregates and
-    ordering over adapted (sqlite-representation) values.
-
-``native``
-    The same parsed statement routed through the row-wise operators in
-    :mod:`repro.relational.ops` (``select`` / ``join`` /
-    ``group_aggregate`` / ``distinct``), then adapted.  This is the
-    third corner of the differential fuzzer's triangle.
+correctness never depends on this module being clever enough.  Filters
+run as numpy masks over typed column buffers; aggregates and ordering
+run over adapted (sqlite-representation) values.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+import sqlite3
 from dataclasses import dataclass
 from datetime import date
 from typing import Callable, Sequence
@@ -46,11 +37,11 @@ from repro.data.columns import (BoolColumn, Column, DateColumn, FloatColumn,
 from repro.data.datatypes import DataType
 from repro.data.schema import ColumnSpec, Schema
 from repro.data.table import Table
-from repro.relational import ops
 from repro.relational.expressions import (Between, BoolOp, ColumnRef,
                                           Comparison, Expr, InList, IsNull,
                                           Like, Literal)
-from repro.relational.sqlexec import _adapt_cell, _infer_sql_dtype
+from repro.relational.sqlexec import (_adapt_cell, _infer_sql_dtype,
+                                      join_renames)
 
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
@@ -525,9 +516,6 @@ class _Source:
             self._kinds[name] = cached
         return cached
 
-    def is_date(self, name: str) -> bool:
-        return self.table.dtype(name) == DataType.DATE
-
 
 def _predicate_column(source: _Source, expr: Expr) -> str:
     operand = getattr(expr, "operand", None) or getattr(expr, "left", None)
@@ -541,12 +529,12 @@ def _predicate_column(source: _Source, expr: Expr) -> str:
     return name
 
 
-def _guard_predicate(source: _Source, expr: Expr, engine: str) -> None:
-    """Reject predicate / data combinations whose native or columnar
-    evaluation is not provably identical to sqlite's."""
+def _guard_predicate(source: _Source, expr: Expr) -> None:
+    """Reject predicate / data combinations whose columnar evaluation is
+    not provably identical to sqlite's."""
     if isinstance(expr, BoolOp):
         for operand in expr.operands:
-            _guard_predicate(source, operand, engine)
+            _guard_predicate(source, operand)
         return
     if isinstance(expr, IsNull):
         _predicate_column(source, expr)
@@ -559,16 +547,10 @@ def _guard_predicate(source: _Source, expr: Expr, engine: str) -> None:
     def check_literal(value: object) -> None:
         cls = _literal_class(value)
         if kind != "empty" and cls != kind:
-            # sqlite orders across storage classes; the native engine
-            # coerces. Type-mismatched comparisons leave the envelope.
+            # sqlite orders across storage classes; Python comparisons
+            # do not. Type-mismatched comparisons leave the envelope.
             raise UnsupportedSQL(
                 f"{cls} literal against {kind} column {name!r}")
-        if (engine == "native" and source.is_date(name) and cls == "str"
-                and _strict_iso_date(str(value)) is None):
-            # Raw dates vs. a non-ISO string: expressions._compare
-            # collapses to False where sqlite compares text.
-            raise UnsupportedSQL(
-                f"non-ISO literal {value!r} against date column {name!r}")
 
     if isinstance(expr, Comparison):
         if not isinstance(expr.right, Literal):
@@ -582,9 +564,6 @@ def _guard_predicate(source: _Source, expr: Expr, engine: str) -> None:
     elif isinstance(expr, InList):
         for value in expr.values:
             check_literal(value)
-        if engine == "native" and source.is_date(name):
-            # InList membership tests raw dates against strings.
-            raise UnsupportedSQL("IN over a date column (native)")
     elif isinstance(expr, Like):
         if kind not in ("str", "empty"):
             raise UnsupportedSQL(f"LIKE over non-text column {name!r}")
@@ -870,6 +849,32 @@ def _int_sum_bound(values: Sequence[object], func: str) -> None:
         raise UnsupportedSQL(f"{func} beyond exact integer range")
 
 
+def sqlite_float_sum(numbers: Sequence[float]) -> float:
+    """Sum *numbers* exactly the way the host sqlite's ``SUM()`` does.
+
+    sqlite accumulates floating-point sums naively (in row order) before
+    3.44 and with Kahan-Babuska compensation from 3.44 on.  Matching the
+    linked library keeps columnar aggregates byte-identical with the
+    sqlite bridge on every platform, which the differential fuzzer
+    asserts.
+    """
+    if sqlite3.sqlite_version_info < (3, 44, 0):
+        total = 0.0
+        for number in numbers:
+            total += number
+        return total
+    total = 0.0
+    error = 0.0
+    for number in numbers:
+        new_total = total + number
+        if abs(total) > abs(number):
+            error += (total - new_total) + number
+        else:
+            error += (number - new_total) + total
+        total = new_total
+    return total + error
+
+
 def _agg_over(func: str, distinct: bool, values: list[object]) -> object:
     """One aggregate over adapted *values*, with sqlite's semantics."""
     kept = [v for v in values if v is not None]
@@ -882,7 +887,7 @@ def _agg_over(func: str, distinct: bool, values: list[object]) -> object:
             total = sum(kept)
             return total if func == "sum" else total / len(kept)
         if all(type(v) is float for v in kept):
-            total = ops.sqlite_float_sum(kept)
+            total = sqlite_float_sum(kept)
             return total if func == "sum" else total / len(kept)
         raise UnsupportedSQL(f"{func} over mixed-type values")
     # min / max
@@ -1021,10 +1026,10 @@ def _build_groups(source: _Source, key: str,
 def _guard_aggregate(source: _Source, item: AggItem,
                      resolve: Callable[[tuple[str | None, str]], str],
                      selected: Callable[[str], list[object]],
-                     indices: Sequence[int] | None = None) -> str | None:
+                     indices: Sequence[int]) -> str | None:
     """Validate one aggregate item; returns the resolved source column
-    (``None`` for ``COUNT(*)``).  *indices* (columnar path only) lets
-    the int SUM/AVG range check run vectorized on the typed buffers."""
+    (``None`` for ``COUNT(*)``).  *indices* lets the int SUM/AVG range
+    check run vectorized on the typed buffers."""
     if item.column is None:
         return None
     name = resolve(item.column)
@@ -1040,7 +1045,7 @@ def _guard_aggregate(source: _Source, item: AggItem,
         storage = source.table.storage(name)
         if isinstance(storage, FloatColumn):
             return name  # pure floats by construction
-        if isinstance(storage, IntColumn) and indices is not None:
+        if isinstance(storage, IntColumn):
             values, notnull = _masked_int64(storage, indices)
             magnitude = float(np.abs(values[notnull]
                                      .astype(np.float64)).sum())
@@ -1152,8 +1157,8 @@ def _index_sort_key(value: object) -> tuple[int, object]:
 
 def _sqlite_join(left: Table, right: Table,
                  left_on: str, right_on: str) -> Table:
-    """An equi-join with :func:`repro.relational.ops.join`'s shape but
-    sqlite's row order for the bridge's join statements.
+    """An equi-join with :func:`~repro.relational.sqlexec.build_join_sql`'s
+    shape and sqlite's row order for the bridge's join statements.
 
     sqlite scans the FROM-order left table and probes an automatic
     covering index on the right (verified stable across table sizes), so
@@ -1162,8 +1167,8 @@ def _sqlite_join(left: Table, right: Table,
     rowid).  Keys match by sqlite value equality (adapted cells), so
     e.g. a bool key equals an int key.
     """
-    renames = ops.join_renames(left.column_names, right.column_names,
-                               left_on, right_on)
+    renames = join_renames(left.column_names, right.column_names,
+                           left_on, right_on)
     left_keys = _adapted_column(left, left_on)
     right_keys = _adapted_column(right, right_on)
 
@@ -1284,10 +1289,10 @@ def _resolve_source(statement: SelectStatement,
     if (left.dtype(left_on).is_modality
             or right.dtype(right_on).is_modality):
         raise UnsupportedSQL("cannot join on a modality column")
-    renames = ops.join_renames(left.column_names, right.column_names,
-                               left_on, right_on)
+    renames = join_renames(left.column_names, right.column_names,
+                           left_on, right_on)
     if join.using is not None and renames:
-        # sqlite suffixes clashes _2 / _3; ops.join suffixes _right.
+        # sqlite suffixes clashes _2 / _3; join_renames suffixes _right.
         raise UnsupportedSQL("USING join with non-key name clashes")
     if join.using is None and statement.star:
         # SELECT * over ON joins keeps both key columns in sqlite.
@@ -1398,7 +1403,7 @@ def _execute_columnar(statement: SelectStatement, table: Table,
                       ) -> Table:
     source = _Source(table)
     if statement.where is not None:
-        _guard_predicate(source, statement.where, "columnar")
+        _guard_predicate(source, statement.where)
         indices = _filter_indices(source, statement.where)
     else:
         indices = list(range(table.num_rows))
@@ -1524,126 +1529,22 @@ def _execute_columnar(statement: SelectStatement, table: Table,
     return _build_result(named)
 
 
-def _execute_native(statement: SelectStatement, table: Table,
-                    resolve: Callable[[tuple[str | None, str]], str]
-                    ) -> Table:
-    source = _Source(table)
-    working = table
-    if statement.where is not None:
-        _guard_predicate(source, statement.where, "native")
-        working = ops.select(working, statement.where)
-
-    items = _output_items(statement, table)
-    names = [item.output_name if isinstance(item, ColItem) else item.alias
-             for item in items]
-    if len(set(names)) != len(names) and not statement.star:
-        raise UnsupportedSQL("duplicate output names")
-
-    def selected(name: str) -> list[object]:
-        return [_adapt_cell(v) for v in working.column(name)]
-
-    if statement.group_by is not None:
-        key, key_item, aggregates, descending = _group_plan(
-            statement, items, resolve, table)
-        specs = []
-        for item in aggregates:
-            column = _guard_aggregate(source, item, resolve, selected)
-            if column is None:
-                specs.append(("count", "*", item.alias))
-            elif table.dtype(column).is_modality or not item.distinct:
-                specs.append(("count" if item.func == "count" else item.func,
-                              column, item.alias))
-            else:
-                specs.append(("count_distinct", column, item.alias))
-        grouped = ops.group_aggregate(working, [key], specs)
-        order = _order_indices(range(grouped.num_rows),
-                               [_adapt_cell(v) for v in grouped.column(key)],
-                               descending)
-        if statement.limit is not None:
-            order = order[:statement.limit]
-        grouped = grouped.take(order)
-        if key_item.output_name != key:
-            grouped = grouped.rename({key: key_item.output_name})
-        return sqliteize(grouped)
-
-    columns, aggregates = _split_items(items)
-    if aggregates:
-        if columns or statement.distinct or statement.order_by is not None:
-            raise UnsupportedSQL("aggregates mix only with GROUP BY")
-        specs = []
-        for item in aggregates:
-            column = _guard_aggregate(source, item, resolve, selected)
-            if column is None:
-                specs.append(("count", "*", item.alias))
-            elif table.dtype(column).is_modality or not item.distinct:
-                specs.append(("count" if item.func == "count" else item.func,
-                              column, item.alias))
-            else:
-                specs.append(("count_distinct", column, item.alias))
-        result = ops.group_aggregate(working, [], specs)
-        if statement.limit is not None:
-            result = ops.limit(result, statement.limit)
-        return sqliteize(result)
-
-    if statement.order_by is not None:
-        qualifier, name, descending = statement.order_by
-        order_column = resolve((qualifier, name))
-        if table.dtype(order_column).is_modality:
-            raise UnsupportedSQL("ORDER BY over a modality column")
-        order = _order_indices(range(working.num_rows),
-                               selected(order_column), descending)
-        working = working.take(order)
-    if statement.limit is not None and not statement.distinct:
-        working = ops.limit(working, statement.limit)
-
-    named_raw: list[tuple[str, str]] = []  # (output name, source column)
-    for item in columns:
-        column = resolve((item.qualifier, item.name))
-        if not table.dtype(column).is_modality:
-            source.adapted(column)  # reject values sqlite could not bind
-        named_raw.append((item.output_name, column))
-    unique = _dedup_names([name for name, _ in named_raw])
-    specs_out = []
-    out_columns = {}
-    for out_name, (_, column) in zip(unique, named_raw):
-        specs_out.append(ColumnSpec(out_name, working.dtype(column)))
-        out_columns[out_name] = working.column(column)
-    projected = Table(Schema(specs_out), out_columns)
-
-    if statement.distinct:
-        for name in projected.column_names:
-            if projected.dtype(name).is_modality:
-                raise UnsupportedSQL("DISTINCT over a modality column")
-            if _column_kind([_adapt_cell(v)
-                             for v in projected.column(name)]) == "other":
-                raise UnsupportedSQL("mixed-type DISTINCT column")
-        projected = ops.distinct(projected, projected.column_names)
-        if statement.limit is not None:
-            projected = ops.limit(projected, statement.limit)
-    return sqliteize(projected)
-
-
-def execute(sql: str, tables: dict[str, Table],
-            engine: str = "columnar") -> Table:
+def execute(sql: str, tables: dict[str, Table]) -> Table:
     """Execute *sql* over *tables* without sqlite.
 
-    *engine* is ``"columnar"`` (vectorized kernels) or ``"native"``
-    (row-wise :mod:`repro.relational.ops`).  Raises
-    :class:`UnsupportedSQL` when the statement — or the data it touches —
-    falls outside the envelope proven byte-identical to the sqlite
-    bridge; callers fall back to the bridge.
+    Raises :class:`UnsupportedSQL` when the statement — or the data it
+    touches — falls outside the envelope proven byte-identical to the
+    sqlite bridge; callers fall back to the bridge.
     """
     statement = parse_select(sql)
     table, resolve = _resolve_source(statement, tables)
-    if engine == "native":
-        return _execute_native(statement, table, resolve)
     return _execute_columnar(statement, table, resolve)
 
 
 def join_tables(left: Table, right: Table,
                 left_on: str, right_on: str) -> Table:
     """An equi-join with the sqlite bridge's result representation —
-    the non-sqlite engines' replacement for ``build_join_sql``."""
+    the in-process replacement for ``build_join_sql``."""
     if left_on not in left or right_on not in right:
         raise UnsupportedSQL("unknown join key")
     if left.dtype(left_on).is_modality or right.dtype(right_on).is_modality:

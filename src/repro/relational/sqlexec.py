@@ -192,22 +192,40 @@ def _infer_sql_dtype(values: list[object]) -> DataType:
     return DataType.STRING
 
 
+def join_renames(left_columns: Sequence[str], right_columns: Sequence[str],
+                 left_on: str, right_on: str) -> dict[str, str]:
+    """Right-side rename map for an equi-join's name clashes.
+
+    Clashing right-side columns get a ``_right`` suffix, except a
+    same-name join key, which is merged into a single key column.  This is
+    the single naming rule shared by :func:`build_join_sql`, colexec's
+    in-process join and the planner, so every execution path produces
+    identically-shaped tables.
+    """
+    renames: dict[str, str] = {}
+    for name in right_columns:
+        if name not in left_columns:
+            continue
+        if name == right_on and right_on == left_on:
+            continue  # merged into a single key column
+        renames[name] = f"{name}_right"
+    return renames
+
+
 def build_join_sql(left_name: str, right_name: str,
                    left_on: str, right_on: str,
                    left_columns: Sequence[str],
                    right_columns: Sequence[str]) -> str:
     """One SELECT implementing an equi-join with cross-column keys.
 
-    Produces exactly the shape of :func:`repro.relational.ops.join`:
-    left columns first, then right columns with clashes ``_right``-suffixed
-    (a same-name key is merged).  ``CROSS JOIN ... ON`` is used instead of
-    plain ``JOIN`` because SQLite treats them as semantic equivalents but
-    never reorders a CROSS JOIN — rows therefore come back in
-    left-row-major order, matching the native hash join, which keeps
-    results byte-identical whichever path executes the step.
+    Left columns come first, then right columns with clashes renamed by
+    :func:`join_renames` (a same-name key is merged).  ``CROSS JOIN ...
+    ON`` is used instead of plain ``JOIN`` because SQLite treats them as
+    semantic equivalents but never reorders a CROSS JOIN — rows therefore
+    come back in left-row-major order, the order colexec's in-process
+    join replicates, which keeps results byte-identical whichever path
+    executes the step.
     """
-    from repro.relational.ops import join_renames
-
     renames = join_renames(left_columns, right_columns, left_on, right_on)
     select_parts = [f"{_quote_ident(left_name)}.{_quote_ident(name)}"
                     for name in left_columns]

@@ -1,7 +1,7 @@
 """Testing substrate: the differential query fuzzer."""
 
 from repro.testing.fuzz import (ENGINES, LANES, FuzzQuery, FuzzReport,
-                                QueryGenerator, execute_three_ways,
+                                QueryGenerator, execute_all_engines,
                                 generate_queries, run_fuzz)
 
 __all__ = [
@@ -10,7 +10,7 @@ __all__ = [
     "FuzzQuery",
     "FuzzReport",
     "QueryGenerator",
-    "execute_three_ways",
+    "execute_all_engines",
     "generate_queries",
     "run_fuzz",
 ]

@@ -1,4 +1,4 @@
-"""Differential query fuzzer: three engines, three lanes, zero drift.
+"""Differential query fuzzer: two engines, three lanes, zero drift.
 
 SQLancer-style differential testing for the relational layer.  A seeded
 :class:`QueryGenerator` draws random-but-valid SELECT statements over the
@@ -7,14 +7,12 @@ multi-measure aggregates, GROUP BY, date ranges, DISTINCT, ORDER BY +
 LIMIT — with literals sampled from the actual column values so predicates
 hit real selectivity, not just empty results.
 
-Every query is executed three ways and must agree byte-for-byte:
+Every query is executed two ways and must agree byte-for-byte:
 
 - ``sqlite``   — the sqlite bridge (:func:`repro.relational.sqlexec.run_sql`),
   the reference semantics;
 - ``columnar`` — :func:`repro.relational.colexec.execute` over the typed
-  column stores (numpy kernels);
-- ``native``   — the same statements lowered onto the pure-Python
-  relational ops (:mod:`repro.relational.ops`).
+  column stores (numpy kernels).
 
 Agreement is checked on the canonical result encoding (``Table.to_dict``
 under sorted-key JSON) *and* the content fingerprint.  The whole run then
@@ -46,8 +44,8 @@ from repro.relational import colexec
 from repro.relational.sqlexec import build_join_sql, run_sql
 
 #: The engines every query is executed under.  ``sqlite`` is the
-#: reference; the other two must match it byte-for-byte.
-ENGINES = ("sqlite", "columnar", "native")
+#: reference; ``columnar`` must match it byte-for-byte.
+ENGINES = ("sqlite", "columnar")
 
 #: The execution lanes the whole run is repeated under.
 LANES = ("serial", "thread", "process")
@@ -56,7 +54,7 @@ DEFAULT_DATASETS = ("artwork", "rotowire")
 
 #: USING-join pairs per dataset: (left, right, key).  Only pairs whose
 #: single shared column *is* the key — sqlite suffixes other clashes
-#: ``_2`` while the native ops suffix ``_right``, so such joins are
+#: ``_2`` while ``join_renames`` suffixes ``_right``, so such joins are
 #: outside the byte-identical envelope (colexec declines them).
 _USING_JOINS = {
     "artwork": (
@@ -143,7 +141,7 @@ class FuzzReport:
 class QueryGenerator:
     """Seeded random SELECT generator over the live lake schemas.
 
-    Stays inside the envelope all three engines execute identically:
+    Stays inside the envelope both engines execute identically:
     bare-column predicates with type-correct literals, single-column
     GROUP BY / ORDER BY, aliased aggregates, USING joins whose only
     shared column is the key, and Join-operator-shaped cross joins.  The
@@ -214,8 +212,8 @@ class QueryGenerator:
             return (f"{column} BETWEEN {self._literal(low)} "
                     f"AND {self._literal(high)}")
         if kind < 0.85 and dtype is not DataType.DATE:
-            # IN over DATE columns compares raw dates against text members
-            # in the native ops — outside the byte-identical envelope.
+            # IN over DATE columns is never drawn; drawing it would change
+            # the query list every pinned seed names.
             chosen = rng.sample(pool, k=min(len(pool), rng.randint(1, 3)))
             members = ", ".join(self._literal(v) for v in chosen)
             return f"{column} IN ({members})"
@@ -381,50 +379,45 @@ def _canonical(table: Table) -> dict:
             "payload": json.dumps(table.to_dict(), sort_keys=True)}
 
 
-def execute_three_ways(query: FuzzQuery,
-                       tables: dict[str, Table]) -> tuple[dict, str | None]:
+def execute_all_engines(query: FuzzQuery, tables: dict[str, Table]
+                        ) -> tuple[dict, str | None]:
     """``(canonical_entry, unsupported_reason)`` for one query.
 
     The entry maps each engine name to the canonical encoding of its
     result.  When colexec declines the statement (production would fall
-    back to the bridge) the in-process engines are marked unsupported and
-    the reason is returned — the generator is expected to make this
-    never happen, and the harness asserts exactly that.
+    back to the bridge) the columnar engine is marked unsupported and the
+    reason is returned — the generator is expected to make this never
+    happen, and the harness asserts exactly that.
     """
     entry: dict = {"dataset": query.dataset, "sql": query.sql,
                    "engines": {}}
     entry["engines"]["sqlite"] = _canonical(run_sql(query.sql, tables))
     reason = None
-    for engine in ("columnar", "native"):
-        try:
-            result = colexec.execute(query.sql, tables, engine=engine)
-        except colexec.UnsupportedSQL as exc:
-            entry["engines"][engine] = {"unsupported": str(exc)}
-            reason = str(exc)
-        else:
-            entry["engines"][engine] = _canonical(result)
+    try:
+        result = colexec.execute(query.sql, tables)
+    except colexec.UnsupportedSQL as exc:
+        entry["engines"]["columnar"] = {"unsupported": str(exc)}
+        reason = str(exc)
+    else:
+        entry["engines"]["columnar"] = _canonical(result)
     return entry, reason
 
 
 def _check_entry(query: FuzzQuery, entry: dict) -> str | None:
-    """A mismatch description, or ``None`` when all engines agree."""
+    """A mismatch description, or ``None`` when both engines agree."""
     reference = entry["engines"]["sqlite"]
-    for engine in ("columnar", "native"):
-        candidate = entry["engines"][engine]
-        if "unsupported" in candidate:
-            continue
-        if candidate != reference:
-            return (f"{engine} != sqlite: fingerprints "
-                    f"{candidate['fingerprint']} vs "
-                    f"{reference['fingerprint']}")
-    return None
+    candidate = entry["engines"]["columnar"]
+    if "unsupported" in candidate or candidate == reference:
+        return None
+    return (f"columnar != sqlite: fingerprints "
+            f"{candidate['fingerprint']} vs {reference['fingerprint']}")
 
 
 def _run_one(lakes: dict[str, object], query: FuzzQuery) -> tuple[dict,
                                                                   str | None]:
     tables = {name: lakes[query.dataset].sources[name].table
               for name in query.tables}
-    return execute_three_ways(query, tables)
+    return execute_all_engines(query, tables)
 
 
 # Process-lane worker state: lakes and queries are rebuilt from the seed
@@ -497,9 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro fuzz",
         description="Differential query fuzzer: random SELECTs executed "
-                    "under the sqlite / columnar / native engines (and "
-                    "serial / thread / process lanes) must agree "
-                    "byte-for-byte.")
+                    "under the sqlite / columnar engines (and serial / "
+                    "thread / process lanes) must agree byte-for-byte.")
     parser.add_argument("--seed", type=int, default=None,
                         help="generator seed (default: drawn from entropy "
                              "and printed, so failures are reproducible)")
@@ -515,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "seconds (each seed printed before its run)")
     parser.add_argument("--strict-unsupported", action="store_true",
                         help="fail when any generated query falls outside "
-                             "the in-process engines' envelope")
+                             "the columnar engine's envelope")
     return parser
 
 

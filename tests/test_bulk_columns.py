@@ -26,8 +26,9 @@ from repro.data.schema import ColumnSpec, ForeignKey, Schema
 from repro.data.table import Table
 from repro.datasets import load_lake
 from repro.errors import TypeMismatchError
-from repro.relational import colexec, ops
-from repro.relational.sqlexec import _adapt_cell, _infer_sql_dtype
+from repro.relational import colexec
+from repro.relational.sqlexec import (_adapt_cell, _infer_sql_dtype,
+                                      join_renames)
 from repro.testing.fuzz import _CROSS_JOINS, _USING_JOINS
 
 DT = DataType
@@ -85,8 +86,8 @@ def reference_join_assembly(left: Table, right: Table,
                             left_indices, right_indices,
                             right_on: str, left_on: str) -> Table:
     """The ``with_column`` chain that assembled colexec joins."""
-    renames = ops.join_renames(left.column_names, right.column_names,
-                               left_on, right_on)
+    renames = join_renames(left.column_names, right.column_names,
+                           left_on, right_on)
     result = left.take(left_indices)
     for name in right.column_names:
         if name == right_on and right_on == left_on:
@@ -394,8 +395,8 @@ def test_join_assembly_matches_the_with_column_chain():
               (plain, "id", "id"), (plain, "name", "id"),
               (left, "score", "flag")]
     for base, left_on, right_on in shapes:
-        renames = ops.join_renames(base.column_names, right.column_names,
-                                   left_on, right_on)
+        renames = join_renames(base.column_names, right.column_names,
+                               left_on, right_on)
         merged = right_on if right_on == left_on else None
         for left_indices, right_indices in index_pairs:
             bulk = colexec._assemble_join(base, right, left_indices,
@@ -410,8 +411,8 @@ def test_join_assembly_renames_and_clashes_keep_the_old_schema():
     # "name" -> "name_right" clashes with the left column of that name:
     # the right column replaces it (re-appended after the columns before
     # it) and the keys are dropped, as with_column's project did.
-    renames = ops.join_renames(left.column_names, right.column_names,
-                               "id", "id")
+    renames = join_renames(left.column_names, right.column_names,
+                           "id", "id")
     joined = colexec._assemble_join(left, right, [0, 1], [1, 0], renames,
                                     "id")
     assert joined.column_names == ["id", "name", "score", "name_right",
@@ -420,8 +421,8 @@ def test_join_assembly_renames_and_clashes_keep_the_old_schema():
     assert joined.schema.foreign_keys == []
     assert joined.schema.primary_key is None
     reordered = left.project(["id", "name_right", "name"])
-    renames = ops.join_renames(reordered.column_names, right.column_names,
-                               "id", "id")
+    renames = join_renames(reordered.column_names, right.column_names,
+                           "id", "id")
     joined = colexec._assemble_join(reordered, right, [0], [1], renames,
                                     "id")
     assert joined.column_names == ["id", "name", "name_right", "flag",
@@ -432,8 +433,8 @@ def test_join_assembly_renames_and_clashes_keep_the_old_schema():
     plain = left.project(["id", "name", "score"])
     plain.schema.foreign_keys.append(ForeignKey("id", "right", "id"))
     plain.schema.primary_key = "id"
-    renames = ops.join_renames(plain.column_names, right.column_names,
-                               "id", "id")
+    renames = join_renames(plain.column_names, right.column_names,
+                           "id", "id")
     joined = colexec._assemble_join(plain, right, [0], [1], renames, "id")
     assert joined.column_names == ["id", "name", "score", "name_right",
                                    "flag", "born", "note"]

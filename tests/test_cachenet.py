@@ -22,6 +22,7 @@ from repro.cachenet.protocol import (MAX_FRAME_BYTES, read_frame,
 from repro.core.answer_cache import MISS, AnswerCache
 from repro.core.batch import PlanCache
 from repro.core.plan import LogicalPlan
+from repro.data.datatypes import decode_scalar, encode_scalar
 from repro.obs import MetricsRegistry
 from repro.session import Session
 
@@ -46,6 +47,21 @@ def _ipv6_loopback_available() -> bool:
         return True
     except OSError:
         return False
+
+
+def put_answers(client: CacheClient, entries) -> int:
+    """Store ``(key, answer)`` pairs with one ``mput``, encoded the way
+    :class:`RemoteAnswerCache` sends them."""
+    return client.mput("answer", [
+        {"key": list(key), "value": encode_scalar(answer)}
+        for key, answer in entries])
+
+
+def get_answers(client: CacheClient, keys) -> list[tuple[bool, object]]:
+    """``(hit, decoded answer)`` per key from one ``mget``."""
+    return [(True, decode_scalar(reply.get("value"))) if reply.get("hit")
+            else (False, None)
+            for reply in client.mget("answer", [list(key) for key in keys])]
 
 
 def make_plan(description="count paintings"):
@@ -145,12 +161,12 @@ class TestServerOps:
     def test_answer_space_round_trips_typed_scalars(self, server):
         client = CacheClient(server.url)
         # None is a legitimate cached answer ("the text does not say").
-        for value in (42, 1.5, "blue", None, True):
-            key = ("fp", f"q-{value!r}", "any")
-            client.put_answer(key, value)
-            assert client.get_answer(key) == (True, value)
-        assert client.get_answer(("fp", "never-asked", "any")) == \
-            (False, None)
+        values = (42, 1.5, "blue", None, True)
+        entries = [(("fp", f"q-{value!r}", "any"), value) for value in values]
+        assert put_answers(client, entries) == len(values)
+        keys = [key for key, _ in entries] + [("fp", "never-asked", "any")]
+        assert get_answers(client, keys) == (
+            [(True, value) for value in values] + [(False, None)])
         client.close()
 
     def test_mget_mput_batch_round_trip(self, server):
@@ -179,13 +195,14 @@ class TestServerOps:
                                  answer_capacity=3).start()
         try:
             client = CacheClient(server.url)
-            for i in range(5):
-                client.put_answer(("fp", f"q{i}", "int"), i)
+            put_answers(client, [(("fp", f"q{i}", "int"), i)
+                                 for i in range(5)])
             stats = client.stats()
             assert stats["answer"]["entries"] == 3
             assert stats["answer"]["evictions"] == 2
-            assert client.get_answer(("fp", "q0", "int"))[0] is False
-            assert client.get_answer(("fp", "q4", "int")) == (True, 4)
+            assert get_answers(client, [("fp", "q0", "int"),
+                                        ("fp", "q4", "int")]) == [
+                (False, None), (True, 4)]
             client.close()
         finally:
             server.stop()
@@ -267,8 +284,8 @@ class TestServerOps:
         try:
             assert server.url.startswith("tcp://[::1]:")
             client = CacheClient(server.url)
-            client.put_answer(("fp", "q", "int"), 6)
-            assert client.get_answer(("fp", "q", "int")) == (True, 6)
+            put_answers(client, [(("fp", "q", "int"), 6)])
+            assert get_answers(client, [("fp", "q", "int")]) == [(True, 6)]
             client.close()
         finally:
             server.stop()
@@ -279,8 +296,8 @@ class TestServerOps:
         try:
             assert server.url == f"unix://{path}"
             client = CacheClient(server.url)
-            client.put_answer(("fp", "q", "int"), 7)
-            assert client.get_answer(("fp", "q", "int")) == (True, 7)
+            put_answers(client, [(("fp", "q", "int"), 7)])
+            assert get_answers(client, [("fp", "q", "int")]) == [(True, 7)]
             client.close()
         finally:
             server.stop()
@@ -304,7 +321,7 @@ class TestPersistence:
             plan = make_plan()
             client.put_plan(ns="lake-fp", query=QUERY,
                             plan_dict=plan.to_dict())
-            client.put_answer(("fp", "q", "int"), 3)
+            put_answers(client, [(("fp", "q", "int"), 3)])
             reply = client.flush()
             reply.pop("server_ms", None)
             assert reply == {"ok": True, "plans": 1, "answers": 1}
@@ -491,8 +508,8 @@ def test_concurrent_clients_hammering_one_server(server):
             client = CacheClient(server.url)
             for i in range(20):
                 key = ("fp", f"w{worker_id}-q{i}", "int")
-                client.put_answer(key, i)
-                assert client.get_answer(key) == (True, i)
+                put_answers(client, [(key, i)])
+                assert get_answers(client, [key]) == [(True, i)]
             client.close()
         except Exception as exc:  # noqa: BLE001 - collected for the assert
             errors.append(exc)

@@ -1,11 +1,10 @@
-"""Differential fuzzer parity: three engines, three lanes, zero drift.
+"""Differential fuzzer parity: two engines, three lanes, zero drift.
 
-The CI anchor for the columnar rewrite: 200 seeded random queries per
-run, every one executed under the sqlite bridge (reference), the
-columnar engine, and the native ops, then the whole run repeated under
-thread and process lanes — all byte-identical.  A randomized soak rides
-along in CI (see ci.sh) with its seed printed, so any failure lands
-back here as a pinned regression.
+The CI anchor for the columnar engine: 200 seeded random queries per
+run, every one executed under the sqlite bridge (reference) and the
+columnar engine, then the whole run repeated under thread and process
+lanes — all byte-identical.  A randomized soak rides along in CI with
+its seed printed, so any failure lands back here as a pinned regression.
 """
 
 import json
@@ -13,10 +12,12 @@ import json
 import pytest
 
 from repro.datasets import load_lake
+from repro.operators.base import ExecutionContext
+from repro.operators.join import JoinOperator
 from repro.relational import colexec
-from repro.relational.sqlexec import run_sql
-from repro.testing.fuzz import (ENGINES, LANES, QueryGenerator,
-                                execute_three_ways, generate_queries,
+from repro.relational.sqlexec import build_join_sql, run_sql
+from repro.testing.fuzz import (_CROSS_JOINS, ENGINES, LANES, QueryGenerator,
+                                execute_all_engines, generate_queries,
                                 run_fuzz)
 
 PINNED_SEED = 7
@@ -41,10 +42,10 @@ def test_generator_stays_inside_the_supported_envelope(report):
     # about the columnar engine, so the generator may not emit one.
     assert report.unsupported == []
     for entry in report.canonical_results():
-        assert set(entry["engines"]) == set(ENGINES)
-        reference = entry["engines"]["sqlite"]
-        for engine in ("columnar", "native"):
-            assert entry["engines"][engine] == reference, entry["sql"]
+        assert set(entry["engines"]) == set(ENGINES) == {"sqlite",
+                                                         "columnar"}
+        assert (entry["engines"]["columnar"]
+                == entry["engines"]["sqlite"]), entry["sql"]
 
 
 def test_generator_covers_every_shape_and_dataset(report):
@@ -87,9 +88,8 @@ def test_join_where_on_right_side_columns_is_declined(rotowire_tables):
     # reordering the result.  colexec must decline rather than guess.
     sql = ("SELECT * FROM teams JOIN teams_to_games USING (name) "
            "WHERE game_id >= 1")
-    for engine in ("columnar", "native"):
-        with pytest.raises(colexec.UnsupportedSQL):
-            colexec.execute(sql, rotowire_tables, engine=engine)
+    with pytest.raises(colexec.UnsupportedSQL):
+        colexec.execute(sql, rotowire_tables)
 
 
 def test_join_where_on_left_side_columns_matches_sqlite(rotowire_tables):
@@ -102,23 +102,40 @@ def test_join_where_on_left_side_columns_matches_sqlite(rotowire_tables):
         "WHERE name LIKE 'H%'",
     ):
         reference = run_sql(sql, rotowire_tables)
-        for engine in ("columnar", "native"):
-            result = colexec.execute(sql, rotowire_tables, engine=engine)
-            assert (result.fingerprint() == reference.fingerprint()), (
-                engine, sql)
+        result = colexec.execute(sql, rotowire_tables)
+        assert result.fingerprint() == reference.fingerprint(), sql
 
 
-def test_execute_three_ways_flags_declined_queries(rotowire_tables):
+def test_execute_all_engines_flags_declined_queries(rotowire_tables):
     from repro.testing.fuzz import FuzzQuery
     query = FuzzQuery(
         "rotowire",
         "SELECT * FROM teams JOIN teams_to_games USING (name) "
         "WHERE game_id >= 1",
         ("teams", "teams_to_games"), "join")
-    entry, reason = execute_three_ways(query, rotowire_tables)
+    entry, reason = execute_all_engines(query, rotowire_tables)
     assert reason is not None and "right-side" in reason
     assert "unsupported" in entry["engines"]["columnar"]
     assert "fingerprint" in entry["engines"]["sqlite"]
+
+
+@pytest.mark.parametrize("left,right,left_on,right_on",
+                         _CROSS_JOINS["rotowire"])
+def test_join_operator_without_a_bridge_matches_the_join_statement(
+        rotowire_tables, left, right, left_on, right_on):
+    # The Join operator's bridge-less path (sqlite engine, no SQLBridge
+    # in the context) must return exactly what the statement it stands
+    # for returns through the bridge, dtypes included.
+    context = ExecutionContext(tables=dict(rotowire_tables),
+                               relational_engine="sqlite")
+    result = JoinOperator().run(
+        context, [left, right, left_on, right_on]).table
+    sql = build_join_sql(left, right, left_on, right_on,
+                         rotowire_tables[left].column_names,
+                         rotowire_tables[right].column_names)
+    reference = run_sql(sql, {left: rotowire_tables[left],
+                              right: rotowire_tables[right]})
+    assert result.fingerprint() == reference.fingerprint()
 
 
 def test_generator_never_emits_right_side_join_predicates():

@@ -1,39 +1,11 @@
-"""Tests for the native relational engine (ops + expressions) and the
-dense-retrieval stack — previously only exercised indirectly."""
+"""Tests for the predicate expression language and the dense-retrieval
+stack — previously only exercised indirectly."""
 
 import pytest
 
-from repro.data import ColumnSpec, DataType, Schema, Table
-from repro.errors import (ExpressionError, RetrievalError, SchemaError,
-                          UnknownColumnError)
-from repro.relational import (evaluate_predicate, group_aggregate, join,
-                              normalize_aggregate, parse_expression, select,
-                              sort)
-from repro.relational.ops import distinct, limit, project, rename, union_all
+from repro.errors import ExpressionError, RetrievalError
+from repro.relational import evaluate_predicate, parse_expression
 from repro.retrieval import HashEmbedder, VectorIndex, tokenize
-
-
-def _players() -> Table:
-    schema = Schema([
-        ColumnSpec("name", DataType.STRING),
-        ColumnSpec("team", DataType.STRING),
-        ColumnSpec("height", DataType.INTEGER),
-    ])
-    return Table.from_rows(schema, [
-        ["Ann", "Heat", 201],
-        ["Bob", "Heat", 188],
-        ["Cyd", "Bulls", 210],
-        ["Dee", "Bulls", None],
-    ])
-
-
-def _teams() -> Table:
-    schema = Schema([
-        ColumnSpec("team", DataType.STRING),
-        ColumnSpec("city", DataType.STRING),
-    ])
-    return Table.from_rows(schema, [["Heat", "Miami"],
-                                    ["Bulls", "Chicago"]])
 
 
 # ----------------------------------------------------------------------
@@ -74,72 +46,6 @@ def test_expression_errors():
         parse_expression("height ~ 3")
     with pytest.raises(ExpressionError):
         evaluate_predicate("missing = 1", {"present": 1})
-
-
-# ----------------------------------------------------------------------
-# relational ops
-# ----------------------------------------------------------------------
-
-
-def test_select_and_project():
-    tall = select(_players(), "height > 200")
-    assert tall.column("name") == ["Ann", "Cyd"]
-    assert project(tall, ["name"]).column_names == ["name"]
-    with pytest.raises(UnknownColumnError):
-        select(_players(), "wingspan > 2")
-
-
-def test_join_inner_and_left():
-    inner = join(_players(), _teams(), "team", "team")
-    assert inner.num_rows == 4
-    assert inner.column("city") == ["Miami", "Miami", "Chicago", "Chicago"]
-
-    lonely = Table.from_rows(
-        Schema([ColumnSpec("team", DataType.STRING)]), [["Vapor"]])
-    left = join(lonely, _teams(), "team", "team", how="left")
-    assert left.num_rows == 1 and left.column("city") == [None]
-    with pytest.raises(SchemaError):
-        join(_players(), _teams(), "team", "team", how="cross")
-
-
-def test_group_aggregate_count_and_avg():
-    result = group_aggregate(
-        _players(), ["team"],
-        [("count", "*", "players"), ("avg", "height", "avg_height")])
-    assert result.column("team") == ["Heat", "Bulls"]
-    assert result.column("players") == [2, 2]
-    assert result.column("avg_height") == [194.5, 210.0]  # None skipped
-
-
-def test_group_aggregate_whole_table_and_min_max():
-    result = group_aggregate(
-        _players(), [],
-        [("min", "height", "shortest"), ("max", "height", "tallest"),
-         ("sum", "height", "total"), ("count_distinct", "team", "teams")])
-    assert result.num_rows == 1
-    assert result.row(0) == {"shortest": 188, "tallest": 210,
-                             "total": 599, "teams": 2}
-
-
-def test_normalize_aggregate_synonyms():
-    assert normalize_aggregate("Number") == "count"
-    assert normalize_aggregate("earliest") == "min"
-    assert normalize_aggregate("total") == "sum"
-    with pytest.raises(ExpressionError):
-        normalize_aggregate("median-ish")
-
-
-def test_sort_limit_distinct_rename_union():
-    by_height = sort(_players(), ["height"])
-    assert by_height.column("name") == ["Bob", "Ann", "Cyd", "Dee"]  # None last
-    tallest_first = sort(_players(), ["height"], descending=True)
-    assert tallest_first.column("name")[-3:] == ["Cyd", "Ann", "Bob"]
-    assert limit(by_height, 2).num_rows == 2
-    assert distinct(_players(), ["team"]).column("team") == ["Heat", "Bulls"]
-    renamed = rename(_players(), {"height": "height_cm"})
-    assert "height_cm" in renamed.column_names
-    doubled = union_all(_players(), _players())
-    assert doubled.num_rows == 8
 
 
 # ----------------------------------------------------------------------

@@ -140,7 +140,7 @@ def test_int64_overflow_and_bool_contamination_fall_back():
 
 
 def test_empty_table_joins_match_across_engines():
-    from repro.relational import colexec, ops
+    from repro.relational import colexec
     from repro.relational.sqlexec import build_join_sql, run_sql
     empty = Table.empty(Schema([ColumnSpec("k", DataType.STRING),
                                 ColumnSpec("v", DataType.INTEGER)]))
@@ -154,11 +154,11 @@ def test_empty_table_joins_match_across_engines():
         columnar = colexec.join_tables(left, right, "k", "k")
         assert columnar.to_dict() == bridged.to_dict()
         assert columnar.fingerprint() == bridged.fingerprint()
-        assert ops.join(left, right, "k", "k").num_rows == 0
+        assert columnar.num_rows == 0
 
 
 def test_empty_table_aggregates_match_sqlite():
-    from repro.relational import colexec, ops
+    from repro.relational import colexec
     from repro.relational.sqlexec import run_sql
     empty = Table.empty(Schema([ColumnSpec("k", DataType.STRING),
                                 ColumnSpec("v", DataType.INTEGER)]))
@@ -167,11 +167,12 @@ def test_empty_table_aggregates_match_sqlite():
     bridged = run_sql(sql, {"t": empty})
     assert bridged.to_dict()["columns"] == {"c": [0], "s": [None],
                                             "a": [None], "m": [None]}
-    for engine in ("columnar", "native"):
-        result = colexec.execute(sql, {"t": empty}, engine=engine)
-        assert result.to_dict() == bridged.to_dict(), engine
-    grouped = ops.group_aggregate(empty, ["k"], [("count", "*", "c")])
+    result = colexec.execute(sql, {"t": empty})
+    assert result.to_dict() == bridged.to_dict()
+    grouped_sql = "SELECT k, COUNT(*) AS c FROM t GROUP BY k"
+    grouped = colexec.execute(grouped_sql, {"t": empty})
     assert grouped.num_rows == 0
+    assert grouped.to_dict() == run_sql(grouped_sql, {"t": empty}).to_dict()
 
 
 def test_date_coercion_at_column_boundaries():

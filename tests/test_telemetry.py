@@ -386,8 +386,6 @@ def test_sql_and_join_steps_count_the_engine_that_ran_them():
     join = ["players", "teams", "team", "name"]
     assert counters("columnar", SQLOperator(), supported) == {
         "sql_engine_columnar": 1}
-    assert counters("native", SQLOperator(), supported) == {
-        "sql_engine_native": 1}
     assert counters("sqlite", SQLOperator(), supported) == {
         "sql_engine_sqlite": 1}
     assert counters("columnar", SQLOperator(), declined) == {
@@ -410,6 +408,22 @@ def test_engine_counts_fold_into_labelled_session_metrics():
     assert counters['sql_engine_total{engine="columnar"}'] == ran
     assert "colexec_declined_total" not in counters
     assert f'repro_sql_engine_total{{engine="columnar"}} {ran}' in exposition
+
+
+@pytest.mark.parametrize("engine", ["native", "colunmar", ""])
+def test_unknown_relational_engine_is_rejected(engine, monkeypatch):
+    # An unknown engine must fail loudly instead of silently running
+    # colexec under a bogus sql_engine_total{engine="..."} label.
+    from repro.core.engine import RELATIONAL_ENGINES, EngineConfig
+
+    assert RELATIONAL_ENGINES == ("columnar", "sqlite")
+    with pytest.raises(ValueError, match="columnar, sqlite"):
+        EngineConfig(relational_engine=engine)
+    monkeypatch.setenv("REPRO_RELATIONAL_ENGINE", engine)
+    with pytest.raises(ValueError, match="REPRO_RELATIONAL_ENGINE"):
+        EngineConfig()
+    monkeypatch.setenv("REPRO_RELATIONAL_ENGINE", "sqlite")
+    assert EngineConfig().relational_engine == "sqlite"
 
 
 # ----------------------------------------------------------------------
