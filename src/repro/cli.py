@@ -1,18 +1,19 @@
-"""Command-line entry point: answer one query, run a batch, or benchmark.
+"""Command-line entry point: answer one query, run a batch, or serve.
 
 Examples::
 
     repro query --dataset rotowire "How many players are taller than 200?"
     repro batch --dataset artwork queries.txt --workers 4 \\
         --plan-cache-file plans.json
-    repro bench --dataset artwork --scale 10 --workers 1,2,4
+    repro serve --dataset rotowire --port 8765
     repro --version
 
 Installed as the ``repro`` console script.  Every path drives the system
 through :class:`repro.session.Session`; ``--plan-cache-file`` rehydrates
 the plan cache before the run and persists it afterwards, so a repeated
-batch plans nothing.  The ``bench`` subcommand forwards to
-:mod:`repro.benchmarks.harness`.
+batch plans nothing.  The ``serve``, ``cache-server``, ``trace`` and
+``fuzz`` subcommands forward to their own modules' parsers.  Performance
+is measured by the repository benchmark, ``bench/run.py``.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _add_lake_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The subcommand-style parser (``repro query|batch|bench``)."""
+    """The subcommand-style parser (``repro query|batch|serve|...``)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Answer natural-language queries over a multi-modal "
@@ -97,22 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "JSON file after the batch")
 
     subparsers.add_parser(
-        "bench", add_help=False,
-        help="benchmark parallel batch execution ('repro bench --help')")
-    subparsers.add_parser(
         "serve", add_help=False,
         help="serve the session over async HTTP ('repro serve --help')")
-    subparsers.add_parser(
-        "loadtest", add_help=False,
-        help="load-test the query service ('repro loadtest --help')")
     subparsers.add_parser(
         "cache-server", add_help=False,
         help="serve the shared plan/answer cache tier "
              "('repro cache-server --help')")
-    subparsers.add_parser(
-        "cache-bench", add_help=False,
-        help="benchmark cold-replica warm-up: shared tier vs files "
-             "('repro cache-bench --help')")
     subparsers.add_parser(
         "trace", add_help=False,
         help="inspect exported trace records: span trees, recent "
@@ -222,21 +213,12 @@ def main(argv: list[str] | None = None) -> int:
     if not argv:
         build_parser().print_help()
         return 0
-    if argv[0] == "bench":
-        from repro.benchmarks.harness import main as bench_main
-        return bench_main(argv[1:])
     if argv[0] == "serve":
         from repro.serve.app import main as serve_main
         return serve_main(argv[1:])
-    if argv[0] == "loadtest":
-        from repro.serve.loadtest import main as loadtest_main
-        return loadtest_main(argv[1:])
     if argv[0] == "cache-server":
         from repro.cachenet.server import main as cache_server_main
         return cache_server_main(argv[1:])
-    if argv[0] == "cache-bench":
-        from repro.benchmarks.cachewarm import main as cache_bench_main
-        return cache_bench_main(argv[1:])
     if argv[0] == "trace":
         from repro.obs.tracecli import main as trace_main
         return trace_main(argv[1:])

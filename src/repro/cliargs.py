@@ -29,13 +29,3 @@ def backend_name(text: str) -> str:
             f"unknown backend {text!r}; available: "
             f"{', '.join(backend_names())}")
     return text
-
-
-def backend_list(text: str) -> tuple[str, ...]:
-    """Comma-separated execution-backend names, each validated."""
-    names = tuple(backend_name(part.strip())
-                  for part in text.split(",") if part.strip())
-    if not names:
-        raise argparse.ArgumentTypeError(
-            f"no backend names in {text!r}")
-    return names

@@ -332,8 +332,8 @@ class BatchReport:
     def to_dict(self, include_results: bool = False) -> dict:
         """JSON-ready encoding.
 
-        The default is the compact metrics record consumed by the
-        benchmark harness (rounded floats, no per-query payloads).  With
+        The default is a compact metrics record (rounded floats, no
+        per-query payloads).  With
         ``include_results=True`` the record additionally carries exact
         clocks, per-query stats, and full :class:`~repro.core.plan.
         QueryResult` payloads, making :meth:`from_dict` a lossless

@@ -16,15 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.data.datatypes import decode_scalar, encode_scalar
 from repro.data.table import Table
 from repro.obs.trace import QueryTelemetry
 from repro.plotting.spec import PlotSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import networkx as nx
 
 
 def encode_params(params: dict) -> dict:
@@ -140,25 +136,6 @@ class LogicalPlan:
         return cls(steps=[LogicalStep.from_dict(s)
                           for s in data.get("steps", [])],
                    thought=data.get("thought", ""))
-
-    def dataflow_graph(self) -> "nx.DiGraph":
-        """Table-level dataflow DAG (tables and steps as nodes)."""
-        # Imported here: this is the package's only networkx call site,
-        # and a module-scope import costs every ``import repro`` (and
-        # every spawned worker lane) ~130 ms and ~20 MB.
-        import networkx as nx
-        graph = nx.DiGraph()
-        for step in self.steps:
-            step_node = f"step:{step.index}"
-            graph.add_node(step_node, kind="step",
-                           description=step.description)
-            for table in step.inputs:
-                graph.add_node(table, kind="table")
-                graph.add_edge(table, step_node)
-            if step.output:
-                graph.add_node(step.output, kind="table")
-                graph.add_edge(step_node, step.output)
-        return graph
 
 
 @dataclass(frozen=True)

@@ -23,16 +23,10 @@ one value at a time (streaming ingestion, generators);
 non-null value has the store's exact type, and hands anything else to
 the builder.  Gathers (:meth:`Column.take`) on fixed-width stores are
 one numpy fancy-index over the raw buffers.
-
-The store mode is process-global: ``columnar`` (default) packs typed
-columns, ``row`` forces plain-list storage everywhere.  The ``row`` mode
-exists so benchmarks can measure the row-store baseline
-(``REPRO_TABLE_STORE=row`` or :func:`set_table_store`).
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from array import array
 from datetime import date
@@ -44,28 +38,6 @@ from repro.data.datatypes import DataType
 
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
-
-_STORE_MODES = ("columnar", "row")
-
-_store_mode = os.environ.get("REPRO_TABLE_STORE", "columnar")
-if _store_mode not in _STORE_MODES:  # pragma: no cover - env misuse
-    _store_mode = "columnar"
-
-
-def table_store() -> str:
-    """The active store mode: ``"columnar"`` or ``"row"``."""
-    return _store_mode
-
-
-def set_table_store(mode: str) -> str:
-    """Set the store mode; returns the previous mode (for restoring)."""
-    global _store_mode
-    if mode not in _STORE_MODES:
-        raise ValueError(f"unknown table store {mode!r}; "
-                         f"expected one of {_STORE_MODES}")
-    previous = _store_mode
-    _store_mode = mode
-    return previous
 
 
 def _gather(buffer: array | bytearray, idx: np.ndarray) -> array | bytearray:
@@ -112,7 +84,7 @@ class Column:
 
 
 class ObjectColumn(Column):
-    """Plain-list storage: modality cells, mixed types, the row store."""
+    """Plain-list storage: modality cells and mixed types."""
 
     __slots__ = ("values",)
 
@@ -338,9 +310,7 @@ class ColumnBuilder:
     __slots__ = ("_column",)
 
     def __init__(self, dtype: DataType) -> None:
-        store = None
-        if _store_mode == "columnar" and not dtype.is_modality:
-            store = _TYPED_STORES.get(dtype)
+        store = _TYPED_STORES.get(dtype)    # None for modality dtypes
         self._column: Column = store() if store is not None else ObjectColumn()
 
     def append(self, value: object) -> None:
@@ -417,13 +387,13 @@ def build_column(values: Iterable[object], dtype: DataType) -> Column:
     """Pack *values* into the best storage for *dtype*.
 
     A list packs in bulk when it can (:func:`_pack`: one type scan, one
-    typed-buffer construction); everything else — other iterables, the
-    row store, lists the typed store cannot represent exactly — streams
-    through :class:`ColumnBuilder`, which builds the same column.
+    typed-buffer construction); everything else — other iterables, lists
+    the typed store cannot represent exactly — streams through
+    :class:`ColumnBuilder`, which builds the same column.
     """
     if isinstance(values, Column):
         return values
-    if isinstance(values, list) and _store_mode == "columnar":
+    if isinstance(values, list):
         packed = _pack(values, dtype)
         if packed is not None:
             return packed

@@ -50,7 +50,7 @@ def load_lake(name: str, seed: int | None = None,
               scale: float = 1.0) -> DataLake:
     """Generate the named dataset and package it as a :class:`DataLake`.
 
-    Entry point used by the CLI, the benchmark harness, and the test
+    Entry point used by the CLI, the repo benchmark, and the test
     harness; *seed* of ``None`` means the dataset's default seed, *scale*
     multiplies the dataset's base cardinality (10k+ paintings / 1k+ games
     are a ``--scale`` flag away).  The returned lake carries its

@@ -68,8 +68,8 @@ def register_backend(name: str,
     """Register a backend *factory* under *name* (last writer wins).
 
     The name becomes valid everywhere a backend is selected —
-    ``Session.batch(backend=name)``, ``repro batch --backend name``, and
-    ``repro bench --backend name`` — with no further wiring; the three
+    ``Session.batch(backend=name)`` and ``repro batch --backend name`` —
+    with no further wiring; the three
     built-ins register themselves exactly this way when
     :mod:`repro.exec` is imported.
     """

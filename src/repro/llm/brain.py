@@ -1119,10 +1119,11 @@ class SimulatedBrain:
 
     *latency_seconds* emulates the round-trip of a remote endpoint: each
     ``complete`` call blocks that long (GIL-free, like real network /
-    inference wait) before answering.  The benchmark harness uses it so
-    concurrency measurements reflect the latency-bound behaviour of a
-    production deployment instead of a zero-latency simulator; the default
-    of ``0.0`` keeps tests and interactive runs instant.
+    inference wait) before answering.  The repo benchmark and the CI
+    lane gate use it so concurrency measurements reflect the
+    latency-bound behaviour of a production deployment instead of a
+    zero-latency simulator; the default of ``0.0`` keeps tests and
+    interactive runs instant.
 
     The brain keeps no mutable state across calls, so one instance may be
     shared by concurrent engines.

@@ -37,9 +37,9 @@ def render_snapshot(snapshot: dict) -> str:
     """Canonical JSON text of a metrics snapshot.
 
     Sorted keys, two-space indent, trailing newline — the one encoding
-    shared by the service's ``GET /metrics`` endpoint, ``repro batch
-    --metrics-file``, and the bench harness's ``--metrics-output``, so a
-    scraped snapshot and a dumped file diff cleanly against each other.
+    shared by the service's ``GET /metrics`` endpoint and ``repro batch
+    --metrics-file``, so a scraped snapshot and a dumped file diff
+    cleanly against each other.
     """
     return json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
 

@@ -1,7 +1,7 @@
 """The query service: a long-lived :class:`~repro.session.Session`
 behind an async HTTP server.
 
-The ROADMAP's "Session as a long-lived server" item, as four layers:
+The ROADMAP's "Session as a long-lived server" item, as three layers:
 
 - :mod:`repro.serve.app` — the stdlib asyncio HTTP front
   (``repro serve``): submit/poll/cancel, an NDJSON span-event stream,
@@ -10,10 +10,10 @@ The ROADMAP's "Session as a long-lived server" item, as four layers:
   worker lanes draw engines from :meth:`Session.make_engine`, with
   per-job timeouts that replace a wedged lane;
 - :mod:`repro.serve.admission` — queue-depth and per-client admission
-  gates (429 + ``Retry-After`` back pressure);
-- :mod:`repro.serve.loadtest` — the concurrent-client harness
-  (``repro loadtest``) recording p50/p99 latency into
-  ``BENCH_serve.json`` next to the throughput benches.
+  gates (429 + ``Retry-After`` back pressure).
+
+Served latency and capacity are measured by the ``serve-open`` workload
+of the repository benchmark (``bench/run.py``).
 """
 
 from repro.serve.admission import AdmissionController, AdmissionError

@@ -2,18 +2,16 @@
 
 A :class:`Session` packages everything needed to answer natural-language
 queries over one :class:`~repro.data.catalog.DataLake` — the planner brain,
-the engine configuration, and the two caches — behind three methods:
+the engine configuration, and the two caches — behind two methods:
 
 - :meth:`Session.query` answers one query;
 - :meth:`Session.batch` drains a workload through an execution backend
   (serial, thread pool, or GIL-free process lanes — :mod:`repro.exec`)
-  and returns a :class:`~repro.core.batch.BatchReport`;
-- :meth:`Session.bench` runs the benchmark harness over this session's
-  lake.
+  and returns a :class:`~repro.core.batch.BatchReport`.
 
-The CLI, the benchmark harness, and the test suite all drive the system
-through this facade.  Both caches are shared by every query and batch of
-the session, so repeated workloads run warm — a repeated query reuses its
+The CLI, the query service, the benchmark and the test suite all drive
+the system through this facade.  Both caches are shared by every query
+and batch of the session, so repeated workloads run warm — a repeated query reuses its
 plan *and* the model's discovery and mapping replies bound to it
 (:class:`~repro.core.plan.BoundPlan`), so it makes no LLM call; plans
 survive across runs via :meth:`save_plan_cache` / :meth:`load_plan_cache`
@@ -211,50 +209,6 @@ class Session:
                 f"backend must be a registered name or an ExecutionBackend, "
                 f"got {type(backend).__name__}")
         return backend.run(self, queries, workers)
-
-    def bench(self, workers: Sequence[int] = (1, 2, 4), repeats: int = 3,
-              backends: Sequence[str] = ("thread",),
-              llm_latency_ms: float | None = None,
-              output: str | None = None, quiet: bool = True) -> dict:
-        """Run the benchmark harness over this session's lake and stack.
-
-        Each ``(backend, workers)`` point gets a fresh child session —
-        same lake, brain, config, and planner/mapper/executor overrides,
-        but cold caches and a cold worker pool —
-        and a cold + warm pass (see :mod:`repro.benchmarks.harness`); this
-        session's own caches are not touched.  *llm_latency_ms* replaces
-        the brain with a :class:`~repro.llm.brain.SimulatedBrain` at that
-        simulated latency (``None`` benchmarks the session's own brain).
-        Returns the benchmark record (and writes it to *output* when
-        given).
-        """
-        from repro.benchmarks.harness import BenchConfig, run_benchmark
-        if llm_latency_ms is None:
-            brain = self.brain
-        else:
-            if self.planner is not None or self.mapper is not None:
-                # A planner/mapper override takes precedence over any
-                # brain, so the requested latency would never apply — and
-                # the benchmark record would lie about it.
-                raise ValueError(
-                    "llm_latency_ms cannot override a custom planner/"
-                    "mapper; pass llm_latency_ms=None to benchmark the "
-                    "session's own stack")
-            brain = SimulatedBrain(latency_seconds=llm_latency_ms / 1000.0)
-
-        def child_session() -> "Session":
-            return Session(self.lake, brain=brain, config=self.config,
-                           planner=self.planner, mapper=self.mapper,
-                           executor=self.executor,
-                           telemetry=self.telemetry)
-
-        config = BenchConfig(dataset=self.lake.name, workers=tuple(workers),
-                             backends=tuple(backends),
-                             repeats=repeats,
-                             llm_latency_ms=llm_latency_ms,
-                             output=output, quiet=quiet)
-        return run_benchmark(config, lake=self.lake,
-                             session_factory=child_session)
 
     # ------------------------------------------------------------------
     # Introspection & persistence

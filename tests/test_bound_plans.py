@@ -17,7 +17,6 @@ import threading
 
 import pytest
 
-from repro.benchmarks.workloads import workload
 from repro.cachenet import CacheTierServer
 from repro.core.batch import PlanCache
 from repro.core.interfaces import PromptMapper, PromptPlanner
@@ -27,6 +26,7 @@ from repro.errors import PlanParseError
 from repro.llm.brain import SimulatedBrain
 from repro.obs import render_prometheus
 from repro.session import Session
+from repro.testing.workloads import workload
 
 QUERY = "How many players are taller than 200?"
 TEXT_QUERY = "How many games did the Heat win?"

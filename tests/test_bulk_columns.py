@@ -20,7 +20,7 @@ import pytest
 
 from repro.data.columns import (BoolColumn, Column, ColumnBuilder, DateColumn,
                                 FloatColumn, IntColumn, ObjectColumn,
-                                StringColumn, build_column, set_table_store)
+                                StringColumn, build_column)
 from repro.data.datatypes import DataType, infer_column_type, infer_type
 from repro.data.schema import ColumnSpec, ForeignKey, Schema
 from repro.data.table import Table
@@ -263,16 +263,6 @@ def test_bulk_pack_edge_cases_pick_the_same_store():
     # -0.0 keeps its sign, and the string pool keeps first-occurrence order.
     assert repr(build_column([-0.0], DT.FLOAT).get(0)) == "-0.0"
     assert build_column(["b", "a", None, "b"], DT.STRING).pool == ["b", "a"]
-
-
-def test_bulk_pack_respects_the_row_store():
-    previous = set_table_store("row")
-    try:
-        column = build_column([1, 2, None], DT.INTEGER)
-    finally:
-        set_table_store(previous)
-    assert type(column) is ObjectColumn
-    assert column.values == [1, 2, None]
 
 
 # ----------------------------------------------------------------------

@@ -18,12 +18,12 @@ import time
 
 import pytest
 
-from repro.benchmarks.workloads import workload
 from repro.cachenet import (CacheClient, CacheProtocolError,
                             CacheTierServer, CacheUnavailable,
                             RemoteAnswerCache, RemotePlanCache)
 from repro.llm.brain import SimulatedBrain
 from repro.session import Session
+from repro.testing.workloads import workload
 
 #: A TCP port with nothing listening (discard-protocol port; closed on
 #: any sane test host, and connection-refused is instant on loopback).

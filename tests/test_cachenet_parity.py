@@ -13,10 +13,10 @@ import threading
 
 import pytest
 
-from repro.benchmarks.workloads import workload
 from repro.cachenet import CacheTierServer
 from repro.datasets import load_lake
 from repro.session import Session
+from repro.testing.workloads import workload
 
 BACKENDS = (("serial", 1), ("thread", 3), ("process", 3))
 

@@ -88,16 +88,12 @@ def test_cli_scale_flag(capsys):
     assert "value:" in capsys.readouterr().out
 
 
-def test_cli_bench_subcommand(tmp_path, capsys):
-    output = tmp_path / "BENCH_parallel.json"
-    code = main(["bench", "--dataset", "artwork", "--scale", "0.25",
-                 "--workers", "1,2", "--repeats", "1",
-                 "--llm-latency-ms", "0", "--output", str(output)])
-    assert code == 0
-    assert output.exists()
-    out = capsys.readouterr().out
-    assert "warm speedup at 2 workers" in out
-    assert "thread x1" in out
+@pytest.mark.parametrize("name", ["bench", "loadtest", "cache-bench"])
+def test_cli_removed_benchmark_subcommands_are_invalid_choices(name, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([name])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_empty_batch_file(tmp_path, capsys):
@@ -125,7 +121,7 @@ def test_cli_no_arguments_prints_usage(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "usage: repro" in out
-    assert "query" in out and "batch" in out and "bench" in out
+    assert "query" in out and "batch" in out
 
 
 def test_cli_version_flag(capsys):

@@ -10,13 +10,13 @@ import json
 
 import pytest
 
-from repro.benchmarks.workloads import workload, workload_datasets
 from repro.core.batch import BatchReport
 from repro.core.plan import ERROR_PHASES, ErrorEvent
 from repro.datasets import LakeSpec, load_lake
 from repro.exec import (BackendError, ProcessBackend, SerialBackend,
                         ThreadBackend, backend_names, create_backend)
 from repro.session import Session
+from repro.testing.workloads import workload, workload_datasets
 
 
 def canonical(report: BatchReport) -> str:

@@ -1,4 +1,4 @@
-"""Unit tests for logical plans: dataflow graph and text round-trips."""
+"""Unit tests for logical plans: text round-trips and trace state."""
 
 from repro.core.parsing import parse_logical_plan
 from repro.core.plan import ErrorEvent, LogicalPlan, LogicalStep, PlanTrace
@@ -19,25 +19,6 @@ def _two_step_plan() -> LogicalPlan:
                     output="result_table",
                     new_columns=["count"]),
     ], thought="join then count")
-
-
-def test_dataflow_graph_nodes_and_edges():
-    graph = _two_step_plan().dataflow_graph()
-    assert graph.nodes["step:1"]["kind"] == "step"
-    assert graph.nodes["teams"]["kind"] == "table"
-    assert graph.has_edge("teams", "step:1")
-    assert graph.has_edge("teams_to_games", "step:1")
-    assert graph.has_edge("step:1", "joined_table")
-    assert graph.has_edge("joined_table", "step:2")
-    assert graph.has_edge("step:2", "result_table")
-    # 2 step nodes + 4 table nodes, edges form a DAG.
-    assert len(graph.nodes) == 6
-    assert len(graph.edges) == 5
-
-
-def test_dataflow_graph_of_empty_plan_is_empty():
-    graph = LogicalPlan().dataflow_graph()
-    assert len(graph.nodes) == 0
 
 
 def test_render_parse_round_trip():

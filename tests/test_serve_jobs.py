@@ -1,6 +1,5 @@
 """The job queue + admission layer without HTTP in front: the
-thread-level semantics the server builds on, plus the load-test
-harness's record shape."""
+thread-level semantics the server builds on."""
 
 from __future__ import annotations
 
@@ -14,7 +13,6 @@ from repro.obs import MetricsRegistry
 from repro.serve.admission import (START_INTERVAL_S, AdmissionController,
                                    AdmissionError, StartPacer)
 from repro.serve.jobs import JobManager
-from repro.serve.loadtest import LoadTestConfig, healthy, percentile, run_loadtest
 from repro.serve.schemas import SchemaError, parse_submit
 from repro.session import Session
 
@@ -254,51 +252,3 @@ def test_finished_jobs_are_frozen_and_cheap_to_keep(artwork_lake,
         assert job.result.describe() == session.query(job.query).describe()
     finally:
         manager.close()
-
-
-# ----------------------------------------------------------------------
-# Load-test harness
-# ----------------------------------------------------------------------
-
-def test_percentile_nearest_rank():
-    assert percentile([], 99) == 0.0
-    assert percentile([5.0], 50) == 5.0
-    samples = list(range(1, 101))
-    assert percentile(samples, 50) == 50
-    assert percentile(samples, 99) == 99
-    assert percentile(samples, 100) == 100
-
-
-def test_loadtest_smoke_writes_record(tmp_path):
-    output = tmp_path / "BENCH_serve.json"
-    record = run_loadtest(LoadTestConfig(
-        dataset="rotowire", scale=1.0, clients=2, repeats=1,
-        workers=2, queue_depth=4, per_client_limit=4,
-        llm_latency_ms=0.0, burst_factor=2,
-        output=str(output), quiet=True))
-    assert output.exists()
-    on_disk = json.loads(output.read_text())
-    assert on_disk["benchmark"] == "serve_loadtest"
-    for name in ("cold", "warm"):
-        record_pass = record["passes"][name]
-        assert record_pass["requests"] > 0
-        assert record_pass["errors"] == 0
-        assert record_pass["p99_ms"] >= record_pass["p50_ms"] > 0
-    burst = record["burst"]
-    assert burst["submitted"] == 8
-    assert burst["accepted"] + burst["rejected_429"] == burst["submitted"]
-    assert burst["other_status"] == 0 and burst["unresolved"] == 0
-    assert record["metrics"]["counters"]["serve_jobs_completed_total"] > 0
-    ok, problems = healthy(record)
-    assert ok, problems
-
-
-def test_loadtest_healthy_flags_problems():
-    bad = {
-        "passes": {"warm": {"errors": 2, "error_outcomes": ["http_500"]}},
-        "burst": {"submitted": 4, "accepted": 1, "rejected_429": 2,
-                  "other_status": 1, "unresolved": 1},
-    }
-    ok, problems = healthy(bad)
-    assert not ok
-    assert len(problems) == 4

@@ -93,37 +93,9 @@ def test_session_accepts_custom_executor(rotowire_lake):
     assert executor.executed == result.trace.operators_used()
 
 
-def test_session_bench_runs_over_own_lake(rotowire_lake):
-    record = Session(rotowire_lake).bench(workers=(1,), repeats=1)
-    assert record["dataset"] == "rotowire"
-    assert record["scale"] is None  # the lake was provided, not generated
-    assert [run["workers"] for run in record["runs"]] == [1]
-    for run in record["runs"]:
-        assert run["cold"]["errors"] == 0
-        assert run["warm"]["plan_cache"]["hit_rate"] == 1.0
-
-
 def test_public_surface_exports():
     for name in ("Session", "EngineConfig", "load_lake", "QueryResult",
                  "PlanTrace", "BatchReport", "PlanCache", "Table",
                  "PlotSpec", "Planner", "Mapper", "Executor"):
         assert hasattr(repro, name), name
     assert isinstance(repro.__version__, str) and repro.__version__
-
-
-def test_session_bench_uses_session_stack(rotowire_lake):
-    executor = _SpyExecutor()
-    session = Session(rotowire_lake, executor=executor)
-    record = session.bench(workers=(1,), repeats=1)
-    # The benchmark's child sessions ran through the session's executor.
-    assert executor.executed
-    assert record["llm_latency_ms"] is None  # session brain, no override
-
-
-def test_session_bench_rejects_latency_with_custom_planner(rotowire_lake):
-    from repro.core.interfaces import PromptPlanner
-
-    session = Session(rotowire_lake,
-                      planner=PromptPlanner(SimulatedBrain()))
-    with pytest.raises(ValueError):
-        session.bench(workers=(1,), repeats=1, llm_latency_ms=10)

@@ -12,7 +12,6 @@ import os
 
 import pytest
 
-from repro.benchmarks.workloads import workload
 from repro.core.plan import QueryResult
 from repro.datasets import load_lake
 from repro.llm.brain import SimulatedBrain
@@ -21,6 +20,7 @@ from repro.obs import (CostModel, MetricsRegistry, QueryTelemetry,
 from repro.obs.cost import DEFAULT_COST_MODEL, resolve_cost_model
 from repro.operators.base import ExecutionContext
 from repro.session import Session
+from repro.testing.workloads import workload
 
 QUERY = "How many players are taller than 200?"
 

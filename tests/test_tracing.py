@@ -18,6 +18,8 @@ import time
 import pytest
 
 from repro.cachenet import CacheTierServer
+from repro.cachenet.protocol import (PROTOCOL_NAME, PROTOCOL_VERSION,
+                                     FrameError, read_frame, write_frame)
 from repro.obs import (SlowQueryLog, TraceBuffer, TraceContext,
                        TraceContextError, TraceExporter, TracePipeline,
                        build_trace_record, render_prometheus,
@@ -358,31 +360,44 @@ def test_traces_endpoint_filters_and_404(serve):  # noqa: F811
 # ----------------------------------------------------------------------
 
 def test_observability_snapshot_bounded_by_hung_cache_server():
-    # A listener that accepts and then never speaks: the HELLO
-    # handshake read would block forever without the scrape budget.
+    # A tier that completes the handshake and answers the session's
+    # construction-time STATS probe, then goes silent.  The scrape's
+    # STATS request therefore reaches a live, healthy-looking connection
+    # and must wait out the scrape budget — not the client's default
+    # timeout and retries, and not a post-failure cooldown.
     wedge = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     wedge.bind(("127.0.0.1", 0))
     wedge.listen(8)
     port = wedge.getsockname()[1]
     accepted = []
 
-    def accept_loop():
+    def serve_then_wedge():
         try:
             while True:
                 conn, _ = wedge.accept()
-                accepted.append(conn)    # keep open, say nothing
-        except OSError:
+                accepted.append(conn)
+                read_frame(conn)
+                write_frame(conn, {"ok": True, "protocol": PROTOCOL_NAME,
+                                   "version": PROTOCOL_VERSION})
+                if len(accepted) == 1:
+                    read_frame(conn)    # the construction-time STATS probe
+                    write_frame(conn, {"ok": True, "stats": {}})
+                # ...and from here on, say nothing.
+        except (OSError, FrameError):
             pass
 
-    thread = threading.Thread(target=accept_loop, daemon=True)
+    thread = threading.Thread(target=serve_then_wedge, daemon=True)
     thread.start()
+    budget = Session.CACHENET_STATS_TIMEOUT
     try:
         session = Session("rotowire", cache_url=f"tcp://127.0.0.1:{port}")
+        assert session.metrics_registry.counters().get(
+            "cachenet_fallbacks", 0) == 0      # the tier looked healthy
         started = time.perf_counter()
         snapshot = session.observability_snapshot()
         elapsed = time.perf_counter() - started
         assert "cachenet_server" not in snapshot     # degraded, not hung
-        assert elapsed < 5 * Session.CACHENET_STATS_TIMEOUT + 1.0
+        assert 0.9 * budget <= elapsed < 5 * budget + 1.0, elapsed
         session.close()
     finally:
         wedge.close()
