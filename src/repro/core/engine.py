@@ -189,9 +189,9 @@ class Engine:
         self.last_put: BoundPlan | None = None
         #: optional per-span hook called with each
         #: :class:`~repro.obs.StageTrace` the moment it is recorded —
-        #: the query service's event stream
-        #: (:mod:`repro.serve.jobs`) attaches here to push spans to
-        #: clients while the query is still executing.  Only fires when
+        #: a thread worker lane (:mod:`repro.exec.lanes`) attaches the
+        #: query service's event stream here to push spans to clients
+        #: while the query is still executing.  Only fires when
         #: telemetry is enabled; exceptions are swallowed so a broken
         #: listener can never fail a query.
         self.span_listener = None

@@ -252,10 +252,10 @@ class Observation:
 
 
 #: Phases an :class:`ErrorEvent` can record.  The first three are the
-#: engine's own loop phases; ``"worker"`` events are recorded by the
-#: process execution backend (:mod:`repro.exec.process`) when a worker
-#: process crashes, its pool breaks, or a query times out — ``recovered``
-#: then means the query was successfully re-run in the parent process.
+#: engine's own loop phases; ``"worker"`` events are recorded by worker
+#: lanes (:mod:`repro.exec.lanes`) when a worker crashes or dies, or a
+#: query times out — ``recovered`` then means the query was successfully
+#: re-run in the parent process.
 ERROR_PHASES = ("planning", "mapping", "execution", "worker")
 
 
@@ -267,14 +267,14 @@ class ErrorEvent:
     step_index: int | None
     message: str
     recovered: bool = False
-    #: for ``phase="worker"`` events: the index of the process-backend
-    #: lane the failure originated on (``None`` for engine-phase events).
+    #: for ``phase="worker"`` events: the index of the worker lane the
+    #: failure originated on (``None`` for engine-phase events).
     worker_id: int | None = None
 
     @classmethod
     def worker_failure(cls, message: str, recovered: bool = False,
                        worker_id: int | None = None) -> "ErrorEvent":
-        """A worker-crash/timeout event (process backend trace entry)."""
+        """A worker-crash/timeout event (worker-lane trace entry)."""
         return cls(phase="worker", step_index=None, message=message,
                    recovered=recovered, worker_id=worker_id)
 

@@ -21,7 +21,7 @@ switching backends is purely a performance decision:
 
 Backends register under a short name via :func:`register_backend`;
 :meth:`repro.session.Session.batch` resolves ``backend="..."`` through
-:func:`create_backend`.  Stateful backends (the process pool) live on
+:func:`create_backend`.  Stateful backends (the process lanes) live on
 the session so consecutive batches reuse warm workers; sessions close
 them via :meth:`ExecutionBackend.close`.
 """

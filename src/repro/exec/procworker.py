@@ -1,9 +1,11 @@
-"""Worker-process side of the process backend.
+"""Worker-process side of a process lane.
 
-Everything in this module runs inside a pool worker process.  The
-contract with the parent (:mod:`repro.exec.process`) is JSON-shaped on
-the hot path: the parent ships ``BoundPlan.to_dict()`` payloads in and
-receives ``QueryResult.to_dict()`` payloads back, so big objects (tables,
+Everything in this module runs inside a lane's worker process, whose
+main loop is :func:`serve_lane`.  The contract with the parent
+(:class:`repro.exec.lanes.ProcessLane`, whose ``_fold`` is the one
+reader of these replies) is JSON-shaped on the hot path: the parent
+ships ``BoundPlan.to_dict()`` payloads in and receives
+``QueryResult.to_dict()`` payloads back, so big objects (tables,
 rendered images) never cross the pipe — the worker rebuilds its own lake
 deterministically from the :class:`~repro.datasets.LakeSpec` generation
 parameters in the per-process initializer and verifies the fingerprint
@@ -21,6 +23,7 @@ inference actually performed, so warm queries add nothing to the pipe.
 
 from __future__ import annotations
 
+import signal
 import traceback
 from typing import Iterable
 
@@ -73,8 +76,32 @@ class _JournalingRemoteAnswerCache(_JournalMixin, RemoteAnswerCache):
     """Tier-backed worker cache that still journals fresh inference."""
 
 
+def serve_lane(conn, payload: dict) -> None:
+    """Main loop of a lane's worker process.
+
+    Initializes from *payload*, then answers one ``(query, trace)``
+    request per message on *conn* until ``None`` or end-of-file.  An
+    initialization failure exits the process, which the lane sees as a
+    lost worker.
+    """
+    # A forked worker inherits the parent's signal set-up; under
+    # ``repro serve`` that is a SIGTERM handler that wakes the server's
+    # event loop to drain.  A worker must simply die on SIGTERM.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    initialize_worker(payload)
+    while True:
+        try:
+            request = conn.recv()
+        except EOFError:
+            return
+        if request is None:
+            return
+        conn.send(run_worker_query(*request))
+
+
 def initialize_worker(payload: dict) -> None:
-    """Pool initializer: rebuild the lake and stand up a local engine.
+    """Worker initializer: rebuild the lake and stand up a local engine.
 
     *payload* carries the lake spec + the parent's *content* fingerprint
     (cell-level, not just shape — see :meth:`~repro.data.catalog.
@@ -161,8 +188,8 @@ def run_worker_query(query: str, trace: dict | None = None) -> dict:
     ...cache deltas}`` on any engine outcome (including engine-level
     error results), or ``{"ok": False, "error": ..., "traceback": ...}``
     when the engine itself crashed with a non-Repro exception.  Crashes
-    are caught here so a poisoned query never kills the worker process
-    or its pool — the parent records a worker
+    are caught here so a poisoned query never kills the worker
+    process — the parent records a worker
     :class:`~repro.core.plan.ErrorEvent` and falls back to in-parent
     execution.
     """

@@ -6,9 +6,10 @@ The ROADMAP's "Session as a long-lived server" item, as three layers:
 - :mod:`repro.serve.app` — the stdlib asyncio HTTP front
   (``repro serve``): submit/poll/cancel, an NDJSON span-event stream,
   ``/healthz`` + ``/metrics``, graceful SIGTERM drain;
-- :mod:`repro.serve.jobs` — the bounded background job queue whose
-  worker lanes draw engines from :meth:`Session.make_engine`, with
-  per-job timeouts that replace a wedged lane;
+- :mod:`repro.serve.jobs` — the bounded background job queue, drained
+  by worker threads that each drive one :mod:`repro.exec.lanes` lane
+  (an in-process engine or a worker process), with per-job timeouts
+  that replace a wedged lane;
 - :mod:`repro.serve.admission` — queue-depth and per-client admission
   gates (429 + ``Retry-After`` back pressure).
 

@@ -49,11 +49,12 @@ from typing import TYPE_CHECKING
 
 from urllib.parse import parse_qs
 
+from repro.exec import LANE_KINDS
 from repro.obs import (SlowQueryLog, TraceBuffer, TraceContext,
                        TraceContextError, TraceExporter, TracePipeline,
                        render_prometheus, render_snapshot)
 from repro.serve.admission import AdmissionError
-from repro.serve.jobs import LANE_BACKENDS, JobManager, encode_json
+from repro.serve.jobs import JobManager, encode_json
 from repro.serve.schemas import error_body, parse_submit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -653,7 +654,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "(tcp://host:port or unix:///path.sock, see "
                              "'repro cache-server'); a down tier degrades "
                              "to local caches")
-    parser.add_argument("--lane-backend", choices=LANE_BACKENDS,
+    parser.add_argument("--lane-backend", choices=tuple(LANE_KINDS),
                         default="thread",
                         help="where jobs execute: in-process engines "
                              "('thread', default) or dedicated worker-"
@@ -671,7 +672,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def build_session(args: argparse.Namespace) -> "Session":
-    """A served session from CLI args (shared with the load tester)."""
+    """A served session from CLI args."""
     from pathlib import Path
 
     from repro.datasets import load_lake

@@ -3,10 +3,11 @@
 A :class:`JobManager` turns one long-lived
 :class:`~repro.session.Session` into a concurrent query executor: submits
 go through the :class:`~repro.serve.admission.AdmissionController` into a
-FIFO queue, a fixed pool of worker threads drains it — each worker owning
-one engine drawn from :meth:`Session.make_engine`, exactly the shape the
-thread execution backend uses — and every job exposes its lifecycle as a
-poll-able status plus an append-only event log (one entry per
+FIFO queue, a fixed pool of worker threads drains it — each worker
+driving one :class:`~repro.exec.lanes.Lane` (``thread``: an in-process
+engine; ``process``: a worker process, so served queries break the GIL
+wall too) — and every job exposes its lifecycle as a poll-able status
+plus an append-only event log (one entry per
 :class:`~repro.obs.StageTrace` span as execution progresses, which the
 ``GET /queries/{id}/events`` endpoint streams as NDJSON).
 
@@ -17,13 +18,12 @@ client may still poll thus costs its encoded answer, its deflated trace
 and its event lines — not a tree of Python objects re-serialised per
 poll.
 
-Failure semantics mirror the process backend
-(:mod:`repro.exec.process`): a per-job timeout abandons the stuck
-engine (the worker replaces it and moves on) and resolves the job with a
-``phase="worker"`` :class:`~repro.core.plan.ErrorEvent` in the polled
-result, so a hung modality model can never wedge a worker lane.  An
-unexpected engine crash resolves the job the same way; the worker always
-survives.
+Failure semantics are the lanes' (:mod:`repro.exec.lanes`): a per-job
+timeout or a lost worker replaces the lane's engine or process, and the
+job resolves with the lane's ``phase="worker"``
+:class:`~repro.core.plan.ErrorEvent` in the polled result, so a hung
+modality model can never wedge a worker.  A process lane re-runs a
+worker-side engine crash in the parent, so that job still answers.
 
 Everything here is plain threads — no asyncio — so the manager is usable
 (and tested) without an HTTP server in front of it; the async app layer
@@ -39,21 +39,14 @@ import secrets
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from repro.core.plan import ErrorEvent, PlanTrace, QueryResult
+from repro.core.plan import PlanTrace, QueryResult
+from repro.exec import LANE_KINDS, LaneFailure
 from repro.obs import StageTrace, TraceContext, build_trace_record
 from repro.serve.admission import (AdmissionController, AdmissionError,
                                    StartPacer)
 from repro.serve.schemas import job_links
-
-#: Where a job's query actually executes: ``thread`` runs it on an
-#: in-process engine (one per worker thread), ``process`` runs it in a
-#: dedicated single-process worker lane (the process backend's lanes) so
-#: served queries break the GIL wall too.
-LANE_BACKENDS = ("thread", "process")
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.session import Session
@@ -260,16 +253,9 @@ class JobManager:
                  trace_pipeline=None):
         if workers <= 0:
             raise ValueError(f"workers must be positive: {workers}")
-        if lane_backend not in LANE_BACKENDS:
+        if lane_backend not in LANE_KINDS:
             raise ValueError(f"lane_backend must be one of "
-                             f"{LANE_BACKENDS}, got {lane_backend!r}")
-        if (lane_backend == "process"
-                and getattr(session.lake, "spec", None) is None):
-            raise ValueError(
-                "lane_backend='process' needs a lake that knows its "
-                "generation parameters (lake.spec is None); build the "
-                "lake with repro.datasets.load_lake / LakeSpec.build, or "
-                "serve with thread lanes")
+                             f"{tuple(LANE_KINDS)}, got {lane_backend!r}")
         self.session = session
         self.workers = workers
         self.default_timeout_s = default_timeout_s
@@ -277,7 +263,10 @@ class JobManager:
         #: optional :class:`~repro.obs.TracePipeline`; every finished job
         #: is assembled into a trace record and fanned to its sinks.
         self.trace_pipeline = trace_pipeline
-        self._lane_payload_cached: dict | None = None
+        self._lanes = [
+            LANE_KINDS[lane_backend](
+                session, index, failure_counter="serve_worker_failures_total")
+            for index in range(workers)]
         self.metrics = session.metrics_registry
         self.admission = AdmissionController(
             queue_depth=queue_depth, per_client_limit=per_client_limit,
@@ -405,12 +394,6 @@ class JobManager:
             else:
                 return
 
-    def _worker(self, index: int) -> None:
-        if self.lane_backend == "process":
-            self._process_worker(index)
-        else:
-            self._thread_worker(index)
-
     def _take(self, index: int) -> Job | None:
         """The next job for lane *index*, moved to ``running`` once its
         start slot is due; ``None`` when the lane should stop."""
@@ -426,63 +409,14 @@ class JobManager:
                 return job
             # cancelled while queued; admission already released
 
-    def _thread_worker(self, index: int) -> None:
-        engine = self.session.make_engine()
-        # A single-thread inner executor per worker enforces the per-job
-        # timeout: on expiry the inner thread (and its engine) is
-        # abandoned and both are replaced, mirroring the process
-        # backend's lane-teardown semantics without killing the worker.
-        inner = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"repro-serve-run-{index}")
-        while (job := self._take(index)) is not None:
-            engine.span_listener = job.emit_span
-            engine.trace_context = job.context
-            try:
-                future = inner.submit(engine.query, job.query)
-                result = future.result(timeout=job.timeout_s)
-            except FutureTimeoutError:
-                future.cancel()
-                result = self._timeout_result(job, index)
-                engine, inner = self._replace_engine(inner, index)
-            except Exception as exc:  # noqa: BLE001 - worker must survive
-                result = self._crash_result(job, index, exc)
-                engine, inner = self._replace_engine(inner, index)
-            else:
-                engine.span_listener = None
-                engine.trace_context = None
-            self._finish(job, index, result)
-        inner.shutdown(wait=False)
-
-    def _process_worker(self, index: int) -> None:
-        """Worker loop of the ``process`` lane backend: each worker owns
-        one single-process lane (:class:`repro.exec.process._Lane`) and
-        runs every job through :func:`repro.exec.procworker.
-        run_worker_query`, shipping the job's trace context across the
-        pipe.  Timeout and crash semantics mirror the process backend:
-        the lane is killed and lazily rebuilt, and an in-worker engine
-        crash falls back to an in-parent engine so the job still
-        resolves with a full trace.
-        """
-        from repro.exec.process import _Lane, default_start_method
-        lane = _Lane(index, default_start_method())
+    def _worker(self, index: int) -> None:
+        lane = self._lanes[index]
         while (job := self._take(index)) is not None:
             try:
-                lane.ensure(self._lane_payload())
-                future = lane.submit(job.query, job.context.to_dict())
-                payload = future.result(timeout=job.timeout_s)
-            except FutureTimeoutError:
-                lane.kill()
-                result = self._timeout_result(job, index)
-            except Exception as exc:  # noqa: BLE001 - worker must survive
-                lane.kill()
-                result = self._crash_result(job, index, exc)
-            else:
-                result = self._fold_lane_payload(job, index, payload)
-            # Spans crossed the pipe inside the result; replay them onto
-            # the event log so NDJSON consumers see the same shape as
-            # thread lanes (post-hoc rather than live).
-            for span in result.telemetry.spans:
-                job.emit_span(span)
+                result = lane.run(job.query, job.context, job.timeout_s,
+                                  job.emit_span)
+            except LaneFailure as failure:
+                result = self._worker_error(job, failure)
             self._finish(job, index, result)
         lane.close()
 
@@ -522,89 +456,11 @@ class JobManager:
         except Exception:  # noqa: BLE001 - tracing must never fail a job
             self.metrics.increment("trace_record_errors_total")
 
-    def _lane_payload(self) -> dict:
-        """The (cached) process-lane init payload for this session."""
-        if self._lane_payload_cached is None:
-            from repro.exec.process import build_init_payload
-            session = self.session
-            self._lane_payload_cached = build_init_payload(
-                session, session.lake.spec,
-                session.lake.content_fingerprint(),
-                session.lake.fingerprint())
-        return self._lane_payload_cached
-
-    def _fold_lane_payload(self, job: Job, index: int,
-                           payload: dict) -> QueryResult:
-        """Fold one lane reply into the session, mirroring
-        :meth:`repro.exec.process.ProcessBackend._collect`: merge the
-        metrics delta, import fresh plans/answers into the parent
-        caches, and fall back to an in-parent engine when the worker's
-        engine crashed.
-        """
-        from repro.core.plan import BoundPlan
-        from repro.data.datatypes import decode_scalar
-        session = self.session
-        session.metrics_registry.merge_delta(payload.get("metrics_delta"))
-        if not payload.get("ok"):
-            self.metrics.increment("serve_worker_failures_total")
-            event = ErrorEvent.worker_failure(
-                f"job {job.id} crashed its worker lane {index}: "
-                f"{payload.get('error')}", worker_id=index)
-            engine = session.make_engine()
-            engine.trace_context = job.context
-            try:
-                result = engine.query(job.query)
-            except Exception as exc:  # noqa: BLE001 - poisoned query
-                return self._worker_error(
-                    job, index,
-                    f"job {job.id}: worker lane and in-parent fallback "
-                    f"both failed: {exc}")
-            event.recovered = True
-            if result.trace is not None:
-                result.trace.errors.insert(0, event)
-            return result
-        result = QueryResult.from_dict(payload["result"])
-        fresh_plan = payload.get("fresh_plan")
-        if fresh_plan is not None:
-            session.plan_cache.put(
-                (job.query, session.lake.fingerprint()),
-                BoundPlan.from_dict(fresh_plan))
-        for fingerprint, question, answer_type, answer in payload.get(
-                "fresh_answers", []):
-            session.answer_cache.put(
-                (fingerprint, question, answer_type),
-                decode_scalar(answer))
-        return result
-
-    def _replace_engine(self, inner: ThreadPoolExecutor,
-                        index: int) -> tuple:
-        inner.shutdown(wait=False)
-        return (self.session.make_engine(),
-                ThreadPoolExecutor(
-                    max_workers=1,
-                    thread_name_prefix=f"repro-serve-run-{index}"))
-
-    def _timeout_result(self, job: Job, index: int) -> QueryResult:
-        self.metrics.increment("serve_job_timeouts_total")
-        message = (f"job {job.id} timed out after {job.timeout_s:g}s; "
-                   f"worker lane {index} replaced")
-        return self._worker_error(job, index, message)
-
-    def _crash_result(self, job: Job, index: int,
-                      exc: Exception) -> QueryResult:
-        self.metrics.increment("serve_worker_failures_total")
-        message = (f"job {job.id} crashed its worker lane {index}: "
-                   f"{type(exc).__name__}: {exc}")
-        return self._worker_error(job, index, message)
-
-    @staticmethod
-    def _worker_error(job: Job, index: int, message: str) -> QueryResult:
+    def _worker_error(self, job: Job, failure: LaneFailure) -> QueryResult:
+        """Resolve a job whose lane timed out or lost its worker."""
+        self.metrics.increment("serve_job_timeouts_total" if failure.timed_out
+                               else "serve_worker_failures_total")
         trace = PlanTrace(query=job.query, trace_id=job.context.trace_id)
-        trace.errors.append(ErrorEvent.worker_failure(
-            message, recovered=False, worker_id=index))
-        return QueryResult(kind="error", error=message, trace=trace)
-
-
-#: Type of the per-span hook :class:`JobManager` installs on its engines
-#: (documented here so :mod:`repro.core.engine` can reference it).
-SpanListener = Callable[[StageTrace], None]
+        trace.errors.append(failure.event)
+        return QueryResult(kind="error", error=f"job {job.id}: {failure}",
+                           trace=trace)

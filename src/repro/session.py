@@ -173,7 +173,7 @@ class Session:
         already owns a trace — the serve layer — passes its context so
         this query's spans join it); ``None`` mints a fresh trace.
         """
-        engine = self._pool(1)[0]
+        engine = self.engine_pool(1)[0]
         engine.trace_context = trace_context
         try:
             return engine.query(query)
@@ -222,7 +222,7 @@ class Session:
         from the plan cache's bound replies sends nothing, so a fully
         warm query leaves the transcript empty.
         """
-        engines = self._pool(1)
+        engines = self.engine_pool(1)
         return engines[0].last_transcript
 
     def metrics(self) -> dict:
@@ -418,15 +418,6 @@ class Session:
     # Internals
     # ------------------------------------------------------------------
 
-    def engine_pool(self, workers: int) -> list[Engine]:
-        """The first *workers* engines (grown on demand) — backend hook.
-
-        Execution backends that run engines in this process (serial,
-        thread) draw them from here so engine reuse, shared caches, and
-        role overrides stay consistent with :meth:`query`.
-        """
-        return self._pool(workers)
-
     def _backend(self, name: str):
         from repro.exec import create_backend
         with self._pool_lock:
@@ -439,10 +430,10 @@ class Session:
 
         Same lake, brain, configuration, role overrides, caches, and
         metrics registry as the pooled engines — but owned by the
-        caller, not the pool.  The query service's worker lanes
-        (:class:`repro.serve.jobs.JobManager`) build their engines here
-        so a lane can discard a wedged engine (per-job timeout) and
-        replace it without disturbing the shared pool.
+        caller, not the pool.  Worker lanes (:mod:`repro.exec.lanes`)
+        build their engines here, so a thread lane can discard a wedged
+        engine and a process lane's in-parent re-run never borrows an
+        engine another thread is using.
         """
         return Engine(
             self.lake, model=self.brain, config=self.config,
@@ -452,12 +443,14 @@ class Session:
             metrics=self.metrics_registry,
             telemetry=self.telemetry)
 
-    def _pool(self, workers: int) -> list[Engine]:
+    def engine_pool(self, workers: int) -> list[Engine]:
         """The first *workers* engines, growing the pool as needed.
 
         Engines are created lazily and reused across calls (they carry
         per-query mutable state, so each in-flight query needs its own),
         all sharing the session's brain, caches, and role overrides.
+        :meth:`query` uses the first; the in-process execution backends
+        (serial, thread) draw theirs from here too.
         """
         with self._pool_lock:
             while len(self._engines) < workers:

@@ -54,8 +54,8 @@ class WorkerOnlyPoisonPlanner(PromptPlanner):
 class HardExitPlanner(PromptPlanner):
     """Kills the worker process outright for marked queries.
 
-    ``os._exit`` bypasses all exception handling, so the pool breaks
-    (BrokenProcessPool) — the strongest crash the backend must survive.
+    ``os._exit`` bypasses all exception handling, so the worker process
+    is gone — the strongest crash the backend must survive.
     """
 
     def __init__(self, model, parent_pid: int):

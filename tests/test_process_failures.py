@@ -9,6 +9,8 @@ events on its trace.
 """
 
 import os
+import signal
+import sys
 
 import pytest
 
@@ -16,8 +18,10 @@ from _poison import (EXIT_MARKER, POISON_MARKER, SLEEP_MARKER,
                      HardExitPlanner, PoisonPlanner, SleepyPlanner,
                      WorkerOnlyPoisonPlanner)
 from repro.exec import ProcessBackend
+from repro.exec.lanes import ProcessLane
 from repro.llm.brain import SimulatedBrain
 from repro.session import Session
+from repro.testing.workloads import workload
 
 HEALTHY = [
     "How many players are taller than 200?",
@@ -128,6 +132,65 @@ def test_query_timeout_kills_lane_and_falls_back():
     assert "timed out" in events[0].message
     assert events[0].recovered
     assert report.results[0].ok and report.results[2].ok
+
+
+def test_timed_out_lane_is_rebuilt_before_its_next_query():
+    # One lane, the slow query first: the healthy queries queued behind
+    # it on the same lane must run on a rebuilt worker, not inherit the
+    # killed worker's fate and fall back to the parent.
+    queries = [f"{HEALTHY[1]} {SLEEP_MARKER}", HEALTHY[0], HEALTHY[2]]
+    planner = SleepyPlanner(SimulatedBrain(), os.getpid(), seconds=30.0)
+    backend = ProcessBackend(timeout=2.0)
+    with Session("rotowire", planner=planner) as session:
+        try:
+            report = session.batch(queries, workers=1, backend=backend)
+        finally:
+            backend.close()
+        counters = session.metrics()["counters"]
+    assert report.num_errors == 0
+    events = report.worker_failures
+    assert len(events) == 1
+    assert "timed out" in events[0].message and events[0].recovered
+    assert worker_events(report.results[0]) == events
+    assert counters["worker_failures_total"] == 1
+
+
+def test_concurrent_lane_folds_lose_no_update():
+    # Four lanes on a two-core box fold their replies into one session
+    # from four threads; a tiny switch interval makes a lost
+    # update in the shared caches, registry or report likely.
+    queries = workload("rotowire", repeats=2)
+    backend = ProcessBackend(timeout=60.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with Session("rotowire") as session:
+            report = session.batch(queries, workers=4, backend=backend)
+            counters = session.metrics()["counters"]
+            cached_plans = len(session.plan_cache)
+    finally:
+        sys.setswitchinterval(interval)
+        backend.close()
+    assert report.num_errors == 0 and not report.worker_failures
+    assert report.cache_misses == cached_plans == len(set(queries))
+    assert report.cache_hits + report.cache_misses == len(queries)
+    assert counters["queries_total"] == len(queries)
+
+
+def test_lane_worker_dies_on_sigterm_under_a_parent_handler():
+    # `repro serve` catches SIGTERM to drain; a forked lane worker must
+    # not inherit that, or multiprocessing's exit-time terminate() of the
+    # worker would be ignored and the server's exit would hang on it.
+    previous = signal.signal(signal.SIGTERM, lambda *_: None)
+    lane = ProcessLane(Session("rotowire"), 0, start_method="fork")
+    try:
+        assert lane.run(HEALTHY[0]).ok
+        lane._process.terminate()
+        lane._process.join(timeout=10)
+        assert lane._process.exitcode == -signal.SIGTERM
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+        lane.close()
 
 
 def test_process_backend_close_is_idempotent():

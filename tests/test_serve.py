@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.core.plan import QueryResult
+from repro.datasets import load_lake
 from repro.llm.brain import SimulatedBrain
 from repro.serve.app import ServeConfig, ServerHandle
 from repro.session import Session
@@ -213,12 +214,17 @@ def test_per_client_limits_are_isolated_between_clients(serve,
     bob.close()
 
 
-def test_job_timeout_resolves_with_worker_error_event(serve, rotowire_lake):
-    session = Session(rotowire_lake,
-                      brain=SimulatedBrain(latency_seconds=0.5))
+@pytest.mark.parametrize("lane_backend", ["thread", "process"])
+def test_job_timeout_resolves_with_worker_error_event(serve, rotowire_lake,
+                                                      lane_backend):
+    # A process lane rebuilds the lake from its generation recipe, which
+    # the hand-assembled fixture lake does not carry.
+    lake = rotowire_lake if lane_backend == "thread" else load_lake("rotowire")
+    session = Session(lake, brain=SimulatedBrain(latency_seconds=0.5))
     # Server default is generous; the request tightens its own budget
     # (a requested timeout can only tighten, never loosen the default).
-    handle = serve(session, workers=1, job_timeout_s=30.0)
+    handle = serve(session, workers=1, job_timeout_s=30.0,
+                   lane_backend=lane_backend)
     client = Client(handle)
     _, _, body = client.request(
         "POST", "/queries",

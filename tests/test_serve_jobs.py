@@ -4,10 +4,14 @@ thread-level semantics the server builds on."""
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import pytest
 
+from _poison import (EXIT_MARKER, POISON_MARKER, HardExitPlanner,
+                     PoisonPlanner, WorkerOnlyPoisonPlanner)
+from repro.datasets import load_lake
 from repro.llm.brain import SimulatedBrain
 from repro.obs import MetricsRegistry
 from repro.serve.admission import (START_INTERVAL_S, AdmissionController,
@@ -175,21 +179,72 @@ def test_job_manager_cancel_and_drain(rotowire_lake):
 
 
 def test_crash_result_resolves_as_worker_error(rotowire_lake):
-    session = Session(rotowire_lake)
+    session = Session(rotowire_lake,
+                      planner=PoisonPlanner(SimulatedBrain()))
     manager = JobManager(session, workers=1)
-
-    class Boom(Exception):
-        pass
-
     try:
-        job = manager.submit("Who is the tallest player?", "a")
-        assert job.wait(30) and job.result.ok
-        # The crash path (a non-ReproError escaping the engine) resolves
-        # the job with a worker-phase error instead of killing the lane.
-        crash = manager._crash_result(job, 0, Boom("engine exploded"))
-        assert crash.kind == "error"
-        assert crash.trace.errors[0].phase == "worker"
-        assert "Boom" in crash.error
+        # A non-ReproError escaping a thread lane's engine resolves the
+        # job with a worker-phase error; the lane replaces its engine.
+        crash = manager.submit(f"Who is the tallest player? {POISON_MARKER}",
+                               "a")
+        assert crash.wait(30)
+        result = crash.result
+        assert result.kind == "error"
+        events = result.trace.errors
+        assert len(events) == 1 and events[0].phase == "worker"
+        assert not events[0].recovered and events[0].worker_id == 0
+        assert "RuntimeError" in result.error
+        assert "poisoned query" in result.error
+        counters = session.metrics_registry.counters()
+        assert counters["serve_worker_failures_total"] == 1
+        healthy = manager.submit("Who is the tallest player?", "a")
+        assert healthy.wait(30) and healthy.result.ok
+    finally:
+        manager.close()
+
+
+def _process_lane_manager(planner_class):
+    session = Session(load_lake("rotowire"),
+                      planner=planner_class(SimulatedBrain(), os.getpid()))
+    return session, JobManager(session, workers=1, lane_backend="process")
+
+
+def test_process_lane_hard_exit_resolves_as_worker_error():
+    session, manager = _process_lane_manager(HardExitPlanner)
+    try:
+        crash = manager.submit(f"Who is the tallest player? {EXIT_MARKER}",
+                               "a")
+        assert crash.wait(60)
+        result = crash.result
+        assert result.kind == "error"
+        events = result.trace.errors
+        assert len(events) == 1 and events[0].phase == "worker"
+        assert not events[0].recovered and events[0].worker_id == 0
+        assert "worker crashed" in result.error
+        counters = session.metrics_registry.counters()
+        assert counters["serve_worker_failures_total"] == 1
+        # The lost worker is rebuilt for the next job.
+        healthy = manager.submit("Who is the tallest player?", "a")
+        assert healthy.wait(60) and healthy.result.ok
+        assert not healthy.result.trace.errors
+    finally:
+        manager.close()
+
+
+def test_process_lane_worker_only_crash_is_recovered_in_parent():
+    session, manager = _process_lane_manager(WorkerOnlyPoisonPlanner)
+    try:
+        job = manager.submit(f"Who is the tallest player? {POISON_MARKER}",
+                             "a")
+        assert job.wait(60)
+        result = job.result
+        assert result.ok
+        assert result.value == Session(load_lake("rotowire")).query(
+            "Who is the tallest player?").value
+        events = [event for event in result.trace.errors
+                  if event.phase == "worker"]
+        assert len(events) == 1 and events[0].recovered
+        assert "worker-only crash" in events[0].message
         counters = session.metrics_registry.counters()
         assert counters["serve_worker_failures_total"] == 1
     finally:
