@@ -7,7 +7,8 @@ pixel-level detector:
 
 1. colour segmentation: per category, mask pixels within L∞ tolerance of the
    category colour;
-2. connected-component labelling (``scipy.ndimage.label``);
+2. connected-component labelling: 4-connected row runs of each mask,
+   joined by vectorised union-find (numpy only, :func:`_label_runs`);
 3. components above a minimum area count as object instances.
 
 The detector sees only :attr:`Image.pixels`; the scene ground truth stays in
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from repro.errors import OperatorError
 from repro.vision.image import Image
@@ -44,16 +44,15 @@ from repro.vision.scene import CATEGORIES, Category, categories_in_phrase
 COLOR_TOLERANCE = 30
 MIN_COMPONENT_AREA = 5
 
-#: Rasters segmented per stacked pass.  The label planes, not the pixels,
-#: are what a pass allocates (a few per raster, 24 KB each at 64 x 64), so
-#: this bounds the transient at about 2 MB; larger stacks are no faster.
+#: Rasters segmented per stacked pass.  A pass allocates each raster's
+#: category bitmask and one mask plane per (raster, category present) —
+#: about two per artwork raster, 20 KB each at 64 x 64 with their
+#: temporaries; labelling then holds a few integers per foreground row
+#: run, not a dense label plane.  This keeps the transient near 1 MB;
+#: larger stacks are no faster.
 SEGMENT_CHUNK = 16
 #: Images whose detections one model keeps (well under 1 KB each).
 MEMO_IMAGES = 2048
-
-#: 4-connectivity inside a raster, none between the rasters of a stack.
-_IN_PLANE = np.zeros((3, 3, 3), dtype=bool)
-_IN_PLANE[1] = ndimage.generate_binary_structure(2, 1)
 
 _COUNT_PATTERNS = (
     re.compile(r"how many\b(?P<rest>.*)", re.IGNORECASE),
@@ -97,7 +96,9 @@ class Blip2Sim:
         self.miss_probability = miss_probability
         self._rng = random.Random(seed)
         self._categories = list(CATEGORIES.values())
-        self._shifts = np.arange(len(self._categories), dtype=np.uint16)
+        #: category k's bit in a pixel's category bitmask
+        self._bits = (1 << np.arange(len(self._categories))).astype(
+            np.uint16)
         self._luts = _channel_tables(self._categories, tolerance)
         #: image fingerprint → its noise-free detections, in LRU order
         self._memo: OrderedDict[str, tuple[Detection, ...]] = OrderedDict()
@@ -162,26 +163,28 @@ class Blip2Sim:
         count, height, width, _ = stack.shape
         red, green, blue = self._luts
         # bit k of a pixel: (|pixel - colour_k| <= tolerance).all()
-        bits = red[stack[..., 0]] & green[stack[..., 1]] & blue[stack[..., 2]]
+        bits = red.take(stack[..., 0])
+        bits &= green.take(stack[..., 1])
+        bits &= blue.take(stack[..., 2])
         present = np.bitwise_or.reduce(bits.reshape(count, -1), axis=1)
         # One plane per (raster, category whose bit occurs in it), labelled
         # in a single call; labels come out plane by plane, scan order.
-        raster_of, category_of = np.nonzero(
-            (present[:, None] >> self._shifts) & 1)
+        raster_of, category_of = np.nonzero(present[:, None] & self._bits)
         if not len(raster_of):
             return [()] * count
         planes = (bits[raster_of]
-                  >> self._shifts[category_of][:, None, None]) & 1
-        labelled, components = ndimage.label(planes, structure=_IN_PLANE)
-        flat = labelled.ravel()
-        pixel = np.flatnonzero(flat)
-        label = flat[pixel]
-        plane, offset = np.divmod(pixel, height * width)
+                  & self._bits[category_of][:, None, None]) != 0
+        start, length, label = _label_runs(planes)
+        plane, offset = np.divmod(start, height * width)
         ys, xs = np.divmod(offset, width)
-        area = np.bincount(label, minlength=components + 1)
-        sum_x = np.bincount(label, weights=xs, minlength=components + 1)
-        sum_y = np.bincount(label, weights=ys, minlength=components + 1)
-        plane_of = np.zeros(components + 1, dtype=np.intp)
+        # Per component (labels 1..n, slot 0 empty): pixel count and
+        # coordinate sums, added up a row run at a time (a run covers
+        # xs .. xs + length - 1 on row ys).  Every partial sum is an
+        # integer, so the centroids are exact.
+        area = np.bincount(label, weights=length).astype(np.intp)
+        sum_x = np.bincount(label, weights=length * (2 * xs + length - 1) // 2)
+        sum_y = np.bincount(label, weights=length * ys)
+        plane_of = np.zeros(len(area), dtype=np.intp)
         plane_of[label] = plane
         kept = np.flatnonzero(area >= max(self.min_area, 1))
         planes_kept = plane_of[kept]
@@ -266,6 +269,59 @@ def _channel_tables(categories: list[Category],
                 (np.abs(values - level) <= tolerance).astype(np.uint16)
                 << np.uint16(bit))
     return tables
+
+
+def _label_runs(
+        planes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Connected components of a ``(planes, H, W)`` stack of 0/1 masks:
+    4-connectivity inside a plane, none between planes.
+
+    Returns ``(start, length, label)`` per row run of foreground pixels,
+    runs in raster-scan order of the whole stack: the flat index of the
+    run's first pixel, its length, and its component, numbered 1..n in
+    raster-scan order of each component's first pixel — the numbering a
+    raster-scan flood fill gives, which fixes detection order.
+
+    Work is proportional to the foreground.  Each run is joined to the
+    runs it overlaps in the row above; the joins are merged by hooking
+    the larger of two roots under the smaller and pointer jumping, so a
+    component's root is its first run and numbering roots in run order
+    reproduces the scan-order numbering.
+    """
+    _, height, width = planes.shape
+    pixel = np.flatnonzero(planes)
+    if not len(pixel):
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, empty
+    breaks = np.empty(len(pixel), dtype=bool)
+    breaks[0] = True
+    np.not_equal(np.diff(pixel), 1, out=breaks[1:])
+    breaks |= pixel % width == 0
+    first = np.flatnonzero(breaks)
+    start = pixel[first]
+    length = np.diff(first, append=len(pixel))
+    # Runs are sorted and disjoint, so the runs overlapping a run's
+    # columns one row up are lo .. hi - 1.  The first row of a plane has
+    # nothing above it.
+    above = start - width
+    lo = np.searchsorted(start + length - 1, above)
+    hi = np.searchsorted(start, above + length - 1, side="right")
+    joins = np.where((start // width) % height != 0, hi - lo, 0)
+    runs = np.arange(len(start))
+    src = np.repeat(runs, joins)
+    dst = np.repeat(lo - np.cumsum(joins) + joins, joins) + np.arange(len(src))
+    root = runs.copy()
+    while len(src):
+        a, b = root[src], root[dst]
+        apart = a != b
+        src, dst = src[apart], dst[apart]
+        np.minimum.at(root, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    return start, length, np.cumsum(root == runs)[root]
 
 
 def _depicted(detections: list[Detection]) -> list[str]:

@@ -5,18 +5,25 @@ one ``put_many`` per batch of rows; one segmentation per image) replaced a
 row-at-a-time loop and a per-category detector.  Both are kept *here* as
 references, and the product is required to agree with them exactly:
 detections, answers, result tables, observations, cache counters,
-telemetry counters and what ends up on a cache tier.
+telemetry counters and what ends up on a cache tier.  The detector's
+run-based component labeller is held to a plain-Python flood fill, and
+to ``scipy.ndimage.label`` where scipy happens to be installed.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
+import repro
 from repro import load_lake
 from repro.cachenet import CacheClient, CacheTierServer, RemoteAnswerCache
 from repro.core.answer_cache import MISS, AnswerCache, text_fingerprint
@@ -34,8 +41,58 @@ from repro.text.qa import BartQASim, instantiate_template
 from repro.vision import (CATEGORIES, Blip2Sim, Image, LazyImage,
                           build_scene, categories_in_phrase, glyph_mask,
                           render_scene)
+from repro.vision import blip
 from repro.vision.blip import (_COUNT_PATTERNS, _WHAT_PATTERN,
-                               _YESNO_PATTERNS, MEMO_IMAGES)
+                               _YESNO_PATTERNS, MEMO_IMAGES, _label_runs)
+
+
+# ----------------------------------------------------------------------
+# Reference: a breadth-first flood fill
+# ----------------------------------------------------------------------
+
+def flood_fill_labels(planes):
+    """Label the 4-connected components inside each ``(H, W)`` plane of
+    *planes* (one plane, or a stack of them; nothing connects across
+    planes), numbered 1..n in raster-scan order of their first pixel.
+    Returns ``(labels, n)`` like ``scipy.ndimage.label``."""
+    planes = np.asarray(planes)
+    height, width = planes.shape[-2:]
+    foreground = np.flatnonzero(planes).tolist()
+    unseen = set(foreground)
+    label: dict[int, int] = {}
+    count = 0
+    for seed in foreground:
+        if seed not in unseen:
+            continue
+        count += 1
+        unseen.discard(seed)
+        queue = deque([seed])
+        while queue:
+            pixel = queue.popleft()
+            label[pixel] = count
+            x, row = pixel % width, pixel // width % height
+            for neighbour, inside in ((pixel - 1, x > 0),
+                                      (pixel + 1, x < width - 1),
+                                      (pixel - width, row > 0),
+                                      (pixel + width, row < height - 1)):
+                if inside and neighbour in unseen:
+                    unseen.discard(neighbour)
+                    queue.append(neighbour)
+    labels = np.zeros(planes.size, dtype=np.int64)
+    if label:
+        labels[list(label)] = list(label.values())
+    return labels.reshape(planes.shape), count
+
+
+def run_labels(planes):
+    """The product labeller's runs painted back into a dense label
+    array, in the shape :func:`flood_fill_labels` returns."""
+    start, length, label = _label_runs(planes)
+    labels = np.zeros(planes.size, dtype=np.int64)
+    for first, size, value in zip(start.tolist(), length.tolist(),
+                                  label.tolist()):
+        labels[first:first + size] = value
+    return labels.reshape(planes.shape), int(label.max(initial=0))
 
 
 # ----------------------------------------------------------------------
@@ -62,7 +119,7 @@ class ReferenceBlip:
                     <= self.tolerance).all(axis=2)
             if not mask.any():
                 continue
-            labelled, count = ndimage.label(mask)
+            labelled, count = flood_fill_labels(mask)
             for index in range(1, count + 1):
                 component = labelled == index
                 area = int(component.sum())
@@ -215,6 +272,137 @@ def test_detection_memo_is_bounded(paintings):
     assert model.detect_many(images) == [[] for _ in images]
     assert len(model._memo) == MEMO_IMAGES
     assert model.images_encoded == len(images)
+
+
+# ----------------------------------------------------------------------
+# The component labeller against the flood fill (and ndimage)
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def artwork_stacks(paintings):
+    """Every mask stack the detector labels while encoding artwork x2."""
+    stacks = []
+
+    def spy(planes):
+        stacks.append(planes.copy())
+        return _label_runs(planes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blip, "_label_runs", spy)
+        Blip2Sim().detect_many(paintings)
+    assert len(stacks) == 15                    # 240 rasters, 16 a stack
+    return stacks
+
+
+def random_stacks():
+    """Seeded stacks of every density, degenerate shapes included."""
+    rng = np.random.default_rng(29)
+    for shape in ((1, 1, 1), (1, 1, 23), (1, 23, 1), (3, 1, 9), (4, 9, 1),
+                  (2, 2, 2), (1, 64, 64), (6, 11, 7)):
+        for density in (0.0, 0.05, 0.3, 0.5, 0.7, 1.0):
+            yield rng.random(shape) < density
+    for _ in range(200):
+        shape = tuple(int(n) for n in rng.integers(1, (5, 33, 33)))
+        yield rng.random(shape) < rng.random()
+
+
+def adversarial_planes(size=64):
+    """Shapes that stress merging: long chains of runs, many joins per
+    run and many tiny components."""
+    ys, xs = np.mgrid[0:size, 0:size]
+    comb_up = (xs % 2 == 0) | (ys == size - 1)      # teeth joined at the foot
+    comb_down = (xs % 2 == 0) | (ys == 0)
+    serpentine = (ys % 2 == 0) | ((ys % 4 == 1) & (xs == size - 1)) | (
+        (ys % 4 == 3) & (xs == 0))
+    spiral = np.zeros((size, size), dtype=bool)
+    top, left, bottom, right = 0, 0, size - 1, size - 1
+    while top <= bottom and left <= right:
+        spiral[top, left:right + 1] = True
+        spiral[top:bottom + 1, right] = True
+        spiral[bottom, left:right + 1] = True
+        spiral[top + 2:bottom + 1, left] = True
+        if top + 2 <= bottom - 2:                   # step in to the next ring
+            spiral[top + 2, left + 1] = True
+        top, left, bottom, right = top + 2, left + 2, bottom - 2, right - 2
+    checkerboard = (xs + ys) % 2 == 0
+    return {"comb_up": comb_up, "comb_down": comb_down,
+            "serpentine": serpentine, "spiral": spiral,
+            "checkerboard": checkerboard}
+
+
+def test_run_labeller_equals_the_flood_fill_on_every_artwork_stack(
+        artwork_stacks):
+    for planes in artwork_stacks:
+        labels, count = run_labels(planes)
+        expected, expected_count = flood_fill_labels(planes)
+        assert count == expected_count > 0
+        assert np.array_equal(labels, expected)
+
+
+def test_run_labeller_equals_the_flood_fill_on_random_planes():
+    for planes in random_stacks():
+        labels, count = run_labels(planes)
+        expected, expected_count = flood_fill_labels(planes)
+        assert count == expected_count, planes.shape
+        assert np.array_equal(labels, expected), planes.shape
+
+
+@pytest.mark.parametrize("name", sorted(adversarial_planes()))
+def test_run_labeller_equals_the_flood_fill_on_adversarial_planes(name):
+    plane = adversarial_planes()[name]
+    for planes in (plane[None], np.stack([plane, plane.T, ~plane])):
+        labels, count = run_labels(planes)
+        expected, expected_count = flood_fill_labels(planes)
+        assert count == expected_count
+        assert np.array_equal(labels, expected)
+    if name != "checkerboard":
+        assert run_labels(plane[None])[1] == 1
+
+
+def test_components_never_join_across_stacked_planes():
+    planes = np.zeros((3, 4, 5), dtype=bool)
+    planes[0, -1] = True              # plane 0's last row ...
+    planes[1, 0] = True               # ... is flat-adjacent to plane 1's first
+    planes[1, -1, 2] = planes[2, 0, 2] = True
+    labels, count = run_labels(planes)
+    assert count == 4
+    assert labels[0, -1].tolist() == [1] * 5
+    assert labels[1, 0].tolist() == [2] * 5
+    assert labels[1, -1, 2] == 3 and labels[2, 0, 2] == 4
+    for full in (np.ones((4, 3, 3), dtype=bool),
+                 np.ones((3, 2, 1), dtype=bool)):
+        labels, count = run_labels(full)
+        assert count == len(full)
+        assert [set(plane.ravel().tolist()) for plane in labels] == [
+            {index + 1} for index in range(len(full))]
+
+
+def test_both_labellers_equal_ndimage_where_scipy_is_installed(
+        artwork_stacks):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    in_plane = np.zeros((3, 3, 3), dtype=bool)
+    in_plane[1] = ndimage.generate_binary_structure(2, 1)
+    stacks = [*artwork_stacks, *random_stacks(),
+              *(plane[None] for plane in adversarial_planes().values())]
+    for planes in stacks:
+        expected, expected_count = ndimage.label(planes, structure=in_plane)
+        for labeller in (run_labels, flood_fill_labels):
+            labels, count = labeller(planes)
+            assert count == expected_count, planes.shape
+            assert np.array_equal(labels, expected), planes.shape
+
+
+def test_import_repro_loads_no_scipy():
+    """The detector labels components with numpy alone, so starting the
+    package does not pay for importing scipy."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "[]"
 
 
 # ----------------------------------------------------------------------
