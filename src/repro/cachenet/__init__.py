@@ -1,15 +1,15 @@
 """repro.cachenet — the shared cache tier.
 
-A stdlib-only cache server plus client-side drop-in caches, so every
-lane, process, and replica shares one warm set of plans and modality
-answers instead of re-paying warm-up per process.  See
+A stdlib-only cache server plus its client, so every lane, process, and
+replica shares one warm set of plans and modality answers instead of
+re-paying warm-up per process: a session's caches take the client as
+their ``tier`` (:mod:`repro.core.cache`).  See
 :mod:`repro.cachenet.protocol` for the wire contract,
 :mod:`repro.cachenet.server` for the tier itself, and
 :mod:`repro.cachenet.client` for ``Session(cache_url=...)``'s plumbing.
 """
 
-from repro.cachenet.client import (CacheClient, RemoteAnswerCache,
-                                   RemotePlanCache)
+from repro.cachenet.client import CacheClient
 from repro.cachenet.protocol import (PROTOCOL_NAME, PROTOCOL_VERSION,
                                      CacheNetError, CacheProtocolError,
                                      CacheUnavailable, FrameError,
@@ -25,7 +25,5 @@ __all__ = [
     "FrameError",
     "PROTOCOL_NAME",
     "PROTOCOL_VERSION",
-    "RemoteAnswerCache",
-    "RemotePlanCache",
     "parse_cache_url",
 ]

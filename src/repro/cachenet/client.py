@@ -1,4 +1,4 @@
-"""Client side of the cache tier: RPC plumbing + drop-in caches.
+"""Client side of the cache tier: the RPC plumbing.
 
 :class:`CacheClient` owns one socket to a :class:`~repro.cachenet.server.
 CacheTierServer` — lazy connect, version handshake, bounded connect and
@@ -9,16 +9,12 @@ per lookup.  Transport failures surface as
 mismatch surfaces as :class:`~repro.cachenet.protocol.CacheProtocolError`
 and is deliberately *not* retried or absorbed (see the protocol module).
 
-:class:`RemotePlanCache` and :class:`RemoteAnswerCache` subclass the
-process-local caches, so everything that takes a ``PlanCache`` /
-``AnswerCache`` — the engine, ``execute_batch``, worker lanes, ``save``
-persistence — takes them unchanged.  The inherited LRU acts as a local
-write-through front: a ``get`` that hits locally never touches the wire;
-a local miss asks the tier and installs the reply locally; a ``put``
-installs locally then forwards best-effort.  When the tier is
-unreachable both degrade to plain local caches, counting each degraded
-operation in ``cachenet_fallbacks`` — a down server slows warm-up, it
-never fails a query.
+A :class:`CacheClient` passed as ``tier=`` to a
+:class:`~repro.core.batch.PlanCache` or
+:class:`~repro.core.answer_cache.AnswerCache` turns that cache into a
+local write-through front over the tier (:mod:`repro.core.cache`): its
+misses go out as one ``mget``, its puts as one ``mput``, and an
+unreachable tier degrades it to a plain local cache.
 """
 
 from __future__ import annotations
@@ -26,23 +22,18 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Iterable, Sequence
 
 from repro.cachenet.protocol import (CacheUnavailable, FrameError,
                                      check_hello_reply, hello_request,
                                      parse_cache_url, read_frame,
                                      write_frame)
-from repro.core.answer_cache import MISS, AnswerCache, AnswerKey
-from repro.core.batch import PlanCache
-from repro.core.plan import BoundPlan, LogicalPlan
-from repro.data.datatypes import decode_scalar, encode_scalar
 from repro.obs.context import current_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import StageTrace
 
 
 class CacheClient:
-    """One connection to the cache tier, shared by both remote caches.
+    """One connection to the cache tier, shared by a session's caches.
 
     Thread-safe: the strict request/response protocol is serialized
     under one lock, so any number of engine threads may share a client.
@@ -243,25 +234,19 @@ class CacheClient:
     # Typed operations
     # ------------------------------------------------------------------
 
-    def get_plan(self, ns: str, query: str) -> dict | None:
-        """The tier's plan dict for (*ns*, *query*), or ``None``."""
-        reply = self.request({"op": "get", "space": "plan", "ns": ns,
-                              "key": query})
-        return reply.get("value") if reply.get("hit") else None
-
-    def put_plan(self, ns: str, query: str, plan_dict: dict) -> None:
-        self.request({"op": "put", "space": "plan", "ns": ns,
-                      "key": query, "value": plan_dict})
-
-    def mget(self, space: str, keys: list, ns: str | None = None) -> list:
-        request = {"op": "mget", "space": space,
-                   "keys": [{"key": key} for key in keys]}
+    def mget(self, space: str, keys: list[dict],
+             ns: str | None = None) -> list:
+        """One reply per ``{"key": ..., "ns": ...}`` item of *keys*, from
+        one round trip; *ns* is the default for items without one."""
+        request = {"op": "mget", "space": space, "keys": keys}
         if ns is not None:
             request["ns"] = ns
         return self.request(request).get("results", [])
 
     def mput(self, space: str, entries: list[dict],
              ns: str | None = None) -> int:
+        """Store every ``{"key": ..., "ns": ..., "value": ...}`` entry in
+        one round trip; returns how many the tier took."""
         request = {"op": "mput", "space": space, "entries": entries}
         if ns is not None:
             request["ns"] = ns
@@ -289,148 +274,3 @@ class CacheClient:
         """Ask the server to persist both spaces now."""
         return self.request({"op": "flush"})
 
-
-class _RemoteCacheMixin:
-    """Shared bookkeeping for the two remote drop-ins."""
-
-    _client: CacheClient
-    _metrics: MetricsRegistry | None
-
-    def _metric(self, name: str, value: int = 1) -> None:
-        if self._metrics is not None and value:
-            self._metrics.increment(name, value)
-
-    @property
-    def client(self) -> CacheClient:
-        return self._client
-
-
-class RemotePlanCache(_RemoteCacheMixin, PlanCache):
-    """A :class:`PlanCache` backed by the shared tier.
-
-    Keys stay ``(query, lake fingerprint)``; the fingerprint doubles as
-    the tier namespace, so invalidating a changed lake drops exactly its
-    plans.  Entries fetched from the tier re-enter through
-    :meth:`BoundPlan.from_dict` — the wire carries dicts (the plan dict,
-    with the bound replies under its additive ``"bindings"`` key), the
-    cache holds validated IR.
-    """
-
-    def __init__(self, client: CacheClient, capacity: int = 128,
-                 metrics: MetricsRegistry | None = None):
-        super().__init__(capacity)
-        self._client = client
-        self._metrics = metrics
-
-    def _local_put(self, key: tuple[str, str], plan: BoundPlan) -> None:
-        """Plain LRU insert: no remote forwarding, no hit/miss counting
-        (used to install tier replies without echoing them back)."""
-        with self._lock:
-            self._entries[key] = plan
-            self._entries.move_to_end(key)
-            if len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-
-    def get(self, key: tuple[str, str]) -> BoundPlan | None:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return self._entries[key]
-        query, fingerprint = key
-        try:
-            value = self._client.get_plan(ns=fingerprint, query=query)
-        except CacheUnavailable:
-            self._metric("cachenet_fallbacks")
-            value = None
-        else:
-            self._metric("cachenet_hits" if value is not None
-                         else "cachenet_misses")
-        if value is not None:
-            plan = BoundPlan.from_dict(value)
-            self._local_put(key, plan)
-            with self._lock:
-                self._hits += 1
-            return plan
-        with self._lock:
-            self._misses += 1
-        return None
-
-    def put(self, key: tuple[str, str],
-            plan: BoundPlan | LogicalPlan) -> None:
-        plan = BoundPlan.of(plan)
-        self._local_put(key, plan)
-        query, fingerprint = key
-        try:
-            self._client.put_plan(ns=fingerprint, query=query,
-                                  plan_dict=plan.to_dict())
-        except CacheUnavailable:
-            self._metric("cachenet_fallbacks")
-
-
-class RemoteAnswerCache(_RemoteCacheMixin, AnswerCache):
-    """An :class:`AnswerCache` backed by the shared tier.
-
-    Keys are ``(object content fingerprint, question, answer type)`` —
-    self-invalidating, so the tier needs no answer-space invalidation
-    protocol: changed content produces new keys.  Values cross the wire
-    through :func:`encode_scalar`/:func:`decode_scalar`, the same codec
-    the file persistence uses.
-    """
-
-    def __init__(self, client: CacheClient, capacity: int = 65536,
-                 metrics: MetricsRegistry | None = None):
-        super().__init__(capacity)
-        self._client = client
-        self._metrics = metrics
-
-    def get_many(self, keys: Sequence[AnswerKey]) -> list[object]:
-        """Local front first; the keys it lacks go to the tier in one
-        ``mget``, and what the tier holds is installed locally.  Each key
-        counts one hit or one miss wherever it was found; a tier that is
-        down costs one ``cachenet_fallbacks`` and reads as all-missed."""
-        with self._lock:
-            found = self._take(keys)
-        absent = [slot for slot, answer in enumerate(found)
-                  if answer is MISS]
-        if not absent:
-            return found
-        try:
-            replies = self._client.mget(
-                "answer", [list(keys[slot]) for slot in absent])
-        except CacheUnavailable:
-            self._metric("cachenet_fallbacks")
-            replies = []
-        fetched = []
-        for slot, reply in zip(absent, replies):
-            if reply.get("hit"):
-                found[slot] = decode_scalar(reply.get("value"))
-                fetched.append((keys[slot], found[slot]))
-        self._metric("cachenet_hits", len(fetched))
-        self._metric("cachenet_misses", len(replies) - len(fetched))
-        self.install(fetched)
-        with self._lock:
-            self._hits += len(fetched)
-            self._misses += len(absent) - len(fetched)
-        return found
-
-    def install(self, entries: Iterable[tuple[AnswerKey, object]]) -> None:
-        """Store in the local front only — for entries the tier already
-        holds or is sent separately (never forwarded, never journaled
-        by a worker lane as fresh inference)."""
-        AnswerCache.put_many(self, entries)
-
-    def put_many(self,
-                 entries: Iterable[tuple[AnswerKey, object]]) -> None:
-        """Install locally, then forward in one best-effort ``mput``."""
-        entries = list(entries)
-        if not entries:
-            return
-        self.install(entries)
-        try:
-            self._client.mput("answer", [
-                {"key": list(key), "value": encode_scalar(answer)}
-                for key, answer in entries])
-        except CacheUnavailable:
-            self._metric("cachenet_fallbacks")

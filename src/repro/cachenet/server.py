@@ -7,8 +7,9 @@ AnswerCache` structures every process already uses locally — which is
 what makes file persistence free (``--plan-file`` / ``--answer-file``
 write the exact ``repro-plan-cache/v1`` / ``repro-answer-cache/v1``
 formats, so a tier snapshot and a ``--plan-cache-file`` from any session
-are interchangeable).  Values are validated on the way in: a ``put`` into
-the plan space round-trips through
+are interchangeable).  Requests are read with each space's codecs
+(:class:`~repro.core.cache.Space`), so values are validated on the way
+in: a ``put`` into the plan space round-trips through
 :meth:`~repro.core.plan.BoundPlan.from_dict` (the plan dict plus its
 optional ``"bindings"``), so a corrupt payload is rejected at the wire
 instead of poisoning every future replica.
@@ -46,11 +47,18 @@ from repro.cachenet.protocol import (PROTOCOL_NAME, PROTOCOL_VERSION,
                                      read_frame, write_frame)
 from repro.core.answer_cache import AnswerCache
 from repro.core.batch import PlanCache
-from repro.core.plan import BoundPlan
-from repro.data.datatypes import decode_scalar, encode_scalar
+from repro.core.cache import Cache
 
 DEFAULT_PLAN_CAPACITY = 4096
 DEFAULT_ANSWER_CAPACITY = 65536
+
+
+def _boot(cache_cls: type[Cache], capacity: int, path: str | None) -> Cache:
+    """A space's store: *path* loaded at *capacity* when the file exists,
+    else an empty cache of *capacity*."""
+    if path and Path(path).exists():
+        return cache_cls.load(path, capacity=capacity)
+    return cache_cls(capacity)
 
 
 class _ConnectionHandler(socketserver.BaseRequestHandler):
@@ -126,9 +134,11 @@ class CacheTierServer:
 
     *bind* is a cachenet URL (``tcp://host:port``, port 0 for ephemeral,
     or ``unix:///path.sock``).  *plan_file* / *answer_file* enable
-    persistence: loaded at construction when present, written by the
-    ``flush`` operation, and written again on :meth:`stop` — in the
-    standard cache-file formats, atomically (temp file + ``os.replace``).
+    persistence: loaded at construction when present (into a space of
+    *plan_capacity* / *answer_capacity*, whatever capacity the file was
+    saved with), written by the ``flush`` operation, and written again
+    on :meth:`stop` — in the standard cache-file formats, atomically
+    (temp file + ``os.replace``).
     """
 
     def __init__(self, bind: str = "tcp://127.0.0.1:9009",
@@ -141,12 +151,10 @@ class CacheTierServer:
         self.plan_file = plan_file
         self.answer_file = answer_file
         self.quiet = quiet
-        self.plans = (PlanCache.load(plan_file)
-                      if plan_file and Path(plan_file).exists()
-                      else PlanCache(plan_capacity))
-        self.answers = (AnswerCache.load(answer_file)
-                        if answer_file and Path(answer_file).exists()
-                        else AnswerCache(answer_capacity))
+        self.plans = _boot(PlanCache, plan_capacity, plan_file)
+        self.answers = _boot(AnswerCache, answer_capacity, answer_file)
+        self._spaces: dict[str, Cache] = {"plan": self.plans,
+                                          "answer": self.answers}
         self._counters: dict[str, int] = {}
         self._counter_lock = threading.Lock()
         self._server: socketserver.BaseServer | None = None
@@ -302,48 +310,37 @@ class CacheTierServer:
                     "error": f"bad {op} request: "
                              f"{type(exc).__name__}: {exc}"}
 
-    def _handle_get(self, request: dict) -> dict:
+    def _cache(self, request: dict) -> Cache:
         space = request["space"]
-        if space == "plan":
-            plan = self.plans.get((request["key"], request["ns"]))
-            if plan is None:
-                return {"ok": True, "hit": False}
-            return {"ok": True, "hit": True, "value": plan.to_dict()}
-        if space == "answer":
-            fingerprint, question, answer_type = request["key"]
-            answer = self.answers.get((fingerprint, question, answer_type))
-            if answer is AnswerCache.MISS:
-                return {"ok": True, "hit": False}
-            return {"ok": True, "hit": True,
-                    "value": encode_scalar(answer)}
-        raise ValueError(f"unknown space {space!r}")
+        if space not in self._spaces:
+            raise ValueError(f"unknown space {space!r}")
+        return self._spaces[space]
+
+    def _handle_get(self, request: dict) -> dict:
+        cache = self._cache(request)
+        value = cache.get(cache.space.wire_key(request))
+        if value is cache.space.miss:
+            return {"ok": True, "hit": False}
+        return {"ok": True, "hit": True, "value": cache.space.encode(value)}
 
     def _handle_put(self, request: dict) -> dict:
-        space = request["space"]
-        if space == "plan":
-            # from_dict round-trip: validation at the wire, and the GET
-            # path serves a canonical re-encoding, never raw client bytes.
-            plan = BoundPlan.from_dict(request["value"])
-            self.plans.put((request["key"], request["ns"]), plan)
-            return {"ok": True}
-        if space == "answer":
-            fingerprint, question, answer_type = request["key"]
-            self.answers.put((fingerprint, question, answer_type),
-                             decode_scalar(request["value"]))
-            return {"ok": True}
-        raise ValueError(f"unknown space {space!r}")
+        # The decode round trip validates at the wire, and the get path
+        # serves a canonical re-encoding, never raw client bytes.
+        cache = self._cache(request)
+        cache.put(cache.space.wire_key(request),
+                  cache.space.decode(request["value"]))
+        return {"ok": True}
 
     def _handle_invalidate(self, request: dict) -> dict:
+        """Drop one plan namespace (``ns``: a lake fingerprint), or the
+        whole answer space (its keys are content-addressed)."""
         space = request["space"]
         self._count("invalidations_total")
         if space == "plan":
-            ns = request.get("ns")
-            dropped = self.plans.drop_fingerprint(ns)
-            return {"ok": True, "dropped": dropped}
+            return {"ok": True,
+                    "dropped": self.plans.drop_fingerprint(request.get("ns"))}
         if space == "answer":
-            dropped = len(self.answers)
-            self.answers.clear()
-            return {"ok": True, "dropped": dropped}
+            return {"ok": True, "dropped": self.answers.clear()}
         raise ValueError(f"unknown space {space!r}")
 
     # ------------------------------------------------------------------
@@ -354,23 +351,17 @@ class CacheTierServer:
         """Counter snapshot: per-space entries/hits/misses/evictions plus
         server-level request counters.  Deterministically ordered and
         wall-clock free, so two identical runs snapshot identically."""
-        plan_hits, plan_misses, plan_evictions = self.plans.snapshot()
-        ans_hits, ans_misses, ans_evictions = self.answers.snapshot()
+        spaces = {}
+        for name, cache in self._spaces.items():
+            hits, misses, evictions = cache.snapshot()
+            spaces[name] = {"entries": len(cache),
+                            "capacity": cache.capacity, "hits": hits,
+                            "misses": misses, "evictions": evictions}
         with self._counter_lock:
             counters = {name: self._counters[name]
                         for name in sorted(self._counters)}
-        return {
-            "protocol": f"{PROTOCOL_NAME}/{PROTOCOL_VERSION}",
-            "plan": {"entries": len(self.plans),
-                     "capacity": self.plans.capacity,
-                     "hits": plan_hits, "misses": plan_misses,
-                     "evictions": plan_evictions},
-            "answer": {"entries": len(self.answers),
-                       "capacity": self.answers.capacity,
-                       "hits": ans_hits, "misses": ans_misses,
-                       "evictions": ans_evictions},
-            **counters,
-        }
+        return {"protocol": f"{PROTOCOL_NAME}/{PROTOCOL_VERSION}",
+                **spaces, **counters}
 
     def _count(self, name: str) -> None:
         with self._counter_lock:

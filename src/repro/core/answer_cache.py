@@ -35,13 +35,8 @@ operations on one key.
 from __future__ import annotations
 
 import hashlib
-import json
-import threading
-from collections import OrderedDict
-from pathlib import Path
-from typing import Iterable, Sequence
 
-from repro.core.persist import atomic_write_text
+from repro.core.cache import Cache, Space
 from repro.data.datatypes import decode_scalar, encode_scalar
 
 #: Sentinel returned by :meth:`AnswerCache.get` for absent keys (``None`` is
@@ -60,158 +55,26 @@ def text_fingerprint(document: str) -> str:
     return hashlib.sha256(document.encode("utf-8")).hexdigest()[:24]
 
 
-class AnswerCache:
-    """A bounded, thread-safe LRU cache of modality-model answers.
+def _answer_key(item: dict) -> AnswerKey:
+    fingerprint, question, answer_type = item["key"]
+    return fingerprint, question, answer_type
 
-    All methods are safe to call from multiple threads; see the module
-    docstring for the key discipline.
-    """
 
-    #: re-exported for call sites that only import the class
-    MISS = MISS
+#: The answer space: ``(fingerprint, question, answer type)`` → answer.
+#: Keys are content-addressed, so the tier needs no namespace; answers
+#: travel through :func:`encode_scalar` / :func:`decode_scalar`, which
+#: keep dates and ``None`` intact.
+ANSWER_SPACE = Space(
+    name="answer", file_format=ANSWER_CACHE_FORMAT, capacity=65536,
+    key_fields=("fingerprint", "question", "answer_type"),
+    value_field="answer", miss=MISS,
+    encode=encode_scalar, decode=decode_scalar,
+    wire_item=lambda key: {"key": list(key)}, wire_key=_answer_key)
 
-    def __init__(self, capacity: int = 65536):
-        if capacity <= 0:
-            raise ValueError(f"cache capacity must be positive, got "
-                             f"{capacity}")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[AnswerKey, object] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+class AnswerCache(Cache):
+    """A bounded, thread-safe LRU cache of modality-model answers
+    (:class:`~repro.core.cache.Cache` over :data:`ANSWER_SPACE`); see the
+    module docstring for the key discipline."""
 
-    def __contains__(self, key: AnswerKey) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def get(self, key: AnswerKey) -> object:
-        """The cached answer for *key*, or :data:`MISS`."""
-        return self.get_many((key,))[0]
-
-    def put(self, key: AnswerKey, answer: object) -> None:
-        self.put_many(((key, answer),))
-
-    def get_many(self, keys: Sequence[AnswerKey]) -> list[object]:
-        """The cached answer or :data:`MISS` for each key, under one lock
-        acquisition; every key counts as one hit or one miss."""
-        with self._lock:
-            found = self._take(keys)
-            self._misses += sum(answer is MISS for answer in found)
-        return found
-
-    def put_many(self,
-                 entries: Iterable[tuple[AnswerKey, object]]) -> None:
-        """Store every ``(key, answer)`` pair under one lock acquisition."""
-        with self._lock:
-            for key, answer in entries:
-                self._entries[key] = answer
-                self._entries.move_to_end(key)
-                if len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self._evictions += 1
-
-    def _take(self, keys: Sequence[AnswerKey]) -> list[object]:
-        """Lookup with the lock held: present keys are refreshed and
-        counted as hits; absent ones come back :data:`MISS`, uncounted."""
-        entries = self._entries
-        found = [entries.get(key, MISS) for key in keys]
-        hits = 0
-        for key, answer in zip(keys, found):
-            if answer is not MISS:
-                entries.move_to_end(key)
-                hits += 1
-        self._hits += hits
-        return found
-
-    def clear(self) -> None:
-        """Drop all entries (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-
-    @property
-    def hits(self) -> int:
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        return self._misses
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions
-
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            lookups = self._hits + self._misses
-            return self._hits / lookups if lookups else 0.0
-
-    def snapshot(self) -> tuple[int, int, int]:
-        """A consistent ``(hits, misses, evictions)`` triple."""
-        with self._lock:
-            return self._hits, self._misses, self._evictions
-
-    def items(self) -> list[tuple[AnswerKey, object]]:
-        """A consistent snapshot of ``(key, answer)`` pairs in LRU order.
-
-        Used by the process backend to ship warm answers to worker
-        initializers, mirroring ``PlanCache.items()``.
-        """
-        with self._lock:
-            return list(self._entries.items())
-
-    # ------------------------------------------------------------------
-    # Persistence (mirrors PlanCache.save/load)
-    # ------------------------------------------------------------------
-
-    def save(self, path: str | Path) -> int:
-        """Persist every cached answer to *path* as JSON.
-
-        Entries are written in LRU order (least-recent first), so a
-        :meth:`load` restores both the answers and the eviction order.
-        Answers are encoded with :func:`~repro.data.datatypes.
-        encode_scalar`, so dates and ``None`` ("the text does not say")
-        survive the round trip.  The write is atomic (temp file +
-        ``os.replace``), so a save interrupted by SIGTERM — or racing
-        another save to the same path — can never leave a torn file.
-        Returns the number of entries written.
-        """
-        with self._lock:
-            entries = [
-                {"fingerprint": fingerprint, "question": question,
-                 "answer_type": answer_type, "answer": encode_scalar(answer)}
-                for (fingerprint, question, answer_type), answer
-                in self._entries.items()
-            ]
-        payload = {"format": ANSWER_CACHE_FORMAT, "capacity": self.capacity,
-                   "entries": entries}
-        atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-        return len(entries)
-
-    @classmethod
-    def load(cls, path: str | Path,
-             capacity: int | None = None) -> "AnswerCache":
-        """Rehydrate a cache persisted with :meth:`save`.
-
-        *capacity* overrides the persisted capacity; counters start at
-        zero (a loaded cache has served nothing yet).  Excess entries (a
-        file saved from a larger cache) are dropped oldest-first.
-        """
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("format") != ANSWER_CACHE_FORMAT:
-            raise ValueError(
-                f"{path} is not an answer-cache file "
-                f"(format={payload.get('format')!r})")
-        cache = cls(capacity if capacity is not None
-                    else payload.get("capacity", 65536))
-        entries = payload.get("entries", [])[-cache.capacity:]
-        for entry in entries:
-            key = (entry["fingerprint"], entry["question"],
-                   entry["answer_type"])
-            cache._entries[key] = decode_scalar(entry["answer"])
-        return cache
+    space = ANSWER_SPACE

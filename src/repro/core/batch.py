@@ -31,116 +31,52 @@ it stays honest once queries run concurrently.
 
 from __future__ import annotations
 
-import json
 import queue
-import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.core.answer_cache import AnswerCache
+from repro.core.cache import Cache, Space
 from repro.core.engine import Engine
-from repro.core.persist import atomic_write_text
-from repro.core.plan import BoundPlan, LogicalPlan, QueryResult
+from repro.core.plan import BoundPlan, QueryResult
 from repro.obs.trace import QueryTelemetry
 
 _STAGES = ("discovery", "planning", "mapping", "execution")
 
-DEFAULT_ANSWER_CACHE_SIZE = 65536
+DEFAULT_ANSWER_CACHE_SIZE = AnswerCache.space.capacity
 
 #: Format marker written into persisted plan-cache files.
 PLAN_CACHE_FORMAT = "repro-plan-cache/v1"
 
 
-class PlanCache:
-    """A bounded LRU cache of bound plans.
+#: The plan space: ``(query, lake fingerprint)`` → :class:`BoundPlan`.
+#: On the tier the fingerprint is the namespace (``ns``), so invalidating
+#: a changed lake drops exactly its plans; values travel as
+#: ``BoundPlan.to_dict()`` and re-enter through ``BoundPlan.from_dict``.
+PLAN_SPACE = Space(
+    name="plan", file_format=PLAN_CACHE_FORMAT, capacity=128,
+    key_fields=("query", "lake_fingerprint"), value_field="plan", miss=None,
+    encode=BoundPlan.to_dict, decode=BoundPlan.from_dict,
+    wire_item=lambda key: {"key": key[0], "ns": key[1]},
+    wire_key=lambda item: (item["key"], item["ns"]), admit=BoundPlan.of)
 
-    Thread safety: every operation — lookups, insertions, LRU bookkeeping,
-    and the hit/miss/eviction counters — happens under one internal lock,
-    so a single ``PlanCache`` may be shared by any number of concurrently
-    running :class:`~repro.core.engine.Engine` instances (this is how
-    :meth:`repro.session.Session.batch` shares one cache across its worker
-    engines).  Entries are immutable (:class:`~repro.core.plan.BoundPlan`)
-    and only ever replaced whole by :meth:`put`, so handing the same
-    entry to several threads is safe and a plan's bound replies are
-    evicted, dropped and persisted with it.
+
+class PlanCache(Cache):
+    """A bounded LRU cache of bound plans (:class:`~repro.core.cache.
+    Cache` over :data:`PLAN_SPACE`).
+
+    ``get`` returns the :class:`~repro.core.plan.BoundPlan` or ``None``;
+    ``put`` also takes a bare ``LogicalPlan`` (stored as an entry without
+    bound replies).  A plan's bound replies are evicted, dropped and
+    persisted with it: in the file they ride inside its ``"plan"`` dict
+    under the additive ``"bindings"`` key, emitted only when present, so
+    files written before bindings existed load unchanged and re-save
+    byte-identically.
     """
 
-    def __init__(self, capacity: int = 128):
-        if capacity <= 0:
-            raise ValueError(f"cache capacity must be positive, got "
-                             f"{capacity}")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple[str, str], BoundPlan] = \
-            OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def get(self, key: tuple[str, str]) -> BoundPlan | None:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return self._entries[key]
-            self._misses += 1
-            return None
-
-    def put(self, key: tuple[str, str],
-            plan: BoundPlan | LogicalPlan) -> None:
-        """Store *plan* under *key*, replacing any previous entry (a bare
-        ``LogicalPlan`` is stored as an entry without bound replies)."""
-        with self._lock:
-            self._entries[key] = BoundPlan.of(plan)
-            self._entries.move_to_end(key)
-            if len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-
-    @property
-    def hits(self) -> int:
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        return self._misses
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions
-
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            lookups = self._hits + self._misses
-            return self._hits / lookups if lookups else 0.0
-
-    def snapshot(self) -> tuple[int, int, int]:
-        """A consistent ``(hits, misses, evictions)`` triple."""
-        with self._lock:
-            return self._hits, self._misses, self._evictions
-
-    def items(self) -> list[tuple[tuple[str, str], BoundPlan]]:
-        """A consistent snapshot of ``(key, entry)`` pairs in LRU order.
-
-        Used by the process backend to ship warm plans to worker
-        initializers; entries are immutable, so sharing the objects is
-        safe.
-        """
-        with self._lock:
-            return list(self._entries.items())
+    space = PLAN_SPACE
 
     def drop_fingerprint(self, fingerprint: str) -> int:
         """Drop every plan cached for *fingerprint*; returns the count.
@@ -155,56 +91,6 @@ class PlanCache:
             for key in doomed:
                 del self._entries[key]
             return len(doomed)
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def save(self, path: str | Path) -> int:
-        """Persist every cached plan to *path* as JSON.
-
-        Entries are written in LRU order (least-recent first), so a
-        :meth:`load` restores both the plans and the eviction order.
-        A plan's bound replies ride inside its ``"plan"`` dict under the
-        additive ``"bindings"`` key, emitted only when present — files
-        written before bindings existed load unchanged and re-save
-        byte-identically.
-        The write is atomic (temp file + ``os.replace``), so a save
-        interrupted by SIGTERM — or racing another save to the same
-        path — can never leave a torn file.  Returns the number of
-        entries written.
-        """
-        with self._lock:
-            entries = [
-                {"query": query, "lake_fingerprint": fingerprint,
-                 "plan": plan.to_dict()}
-                for (query, fingerprint), plan in self._entries.items()
-            ]
-        payload = {"format": PLAN_CACHE_FORMAT, "capacity": self.capacity,
-                   "entries": entries}
-        atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-        return len(entries)
-
-    @classmethod
-    def load(cls, path: str | Path, capacity: int | None = None) -> "PlanCache":
-        """Rehydrate a cache persisted with :meth:`save`.
-
-        *capacity* overrides the persisted capacity; counters start at
-        zero (a loaded cache has served nothing yet).  Excess entries (a
-        file saved from a larger cache) are dropped oldest-first.
-        """
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("format") != PLAN_CACHE_FORMAT:
-            raise ValueError(
-                f"{path} is not a plan-cache file "
-                f"(format={payload.get('format')!r})")
-        cache = cls(capacity if capacity is not None
-                    else payload.get("capacity", 128))
-        entries = payload.get("entries", [])[-cache.capacity:]
-        for entry in entries:
-            key = (entry["query"], entry["lake_fingerprint"])
-            cache._entries[key] = BoundPlan.from_dict(entry["plan"])
-        return cache
 
 
 @dataclass

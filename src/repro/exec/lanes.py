@@ -42,8 +42,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.plan import BoundPlan, ErrorEvent, PlanTrace, QueryResult
-from repro.data.datatypes import decode_scalar, encode_scalar
+from repro.core.plan import ErrorEvent, PlanTrace, QueryResult
 from repro.exec.base import BackendError
 from repro.exec.procworker import serve_lane
 from repro.obs import StageTrace, TraceContext
@@ -295,15 +294,15 @@ class ProcessLane(Lane):
                 f"worker query crashed (lane {self.index}): "
                 f"{reply['error']}", worker_id=self.index)
             return run_in_parent(session, query, context, event)
+        # Puts do not touch hit/miss counters; each costs at most one
+        # tier RPC, however many answers the worker inferred.
+        plans, answers = session.plan_cache, session.answer_cache
         fresh_plan = reply.get("fresh_plan")
         if fresh_plan is not None:
-            # put() does not touch hit/miss counters.
-            session.plan_cache.put((query, self._plan_fingerprint),
-                                   BoundPlan.from_dict(fresh_plan))
-        for fingerprint, question, answer_type, answer in reply.get(
-                "fresh_answers", []):
-            session.answer_cache.put((fingerprint, question, answer_type),
-                                     decode_scalar(answer))
+            plans.put((query, self._plan_fingerprint),
+                      plans.space.decode(fresh_plan))
+        answers.put_many(map(answers.space.read_entry,
+                             reply.get("fresh_answers", [])))
         return QueryResult.from_dict(reply["result"])
 
     def _init_payload(self) -> dict:
@@ -319,11 +318,13 @@ class ProcessLane(Lane):
         plans: list = []
         answers: list = []
         if session.cache_url is None:
-            plans = [{"query": query, "plan": plan.to_dict()}
+            space = session.plan_cache.space
+            plans = [space.entry((query, fingerprint), plan)
                      for (query, fingerprint), plan
                      in session.plan_cache.items()
                      if fingerprint == self._plan_fingerprint]
-            answers = [[*key, encode_scalar(answer)]
+            space = session.answer_cache.space
+            answers = [space.entry(key, answer)
                        for key, answer in session.answer_cache.items()]
         return {
             "cache_url": session.cache_url,

@@ -3,9 +3,9 @@
 Everything in this module runs inside a lane's worker process, whose
 main loop is :func:`serve_lane`.  The contract with the parent
 (:class:`repro.exec.lanes.ProcessLane`, whose ``_fold`` is the one
-reader of these replies) is JSON-shaped on the hot path: the parent
-ships ``BoundPlan.to_dict()`` payloads in and receives
-``QueryResult.to_dict()`` payloads back, so big objects (tables,
+reader of these replies) is JSON-shaped on the hot path: cache entries
+cross it encoded by their space's codecs (:mod:`repro.core.cache`) and
+results as ``QueryResult.to_dict()`` payloads, so big objects (tables,
 rendered images) never cross the pipe — the worker rebuilds its own lake
 deterministically from the :class:`~repro.datasets.LakeSpec` generation
 parameters in the per-process initializer and verifies the fingerprint
@@ -27,12 +27,9 @@ import signal
 import traceback
 from typing import Iterable
 
-from repro.cachenet import RemoteAnswerCache
 from repro.core.answer_cache import AnswerCache, AnswerKey
-from repro.core.batch import PlanCache
+from repro.core.batch import PLAN_SPACE, PlanCache
 from repro.core.engine import Engine
-from repro.core.plan import BoundPlan
-from repro.data.datatypes import decode_scalar, encode_scalar
 from repro.datasets import LakeSpec
 from repro.obs import MetricsRegistry, TraceContext, TraceContextError
 
@@ -40,14 +37,14 @@ from repro.obs import MetricsRegistry, TraceContext, TraceContextError
 _STATE: dict[str, object] = {}
 
 
-class _JournalMixin:
-    """Journals fresh puts on top of any answer cache.
+class _JournalingAnswerCache(AnswerCache):
+    """A worker's answer cache, journaling what it puts.
 
     Operators only put after real model inference, so the journal of
     one query is exactly the set of answers the worker just learned —
-    what gets shipped back to the parent cache.  Tier fills on the
-    remote variant go through ``install`` and are therefore *not*
-    journaled (the parent can fetch those from the tier itself).
+    what gets shipped back to the parent cache.  Seeding and tier fills
+    go through ``install`` and are therefore *not* journaled (the parent
+    has those already, or can fetch them from the tier itself).
     """
 
     def __init__(self, *args: object, **kwargs: object):
@@ -60,20 +57,13 @@ class _JournalMixin:
         super().put_many(entries)
         self.journal.extend(entries)
 
-    def drain(self) -> list[list[object]]:
-        """The journaled entries, JSON-encoded, and an empty journal."""
-        entries = [[key[0], key[1], key[2], encode_scalar(answer)]
+    def drain(self) -> list[dict]:
+        """The journaled entries, encoded by the answer space, and an
+        empty journal."""
+        entries = [self.space.entry(key, answer)
                    for key, answer in self.journal]
         self.journal = []
         return entries
-
-
-class _JournalingAnswerCache(_JournalMixin, AnswerCache):
-    """The classic shared-nothing worker cache (no tier)."""
-
-
-class _JournalingRemoteAnswerCache(_JournalMixin, RemoteAnswerCache):
-    """Tier-backed worker cache that still journals fresh inference."""
 
 
 def serve_lane(conn, payload: dict) -> None:
@@ -107,7 +97,8 @@ def initialize_worker(payload: dict) -> None:
     (cell-level, not just shape — see :meth:`~repro.data.catalog.
     DataLake.content_fingerprint`), the (pickled) brain / role overrides
     / engine config, local cache capacities, and the parent's warm plans
-    as ``BoundPlan.to_dict()`` payloads.  A fingerprint mismatch means
+    and answers as cache-file entries (:meth:`~repro.core.cache.Space.
+    entry`).  A fingerprint mismatch means
     ``(dataset, seed, scale)`` generation is not deterministic on this
     host — that must fail loudly, not serve answers about a silently
     different lake.
@@ -121,37 +112,26 @@ def initialize_worker(payload: dict) -> None:
             f"worker lake content fingerprint {fingerprint} does not match "
             f"the parent's {expected} for spec {spec!r}; lake generation "
             "is not deterministic across processes")
-    # Plan-cache keys use the shape fingerprint (plans transfer between
-    # same-shaped lakes by design); content equality above guarantees the
-    # shapes agree with the parent too.
-    plan_key_fingerprint = lake.fingerprint()
     # Worker-local registry: per-query deltas ship back over the pipe
     # (run_worker_query) and the parent folds them into the session
     # registry, so session.metrics() stays complete under this backend —
     # including the lane's own cachenet counters when a tier is in play.
     metrics = MetricsRegistry()
+    # Tier mode (a cache_url): the init payload ships no warm entries —
+    # this lane pulls exactly what its queries touch from the shared
+    # tier, and degrades to local-only if the tier goes away mid-batch.
     cache_url = payload.get("cache_url")
+    tier = None
     if cache_url is not None:
-        # Tier mode: the init payload ships no warm entries — this lane
-        # pulls exactly what its queries touch from the shared tier, and
-        # degrades to local-only if the tier goes away mid-batch.
-        from repro.cachenet import CacheClient, RemotePlanCache
-        client = CacheClient(cache_url, metrics=metrics)
-        plan_cache = RemotePlanCache(
-            client, payload["plan_cache_capacity"], metrics=metrics)
-        answer_cache = _JournalingRemoteAnswerCache(
-            client, payload["answer_cache_capacity"], metrics=metrics)
-    else:
-        plan_cache = PlanCache(payload["plan_cache_capacity"])
-        answer_cache = _JournalingAnswerCache(
-            payload["answer_cache_capacity"])
-    for entry in payload["plans"]:
-        plan_cache.put((entry["query"], plan_key_fingerprint),
-                       BoundPlan.from_dict(entry["plan"]))
-    answer_cache.put_many(
-        ((fingerprint_, question, answer_type), decode_scalar(answer))
-        for fingerprint_, question, answer_type, answer in payload["answers"])
-    answer_cache.journal = []  # seeding is not fresh inference
+        from repro.cachenet import CacheClient
+        tier = CacheClient(cache_url, metrics=metrics)
+    plan_cache = PlanCache(payload["plan_cache_capacity"], tier=tier,
+                           metrics=metrics)
+    answer_cache = _JournalingAnswerCache(payload["answer_cache_capacity"],
+                                          tier=tier, metrics=metrics)
+    plan_cache.install(map(plan_cache.space.read_entry, payload["plans"]))
+    answer_cache.install(
+        map(answer_cache.space.read_entry, payload["answers"]))
     engine = Engine(lake, model=payload["brain"], config=payload["config"],
                     planner=payload["planner"], mapper=payload["mapper"],
                     executor=payload["executor"], plan_cache=plan_cache,
@@ -218,7 +198,7 @@ def run_worker_query(query: str, trace: dict | None = None) -> dict:
         engine.trace_context = None
     fresh_plan = engine.last_put
     payload = {"ok": True, "result": result.to_dict(),
-               "fresh_plan": (fresh_plan.to_dict()
+               "fresh_plan": (PLAN_SPACE.encode(fresh_plan)
                               if fresh_plan is not None else None),
                "fresh_answers": answer_cache.drain(),
                "metrics_delta": metrics.delta_since(before_metrics)}

@@ -41,11 +41,11 @@ from typing import Iterable, Sequence
 from repro.core.answer_cache import AnswerCache
 from repro.core.batch import (DEFAULT_ANSWER_CACHE_SIZE, BatchReport,
                               PlanCache)
+from repro.core.cache import Cache, Space
 from repro.core.engine import Engine, EngineConfig
 from repro.core.interfaces import Executor, Mapper, Planner
 from repro.core.plan import QueryResult
 from repro.data.catalog import DataLake
-from repro.data.datatypes import encode_scalar
 from repro.llm.brain import SimulatedBrain
 from repro.llm.interface import LanguageModel, Transcript
 from repro.obs import MetricsRegistry, TelemetryConfig
@@ -79,14 +79,14 @@ class Session:
 
     *cache_url* points the session at a shared cache tier
     (:mod:`repro.cachenet` — ``tcp://host:port`` or ``unix:///path``,
-    served by ``repro cache-server``): the default caches become
-    :class:`~repro.cachenet.RemotePlanCache` /
-    :class:`~repro.cachenet.RemoteAnswerCache` — local LRU fronts over
-    the tier — so this session warms from, and contributes to, the
-    fleet-wide warm set.  A server that is down degrades the session to
-    local-only operation (counted in ``cachenet_fallbacks``, never
-    failing a query); a protocol-version mismatch raises
-    :class:`~repro.cachenet.CacheProtocolError` here, at construction.
+    served by ``repro cache-server``): the default caches take its client
+    as their ``tier`` and become local LRU fronts over it
+    (:mod:`repro.core.cache`), so this session warms from, and
+    contributes to, the fleet-wide warm set.  A server that is down
+    degrades the session to local-only operation (counted in
+    ``cachenet_fallbacks``, never failing a query); a protocol-version
+    mismatch raises :class:`~repro.cachenet.CacheProtocolError` here, at
+    construction.
     Explicit *plan_cache* / *answer_cache* instances win over
     *cache_url*.
     """
@@ -122,24 +122,11 @@ class Session:
         self.cache_url = cache_url
         self._cache_client = (self._connect_cache_tier(cache_url)
                               if cache_url is not None else None)
-        if plan_cache is not None:
-            self.plan_cache = plan_cache
-        elif self._cache_client is not None:
-            from repro.cachenet import RemotePlanCache
-            self.plan_cache = RemotePlanCache(
-                self._cache_client, plan_cache_size,
-                metrics=self.metrics_registry)
-        else:
-            self.plan_cache = PlanCache(plan_cache_size)
-        if answer_cache is not None:
-            self.answer_cache = answer_cache
-        elif self._cache_client is not None:
-            from repro.cachenet import RemoteAnswerCache
-            self.answer_cache = RemoteAnswerCache(
-                self._cache_client, answer_cache_size,
-                metrics=self.metrics_registry)
-        else:
-            self.answer_cache = AnswerCache(answer_cache_size)
+        self.plan_cache = (plan_cache if plan_cache is not None
+                           else self._new_cache(PlanCache, plan_cache_size))
+        self.answer_cache = (answer_cache if answer_cache is not None
+                             else self._new_cache(AnswerCache,
+                                                  answer_cache_size))
         self._engines: list[Engine] = []
         self._pool_lock = threading.Lock()
         self._backends: dict[str, object] = {}
@@ -159,6 +146,11 @@ class Session:
         except CacheUnavailable:
             self.metrics_registry.increment("cachenet_fallbacks")
         return client
+
+    def _new_cache(self, cache_cls: type[Cache], capacity: int) -> Cache:
+        """An empty *cache_cls*, fronting the tier when there is one."""
+        return cache_cls(capacity, tier=self._cache_client,
+                         metrics=self.metrics_registry)
 
     # ------------------------------------------------------------------
     # Querying
@@ -298,29 +290,10 @@ class Session:
         *capacity* overrides the capacity persisted in the file.  Returns
         the number of answers loaded.  Keys are content fingerprints, so
         loading a file saved against different objects is safe — it just
-        never hits.
-
-        With a *cache_url*, the loaded entries land in a fresh
-        :class:`~repro.cachenet.RemoteAnswerCache` and are published to
-        the tier (best-effort), so a file-warmed session also warms the
-        fleet.
+        never hits.  With a *cache_url* the loaded answers are also
+        published to the tier (see :meth:`load_plan_cache`).
         """
-        cache = AnswerCache.load(path, capacity=capacity)
-        if self._cache_client is not None:
-            from repro.cachenet import RemoteAnswerCache
-            remote = RemoteAnswerCache(self._cache_client, cache.capacity,
-                                       metrics=self.metrics_registry)
-            entries = cache.items()
-            remote.install(entries)
-            self._publish("answer", [
-                {"key": list(key), "value": encode_scalar(answer)}
-                for key, answer in entries])
-            cache = remote
-        with self._pool_lock:
-            self.answer_cache = cache
-            for engine in self._engines:
-                engine.answer_cache = cache
-        return len(cache)
+        return self._load_cache("answer_cache", AnswerCache, path, capacity)
 
     def load_plan_cache(self, path: str | Path,
                         capacity: int | None = None) -> int:
@@ -331,27 +304,25 @@ class Session:
         matching ``(query, lake fingerprint)`` keys, so loading a file
         saved against a different lake is safe — it just never hits.
 
-        With a *cache_url*, the loaded plans land in a fresh
-        :class:`~repro.cachenet.RemotePlanCache` and are published to
-        the tier (best-effort), so a file-warmed session also warms the
-        fleet.
+        With a *cache_url*, the loaded plans land in a fresh tier-backed
+        cache and are published to the tier (best-effort), so a
+        file-warmed session also warms the fleet.
         """
-        cache = PlanCache.load(path, capacity=capacity)
-        if self._cache_client is not None:
-            from repro.cachenet import RemotePlanCache
-            remote = RemotePlanCache(self._cache_client, cache.capacity,
-                                     metrics=self.metrics_registry)
-            entries = cache.items()
-            for key, plan in entries:
-                remote._local_put(key, plan)
-            self._publish("plan", [
-                {"key": query, "ns": fingerprint, "value": plan.to_dict()}
-                for (query, fingerprint), plan in entries])
-            cache = remote
+        return self._load_cache("plan_cache", PlanCache, path, capacity)
+
+    def _load_cache(self, attribute: str, cache_cls: type[Cache],
+                    path: str | Path, capacity: int | None) -> int:
+        """Swap in *path* rehydrated as this session's *attribute* cache,
+        in front of the tier (and published to it) when there is one."""
+        loaded = cache_cls.load(path, capacity=capacity)
+        cache = self._new_cache(cache_cls, loaded.capacity)
+        entries = loaded.items()
+        cache.install(entries)
+        self._publish(cache.space, entries)
         with self._pool_lock:
-            self.plan_cache = cache
+            setattr(self, attribute, cache)
             for engine in self._engines:
-                engine.plan_cache = cache
+                setattr(engine, attribute, cache)
         return len(cache)
 
     #: Upper bound on one published ``mput`` batch, well under the
@@ -359,7 +330,7 @@ class Session:
     #: cache publishes as several frames instead of one oversized one.
     PUBLISH_BATCH_BYTES = 4 * 1024 * 1024
 
-    def _publish(self, space: str, entries: list[dict]) -> None:
+    def _publish(self, space: Space, entries: list[tuple]) -> None:
         """Best-effort bulk upload of loaded cache entries to the tier.
 
         Batched by serialized size so an arbitrarily large warm file
@@ -374,16 +345,17 @@ class Session:
         batch: list[dict] = []
         batch_bytes = 0
         try:
-            for entry in entries:
+            for key, value in entries:
+                entry = space.wire_entry(key, value)
                 entry_bytes = len(json.dumps(entry, separators=(",", ":")))
                 if batch and batch_bytes + entry_bytes > \
                         self.PUBLISH_BATCH_BYTES:
-                    self._cache_client.mput(space, batch)
+                    self._cache_client.mput(space.name, batch)
                     batch, batch_bytes = [], 0
                 batch.append(entry)
                 batch_bytes += entry_bytes
             if batch:
-                self._cache_client.mput(space, batch)
+                self._cache_client.mput(space.name, batch)
         except CacheUnavailable:
             self.metrics_registry.increment("cachenet_fallbacks")
 

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from _caches import CACHE_CLASSES, key, unwrap, value
 
 from repro import Session
 from repro.core.answer_cache import MISS, AnswerCache, text_fingerprint
@@ -12,33 +13,48 @@ from repro.core.engine import Engine
 from repro.vision.image import Image
 
 
-def test_get_returns_miss_sentinel_not_none():
-    cache = AnswerCache(capacity=4)
-    assert cache.get(("fp", "q", "int")) is MISS
-    cache.put(("fp", "q", "int"), None)  # None is a legitimate answer
-    assert cache.get(("fp", "q", "int")) is None
-    assert cache.hits == 1 and cache.misses == 1
+def test_get_returns_miss_sentinel_not_none(each_cache):
+    for label, cache in each_cache(capacity=4):
+        if cache.space.name != "answer":
+            continue
+        assert cache.get(("fp", "q", "int")) is MISS
+        cache.put(("fp", "q", "int"), None)  # None is a legitimate answer
+        assert cache.get(("fp", "q", "int")) is None, label
+        assert cache.hits == 1 and cache.misses == 1, label
 
 
-def test_hit_miss_eviction_accounting():
-    cache = AnswerCache(capacity=2)
-    cache.put(("a", "q", "int"), 1)
-    cache.put(("b", "q", "int"), 2)
-    assert cache.get(("a", "q", "int")) == 1     # refresh "a"
-    cache.put(("c", "q", "int"), 3)              # evicts "b"
-    assert cache.evictions == 1
-    assert ("b", "q", "int") not in cache
-    assert cache.get(("b", "q", "int")) is MISS
-    assert cache.hit_rate == 0.5
-    assert len(cache) == 2
-    cache.clear()
-    assert len(cache) == 0
-    assert cache.snapshot() == (1, 1, 1)
+def test_hit_miss_eviction_accounting(each_cache):
+    for label, cache in each_cache(capacity=2):
+        a, b, c = (key(cache, tag) for tag in "abc")
+        cache.put(a, value(cache, "a"))
+        cache.put(b, value(cache, "b"))
+        assert unwrap(cache.get(a)) == value(cache, "a")  # refresh "a"
+        cache.put(c, value(cache, "c"))                   # evicts "b"
+        assert cache.evictions == 1, label
+        assert b not in cache, label
+        if cache.tier is None:
+            assert cache.get(b) is cache.space.miss, label
+            expected, hit_rate = (1, 1, 1), 0.5
+        else:
+            # The front evicted "b", the tier still holds it: a hit, and
+            # installing it evicts the front's oldest entry, "a".
+            assert unwrap(cache.get(b)) == value(cache, "b"), label
+            assert a not in cache, label
+            expected, hit_rate = (2, 0, 2), 1.0
+        assert cache.snapshot() == expected, label
+        assert cache.hit_rate == hit_rate, label
+        assert len(cache) == 2, label
+        assert cache.clear() == 2, label
+        assert len(cache) == 0, label
+        assert cache.snapshot() == expected, label  # clear keeps counters
 
 
 def test_rejects_non_positive_capacity():
-    with pytest.raises(ValueError):
-        AnswerCache(capacity=0)
+    for cache_cls in CACHE_CLASSES:
+        with pytest.raises(ValueError):
+            cache_cls(capacity=0)
+        with pytest.raises(ValueError):
+            cache_cls(capacity=-1)
 
 
 def test_keys_distinguish_question_and_answer_type():
@@ -67,23 +83,24 @@ def test_text_fingerprint_is_content_addressed():
     assert text_fingerprint("abc") != text_fingerprint("abd")
 
 
-def test_concurrent_hammering_keeps_counters_consistent():
-    cache = AnswerCache(capacity=16)
+def test_concurrent_hammering_keeps_counters_consistent(each_cache):
     rounds = 200
+    for label, cache in each_cache(capacity=16):
+        def hammer(worker: int) -> None:
+            for i in range(rounds):
+                tag = f"k{i % 24}"
+                if cache.get(key(cache, tag)) is cache.space.miss:
+                    cache.put(key(cache, tag), value(cache, tag))
 
-    def hammer(worker: int) -> None:
-        for i in range(rounds):
-            key = (f"fp{i % 24}", "q", "int")
-            if cache.get(key) is MISS:
-                cache.put(key, i)
-
-    threads = [threading.Thread(target=hammer, args=(w,)) for w in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert cache.hits + cache.misses == 8 * rounds
-    assert len(cache) <= 16
+        threads = [threading.Thread(target=hammer, args=(w,))
+                   for w in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive(), label
+        assert cache.hits + cache.misses == 8 * rounds, label
+        assert len(cache) <= 16, label
 
 
 def _run_twice(lake, query):

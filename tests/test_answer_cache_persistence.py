@@ -1,4 +1,6 @@
-"""AnswerCache.save/load and the --answer-cache-file CLI surface."""
+"""AnswerCache.save/load and the --answer-cache-file CLI surface (the
+save/load contract shared by both spaces is in
+``test_plan_cache_persistence.py``)."""
 
 import json
 from datetime import date

@@ -1,10 +1,10 @@
 """Atomic cache persistence: concurrent saves never corrupt the file.
 
-``PlanCache.save`` and ``AnswerCache.save`` write through
-:func:`repro.core.persist.atomic_write_text` — a temp file in the target
-directory renamed into place with ``os.replace`` — so a reader (or the
-cache-tier server flushing on a signal racing a drain) always sees a
-complete, loadable file, never a half-written one.
+``Cache.save``, the one save of both the plan and the answer cache,
+writes through :func:`repro.core.persist.atomic_write_text` — a temp file
+in the target directory renamed into place with ``os.replace`` — so a
+reader (or the cache-tier server flushing on a signal racing a drain)
+always sees a complete, loadable file, never a half-written one.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import threading
 
 import pytest
+from _caches import key, value
 
 from repro.core.answer_cache import AnswerCache
 from repro.core.batch import PlanCache
@@ -53,8 +54,8 @@ def test_atomic_write_creates_parentless_relative_file(tmp_path,
 
 
 @pytest.mark.parametrize("make_cache,loader", [
-    (lambda i: _plan_cache(i), PlanCache.load),
-    (lambda i: _answer_cache(i), AnswerCache.load),
+    (lambda i: _filled(PlanCache, i), PlanCache.load),
+    (lambda i: _filled(AnswerCache, i), AnswerCache.load),
 ])
 def test_concurrent_saves_to_one_path_always_loadable(tmp_path, make_cache,
                                                       loader):
@@ -90,20 +91,8 @@ def test_concurrent_saves_to_one_path_always_loadable(tmp_path, make_cache,
     assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
 
-def _plan_cache(worker_id: int) -> PlanCache:
-    from repro.core.plan import LogicalPlan
-    cache = PlanCache(8)
-    plan = LogicalPlan.from_dict({
-        "thought": f"writer {worker_id}",
-        "steps": [{"index": 0, "description": f"step {worker_id}",
-                   "inputs": [], "output": "t", "new_columns": [],
-                   "params": {}}],
-    })
-    cache.put((f"query {worker_id}", "fp"), plan)
-    return cache
-
-
-def _answer_cache(worker_id: int) -> AnswerCache:
-    cache = AnswerCache(8)
-    cache.put(("fp", f"question {worker_id}", "int"), worker_id)
+def _filled(cache_cls, worker_id: int):
+    cache = cache_cls(8)
+    cache.put(key(cache, f"query {worker_id}"),
+              value(cache, f"writer {worker_id}"))
     return cache

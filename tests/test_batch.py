@@ -1,10 +1,9 @@
-"""Tests for the batch runner and the LRU plan cache."""
+"""Tests for the batch runner and the LRU contract of both caches."""
 
 import pytest
+from _caches import CACHE_CLASSES, key, unwrap, value
 
 from repro import Session
-from repro.core.batch import PlanCache
-from repro.core.plan import LogicalPlan, LogicalStep
 
 BATCH = [
     "How many players are taller than 200?",
@@ -22,40 +21,39 @@ BATCH = [
 ]
 
 
-def _plan(tag: str) -> LogicalPlan:
-    return LogicalPlan(steps=[LogicalStep(index=1, description=tag)])
+def test_cache_hits_and_misses(each_cache):
+    for label, cache in each_cache(capacity=4):
+        assert cache.get(key(cache, "q")) is cache.space.miss, label
+        cache.put(key(cache, "q"), value(cache, "a"))
+        assert unwrap(cache.get(key(cache, "q"))) == value(cache, "a"), label
+        assert key(cache, "q") in cache
+        assert cache.hits == 1 and cache.misses == 1, label
+        assert cache.hit_rate == 0.5
 
 
-def test_cache_hits_and_misses():
-    cache = PlanCache(capacity=4)
-    assert cache.get(("q", "fp")) is None
-    cache.put(("q", "fp"), _plan("a"))
-    assert cache.get(("q", "fp")) is not None
-    assert ("q", "fp") in cache
-    assert cache.hits == 1 and cache.misses == 1
-    assert cache.hit_rate == 0.5
+def test_cache_is_keyed_on_fingerprint_too(each_cache):
+    for label, cache in each_cache(capacity=4):
+        cache.put(key(cache, "q", fingerprint="fp1"), value(cache, "a"))
+        assert cache.get(key(cache, "q", fingerprint="fp2")) \
+            is cache.space.miss, label
 
 
-def test_cache_is_keyed_on_fingerprint_too():
-    cache = PlanCache(capacity=4)
-    cache.put(("q", "fp1"), _plan("a"))
-    assert cache.get(("q", "fp2")) is None
-
-
-def test_cache_evicts_least_recently_used():
-    cache = PlanCache(capacity=2)
-    cache.put(("a", "fp"), _plan("a"))
-    cache.put(("b", "fp"), _plan("b"))
-    assert cache.get(("a", "fp")) is not None  # refresh "a"
-    cache.put(("c", "fp"), _plan("c"))         # evicts "b"
-    assert cache.evictions == 1
-    assert ("b", "fp") not in cache
-    assert ("a", "fp") in cache and ("c", "fp") in cache
+def test_cache_evicts_least_recently_used(each_cache):
+    for label, cache in each_cache(capacity=2):
+        a, b, c = (key(cache, tag) for tag in "abc")
+        cache.put(a, value(cache, "a"))
+        cache.put(b, value(cache, "b"))
+        assert cache.get(a) is not cache.space.miss  # refresh "a"
+        cache.put(c, value(cache, "c"))              # evicts "b"
+        assert cache.evictions == 1, label
+        assert b not in cache, label
+        assert a in cache and c in cache, label
 
 
 def test_cache_rejects_non_positive_capacity():
-    with pytest.raises(ValueError):
-        PlanCache(capacity=0)
+    for cache_cls in CACHE_CLASSES:
+        with pytest.raises(ValueError):
+            cache_cls(capacity=0)
 
 
 def test_batch_runner_reports_cache_and_timings(rotowire_lake):

@@ -12,10 +12,10 @@ import threading
 import time
 
 import pytest
+from _caches import CACHE_CLASSES, key, value
 
 from repro.cachenet import (CacheClient, CacheProtocolError,
                             CacheTierServer, CacheUnavailable, FrameError,
-                            RemoteAnswerCache, RemotePlanCache,
                             parse_cache_url)
 from repro.cachenet.protocol import (MAX_FRAME_BYTES, read_frame,
                                      write_frame)
@@ -51,7 +51,7 @@ def _ipv6_loopback_available() -> bool:
 
 def put_answers(client: CacheClient, entries) -> int:
     """Store ``(key, answer)`` pairs with one ``mput``, encoded the way
-    :class:`RemoteAnswerCache` sends them."""
+    a tier-backed :class:`AnswerCache` sends them."""
     return client.mput("answer", [
         {"key": list(key), "value": encode_scalar(answer)}
         for key, answer in entries])
@@ -61,7 +61,21 @@ def get_answers(client: CacheClient, keys) -> list[tuple[bool, object]]:
     """``(hit, decoded answer)`` per key from one ``mget``."""
     return [(True, decode_scalar(reply.get("value"))) if reply.get("hit")
             else (False, None)
-            for reply in client.mget("answer", [list(key) for key in keys])]
+            for reply in client.mget("answer",
+                                     [{"key": list(key)} for key in keys])]
+
+
+def put_plan(client: CacheClient, ns: str, query: str, plan) -> dict:
+    """One single-key ``put`` into the plan space (the v1 frame shape)."""
+    return client.request({"op": "put", "space": "plan", "ns": ns,
+                           "key": query, "value": plan.to_dict()})
+
+
+def get_plan(client: CacheClient, ns: str, query: str) -> dict | None:
+    """The plan dict one single-key ``get`` returns, or ``None``."""
+    reply = client.request({"op": "get", "space": "plan", "ns": ns,
+                            "key": query})
+    return reply["value"] if reply["hit"] else None
 
 
 def make_plan(description="count paintings"):
@@ -148,11 +162,9 @@ class TestServerOps:
     def test_plan_space_round_trip_and_stats(self, server):
         client = CacheClient(server.url)
         plan = make_plan()
-        client.put_plan(ns="lake-fp", query=QUERY,
-                        plan_dict=plan.to_dict())
-        fetched = client.get_plan(ns="lake-fp", query=QUERY)
-        assert fetched == plan.to_dict()
-        assert client.get_plan(ns="other-fp", query=QUERY) is None
+        assert put_plan(client, "lake-fp", QUERY, plan)["ok"]
+        assert get_plan(client, "lake-fp", QUERY) == plan.to_dict()
+        assert get_plan(client, "other-fp", QUERY) is None
         stats = client.stats()
         assert stats["plan"]["entries"] == 1
         assert stats["plan"]["hits"] == 1 and stats["plan"]["misses"] == 1
@@ -175,19 +187,45 @@ class TestServerOps:
             {"key": ["fp", f"q{i}", "int"], "value": i} for i in range(5)])
         assert stored == 5
         results = client.mget(
-            "answer", [["fp", "q1", "int"], ["fp", "q9", "int"]])
+            "answer", [{"key": ["fp", "q1", "int"]},
+                       {"key": ["fp", "q9", "int"]}])
         assert results[0] == {"ok": True, "hit": True, "value": 1}
         assert results[1] == {"ok": True, "hit": False}
+        # A plan mget names each item's namespace; a request-level "ns"
+        # is the default for items without one.
+        assert put_plan(client, "lake-fp", QUERY, make_plan())["ok"]
+        results = client.mget("plan", [{"key": QUERY, "ns": "lake-fp"},
+                                       {"key": QUERY}], ns="other-fp")
+        assert results[0]["hit"] and not results[1]["hit"]
         client.close()
 
     def test_invalidate_drops_exactly_one_lake_namespace(self, server):
         client = CacheClient(server.url)
         for ns in ("lake-a", "lake-b"):
-            client.put_plan(ns=ns, query=QUERY,
-                            plan_dict=make_plan().to_dict())
+            put_plan(client, ns, QUERY, make_plan())
         assert client.invalidate_plans("lake-a") == 1
-        assert client.get_plan(ns="lake-a", query=QUERY) is None
-        assert client.get_plan(ns="lake-b", query=QUERY) is not None
+        assert get_plan(client, "lake-a", QUERY) is None
+        assert get_plan(client, "lake-b", QUERY) is not None
+        # A plan invalidate without a namespace names no lake: it drops
+        # nothing rather than the whole fleet's plans.
+        reply = client.request({"op": "invalidate", "space": "plan"})
+        assert reply["ok"] and reply["dropped"] == 0
+        assert client.stats()["plan"]["entries"] == 1
+        client.close()
+
+    def test_invalidate_answer_space_drops_every_answer(self, server):
+        client = CacheClient(server.url)
+        put_answers(client, [(("fp-a", "q", "int"), 1),
+                             (("fp-b", "q", "int"), 2)])
+        # Answer keys are content-addressed, so there is no namespace to
+        # drop: any answer-space invalidate clears the space, "ns" or not.
+        reply = client.request({"op": "invalidate", "space": "answer",
+                                "ns": "fp-a"})
+        assert reply["ok"] and reply["dropped"] == 2
+        assert client.stats()["answer"]["entries"] == 0
+        put_answers(client, [(("fp-a", "q", "int"), 1)])
+        reply = client.request({"op": "invalidate", "space": "answer"})
+        assert reply["ok"] and reply["dropped"] == 1
         client.close()
 
     def test_lru_bound_evicts_oldest(self):
@@ -319,8 +357,7 @@ class TestPersistence:
         try:
             client = CacheClient(server.url)
             plan = make_plan()
-            client.put_plan(ns="lake-fp", query=QUERY,
-                            plan_dict=plan.to_dict())
+            put_plan(client, "lake-fp", QUERY, plan)
             put_answers(client, [(("fp", "q", "int"), 3)])
             reply = client.flush()
             reply.pop("server_ms", None)
@@ -334,6 +371,43 @@ class TestPersistence:
         answers = AnswerCache.load(answer_file)
         assert answers.get(("fp", "q", "int")) == 3
 
+    @pytest.mark.parametrize("cache_cls", CACHE_CLASSES,
+                             ids=lambda cls: cls.space.name)
+    def test_boot_from_a_file_keeps_the_configured_capacity(self, tmp_path,
+                                                            cache_cls):
+        """The file's own capacity (a session's 128-entry plan cache, say)
+        never shrinks or grows the space the operator configured."""
+        small = cache_cls(2)
+        for tag in ("a", "b"):
+            small.put(key(small, tag), value(small, tag))
+        path = tmp_path / "small.json"
+        small.save(path)
+        name = cache_cls.space.name
+        server = CacheTierServer(bind="tcp://127.0.0.1:0",
+                                 **{f"{name}_capacity": 4096,
+                                    f"{name}_file": str(path)}).start()
+        try:
+            client = CacheClient(server.url)
+            assert client.stats()[name]["capacity"] == 4096
+            assert client.stats()[name]["entries"] == 2
+            tier_backed = cache_cls(8, tier=client)
+            tier_backed.put_many((key(small, tag), value(small, tag))
+                                 for tag in "cdefg")
+            assert client.stats()[name]["entries"] == 7
+            assert client.stats()[name]["evictions"] == 0
+            client.close()
+        finally:
+            server.stop()
+        # stop() flushed all seven at the configured capacity; a space
+        # smaller than the file keeps the file's newest entries.
+        assert json.loads(path.read_text())["capacity"] == 4096
+        server = CacheTierServer(bind="tcp://127.0.0.1:0",
+                                 **{f"{name}_capacity": 1,
+                                    f"{name}_file": str(path)})
+        stored = server.plans if name == "plan" else server.answers
+        assert stored.capacity == 1
+        assert [k for k, _ in stored.items()] == [key(small, "g")]
+
     def test_server_boots_warm_from_session_saved_files(self, tmp_path,
                                                         artwork_lake):
         plan_file = tmp_path / "plans.json"
@@ -346,8 +420,8 @@ class TestPersistence:
         try:
             client = CacheClient(server.url)
             assert client.stats()["plan"]["entries"] == 1
-            fetched = client.get_plan(ns=artwork_lake.fingerprint(),
-                                      query="How many paintings are there?")
+            fetched = get_plan(client, artwork_lake.fingerprint(),
+                               "How many paintings are there?")
             assert fetched is not None
             client.close()
         finally:
@@ -355,13 +429,13 @@ class TestPersistence:
 
 
 # ----------------------------------------------------------------------
-# Remote drop-in caches
+# Tier-backed caches
 # ----------------------------------------------------------------------
 
 class TestRemoteCaches:
     def test_local_front_absorbs_repeat_gets(self, server):
         client = CacheClient(server.url)
-        cache = RemoteAnswerCache(client, capacity=8)
+        cache = AnswerCache(8, tier=client)
         cache.put(("fp", "q", "int"), 5)
         requests_after_put = server.stats()["requests_total"]
         for _ in range(10):
@@ -371,12 +445,11 @@ class TestRemoteCaches:
         client.close()
 
     def test_remote_hit_fills_local_front_and_counts_metrics(self, server):
-        writer = RemoteAnswerCache(CacheClient(server.url), capacity=8)
+        writer = AnswerCache(8, tier=CacheClient(server.url))
         writer.put(("fp", "q", "int"), 5)
         metrics = MetricsRegistry()
-        reader = RemoteAnswerCache(
-            CacheClient(server.url, metrics=metrics), capacity=8,
-            metrics=metrics)
+        reader = AnswerCache(8, tier=CacheClient(server.url, metrics=metrics),
+                             metrics=metrics)
         assert reader.get(("fp", "q", "int")) == 5   # tier hit
         assert reader.get(("fp", "q", "int")) == 5   # local hit
         assert reader.get(("fp", "other", "int")) is MISS
@@ -390,16 +463,29 @@ class TestRemoteCaches:
     def test_remote_plan_cache_shares_plans_across_instances(self, server):
         plan = make_plan()
         key = (QUERY, "lake-fp")
-        writer = RemotePlanCache(CacheClient(server.url), capacity=8)
+        writer = PlanCache(8, tier=CacheClient(server.url))
         writer.put(key, plan)
-        reader = RemotePlanCache(CacheClient(server.url), capacity=8)
+        reader = PlanCache(8, tier=CacheClient(server.url))
+        sent = []
+        original = reader.tier.request
+
+        def request(payload, **kwargs):
+            sent.append(payload)
+            return original(payload, **kwargs)
+        reader.tier.request = request
         fetched = reader.get(key)
         assert fetched is not None
         assert fetched.to_dict() == plan.to_dict()
+        assert reader.get(key) is fetched      # the local front answers
         assert reader.get(("unknown query", "lake-fp")) is None
+        # A plan lookup is a one-key mget, namespaced by the fingerprint.
+        assert [(p["op"], p["space"], p["keys"]) for p in sent] == [
+            ("mget", "plan", [{"key": QUERY, "ns": "lake-fp"}]),
+            ("mget", "plan", [{"key": "unknown query", "ns": "lake-fp"}])]
+        assert reader.snapshot() == (2, 1, 0)
 
     def test_remote_caches_save_in_standard_format(self, server, tmp_path):
-        cache = RemoteAnswerCache(CacheClient(server.url), capacity=8)
+        cache = AnswerCache(8, tier=CacheClient(server.url))
         cache.put(("fp", "q", "int"), 5)
         path = tmp_path / "answers.json"
         assert cache.save(path) == 1
@@ -450,7 +536,8 @@ class TestSessionIntegration:
 
         publisher = Session(artwork_lake, cache_url=server.url)
         assert publisher.load_plan_cache(plan_file) == 1
-        assert isinstance(publisher.plan_cache, RemotePlanCache)
+        assert isinstance(publisher.plan_cache, PlanCache)
+        assert publisher.plan_cache.tier is publisher._cache_client
         publisher.close()
         client = CacheClient(server.url)
         assert client.stats()["plan"]["entries"] == 1
@@ -492,7 +579,7 @@ class TestSessionIntegration:
         session = Session(artwork_lake, cache_url=server.url,
                           plan_cache=local)
         assert session.plan_cache is local
-        assert isinstance(session.answer_cache, RemoteAnswerCache)
+        assert session.answer_cache.tier is session._cache_client
         session.close()
 
 

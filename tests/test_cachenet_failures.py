@@ -19,8 +19,8 @@ import time
 import pytest
 
 from repro.cachenet import (CacheClient, CacheProtocolError,
-                            CacheTierServer, CacheUnavailable,
-                            RemoteAnswerCache, RemotePlanCache)
+                            CacheTierServer, CacheUnavailable)
+from repro.core.answer_cache import AnswerCache
 from repro.llm.brain import SimulatedBrain
 from repro.session import Session
 from repro.testing.workloads import workload
@@ -46,10 +46,10 @@ def impatient(session: Session) -> Session:
 
 def test_server_down_at_construction_degrades_and_counts(artwork_lake):
     session = impatient(Session(artwork_lake, cache_url=DEAD_URL))
-    # The session still built the remote drop-ins (the tier may come up
-    # later) and the failed probe was counted, not raised.
-    assert isinstance(session.plan_cache, RemotePlanCache)
-    assert isinstance(session.answer_cache, RemoteAnswerCache)
+    # The session still put its caches in front of the tier (it may come
+    # up later) and the failed probe was counted, not raised.
+    assert session.plan_cache.tier is session._cache_client
+    assert session.answer_cache.tier is session._cache_client
     assert session.metrics()["counters"]["cachenet_fallbacks"] >= 1
     assert session.cachenet_stats() is None
     result = session.query("How many paintings are there?")
@@ -132,7 +132,7 @@ def test_remote_caches_degrade_to_local_when_tier_dies():
     server = CacheTierServer(bind="tcp://127.0.0.1:0").start()
     client = CacheClient(server.url, retries=0, connect_timeout=0.2,
                          request_timeout=0.5, down_cooldown=30.0)
-    cache = RemoteAnswerCache(client, capacity=8)
+    cache = AnswerCache(8, tier=client)
     cache.put(("fp", "warm", "int"), 1)
     server.stop()
     client._drop_socket()

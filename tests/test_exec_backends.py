@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.cachenet import CacheTierServer
 from repro.core.batch import BatchReport
 from repro.core.plan import ERROR_PHASES, ErrorEvent
 from repro.datasets import LakeSpec, load_lake
@@ -148,6 +149,30 @@ def test_process_backend_ships_answers_both_ways():
     assert report.answer_hits > 0
 
 
+def test_process_lane_stores_a_reply_with_one_rpc_per_space():
+    """With a tier, the parent stores a worker's fresh plan and answers
+    with one put per space, however many answers the worker inferred."""
+    query = "How many paintings are depicting a sword?"
+    server = CacheTierServer(bind="tcp://127.0.0.1:0").start()
+    try:
+        with Session("artwork", cache_url=server.url) as session:
+            sent = []
+            original = session._cache_client.request
+
+            def request(payload, **kwargs):
+                sent.append((payload["op"], payload.get("space")))
+                return original(payload, **kwargs)
+            session._cache_client.request = request
+            report = session.batch([query], workers=1, backend="process")
+            assert report.num_errors == 0
+            learned = len(session.answer_cache)
+        assert learned > 1
+        assert sent == [("mput", "plan"), ("mput", "answer")]
+        assert len(server.answers) == learned
+    finally:
+        server.stop()
+
+
 def test_process_worker_lanes_stay_warm_across_batches():
     queries = workload("rotowire", repeats=1)
     with Session("rotowire") as session:
@@ -241,9 +266,9 @@ def test_worker_initializer_seeds_shipped_plans(monkeypatch):
     query = "How many players are taller than 200?"
     session = Session("rotowire")
     session.query(query)
-    (_key, entry), = session.plan_cache.items()  # what the parent ships
-    procworker.initialize_worker(make_worker_payload(
-        session, plans=[{"query": query, "plan": entry.to_dict()}]))
+    (key, entry), = session.plan_cache.items()
+    shipped = session.plan_cache.space.entry(key, entry)  # what the parent ships
+    procworker.initialize_worker(make_worker_payload(session, plans=[shipped]))
     payload = procworker.run_worker_query(query)
     assert payload["ok"]
     assert payload["fresh_plan"] is None      # never planned: shipped plan

@@ -25,7 +25,7 @@ import pytest
 
 import repro
 from repro import load_lake
-from repro.cachenet import CacheClient, CacheTierServer, RemoteAnswerCache
+from repro.cachenet import CacheClient, CacheTierServer
 from repro.core.answer_cache import MISS, AnswerCache, text_fingerprint
 from repro.data.datatypes import DataType
 from repro.data.schema import Schema
@@ -660,7 +660,7 @@ def test_remote_batch_equals_the_sequential_loop_and_fills_the_tier(
             def make():
                 client = CacheClient(server.url)
                 clients.append(client)
-                return RemoteAnswerCache(client, metrics=MetricsRegistry())
+                return AnswerCache(tier=client, metrics=MetricsRegistry())
             return make
         makers = iter((remote_cache(tier), remote_cache(other)))
         _, _, batched, sequential = run_both(
@@ -683,7 +683,7 @@ def test_remote_batch_equals_the_sequential_loop_and_fills_the_tier(
         sent = counting(replica_client)
         replica = ExecutionContext(
             tables={"t": table}, telemetry=QueryTelemetry(),
-            answer_cache=RemoteAnswerCache(replica_client))
+            answer_cache=AnswerCache(tier=replica_client))
         again = VisualQAOperator().run(replica, VQA_ARGS)
         assert again.table.column("swords") == [
             None if item is None else batched.answer_cache.get(item[0])
@@ -778,7 +778,7 @@ def test_remote_cache_counts_one_fallback_per_failed_batch():
     client = CacheClient(server.url, retries=0, connect_timeout=0.2,
                          request_timeout=0.5, down_cooldown=30.0)
     metrics = MetricsRegistry()
-    cache = RemoteAnswerCache(client, capacity=64, metrics=metrics)
+    cache = AnswerCache(64, tier=client, metrics=metrics)
     keys = [(f"fp{i}", "q", "int") for i in range(20)]
     cache.put_many((key, i) for i, key in enumerate(keys[:10]))
     assert dict(server.answers.items()) == {key: i for i, key

@@ -1,73 +1,81 @@
-"""PlanCache.save/load: persisted plans survive runs and serve warm hits."""
+"""Cache save/load over both spaces; persisted plans serve warm hits."""
 
 import json
 
 import pytest
+from _caches import CACHE_CLASSES, key, unwrap, value
 
 from repro import Session
+from repro.core.answer_cache import ANSWER_CACHE_FORMAT
 from repro.core.batch import PLAN_CACHE_FORMAT, PlanCache
-from repro.core.plan import LogicalPlan, LogicalStep
-
-
-def _plan(tag: str) -> LogicalPlan:
-    return LogicalPlan(steps=[LogicalStep(index=1, description=tag,
-                                          inputs=["t"], output="out")],
-                       thought=tag)
 
 
 def test_save_and_load_restore_entries(tmp_path):
-    cache = PlanCache(capacity=8)
-    cache.put(("q1", "fp"), _plan("one"))
-    cache.put(("q2", "fp"), _plan("two"))
-    path = tmp_path / "plans.json"
-    assert cache.save(path) == 2
+    for cache_cls in CACHE_CLASSES:
+        cache = cache_cls(capacity=8)
+        cache.put(key(cache, "q1"), value(cache, "one"))
+        cache.put(key(cache, "q2"), value(cache, "two"))
+        path = tmp_path / f"{cache.space.name}.json"
+        assert cache.save(path) == 2
 
-    restored = PlanCache.load(path)
-    assert len(restored) == 2
-    assert restored.capacity == 8
-    assert restored.get(("q1", "fp")).plan == _plan("one")
-    assert restored.get(("q2", "fp")).plan == _plan("two")
-    assert restored.get(("q3", "fp")) is None
-    # Counters start fresh: 2 hits + 1 miss from the lines above only.
-    assert restored.snapshot() == (2, 1, 0)
+        restored = cache_cls.load(path)
+        assert len(restored) == 2
+        assert restored.capacity == 8
+        assert unwrap(restored.get(key(cache, "q1"))) == value(cache, "one")
+        assert unwrap(restored.get(key(cache, "q2"))) == value(cache, "two")
+        assert restored.get(key(cache, "q3")) is cache.space.miss
+        # Counters start fresh: 2 hits + 1 miss from the lines above only.
+        assert restored.snapshot() == (2, 1, 0)
 
 
 def test_load_preserves_lru_order(tmp_path):
-    cache = PlanCache(capacity=4)
-    for tag in ("a", "b", "c"):
-        cache.put((tag, "fp"), _plan(tag))
-    cache.get(("a", "fp"))  # refresh "a": eviction order is now b, c, a
-    path = tmp_path / "plans.json"
-    cache.save(path)
+    for cache_cls in CACHE_CLASSES:
+        cache = cache_cls(capacity=4)
+        for tag in ("a", "b", "c"):
+            cache.put(key(cache, tag), value(cache, tag))
+        cache.get(key(cache, "a"))  # refresh "a": eviction order b, c, a
+        path = tmp_path / f"{cache.space.name}.json"
+        cache.save(path)
 
-    restored = PlanCache.load(path, capacity=3)
-    restored.put(("d", "fp"), _plan("d"))  # evicts the oldest: "b"
-    assert ("b", "fp") not in restored
-    assert ("a", "fp") in restored and ("c", "fp") in restored
+        restored = cache_cls.load(path, capacity=3)
+        restored.put(key(cache, "d"), value(cache, "d"))  # evicts "b"
+        assert key(cache, "b") not in restored
+        assert key(cache, "a") in restored and key(cache, "c") in restored
 
 
 def test_load_clamps_to_capacity(tmp_path):
-    cache = PlanCache(capacity=8)
-    for i in range(6):
-        cache.put((f"q{i}", "fp"), _plan(str(i)))
-    path = tmp_path / "plans.json"
-    cache.save(path)
+    for cache_cls in CACHE_CLASSES:
+        cache = cache_cls(capacity=8)
+        for i in range(6):
+            cache.put(key(cache, f"q{i}"), value(cache, str(i)))
+        path = tmp_path / f"{cache.space.name}.json"
+        cache.save(path)
 
-    restored = PlanCache.load(path, capacity=2)
-    assert len(restored) == 2
-    # The two *most recent* entries survive.
-    assert ("q4", "fp") in restored and ("q5", "fp") in restored
+        restored = cache_cls.load(path, capacity=2)
+        assert len(restored) == 2
+        # The two *most recent* entries survive.
+        assert key(cache, "q4") in restored and key(cache, "q5") in restored
+        assert restored.get(key(cache, "q0")) is cache.space.miss
 
 
 def test_load_rejects_foreign_json(tmp_path):
-    path = tmp_path / "not-a-cache.json"
-    path.write_text(json.dumps({"hello": "world"}), encoding="utf-8")
-    with pytest.raises(ValueError):
-        PlanCache.load(path)
-    good = tmp_path / "cache.json"
-    PlanCache(capacity=2).save(good)
-    payload = json.loads(good.read_text(encoding="utf-8"))
-    assert payload["format"] == PLAN_CACHE_FORMAT
+    for cache_cls in CACHE_CLASSES:
+        for foreign in ({"hello": "world"}, {"format": "something-else"}):
+            path = tmp_path / "not-a-cache.json"
+            path.write_text(json.dumps(foreign), encoding="utf-8")
+            with pytest.raises(ValueError) as excinfo:
+                cache_cls.load(path)
+            assert cache_cls.space.file_format in str(excinfo.value)
+        # Each space's files say which space they hold.
+        other, = (cls for cls in CACHE_CLASSES if cls is not cache_cls)
+        good = tmp_path / "cache.json"
+        cache_cls(capacity=2).save(good)
+        payload = json.loads(good.read_text(encoding="utf-8"))
+        assert payload["format"] == cache_cls.space.file_format
+        with pytest.raises(ValueError):
+            other.load(good)
+    assert PLAN_CACHE_FORMAT == "repro-plan-cache/v1"
+    assert ANSWER_CACHE_FORMAT == "repro-answer-cache/v1"
 
 
 def test_session_warm_hits_from_persisted_cache(tmp_path, rotowire_lake):
