@@ -590,9 +590,11 @@ class Engine:
             if value:
                 metrics.increment(f'sql_engine_total{{engine="{engine}"}}',
                                   value)
-        value = telemetry.counters.get("colexec_declined")
-        if value:
-            metrics.increment("colexec_declined_total", value)
+        for name in ("colexec_declined", "udf_rows_evaluated",
+                     "udf_memo_hits"):
+            value = telemetry.counters.get(name)
+            if value:
+                metrics.increment(f"{name}_total", value)
         if trace.replans:
             metrics.increment("replans_total", trace.replans)
         if telemetry.spans:

@@ -16,12 +16,16 @@ byte-identical with the historical row store, so old caches still load.
 
 All relational operators in :mod:`repro.relational` and all multi-modal
 operators in :mod:`repro.operators` consume and produce ``Table`` values.
+Anything computed from a table's content — its fingerprint, sample
+values, sqlite-adapted columns, generated-UDF outputs — is memoised in
+one slot, :meth:`Table.derived`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+import threading
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from repro.data.columns import (Column, ColumnBuilder, build_column,
                                 concat_columns)
@@ -29,6 +33,17 @@ from repro.data.datatypes import (DataType, coerce, decode_scalar,
                                   encode_scalar, infer_column_type)
 from repro.data.schema import ColumnSpec, Schema
 from repro.errors import SchemaError, UnknownColumnError
+
+#: Entries of one kind (a :meth:`Table.derived` key's first element) a
+#: table keeps, or one per column if that is more; the kind's oldest
+#: entry is evicted.
+DERIVED_ENTRIES = 8
+
+#: Guards every table's derived memo; held only to look up or store.
+_DERIVED_LOCK = threading.Lock()
+_ABSENT = object()
+
+_T = TypeVar("_T")
 
 
 class Table:
@@ -49,8 +64,7 @@ class Table:
             spec.name: build_column(columns[spec.name], spec.dtype)
             for spec in schema.columns
         }
-        self._fingerprint: str | None = None
-        self._samples: dict[tuple[str, int], list[object]] = {}
+        self._derived: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     # Constructors
@@ -209,8 +223,11 @@ class Table:
         return Table(schema, columns)
 
     def with_column(self, name: str, dtype: DataType,
-                    values: Sequence[object]) -> "Table":
-        """A copy with one column appended (replaces an existing name)."""
+                    values: Sequence[object] | Column) -> "Table":
+        """A copy with one column appended (replaces an existing name).
+
+        A packed :class:`~repro.data.columns.Column` is stored as is.
+        """
         if len(values) != self.num_rows:
             raise SchemaError(
                 f"new column {name!r} has {len(values)} values, "
@@ -221,7 +238,7 @@ class Table:
             base = self
         schema = base.schema.with_column(ColumnSpec(name, dtype))
         columns: dict[str, object] = dict(base._columns)
-        columns[name] = build_column(list(values), dtype)
+        columns[name] = values
         return Table(schema, columns)
 
     def map_column(self, source: str, target: str, dtype: DataType,
@@ -264,8 +281,7 @@ class Table:
         Memoized: a column with fewer than *limit* distinct values forces
         a full scan, and discovery asks for the same samples every query.
         """
-        cached = self._samples.get((name, limit))
-        if cached is None:
+        def scan() -> list[object]:
             modality = self.dtype(name).is_modality
             seen: list[object] = []
             for value in self.iter_column(name):
@@ -276,8 +292,34 @@ class Table:
                     seen.append(display)
                 if len(seen) >= limit:
                     break
-            cached = self._samples[(name, limit)] = seen
-        return list(cached)
+            return seen
+
+        return list(self.derived(("samples", name, limit), scan))
+
+    def derived(self, key: tuple, compute: Callable[[], _T]) -> _T:
+        """What *compute* derives from this table, memoised under *key*.
+
+        The table is immutable by convention, so a value computed from its
+        content stays valid for the object's lifetime.  ``key[0]`` names
+        the kind of value; a kind keeps at most ``max(DERIVED_ENTRIES,
+        num_columns)`` entries and evicts its oldest, so a kind with one
+        entry per column never evicts.  *compute* runs outside the lock: a
+        *compute* that raises stores nothing, and when two threads miss
+        together, both compute and both get the value stored first.
+        """
+        memo = self._derived
+        with _DERIVED_LOCK:
+            value = memo.get(key, _ABSENT)
+        if value is not _ABSENT:
+            return value  # type: ignore[return-value]
+        value = compute()
+        with _DERIVED_LOCK:
+            stored = memo.setdefault(key, value)
+            if stored is value:
+                kind = [k for k in memo if k[0] == key[0]]
+                if len(kind) > max(DERIVED_ENTRIES, len(self._columns)):
+                    del memo[kind[0]]
+        return stored  # type: ignore[return-value]
 
     def to_display(self, max_rows: int = 10, max_width: int = 20) -> str:
         """A plain-text rendering for logs, examples, and observations."""
@@ -317,25 +359,25 @@ class Table:
         table is only copied into sqlite again when its content actually
         changed.
         """
-        if self._fingerprint is None:
-            from repro.vision.image import Image
-            digest = hashlib.sha256()
-            for spec in self.schema.columns:
-                digest.update(f"{spec.name}:{spec.dtype.value}\n"
-                              .encode("utf-8"))
-            for spec in self.schema.columns:
-                values = self._columns[spec.name].iter_values()
-                if spec.dtype is DataType.IMAGE:
-                    parts = (value.fingerprint() if isinstance(value, Image)
-                             else repr(value) for value in values)
-                else:
-                    parts = (repr(value) for value in values)
-                for part in parts:
-                    digest.update(part.encode("utf-8"))
-                    digest.update(b"\x1f")
-                digest.update(b"\x1e")
-            self._fingerprint = digest.hexdigest()[:24]
-        return self._fingerprint
+        return self.derived(("fingerprint",), self._content_digest)
+
+    def _content_digest(self) -> str:
+        from repro.vision.image import Image
+        digest = hashlib.sha256()
+        for spec in self.schema.columns:
+            digest.update(f"{spec.name}:{spec.dtype.value}\n".encode("utf-8"))
+        for spec in self.schema.columns:
+            values = self._columns[spec.name].iter_values()
+            if spec.dtype is DataType.IMAGE:
+                parts = (value.fingerprint() if isinstance(value, Image)
+                         else repr(value) for value in values)
+            else:
+                parts = (repr(value) for value in values)
+            for part in parts:
+                digest.update(part.encode("utf-8"))
+                digest.update(b"\x1f")
+            digest.update(b"\x1e")
+        return digest.hexdigest()[:24]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cols = ", ".join(f"{c.name}:{c.dtype.value}" for c in self.schema.columns)

@@ -35,11 +35,13 @@ MEMO_MISS_REASONS = ("absent", "digest_changed", "retry")
 
 #: Counters that reflect cache locality rather than query semantics;
 #: blanked by :meth:`QueryTelemetry.canonicalize` because a thread race
-#: or a worker-local cache can legitimately flip them between backends.
+#: or a worker-local cache (a process lane's own UDF output memo, too)
+#: can legitimately flip them between backends.
 LOCALITY_COUNTERS = frozenset({
     "plan_from_cache", "plan_cache_hits", "plan_cache_misses",
     "answer_cache_hits", "answer_cache_misses",
     "vision_inferences", "text_inferences",
+    "udf_rows_evaluated", "udf_memo_hits",
     "binding_memo_hits", *(f"binding_memo_misses_{reason}"
                            for reason in MEMO_MISS_REASONS),
 })

@@ -2,13 +2,18 @@
 
 "The Python operator takes a description as input, which is translated to
 code using GPT-4" (Figure 4).  The description is compiled to real Python
-source by the recipe-based code generator and executed per-row inside the
-AST-validated sandbox.
+source by the recipe-based code generator, validated and compiled by the
+AST sandbox once per source text, and executed per-row.  The sandbox
+allows no I/O, clock or randomness, so the output is a pure function of
+the input column and the source: it is memoised on the input table
+(:meth:`~repro.data.table.Table.derived`), and asking again over the same
+table object runs no row.
 """
 
 from __future__ import annotations
 
-from repro.data.datatypes import infer_column_type
+from repro.data.columns import Column, build_column
+from repro.data.datatypes import DataType, infer_column_type
 from repro.errors import (CodeGenerationError, OperatorError,
                           SandboxViolationError)
 from repro.operators.base import (ExecutionContext, OperatorCard,
@@ -50,21 +55,36 @@ class PythonOperator(PhysicalOperator):
         except (CodeGenerationError, SandboxViolationError) as exc:
             raise OperatorError(str(exc), operator=self.name) from exc
         context.count("udf_calls")
+        evaluated = False
 
-        values: list[object] = []
-        append = values.append
-        for row, value in enumerate(table.column(input_column)):
-            if value is None:
-                append(None)
-                continue
-            try:
-                append(transform(value))
-            except Exception as exc:  # generated code may fail arbitrarily
-                raise OperatorError(
-                    f"generated code failed on row {row} (value {value!r}): "
-                    f"{exc}", operator=self.name) from exc
-        dtype = infer_column_type(values)
-        result = table.with_column(new_column, dtype, values)
+        def evaluate() -> tuple[DataType, Column]:
+            nonlocal evaluated
+            evaluated = True
+            inputs = table.column(input_column)
+            values: list[object] = []
+            append = values.append
+            for row, value in enumerate(inputs):
+                if value is None:
+                    append(None)
+                    continue
+                try:
+                    append(transform(value))
+                except Exception as exc:  # generated code may fail arbitrarily
+                    context.count("udf_rows_evaluated",
+                                  row + 1 - inputs[:row].count(None))
+                    raise OperatorError(
+                        f"generated code failed on row {row} (value "
+                        f"{value!r}): {exc}", operator=self.name) from exc
+            context.count("udf_rows_evaluated",
+                          len(inputs) - inputs.count(None))
+            dtype = infer_column_type(values)
+            return dtype, build_column(values, dtype)
+
+        dtype, column = table.derived(("udf", input_column, udf.source),
+                                      evaluate)
+        if not evaluated:
+            context.count("udf_memo_hits")
+        result = table.with_column(new_column, dtype, column)
         samples = result.sample_values(new_column)
         observation = (
             f"New column {new_column!r} has been added via generated Python "

@@ -22,6 +22,7 @@ run over adapted (sqlite-representation) values.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 import sqlite3
@@ -396,8 +397,17 @@ class _Parser:
                                where, group_by, order_by, limit)
 
 
+#: Parsed statements kept process-wide, keyed by SQL text.
+PARSED_SQL_CACHE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=PARSED_SQL_CACHE_SIZE)
 def parse_select(sql: str) -> SelectStatement:
-    """Parse *sql*; raises :class:`UnsupportedSQL` outside the dialect."""
+    """Parse *sql*; raises :class:`UnsupportedSQL` outside the dialect.
+
+    A statement is a frozen value and a pure function of its text, so
+    the same text returns the same object (a decline is not memoised).
+    """
     return _Parser(_tokenize(sql), sql).parse()
 
 
@@ -414,26 +424,21 @@ def _adapted_column(table: Table, name: str) -> list[object]:
     For int / float / string columns the memoized ``materialize()`` list
     *is* the adapted form, so repeated queries over a warm lake pay
     nothing.  Bool / date / object adaptations are memoized on the table
-    (immutable once built) for the same reason.  Raises
+    (:meth:`Table.derived`) for the same reason.  Raises
     :class:`UnsupportedSQL` for object cells sqlite could not have bound
     either.
     """
     storage = table.storage(name)
     if isinstance(storage, (IntColumn, FloatColumn, StringColumn)):
         return storage.materialize()
-    cache = getattr(table, "_sql_adapted", None)
-    if cache is None:
-        cache = table._sql_adapted = {}
-    cached = cache.get(name)
-    if cached is not None:
-        return cached
-    if isinstance(storage, BoolColumn):
-        adapted = [None if v is None else int(v)
-                   for v in storage.iter_values()]
-    elif isinstance(storage, DateColumn):
-        adapted = [None if v is None else v.isoformat()
-                   for v in storage.iter_values()]
-    else:
+
+    def adapt() -> list[object]:
+        if isinstance(storage, BoolColumn):
+            return [None if v is None else int(v)
+                    for v in storage.iter_values()]
+        if isinstance(storage, DateColumn):
+            return [None if v is None else v.isoformat()
+                    for v in storage.iter_values()]
         adapted = []
         for value in storage.materialize():
             if value is None or type(value) in _SCALARS:
@@ -444,8 +449,9 @@ def _adapted_column(table: Table, name: str) -> list[object]:
                 raise UnsupportedSQL(
                     f"column {name!r} holds non-SQL values "
                     f"({type(value).__name__})")
-    cache[name] = adapted
-    return adapted
+        return adapted
+
+    return table.derived(("sql_adapted", name), adapt)
 
 
 def _column_kind(values: Sequence[object]) -> str:

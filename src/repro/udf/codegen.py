@@ -6,16 +6,18 @@ a recipe library: the natural-language description is matched against known
 transformation intents (extract the century/year/decade from a date, string
 manipulations, simple arithmetic) and real Python *source code* is emitted,
 then validated and compiled by the sandbox (:mod:`repro.udf.sandbox`) before
-running over the data.
+running over the data.  Generation is a pure function of the description,
+so its result is memoised per description.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
 from repro.errors import CodeGenerationError
-from repro.udf.sandbox import compile_udf
+from repro.udf.sandbox import COMPILED_UDF_CACHE_SIZE, compile_udf
 
 
 @dataclass(frozen=True)
@@ -94,11 +96,13 @@ _MULTIPLY_RE = re.compile(r"multipl\w*\s+(?:\w+\s+)*?by\s+(-?\d+(?:\.\d+)?)",
 _ADD_RE = re.compile(r"\badd(?:ing)?\s+(-?\d+(?:\.\d+)?)\b", re.IGNORECASE)
 
 
+@functools.lru_cache(maxsize=COMPILED_UDF_CACHE_SIZE)
 def generate_udf(description: str) -> GeneratedUDF:
     """Generate Python source implementing *description*.
 
     Raises :class:`CodeGenerationError` when no recipe matches — CAESURA's
-    error handler will see this failure and can re-plan.
+    error handler will see this failure and can re-plan (a failure is
+    never memoised).
     """
     stripped = description.strip()
     if not stripped:

@@ -6,14 +6,26 @@ is parsed and every AST node checked against a whitelist: no imports, no
 attribute access on dunders, no calls to anything outside a small builtin
 allowlist, no global state.  The compiled function is then executed with a
 minimal globals dict.
+
+Validation and compilation are a pure function of the source text, so
+each source is validated and compiled once per process (a bounded memo of
+code objects); the code object is still executed into a fresh namespace
+on every :func:`compile_udf` call.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
+from types import CodeType
 from typing import Callable
 
 from repro.errors import SandboxViolationError
+
+#: Entries in each process-wide UDF memo: generated sources keyed by
+#: description (:func:`repro.udf.codegen.generate_udf`) and validated code
+#: objects keyed by source text.
+COMPILED_UDF_CACHE_SIZE = 256
 
 #: builtins a generated UDF may call.
 ALLOWED_BUILTINS: dict[str, object] = {
@@ -90,13 +102,25 @@ def validate_udf_source(source: str) -> ast.Module:
     return tree
 
 
-def compile_udf(source: str) -> Callable[..., object]:
-    """Validate and compile *source*; return the defined function."""
+@functools.lru_cache(maxsize=COMPILED_UDF_CACHE_SIZE)
+def _compiled(source: str) -> tuple[str, CodeType]:
+    """The defined function's name and the validated module code object
+    (a source that fails validation raises and is not memoised)."""
     tree = validate_udf_source(source)
     function_name = tree.body[0].name  # type: ignore[union-attr]
+    return function_name, compile(tree, "<udf>", "exec")
+
+
+def compile_udf(source: str) -> Callable[..., object]:
+    """Validate and compile *source*; return the defined function.
+
+    Every call returns a new function object, so state a UDF keeps in a
+    mutable default argument never carries over from an earlier call.
+    """
+    function_name, code = _compiled(source)
     namespace: dict[str, object] = {}
     safe_globals = {"__builtins__": dict(ALLOWED_BUILTINS)}
-    exec(compile(tree, "<udf>", "exec"), safe_globals, namespace)  # noqa: S102
+    exec(code, safe_globals, namespace)  # noqa: S102
     function = namespace[function_name]
     if not callable(function):
         raise SandboxViolationError("UDF did not define a callable")
