@@ -28,8 +28,6 @@ from repro.core.plan import (ErrorEvent, LogicalPlan, LogicalStep,
 from repro.data.catalog import DataLake
 from repro.data.table import Table
 from repro.datasets import DATASET_NAMES, LakeSpec, load_lake
-from repro.exec import (ExecutionBackend, ProcessBackend, SerialBackend,
-                        ThreadBackend, backend_names)
 from repro.obs import (CostModel, MetricsRegistry, QueryTelemetry,
                        StageTrace, TelemetryConfig)
 from repro.plotting.spec import PlotSpec
@@ -44,7 +42,6 @@ __all__ = [
     "Engine",
     "EngineConfig",
     "ErrorEvent",
-    "ExecutionBackend",
     "Executor",
     "LakeSpec",
     "LogicalPlan",
@@ -57,20 +54,16 @@ __all__ = [
     "PlanTrace",
     "Planner",
     "PlotSpec",
-    "ProcessBackend",
     "PromptMapper",
     "PromptPlanner",
     "QueryResult",
     "QueryStats",
     "QueryTelemetry",
     "RegistryExecutor",
-    "SerialBackend",
     "Session",
     "StageTrace",
     "Table",
     "TelemetryConfig",
-    "ThreadBackend",
     "__version__",
-    "backend_names",
     "load_lake",
 ]

@@ -22,11 +22,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.cliargs import backend_name, positive_float, positive_int
+from repro.cliargs import positive_float, positive_int
+from repro.core.batch import BACKENDS
 from repro.core.engine import EngineConfig
 from repro.core.plan import QueryResult
 from repro.datasets import DATASET_NAMES, load_lake
-from repro.exec import backend_names
 from repro.obs import render_snapshot
 from repro.plotting.ascii import render_plot
 from repro.session import Session
@@ -87,11 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--workers", type=positive_int, default=1,
                        help="worker count for the thread/process backends "
                             "(default: 1)")
-    batch.add_argument("--backend", type=backend_name, default=None,
-                       metavar="{" + ",".join(backend_names()) + "}",
-                       help="execution backend (default: serial at "
-                            "--workers 1, thread above; process runs "
-                            "GIL-free worker processes)")
+    batch.add_argument("--backend", choices=BACKENDS, default=None,
+                       help="where the batch runs (default: serial at "
+                            "--workers 1, thread lanes above; process "
+                            "lanes run GIL-free worker processes)")
     batch.add_argument("--metrics-file", metavar="PATH", default=None,
                        help="write the session metrics snapshot (counters, "
                             "latency histograms, derived rates) to this "

@@ -20,12 +20,3 @@ def positive_float(text: str) -> float:
             f"must be a positive number, got {text!r}")
     return value
 
-
-def backend_name(text: str) -> str:
-    """One registered execution-backend name (``repro.exec``)."""
-    from repro.exec import backend_names
-    if text not in backend_names():
-        raise argparse.ArgumentTypeError(
-            f"unknown backend {text!r}; available: "
-            f"{', '.join(backend_names())}")
-    return text

@@ -14,12 +14,12 @@ aggregate statistics.  This module provides all three:
   plan IR is serializable, a cache can be persisted with :meth:`PlanCache.
   save` and rehydrated with :meth:`PlanCache.load`, so warm plans survive
   across runs (``--plan-cache-file`` in the CLI).
-- :func:`execute_batch` — drains a workload through one or more
-  :class:`~repro.core.engine.Engine` instances (serial loop for one engine,
-  a worker-thread pool for several), all sharing the same two caches.
-  Queries are independent (the sqlite bridge is per-call and lake tables
-  are immutable by convention), so no cross-query coordination is needed.
-  :meth:`repro.session.Session.batch` is the public entry point.
+- :func:`timed_batch` — times one run of a workload and folds its results
+  and this run's cache deltas into a report.  Where the queries run is
+  the caller's choice: :meth:`repro.session.Session.batch` (the public
+  entry point) answers a ``serial`` batch in the calling thread and a
+  ``thread`` / ``process`` batch over worker lanes
+  (:func:`repro.exec.lanes.run_batch`).
 
 Batches produce a :class:`BatchReport` with per-stage wall-clock totals,
 step counts, and cache hit-rates.  Two different clocks are reported:
@@ -31,19 +31,21 @@ it stays honest once queries run concurrently.
 
 from __future__ import annotations
 
-import queue
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable
 
 from repro.core.answer_cache import AnswerCache
 from repro.core.cache import Cache, Space
-from repro.core.engine import Engine
 from repro.core.plan import BoundPlan, QueryResult
 from repro.obs.trace import QueryTelemetry
 
 _STAGES = ("discovery", "planning", "mapping", "execution")
+
+#: Where :meth:`repro.session.Session.batch` can run a workload: the
+#: calling thread, or one of the worker-lane kinds of
+#: :mod:`repro.exec.lanes`.
+BACKENDS = ("serial", "thread", "process")
 
 DEFAULT_ANSWER_CACHE_SIZE = AnswerCache.space.capacity
 
@@ -158,8 +160,7 @@ class BatchReport:
     wall_seconds: float = 0.0
     elapsed_seconds: float = 0.0
     workers: int = 1
-    #: name of the execution backend that produced this report
-    #: (see :mod:`repro.exec`).
+    #: where the batch ran, one of :data:`BACKENDS`.
     backend: str = "serial"
 
     @property
@@ -210,7 +211,7 @@ class BatchReport:
     @property
     def worker_failures(self) -> list:
         """Every worker-lane :class:`~repro.core.plan.ErrorEvent` in the
-        batch (process backend crashes/timeouts), in submission order."""
+        batch (lane crashes/timeouts), in submission order."""
         return [event for result in self.results
                 if result.trace is not None
                 for event in result.trace.errors if event.phase == "worker"]
@@ -398,50 +399,23 @@ def _fold_cache_deltas(report: BatchReport, plan_cache: PlanCache,
     report.answer_evictions = evictions - answer_before[2]
 
 
-def execute_batch(engines: Sequence[Engine],
-                  queries: Sequence[str] | Iterable[str],
-                  plan_cache: PlanCache,
-                  answer_cache: AnswerCache) -> BatchReport:
-    """Drain *queries* through *engines*, producing a :class:`BatchReport`.
-
-    One engine runs the workload serially; several engines drain it through
-    a worker-thread pool (one thread per engine — engines carry per-query
-    mutable state such as the transcript, so an engine is never shared by
-    two in-flight queries, while all engines share the two thread-safe
-    caches).  Results and per-query stats are reported in submission order,
-    so a parallel report is line-for-line comparable with a serial one.
+def timed_batch(workload: list[str],
+                answer_all: Callable[[], list[QueryResult]],
+                plan_cache: PlanCache, answer_cache: AnswerCache,
+                workers: int, backend: str) -> BatchReport:
+    """The :class:`BatchReport` of one run of *answer_all*, which answers
+    *workload* and returns its results in submission order.
 
     Cache accounting is the *delta* over this call, so warmth carried in
     by the caller (a previous batch over the same caches, or a cache
     rehydrated from disk) never inflates this run's numbers.
     """
-    if not engines:
-        raise ValueError("execute_batch needs at least one engine")
-    workload = list(queries)
-    report = BatchReport(workers=len(engines),
-                         backend="serial" if len(engines) == 1 else "thread")
+    report = BatchReport(workers=workers, backend=backend)
     plan_before = plan_cache.snapshot()
     answer_before = answer_cache.snapshot()
-
     started = time.perf_counter()
-    if len(engines) == 1:
-        results = [engines[0].query(query) for query in workload]
-    else:
-        idle: queue.SimpleQueue[Engine] = queue.SimpleQueue()
-        for engine in engines:
-            idle.put(engine)
-
-        def answer(query: str) -> QueryResult:
-            engine = idle.get()
-            try:
-                return engine.query(query)
-            finally:
-                idle.put(engine)
-
-        with ThreadPoolExecutor(max_workers=len(engines)) as pool:
-            results = list(pool.map(answer, workload))
+    results = answer_all()
     report.elapsed_seconds = time.perf_counter() - started
-
     for query, result in zip(workload, results):
         _fold_result(report, query, result)
     _fold_cache_deltas(report, plan_cache, answer_cache,

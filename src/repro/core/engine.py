@@ -26,7 +26,7 @@ Flow per query:
    operator's observation is fed into the next mapping prompt.
 4. On failure the planner's error analysis decides between retrying the
    step with feedback and backtracking to planning (bounded by
-   ``max_replans``).
+   :data:`MAX_REPLANS`).
 
 Discovery and mapping build their prompt first and reuse the bound reply
 when — and only when — it answered a prompt with the same digest
@@ -76,16 +76,19 @@ from repro.vision.blip import Blip2Sim
 #: counts the one that ran it as ``sql_engine_<name>``.
 RELATIONAL_ENGINES = ("columnar", "sqlite")
 
+#: bounded backtracking to the planning phase, per query
+MAX_REPLANS = 2
+#: mapping retries per step, with the failure as feedback
+MAX_STEP_RETRIES = 2
+#: the most recent observations fed into each mapping prompt
+MAX_OBSERVATIONS = 6
+
 
 @dataclass
 class EngineConfig:
     """Tunables of the execution loop."""
 
-    max_replans: int = 2          # bounded backtracking to the planning phase
-    max_step_retries: int = 2     # mapping retries per step, with feedback
     use_discovery: bool = True    # run the discovery prompt for column hints
-    few_shot: bool = True         # include few-shot examples when planning
-    max_observations: int = 6     # observations fed into each mapping prompt
     #: which relational engine executes SQL / Join steps: ``"columnar"``
     #: (vectorized kernels over column storage, sqlite fallback) or
     #: ``"sqlite"`` (always the bridge).  Both are byte-identical — the
@@ -284,7 +287,7 @@ class Engine:
                     self._remember(key, plan, from_cache, bindings, trace)
                 return outcome
             # _StepFailure
-            if outcome.should_replan and replans < self.config.max_replans:
+            if outcome.should_replan and replans < MAX_REPLANS:
                 outcome.event.recovered = True
                 replans += 1
                 trace.replans = replans
@@ -392,7 +395,6 @@ class Engine:
             if bindings.cached is not None and not error_feedback:
                 return bindings.cached.plan, True
             plan = self.planner.plan(self.lake, query, hints, transcript,
-                                     few_shot=self.config.few_shot,
                                      error_feedback=error_feedback)
             return plan, False
         finally:
@@ -448,13 +450,13 @@ class Engine:
             feedback = ""
             step_events: list[ErrorEvent] = []
             succeeded = False
-            for _attempt in range(self.config.max_step_retries + 1):
+            for _attempt in range(MAX_STEP_RETRIES + 1):
                 phase = "mapping"
                 started = time.perf_counter()
                 mark = len(transcript.entries)
                 notes: dict = {}
                 try:
-                    window = observations[-self.config.max_observations:]
+                    window = observations[-MAX_OBSERVATIONS:]
                     decision = self._map(context.tables, cards, step,
                                          position, hints, window, feedback,
                                          bindings, trace, transcript, notes)

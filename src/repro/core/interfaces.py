@@ -74,7 +74,7 @@ class Planner(Protocol):
         ...
 
     def plan(self, lake: DataLake, query: str, hints: list[ColumnHint],
-             transcript: Transcript, *, few_shot: bool = True,
+             transcript: Transcript, *,
              error_feedback: str = "") -> LogicalPlan:
         """A logical plan for *query* (Planning Phase)."""
         ...
@@ -147,10 +147,9 @@ class PromptPlanner:
         return hints
 
     def plan(self, lake: DataLake, query: str, hints: list[ColumnHint],
-             transcript: Transcript, *, few_shot: bool = True,
+             transcript: Transcript, *,
              error_feedback: str = "") -> LogicalPlan:
         messages = build_planning_prompt(lake, query, hints,
-                                         few_shot=few_shot,
                                          error_feedback=error_feedback)
         response = self.model.complete(messages)
         transcript.record("planning", messages, response)

@@ -144,21 +144,18 @@ def prompt_digest(messages: list[ChatMessage]) -> str:
 
 def build_planning_prompt(lake: DataLake, query: str,
                           hints: list[ColumnHint],
-                          few_shot: bool = True,
                           error_feedback: str = "") -> list[ChatMessage]:
-    """The Planning Phase prompt (Figure 3, left).
+    """The Planning Phase prompt (Figure 3, left), few-shot examples first.
 
     *error_feedback* carries the failure that triggered a replan, so the
     model can avoid repeating the flawed plan (Section 3.2 backtracking).
     """
-    sections = []
-    if few_shot:
-        sections.append(FEW_SHOT_EXAMPLES)
-    sections.append(f"You are CAESURA and {PLANNING_MARKER}:")
-    sections.append("The database contains the following tables:\n"
-                    + lake.prompt_repr())
-    sections.append(CAPABILITIES_TEXT)
-    sections.append(PLANNING_FORMAT)
+    sections = [FEW_SHOT_EXAMPLES,
+                f"You are CAESURA and {PLANNING_MARKER}:",
+                "The database contains the following tables:\n"
+                + lake.prompt_repr(),
+                CAPABILITIES_TEXT,
+                PLANNING_FORMAT]
     body = f"My request is: {query}"
     hint_text = render_hints(hints)
     if hint_text:

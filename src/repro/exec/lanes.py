@@ -1,7 +1,9 @@
 """Worker lanes: one query at a time, off the calling thread.
 
 A :class:`Lane` owns the runtime one query runs on and is driven by one
-caller thread through :meth:`Lane.run`.  Two kinds share that interface:
+caller thread through :meth:`Lane.run`.  :meth:`Session.batch` (through
+:func:`run_batch`) and the query service (:mod:`repro.serve.jobs`) are
+the two callers.  Two kinds share that interface:
 
 - ``thread`` (:class:`EngineLane`) — an engine from
   :meth:`Session.make_engine` behind a one-thread inner executor, so a
@@ -23,12 +25,22 @@ caller thread through :meth:`Lane.run`.  Two kinds share that interface:
 thread lane, a dead worker process on a process lane —
 replaces the lane's runtime and raises one :class:`LaneFailure`
 carrying a ``phase="worker"`` :class:`~repro.core.plan.ErrorEvent`.
-What becomes of the query is the caller's policy: the process backend
-re-runs it in the parent (:func:`run_in_parent`), the query service
-resolves the job as a worker error.  The next :meth:`Lane.run` starts
-on the replacement, so one failure never spills onto later queries.  A
+What becomes of the query is the caller's policy: a batch re-runs it in
+the parent (:func:`run_in_parent`), the query service resolves the job
+as a worker error.  The next :meth:`Lane.run` starts on the
+replacement, so one failure never spills onto later queries.  A
 process-lane engine crash the worker survives (an ``ok: false`` reply)
 is not a lost lane: the lane re-runs that query in the parent itself.
+
+**Batches.**  :func:`run_batch` drains a workload over a session's warm
+lanes with deterministic query→lane affinity: a query is pinned to the
+lane chosen by its first-occurrence index in the workload, so repeats
+land on the lane that already planned it and cached its modality
+answers, and per-lane caches behave like the serial shared cache.
+Each lane's queries run in workload order on one thread of its own, and
+results come back in submission order.  Workers start with ``fork``
+where available (Linux — instant, inherits imported modules) and
+``spawn`` elsewhere; the spec-based initializer makes both equivalent.
 """
 
 from __future__ import annotations
@@ -42,13 +54,17 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Callable
 
+from repro.core.batch import BatchReport, timed_batch
 from repro.core.plan import ErrorEvent, PlanTrace, QueryResult
-from repro.exec.base import BackendError
 from repro.exec.procworker import serve_lane
 from repro.obs import StageTrace, TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.session import Session
+
+
+class BackendError(ValueError):
+    """A batch cannot run as asked (unknown backend, lake without spec)."""
 
 
 #: Held while a worker process starts, until the parent has closed its
@@ -83,8 +99,8 @@ def run_in_parent(session: "Session", query: str,
                   event: ErrorEvent) -> QueryResult:
     """Re-run *query* in this process after a worker failure.
 
-    The run gets a fresh engine — never the session's pooled one, which
-    :meth:`Session.query` and other lanes' callers may be using — and
+    The run gets a fresh engine — never the one :meth:`Session.query`
+    or another lane may be using — and
     keeps the query's trace context, so one trace id covers the failed
     lane attempt and the re-run.  *event* is prepended to the trace as
     recovered; when the re-run crashes too, the result is an error
@@ -123,6 +139,13 @@ class Lane(ABC):
         self.session = session
         self.index = index
         self.failure_counter = failure_counter
+        #: worker-side plan-cache then answer-cache (hits, misses,
+        #: evictions), summed over every reply this lane folded; zeros on
+        #: a lane whose engine uses the session's caches directly.
+        self.worker_cache = [0] * 6
+
+    def start(self) -> None:
+        """Start the lane's runtime if it is not running."""
 
     def run(self, query: str, context: TraceContext | None = None,
             timeout: float | None = None,
@@ -224,9 +247,6 @@ class ProcessLane(Lane):
         # The worker process and the parent's end of its pipe.
         self._process = None
         self._conn = None
-        #: worker-side plan-cache then answer-cache (hits, misses,
-        #: evictions), summed over every reply this lane folded.
-        self.worker_cache = [0] * 6
 
     def start(self) -> None:
         """Start the worker process if it is not running, seeded with the
@@ -346,3 +366,67 @@ class ProcessLane(Lane):
 #: lane kind name → lane class; ``repro serve --lane-backend`` choices.
 LANE_KINDS: dict[str, type[Lane]] = {"thread": EngineLane,
                                      "process": ProcessLane}
+
+#: :class:`BatchReport` fields fed by :attr:`Lane.worker_cache`, in its
+#: order.
+_WORKER_CACHE_FIELDS = ("cache_hits", "cache_misses", "cache_evictions",
+                        "answer_hits", "answer_misses", "answer_evictions")
+
+
+def run_batch(session: "Session", workload: list[str], lanes: list[Lane],
+              backend: str, timeout: float | None) -> BatchReport:
+    """Drain *workload* over *lanes* (see the module docstring).
+
+    *timeout* bounds each query's wall-clock seconds on its lane
+    (``None`` = unbounded).  A query whose lane timed out or lost its
+    worker re-runs in the parent (:func:`run_in_parent`) and counts in
+    ``worker_failures_total``.
+    """
+    for lane in lanes:
+        lane.start()
+    # Deterministic affinity: a query's lane is fixed by the position of
+    # its first occurrence in the workload.
+    first_seen: dict[str, int] = {}
+    assigned: list[list[int]] = [[] for _ in lanes]
+    for index, query in enumerate(workload):
+        position = first_seen.setdefault(query, len(first_seen))
+        assigned[position % len(lanes)].append(index)
+    results: list[QueryResult | None] = [None] * len(workload)
+
+    def drain(lane: Lane, indices: list[int]) -> None:
+        for index in indices:
+            results[index] = _answer(session, lane, workload[index], timeout)
+
+    def answer_all() -> list[QueryResult]:
+        with ThreadPoolExecutor(max_workers=len(lanes)) as pool:
+            list(pool.map(drain, lanes, assigned))
+        return results
+
+    worker_before = _worker_cache(lanes)
+    report = timed_batch(workload, answer_all, session.plan_cache,
+                         session.answer_cache, len(lanes), backend)
+    # A process lane's parent caches move only on fallbacks and imports
+    # of what the worker learned; the workers' own deltas are added on
+    # top so the report reflects cache activity across all processes.
+    for field, before, after in zip(_WORKER_CACHE_FIELDS, worker_before,
+                                    _worker_cache(lanes)):
+        setattr(report, field, getattr(report, field) + after - before)
+    return report
+
+
+def _answer(session: "Session", lane: Lane, query: str,
+            timeout: float | None) -> QueryResult:
+    # One distributed trace per query, minted here, shipped across a
+    # process lane's pipe and kept by an in-parent re-run.
+    context = TraceContext.new()
+    try:
+        return lane.run(query, context, timeout)
+    except LaneFailure as failure:
+        session.metrics_registry.increment("worker_failures_total")
+        return run_in_parent(session, query, context, failure.event)
+
+
+def _worker_cache(lanes: list[Lane]) -> list[int]:
+    """The lanes' :attr:`~Lane.worker_cache` counts, summed."""
+    return [sum(counts) for counts in zip(*(lane.worker_cache
+                                            for lane in lanes))]

@@ -5,9 +5,10 @@ queries over one :class:`~repro.data.catalog.DataLake` — the planner brain,
 the engine configuration, and the two caches — behind two methods:
 
 - :meth:`Session.query` answers one query;
-- :meth:`Session.batch` drains a workload through an execution backend
-  (serial, thread pool, or GIL-free process lanes — :mod:`repro.exec`)
-  and returns a :class:`~repro.core.batch.BatchReport`.
+- :meth:`Session.batch` drains a workload in the calling thread
+  (``serial``) or over the session's warm worker lanes (``thread`` or
+  GIL-free ``process`` lanes — :mod:`repro.exec.lanes`) and returns a
+  :class:`~repro.core.batch.BatchReport`.
 
 The CLI, the query service, the benchmark and the test suite all drive
 the system through this facade.  Both caches are shared by every query
@@ -39,8 +40,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.core.answer_cache import AnswerCache
-from repro.core.batch import (DEFAULT_ANSWER_CACHE_SIZE, BatchReport,
-                              PlanCache)
+from repro.core.batch import (BACKENDS, DEFAULT_ANSWER_CACHE_SIZE,
+                              BatchReport, PlanCache, timed_batch)
 from repro.core.cache import Cache, Space
 from repro.core.engine import Engine, EngineConfig
 from repro.core.interfaces import Executor, Mapper, Planner
@@ -61,10 +62,10 @@ class Session:
     *brain* is the :class:`~repro.llm.interface.LanguageModel` behind the
     default prompt-driven planner and mapper (default:
     :class:`~repro.llm.brain.SimulatedBrain`).  For multi-worker batches
-    the single instance is shared by all workers and must be thread-safe
-    (``SimulatedBrain`` is).  *planner*, *mapper*, and *executor* override
-    the corresponding role outright; they too are shared across worker
-    engines and must be stateless across calls.
+    the single instance is shared by all thread lanes and must be
+    thread-safe (``SimulatedBrain`` is).  *planner*, *mapper*, and
+    *executor* override the corresponding role outright; they too are
+    shared across lane engines and must be stateless across calls.
 
     *plan_cache* / *answer_cache* default to fresh caches of
     *plan_cache_size* / *answer_cache_size*; pass existing instances to
@@ -116,8 +117,8 @@ class Session:
         self.executor = executor
         self.telemetry = telemetry or TelemetryConfig()
         #: session-lifetime :class:`~repro.obs.MetricsRegistry`; every
-        #: engine (and, via shipped deltas, every process-backend worker
-        #: lane) records into it.
+        #: engine (and, via shipped deltas, every process lane) records
+        #: into it.
         self.metrics_registry = MetricsRegistry()
         self.cache_url = cache_url
         self._cache_client = (self._connect_cache_tier(cache_url)
@@ -127,9 +128,14 @@ class Session:
         self.answer_cache = (answer_cache if answer_cache is not None
                              else self._new_cache(AnswerCache,
                                                   answer_cache_size))
-        self._engines: list[Engine] = []
-        self._pool_lock = threading.Lock()
-        self._backends: dict[str, object] = {}
+        # The engine behind query(), built on first use.
+        self._engine: Engine | None = None
+        # Warm batch lanes by kind, and the lake content they were built
+        # for: two seeds of one dataset share a shape fingerprint (plans
+        # transfer) but must never share warm process lanes.
+        self._lanes: dict[str, list] = {}
+        self._lanes_fingerprint: str | None = None
+        self._lock = threading.Lock()
 
     def _connect_cache_tier(self, cache_url: str):
         """Build the tier client and probe it once.
@@ -165,7 +171,7 @@ class Session:
         already owns a trace — the serve layer — passes its context so
         this query's spans join it); ``None`` mints a fresh trace.
         """
-        engine = self.engine_pool(1)[0]
+        engine = self._query_engine()
         engine.trace_context = trace_context
         try:
             return engine.query(query)
@@ -173,34 +179,37 @@ class Session:
             engine.trace_context = None
 
     def batch(self, queries: Sequence[str] | Iterable[str],
-              workers: int = 1, backend: object | None = None) -> BatchReport:
-        """Drain *queries* through an execution backend.
+              workers: int = 1, backend: str | None = None,
+              timeout: float | None = None) -> BatchReport:
+        """Drain *queries* and report on the run.
 
-        *backend* selects the strategy (:mod:`repro.exec`): a registered
-        name (``"serial"`` / ``"thread"`` / ``"process"``), an
-        :class:`~repro.exec.ExecutionBackend` instance (the caller owns
-        its lifecycle), or ``None`` for the default — serial at
-        ``workers=1``, the thread pool above that.  All backends produce
-        identical results for the same workload; they differ in where
-        the worker engines live and therefore in throughput.
+        *backend* is one of :data:`~repro.core.batch.BACKENDS`, or
+        ``None`` for serial at ``workers=1`` and thread lanes above
+        that.  ``serial`` answers in the calling thread through
+        :meth:`query`.  ``thread`` and ``process`` drain over *workers*
+        lanes of that kind (:func:`repro.exec.lanes.run_batch`): a query
+        sticks to the lane of its first occurrence, a query whose lane
+        fails or exceeds *timeout* seconds re-runs in the parent, and
+        results come back in submission order.  All three produce
+        identical results for the same workload; they differ only in
+        throughput.
 
-        Named backends are instantiated once per session and kept (a
-        process backend's worker lanes stay warm across consecutive
-        batches); :meth:`close` shuts them down.  Consecutive calls share
-        cache warmth, but each report accounts only its own run.
+        Lanes are built on first use and kept warm across batches until
+        the lake's content changes or :meth:`close`.  Consecutive calls
+        share cache warmth, but each report accounts only its own run.
         """
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
-        from repro.exec import ExecutionBackend
         if backend is None:
-            backend = self._backend("serial" if workers == 1 else "thread")
-        elif isinstance(backend, str):
-            backend = self._backend(backend)
-        elif not isinstance(backend, ExecutionBackend):
-            raise TypeError(
-                f"backend must be a registered name or an ExecutionBackend, "
-                f"got {type(backend).__name__}")
-        return backend.run(self, queries, workers)
+            backend = "serial" if workers == 1 else "thread"
+        workload = list(queries)
+        if backend == "serial":
+            return timed_batch(
+                workload, lambda: [self.query(query) for query in workload],
+                self.plan_cache, self.answer_cache, 1, backend)
+        from repro.exec.lanes import run_batch
+        return run_batch(self, workload, self._batch_lanes(backend, workers),
+                         backend, timeout)
 
     # ------------------------------------------------------------------
     # Introspection & persistence
@@ -214,8 +223,7 @@ class Session:
         from the plan cache's bound replies sends nothing, so a fully
         warm query leaves the transcript empty.
         """
-        engines = self.engine_pool(1)
-        return engines[0].last_transcript
+        return self._query_engine().last_transcript
 
     def metrics(self) -> dict:
         """Deterministic snapshot of the session metrics registry.
@@ -319,10 +327,12 @@ class Session:
         entries = loaded.items()
         cache.install(entries)
         self._publish(cache.space, entries)
-        with self._pool_lock:
+        with self._lock:
             setattr(self, attribute, cache)
-            for engine in self._engines:
-                setattr(engine, attribute, cache)
+            if self._engine is not None:
+                setattr(self._engine, attribute, cache)
+        # Lanes hold the old cache: the next batch builds fresh ones.
+        self._close_lanes()
         return len(cache)
 
     #: Upper bound on one published ``mput`` batch, well under the
@@ -364,7 +374,7 @@ class Session:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down backend resources (e.g. process-backend worker lanes).
+        """Shut down the batch lanes (and their worker processes).
 
         Idempotent; the session itself stays usable (a later batch simply
         recreates what it needs).  The cache-tier client, when any, is
@@ -372,11 +382,7 @@ class Session:
         mode.  Use the session as a context manager to get this
         automatically.
         """
-        with self._pool_lock:
-            backends = list(self._backends.values())
-            self._backends.clear()
-        for backend in backends:
-            backend.close()
+        self._close_lanes()
         if self._cache_client is not None:
             self._cache_client.close()
 
@@ -390,22 +396,47 @@ class Session:
     # Internals
     # ------------------------------------------------------------------
 
-    def _backend(self, name: str):
-        from repro.exec import create_backend
-        with self._pool_lock:
-            if name not in self._backends:
-                self._backends[name] = create_backend(name)
-            return self._backends[name]
+    def _query_engine(self) -> Engine:
+        """The engine behind :meth:`query`, built on first use."""
+        with self._lock:
+            if self._engine is None:
+                self._engine = self.make_engine()
+            return self._engine
+
+    def _batch_lanes(self, kind: str, workers: int) -> list:
+        """The first *workers* warm batch lanes of *kind*, growing them
+        as needed; all lanes are rebuilt when the lake's content
+        changed since they were built."""
+        from repro.exec.lanes import LANE_KINDS, BackendError
+        if kind not in LANE_KINDS:
+            raise BackendError(f"unknown execution backend {kind!r}; "
+                               f"available: {', '.join(BACKENDS)}")
+        fingerprint = self.lake.content_fingerprint()
+        if fingerprint != self._lanes_fingerprint:
+            self._close_lanes()
+            self._lanes_fingerprint = fingerprint
+        with self._lock:
+            lanes = self._lanes.setdefault(kind, [])
+            while len(lanes) < workers:
+                lanes.append(LANE_KINDS[kind](self, len(lanes)))
+            return lanes[:workers]
+
+    def _close_lanes(self) -> None:
+        with self._lock:
+            lanes = [lane for kind in self._lanes.values() for lane in kind]
+            self._lanes = {}
+        for lane in lanes:
+            lane.close()
 
     def make_engine(self) -> Engine:
         """A fresh engine wired to this session's full stack.
 
         Same lake, brain, configuration, role overrides, caches, and
-        metrics registry as the pooled engines — but owned by the
-        caller, not the pool.  Worker lanes (:mod:`repro.exec.lanes`)
-        build their engines here, so a thread lane can discard a wedged
-        engine and a process lane's in-parent re-run never borrows an
-        engine another thread is using.
+        metrics registry as the engine behind :meth:`query` — but owned
+        by the caller.  Worker lanes (:mod:`repro.exec.lanes`) build
+        their engines here, so a thread lane can discard a wedged engine
+        and an in-parent re-run never borrows an engine another thread
+        is using.
         """
         return Engine(
             self.lake, model=self.brain, config=self.config,
@@ -414,17 +445,3 @@ class Session:
             answer_cache=self.answer_cache,
             metrics=self.metrics_registry,
             telemetry=self.telemetry)
-
-    def engine_pool(self, workers: int) -> list[Engine]:
-        """The first *workers* engines, growing the pool as needed.
-
-        Engines are created lazily and reused across calls (they carry
-        per-query mutable state, so each in-flight query needs its own),
-        all sharing the session's brain, caches, and role overrides.
-        :meth:`query` uses the first; the in-process execution backends
-        (serial, thread) draw theirs from here too.
-        """
-        with self._pool_lock:
-            while len(self._engines) < workers:
-                self._engines.append(self.make_engine())
-            return self._engines[:workers]

@@ -77,7 +77,7 @@ def test_cli_batch_rejects_unknown_backend(tmp_path, capsys):
               "--backend", "quantum"])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    assert "unknown backend" in err
+    assert "invalid choice: 'quantum'" in err
     assert "process" in err
 
 

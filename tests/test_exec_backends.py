@@ -1,4 +1,4 @@
-"""The execution-backend subsystem: registry, parity, and plan shipping.
+"""Session.batch backends: names, parity, and plan shipping.
 
 The contract under test is the one the backend matrix advertises:
 serial, thread, and process backends produce identical results for the
@@ -14,8 +14,7 @@ from repro.cachenet import CacheTierServer
 from repro.core.batch import BatchReport
 from repro.core.plan import ERROR_PHASES, ErrorEvent
 from repro.datasets import LakeSpec, load_lake
-from repro.exec import (BackendError, ProcessBackend, SerialBackend,
-                        ThreadBackend, backend_names, create_backend)
+from repro.exec import BackendError
 from repro.session import Session
 from repro.testing.workloads import workload, workload_datasets
 
@@ -25,34 +24,19 @@ def canonical(report: BatchReport) -> str:
 
 
 # ----------------------------------------------------------------------
-# Registry
+# Backend names
 # ----------------------------------------------------------------------
 
 
-def test_registry_has_builtin_backends():
-    assert set(backend_names()) >= {"serial", "thread", "process"}
-
-
-def test_create_backend_instances():
-    assert isinstance(create_backend("serial"), SerialBackend)
-    assert isinstance(create_backend("thread"), ThreadBackend)
-    assert isinstance(create_backend("process"), ProcessBackend)
-
-
-def test_create_backend_unknown_name_lists_available():
+def test_unknown_backend_name_lists_available(rotowire_lake):
     with pytest.raises(BackendError) as excinfo:
-        create_backend("quantum")
+        Session(rotowire_lake).batch(
+            ["How many players are taller than 200?"], workers=2,
+            backend="quantum")
     message = str(excinfo.value)
     assert "quantum" in message
-    for name in backend_names():
+    for name in ("serial", "thread", "process"):
         assert name in message
-
-
-def test_session_rejects_non_backend_object():
-    session = Session("rotowire")
-    with pytest.raises(TypeError):
-        session.batch(["How many players are taller than 200?"],
-                      backend=object())
 
 
 # ----------------------------------------------------------------------
@@ -82,14 +66,6 @@ def test_default_backend_follows_worker_count(rotowire_lake):
     queries = ["How many players are taller than 200?"]
     assert session.batch(queries).backend == "serial"
     assert session.batch(queries, workers=2).backend == "thread"
-
-
-def test_explicit_backend_instance_is_used(rotowire_lake):
-    backend = ThreadBackend()
-    report = Session(rotowire_lake).batch(
-        ["How many players are taller than 200?"], workers=1,
-        backend=backend)
-    assert report.backend == "thread"
 
 
 # ----------------------------------------------------------------------
@@ -186,24 +162,24 @@ def test_process_worker_lanes_stay_warm_across_batches():
     assert warm.answer_hits > 0
 
 
-def test_shared_backend_rebuilds_lanes_for_same_shaped_lake():
+def test_process_lanes_rebuild_when_the_lake_content_changes():
     # Two seeds of one dataset share a *shape* fingerprint (plans
-    # transfer) but differ in content; a backend reused across sessions
-    # must rebuild its lanes, never serve answers about the first lake.
+    # transfer) but differ in content; warm lanes built for the old
+    # content must be rebuilt, never serve answers about it.
     query = "Who is the tallest player?"
-    backend = ProcessBackend()
-    try:
-        answers = {}
-        for seed in (1, 2):
-            with Session(load_lake("rotowire", seed=seed)) as session:
-                serial = session.query(query)
-                report = session.batch([query], workers=1, backend=backend)
-                assert report.num_errors == 0
-                assert report.results[0].value == serial.value
-                answers[seed] = serial.value
-        assert answers[1] != answers[2]  # the lakes genuinely differ
-    finally:
-        backend.close()
+    with Session(load_lake("rotowire", seed=1)) as session:
+        stale = session.batch([query], workers=1, backend="process")
+        assert stale.num_errors == 0
+        session.lake.add(load_lake("rotowire", seed=2).sources["players"])
+        fresh = session.query(query)
+        report = session.batch([query], workers=1, backend="process")
+        counters = session.metrics()["counters"]
+    assert fresh.value != stale.results[0].value  # the lakes differ
+    assert report.num_errors == 0
+    assert report.results[0].value == fresh.value
+    # The lake no longer matches its seed-1 spec, so the rebuilt worker
+    # refuses it and the query is answered by one counted fallback.
+    assert counters["worker_failures_total"] == 1
 
 
 def test_session_close_is_idempotent():

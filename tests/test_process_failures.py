@@ -1,6 +1,7 @@
-"""Process-backend failure paths: crashes, broken pools, timeouts.
+"""Batch worker-lane failure paths: crashes, broken pools, timeouts.
 
-The recovery contract: any worker failure records a ``phase="worker"``
+The recovery contract, for thread and process lanes alike: any worker
+failure records a ``phase="worker"``
 :class:`ErrorEvent`, never kills the batch, and every other query still
 completes in submission order.  Where the query itself is healthy the
 in-parent fallback answers it (event ``recovered=True``); where the
@@ -17,7 +18,6 @@ import pytest
 from _poison import (EXIT_MARKER, POISON_MARKER, SLEEP_MARKER,
                      HardExitPlanner, PoisonPlanner, SleepyPlanner,
                      WorkerOnlyPoisonPlanner)
-from repro.exec import ProcessBackend
 from repro.exec.lanes import ProcessLane
 from repro.llm.brain import SimulatedBrain
 from repro.session import Session
@@ -61,6 +61,23 @@ def test_poisoned_query_does_not_kill_the_pool():
         assert again.num_errors == 1
         assert again.num_ok == len(HEALTHY)
         assert again.cache_hits >= len(HEALTHY)
+
+
+def test_poisoned_query_does_not_kill_a_thread_batch():
+    # Thread lanes share the process lanes' failure policy: the crash
+    # costs the lane its engine, the query re-runs in the parent (and
+    # fails there too), and the batch completes in submission order.
+    queries = [HEALTHY[0], f"{POISON_MARKER} everything", HEALTHY[1]]
+    with Session("rotowire",
+                 planner=PoisonPlanner(SimulatedBrain())) as session:
+        report = session.batch(queries, workers=2, backend="thread")
+        counters = session.metrics()["counters"]
+    assert [stat.query for stat in report.stats] == queries
+    assert [r.kind for r in report.results] == ["value", "error", "value"]
+    poisoned = report.results[1]
+    assert [e.phase for e in poisoned.trace.errors] == ["worker", "execution"]
+    assert "poisoned query" in poisoned.trace.errors[0].message
+    assert counters["worker_failures_total"] == 1
 
 
 def test_worker_only_crash_falls_back_to_parent():
@@ -119,12 +136,9 @@ def test_hard_worker_exit_breaks_pool_but_not_the_batch():
 def test_query_timeout_kills_lane_and_falls_back():
     queries = [HEALTHY[0], f"{HEALTHY[1]} {SLEEP_MARKER}", HEALTHY[2]]
     planner = SleepyPlanner(SimulatedBrain(), os.getpid(), seconds=30.0)
-    backend = ProcessBackend(timeout=2.0)
     with Session("rotowire", planner=planner) as session:
-        try:
-            report = session.batch(queries, workers=2, backend=backend)
-        finally:
-            backend.close()
+        report = session.batch(queries, workers=2, backend="process",
+                               timeout=2.0)
     assert [r.trace.query for r in report.results] == queries
     slow = report.results[1]
     events = worker_events(slow)
@@ -140,12 +154,9 @@ def test_timed_out_lane_is_rebuilt_before_its_next_query():
     # killed worker's fate and fall back to the parent.
     queries = [f"{HEALTHY[1]} {SLEEP_MARKER}", HEALTHY[0], HEALTHY[2]]
     planner = SleepyPlanner(SimulatedBrain(), os.getpid(), seconds=30.0)
-    backend = ProcessBackend(timeout=2.0)
     with Session("rotowire", planner=planner) as session:
-        try:
-            report = session.batch(queries, workers=1, backend=backend)
-        finally:
-            backend.close()
+        report = session.batch(queries, workers=1, backend="process",
+                               timeout=2.0)
         counters = session.metrics()["counters"]
     assert report.num_errors == 0
     events = report.worker_failures
@@ -160,17 +171,16 @@ def test_concurrent_lane_folds_lose_no_update():
     # from four threads; a tiny switch interval makes a lost
     # update in the shared caches, registry or report likely.
     queries = workload("rotowire", repeats=2)
-    backend = ProcessBackend(timeout=60.0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with Session("rotowire") as session:
-            report = session.batch(queries, workers=4, backend=backend)
+            report = session.batch(queries, workers=4, backend="process",
+                                   timeout=60.0)
             counters = session.metrics()["counters"]
             cached_plans = len(session.plan_cache)
     finally:
         sys.setswitchinterval(interval)
-        backend.close()
     assert report.num_errors == 0 and not report.worker_failures
     assert report.cache_misses == cached_plans == len(set(queries))
     assert report.cache_hits + report.cache_misses == len(queries)
@@ -193,23 +203,17 @@ def test_lane_worker_dies_on_sigterm_under_a_parent_handler():
         lane.close()
 
 
-def test_process_backend_close_is_idempotent():
-    backend = ProcessBackend()
-    backend.close()
-    backend.close()
-
-
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_start_methods_answer_correctly(start_method):
     import multiprocessing
     if start_method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"{start_method} unavailable on this platform")
-    backend = ProcessBackend(start_method=start_method)
     with Session("rotowire") as session:
-        serial = session.batch([HEALTHY[0]], backend="serial")
+        serial = session.query(HEALTHY[0])
+        lane = ProcessLane(session, 0, start_method=start_method)
         try:
-            report = session.batch([HEALTHY[0]], workers=1, backend=backend)
+            result = lane.run(HEALTHY[0])
         finally:
-            backend.close()
-    assert report.num_errors == 0
-    assert report.results[0].value == serial.results[0].value
+            lane.close()
+    assert result.ok
+    assert result.value == serial.value

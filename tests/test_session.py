@@ -1,5 +1,10 @@
 """Tests for the Session facade and the pluggable engine roles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -41,12 +46,13 @@ def test_session_batch_parallel_matches_serial(rotowire_lake):
 def test_session_engine_pool_is_reused(rotowire_lake):
     session = Session(rotowire_lake)
     session.batch(BATCH, workers=2)
-    engines_after_two = list(session._engines)
-    assert len(engines_after_two) == 2
+    lanes_after_two = list(session._lanes["thread"])
+    assert len(lanes_after_two) == 2
     session.batch(BATCH, workers=2)
-    assert session._engines == engines_after_two  # no new engines
+    assert session._lanes["thread"] == lanes_after_two  # no new lanes
     session.batch(BATCH[:1], workers=4)
-    assert session._engines[:2] == engines_after_two  # pool only grows
+    assert session._lanes["thread"][:2] == lanes_after_two  # only grows
+    session.close()
 
 
 def test_session_config_and_brain_are_honoured(rotowire_lake):
@@ -99,3 +105,19 @@ def test_public_surface_exports():
                  "PlotSpec", "Planner", "Mapper", "Executor"):
         assert hasattr(repro, name), name
     assert isinstance(repro.__version__, str) and repro.__version__
+
+
+def test_import_repro_loads_no_lane_runtime():
+    """Batches import the worker lanes lazily, so starting the package
+    pays for neither ``repro.exec`` nor ``multiprocessing``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; "
+         "print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'multiprocessing' "
+         "or m.startswith('repro.exec')))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "[]"

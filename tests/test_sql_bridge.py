@@ -96,7 +96,7 @@ def test_engine_reuses_registrations_across_batch():
                  config=EngineConfig(relational_engine="sqlite")) as session:
         report = session.batch(queries)
         assert report.num_errors == 0
-        bridge = session.engine_pool(1)[0].sql_bridge
+        bridge = session._engine.sql_bridge
         # Three identical queries -> the lake table is copied into sqlite
         # once; the other SQL steps reuse the registration.
         assert bridge.registrations >= 1
