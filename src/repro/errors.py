@@ -41,10 +41,6 @@ class TypeMismatchError(SchemaError):
     """An operator received a column of an unsupported datatype."""
 
 
-class ExpressionError(ReproError):
-    """A predicate / scalar expression could not be parsed or evaluated."""
-
-
 class SQLGuardError(ReproError):
     """Generated SQL was rejected by the SELECT-only security guard."""
 

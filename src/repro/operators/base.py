@@ -21,10 +21,11 @@ from typing import Callable
 from repro.core.answer_cache import AnswerCache
 from repro.data.datatypes import DataType
 from repro.data.table import Table
-from repro.errors import OperatorError, UnknownTableError
+from repro.errors import OperatorError, ReproError, UnknownTableError
 from repro.obs.trace import QueryTelemetry
 from repro.plotting.spec import PlotSpec
-from repro.relational.sqlexec import SQLBridge, run_sql
+from repro.relational import colexec
+from repro.relational.sqlexec import SQLBridge
 from repro.text.qa import BartQASim
 from repro.vision.blip import Blip2Sim
 
@@ -40,11 +41,11 @@ class ExecutionContext:
     #: set, the VQA / TextQA / Image Select operators memoize model answers
     #: through it instead of re-running inference.
     answer_cache: AnswerCache | None = None
-    #: optional engine-lifetime :class:`~repro.relational.sqlexec.SQLBridge`;
-    #: when set, the SQL operator runs over this persistent connection
-    #: (tables are re-registered only when their content fingerprint
-    #: changes) instead of rebuilding an in-memory database per call.
-    sql_bridge: SQLBridge | None = None
+    #: the sqlite :class:`~repro.relational.sqlexec.SQLBridge` statements
+    #: colexec declines run on; an engine passes its engine-lifetime
+    #: bridge, so a table is re-registered only when its content
+    #: fingerprint changes.
+    sql_bridge: SQLBridge = field(default_factory=SQLBridge)
     #: optional per-query :class:`~repro.obs.QueryTelemetry`; operators
     #: record cache locality and inference counts into it via
     #: :meth:`count` / :meth:`record_answer_lookup`.
@@ -63,14 +64,30 @@ class ExecutionContext:
     def bind(self, name: str, table: Table) -> None:
         self.tables[name] = table
 
-    def run_sql(self, sql: str, tables: dict[str, Table]) -> Table:
-        """Run one SELECT over *tables* through the sqlite bridge: the
-        engine-lifetime :attr:`sql_bridge` when set (registrations
-        memoized on content fingerprints, pruned against :attr:`tables`),
-        else a one-shot in-memory database."""
-        if self.sql_bridge is not None:
-            return self.sql_bridge.execute(sql, tables, known=self.tables)
-        return run_sql(sql, tables)
+    def execute_sql(self, sql: str, tables: dict[str, Table],
+                    operator: str) -> Table:
+        """Run one SELECT over *tables*: on colexec's typed kernels unless
+        :attr:`relational_engine` is ``"sqlite"`` or colexec declines the
+        statement (counted as ``colexec_declined``), else on
+        :attr:`sql_bridge` (registrations pruned against :attr:`tables`).
+        Counts the engine that answered as ``sql_engine_<engine>``; a
+        bridge failure raises :class:`OperatorError` for *operator*."""
+        engine = self.relational_engine
+        result = None
+        if engine != "sqlite":
+            try:
+                result = colexec.execute(sql, tables)
+            except colexec.UnsupportedSQL:
+                self.count("colexec_declined")
+                engine = "sqlite"
+        if result is None:
+            try:
+                result = self.sql_bridge.execute(sql, tables,
+                                                 known=self.tables)
+            except ReproError as exc:
+                raise OperatorError(str(exc), operator=operator) from exc
+        self.count(f"sql_engine_{engine}")
+        return result
 
     def count(self, name: str, value: int = 1) -> None:
         """Bump a telemetry counter; no-op when telemetry is unset."""

@@ -11,21 +11,20 @@ every other operator — the engine loop is untouched; the card below is all
 the mapping prompt needs (the paper's "provide all necessary information
 about their behavior in the prompt").
 
-Execution tries colexec's in-process join first (unless the context asks
-for the sqlite engine) and otherwise runs the statement
-:func:`~repro.relational.sqlexec.build_join_sql` builds on the sqlite
-bridge (:meth:`~repro.operators.base.ExecutionContext.run_sql`), the same
-path the SQL operator falls back to.  Both paths produce
-identically-shaped, identically-ordered tables.
+Execution runs the one SELECT :func:`~repro.relational.sqlexec.build_join_sql`
+builds through
+:meth:`~repro.operators.base.ExecutionContext.execute_sql`, the same
+path as the SQL operator: colexec when the statement fits its kernels,
+else the sqlite bridge, with identically-shaped, identically-ordered
+results either way.
 """
 
 from __future__ import annotations
 
-from repro.errors import OperatorError, ReproError
+from repro.errors import OperatorError
 from repro.operators.base import (ExecutionContext, OperatorCard,
                                   OperatorResult, PhysicalOperator,
                                   register_operator)
-from repro.relational import colexec
 from repro.relational.sqlexec import build_join_sql
 
 
@@ -56,25 +55,10 @@ class JoinOperator(PhysicalOperator):
                     f"join key {key!r} is missing from table {name!r} "
                     f"(available columns: {table.column_names})",
                     operator=self.name)
-        result = None
-        engine = context.relational_engine
-        if engine != "sqlite":
-            # In-process join in the bridge's result representation;
-            # shapes it cannot reproduce byte-identically fall through.
-            try:
-                result = colexec.join_tables(left, right, left_on, right_on)
-            except colexec.UnsupportedSQL:
-                context.count("colexec_declined")
-        if result is None:
-            engine = "sqlite"
-            sql = build_join_sql(left_name, right_name, left_on, right_on,
-                                 left.column_names, right.column_names)
-            try:
-                result = context.run_sql(sql, {left_name: left,
-                                               right_name: right})
-            except ReproError as exc:
-                raise OperatorError(str(exc), operator=self.name) from exc
-        context.count(f"sql_engine_{engine}")
+        sql = build_join_sql(left_name, right_name, left_on, right_on,
+                             left.column_names, right.column_names)
+        result = context.execute_sql(sql, {left_name: left,
+                                           right_name: right}, self.name)
         context.count("joins_executed")
         observation = (
             f"Join produced a table with {result.num_rows} rows and "

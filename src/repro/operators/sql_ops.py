@@ -2,8 +2,10 @@
 
 CAESURA "has access to all relational operators supported by SQLite"; the
 mapping phase emits a single guarded SELECT statement which is executed over
-the current execution context through the sqlite3 bridge.  Modality columns
-survive via object tokens (:mod:`repro.relational.sqlexec`).
+the current execution context by
+:meth:`~repro.operators.base.ExecutionContext.execute_sql`: in-process on
+colexec's typed kernels, else through the sqlite3 bridge, where modality
+columns survive via object tokens (:mod:`repro.relational.sqlexec`).
 """
 
 from __future__ import annotations
@@ -11,11 +13,9 @@ from __future__ import annotations
 import re
 
 from repro.data.table import Table
-from repro.errors import OperatorError, ReproError
 from repro.operators.base import (ExecutionContext, OperatorCard,
                                   OperatorResult, PhysicalOperator,
                                   register_operator)
-from repro.relational import colexec
 
 
 def referenced_tables(sql: str, tables: dict[str, Table]) -> dict[str, Table]:
@@ -49,23 +49,8 @@ class SQLOperator(PhysicalOperator):
     def run(self, context: ExecutionContext, args: list[str]) -> OperatorResult:
         (sql,) = self.require_args(args, 1)
         context.count("sql_statements")
-        tables = referenced_tables(sql, context.tables)
-        result = None
-        engine = context.relational_engine
-        if engine != "sqlite":
-            # In-process execution over column storage; anything outside
-            # the proven-identical envelope falls through to the bridge.
-            try:
-                result = colexec.execute(sql, tables)
-            except colexec.UnsupportedSQL:
-                context.count("colexec_declined")
-                engine = "sqlite"
-        if result is None:
-            try:
-                result = context.run_sql(sql, tables)
-            except ReproError as exc:
-                raise OperatorError(str(exc), operator=self.name) from exc
-        context.count(f"sql_engine_{engine}")
+        result = context.execute_sql(
+            sql, referenced_tables(sql, context.tables), self.name)
         observation = (
             f"SQL returned a table with {result.num_rows} rows and columns "
             f"{result.column_names}.")

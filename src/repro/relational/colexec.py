@@ -15,9 +15,13 @@ left-row-major joins, NULLs-first ascending sorts, first-occurrence
 DISTINCT), the same duplicate-name suffixing.  Any statement — or data
 shape — outside the envelope where that equivalence is *proven* raises
 :class:`UnsupportedSQL` and the caller falls back to the bridge, so
-correctness never depends on this module being clever enough.  Filters
-run as numpy masks over typed column buffers; aggregates and ordering
-run over adapted (sqlite-representation) values.
+correctness never depends on this module being clever enough.  The
+envelope is exactly what has a typed kernel: filters run as numpy masks
+over typed column buffers, group keys split with one stable sort over
+them, and aggregates reduce them; a predicate, group key or aggregate
+over storage without such a kernel (object-stored or float columns,
+non-ISO date literals, integer sums near the exact bound) declines.
+Ordering and DISTINCT run over adapted (sqlite-representation) values.
 """
 
 from __future__ import annotations
@@ -25,10 +29,9 @@ from __future__ import annotations
 import functools
 import operator
 import re
-import sqlite3
 from dataclasses import dataclass
 from datetime import date
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -38,9 +41,6 @@ from repro.data.columns import (BoolColumn, Column, DateColumn, FloatColumn,
 from repro.data.datatypes import DataType
 from repro.data.schema import ColumnSpec, Schema
 from repro.data.table import Table
-from repro.relational.expressions import (Between, BoolOp, ColumnRef,
-                                          Comparison, Expr, InList, IsNull,
-                                          Like, Literal)
 from repro.relational.sqlexec import (_adapt_cell, _infer_sql_dtype,
                                       join_renames)
 
@@ -111,6 +111,72 @@ def _tokenize(sql: str) -> list[tuple[str, object]]:
 # ----------------------------------------------------------------------
 # Statement IR
 # ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Literal:
+    value: object
+
+
+@dataclass(frozen=True)
+class ColumnRef:
+    name: str
+
+
+@dataclass(frozen=True)
+class Comparison:
+    op: str
+    left: ColumnRef
+    right: Literal
+
+
+@dataclass(frozen=True)
+class Between:
+    operand: ColumnRef
+    low: Literal
+    high: Literal
+
+
+@dataclass(frozen=True)
+class Like:
+    operand: ColumnRef
+    pattern: str
+    negated: bool = False
+
+
+@dataclass(frozen=True)
+class InList:
+    operand: ColumnRef
+    values: tuple[object, ...]
+    negated: bool = False
+
+
+@dataclass(frozen=True)
+class IsNull:
+    operand: ColumnRef
+    negated: bool = False
+
+
+@dataclass(frozen=True)
+class BoolOp:
+    op: str  # "and" | "or"
+    operands: tuple[Expr, ...]
+
+
+#: A WHERE clause: ``<column> <predicate>`` leaves under AND / OR.
+Expr = Union[Comparison, Between, Like, InList, IsNull, BoolOp]
+
+
+def _where_column(expr: Expr) -> str:
+    """The column a leaf predicate reads."""
+    return (expr.left if isinstance(expr, Comparison) else expr.operand).name
+
+
+def _where_columns(expr: Expr) -> set[str]:
+    """Every column a WHERE clause reads."""
+    if isinstance(expr, BoolOp):
+        return set().union(*map(_where_columns, expr.operands))
+    return {_where_column(expr)}
 
 
 @dataclass(frozen=True)
@@ -454,18 +520,6 @@ def _adapted_column(table: Table, name: str) -> list[object]:
     return table.derived(("sql_adapted", name), adapt)
 
 
-def _column_kind(values: Sequence[object]) -> str:
-    """``num`` / ``str`` / ``empty`` over adapted values."""
-    kinds = {type(v) for v in values if v is not None}
-    if not kinds:
-        return "empty"
-    if kinds <= {int, float}:
-        return "num"
-    if kinds == {str}:
-        return "str"
-    return "other"
-
-
 def _strict_iso_date(text: str) -> date | None:
     """Parse *text* as a zero-padded ISO date, else ``None``.
 
@@ -479,102 +533,9 @@ def _strict_iso_date(text: str) -> date | None:
     return parsed if parsed.isoformat() == text else None
 
 
-# ----------------------------------------------------------------------
-# Predicate guards
-# ----------------------------------------------------------------------
-
-
-def _literal_class(value: object) -> str:
-    if type(value) in (int, float):
-        return "num"
-    if type(value) is str:
-        return "str"
-    raise UnsupportedSQL(f"unsupported literal {value!r}")
-
-
-class _Source:
-    """One statement's source table plus per-column adapted caches."""
-
-    def __init__(self, table: Table):
-        self.table = table
-        self._adapted: dict[str, list[object]] = {}
-        self._kinds: dict[str, str] = {}
-
-    def adapted(self, name: str) -> list[object]:
-        cached = self._adapted.get(name)
-        if cached is None:
-            cached = _adapted_column(self.table, name)
-            self._adapted[name] = cached
-        return cached
-
-    def kind(self, name: str) -> str:
-        cached = self._kinds.get(name)
-        if cached is None:
-            storage = self.table.storage(name)
-            if isinstance(storage, (IntColumn, FloatColumn, BoolColumn)):
-                cached = "num"
-            elif isinstance(storage, (StringColumn, DateColumn)):
-                cached = "str"
-            else:
-                cached = _column_kind(self.adapted(name))
-            if len(storage) == 0:
-                cached = "empty"
-            self._kinds[name] = cached
-        return cached
-
-
-def _predicate_column(source: _Source, expr: Expr) -> str:
-    operand = getattr(expr, "operand", None) or getattr(expr, "left", None)
-    if not isinstance(operand, ColumnRef):
-        raise UnsupportedSQL("predicates must compare a column")
-    name = operand.name
-    if name not in source.table:
-        raise UnsupportedSQL(f"unknown column {name!r} in WHERE")
-    if source.table.dtype(name).is_modality and not isinstance(expr, IsNull):
-        raise UnsupportedSQL(f"cannot compare modality column {name!r}")
-    return name
-
-
-def _guard_predicate(source: _Source, expr: Expr) -> None:
-    """Reject predicate / data combinations whose columnar evaluation is
-    not provably identical to sqlite's."""
-    if isinstance(expr, BoolOp):
-        for operand in expr.operands:
-            _guard_predicate(source, operand)
-        return
-    if isinstance(expr, IsNull):
-        _predicate_column(source, expr)
-        return
-    name = _predicate_column(source, expr)
-    kind = source.kind(name)
-    if kind == "other":
-        raise UnsupportedSQL(f"mixed-type column {name!r} in WHERE")
-
-    def check_literal(value: object) -> None:
-        cls = _literal_class(value)
-        if kind != "empty" and cls != kind:
-            # sqlite orders across storage classes; Python comparisons
-            # do not. Type-mismatched comparisons leave the envelope.
-            raise UnsupportedSQL(
-                f"{cls} literal against {kind} column {name!r}")
-
-    if isinstance(expr, Comparison):
-        if not isinstance(expr.right, Literal):
-            raise UnsupportedSQL("comparison needs a literal right side")
-        check_literal(expr.right.value)
-    elif isinstance(expr, Between):
-        for bound in (expr.low, expr.high):
-            if not isinstance(bound, Literal):
-                raise UnsupportedSQL("BETWEEN needs literal bounds")
-            check_literal(bound.value)
-    elif isinstance(expr, InList):
-        for value in expr.values:
-            check_literal(value)
-    elif isinstance(expr, Like):
-        if kind not in ("str", "empty"):
-            raise UnsupportedSQL(f"LIKE over non-text column {name!r}")
-    else:
-        raise UnsupportedSQL(f"unsupported predicate {type(expr).__name__}")
+def _no_kernel(what: str, storage: Column) -> UnsupportedSQL:
+    return UnsupportedSQL(f"{what} over {type(storage).__name__} storage "
+                          "has no typed kernel")
 
 
 # ----------------------------------------------------------------------
@@ -666,27 +627,31 @@ def _pool_ranks(pool: list[str]) -> np.ndarray | None:
     return ranks
 
 
-def _comparison_mask(source: _Source, name: str, op: str,
-                     literal: object) -> np.ndarray | None:
-    storage = source.table.storage(name)
+def _comparison_mask(storage: Column, op: str,
+                     literal: object) -> np.ndarray:
+    """``<column> <op> <literal>``; the parser yields int, float and str
+    literals only.  A literal of another storage class than the column's
+    declines: sqlite orders across storage classes, numpy does not."""
     apply_op = _PY_OPS[op]
     if isinstance(storage, (IntColumn, FloatColumn, BoolColumn)):
-        if not isinstance(literal, (int, float)) or isinstance(literal, bool) \
-                or (isinstance(literal, int)
-                    and not _INT64_MIN <= literal <= _INT64_MAX):
-            return None  # adapted row fallback
+        if isinstance(literal, str):
+            raise UnsupportedSQL("text literal against a numeric column")
+        if isinstance(literal, int) \
+                and not _INT64_MIN <= literal <= _INT64_MAX:
+            raise UnsupportedSQL("integer literal outside int64")
         values, notnull = _numeric_buffer(storage)
         return apply_op(values, literal) & notnull
     if isinstance(storage, DateColumn):
-        parsed = _strict_iso_date(str(literal)) \
+        parsed = _strict_iso_date(literal) \
             if isinstance(literal, str) else None
         if parsed is None:
-            return None  # lexicographic comparison: adapted row fallback
+            # sqlite would compare the ISO text lexicographically.
+            raise UnsupportedSQL("date comparison needs an ISO date literal")
         values, notnull = _numeric_buffer(storage)
         return apply_op(values, parsed.toordinal()) & notnull
     if isinstance(storage, StringColumn):
         if not isinstance(literal, str):
-            return None
+            raise UnsupportedSQL("numeric literal against a text column")
         if op in ("=", "==", "!=", "<>"):
             # Dictionary-encoded equality: one index probe plus a vector
             # compare on the codes, no pool scan.
@@ -708,108 +673,62 @@ def _comparison_mask(source: _Source, name: str, op: str,
             return np.isin(_string_codes(storage), allowed)
         return _pool_matches(storage,
                              lambda text: bool(apply_op(text, literal)))
-    return None
+    raise _no_kernel("a comparison", storage)
 
 
-def _compile_mask(source: _Source, expr: Expr) -> np.ndarray | None:
-    """A numpy boolean mask for *expr*, or ``None`` when a referenced
-    column has no typed kernel (the caller falls back to row evaluation;
-    the guards already proved that fallback matches sqlite)."""
+def _compile_mask(table: Table, expr: Expr) -> np.ndarray:
+    """A numpy boolean mask for *expr* over *table*; raises
+    :class:`UnsupportedSQL` when a predicate has no typed kernel."""
     if isinstance(expr, BoolOp):
-        masks = []
-        for operand in expr.operands:
-            mask = _compile_mask(source, operand)
-            if mask is None:
-                return None
-            masks.append(mask)
-        combined = masks[0]
-        for mask in masks[1:]:
-            combined = (combined & mask if expr.op == "and"
-                        else combined | mask)
-        return combined
+        return functools.reduce(
+            operator.and_ if expr.op == "and" else operator.or_,
+            (_compile_mask(table, operand) for operand in expr.operands))
+    name = _where_column(expr)
+    if name not in table:
+        raise UnsupportedSQL(f"unknown column {name!r} in WHERE")
+    if table.dtype(name).is_modality and not isinstance(expr, IsNull):
+        raise UnsupportedSQL(f"cannot compare modality column {name!r}")
+    storage = table.storage(name)
     if isinstance(expr, Comparison):
-        name = expr.left.name  # type: ignore[union-attr]
-        return _comparison_mask(source, name, expr.op,
-                                expr.right.value)  # type: ignore[union-attr]
+        return _comparison_mask(storage, expr.op, expr.right.value)
     if isinstance(expr, Between):
-        name = expr.operand.name  # type: ignore[union-attr]
-        low = _comparison_mask(source, name, ">=",
-                               expr.low.value)  # type: ignore[union-attr]
-        high = _comparison_mask(source, name, "<=",
-                                expr.high.value)  # type: ignore[union-attr]
-        if low is None or high is None:
-            return None
-        return low & high
+        return (_comparison_mask(storage, ">=", expr.low.value)
+                & _comparison_mask(storage, "<=", expr.high.value))
+    if isinstance(expr, IsNull):
+        notnull = _notnull_mask(storage)
+        return notnull if expr.negated else ~notnull
     if isinstance(expr, InList):
-        name = expr.operand.name  # type: ignore[union-attr]
-        storage = source.table.storage(name)
         if isinstance(storage, StringColumn):
-            # Only string members can equal a pool text; map them to
-            # dictionary codes instead of scanning the pool.
+            if not all(isinstance(value, str) for value in expr.values):
+                raise UnsupportedSQL("numeric IN member against a text "
+                                     "column")
+            # Map the members to dictionary codes instead of scanning
+            # the pool.
             allowed = np.array(
                 sorted({code for value in expr.values
-                        if isinstance(value, str)
-                        and (code := storage.code_of(value)) is not None}),
+                        if (code := storage.code_of(value)) is not None}),
                 dtype=np.int32)
             base = np.isin(_string_codes(storage), allowed)
         else:
-            base = None
-            for value in expr.values:
-                mask = _comparison_mask(source, name, "=", value)
-                if mask is None:
-                    return None
-                base = mask if base is None else base | mask
-            if base is None:
-                base = np.zeros(source.table.num_rows, dtype=bool)
-        if expr.negated:
-            return _notnull_mask(source, name) & ~base
-        return base
-    if isinstance(expr, Like):
-        name = expr.operand.name  # type: ignore[union-attr]
-        storage = source.table.storage(name)
+            base = functools.reduce(operator.or_, (
+                _comparison_mask(storage, "=", value)
+                for value in expr.values))
+    else:  # Like
         if not isinstance(storage, StringColumn):
-            return None
+            raise _no_kernel("LIKE", storage)
         regex = _like_regex(expr.pattern)
         base = _pool_matches(
             storage, lambda text: regex.fullmatch(text) is not None)
-        if expr.negated:
-            return _notnull_mask(source, name) & ~base
-        return base
-    if isinstance(expr, IsNull):
-        notnull = _notnull_mask(source, expr.operand.name)  # type: ignore[union-attr]
-        if notnull is None:
-            return None
-        return notnull if expr.negated else ~notnull
-    return None
+    # NOT IN / NOT LIKE: a NULL cell satisfies neither form.
+    return _notnull_mask(storage) & ~base if expr.negated else base
 
 
-def _notnull_mask(source: _Source, name: str) -> np.ndarray | None:
-    storage = source.table.storage(name)
-    if isinstance(storage, (IntColumn, FloatColumn, BoolColumn, DateColumn)):
-        return np.frombuffer(bytes(storage.nulls), dtype=np.uint8) == 0
+def _notnull_mask(storage: Column) -> np.ndarray:
     if isinstance(storage, StringColumn):
         return _string_codes(storage) >= 0
-    return None
-
-
-def _filter_indices(source: _Source, expr: Expr) -> list[int]:
-    mask = _compile_mask(source, expr)
-    if mask is not None:
-        return np.flatnonzero(mask).tolist()
-    columns = {}
-    for name in expr.referenced_columns():
-        if source.table.dtype(name).is_modality:
-            # Only IS NULL can reference modality columns (guarded), and
-            # it needs the raw objects, not adapted cells.
-            columns[name] = source.table.storage(name).materialize()
-        else:
-            columns[name] = source.adapted(name)
-    indices = []
-    for i in range(source.table.num_rows):
-        row = {name: values[i] for name, values in columns.items()}
-        if expr.evaluate(row):
-            indices.append(i)
-    return indices
+    if isinstance(storage, ObjectColumn):
+        raise _no_kernel("IS NULL", storage)
+    return np.frombuffer(bytes(storage.nulls), dtype=np.uint8) == 0
 
 
 # ----------------------------------------------------------------------
@@ -833,77 +752,12 @@ def _order_indices(indices: Sequence[int], values: Sequence[object],
 def _ordered_group_keys(keys: Sequence[object],
                         descending: bool) -> list[object]:
     """Group keys in sqlite output order: sorted, NULL group first
-    ascending / last descending."""
-    has_null = any(k is None for k in keys)
-    rest = [k for k in keys if k is not None]
-    try:
-        rest.sort(reverse=descending)
-    except TypeError as exc:
-        raise UnsupportedSQL("mixed-type GROUP BY column") from exc
-    if not has_null:
+    ascending / last descending (keys of one typed store never mix
+    types)."""
+    rest = sorted((k for k in keys if k is not None), reverse=descending)
+    if None not in keys:
         return rest
     return rest + [None] if descending else [None] + rest
-
-
-def _int_sum_bound(values: Sequence[object], func: str) -> None:
-    """Decline integer SUM / AVG whose group sums could leave the range
-    where Python and sqlite provably agree (int64 overflow errors for
-    SUM, double rounding for AVG)."""
-    magnitude = sum(abs(v) for v in values if v is not None)
-    limit = _EXACT_FLOAT_INT if func == "avg" else _INT64_MAX
-    if magnitude > limit:
-        raise UnsupportedSQL(f"{func} beyond exact integer range")
-
-
-def sqlite_float_sum(numbers: Sequence[float]) -> float:
-    """Sum *numbers* exactly the way the host sqlite's ``SUM()`` does.
-
-    sqlite accumulates floating-point sums naively (in row order) before
-    3.44 and with Kahan-Babuska compensation from 3.44 on.  Matching the
-    linked library keeps columnar aggregates byte-identical with the
-    sqlite bridge on every platform, which the differential fuzzer
-    asserts.
-    """
-    if sqlite3.sqlite_version_info < (3, 44, 0):
-        total = 0.0
-        for number in numbers:
-            total += number
-        return total
-    total = 0.0
-    error = 0.0
-    for number in numbers:
-        new_total = total + number
-        if abs(total) > abs(number):
-            error += (total - new_total) + number
-        else:
-            error += (number - new_total) + total
-        total = new_total
-    return total + error
-
-
-def _agg_over(func: str, distinct: bool, values: list[object]) -> object:
-    """One aggregate over adapted *values*, with sqlite's semantics."""
-    kept = [v for v in values if v is not None]
-    if func == "count":
-        return len(set(kept)) if distinct else len(kept)
-    if not kept:
-        return None
-    if func in ("sum", "avg"):
-        if all(type(v) is int for v in kept):
-            total = sum(kept)
-            return total if func == "sum" else total / len(kept)
-        if all(type(v) is float for v in kept):
-            total = sqlite_float_sum(kept)
-            return total if func == "sum" else total / len(kept)
-        raise UnsupportedSQL(f"{func} over mixed-type values")
-    # min / max
-    kinds = {type(v) for v in kept}
-    if not (kinds <= {int, float} or kinds == {str}):
-        raise UnsupportedSQL(f"{func} over mixed-type values")
-    return min(kept) if func == "min" else max(kept)
-
-
-_AGG_MISS = object()
 
 
 def _masked_int64(storage: IntColumn | DateColumn,
@@ -915,123 +769,120 @@ def _masked_int64(storage: IntColumn | DateColumn,
     return values, notnull
 
 
-def _agg_fast(table: Table, column: str, func: str, distinct: bool,
-              members: Sequence[int]) -> object:
-    """One aggregate straight off typed storage, or ``_AGG_MISS``.
+#: Storage an aggregate has a typed kernel for (COUNT(DISTINCT) runs
+#: over adapted cells, and COUNT over a modality column counts objects).
+_AGG_KERNELS = {
+    "count": (IntColumn, DateColumn, StringColumn, FloatColumn, BoolColumn),
+    "sum": (IntColumn,),
+    "avg": (IntColumn,),
+    "min": (IntColumn, DateColumn, StringColumn),
+    "max": (IntColumn, DateColumn, StringColumn),
+}
 
-    Only cases provably identical to :func:`_agg_over` over the adapted
-    values run here: counts are non-null counts, int64 min/max/sum are
-    exact, date min/max maps through ordinals (ISO strings order the
-    same way), and int sums stay well inside the range the guard already
-    proved.  Everything else — distinct, floats (NaN ordering, sequential
-    rounding), promoted columns — falls back to the adapted-value path.
-    """
-    if distinct:
-        return _AGG_MISS
+
+def _aggregate(table: Table, column: str | None, item: AggItem,
+               members: Sequence[int]) -> object:
+    """One aggregate over the rows *members*, with sqlite's semantics:
+    counts are non-null counts, int64 min/max/sum are exact, date
+    min/max maps through ordinals (ISO strings order the same way), and
+    int sums stay inside the range :func:`_guard_aggregate` proved."""
+    if column is None:
+        return len(members)
     storage = table.storage(column)
-    if isinstance(storage, (IntColumn, DateColumn)):
-        values, notnull = _masked_int64(storage, members)
-        if func == "count":
-            return int(notnull.sum())
-        kept = values[notnull]
-        if kept.size == 0:
-            return None
-        if func in ("min", "max"):
-            winner = int(kept.min() if func == "min" else kept.max())
-            if isinstance(storage, DateColumn):
-                return date.fromordinal(winner).isoformat()
-            return winner
-        if isinstance(storage, DateColumn):
-            return _AGG_MISS  # sum/avg over ISO strings: mixed-type error
-        # The guard bounded |sum| well below int64, so numpy's wrapping
-        # arithmetic cannot actually wrap here.
-        total = int(kept.sum(dtype=np.int64))
-        return total if func == "sum" else total / int(kept.size)
+    if table.dtype(column).is_modality:
+        # Tokens are unique per cell, so sqlite's COUNT and
+        # COUNT(DISTINCT) both equal the non-null count.
+        values = storage.materialize()
+        return sum(1 for i in members if values[i] is not None)
+    if item.distinct:
+        values = _adapted_column(table, column)
+        return len({values[i] for i in members} - {None})
+    func = item.func
     if isinstance(storage, StringColumn):
         codes = _string_codes(storage)[members]
         kept = codes[codes >= 0]
         if func == "count":
             return int(kept.size)
-        if func in ("min", "max"):
-            if kept.size == 0:
-                return None
-            ranks = _pool_ranks(storage.pool)
-            if ranks is None:
-                return _AGG_MISS  # NUL-bearing pool: exact path
-            # min/max have no unicode ufunc, but the cached per-pool
-            # rank table orders codes like Python orders the strings, so
-            # one integer argmin/argmax does it.  Plain str, not
-            # np.str_: cell reprs feed the fingerprint.
-            kept_ranks = ranks[kept]
-            winner = int(np.argmin(kept_ranks) if func == "min"
-                         else np.argmax(kept_ranks))
-            return str(storage.pool[int(kept[winner])])
-        return _AGG_MISS
-    if func == "count" and isinstance(storage, (FloatColumn, BoolColumn)):
+        if kept.size == 0:
+            return None
+        ranks = _pool_ranks(storage.pool)
+        if ranks is None:
+            raise UnsupportedSQL(f"{func} over a NUL-bearing string pool")
+        # min/max have no unicode ufunc, but the cached per-pool rank
+        # table orders codes like Python orders the strings, so one
+        # integer argmin/argmax does it.  Plain str, not np.str_: cell
+        # reprs feed the fingerprint.
+        kept_ranks = ranks[kept]
+        winner = int(np.argmin(kept_ranks) if func == "min"
+                     else np.argmax(kept_ranks))
+        return str(storage.pool[int(kept[winner])])
+    if func == "count":
         notnull = np.frombuffer(bytes(storage.nulls),
                                 dtype=np.uint8)[members] == 0
         return int(notnull.sum())
-    return _AGG_MISS
+    values, notnull = _masked_int64(storage, members)
+    kept = values[notnull]
+    if kept.size == 0:
+        return None
+    if func in ("min", "max"):
+        winner = int(kept.min() if func == "min" else kept.max())
+        if isinstance(storage, DateColumn):
+            return date.fromordinal(winner).isoformat()
+        return winner
+    # The guard bounded |sum| well below int64, so numpy's wrapping
+    # arithmetic cannot actually wrap here.
+    total = int(kept.sum(dtype=np.int64))
+    return total if func == "sum" else total / int(kept.size)
 
 
-def _build_groups(source: _Source, key: str,
+def _build_groups(table: Table, key: str,
                   indices: Sequence[int]) -> dict[object, Sequence[int]]:
     """Group *indices* by the adapted key values, members ascending —
     exactly the dict produced by a setdefault loop over the adapted
-    column, built with one stable sort over the typed buffers.
-
-    Float (NaN grouping follows object identity in the dict path) and
-    object-promoted keys fall back to that loop.
-    """
-    storage = source.table.storage(key)
-    vectorized = isinstance(storage, (IntColumn, DateColumn, BoolColumn,
-                                      StringColumn))
-    if vectorized:
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.size == 0:
-            return {}
-        if isinstance(storage, StringColumn):
-            raw = _string_codes(storage)[idx].astype(np.int64)
-            isnull = raw < 0
-        elif isinstance(storage, BoolColumn):
-            raw = np.frombuffer(bytes(storage.data),
-                                dtype=np.uint8)[idx].astype(np.int64)
-            isnull = np.frombuffer(bytes(storage.nulls),
-                                   dtype=np.uint8)[idx] == 1
-            raw[isnull] = 0
+    column, built with one stable sort over the typed buffers."""
+    storage = table.storage(key)
+    if not isinstance(storage, (IntColumn, DateColumn, BoolColumn,
+                                StringColumn)):
+        raise _no_kernel("GROUP BY", storage)
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.size == 0:
+        return {}
+    if isinstance(storage, StringColumn):
+        raw = _string_codes(storage)[idx].astype(np.int64)
+        isnull = raw < 0
+    elif isinstance(storage, BoolColumn):
+        raw = np.frombuffer(bytes(storage.data),
+                            dtype=np.uint8)[idx].astype(np.int64)
+        isnull = np.frombuffer(bytes(storage.nulls),
+                               dtype=np.uint8)[idx] == 1
+        raw[isnull] = 0
+    else:
+        raw, notnull = _masked_int64(storage, idx)
+        isnull = ~notnull
+    # Stored null sentinels are uniform per store (code -1 / raw 0), so
+    # (isnull, raw) pairs split the sort into exact groups.
+    order = np.lexsort((raw, isnull))
+    sorted_raw = raw[order]
+    sorted_null = isnull[order]
+    breaks = np.flatnonzero((sorted_raw[1:] != sorted_raw[:-1])
+                            | (sorted_null[1:] != sorted_null[:-1])) + 1
+    groups: dict[object, Sequence[int]] = {}
+    for chunk in np.split(order, breaks):
+        first = chunk[0]
+        if isnull[first]:
+            group_key: object = None
+        elif isinstance(storage, StringColumn):
+            group_key = storage.pool[int(raw[first])]
+        elif isinstance(storage, DateColumn):
+            group_key = date.fromordinal(int(raw[first])).isoformat()
         else:
-            raw, notnull = _masked_int64(storage, idx)
-            isnull = ~notnull
-        # Stored null sentinels are uniform per store (code -1 / raw 0),
-        # so (isnull, raw) pairs split the sort into exact groups.
-        order = np.lexsort((raw, isnull))
-        sorted_raw = raw[order]
-        sorted_null = isnull[order]
-        breaks = np.flatnonzero((sorted_raw[1:] != sorted_raw[:-1])
-                                | (sorted_null[1:] != sorted_null[:-1])) + 1
-        groups: dict[object, Sequence[int]] = {}
-        for chunk in np.split(order, breaks):
-            first = chunk[0]
-            if isnull[first]:
-                group_key: object = None
-            elif isinstance(storage, StringColumn):
-                group_key = storage.pool[int(raw[first])]
-            elif isinstance(storage, DateColumn):
-                group_key = date.fromordinal(int(raw[first])).isoformat()
-            else:
-                group_key = int(raw[first])
-            groups[group_key] = idx[chunk]
-        return groups
-    key_values = source.adapted(key)
-    fallback: dict[object, list[int]] = {}
-    for i in indices:
-        fallback.setdefault(key_values[i], []).append(i)
-    return fallback
+            group_key = int(raw[first])
+        groups[group_key] = idx[chunk]
+    return groups
 
 
-def _guard_aggregate(source: _Source, item: AggItem,
+def _guard_aggregate(table: Table, item: AggItem,
                      resolve: Callable[[tuple[str | None, str]], str],
-                     selected: Callable[[str], list[object]],
                      indices: Sequence[int]) -> str | None:
     """Validate one aggregate item; returns the resolved source column
     (``None`` for ``COUNT(*)``).  *indices* lets the int SUM/AVG range
@@ -1039,36 +890,23 @@ def _guard_aggregate(source: _Source, item: AggItem,
     if item.column is None:
         return None
     name = resolve(item.column)
-    dtype = source.table.dtype(name)
-    if dtype.is_modality:
-        # Tokens are unique per cell, so sqlite's COUNT and
-        # COUNT(DISTINCT) both equal the non-null count; every other
-        # aggregate would order by token text.
+    storage = table.storage(name)
+    if table.dtype(name).is_modality:
+        # Every aggregate but COUNT would order by token text.
         if item.func != "count":
             raise UnsupportedSQL(f"{item.func} over modality column {name!r}")
         return name
+    if not item.distinct \
+            and not isinstance(storage, _AGG_KERNELS[item.func]):
+        raise _no_kernel(item.func.upper(), storage)
     if item.func in ("sum", "avg"):
-        storage = source.table.storage(name)
-        if isinstance(storage, FloatColumn):
-            return name  # pure floats by construction
-        if isinstance(storage, IntColumn):
-            values, notnull = _masked_int64(storage, indices)
-            magnitude = float(np.abs(values[notnull]
-                                     .astype(np.float64)).sum())
-            limit = _EXACT_FLOAT_INT if item.func == "avg" else _INT64_MAX
-            if magnitude < limit * 0.99:
-                return name  # provably inside the exact range
-            # Near the boundary the float approximation cannot decide;
-            # the exact integer check does.
-            _int_sum_bound(selected(name), item.func)
-            return name
-        values_list = selected(name)
-        kinds = {type(v) for v in values_list if v is not None}
-        if kinds and not (kinds == {int} or kinds == {float}):
-            raise UnsupportedSQL(
-                f"{item.func} needs a pure int or float column")
-        if kinds == {int}:
-            _int_sum_bound(values_list, item.func)
+        values, notnull = _masked_int64(storage, indices)
+        magnitude = float(np.abs(values[notnull].astype(np.float64)).sum())
+        limit = _EXACT_FLOAT_INT if item.func == "avg" else _INT64_MAX
+        if magnitude >= limit * 0.99:
+            # Past int64 sqlite's SUM errors; past 2**53 its double AVG
+            # rounds differently from Python's exact int arithmetic.
+            raise UnsupportedSQL(f"{item.func} near the exact integer bound")
     return name
 
 
@@ -1131,19 +969,6 @@ def _build_result(named_columns: list[tuple[str, object,
             specs.append(ColumnSpec(unique, _infer_sql_dtype(values)))
         columns[unique] = values
     return Table(Schema(specs), columns)
-
-
-def sqliteize(table: Table) -> Table:
-    """*table* in the sqlite bridge's result representation."""
-    named = []
-    for name in table.column_names:
-        dtype = table.dtype(name)
-        if dtype.is_modality:
-            named.append((name, table.column(name), dtype))
-        else:
-            named.append((name, [_adapt_cell(v) for v in table.column(name)],
-                          None))
-    return _build_result(named)
 
 
 # ----------------------------------------------------------------------
@@ -1280,6 +1105,9 @@ def _resolve_source(statement: SelectStatement,
 
     if join.right not in tables:
         raise UnsupportedSQL(f"unknown table {join.right!r}")
+    if join.right == statement.table:
+        raise UnsupportedSQL("self-join: sqlite reports its columns as "
+                             "ambiguous")
     right = tables[join.right]
     if join.using is not None:
         left_on = right_on = join.using
@@ -1306,16 +1134,14 @@ def _resolve_source(statement: SelectStatement,
     if statement.where is not None:
         # sqlite's planner picks the outer table from the WHERE clause: a
         # predicate over right-side columns flips the scan to the right
-        # table (SCAN right / SEARCH left), reordering the result.  Only
-        # predicates confined to left-side (or merged-key) columns are
-        # proven to keep the FROM-order plan this join replicates.
-        right_side = {renames.get(name, name) for name in right.column_names
-                      if not (name == right_on and right_on == left_on)}
-        for name in statement.where.referenced_columns():
-            if name in right_side:
-                raise UnsupportedSQL(
-                    "join WHERE over right-side columns: planner-dependent "
-                    "row order")
+        # table (SCAN right / SEARCH left), reordering the result, and so
+        # does an equality on a merged key, which constrains both sides.
+        # Only predicates confined to left-only columns are proven to keep
+        # the FROM-order plan this join replicates.
+        right_side = {renames.get(name, name) for name in right.column_names}
+        if _where_columns(statement.where) & right_side:
+            raise UnsupportedSQL("join WHERE over right-side or merged-key "
+                                 "columns: planner-dependent row order")
     joined = _sqlite_join(left, right, left_on, right_on)
 
     mapping: dict[tuple[str | None, str], str] = {}
@@ -1407,10 +1233,9 @@ def _group_plan(statement: SelectStatement, items: list[object],
 def _execute_columnar(statement: SelectStatement, table: Table,
                       resolve: Callable[[tuple[str | None, str]], str]
                       ) -> Table:
-    source = _Source(table)
     if statement.where is not None:
-        _guard_predicate(source, statement.where)
-        indices = _filter_indices(source, statement.where)
+        indices = np.flatnonzero(
+            _compile_mask(table, statement.where)).tolist()
     else:
         indices = list(range(table.num_rows))
 
@@ -1420,63 +1245,31 @@ def _execute_columnar(statement: SelectStatement, table: Table,
     if len(set(names)) != len(names) and not statement.star:
         raise UnsupportedSQL("duplicate output names")
 
-    def selected(name: str) -> list[object]:
-        values = source.adapted(name)
-        return [values[i] for i in indices]
-
     if statement.group_by is not None:
         key, key_item, aggregates, descending = _group_plan(
             statement, items, resolve, table)
-        groups = _build_groups(source, key, indices)
-        for item in aggregates:
-            _guard_aggregate(source, item, resolve, selected, indices)
+        groups = _build_groups(table, key, indices)
+        sources = [_guard_aggregate(table, item, resolve, indices)
+                   for item in aggregates]
         ordered_keys = _ordered_group_keys(list(groups), descending)
         if statement.limit is not None:
             ordered_keys = ordered_keys[:statement.limit]
         named: list[tuple[str, list[object], DataType | None]] = [
             (key_item.output_name, ordered_keys, None)]
-        for item in aggregates:
-            column = None if item.column is None else resolve(item.column)
-            out: list[object] = []
-            for group_key in ordered_keys:
-                members = groups[group_key]
-                if column is None:
-                    out.append(len(members))
-                elif table.dtype(column).is_modality:
-                    values = table.storage(column).materialize()
-                    out.append(sum(1 for i in members
-                                   if values[i] is not None))
-                else:
-                    value = _agg_fast(table, column, item.func,
-                                      item.distinct, members)
-                    if value is _AGG_MISS:
-                        values = source.adapted(column)
-                        value = _agg_over(item.func, item.distinct,
-                                          [values[i] for i in members])
-                    out.append(value)
-            named.append((item.alias, out, None))
+        for item, column in zip(aggregates, sources):
+            named.append((item.alias,
+                          [_aggregate(table, column, item, groups[group_key])
+                           for group_key in ordered_keys], None))
         return _build_result(named)
 
     columns, aggregates = _split_items(items)
     if aggregates:
         if columns or statement.distinct or statement.order_by is not None:
             raise UnsupportedSQL("aggregates mix only with GROUP BY")
-        named = []
-        for item in aggregates:
-            column = _guard_aggregate(source, item, resolve, selected,
-                                      indices)
-            if item.column is None:
-                value: object = len(indices)
-            elif table.dtype(column).is_modality:
-                values = table.storage(column).materialize()
-                value = sum(1 for i in indices if values[i] is not None)
-            else:
-                value = _agg_fast(table, column, item.func, item.distinct,
-                                  indices)
-                if value is _AGG_MISS:
-                    value = _agg_over(item.func, item.distinct,
-                                      selected(column))
-            named.append((item.alias, [value], None))
+        named = [(item.alias, [_aggregate(
+                      table, _guard_aggregate(table, item, resolve, indices),
+                      item, indices)], None)
+                 for item in aggregates]
         result = _build_result(named)
         if statement.limit is not None:
             result = result.head(statement.limit)
@@ -1487,7 +1280,8 @@ def _execute_columnar(statement: SelectStatement, table: Table,
         order_column = resolve((qualifier, name))
         if table.dtype(order_column).is_modality:
             raise UnsupportedSQL("ORDER BY over a modality column")
-        indices = _order_indices(indices, source.adapted(order_column),
+        indices = _order_indices(indices,
+                                 _adapted_column(table, order_column),
                                  descending)
     if statement.limit is not None and not statement.distinct:
         indices = indices[:statement.limit]
@@ -1510,7 +1304,7 @@ def _execute_columnar(statement: SelectStatement, table: Table,
             if taken is not None:
                 named.append((item.output_name, taken[0], taken[1]))
                 continue
-        values = source.adapted(column)
+        values = _adapted_column(table, column)
         named.append((item.output_name,
                       [values[i] for i in indices], None))
 
@@ -1545,14 +1339,3 @@ def execute(sql: str, tables: dict[str, Table]) -> Table:
     statement = parse_select(sql)
     table, resolve = _resolve_source(statement, tables)
     return _execute_columnar(statement, table, resolve)
-
-
-def join_tables(left: Table, right: Table,
-                left_on: str, right_on: str) -> Table:
-    """An equi-join with the sqlite bridge's result representation —
-    the in-process replacement for ``build_join_sql``."""
-    if left_on not in left or right_on not in right:
-        raise UnsupportedSQL("unknown join key")
-    if left.dtype(left_on).is_modality or right.dtype(right_on).is_modality:
-        raise UnsupportedSQL("cannot join on a modality column")
-    return sqliteize(_sqlite_join(left, right, left_on, right_on))

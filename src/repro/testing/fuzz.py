@@ -231,7 +231,8 @@ class QueryGenerator:
     def _where(self, dataset: str, table: str,
                columns: list[str] | None = None) -> str:
         rng = self.rng
-        columns = columns or self._columns(dataset, table)
+        if columns is None:
+            columns = self._columns(dataset, table)
         if not columns or rng.random() < 0.25:
             return ""
         terms = [self._predicate(dataset, table, rng.choice(columns))
@@ -322,10 +323,12 @@ class QueryGenerator:
             return FuzzQuery(dataset, sql, (left, right), "join")
         left, right, key = rng.choice(_USING_JOINS[dataset])
         sql = f"SELECT * FROM {left} JOIN {right} USING ({key})"
-        # Predicates stay on the left (outer) table: a WHERE over
-        # right-side columns makes sqlite's planner flip the scan to the
-        # right table, a row order colexec declines to replicate.
-        columns = self._columns(dataset, left)
+        # Predicates stay on the left (outer) table's own columns: a WHERE
+        # over right-side columns or the merged key can make sqlite's
+        # planner flip the scan to the right table, a row order colexec
+        # declines to replicate.
+        columns = [name for name in self._columns(dataset, left)
+                   if name != key]
         sql += self._where(dataset, left, columns)
         return FuzzQuery(dataset, sql, (left, right), "join")
 

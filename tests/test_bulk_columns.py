@@ -28,7 +28,7 @@ from repro.datasets import load_lake
 from repro.errors import TypeMismatchError
 from repro.relational import colexec
 from repro.relational.sqlexec import (_adapt_cell, _infer_sql_dtype,
-                                      join_renames)
+                                      build_join_sql, join_renames, run_sql)
 from repro.testing.fuzz import _CROSS_JOINS, _USING_JOINS
 
 DT = DataType
@@ -455,9 +455,11 @@ def test_workload_join_shapes_match_the_reference(lakes):
         bulk = colexec._sqlite_join(left, right, left_on, right_on)
         assert bulk.num_rows
         assert_same_table(bulk, reference, same_pool=False)
-        assert (colexec.join_tables(left, right, left_on, right_on)
-                .fingerprint()
-                == colexec.sqliteize(reference).fingerprint())
+        sql = build_join_sql(left_name, right_name, left_on, right_on,
+                             left.column_names, right.column_names)
+        tables = {left_name: left, right_name: right}
+        assert (colexec.execute(sql, tables).fingerprint()
+                == run_sql(sql, tables).fingerprint())
 
 
 def test_duplicate_key_join_matches_the_reference():
@@ -471,3 +473,26 @@ def test_duplicate_key_join_matches_the_reference():
     assert any(math.isnan(v) for v in
                colexec._sqlite_join(left, plain, "id", "id").column("score")
                if isinstance(v, float))
+
+
+def test_join_operator_clashing_rename_matches_sqlite_on_both_engines():
+    # The left table already has "name_right", so the right "name" column
+    # renamed by join_renames clashes with it; sqlite then suffixes the
+    # second one "_2".  colexec declines the statement (duplicate output
+    # names) instead of answering with a differently shaped table.
+    from repro.obs.trace import QueryTelemetry
+    from repro.operators.base import ExecutionContext
+    from repro.operators.join import JoinOperator
+    left, right = _join_tables()
+    tables = {"l": left, "r": right.project(["id", "name", "flag", "born"])}
+    answers = {}
+    for engine in ("columnar", "sqlite"):
+        telemetry = QueryTelemetry()
+        context = ExecutionContext(tables=dict(tables), telemetry=telemetry,
+                                   relational_engine=engine)
+        answers[engine] = JoinOperator().run(context, ["l", "r", "id", "id"])
+        assert "sql_engine_columnar" not in telemetry.counters
+    columnar, bridged = answers["columnar"].table, answers["sqlite"].table
+    assert columnar.column_names == bridged.column_names
+    assert "name_right_2" in columnar.column_names
+    assert columnar.fingerprint() == bridged.fingerprint()

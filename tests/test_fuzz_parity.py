@@ -12,8 +12,11 @@ import json
 import pytest
 
 from repro.datasets import load_lake
+from repro.errors import OperatorError
+from repro.obs.trace import QueryTelemetry
 from repro.operators.base import ExecutionContext
 from repro.operators.join import JoinOperator
+from repro.operators.sql_ops import SQLOperator
 from repro.relational import colexec
 from repro.relational.sqlexec import build_join_sql, run_sql
 from repro.testing.fuzz import (_CROSS_JOINS, ENGINES, LANES, QueryGenerator,
@@ -93,13 +96,13 @@ def test_join_where_on_right_side_columns_is_declined(rotowire_tables):
 
 
 def test_join_where_on_left_side_columns_matches_sqlite(rotowire_tables):
-    # Left-side (and merged-key) predicates keep sqlite on the
-    # FROM-order plan colexec replicates, so these stay in-process.
+    # Predicates over left-only columns keep sqlite on the FROM-order
+    # plan colexec replicates, so these stay in-process.
     for sql in (
         "SELECT * FROM teams JOIN teams_to_games USING (name) "
         "WHERE founded >= 0",
         "SELECT * FROM teams JOIN teams_to_games USING (name) "
-        "WHERE name LIKE 'H%'",
+        "WHERE city LIKE 'M%' OR division = 'Atlantic'",
     ):
         reference = run_sql(sql, rotowire_tables)
         result = colexec.execute(sql, rotowire_tables)
@@ -123,40 +126,86 @@ def test_execute_all_engines_flags_declined_queries(rotowire_tables):
                          _CROSS_JOINS["rotowire"])
 def test_join_operator_without_a_bridge_matches_the_join_statement(
         rotowire_tables, left, right, left_on, right_on):
-    # The Join operator's bridge-less path (sqlite engine, no SQLBridge
-    # in the context) must return exactly what the statement it stands
-    # for returns through the bridge, dtypes included.
-    context = ExecutionContext(tables=dict(rotowire_tables),
-                               relational_engine="sqlite")
-    result = JoinOperator().run(
-        context, [left, right, left_on, right_on]).table
+    # The Join operator on either engine, with the context's default
+    # bridge, must return exactly what the statement it stands for
+    # returns through a one-shot bridge, dtypes included.
     sql = build_join_sql(left, right, left_on, right_on,
                          rotowire_tables[left].column_names,
                          rotowire_tables[right].column_names)
     reference = run_sql(sql, {left: rotowire_tables[left],
                               right: rotowire_tables[right]})
-    assert result.fingerprint() == reference.fingerprint()
+    for engine in ("sqlite", "columnar"):
+        context = ExecutionContext(tables=dict(rotowire_tables),
+                                   relational_engine=engine)
+        result = JoinOperator().run(
+            context, [left, right, left_on, right_on]).table
+        assert result.fingerprint() == reference.fingerprint(), engine
+
+
+def test_join_where_on_the_merged_key_declines_to_sqlite(rotowire_tables):
+    # Found by `repro fuzz --seed 3 --count 600`: an equality on the
+    # merged key constrains both sides, so sqlite 3.40 flips the scan and
+    # returns the same rows in another order.  colexec must decline, and
+    # the SQL step then answers exactly what sqlite answers.
+    for sql in (
+        "SELECT * FROM players_to_games JOIN game_reports USING (game_id) "
+        "WHERE game_id = 1",
+        "SELECT * FROM teams_to_games JOIN game_reports USING (game_id) "
+        "WHERE game_id IN (2)",
+    ):
+        with pytest.raises(colexec.UnsupportedSQL, match="merged-key"):
+            colexec.execute(sql, rotowire_tables)
+        telemetry = QueryTelemetry()
+        context = ExecutionContext(tables=dict(rotowire_tables),
+                                   telemetry=telemetry)
+        result = SQLOperator().run(context, [sql]).table
+        assert telemetry.counters["colexec_declined"] == 1
+        reference = run_sql(sql, rotowire_tables)
+        assert result.num_rows > 0
+        assert result.fingerprint() == reference.fingerprint(), sql
+    # A same-name ON join declines the same way; there sqlite finds the
+    # bare key ambiguous, and the step reports that error.
+    sql = build_join_sql(
+        "game_reports", "teams_to_games", "game_id", "game_id",
+        rotowire_tables["game_reports"].column_names,
+        rotowire_tables["teams_to_games"].column_names) + " WHERE game_id = 1"
+    with pytest.raises(colexec.UnsupportedSQL, match="merged-key"):
+        colexec.execute(sql, rotowire_tables)
+    with pytest.raises(OperatorError, match="ambiguous column name"):
+        SQLOperator().run(ExecutionContext(tables=dict(rotowire_tables)),
+                          [sql])
+
+
+def test_self_join_reports_the_sqlite_error_on_both_engines(rotowire_tables):
+    # FROM and JOIN naming one table is ambiguous to sqlite; colexec used
+    # to answer it anyway (and swapped differently named keys).
+    columns = rotowire_tables["teams"].column_names
+    sql = build_join_sql("teams", "teams", "name", "name", columns, columns)
+    with pytest.raises(colexec.UnsupportedSQL, match="self-join"):
+        colexec.execute(sql, rotowire_tables)
+    for engine in ("columnar", "sqlite"):
+        context = ExecutionContext(tables=dict(rotowire_tables),
+                                   relational_engine=engine)
+        with pytest.raises(OperatorError, match="ambiguous column name"):
+            JoinOperator().run(context, ["teams", "teams", "name", "city"])
 
 
 def test_generator_never_emits_right_side_join_predicates():
     # The generator contract backing the envelope test above: USING-join
-    # WHERE clauses reference only left-table (or merged-key) columns.
+    # WHERE clauses reference only left-table columns, never the key.
     lakes = {name: load_lake(name) for name in ("artwork", "rotowire")}
     generator = QueryGenerator(lakes, seed=3)
     joins = [q for q in (generator.generate() for _ in range(400))
              if q.shape == "join" and " WHERE " in q.sql]
     assert joins, "expected some join queries with predicates"
     for query in joins:
-        left = query.tables[0]
-        right = query.tables[1]
-        where = query.sql.split(" WHERE ", 1)[1]
-        left_columns = set(
-            lakes[query.dataset].sources[left].table.column_names)
-        right_only = set(
-            lakes[query.dataset].sources[right].table.column_names
-        ) - left_columns
-        for column in right_only:
-            assert column not in where, query.sql
+        statement = colexec.parse_select(query.sql)
+        left, right = (lakes[query.dataset].sources[name].table
+                       for name in query.tables)
+        read = colexec._where_columns(statement.where)
+        assert statement.join.using not in read, query.sql
+        assert read <= set(left.column_names) - set(right.column_names), \
+            query.sql
 
 
 # ----------------------------------------------------------------------

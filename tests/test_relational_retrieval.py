@@ -1,51 +1,106 @@
-"""Tests for the predicate expression language and the dense-retrieval
-stack — previously only exercised indirectly."""
+"""Tests for colexec's WHERE kernels and its declines, differential
+against the sqlite bridge, and for the dense-retrieval stack."""
+
+from datetime import date
 
 import pytest
 
-from repro.errors import ExpressionError, RetrievalError
-from repro.relational import evaluate_predicate, parse_expression
+from repro.data.datatypes import DataType
+from repro.data.schema import ColumnSpec, Schema
+from repro.data.table import Table
+from repro.errors import RetrievalError
+from repro.obs.trace import QueryTelemetry
+from repro.operators.base import ExecutionContext
+from repro.operators.sql_ops import SQLOperator
+from repro.relational import colexec, run_sql
 from repro.retrieval import HashEmbedder, VectorIndex, tokenize
 
 
 # ----------------------------------------------------------------------
-# expressions
+# WHERE kernels: colexec against the sqlite bridge
 # ----------------------------------------------------------------------
 
 
-def test_comparisons_and_boolean_operators():
-    row = {"height": 201, "team": "Heat"}
-    assert evaluate_predicate("height > 200 AND team = 'Heat'", row)
-    assert not evaluate_predicate("height > 200 AND team = 'Bulls'", row)
-    assert evaluate_predicate("height < 100 OR NOT team = 'Bulls'", row)
-    assert evaluate_predicate("(height >= 201) AND (height <= 201)", row)
-    assert evaluate_predicate("height != 200", row)
+PLAYERS = Table(
+    Schema([ColumnSpec("h", DataType.INTEGER),
+            ColumnSpec("team", DataType.STRING),
+            ColumnSpec("born", DataType.DATE)]),
+    {"h": [201, 180, None, 210, 200, 195],
+     "team": ["Heat", "Bulls", "Heat", None, "Ann", "anna"],
+     "born": [date(1990, 1, 2), None, date(1985, 6, 1), date(2000, 12, 31),
+              date(1990, 1, 2), None]})
 
 
-def test_null_like_in_between():
-    assert evaluate_predicate("x IS NULL", {"x": None})
-    assert evaluate_predicate("x IS NOT NULL", {"x": 1})
-    assert evaluate_predicate("name LIKE 'An%'", {"name": "Ann"})
-    assert not evaluate_predicate("name NOT LIKE 'An%'", {"name": "Ann"})
-    assert evaluate_predicate("team IN ('Heat', 'Bulls')", {"team": "Heat"})
-    assert evaluate_predicate("h BETWEEN 180 AND 210", {"h": 201})
-    assert not evaluate_predicate("h BETWEEN 180 AND 200", {"h": 201})
+@pytest.mark.parametrize("predicate", [
+    "h > 200 AND team = 'Heat'",
+    "h > 200 AND team = 'Bulls'",
+    "h < 100 OR team != 'Bulls'",
+    "(h >= 201) AND (h <= 201)",
+    "(h < 190 OR h > 205) AND team <> 'Bulls'",
+    "h = 180 OR (team = 'Heat' AND born < '1988-01-01')",
+    "h != 200",
+    "team > 'B' AND team <= 'Heat'",
+    "h BETWEEN 180 AND 200",
+    "born BETWEEN '1986-01-01' AND '1995-12-31'",
+    "born >= '1990-01-02'",
+    "team IN ('Heat', 'Bulls', 'Nets')",
+    "team NOT IN ('Heat', 'Bulls')",
+    "h IN (180, 210)",
+    "h NOT IN (180, 210)",
+    "born IN ('1990-01-02')",
+    "born NOT IN ('1990-01-02')",
+    "team LIKE 'An%'",
+    "team NOT LIKE 'An%'",
+    "team LIKE 'h_at'",
+    "h IS NULL",
+    "h IS NOT NULL",
+    "team IS NULL",
+    "born IS NULL",
+    "born IS NOT NULL OR team IS NULL",
+])
+def test_where_kernels_match_sqlite(predicate):
+    sql = f"SELECT * FROM t WHERE {predicate}"
+    tables = {"t": PLAYERS}
+    columnar = colexec.execute(sql, tables)
+    reference = run_sql(sql, tables)
+    assert columnar.to_dict() == reference.to_dict()
+    assert columnar.fingerprint() == reference.fingerprint()
 
 
-def test_column_references_can_be_qualified():
-    expr = parse_expression("p.height > 200")
-    assert expr.evaluate({"height": 205})
-    assert expr.evaluate({"p.height": 205})
-    assert expr.referenced_columns() == {"height"}  # bare name
+MIXED = Table(
+    Schema([ColumnSpec("n", DataType.INTEGER),
+            ColumnSpec("h", DataType.INTEGER),
+            ColumnSpec("x", DataType.FLOAT),
+            ColumnSpec("born", DataType.DATE)]),
+    {"n": [1, True, 2, None],            # bool in ints: object storage
+     "h": [2 ** 52, 2 ** 52, 3, None],
+     "x": [1.5, None, 2.25, -0.5],
+     "born": [date(1990, 1, 2), None, date(1985, 6, 1), date(1990, 1, 2)]})
 
 
-def test_expression_errors():
-    with pytest.raises(ExpressionError):
-        parse_expression("height >")
-    with pytest.raises(ExpressionError):
-        parse_expression("height ~ 3")
-    with pytest.raises(ExpressionError):
-        evaluate_predicate("missing = 1", {"present": 1})
+@pytest.mark.parametrize("sql", [
+    "SELECT * FROM t WHERE n > 1",                      # object column
+    "SELECT * FROM t WHERE born LIKE '1990%'",           # LIKE over a DATE
+    "SELECT * FROM t WHERE h < 99999999999999999999",   # past int64
+    "SELECT SUM(x) AS v FROM t",
+    "SELECT AVG(x) AS v FROM t",
+    "SELECT MIN(x) AS v FROM t",
+    "SELECT MAX(x) AS v FROM t",
+    "SELECT x, COUNT(*) AS c FROM t GROUP BY x",         # float group key
+    "SELECT AVG(h) AS v FROM t",                        # near 2**53
+])
+def test_shapes_without_a_typed_kernel_decline_to_sqlite(sql):
+    tables = {"t": MIXED}
+    with pytest.raises(colexec.UnsupportedSQL):
+        colexec.execute(sql, tables)
+    telemetry = QueryTelemetry()
+    context = ExecutionContext(tables=dict(tables), telemetry=telemetry)
+    result = SQLOperator().run(context, [sql]).table
+    assert telemetry.counters["colexec_declined"] == 1
+    assert telemetry.counters["sql_engine_sqlite"] == 1
+    reference = run_sql(sql, tables)
+    assert result.to_dict() == reference.to_dict()
+    assert result.fingerprint() == reference.fingerprint()
 
 
 # ----------------------------------------------------------------------

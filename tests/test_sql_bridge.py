@@ -101,3 +101,39 @@ def test_engine_reuses_registrations_across_batch():
         # once; the other SQL steps reuse the registration.
         assert bridge.registrations >= 1
         assert bridge.reuses >= 2
+
+
+def test_bridge_frees_the_objects_of_dropped_tables():
+    schema = Schema([ColumnSpec("id", DataType.INTEGER),
+                     ColumnSpec("note", DataType.TEXT)])
+    first = Table(schema, {"id": [1, 2, 3], "note": ["a", None, "c"]})
+    second = Table(schema, {"id": [1, 2], "note": ["x", "y"]})
+    with SQLBridge() as bridge:
+        bridge.execute("SELECT * FROM t", {"t": first})
+        assert len(bridge._objects) == 2
+        # Re-registering under the same name drops the old tokens; the
+        # token counter keeps counting, so no token text is reused.
+        result = bridge.execute("SELECT * FROM t", {"t": second})
+        assert len(bridge._objects) == 2
+        assert result.column("note") == ["x", "y"]
+        assert result.dtype("note") is DataType.TEXT
+        assert sorted(bridge._objects) == [2, 3]
+        bridge.execute("SELECT * FROM u", {"u": make_table([1])},
+                       known={"u": None})
+        assert bridge._objects == {}
+
+
+def test_bridge_object_store_stops_growing_after_one_round():
+    # Every artwork round re-registers its intermediate image tables
+    # under the same step names; the replaced tokens must be freed.
+    from repro.core.engine import EngineConfig
+    from repro.testing.workloads import workload
+    queries = workload("artwork")
+    sizes = []
+    with Session("artwork",
+                 config=EngineConfig(relational_engine="sqlite")) as session:
+        for _ in range(4):
+            assert session.batch(queries).num_errors == 0
+            sizes.append(len(session._engine.sql_bridge._objects))
+    assert sizes[0] > 0
+    assert sizes == sizes[:1] * 4, sizes

@@ -151,7 +151,7 @@ def test_empty_table_joins_match_across_engines():
         sql = build_join_sql("l", "r", "k", "k", left.column_names,
                              right.column_names)
         bridged = run_sql(sql, {"l": left, "r": right})
-        columnar = colexec.join_tables(left, right, "k", "k")
+        columnar = colexec.execute(sql, {"l": left, "r": right})
         assert columnar.to_dict() == bridged.to_dict()
         assert columnar.fingerprint() == bridged.fingerprint()
         assert columnar.num_rows == 0
