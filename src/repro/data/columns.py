@@ -17,12 +17,12 @@ the column to object storage.  That strictness is what keeps
 with the historical row store, so pre-columnar plan/answer caches and
 cachenet payloads keep their keys.
 
-Two construction paths share that rule.  :class:`ColumnBuilder` appends
-one value at a time (streaming ingestion, generators);
-:func:`build_column` packs a whole list in one typed pass when every
-non-null value has the store's exact type, and hands anything else to
-the builder.  Gathers (:meth:`Column.take`) on fixed-width stores are
-one numpy fancy-index over the raw buffers.
+There is one way to build a column: :func:`build_column` packs a whole
+list once, into the typed store when every non-null value has the
+store's exact type, and into an :class:`ObjectColumn` of a fresh copy
+otherwise.  Columns are never appended to.  Gathers
+(:meth:`Column.take`) on fixed-width stores are one numpy fancy-index
+over the raw buffers.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.data.datatypes import DataType
-
-_INT64_MIN = -(2 ** 63)
-_INT64_MAX = 2 ** 63 - 1
 
 
 def _gather(buffer: array | bytearray, idx: np.ndarray) -> array | bytearray:
@@ -77,20 +74,15 @@ class Column:
     def get(self, index: int) -> object:
         return self.materialize()[index]
 
-    # Building hook: append *value* if this storage can represent it
-    # exactly; return False (leaving the column unchanged) otherwise.
-    def _append(self, value: object) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
 
 class ObjectColumn(Column):
     """Plain-list storage: modality cells and mixed types."""
 
     __slots__ = ("values",)
 
-    def __init__(self, values: list[object] | None = None) -> None:
+    def __init__(self, values: list[object]) -> None:
         super().__init__()
-        self.values: list[object] = values if values is not None else []
+        self.values = values
 
     def __len__(self) -> int:
         return len(self.values)
@@ -108,17 +100,13 @@ class ObjectColumn(Column):
         values = self.values
         return ObjectColumn([values[i] for i in indices])
 
-    def _append(self, value: object) -> bool:
-        self.values.append(value)
-        return True
-
 
 class _MaskedColumn(Column):
     """Shared null-mask plumbing for the fixed-width typed columns."""
 
     __slots__ = ("data", "nulls")
 
-    def __init__(self, data, nulls: bytearray) -> None:
+    def __init__(self, data: array | bytearray, nulls: bytearray) -> None:
         super().__init__()
         self.data = data
         self.nulls = nulls
@@ -136,25 +124,9 @@ class IntColumn(_MaskedColumn):
 
     __slots__ = ()
 
-    def __init__(self, data: array | None = None,
-                 nulls: bytearray | None = None) -> None:
-        super().__init__(data if data is not None else array("q"),
-                         nulls if nulls is not None else bytearray())
-
     def iter_values(self) -> Iterator[object]:
         for raw, null in zip(self.data, self.nulls):
             yield None if null else raw
-
-    def _append(self, value: object) -> bool:
-        if value is None:
-            self.data.append(0)
-            self.nulls.append(1)
-            return True
-        if type(value) is int and _INT64_MIN <= value <= _INT64_MAX:
-            self.data.append(value)
-            self.nulls.append(0)
-            return True
-        return False
 
 
 class FloatColumn(_MaskedColumn):
@@ -162,25 +134,9 @@ class FloatColumn(_MaskedColumn):
 
     __slots__ = ()
 
-    def __init__(self, data: array | None = None,
-                 nulls: bytearray | None = None) -> None:
-        super().__init__(data if data is not None else array("d"),
-                         nulls if nulls is not None else bytearray())
-
     def iter_values(self) -> Iterator[object]:
         for raw, null in zip(self.data, self.nulls):
             yield None if null else raw
-
-    def _append(self, value: object) -> bool:
-        if value is None:
-            self.data.append(0.0)
-            self.nulls.append(1)
-            return True
-        if type(value) is float:
-            self.data.append(value)
-            self.nulls.append(0)
-            return True
-        return False
 
 
 class BoolColumn(_MaskedColumn):
@@ -188,25 +144,9 @@ class BoolColumn(_MaskedColumn):
 
     __slots__ = ()
 
-    def __init__(self, data: bytearray | None = None,
-                 nulls: bytearray | None = None) -> None:
-        super().__init__(data if data is not None else bytearray(),
-                         nulls if nulls is not None else bytearray())
-
     def iter_values(self) -> Iterator[object]:
         for raw, null in zip(self.data, self.nulls):
             yield None if null else bool(raw)
-
-    def _append(self, value: object) -> bool:
-        if value is None:
-            self.data.append(0)
-            self.nulls.append(1)
-            return True
-        if type(value) is bool:
-            self.data.append(1 if value else 0)
-            self.nulls.append(0)
-            return True
-        return False
 
 
 class DateColumn(_MaskedColumn):
@@ -214,27 +154,10 @@ class DateColumn(_MaskedColumn):
 
     __slots__ = ()
 
-    def __init__(self, data: array | None = None,
-                 nulls: bytearray | None = None) -> None:
-        super().__init__(data if data is not None else array("q"),
-                         nulls if nulls is not None else bytearray())
-
     def iter_values(self) -> Iterator[object]:
         fromordinal = date.fromordinal
         for raw, null in zip(self.data, self.nulls):
             yield None if null else fromordinal(raw)
-
-    def _append(self, value: object) -> bool:
-        if value is None:
-            self.data.append(0)
-            self.nulls.append(1)
-            return True
-        # datetime is a date subclass with a different repr; exclude it.
-        if type(value) is date:
-            self.data.append(value.toordinal())
-            self.nulls.append(0)
-            return True
-        return False
 
 
 class StringColumn(Column):
@@ -242,11 +165,10 @@ class StringColumn(Column):
 
     __slots__ = ("codes", "pool", "_index")
 
-    def __init__(self, codes: array | None = None,
-                 pool: list[str] | None = None) -> None:
+    def __init__(self, codes: array, pool: list[str]) -> None:
         super().__init__()
-        self.codes: array = codes if codes is not None else array("i")
-        self.pool: list[str] = pool if pool is not None else []
+        self.codes = codes
+        self.pool = pool
         self._index: dict[str, int] | None = None
 
     def __len__(self) -> int:
@@ -270,64 +192,6 @@ class StringColumn(Column):
             self._index = {t: i for i, t in enumerate(self.pool)}
         return self._index.get(text)
 
-    def _append(self, value: object) -> bool:
-        if value is None:
-            self.codes.append(-1)
-            return True
-        if type(value) is not str:
-            return False
-        if self._index is None:
-            self._index = {text: i for i, text in enumerate(self.pool)}
-        code = self._index.get(value)
-        if code is None:
-            code = len(self.pool)
-            value = sys.intern(value)
-            self.pool.append(value)
-            self._index[value] = code
-        self.codes.append(code)
-        return True
-
-
-_TYPED_STORES = {
-    DataType.INTEGER: IntColumn,
-    DataType.FLOAT: FloatColumn,
-    DataType.BOOLEAN: BoolColumn,
-    DataType.DATE: DateColumn,
-    DataType.STRING: StringColumn,
-}
-
-
-class ColumnBuilder:
-    """Streaming one-pass column construction with promote-on-mismatch.
-
-    Appends feed the typed store chosen for *dtype*; the first value the
-    typed store cannot represent exactly converts everything accumulated
-    so far into an :class:`ObjectColumn` and object storage takes over.
-    Generators can therefore feed a builder without a second pass —
-    the basis of streaming lake ingestion.
-    """
-
-    __slots__ = ("_column",)
-
-    def __init__(self, dtype: DataType) -> None:
-        store = _TYPED_STORES.get(dtype)    # None for modality dtypes
-        self._column: Column = store() if store is not None else ObjectColumn()
-
-    def append(self, value: object) -> None:
-        if not self._column._append(value):
-            self._column = ObjectColumn(list(self._column.iter_values()))
-            self._column.values.append(value)
-
-    def extend(self, values: Iterable[object]) -> None:
-        append = self.append
-        for value in values:
-            append(value)
-
-    def finish(self) -> Column:
-        column = self._column
-        self._column = ObjectColumn()
-        return column
-
 
 #: The one Python type each typed store accepts (``type(v) is T``).
 _EXACT_TYPES = {
@@ -342,11 +206,9 @@ _NONE_TYPE = type(None)
 
 def _pack(values: list[object], dtype: DataType) -> Column | None:
     """*values* packed into *dtype*'s typed store in bulk, or ``None``
-    when the per-value builder must decide: a modality dtype, any value
-    whose type is not exactly the store's (bool in ints, datetime in
-    dates, ``str`` subclasses, mixes), or an int past int64.  Whatever
-    this returns equals what :class:`ColumnBuilder` builds from the same
-    list — class, values and string pool order."""
+    for object storage: a modality dtype, any value whose type is not
+    exactly the store's (bool in ints, datetime in dates, ``str``
+    subclasses, mixes), or an int past int64."""
     exact = _EXACT_TYPES.get(dtype)
     if exact is None:
         return None
@@ -356,7 +218,7 @@ def _pack(values: list[object], dtype: DataType) -> Column | None:
     if not kinds <= {exact}:
         return None
     if exact is str:
-        # First-occurrence pool order, exactly as appends would grow it.
+        # The pool keeps first-occurrence order.
         pool = [sys.intern(text) for text in dict.fromkeys(values)
                 if text is not None]
         lookup: dict[object, int] = {text: code
@@ -380,40 +242,20 @@ def _pack(values: list[object], dtype: DataType) -> Column | None:
     try:
         return IntColumn(array("q", values), nulls)
     except OverflowError:
-        return None  # past int64: the builder promotes to object storage
+        return None  # past int64
 
 
 def build_column(values: Iterable[object], dtype: DataType) -> Column:
-    """Pack *values* into the best storage for *dtype*.
+    """Pack *values* once into the best storage for *dtype*.
 
-    A list packs in bulk when it can (:func:`_pack`: one type scan, one
-    typed-buffer construction); everything else — other iterables, lists
-    the typed store cannot represent exactly — streams through
-    :class:`ColumnBuilder`, which builds the same column.
+    A :class:`Column` is returned as is.  Anything else is packed by
+    :func:`_pack` (one type scan, one typed-buffer construction) or,
+    when that declines, kept as an :class:`ObjectColumn` of a fresh
+    copy, so table storage never aliases a caller's list.
     """
     if isinstance(values, Column):
         return values
-    if isinstance(values, list):
-        packed = _pack(values, dtype)
-        if packed is not None:
-            return packed
-    builder = ColumnBuilder(dtype)
-    builder.extend(values)
-    return builder.finish()
-
-
-def concat_columns(first: Column, second: Column,
-                   dtype: DataType) -> Column:
-    """*second* appended to *first* (neither input is modified)."""
-    if type(first) is type(second):
-        if isinstance(first, _MaskedColumn):
-            return type(first)(first.data[:] + second.data,
-                               first.nulls + second.nulls)
-        if isinstance(first, StringColumn) and first.pool is second.pool:
-            return StringColumn(first.codes[:] + second.codes, first.pool)
-        if isinstance(first, ObjectColumn):
-            return ObjectColumn(first.values + second.values)
-    builder = ColumnBuilder(dtype)
-    builder.extend(first.iter_values())
-    builder.extend(second.iter_values())
-    return builder.finish()
+    if not isinstance(values, list):
+        values = list(values)
+    packed = _pack(values, dtype)
+    return packed if packed is not None else ObjectColumn(values.copy())

@@ -101,23 +101,11 @@ class Schema:
         """Columns carrying IMAGE/TEXT objects."""
         return [c for c in self.columns if c.dtype.is_modality]
 
-    @property
-    def relational_columns(self) -> list[ColumnSpec]:
-        return [c for c in self.columns if not c.dtype.is_modality]
-
     def with_column(self, spec: ColumnSpec) -> "Schema":
         """A copy of this schema with one column appended."""
         return Schema(self.columns + [spec], description=self.description,
                       foreign_keys=list(self.foreign_keys),
                       primary_key=self.primary_key)
-
-    def without_columns(self, names: set[str]) -> "Schema":
-        kept = [c for c in self.columns if c.name not in names]
-        return Schema(kept, description=self.description,
-                      foreign_keys=[fk for fk in self.foreign_keys
-                                    if fk.column not in names],
-                      primary_key=(self.primary_key
-                                   if self.primary_key not in names else None))
 
     def to_dict(self) -> dict:
         return {

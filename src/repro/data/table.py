@@ -27,10 +27,9 @@ import hashlib
 import threading
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from repro.data.columns import (Column, ColumnBuilder, build_column,
-                                concat_columns)
-from repro.data.datatypes import (DataType, coerce, decode_scalar,
-                                  encode_scalar, infer_column_type)
+from repro.data.columns import Column, build_column
+from repro.data.datatypes import (DataType, decode_scalar, encode_scalar,
+                                  infer_column_type)
 from repro.data.schema import ColumnSpec, Schema
 from repro.errors import SchemaError, UnknownColumnError
 
@@ -72,34 +71,16 @@ class Table:
 
     @classmethod
     def from_rows(cls, schema: Schema, rows: Iterable[Sequence[object]]) -> "Table":
-        """Build a table from row tuples ordered like ``schema.columns``.
-
-        *rows* may be any iterable — a generator feeds the typed column
-        builders directly, so the row stream is never materialized.
-        """
-        names = schema.column_names
-        builders = [ColumnBuilder(spec.dtype) for spec in schema.columns]
-        width = len(names)
+        """Build a table from row tuples ordered like ``schema.columns``."""
+        rows = list(rows)
+        width = len(schema.columns)
         for row in rows:
+            # zip(*rows) would silently truncate a short row.
             if len(row) != width:
                 raise SchemaError(
                     f"row has {len(row)} values, schema has {width} columns")
-            for builder, value in zip(builders, row):
-                builder.append(value)
-        columns = {name: builder.finish()
-                   for name, builder in zip(names, builders)}
-        return cls(schema, columns)
-
-    @classmethod
-    def from_dicts(cls, schema: Schema, rows: Iterable[Mapping[str, object]]) -> "Table":
-        """Build a table from row dictionaries (missing keys become ``None``)."""
-        names = schema.column_names
-        builders = {name: ColumnBuilder(schema.dtype(name)) for name in names}
-        for row in rows:
-            for name, builder in builders.items():
-                builder.append(row.get(name))
-        return cls(schema, {name: builder.finish()
-                            for name, builder in builders.items()})
+        columns = zip(*rows) if rows else ([] for _ in range(width))
+        return cls(schema, dict(zip(schema.column_names, columns)))
 
     @classmethod
     def infer(cls, columns: Mapping[str, Sequence[object]],
@@ -240,35 +221,6 @@ class Table:
         columns: dict[str, object] = dict(base._columns)
         columns[name] = values
         return Table(schema, columns)
-
-    def map_column(self, source: str, target: str, dtype: DataType,
-                   fn: Callable[[object], object]) -> "Table":
-        """Append column *target* computed row-wise from column *source*."""
-        values = [None if v is None else fn(v) for v in self.column(source)]
-        return self.with_column(target, dtype, values)
-
-    def coerced(self) -> "Table":
-        """A copy with every relational value coerced to its column dtype."""
-        columns: dict[str, object] = {}
-        for spec in self.schema.columns:
-            stored = self._columns[spec.name]
-            if spec.dtype.is_modality:
-                columns[spec.name] = stored
-            else:
-                columns[spec.name] = build_column(
-                    [coerce(v, spec.dtype) for v in stored.iter_values()],
-                    spec.dtype)
-        return Table(self.schema, columns)
-
-    def concat(self, other: "Table") -> "Table":
-        """Rows of *other* appended (schemas must have identical columns)."""
-        if self.column_names != other.column_names:
-            raise SchemaError("cannot concat tables with different columns")
-        columns = {spec.name: concat_columns(self._columns[spec.name],
-                                             other._columns[spec.name],
-                                             spec.dtype)
-                   for spec in self.schema.columns}
-        return Table(self.schema, columns)
 
     # ------------------------------------------------------------------
     # Display / comparison helpers

@@ -21,7 +21,6 @@ from typing import Iterator
 
 from repro.data import (ColumnSpec, DataLake, DataSource, DataType,
                         ForeignKey, Schema, SourceKind, Table)
-from repro.datasets.streaming import DEFAULT_SHARD_ROWS, ShardedTableBuilder
 from repro.vision import LazyImage, SceneSpec, build_scene
 
 MOVEMENT_ERAS = {
@@ -117,7 +116,6 @@ def _painting_stream(num_paintings: int, seed: int,
 
 def generate_artwork_dataset(num_paintings: int = 120, seed: int = 7,
                              image_size: int = 64, scale: float = 1.0,
-                             shard_rows: int = DEFAULT_SHARD_ROWS,
                              ) -> ArtworkDataset:
     """Generate a seeded artwork dataset of ``num_paintings * scale``
     paintings.
@@ -125,13 +123,11 @@ def generate_artwork_dataset(num_paintings: int = 120, seed: int = 7,
     *scale* is the stress-lake multiplier exposed as ``--scale`` on the CLI
     (``scale=100`` → 12,000 paintings).  Generation is deterministic in
     ``(seed, scale)``: the same pair always produces byte-identical tables
-    and rasters.  It is also streaming: the seeded row stream feeds
-    *shard_rows*-sized ingestion shards (packed into typed columnar
-    storage as they fill), and each image cell is a
-    :class:`~repro.vision.LazyImage` that rasterizes on first pixel
-    access — a scale-1000 lake never materializes its rasters.
-    *shard_rows* is a memory knob only; every value produces an identical
-    dataset.
+    and rasters.  The seeded row stream is split into one list per
+    column, and each table is packed once into typed columnar storage.
+    Each image cell is a :class:`~repro.vision.LazyImage` that rasterizes
+    on first pixel access — a scale-1000 lake never materializes its
+    rasters.
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
@@ -156,15 +152,18 @@ def generate_artwork_dataset(num_paintings: int = 120, seed: int = 7,
         foreign_keys=[ForeignKey("img_path", "paintings_metadata",
                                  "img_path")])
 
-    metadata_builder = ShardedTableBuilder(metadata_schema, shard_rows)
-    images_builder = ShardedTableBuilder(images_schema, shard_rows)
+    metadata: list[list[object]] = [[] for _ in metadata_schema.columns]
+    images: list[LazyImage] = []
     scenes: dict[str, SceneSpec] = {}
-    for (title, artist, inception, movement, genre, img_path,
-         scene) in _painting_stream(num_paintings, seed, image_size):
+    for *row, scene in _painting_stream(num_paintings, seed, image_size):
+        for column, value in zip(metadata, row):
+            column.append(value)
+        img_path = row[-1]
         scenes[img_path] = scene
-        metadata_builder.add((title, artist, inception, movement, genre,
-                              img_path))
-        images_builder.add((img_path, LazyImage(scene, path=img_path)))
-    return ArtworkDataset(metadata=metadata_builder.finish(),
-                          images=images_builder.finish(), scenes=scenes,
-                          seed=seed)
+        images.append(LazyImage(scene, path=img_path))
+    img_paths = metadata[-1]    # packing copies, so both tables may share it
+    return ArtworkDataset(
+        metadata=Table(metadata_schema,
+                       dict(zip(metadata_schema.column_names, metadata))),
+        images=Table(images_schema, {"img_path": img_paths, "image": images}),
+        scenes=scenes, seed=seed)

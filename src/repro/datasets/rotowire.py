@@ -19,7 +19,6 @@ from datetime import date, timedelta
 
 from repro.data import (ColumnSpec, DataLake, DataSource, DataType,
                         ForeignKey, Schema, SourceKind, Table)
-from repro.datasets.streaming import DEFAULT_SHARD_ROWS, ShardedTableBuilder
 from repro.text import GameBoxScore, PlayerLine, generate_report
 
 TEAMS = [
@@ -116,16 +115,13 @@ class RotowireDataset:
 
 def generate_rotowire_dataset(num_games: int = 30, seed: int = 11,
                               players_per_team: int = 4,
-                              scale: float = 1.0,
-                              shard_rows: int = DEFAULT_SHARD_ROWS,
-                              ) -> RotowireDataset:
+                              scale: float = 1.0) -> RotowireDataset:
     """Generate a seeded rotowire dataset with ``num_games * scale`` games.
 
     *scale* is the stress-lake multiplier exposed as ``--scale`` on the CLI
     (``scale=34`` → 1,020 games).  Generation is deterministic in
-    ``(seed, scale)``; the per-game row streams feed *shard_rows*-sized
-    ingestion shards (a memory knob only — every value produces an
-    identical dataset).
+    ``(seed, scale)``.  The per-game loop appends to one list per
+    column, and each table is packed once.
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
@@ -155,10 +151,10 @@ def generate_rotowire_dataset(num_games: int = 30, seed: int = 11,
     box_scores: list[GameBoxScore] = []
     team_points: dict[tuple[str, int], int] = {}
     player_stats: dict[tuple[str, int], tuple[int, int, int]] = {}
-    teams_to_games = ShardedTableBuilder(_TEAMS_TO_GAMES_SCHEMA, shard_rows)
-    players_to_games = ShardedTableBuilder(_PLAYERS_TO_GAMES_SCHEMA,
-                                           shard_rows)
-    game_reports = ShardedTableBuilder(_REPORTS_SCHEMA, shard_rows)
+    teams_to_games: dict[str, list[object]] = {"name": [], "game_id": []}
+    players_to_games: dict[str, list[object]] = {"name": [], "game_id": []}
+    game_reports: dict[str, list[object]] = {"game_id": [], "date": [],
+                                             "report": []}
 
     for game_id in range(1, num_games + 1):
         home, away = rng.sample(team_names, 2)
@@ -181,23 +177,25 @@ def generate_rotowire_dataset(num_games: int = 30, seed: int = 11,
                 lines.append(PlayerLine(player, team, points, rebounds,
                                         assists))
                 player_stats[(player, game_id)] = (points, rebounds, assists)
-                players_to_games.add([player, game_id])
+                players_to_games["name"].append(player)
+                players_to_games["game_id"].append(game_id)
         box = GameBoxScore(game_id, home, away, home_points, away_points,
                            lines)
         box_scores.append(box)
         team_points[(home, game_id)] = home_points
         team_points[(away, game_id)] = away_points
-        teams_to_games.add([home, game_id])
-        teams_to_games.add([away, game_id])
-        game_reports.add([game_id, game_date(game_id),
-                          generate_report(box, seed=seed + game_id)])
+        teams_to_games["name"] += (home, away)
+        teams_to_games["game_id"] += (game_id, game_id)
+        game_reports["game_id"].append(game_id)
+        game_reports["date"].append(game_date(game_id))
+        game_reports["report"].append(generate_report(box, seed=seed + game_id))
 
     return RotowireDataset(
         teams=Table.from_rows(_TEAMS_SCHEMA, team_rows),
         players=Table.from_rows(_PLAYERS_SCHEMA, player_rows),
-        teams_to_games=teams_to_games.finish(),
-        players_to_games=players_to_games.finish(),
-        game_reports=game_reports.finish(),
+        teams_to_games=Table(_TEAMS_TO_GAMES_SCHEMA, teams_to_games),
+        players_to_games=Table(_PLAYERS_TO_GAMES_SCHEMA, players_to_games),
+        game_reports=Table(_REPORTS_SCHEMA, game_reports),
         box_scores=box_scores,
         seed=seed,
         team_points=team_points,

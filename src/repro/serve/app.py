@@ -594,13 +594,29 @@ class ServerHandle:
         return f"http://{self._config.host}:{self.port}"
 
     def drain(self, timeout: float | None = None) -> bool:
-        """Gracefully drain and stop from any thread; True if clean."""
+        """Gracefully drain and stop from any thread; True if clean.
+
+        Idempotent: once the server has stopped, by an earlier drain or
+        any other path, this returns True without scheduling a drain.
+        """
         assert self._loop is not None and self.server is not None
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.drain_and_stop(), self._loop)
-        completed = future.result(timeout)
-        self._thread.join(timeout=10)
-        return completed
+        server = self.server
+        drains: list[asyncio.Task] = []
+
+        def begin() -> None:
+            # On the loop thread, where _stopped is set: a drain started
+            # here runs to completion before the loop can stop.
+            if not server._stopped.is_set():
+                drains.append(asyncio.ensure_future(server.drain_and_stop()))
+
+        try:
+            self._loop.call_soon_threadsafe(begin)
+        except RuntimeError:
+            pass  # the loop is closed: the server stopped already
+        self._thread.join(timeout)
+        if self._thread.is_alive():
+            raise TimeoutError(f"server did not drain within {timeout}s")
+        return drains[0].result() if drains else True
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,7 @@ def render_scene(scene: SceneSpec, path: str = "") -> Image:
 class LazyImage(Image):
     """An :class:`Image` whose raster is rendered on first pixel access.
 
-    Streaming lake generation stores one of these per painting instead of
+    Lake generation stores one of these per painting instead of
     an eagerly rendered raster: the scene spec it wraps is a few dozen
     bytes, so a scale-1000 image collection fits in memory while the
     rasters (12 KB each) only ever exist for images a query touches.

@@ -3,10 +3,10 @@
 ``build_column`` packs a whole list in one typed pass, ``infer_column_type``
 decides from the distinct exact value types, ``Column.take`` gathers with
 numpy, and colexec assembles a join from per-column gathers.  Each is
-checked here against the implementation it replaced — the per-value
-``ColumnBuilder`` loop, the per-value ``infer_type`` loop, per-index
-gathers, and the ``with_column`` join assembly, kept in this file as
-references — over seeded generated inputs.
+checked here against a value-at-a-time reference — a per-value column
+builder, the per-value ``infer_type`` loop, per-index gathers, and the
+``with_column`` join assembly, kept in this file — over seeded
+generated inputs.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from datetime import date, datetime
 
 import pytest
 
-from repro.data.columns import (BoolColumn, Column, ColumnBuilder, DateColumn,
-                                FloatColumn, IntColumn, ObjectColumn,
-                                StringColumn, build_column)
+from repro.data.columns import (BoolColumn, Column, DateColumn, FloatColumn,
+                                IntColumn, ObjectColumn, StringColumn,
+                                build_column)
 from repro.data.datatypes import DataType, infer_column_type, infer_type
 from repro.data.schema import ColumnSpec, ForeignKey, Schema
 from repro.data.table import Table
@@ -44,12 +44,43 @@ class Text(str):
 # ----------------------------------------------------------------------
 
 
+#: Each typed store and the one Python type it accepts exactly.
+_TYPED_STORES = {DT.INTEGER: (IntColumn, int), DT.FLOAT: (FloatColumn, float),
+                 DT.BOOLEAN: (BoolColumn, bool), DT.DATE: (DateColumn, date),
+                 DT.STRING: (StringColumn, str)}
+
+
+def _fits(value, exact: type) -> bool:
+    return type(value) is exact and (exact is not int
+                                     or INT64_MIN <= value <= INT64_MAX)
+
+
 def reference_column(values, dtype: DataType) -> Column:
-    """One ``ColumnBuilder.append`` per value (fed from an iterator, so
-    the bulk path cannot be taken)."""
-    builder = ColumnBuilder(dtype)
-    builder.extend(iter(values))
-    return builder.finish()
+    """One value at a time: the typed store while every value fits it
+    exactly, else object storage of the same values."""
+    values = list(values)
+    store, exact = _TYPED_STORES.get(dtype, (ObjectColumn, None))
+    if exact is None or not all(value is None or _fits(value, exact)
+                                for value in values):
+        return ObjectColumn(values)
+    if store is StringColumn:
+        pool: list[str] = []
+        codes = array("i")
+        for value in values:
+            if value is not None and value not in pool:
+                pool.append(value)
+            codes.append(-1 if value is None else pool.index(value))
+        return StringColumn(codes, pool)
+    data = (bytearray() if store is BoolColumn
+            else array("d" if store is FloatColumn else "q"))
+    nulls = bytearray()
+    for value in values:
+        nulls.append(value is None)
+        if value is None:
+            data.append(0)
+        else:
+            data.append(value.toordinal() if store is DateColumn else value)
+    return store(data, nulls)
 
 
 def reference_infer(values) -> DataType:

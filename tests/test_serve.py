@@ -41,8 +41,7 @@ def serve(rotowire_lake):
 
     yield boot
     for handle in handles:
-        if not handle.server._stopped.is_set():
-            handle.drain(timeout=60)
+        handle.drain(timeout=60)
 
 
 class Client:
@@ -436,15 +435,29 @@ def test_racing_drains_converge_without_deadlock(serve, rotowire_lake,
     client.poll_done(body["id"])
     client.close()
 
-    loop = handle._loop
-    first = asyncio.run_coroutine_threadsafe(
-        handle.server.drain_and_stop(), loop)
-    second = asyncio.run_coroutine_threadsafe(
-        handle.server.drain_and_stop(), loop)
-    assert first.result(timeout=30) is True
-    assert second.result(timeout=30) is True
+    drains: list[asyncio.Task] = []
+
+    def race() -> None:
+        # Both start in one loop turn, so neither can finish (and let the
+        # loop close) before the other is scheduled.
+        drains.extend(asyncio.ensure_future(handle.server.drain_and_stop())
+                      for _ in range(2))
+
+    handle._loop.call_soon_threadsafe(race)
+    handle._thread.join(timeout=30)
+    assert not handle._thread.is_alive()
+    assert [drain.result() for drain in drains] == [True, True]
     assert handle.server._stopped.is_set()
     assert plan_file.exists()  # the one flush still happened
+
+
+def test_draining_a_stopped_server_returns_true(serve):
+    """A second drain finds the loop closed: it must neither schedule onto
+    it nor raise."""
+    handle = serve()
+    assert handle.drain(timeout=60) is True
+    assert handle._loop.is_closed()
+    assert handle.drain(timeout=60) is True
 
 
 def test_serve_with_cache_tier_shares_warmth(serve, rotowire_lake):

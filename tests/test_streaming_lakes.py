@@ -1,85 +1,46 @@
-"""Streaming, sharded lake generation and lazy image decode.
+"""Lake generation: pinned fingerprints, lazy image decode, memory budget.
 
-The contract: generation feeds seeded row streams through bounded
-ingestion shards and defers every raster, so a stress-scale artwork lake
-costs megabytes, not gigabytes — while staying fingerprint-identical to
-the eager, one-shot generation it replaced (old caches key on those
-fingerprints).
+The contract: each lake table is packed once from whole columns, every
+raster is deferred, so a stress-scale artwork lake costs megabytes, not
+gigabytes — and generation reproduces its fingerprints byte for byte
+(old plan and answer caches key on them).
 """
 
 import tracemalloc
 
 import pytest
 
-from repro.data.schema import ColumnSpec, Schema
-from repro.data.datatypes import DataType
-from repro.data.table import Table
+from repro.data.catalog import DataLake
 from repro.datasets import load_lake
-from repro.datasets.artwork import generate_artwork_dataset
-from repro.datasets.rotowire import generate_rotowire_dataset
-from repro.datasets.streaming import ShardedTableBuilder
 from repro.vision import LazyImage, build_scene, render_scene
 
 
 # ----------------------------------------------------------------------
-# ShardedTableBuilder
+# Pinned lake fingerprints
 # ----------------------------------------------------------------------
 
-
-def make_schema() -> Schema:
-    return Schema([ColumnSpec("n", DataType.INTEGER),
-                   ColumnSpec("s", DataType.STRING)])
-
-
-def test_builder_rejects_non_positive_shard_rows():
-    with pytest.raises(ValueError):
-        ShardedTableBuilder(make_schema(), shard_rows=0)
-
-
-def test_builder_empty_finish_is_empty_table():
-    table = ShardedTableBuilder(make_schema()).finish()
-    assert table.num_rows == 0
-    assert table.column_names == ["n", "s"]
+#: ``load_lake`` (shape, content) fingerprints per (dataset, scale).  A
+#: change to the seeded draw order, the column packing or the string
+#: pools moves them.  The scale-500 point runs in the CI soak only.
+PINNED_FINGERPRINTS = {
+    ("artwork", 1): ("7657e9626134d345", "e40269b91c6c7b86"),
+    ("artwork", 50): ("81962cfc5609a953", "341e542c1a35906a"),
+    ("artwork", 500): ("1b92aa0dd151d18a", "9733c3088f82db56"),
+    ("rotowire", 1): ("ed5845d1756e02e7", "7610edb6e4f81201"),
+    ("rotowire", 50): ("2ffade5600d01484", "a86a0bf710eefa59"),
+}
 
 
-def test_builder_matches_from_rows_for_every_shard_size():
-    rows = [(i, f"row-{i}") for i in range(25)]
-    expected = Table.from_rows(make_schema(), rows)
-    for shard_rows in (1, 2, 7, 25, 1000):
-        builder = ShardedTableBuilder(make_schema(), shard_rows=shard_rows)
-        for row in rows:
-            builder.add(row)
-        table = builder.finish()
-        assert table.equals(expected)
-        assert table.fingerprint() == expected.fingerprint()
+def assert_pinned(lake: DataLake, dataset: str, scale: float) -> None:
+    """*lake* carries the pinned fingerprints of *dataset* at *scale*."""
+    assert ((lake.fingerprint(), lake.content_fingerprint())
+            == PINNED_FINGERPRINTS[dataset, scale]), (dataset, scale)
 
 
-# ----------------------------------------------------------------------
-# Sharded generation == one-shot generation, fingerprint for fingerprint
-# ----------------------------------------------------------------------
-
-
-def test_artwork_sharded_equals_one_shot():
-    sharded = generate_artwork_dataset(scale=2, shard_rows=7)
-    one_shot = generate_artwork_dataset(scale=2, shard_rows=10 ** 6)
-    assert sharded.metadata.fingerprint() == one_shot.metadata.fingerprint()
-    assert sharded.images.fingerprint() == one_shot.images.fingerprint()
-
-
-def test_rotowire_sharded_equals_one_shot():
-    sharded = generate_rotowire_dataset(scale=2, shard_rows=5)
-    one_shot = generate_rotowire_dataset(scale=2, shard_rows=10 ** 6)
-    for name in ("teams", "players", "teams_to_games", "players_to_games",
-                 "game_reports"):
-        assert (getattr(sharded, name).fingerprint()
-                == getattr(one_shot, name).fingerprint()), name
-
-
-def test_shard_size_is_not_part_of_the_lake_spec():
-    # shard_rows is a memory knob, not a generation parameter: the spec
-    # (dataset, seed, scale) alone must keep rebuilding identical lakes.
-    lake = load_lake("rotowire", scale=0.2)
-    assert lake.spec.build().fingerprint() == lake.fingerprint()
+@pytest.mark.parametrize("dataset,scale", [
+    point for point in PINNED_FINGERPRINTS if point[1] <= 50])
+def test_lake_fingerprints_are_pinned(dataset, scale):
+    assert_pinned(load_lake(dataset, scale=scale), dataset, scale)
 
 
 # ----------------------------------------------------------------------
@@ -132,15 +93,16 @@ def test_artwork_lake_defers_rendering_through_fingerprints():
 #: Traced-peak budget per painting: 320 MB over a scale-500 lake (60,000
 #: paintings), ≈ 5.6 KB.  One eagerly rendered 64×64×3 raster alone is
 #: 12,288 B, so the budget fails at any scale if images ever render
-#: eagerly again; the streaming generator holds scene specs + typed
-#: columns (~1.5–2.2 KB per painting traced).
+#: eagerly again; the generator holds scene specs + typed columns
+#: (~1.4 KB per painting traced).
 BUDGET_BYTES_PER_ROW = 320 * 1024 * 1024 / 60_000
 
 
-def assert_artwork_generation_in_budget(scale: float) -> None:
-    """Generate the artwork lake at *scale* under tracemalloc and assert
-    nothing rendered and the traced peak stays within the per-row budget.
-    Tier-1 runs it at scale 100; the CI soak (``fuzz``) job at scale 500.
+def assert_artwork_generation_in_budget(scale: float) -> DataLake:
+    """Generate the artwork lake at *scale* under tracemalloc, assert
+    nothing rendered and the traced peak stays within the per-row budget,
+    and return the lake.  Tier-1 runs it at scale 100; the CI soak
+    (``fuzz``) job at scale 500.
     """
     tracemalloc.start()
     try:
@@ -156,6 +118,7 @@ def assert_artwork_generation_in_budget(scale: float) -> None:
     budget = BUDGET_BYTES_PER_ROW * rows
     assert peak < budget, (f"traced peak {peak / 1e6:.1f} MB over the "
                            f"{budget / 1e6:.1f} MB budget for {rows} rows")
+    return lake
 
 
 def test_scale_100_artwork_generation_stays_in_budget():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.data import (ColumnSpec, DataLake, DataType, Schema, SourceKind,
                         Table)
-from repro.errors import UnknownTableError
+from repro.errors import SchemaError, UnknownTableError
 
 _SCHEMA = Schema([
     ColumnSpec("name", DataType.STRING),
@@ -26,9 +26,30 @@ def test_table_from_rows_round_trip():
     assert table.row(1) == {"name": "Bob", "height_cm": 195}
 
 
-def test_table_from_dicts_missing_keys_become_none():
-    table = Table.from_dicts(_SCHEMA, [{"name": "Ann"}])
-    assert table.column("height_cm") == [None]
+def test_from_rows_rejects_a_short_row():
+    # The rows are transposed with zip, which would silently truncate.
+    with pytest.raises(SchemaError, match="row has 1 values, schema has 2"):
+        Table.from_rows(_SCHEMA, [("Ann", 180), ("Bob",)])
+
+
+def test_ragged_columns_are_rejected():
+    with pytest.raises(SchemaError, match="ragged columns"):
+        Table(_SCHEMA, {"name": ["Ann", "Bob"], "height_cm": [180]})
+
+
+@pytest.mark.parametrize("dtype", [DataType.TEXT, DataType.IMAGE])
+def test_a_built_table_never_aliases_the_input_list(dtype):
+    from repro.vision import LazyImage, build_scene
+    if dtype is DataType.TEXT:
+        cells = ["first report", "second report"]
+    else:
+        cells = [LazyImage(build_scene({"dog": 1}, seed=seed), path=f"{seed}")
+                 for seed in (1, 2)]
+    expected = list(cells)
+    table = Table(Schema([ColumnSpec("doc", dtype)]), {"doc": cells})
+    cells.append(cells[0])
+    cells[0] = None
+    assert table.column("doc") == expected
 
 
 def test_table_filter_project_rename():
@@ -42,7 +63,9 @@ def test_table_filter_project_rename():
 
 def test_table_equality_round_trip():
     table = _table()
-    again = Table.from_dicts(_SCHEMA, list(table.rows()))
+    rows = list(table.rows())
+    again = Table(_SCHEMA, {name: [row[name] for row in rows]
+                            for name in _SCHEMA.column_names})
     assert table.equals(again)
     assert table.equals(again.take([2, 1, 0]), ignore_order=True)
 
@@ -96,14 +119,6 @@ def test_all_none_typed_columns_store_and_roundtrip():
     again = Table.from_dict(table.to_dict())
     assert again == table
     assert again.fingerprint() == table.fingerprint()
-
-
-def test_all_none_typed_column_concat_with_values():
-    schema = Schema([ColumnSpec("n", DataType.INTEGER)])
-    nones = Table(schema, {"n": [None, None]})
-    values = Table(schema, {"n": [7]})
-    assert nones.concat(values).column("n") == [None, None, 7]
-    assert values.concat(nones).column("n") == [7, None, None]
 
 
 def test_typed_columns_round_trip_exactly():
@@ -193,7 +208,7 @@ def test_date_column_boundaries_survive_take_and_concat():
     table = Table(schema, {"d": [date.min, None, date.max]})
     taken = table.take([2, 0])
     assert taken.column("d") == [date.max, date.min]
-    merged = table.concat(taken)
+    merged = Table(schema, {"d": table.column("d") + taken.column("d")})
     assert merged.column("d") == [date.min, None, date.max, date.max,
                                   date.min]
     assert Table.from_dict(merged.to_dict()) == merged
