@@ -1,10 +1,12 @@
 """Typed columnar storage backing :class:`repro.data.table.Table`.
 
-A :class:`Column` stores one table column.  Typed implementations pack
-values into compact buffers — ``array('q')`` for int64, ``array('d')``
-for float64, a ``bytearray`` for bools, date ordinals for dates, and
-dictionary-encoded interned strings — with a parallel null mask, so a
-million-row column costs megabytes instead of a Python object per cell.
+A :class:`Column` stores one table column.  Typed implementations hold
+numpy arrays — int64 for ints, float64 for floats, bool for bools,
+int64 proleptic-Gregorian ordinals for dates, each with a parallel bool
+null mask (a null cell holds 0 / ``False``), and int32 dictionary codes
+(``-1`` for null) into a list of interned strings — so a million-row
+column costs megabytes instead of a Python object per cell, and
+:mod:`repro.relational.colexec`'s kernels read the arrays as they are.
 :class:`ObjectColumn` is the fallback for modality columns (IMAGE/TEXT)
 and for any value stream the typed stores cannot represent exactly.
 
@@ -20,31 +22,33 @@ cachenet payloads keep their keys.
 There is one way to build a column: :func:`build_column` packs a whole
 list once, into the typed store when every non-null value has the
 store's exact type, and into an :class:`ObjectColumn` of a fresh copy
-otherwise.  Columns are never appended to.  Gathers
-(:meth:`Column.take`) on fixed-width stores are one numpy fancy-index
-over the raw buffers.
+otherwise.  Columns are never appended to.  There is one way to read
+one: each store family (fixed-width, date, string) decodes a row range
+with ``tolist()`` in :meth:`Column._decode`, which both the lazy
+:meth:`Column.iter_values` and the memoized :meth:`Column.materialize`
+call.  :meth:`Column.take` is one numpy fancy-index; a string column
+and every take of it share the pool and one memo of what is derived
+from it (the code index, the numpy unicode view, the rank table).
 """
 
 from __future__ import annotations
 
 import sys
-from array import array
 from datetime import date
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from repro.data.datatypes import DataType
 
+#: Rows :meth:`Column.iter_values` decodes first; each later chunk is
+#: twice the one before.  A caller that stops early — sample values for
+#: a prompt — pays for one small chunk, a full scan for a few.  A column
+#: no longer than one chunk is decoded whole and kept.
+DECODE_CHUNK = 8
 
-def _gather(buffer: array | bytearray, idx: np.ndarray) -> array | bytearray:
-    """A fixed-width *buffer* (typed ``array`` or byte mask) at positions
-    *idx*, gathered in one numpy pass."""
-    if isinstance(buffer, bytearray):
-        return bytearray(np.frombuffer(buffer, dtype=np.uint8)[idx].tobytes())
-    out = array(buffer.typecode)
-    out.frombytes(np.frombuffer(buffer, dtype=buffer.typecode)[idx].tobytes())
-    return out
+_T = TypeVar("_T")
 
 
 class Column:
@@ -58,17 +62,32 @@ class Column:
     def __len__(self) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def iter_values(self) -> Iterator[object]:  # pragma: no cover - abstract
-        """Yield Python values (``None`` for nulls) without caching."""
-        raise NotImplementedError
+    def _decode(self, start: int, stop: int) -> list[object]:
+        """Python values (``None`` for nulls) of rows *start*..*stop*."""
+        raise NotImplementedError  # pragma: no cover - abstract
 
     def take(self, indices: Sequence[int]) -> "Column":  # pragma: no cover
         raise NotImplementedError
 
+    def iter_values(self) -> Iterator[object]:
+        """An iterator over the Python values (``None`` for nulls) that
+        decodes chunk by chunk; a column no longer than the first chunk
+        is decoded once and kept."""
+        if self._cache is not None or len(self) <= DECODE_CHUNK:
+            return iter(self.materialize())
+        return chain.from_iterable(self._chunks())
+
+    def _chunks(self) -> Iterator[list[object]]:
+        start, step = 0, DECODE_CHUNK
+        while start < len(self):
+            yield self._decode(start, start + step)
+            start += step
+            step *= 2
+
     def materialize(self) -> list[object]:
         """The column as a Python list (memoized; callers must not mutate)."""
         if self._cache is None:
-            self._cache = list(self.iter_values())
+            self._cache = self._decode(0, len(self))
         return self._cache
 
     def get(self, index: int) -> object:
@@ -82,19 +101,11 @@ class ObjectColumn(Column):
 
     def __init__(self, values: list[object]) -> None:
         super().__init__()
-        self.values = values
+        # The list is already the materialized form.
+        self.values = self._cache = values
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def iter_values(self) -> Iterator[object]:
-        return iter(self.values)
-
-    def materialize(self) -> list[object]:
-        return self.values
-
-    def get(self, index: int) -> object:
-        return self.values[index]
 
     def take(self, indices: Sequence[int]) -> "ObjectColumn":
         values = self.values
@@ -102,11 +113,11 @@ class ObjectColumn(Column):
 
 
 class _MaskedColumn(Column):
-    """Shared null-mask plumbing for the fixed-width typed columns."""
+    """A fixed-width numpy ``data`` array with a bool ``nulls`` mask."""
 
     __slots__ = ("data", "nulls")
 
-    def __init__(self, data: array | bytearray, nulls: bytearray) -> None:
+    def __init__(self, data: np.ndarray, nulls: np.ndarray) -> None:
         super().__init__()
         self.data = data
         self.nulls = nulls
@@ -114,83 +125,110 @@ class _MaskedColumn(Column):
     def __len__(self) -> int:
         return len(self.data)
 
+    def _decode(self, start: int, stop: int) -> list[object]:
+        values = self.data[start:stop].tolist()
+        nulls = self.nulls[start:stop]
+        if not np.count_nonzero(nulls):
+            return values
+        return [None if null else value
+                for value, null in zip(values, nulls.tolist())]
+
     def take(self, indices: Sequence[int]) -> "Column":
         idx = np.asarray(indices, dtype=np.intp)
-        return type(self)(_gather(self.data, idx), _gather(self.nulls, idx))
+        return type(self)(self.data[idx], self.nulls[idx])
 
 
 class IntColumn(_MaskedColumn):
-    """int64 storage (``array('q')``) with a null mask."""
+    """int64 storage with a null mask."""
 
     __slots__ = ()
-
-    def iter_values(self) -> Iterator[object]:
-        for raw, null in zip(self.data, self.nulls):
-            yield None if null else raw
 
 
 class FloatColumn(_MaskedColumn):
-    """float64 storage (``array('d')``) with a null mask."""
+    """float64 storage with a null mask."""
 
     __slots__ = ()
-
-    def iter_values(self) -> Iterator[object]:
-        for raw, null in zip(self.data, self.nulls):
-            yield None if null else raw
 
 
 class BoolColumn(_MaskedColumn):
-    """1-byte bool storage with a null mask."""
+    """bool storage with a null mask."""
 
     __slots__ = ()
-
-    def iter_values(self) -> Iterator[object]:
-        for raw, null in zip(self.data, self.nulls):
-            yield None if null else bool(raw)
 
 
 class DateColumn(_MaskedColumn):
-    """``datetime.date`` storage as proleptic-Gregorian ordinals."""
+    """``datetime.date`` storage as int64 proleptic-Gregorian ordinals."""
 
     __slots__ = ()
 
-    def iter_values(self) -> Iterator[object]:
+    def _decode(self, start: int, stop: int) -> list[object]:
+        ordinals = self.data[start:stop].tolist()
+        nulls = self.nulls[start:stop]
         fromordinal = date.fromordinal
-        for raw, null in zip(self.data, self.nulls):
-            yield None if null else fromordinal(raw)
+        if not np.count_nonzero(nulls):
+            return list(map(fromordinal, ordinals))
+        return [None if null else fromordinal(raw)
+                for raw, null in zip(ordinals, nulls.tolist())]
 
 
 class StringColumn(Column):
-    """Dictionary-encoded interned strings: codes into a shared pool."""
+    """Dictionary-encoded interned strings: int32 codes into a pool."""
 
-    __slots__ = ("codes", "pool", "_index")
+    __slots__ = ("codes", "pool", "_memo")
 
-    def __init__(self, codes: array, pool: list[str]) -> None:
+    def __init__(self, codes: np.ndarray, pool: list[str],
+                 memo: dict[str, object] | None = None) -> None:
         super().__init__()
         self.codes = codes
         self.pool = pool
-        self._index: dict[str, int] | None = None
+        # Shared by every take: the pool is immutable by convention.
+        self._memo = {} if memo is None else memo
 
     def __len__(self) -> int:
         return len(self.codes)
 
-    def iter_values(self) -> Iterator[object]:
+    def _decode(self, start: int, stop: int) -> list[object]:
         pool = self.pool
-        for code in self.codes:
-            yield None if code < 0 else pool[code]
+        return [None if code < 0 else pool[code]
+                for code in self.codes[start:stop].tolist()]
 
     def take(self, indices: Sequence[int]) -> "StringColumn":
-        # The pool is shared with the source column (both are immutable
-        # by convention), so a take is just a code gather.
-        return StringColumn(
-            _gather(self.codes, np.asarray(indices, dtype=np.intp)),
-            self.pool)
+        return StringColumn(self.codes[np.asarray(indices, dtype=np.intp)],
+                            self.pool, self._memo)
+
+    def _pool_derived(self, key: str, build: Callable[[], _T]) -> _T:
+        memo = self._memo
+        if key not in memo:
+            # Racing builders compute equal values; either may stay.
+            memo[key] = build()
+        return memo[key]  # type: ignore[return-value]
 
     def code_of(self, text: str) -> int | None:
         """The dictionary code for *text*, or ``None`` when absent."""
-        if self._index is None:
-            self._index = {t: i for i, t in enumerate(self.pool)}
-        return self._index.get(text)
+        return self._pool_derived(
+            "index", lambda: {t: i for i, t in enumerate(self.pool)}
+        ).get(text)
+
+    def pool_unicode(self) -> np.ndarray | None:
+        """The pool as a numpy unicode array, or ``None`` when a string
+        holds a NUL: numpy pads with U+0000, so its code-point order is
+        only Python's for NUL-free strings."""
+        pool = self.pool
+        return self._pool_derived("unicode", lambda: None if any(
+            "\x00" in text for text in pool) else np.array(pool, dtype=str))
+
+    def pool_ranks(self) -> np.ndarray | None:
+        """``ranks[code]`` orders codes the way Python orders their
+        strings (``None`` for a NUL-bearing pool)."""
+        def build() -> np.ndarray | None:
+            unicode = self.pool_unicode()
+            if unicode is None:
+                return None
+            ranks = np.empty(len(unicode), dtype=np.int64)
+            ranks[np.argsort(unicode, kind="stable")] = \
+                np.arange(len(unicode))
+            return ranks
+        return self._pool_derived("ranks", build)
 
 
 #: The one Python type each typed store accepts (``type(v) is T``).
@@ -224,23 +262,25 @@ def _pack(values: list[object], dtype: DataType) -> Column | None:
         lookup: dict[object, int] = {text: code
                                      for code, text in enumerate(pool)}
         lookup[None] = -1
-        return StringColumn(array("i", map(lookup.__getitem__, values)),
+        return StringColumn(np.fromiter(map(lookup.__getitem__, values),
+                                        dtype=np.int32, count=len(values)),
                             pool)
-    nulls = (bytearray([value is None for value in values]) if nullable
-             else bytearray(len(values)))
+    nulls = (np.array([value is None for value in values], dtype=bool)
+             if nullable else np.zeros(len(values), dtype=bool))
     if exact is bool:
-        return BoolColumn(bytearray(map(bool, values)), nulls)
+        return BoolColumn(np.array(values, dtype=bool), nulls)  # None→False
     if exact is date:
-        return DateColumn(array("q", [0 if value is None
-                                      else value.toordinal()
-                                      for value in values]), nulls)
+        return DateColumn(np.array([0 if value is None
+                                    else value.toordinal()
+                                    for value in values], dtype=np.int64),
+                          nulls)
     if nullable:
         fill = 0.0 if exact is float else 0
         values = [fill if value is None else value for value in values]
     if exact is float:
-        return FloatColumn(array("d", values), nulls)
+        return FloatColumn(np.array(values, dtype=np.float64), nulls)
     try:
-        return IntColumn(array("q", values), nulls)
+        return IntColumn(np.array(values, dtype=np.int64), nulls)
     except OverflowError:
         return None  # past int64
 

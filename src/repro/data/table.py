@@ -6,9 +6,9 @@ columns (``IMAGE``, ``TEXT``) hold arbitrary Python objects such as rendered
 :class:`repro.vision.image.Image` rasters or long report strings.
 
 Storage is columnar for real: relational columns pack into the typed
-stores of :mod:`repro.data.columns` — int64/float64 ``array`` buffers,
-byte-wide bools, date ordinals, dictionary-encoded interned strings —
-with plain-list object storage as the fallback for modality columns and
+stores of :mod:`repro.data.columns` — numpy int64 / float64 / bool
+arrays, date ordinals, dictionary-encoded interned strings — with
+plain-list object storage as the fallback for modality columns and
 anything the typed stores cannot represent exactly.  The public surface
 is unchanged: :meth:`column` still returns a Python list (memoized
 materialization), ``to_dict``/``from_dict`` and :meth:`fingerprint` are

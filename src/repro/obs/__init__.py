@@ -21,9 +21,8 @@ from repro.obs.context import (TraceContext, TraceContextError,
                                current_trace, pop_trace, push_trace)
 from repro.obs.cost import (DEFAULT_COST_MODEL, CostModel,
                             resolve_cost_model)
-from repro.obs.export import (SlowQueryLog, TraceBuffer, TraceExporter,
-                              TracePipeline, build_trace_record,
-                              render_trace_record)
+from repro.obs.export import (TraceBuffer, TraceExporter, TracePipeline,
+                              build_trace_record, render_trace_record)
 from repro.obs.metrics import (LATENCY_BUCKETS, MetricsRegistry,
                                render_prometheus, render_snapshot)
 from repro.obs.trace import (LOCALITY_COUNTERS, QueryTelemetry,
@@ -36,7 +35,6 @@ __all__ = [
     "LOCALITY_COUNTERS",
     "MetricsRegistry",
     "QueryTelemetry",
-    "SlowQueryLog",
     "StageTrace",
     "TelemetryConfig",
     "TraceBuffer",

@@ -10,7 +10,8 @@ caller supplies (job id, client, queue wait).  Child span ids are
 telemetry always renders the same tree — useful for tests and for
 diffing exports.
 
-Three sinks share one :class:`TracePipeline` entry point:
+Two sinks share one :class:`TracePipeline` entry point, which also
+flags a record ``slow`` against an optional threshold:
 
 - :class:`TraceBuffer` — bounded in-memory ring of recent records,
   queryable by id and filterable by duration/status (the ``/traces``
@@ -18,9 +19,7 @@ Three sinks share one :class:`TracePipeline` entry point:
 - :class:`TraceExporter` — JSONL spool with single-``write`` appends
   (one record is one line, written in one append-mode ``write`` call so
   concurrent writers never interleave) and size-based rotation to a
-  ``.1`` sibling;
-- :class:`SlowQueryLog` — a threshold filter feeding its own small ring
-  (and a counter), so "what was slow lately" needs no scan.
+  ``.1`` sibling.
 """
 
 from __future__ import annotations
@@ -29,14 +28,12 @@ import hashlib
 import json
 import os
 import threading
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from collections import OrderedDict
 
 from repro.obs.context import TraceContext
 from repro.obs.trace import QueryTelemetry
 
 __all__ = [
-    "SlowQueryLog",
     "TraceBuffer",
     "TraceExporter",
     "TracePipeline",
@@ -272,58 +269,28 @@ class TraceExporter:
         return records
 
 
-@dataclass
-class SlowQueryLog:
-    """Threshold filter: traces at or above *threshold_ms* are slow.
-
-    Keeps its own newest-first ring of summaries so "show me what was
-    slow" never scans the full buffer or the spool.
-    """
-
-    threshold_ms: float
-    capacity: int = 128
-    _ring: deque = field(default_factory=deque, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False)
-
-    def offer(self, record: dict) -> bool:
-        """Record *record* if it is slow; returns whether it was."""
-        if record.get("duration_ms", 0.0) < self.threshold_ms:
-            record["slow"] = False
-            return False
-        record["slow"] = True
-        with self._lock:
-            self._ring.append(summarize_trace_record(record))
-            while len(self._ring) > self.capacity:
-                self._ring.popleft()
-        return True
-
-    def recent(self, limit: int = 50) -> list[dict]:
-        with self._lock:
-            items = list(self._ring)
-        return list(reversed(items))[:limit]
-
-
 class TracePipeline:
     """One ``record()`` call fans a finished trace to every sink.
 
-    Marks the record ``slow`` *before* buffering/exporting so the flag
-    is queryable everywhere, and counts ``traces_recorded_total`` /
+    With *slow_query_ms* set, marks the record ``slow`` (at or above the
+    threshold) *before* buffering/exporting so the flag is queryable
+    everywhere, and counts ``traces_recorded_total`` /
     ``slow_queries_total`` into the session metrics when given one.
     """
 
     def __init__(self, buffer: TraceBuffer | None = None,
                  exporter: TraceExporter | None = None,
-                 slow_log: SlowQueryLog | None = None,
+                 slow_query_ms: float | None = None,
                  metrics=None):
         self.buffer = buffer if buffer is not None else TraceBuffer()
         self.exporter = exporter
-        self.slow_log = slow_log
+        self.slow_query_ms = slow_query_ms
         self.metrics = metrics
 
     def record(self, record: dict) -> dict:
-        if self.slow_log is not None:
-            record["slow"] = self.slow_log.offer(record)
+        if self.slow_query_ms is not None:
+            record["slow"] = (record.get("duration_ms", 0.0)
+                              >= self.slow_query_ms)
         self.buffer.add(record)
         if self.exporter is not None:
             self.exporter.export(record)

@@ -4,9 +4,11 @@ The mapping phase emits SQL from a closed grammar (single-table filters,
 USING / ON equi-joins, grouped and whole-table aggregates, ORDER BY +
 LIMIT superlatives, DISTINCT projections).  This module parses that
 dialect and executes it directly over :class:`repro.data.table.Table`
-column storage — vectorized numpy kernels over the typed buffers of
-:mod:`repro.data.columns`, dictionary-coded string predicates — without
-copying a single row into sqlite.
+column storage — vectorized numpy kernels that read the ``data``,
+``nulls`` and ``codes`` arrays of the typed stores in
+:mod:`repro.data.columns` as they are, and dictionary-coded string
+predicates over each pool's shared memo — without copying a single row
+into sqlite.
 
 Byte-identical output is the contract.  Results reproduce the sqlite
 bridge exactly: the same cell values (dates as ISO strings, bools as
@@ -20,7 +22,8 @@ envelope is exactly what has a typed kernel: filters run as numpy masks
 over typed column buffers, group keys split with one stable sort over
 them, and aggregates reduce them; a predicate, group key or aggregate
 over storage without such a kernel (object-stored or float columns,
-non-ISO date literals, integer sums near the exact bound) declines.
+non-ISO date literals, integer sums near the exact bound) declines, and
+so does a value sqlite binds differently (a float NaN, bound as NULL).
 Ordering and DISTINCT run over adapted (sqlite-representation) values.
 """
 
@@ -492,29 +495,24 @@ def _adapted_column(table: Table, name: str) -> list[object]:
     nothing.  Bool / date / object adaptations are memoized on the table
     (:meth:`Table.derived`) for the same reason.  Raises
     :class:`UnsupportedSQL` for object cells sqlite could not have bound
-    either.
+    either, and for a NaN cell, which sqlite binds as NULL.  (A typed
+    float column holding NaN never gets here: :func:`_decline_nan`.)
     """
     storage = table.storage(name)
     if isinstance(storage, (IntColumn, FloatColumn, StringColumn)):
         return storage.materialize()
 
     def adapt() -> list[object]:
-        if isinstance(storage, BoolColumn):
-            return [None if v is None else int(v)
-                    for v in storage.iter_values()]
-        if isinstance(storage, DateColumn):
-            return [None if v is None else v.isoformat()
-                    for v in storage.iter_values()]
-        adapted = []
-        for value in storage.materialize():
-            if value is None or type(value) in _SCALARS:
-                adapted.append(value)
-            elif isinstance(value, (bool, date)):
-                adapted.append(_adapt_cell(value))
-            else:
-                raise UnsupportedSQL(
-                    f"column {name!r} holds non-SQL values "
-                    f"({type(value).__name__})")
+        adapted = list(map(_adapt_cell, storage.iter_values()))
+        if isinstance(storage, ObjectColumn):
+            # Typed bool / date stores hold nothing else.
+            for value in adapted:
+                if value is not None and type(value) not in _SCALARS:
+                    raise UnsupportedSQL(
+                        f"column {name!r} holds non-SQL values "
+                        f"({type(value).__name__})")
+                if value != value:
+                    raise UnsupportedSQL(f"column {name!r} holds NaN")
         return adapted
 
     return table.derived(("sql_adapted", name), adapt)
@@ -531,6 +529,17 @@ def _strict_iso_date(text: str) -> date | None:
     except (ValueError, TypeError):
         return None
     return parsed if parsed.isoformat() == text else None
+
+
+def _decline_nan(table: Table) -> None:
+    """sqlite binds a float NaN as NULL, so a typed float column holding
+    NaN would answer differently here: its table declines (checked once
+    per table)."""
+    if table.derived(("float_nan",), lambda: any(
+            isinstance(storage, FloatColumn)
+            and bool(np.isnan(storage.data).any())
+            for storage in map(table.storage, table.column_names))):
+        raise UnsupportedSQL("float column holds NaN")
 
 
 def _no_kernel(what: str, storage: Column) -> UnsupportedSQL:
@@ -551,80 +560,17 @@ _PY_OPS: dict[str, Callable[[object, object], object]] = {
 
 
 def _like_regex(pattern: str) -> re.Pattern:
+    # sqlite's LIKE folds case for ASCII letters only, and its % and _
+    # match any character, newlines included.
     regex = re.escape(pattern).replace(r"%", ".*").replace(r"_", ".")
-    return re.compile(regex, re.IGNORECASE)
-
-
-def _numeric_buffer(storage: object) -> tuple[np.ndarray, np.ndarray]:
-    """(values, notnull) numpy views over a typed column's buffers."""
-    if isinstance(storage, IntColumn):
-        values = np.frombuffer(storage.data, dtype=np.int64)
-    elif isinstance(storage, DateColumn):
-        values = np.frombuffer(storage.data, dtype=np.int64)
-    elif isinstance(storage, FloatColumn):
-        values = np.frombuffer(storage.data, dtype=np.float64)
-    else:  # BoolColumn
-        values = np.frombuffer(bytes(storage.data), dtype=np.uint8)
-    notnull = np.frombuffer(bytes(storage.nulls), dtype=np.uint8) == 0
-    return values, notnull
-
-
-def _string_codes(storage: StringColumn) -> np.ndarray:
-    return np.frombuffer(storage.codes, dtype=np.int32)
+    return re.compile(regex, re.IGNORECASE | re.ASCII | re.DOTALL)
 
 
 def _pool_matches(storage: StringColumn,
                   predicate: Callable[[str], bool]) -> np.ndarray:
     allowed = np.array([i for i, text in enumerate(storage.pool)
                         if predicate(text)], dtype=np.int32)
-    return np.isin(_string_codes(storage), allowed)
-
-
-# Pool → numpy unicode array, memoized.  Pools are immutable once their
-# column is inside a table and are shared across takes/joins, so one
-# conversion serves every later predicate.  ``None`` marks a pool whose
-# strings contain NULs: numpy pads with U+0000, so code-point ordering
-# is only identical to Python's for NUL-free strings.  Entries hold the
-# pool itself, which both pins ``id()`` and lets staleness be detected.
-_POOL_ARRAYS: dict[int, tuple[list[str], np.ndarray | None]] = {}
-
-
-def _pool_array(pool: list[str]) -> np.ndarray | None:
-    entry = _POOL_ARRAYS.get(id(pool))
-    if entry is not None and entry[0] is pool \
-            and (entry[1] is None or len(entry[1]) == len(pool)):
-        return entry[1]
-    if len(_POOL_ARRAYS) > 64:
-        _POOL_ARRAYS.clear()
-    converted = None
-    if not any("\x00" in text for text in pool):
-        converted = np.array(pool, dtype=str) if pool else \
-            np.empty(0, dtype=str)
-    _POOL_ARRAYS[id(pool)] = (pool, converted)
-    return converted
-
-
-# Pool → lexicographic rank of each entry, memoized like _POOL_ARRAYS.
-# ``ranks[code]`` orders codes the way Python orders the strings, so
-# string min/max reduce to integer argmin/argmax instead of sorting the
-# kept texts on every aggregate.
-_POOL_RANKS: dict[int, tuple[list[str], np.ndarray]] = {}
-
-
-def _pool_ranks(pool: list[str]) -> np.ndarray | None:
-    entry = _POOL_RANKS.get(id(pool))
-    if entry is not None and entry[0] is pool \
-            and len(entry[1]) == len(pool):
-        return entry[1]
-    pool_array = _pool_array(pool)
-    if pool_array is None:
-        return None  # NUL-bearing pool: numpy ordering diverges
-    if len(_POOL_RANKS) > 64:
-        _POOL_RANKS.clear()
-    ranks = np.empty(len(pool), dtype=np.int64)
-    ranks[np.argsort(pool_array, kind="stable")] = np.arange(len(pool))
-    _POOL_RANKS[id(pool)] = (pool, ranks)
-    return ranks
+    return np.isin(storage.codes, allowed)
 
 
 def _comparison_mask(storage: Column, op: str,
@@ -639,23 +585,21 @@ def _comparison_mask(storage: Column, op: str,
         if isinstance(literal, int) \
                 and not _INT64_MIN <= literal <= _INT64_MAX:
             raise UnsupportedSQL("integer literal outside int64")
-        values, notnull = _numeric_buffer(storage)
-        return apply_op(values, literal) & notnull
+        return apply_op(storage.data, literal) & ~storage.nulls
     if isinstance(storage, DateColumn):
         parsed = _strict_iso_date(literal) \
             if isinstance(literal, str) else None
         if parsed is None:
             # sqlite would compare the ISO text lexicographically.
             raise UnsupportedSQL("date comparison needs an ISO date literal")
-        values, notnull = _numeric_buffer(storage)
-        return apply_op(values, parsed.toordinal()) & notnull
+        return apply_op(storage.data, parsed.toordinal()) & ~storage.nulls
     if isinstance(storage, StringColumn):
         if not isinstance(literal, str):
             raise UnsupportedSQL("numeric literal against a text column")
         if op in ("=", "==", "!=", "<>"):
             # Dictionary-encoded equality: one index probe plus a vector
             # compare on the codes, no pool scan.
-            codes = _string_codes(storage)
+            codes = storage.codes
             code = storage.code_of(literal)
             if op in ("=", "=="):
                 return (codes == code if code is not None
@@ -666,11 +610,11 @@ def _comparison_mask(storage: Column, op: str,
         # same code-point ordering as Python's, so the pool scan runs
         # vectorized instead of through a per-entry lambda.  NUL-bearing
         # pools or literals take the exact per-entry path.
-        pool_array = _pool_array(storage.pool)
-        if pool_array is not None and "\x00" not in literal:
-            allowed = np.flatnonzero(apply_op(pool_array, literal)) \
+        pool_unicode = storage.pool_unicode()
+        if pool_unicode is not None and "\x00" not in literal:
+            allowed = np.flatnonzero(apply_op(pool_unicode, literal)) \
                 .astype(np.int32)
-            return np.isin(_string_codes(storage), allowed)
+            return np.isin(storage.codes, allowed)
         return _pool_matches(storage,
                              lambda text: bool(apply_op(text, literal)))
     raise _no_kernel("a comparison", storage)
@@ -708,7 +652,7 @@ def _compile_mask(table: Table, expr: Expr) -> np.ndarray:
                 sorted({code for value in expr.values
                         if (code := storage.code_of(value)) is not None}),
                 dtype=np.int32)
-            base = np.isin(_string_codes(storage), allowed)
+            base = np.isin(storage.codes, allowed)
         else:
             base = functools.reduce(operator.or_, (
                 _comparison_mask(storage, "=", value)
@@ -725,10 +669,10 @@ def _compile_mask(table: Table, expr: Expr) -> np.ndarray:
 
 def _notnull_mask(storage: Column) -> np.ndarray:
     if isinstance(storage, StringColumn):
-        return _string_codes(storage) >= 0
+        return storage.codes >= 0
     if isinstance(storage, ObjectColumn):
         raise _no_kernel("IS NULL", storage)
-    return np.frombuffer(bytes(storage.nulls), dtype=np.uint8) == 0
+    return ~storage.nulls
 
 
 # ----------------------------------------------------------------------
@@ -758,15 +702,6 @@ def _ordered_group_keys(keys: Sequence[object],
     if None not in keys:
         return rest
     return rest + [None] if descending else [None] + rest
-
-
-def _masked_int64(storage: IntColumn | DateColumn,
-                  members: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(raw int64 values, notnull) gathered at *members*."""
-    values = np.frombuffer(storage.data, dtype=np.int64)[members]
-    notnull = np.frombuffer(bytes(storage.nulls),
-                            dtype=np.uint8)[members] == 0
-    return values, notnull
 
 
 #: Storage an aggregate has a typed kernel for (COUNT(DISTINCT) runs
@@ -799,13 +734,13 @@ def _aggregate(table: Table, column: str | None, item: AggItem,
         return len({values[i] for i in members} - {None})
     func = item.func
     if isinstance(storage, StringColumn):
-        codes = _string_codes(storage)[members]
+        codes = storage.codes[members]
         kept = codes[codes >= 0]
         if func == "count":
             return int(kept.size)
         if kept.size == 0:
             return None
-        ranks = _pool_ranks(storage.pool)
+        ranks = storage.pool_ranks()
         if ranks is None:
             raise UnsupportedSQL(f"{func} over a NUL-bearing string pool")
         # min/max have no unicode ufunc, but the cached per-pool rank
@@ -816,12 +751,10 @@ def _aggregate(table: Table, column: str | None, item: AggItem,
         winner = int(np.argmin(kept_ranks) if func == "min"
                      else np.argmax(kept_ranks))
         return str(storage.pool[int(kept[winner])])
+    isnull = storage.nulls[members]
     if func == "count":
-        notnull = np.frombuffer(bytes(storage.nulls),
-                                dtype=np.uint8)[members] == 0
-        return int(notnull.sum())
-    values, notnull = _masked_int64(storage, members)
-    kept = values[notnull]
+        return len(isnull) - int(np.count_nonzero(isnull))
+    kept = storage.data[members][~isnull]
     if kept.size == 0:
         return None
     if func in ("min", "max"):
@@ -848,19 +781,13 @@ def _build_groups(table: Table, key: str,
     if idx.size == 0:
         return {}
     if isinstance(storage, StringColumn):
-        raw = _string_codes(storage)[idx].astype(np.int64)
+        raw = storage.codes[idx]
         isnull = raw < 0
-    elif isinstance(storage, BoolColumn):
-        raw = np.frombuffer(bytes(storage.data),
-                            dtype=np.uint8)[idx].astype(np.int64)
-        isnull = np.frombuffer(bytes(storage.nulls),
-                               dtype=np.uint8)[idx] == 1
-        raw[isnull] = 0
     else:
-        raw, notnull = _masked_int64(storage, idx)
-        isnull = ~notnull
-    # Stored null sentinels are uniform per store (code -1 / raw 0), so
-    # (isnull, raw) pairs split the sort into exact groups.
+        raw = storage.data[idx]
+        isnull = storage.nulls[idx]
+    # Stored null sentinels are uniform per store (code -1 / 0 / False),
+    # so (isnull, raw) pairs split the sort into exact groups.
     order = np.lexsort((raw, isnull))
     sorted_raw = raw[order]
     sorted_null = isnull[order]
@@ -900,8 +827,8 @@ def _guard_aggregate(table: Table, item: AggItem,
             and not isinstance(storage, _AGG_KERNELS[item.func]):
         raise _no_kernel(item.func.upper(), storage)
     if item.func in ("sum", "avg"):
-        values, notnull = _masked_int64(storage, indices)
-        magnitude = float(np.abs(values[notnull].astype(np.float64)).sum())
+        kept = storage.data[indices][~storage.nulls[indices]]
+        magnitude = float(np.abs(kept.astype(np.float64)).sum())
         limit = _EXACT_FLOAT_INT if item.func == "avg" else _INT64_MAX
         if magnitude >= limit * 0.99:
             # Past int64 sqlite's SUM errors; past 2**53 its double AVG
@@ -943,7 +870,8 @@ def _take_sql_column(storage: object, indices: Sequence[int] | None
         return taken, DataType.STRING
     # _infer_sql_dtype over {int|float, None}: typed if any value
     # survives, STRING for an all-null (or empty) projection.
-    if 0 not in taken.nulls:
+    nulls = taken.nulls
+    if not len(nulls) or (nulls[0] and nulls.all()):
         return taken, DataType.STRING
     return taken, (DataType.INTEGER if isinstance(taken, IntColumn)
                    else DataType.FLOAT)
@@ -1091,6 +1019,7 @@ def _resolve_source(statement: SelectStatement,
     if statement.table not in tables:
         raise UnsupportedSQL(f"unknown table {statement.table!r}")
     left = tables[statement.table]
+    _decline_nan(left)
     join = statement.join
     if join is None:
         def resolve(ref: tuple[str | None, str],
@@ -1109,6 +1038,7 @@ def _resolve_source(statement: SelectStatement,
         raise UnsupportedSQL("self-join: sqlite reports its columns as "
                              "ambiguous")
     right = tables[join.right]
+    _decline_nan(right)
     if join.using is not None:
         left_on = right_on = join.using
     else:

@@ -50,9 +50,9 @@ from typing import TYPE_CHECKING
 from urllib.parse import parse_qs
 
 from repro.exec import LANE_KINDS
-from repro.obs import (SlowQueryLog, TraceBuffer, TraceContext,
-                       TraceContextError, TraceExporter, TracePipeline,
-                       render_prometheus, render_snapshot)
+from repro.obs import (TraceBuffer, TraceContext, TraceContextError,
+                       TraceExporter, TracePipeline, render_prometheus,
+                       render_snapshot)
 from repro.serve.admission import AdmissionError
 from repro.serve.jobs import JobManager, encode_json
 from repro.serve.schemas import error_body, parse_submit
@@ -107,8 +107,8 @@ class ServeConfig:
     trace_export_file: str | None = None
     #: capacity of the in-memory ring behind ``GET /traces``.
     trace_buffer: int = 256
-    #: jobs at/above this wall-clock duration are flagged slow and land
-    #: in the slow-query log; ``None`` disables the threshold.
+    #: jobs at/above this wall-clock duration are flagged slow (see
+    #: ``GET /traces?slow=1``); ``None`` disables the threshold.
     slow_query_ms: float | None = None
     #: where job queries execute: ``thread`` (in-process engines) or
     #: ``process`` (one worker-lane process per serve worker).
@@ -195,8 +195,7 @@ class QueryServer:
             buffer=TraceBuffer(self.config.trace_buffer),
             exporter=(TraceExporter(self.config.trace_export_file)
                       if self.config.trace_export_file else None),
-            slow_log=(SlowQueryLog(self.config.slow_query_ms)
-                      if self.config.slow_query_ms is not None else None),
+            slow_query_ms=self.config.slow_query_ms,
             metrics=session.metrics_registry)
         self.jobs = JobManager(
             session, workers=self.config.workers,
@@ -683,7 +682,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "/traces (default: 256)")
     parser.add_argument("--slow-query-ms", type=positive_float, default=None,
                         help="flag jobs at/above this duration as slow "
-                             "(default: slow-query log disabled)")
+                             "(default: no threshold)")
     return parser
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from datetime import date, datetime
 
+import numpy as np
 import pytest
 
 from repro.data.columns import (BoolColumn, Column, DateColumn, FloatColumn,
@@ -44,6 +44,10 @@ class Text(str):
 # ----------------------------------------------------------------------
 
 
+#: The numpy dtype of each fixed-width store's ``data`` array.
+_STORE_DTYPES = {IntColumn: np.int64, FloatColumn: np.float64,
+                 BoolColumn: np.bool_, DateColumn: np.int64}
+
 #: Each typed store and the one Python type it accepts exactly.
 _TYPED_STORES = {DT.INTEGER: (IntColumn, int), DT.FLOAT: (FloatColumn, float),
                  DT.BOOLEAN: (BoolColumn, bool), DT.DATE: (DateColumn, date),
@@ -65,21 +69,19 @@ def reference_column(values, dtype: DataType) -> Column:
         return ObjectColumn(values)
     if store is StringColumn:
         pool: list[str] = []
-        codes = array("i")
-        for value in values:
+        codes = np.zeros(len(values), dtype=np.int32)
+        for i, value in enumerate(values):
             if value is not None and value not in pool:
                 pool.append(value)
-            codes.append(-1 if value is None else pool.index(value))
+            codes[i] = -1 if value is None else pool.index(value)
         return StringColumn(codes, pool)
-    data = (bytearray() if store is BoolColumn
-            else array("d" if store is FloatColumn else "q"))
-    nulls = bytearray()
-    for value in values:
-        nulls.append(value is None)
+    data = np.zeros(len(values), dtype=_STORE_DTYPES[store])
+    nulls = np.zeros(len(values), dtype=bool)
+    for i, value in enumerate(values):
         if value is None:
-            data.append(0)
+            nulls[i] = True
         else:
-            data.append(value.toordinal() if store is DateColumn else value)
+            data[i] = value.toordinal() if store is DateColumn else value
     return store(data, nulls)
 
 
@@ -104,13 +106,11 @@ def reference_take(column: Column, indices) -> Column:
     if isinstance(column, ObjectColumn):
         return ObjectColumn([column.values[i] for i in indices])
     if isinstance(column, StringColumn):
-        return StringColumn(array("i", (column.codes[i] for i in indices)),
-                            column.pool)
-    nulls = bytearray(column.nulls[i] for i in indices)
-    if isinstance(column, BoolColumn):
-        return BoolColumn(bytearray(column.data[i] for i in indices), nulls)
-    return type(column)(array(column.data.typecode,
-                              (column.data[i] for i in indices)), nulls)
+        return StringColumn(np.array([column.codes[i] for i in indices],
+                                     dtype=np.int32), column.pool)
+    nulls = np.array([column.nulls[i] for i in indices], dtype=bool)
+    return type(column)(np.array([column.data[i] for i in indices],
+                                 dtype=_STORE_DTYPES[type(column)]), nulls)
 
 
 def reference_join_assembly(left: Table, right: Table,
@@ -176,17 +176,21 @@ def assert_same_column(bulk: Column, reference: Column,
                        same_pool: bool = True) -> None:
     """Same class and values; with *same_pool*, the same raw buffers and
     string pool too.  A gathered string column shares its source's pool
-    (a superset of the values it still holds), so joins compare values."""
+    (a superset of the values it still holds), so joins compare values.
+    Typed buffers always have the store's numpy dtype."""
     assert type(bulk) is type(reference)
     assert len(bulk) == len(reference)
     assert cells(bulk) == cells(reference)
     if isinstance(reference, StringColumn):
+        assert bulk.codes.dtype == np.int32
         if same_pool:
             assert bulk.pool == reference.pool
             assert bulk.codes.tobytes() == reference.codes.tobytes()
     elif not isinstance(reference, ObjectColumn):
-        assert bytes(bulk.data) == bytes(reference.data)
-        assert bulk.nulls == reference.nulls
+        assert bulk.data.dtype == _STORE_DTYPES[type(reference)]
+        assert bulk.nulls.dtype == np.bool_
+        assert bulk.data.tobytes() == reference.data.tobytes()
+        assert bulk.nulls.tobytes() == reference.nulls.tobytes()
 
 
 def assert_same_table(bulk: Table, reference: Table,
@@ -345,6 +349,53 @@ def test_take_matches_per_index_gathers(dtype):
             assert_same_column(taken, reference_take(column, indices))
             if isinstance(column, StringColumn):
                 assert taken.pool is column.pool
+
+
+class CountingPool(list):
+    """A string pool that counts full scans of itself."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_a_string_column_and_its_takes_share_one_pool_memo():
+    pool = CountingPool(["b", "a", "c"])
+    column = StringColumn(np.array([0, 1, -1, 0, 2], dtype=np.int32), pool)
+    taken = column.take([4, 0, 2])
+    twice = taken.take([1, 1])
+    assert [column.code_of("a"), taken.code_of("c"), twice.code_of("b"),
+            twice.code_of("zz")] == [1, 2, 0, None]
+    assert pool.scans == 1          # one code index, built once
+    assert taken.pool_ranks() is twice.pool_ranks() is column.pool_ranks()
+    assert taken.pool_unicode() is column.pool_unicode()
+    assert column.pool_ranks().tolist() == [1, 0, 2]
+    assert cells(twice) == [(str, "'b'"), (str, "'b'")]
+
+
+@pytest.mark.parametrize("dtype, value", [(DT.INTEGER, 7), (DT.STRING, "v")])
+def test_sample_values_decodes_a_prefix_of_a_long_column(monkeypatch,
+                                                         dtype, value):
+    values = [None, value, None] * 20 + [value] * 9_940
+    values[10], values[20] = value * 2, value * 3
+    table = Table(Schema([ColumnSpec("c", dtype)]), {"c": values})
+    store = type(table.storage("c"))
+    decoded = []
+    decode = store._decode
+
+    def spy(self, start, stop):
+        decoded.append((start, stop))
+        return decode(self, start, stop)
+
+    monkeypatch.setattr(store, "_decode", spy)
+    assert table.sample_values("c") == [value, value * 2, value * 3]
+    # The third distinct value is row 20: at most 64 rows get decoded.
+    assert decoded[0][0] == 0
+    assert sum(stop - start for start, stop in decoded) <= 64
+    # A full read still decodes every row, once.
+    assert table.column("c") == values
 
 
 def test_take_sql_column_keeps_the_bridge_dtype_rule():

@@ -5,6 +5,7 @@ from datetime import date
 
 import pytest
 
+from repro.data.csvio import read_csv_text
 from repro.data.datatypes import DataType
 from repro.data.schema import ColumnSpec, Schema
 from repro.data.table import Table
@@ -24,11 +25,15 @@ from repro.retrieval import HashEmbedder, VectorIndex, tokenize
 PLAYERS = Table(
     Schema([ColumnSpec("h", DataType.INTEGER),
             ColumnSpec("team", DataType.STRING),
-            ColumnSpec("born", DataType.DATE)]),
+            ColumnSpec("born", DataType.DATE),
+            ColumnSpec("s", DataType.STRING)]),
     {"h": [201, 180, None, 210, 200, 195],
      "team": ["Heat", "Bulls", "Heat", None, "Ann", "anna"],
      "born": [date(1990, 1, 2), None, date(1985, 6, 1), date(2000, 12, 31),
-              date(1990, 1, 2), None]})
+              date(1990, 1, 2), None],
+     # Non-ASCII letters, a newline and the Kelvin sign (U+212A), which
+     # Unicode case-folds to "k": sqlite's LIKE folds ASCII only.
+     "s": ["\u00c9cole", "a\nb", "ab", "\u212a", None, "a\n"]})
 
 
 @pytest.mark.parametrize("predicate", [
@@ -52,6 +57,11 @@ PLAYERS = Table(
     "team LIKE 'An%'",
     "team NOT LIKE 'An%'",
     "team LIKE 'h_at'",
+    "s LIKE '\u00e9cole'",
+    "s LIKE 'a%b'",
+    "s LIKE '%'",
+    "s LIKE 'k'",
+    "s NOT LIKE 'a_'",
     "h IS NULL",
     "h IS NOT NULL",
     "team IS NULL",
@@ -78,6 +88,14 @@ MIXED = Table(
      "born": [date(1990, 1, 2), None, date(1985, 6, 1), date(1990, 1, 2)]})
 
 
+# NaN: sqlite binds it as NULL.  ``f`` holds it in a typed float
+# column, ``o`` in an object-stored one (ints mixed with floats).
+NAN_TYPED = read_csv_text("x,k\n1.5,1\nnan,2\n,3\n2.0,4\n")
+NAN_OBJECT = Table(
+    Schema([ColumnSpec("x", DataType.FLOAT), ColumnSpec("k", DataType.INTEGER)]),
+    {"x": [1, float("nan"), None, 2.0], "k": [1, 2, 3, 4]})
+
+
 @pytest.mark.parametrize("sql", [
     "SELECT * FROM t WHERE n > 1",                      # object column
     "SELECT * FROM t WHERE born LIKE '1990%'",           # LIKE over a DATE
@@ -88,9 +106,19 @@ MIXED = Table(
     "SELECT MAX(x) AS v FROM t",
     "SELECT x, COUNT(*) AS c FROM t GROUP BY x",         # float group key
     "SELECT AVG(h) AS v FROM t",                        # near 2**53
+    "SELECT COUNT(x) AS v FROM f",
+    "SELECT k FROM f WHERE x IS NULL",
+    "SELECT k FROM f WHERE x IS NOT NULL",
+    "SELECT x FROM f",
+    "SELECT DISTINCT x FROM f",
+    "SELECT k, x FROM f ORDER BY x ASC",
+    "SELECT k FROM f WHERE x != 1.5",
+    "SELECT x FROM o",
+    "SELECT DISTINCT x FROM o",
+    "SELECT k, x FROM o ORDER BY x DESC",
 ])
 def test_shapes_without_a_typed_kernel_decline_to_sqlite(sql):
-    tables = {"t": MIXED}
+    tables = {"t": MIXED, "f": NAN_TYPED, "o": NAN_OBJECT}
     with pytest.raises(colexec.UnsupportedSQL):
         colexec.execute(sql, tables)
     telemetry = QueryTelemetry()

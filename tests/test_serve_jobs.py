@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 import pytest
 
@@ -14,6 +13,7 @@ from _poison import (EXIT_MARKER, POISON_MARKER, HardExitPlanner,
 from repro.datasets import load_lake
 from repro.llm.brain import SimulatedBrain
 from repro.obs import MetricsRegistry
+from repro.serve import admission
 from repro.serve.admission import (START_INTERVAL_S, AdmissionController,
                                    AdmissionError, StartPacer)
 from repro.serve.jobs import JobManager
@@ -92,23 +92,63 @@ def test_admission_rejections_counted_in_metrics(rotowire_lake):
         manager.close()
 
 
-def test_start_pacer_spaces_a_backlog_and_starts_an_idle_lane_at_once():
+class FakeClock:
+    """A ``perf_counter`` / ``sleep`` pair over a counter: each sleep
+    advances the clock by its request plus *overshoot_s*."""
+
+    def __init__(self, overshoot_s: float = 0.0):
+        self.now = 100.0
+        self.overshoot_s = overshoot_s
+        self.sleeps: list[float] = []
+
+    def perf_counter(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds + self.overshoot_s
+
+
+def _paced_turn(pacer: StartPacer, clock: FakeClock) -> float:
+    """One turn; returns how long it slept (0 when it did not sleep)."""
+    before = len(clock.sleeps)
+    pacer.wait_turn()
+    return sum(clock.sleeps[before:])
+
+
+def test_start_pacer_spaces_a_backlog_and_starts_an_idle_lane_at_once(
+        monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(admission, "time", clock)
     metrics = MetricsRegistry()
     pacer = StartPacer(interval_s=0.02, metrics=metrics)
-    started = time.perf_counter()
-    pacer.wait_turn()
-    assert time.perf_counter() - started < 0.015      # idle: no wait
-    for _ in range(4):
-        pacer.wait_turn()
+    assert _paced_turn(pacer, clock) == 0                 # idle: no wait
     # Four more turns claimed back to back sit on a fixed schedule, one
-    # interval apart, however late each sleep woke up.
-    assert time.perf_counter() - started >= 4 * 0.02
+    # interval apart.
+    assert [_paced_turn(pacer, clock) for _ in range(4)] == \
+        pytest.approx([0.02] * 4)
     assert metrics.counters()["serve_starts_paced_total"] == 4
-    time.sleep(0.03)
-    again = time.perf_counter()
+    clock.now += 0.03
+    assert _paced_turn(pacer, clock) == 0                 # idle again
+    assert metrics.counters()["serve_starts_paced_total"] == 4
+
+
+def test_start_pacer_keeps_slots_an_interval_apart_when_sleeps_overshoot(
+        monkeypatch):
+    clock = FakeClock(overshoot_s=0.005)
+    monkeypatch.setattr(admission, "time", clock)
+    pacer = StartPacer(interval_s=0.02)
+    start = clock.now
     pacer.wait_turn()
-    assert time.perf_counter() - again < 0.015
-    assert metrics.counters()["serve_starts_paced_total"] == 4
+    slots = []
+    for _ in range(4):
+        woke = clock.now
+        pacer.wait_turn()
+        slots.append(woke + clock.sleeps[-1] - start)    # the slot aimed at
+    # Each late wake-up shortens the next sleep instead of shifting the
+    # schedule.
+    assert slots == pytest.approx([0.02, 0.04, 0.06, 0.08])
+    assert clock.sleeps == pytest.approx([0.02, 0.015, 0.015, 0.015])
 
 
 # ----------------------------------------------------------------------

@@ -20,10 +20,9 @@ import pytest
 from repro.cachenet import CacheTierServer
 from repro.cachenet.protocol import (PROTOCOL_NAME, PROTOCOL_VERSION,
                                      FrameError, read_frame, write_frame)
-from repro.obs import (SlowQueryLog, TraceBuffer, TraceContext,
-                       TraceContextError, TraceExporter, TracePipeline,
-                       build_trace_record, render_prometheus,
-                       render_trace_record)
+from repro.obs import (TraceBuffer, TraceContext, TraceContextError,
+                       TraceExporter, TracePipeline, build_trace_record,
+                       render_prometheus, render_trace_record)
 from repro.obs.tracecli import main as trace_main
 from repro.session import Session
 
@@ -266,22 +265,20 @@ def test_exporter_rotates_at_size_cap(tmp_path):
     assert ids == list(range(ids[0], 32))
 
 
-def test_slow_query_log_flags_and_rings():
-    log = SlowQueryLog(threshold_ms=10.0, capacity=2)
-    assert log.offer(_record("aa" * 16, duration_ms=5.0)) is False
-    assert log.offer(_record("bb" * 16, duration_ms=15.0)) is True
-    assert log.offer(_record("cc" * 16, duration_ms=20.0)) is True
-    assert log.offer(_record("dd" * 16, duration_ms=30.0)) is True
-    recent = log.recent()
-    assert [t["trace_id"] for t in recent] == ["dd" * 16, "cc" * 16]
-    assert all(t["slow"] for t in recent)
+def test_slow_query_threshold_flags_records():
+    pipeline = TracePipeline(slow_query_ms=10.0)
+    flags = [pipeline.record(_record(tid * 16, duration_ms=ms)).get("slow")
+             for tid, ms in (("aa", 5.0), ("bb", 10.0), ("cc", 30.0))]
+    assert flags == [False, True, True]
+    # Without a threshold no record carries the key.
+    assert "slow" not in TracePipeline().record(_record("dd" * 16,
+                                                        duration_ms=99.0))
 
 
 def test_pipeline_counts_into_metrics():
     from repro.obs import MetricsRegistry
     metrics = MetricsRegistry()
-    pipeline = TracePipeline(slow_log=SlowQueryLog(threshold_ms=10.0),
-                             metrics=metrics)
+    pipeline = TracePipeline(slow_query_ms=10.0, metrics=metrics)
     pipeline.record(_record("aa" * 16, duration_ms=5.0))
     pipeline.record(_record("bb" * 16, duration_ms=50.0))
     counters = metrics.snapshot()["counters"]
