@@ -27,11 +27,15 @@ from repro.core.batch import BACKENDS
 from repro.core.engine import EngineConfig
 from repro.core.plan import QueryResult
 from repro.datasets import DATASET_NAMES, load_lake
+from repro.llm.interface import LanguageModel
 from repro.obs import render_snapshot
 from repro.plotting.ascii import render_plot
 from repro.session import Session
 
-def _add_lake_arguments(parser: argparse.ArgumentParser) -> None:
+
+def add_lake_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags naming a lake and its caches, shared by ``query``,
+    ``batch`` and ``serve`` (read by :func:`build_session`)."""
     parser.add_argument("--dataset", required=True, choices=DATASET_NAMES,
                         help="which synthetic dataset to load")
     parser.add_argument("--seed", type=int, default=None,
@@ -40,16 +44,16 @@ def _add_lake_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=positive_float, default=1.0,
                         help="lake scale factor, multiplies the dataset's "
                              "base cardinality (default: 1.0)")
-    parser.add_argument("--no-discovery", action="store_true",
-                        help="skip the discovery phase (no column hints)")
     parser.add_argument("--plan-cache-file", metavar="PATH", default=None,
                         help="JSON file the plan cache is loaded from (if "
-                             "present) before the run and saved to after "
-                             "it, so plans survive across runs")
+                             "present) at start and saved to at the end "
+                             "(for serve: on graceful drain), so plans "
+                             "survive across runs")
     parser.add_argument("--answer-cache-file", metavar="PATH", default=None,
                         help="JSON file the answer cache is loaded from (if "
-                             "present) before the run and saved to after "
-                             "it, so warm modality answers survive restarts")
+                             "present) at start and saved to at the end "
+                             "(for serve: on graceful drain), so warm "
+                             "modality answers survive restarts")
     parser.add_argument("--cache-url", metavar="URL", default=None,
                         help="shared cache tier to warm from and feed "
                              "(tcp://host:port or unix:///path.sock, see "
@@ -69,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     query = subparsers.add_parser(
         "query", help="answer one natural-language query")
-    _add_lake_arguments(query)
+    add_lake_arguments(query)
     query.add_argument("query", help="the natural-language query")
     query.add_argument("--trace", action="store_true",
                        help="print the stage/operator span tree (durations, "
@@ -78,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = subparsers.add_parser(
         "batch", help="run a file of queries (one per line)")
-    _add_lake_arguments(batch)
+    add_lake_arguments(batch)
     batch.add_argument("file", help="file with one query per line ('#' "
                                     "comments and blank lines are skipped)")
     batch.add_argument("--cache-size", type=positive_int, default=None,
@@ -95,6 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the session metrics snapshot (counters, "
                             "latency histograms, derived rates) to this "
                             "JSON file after the batch")
+    for command in (query, batch):
+        command.add_argument("--no-discovery", action="store_true",
+                             help="skip the discovery phase (no column "
+                                  "hints)")
 
     subparsers.add_parser(
         "serve", add_help=False,
@@ -147,11 +155,14 @@ def _print_result(result: QueryResult, trace: bool) -> None:
             print(f"  {phase:<10s} {seconds:.3f}s")
 
 
-def _build_session(args: argparse.Namespace,
-                   cache_size: int | None = None) -> Session:
+def build_session(args: argparse.Namespace, cache_size: int | None = None,
+                  brain: LanguageModel | None = None) -> Session:
+    """The session :func:`add_lake_arguments` flags describe, its caches
+    loaded from their files; *brain* replaces the default model."""
     lake = load_lake(args.dataset, seed=args.seed, scale=args.scale)
-    config = EngineConfig(use_discovery=not args.no_discovery)
-    session = Session(lake, config=config,
+    config = EngineConfig(
+        use_discovery=not getattr(args, "no_discovery", False))
+    session = Session(lake, brain=brain, config=config,
                       plan_cache_size=cache_size or 128,
                       cache_url=args.cache_url)
     if args.plan_cache_file and Path(args.plan_cache_file).exists():
@@ -173,7 +184,7 @@ def _finish(session: Session, args: argparse.Namespace) -> None:
 
 
 def _run_query(args: argparse.Namespace) -> int:
-    session = _build_session(args)
+    session = build_session(args)
     result = session.query(args.query)
     _print_result(result, trace=args.trace)
     _finish(session, args)
@@ -190,7 +201,7 @@ def _run_batch(args: argparse.Namespace) -> int:
     if not queries:
         print(f"no queries found in {path}", file=sys.stderr)
         return 2
-    session = _build_session(args, cache_size=args.cache_size)
+    session = build_session(args, cache_size=args.cache_size)
     report = session.batch(queries, workers=args.workers,
                            backend=args.backend)
     print(report.render())

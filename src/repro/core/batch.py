@@ -14,15 +14,19 @@ aggregate statistics.  This module provides all three:
   plan IR is serializable, a cache can be persisted with :meth:`PlanCache.
   save` and rehydrated with :meth:`PlanCache.load`, so warm plans survive
   across runs (``--plan-cache-file`` in the CLI).
-- :func:`timed_batch` — times one run of a workload and folds its results
-  and this run's cache deltas into a report.  Where the queries run is
+- :func:`timed_batch` — times one run of a workload and wraps its results
+  in a report.  Where the queries run is
   the caller's choice: :meth:`repro.session.Session.batch` (the public
   entry point) answers a ``serial`` batch in the calling thread and a
   ``thread`` / ``process`` batch over worker lanes
   (:func:`repro.exec.lanes.run_batch`).
 
-Batches produce a :class:`BatchReport` with per-stage wall-clock totals,
-step counts, and cache hit-rates.  Two different clocks are reported:
+Batches produce a :class:`BatchReport`: the results, plus per-stage
+wall-clock totals, step counts and cache hit-rates read off each
+result's own trace and telemetry — the counters ``/metrics`` sums too,
+so a batch counts cache activity once whichever process answered a
+query.  Only evictions are taken from the session's caches, the one
+figure no query owns.  Two different clocks are reported:
 ``wall_seconds`` sums per-query totals (*serial-equivalent* seconds — what
 one worker would have spent), while ``elapsed_seconds`` is the real
 wall-clock of the whole batch; throughput is computed from the latter, so
@@ -97,11 +101,8 @@ class PlanCache(Cache):
 
 @dataclass
 class QueryStats:
-    """Per-query line of a batch report.
-
-    Timing and cache locality live in the telemetry-derived fields
-    ``plan_cache_hit`` / ``total_seconds`` plus the token/cost columns.
-    """
+    """Per-query line of a batch report, read off the result's trace and
+    telemetry (:meth:`of`)."""
 
     query: str
     kind: str
@@ -113,63 +114,91 @@ class QueryStats:
     token_out: int = 0
     cost_usd: float = 0.0
 
-    def to_dict(self) -> dict:
-        # Both spellings are written so pre-telemetry readers of archived
-        # reports keep working; from_dict prefers the new keys.
-        return {"query": self.query, "kind": self.kind, "ok": self.ok,
-                "plan_cache_hit": self.plan_cache_hit,
-                "cache_hit": self.plan_cache_hit,
-                "steps": self.steps,
-                "total_seconds": self.total_seconds,
-                "seconds": self.total_seconds,
-                "token_in": self.token_in, "token_out": self.token_out,
-                "cost_usd": self.cost_usd}
-
     @classmethod
-    def from_dict(cls, data: dict) -> "QueryStats":
-        return cls(query=data["query"], kind=data["kind"], ok=data["ok"],
-                   plan_cache_hit=data.get("plan_cache_hit",
-                                           data.get("cache_hit", False)),
-                   steps=data["steps"],
-                   total_seconds=data.get("total_seconds",
-                                          data.get("seconds", 0.0)),
-                   token_in=data.get("token_in", 0),
-                   token_out=data.get("token_out", 0),
-                   cost_usd=data.get("cost_usd", 0.0))
+    def of(cls, query: str, result: QueryResult) -> "QueryStats":
+        trace = result.trace
+        telemetry = result.telemetry
+        return cls(query=query, kind=result.kind, ok=result.ok,
+                   plan_cache_hit=telemetry.plan_cache_hit,
+                   steps=len(trace.physical_steps) if trace else 0,
+                   total_seconds=(trace.timings.get("total", 0.0)
+                                  if trace else 0.0),
+                   token_in=telemetry.token_in, token_out=telemetry.token_out,
+                   cost_usd=telemetry.cost_usd)
 
 
 @dataclass
 class BatchReport:
-    """Aggregate outcome of one batch run.
+    """Aggregate outcome of one batch run: its *results*, in workload
+    order, and every figure derived from their traces and telemetry.
 
-    ``wall_seconds`` is *serial-equivalent* time (the sum of per-query
-    totals); ``elapsed_seconds`` is the real wall-clock of the batch.  With
-    one worker the two coincide (up to scheduling overhead); with *N*
-    workers their ratio is the realized speedup.
+    Only the run's clock, its shape and the evictions are kept beside
+    the results: evictions belong to the session's caches, not to any
+    query.  ``wall_seconds`` is *serial-equivalent* time (the sum of
+    per-query totals); ``elapsed_seconds`` is the real wall-clock of the
+    batch.  With one worker the two coincide (up to scheduling
+    overhead); with *N* workers their ratio is the realized speedup.
     """
 
-    stats: list[QueryStats] = field(default_factory=list)
+    workload: list[str] = field(default_factory=list)
     results: list[QueryResult] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    answer_hits: int = 0
-    answer_misses: int = 0
-    answer_evictions: int = 0
-    wall_seconds: float = 0.0
     elapsed_seconds: float = 0.0
     workers: int = 1
     #: where the batch ran, one of :data:`BACKENDS`.
     backend: str = "serial"
+    #: evictions from the session's plan / answer cache during the run.
+    cache_evictions: int = 0
+    answer_evictions: int = 0
+
+    @property
+    def stats(self) -> list[QueryStats]:
+        return [QueryStats.of(query, result)
+                for query, result in zip(self.workload, self.results)]
+
+    @property
+    def timings(self) -> dict[str, float]:
+        """Per-stage seconds, summed over the results."""
+        totals = dict.fromkeys(_STAGES, 0.0)
+        for result in self.results:
+            if result.trace is not None:
+                for stage in _STAGES:
+                    totals[stage] += result.trace.timings.get(stage, 0.0)
+        return totals
+
+    @property
+    def wall_seconds(self) -> float:
+        return sum(result.trace.timings.get("total", 0.0)
+                   for result in self.results if result.trace is not None)
+
+    def _count(self, counter: str) -> int:
+        return sum(result.telemetry.counters.get(counter, 0)
+                   for result in self.results)
+
+    @property
+    def cache_hits(self) -> int:
+        """Planning attempts served from the plan cache (a replanned
+        query counts each attempt, as ``/metrics`` does)."""
+        return self._count("plan_cache_hits")
+
+    @property
+    def cache_misses(self) -> int:
+        return self._count("plan_cache_misses")
+
+    @property
+    def answer_hits(self) -> int:
+        return self._count("answer_cache_hits")
+
+    @property
+    def answer_misses(self) -> int:
+        return self._count("answer_cache_misses")
 
     @property
     def num_queries(self) -> int:
-        return len(self.stats)
+        return len(self.results)
 
     @property
     def num_ok(self) -> int:
-        return sum(1 for stat in self.stats if stat.ok)
+        return sum(1 for result in self.results if result.ok)
 
     @property
     def num_errors(self) -> int:
@@ -216,53 +245,6 @@ class BatchReport:
                 if result.trace is not None
                 for event in result.trace.errors if event.phase == "worker"]
 
-    def to_dict(self, include_results: bool = False) -> dict:
-        """JSON-ready encoding.
-
-        The default is a compact metrics record (rounded floats, no
-        per-query payloads).  With
-        ``include_results=True`` the record additionally carries exact
-        clocks, per-query stats, and full :class:`~repro.core.plan.
-        QueryResult` payloads, making :meth:`from_dict` a lossless
-        inverse.
-        """
-        record = {
-            "queries": self.num_queries,
-            "ok": self.num_ok,
-            "errors": self.num_errors,
-            "workers": self.workers,
-            "backend": self.backend,
-            "elapsed_seconds": round(self.elapsed_seconds, 6),
-            "serial_seconds": round(self.wall_seconds, 6),
-            "queries_per_second": round(self.queries_per_second, 3),
-            "speedup": round(self.speedup, 3),
-            "total_steps": self.total_steps,
-            "stage_seconds": {stage: round(self.timings.get(stage, 0.0), 6)
-                              for stage in _STAGES},
-            "plan_cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "evictions": self.cache_evictions,
-                "hit_rate": round(self.cache_hit_rate, 4),
-            },
-            "answer_cache": {
-                "hits": self.answer_hits,
-                "misses": self.answer_misses,
-                "evictions": self.answer_evictions,
-                "hit_rate": round(self.answer_hit_rate, 4),
-            },
-            "telemetry": self.telemetry.cost_summary(),
-        }
-        if include_results:
-            record["exact"] = {
-                "wall_seconds": self.wall_seconds,
-                "elapsed_seconds": self.elapsed_seconds,
-                "timings": dict(self.timings),
-            }
-            record["stats"] = [stat.to_dict() for stat in self.stats]
-            record["results"] = [result.to_dict() for result in self.results]
-        return record
-
     def canonical_results(self) -> list[dict]:
         """Result payloads normalized for cross-backend comparison.
 
@@ -290,31 +272,6 @@ class BatchReport:
             payloads.append(data)
         return payloads
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "BatchReport":
-        """Inverse of ``to_dict(include_results=True)``."""
-        if "exact" not in data:
-            raise ValueError(
-                "BatchReport.from_dict needs a record produced by "
-                "to_dict(include_results=True); the compact metrics "
-                "record is not lossless")
-        exact = data["exact"]
-        return cls(
-            stats=[QueryStats.from_dict(s) for s in data.get("stats", [])],
-            results=[QueryResult.from_dict(r)
-                     for r in data.get("results", [])],
-            timings=dict(exact.get("timings", {})),
-            cache_hits=data["plan_cache"]["hits"],
-            cache_misses=data["plan_cache"]["misses"],
-            cache_evictions=data["plan_cache"]["evictions"],
-            answer_hits=data["answer_cache"]["hits"],
-            answer_misses=data["answer_cache"]["misses"],
-            answer_evictions=data["answer_cache"]["evictions"],
-            wall_seconds=exact["wall_seconds"],
-            elapsed_seconds=exact["elapsed_seconds"],
-            workers=data["workers"],
-            backend=data.get("backend", "serial"))
-
     def render(self) -> str:
         """Plain-text report for the CLI."""
         economics = self.telemetry.cost_summary()
@@ -338,10 +295,10 @@ class BatchReport:
             f"${economics['cost_usd']:.6f} estimated",
             "per-stage wall clock (serial-equivalent):",
         ]
+        timings, wall_seconds = self.timings, self.wall_seconds
         for stage in _STAGES:
-            seconds = self.timings.get(stage, 0.0)
-            share = (seconds / self.wall_seconds
-                     if self.wall_seconds > 0 else 0.0)
+            seconds = timings[stage]
+            share = seconds / wall_seconds if wall_seconds > 0 else 0.0
             lines.append(f"  {stage:<10s} {seconds:8.3f}s  ({share:.0%})")
         failures = self.worker_failures
         if failures:
@@ -364,41 +321,6 @@ class BatchReport:
         return "\n".join(lines)
 
 
-def _fold_result(report: BatchReport, query: str,
-                 result: QueryResult) -> None:
-    """Append one query outcome to *report* (stats, results, timings)."""
-    trace = result.trace
-    timings = trace.timings if trace is not None else {}
-    for stage in _STAGES:
-        report.timings[stage] = (report.timings.get(stage, 0.0)
-                                 + timings.get(stage, 0.0))
-    report.wall_seconds += timings.get("total", 0.0)
-    telemetry = result.telemetry
-    report.stats.append(QueryStats(
-        query=query, kind=result.kind, ok=result.ok,
-        plan_cache_hit=telemetry.plan_cache_hit,
-        steps=len(trace.physical_steps) if trace else 0,
-        total_seconds=timings.get("total", 0.0),
-        token_in=telemetry.token_in, token_out=telemetry.token_out,
-        cost_usd=telemetry.cost_usd))
-    report.results.append(result)
-
-
-def _fold_cache_deltas(report: BatchReport, plan_cache: PlanCache,
-                       answer_cache: AnswerCache,
-                       plan_before: tuple[int, int, int],
-                       answer_before: tuple[int, int, int]) -> None:
-    """Report cache activity of *this* run, not the runner's lifetime."""
-    hits, misses, evictions = plan_cache.snapshot()
-    report.cache_hits = hits - plan_before[0]
-    report.cache_misses = misses - plan_before[1]
-    report.cache_evictions = evictions - plan_before[2]
-    hits, misses, evictions = answer_cache.snapshot()
-    report.answer_hits = hits - answer_before[0]
-    report.answer_misses = misses - answer_before[1]
-    report.answer_evictions = evictions - answer_before[2]
-
-
 def timed_batch(workload: list[str],
                 answer_all: Callable[[], list[QueryResult]],
                 plan_cache: PlanCache, answer_cache: AnswerCache,
@@ -406,19 +328,15 @@ def timed_batch(workload: list[str],
     """The :class:`BatchReport` of one run of *answer_all*, which answers
     *workload* and returns its results in submission order.
 
-    Cache accounting is the *delta* over this call, so warmth carried in
-    by the caller (a previous batch over the same caches, or a cache
-    rehydrated from disk) never inflates this run's numbers.
+    Evictions are the *delta* over this call, so churn from before the
+    run (a previous batch over the same caches) never inflates it.
     """
-    report = BatchReport(workers=workers, backend=backend)
-    plan_before = plan_cache.snapshot()
-    answer_before = answer_cache.snapshot()
+    plan_before, answer_before = plan_cache.evictions, answer_cache.evictions
     started = time.perf_counter()
     results = answer_all()
-    report.elapsed_seconds = time.perf_counter() - started
-    for query, result in zip(workload, results):
-        _fold_result(report, query, result)
-    _fold_cache_deltas(report, plan_cache, answer_cache,
-                       plan_before, answer_before)
-    return report
-
+    elapsed = time.perf_counter() - started
+    return BatchReport(
+        workload=workload, results=results,
+        elapsed_seconds=elapsed, workers=workers, backend=backend,
+        cache_evictions=plan_cache.evictions - plan_before,
+        answer_evictions=answer_cache.evictions - answer_before)

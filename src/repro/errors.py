@@ -2,8 +2,6 @@
 
 Every error raised by the library derives from :class:`ReproError` so that
 callers can catch library failures without catching programming errors.
-The planner-facing exceptions carry enough structure for the error handler
-(:mod:`repro.core.error_handler`) to reason about *which phase* failed.
 """
 
 from __future__ import annotations
@@ -74,25 +72,6 @@ class OperatorError(ReproError):
 
 class PlanParseError(ReproError):
     """An LLM response could not be parsed into a plan / operator choice."""
-
-
-class PlanningError(ReproError):
-    """The planning phase produced no usable logical plan."""
-
-
-class MappingError(ReproError):
-    """The mapping phase could not bind a logical step to an operator."""
-
-
-class ExecutionError(ReproError):
-    """Plan execution crashed and error handling could not recover it.
-
-    Carries the trail of underlying errors for diagnostics.
-    """
-
-    def __init__(self, message: str, causes: list[Exception] | None = None):
-        super().__init__(message)
-        self.causes = list(causes or [])
 
 
 class RetrievalError(ReproError):

@@ -12,14 +12,15 @@ the two callers.  Two kinds share that interface:
 - ``process`` (:class:`ProcessLane`) — a worker process, talked to over
   one pipe, that rebuilds the lake from its
   :class:`~repro.datasets.LakeSpec` and runs a full engine with
-  shared-nothing local caches (:mod:`repro.exec.procworker`).  Warm plans and answers ship in when
-  the worker starts; every reply ships back the result, the worker's
-  metrics and cache deltas, and whatever the worker just learned (a
-  synthesized plan, freshly inferred modality answers), which
-  :meth:`ProcessLane._fold` merges into the session so
+  shared-nothing local caches (:mod:`repro.exec.procworker`).  Warm
+  plans and answers ship in when the worker starts; every reply ships
+  back the result, the worker's metrics delta, and whatever the worker
+  just learned (a synthesized plan, freshly inferred modality answers),
+  which :meth:`ProcessLane._fold` merges into the session so
   ``--plan-cache-file`` / ``--answer-cache-file`` persistence stays
-  complete.  Spans cross the pipe inside the result and are replayed to
-  the caller after the fact.
+  complete.  Spans and the query's cache counters cross the pipe inside
+  the result, whose telemetry is all a batch report counts; spans are
+  replayed to the caller after the fact.
 
 **Failure policy.**  A timeout, or a lost worker — an engine crash on a
 thread lane, a dead worker process on a process lane —
@@ -139,10 +140,6 @@ class Lane(ABC):
         self.session = session
         self.index = index
         self.failure_counter = failure_counter
-        #: worker-side plan-cache then answer-cache (hits, misses,
-        #: evictions), summed over every reply this lane folded; zeros on
-        #: a lane whose engine uses the session's caches directly.
-        self.worker_cache = [0] * 6
 
     def start(self) -> None:
         """Start the lane's runtime if it is not running."""
@@ -299,12 +296,10 @@ class ProcessLane(Lane):
 
     def _fold(self, query: str, context: TraceContext | None,
               reply: dict) -> QueryResult:
-        """Fold one worker reply into the session: the worker's cache and
-        metrics deltas, the plan and answers it just learned, and — for
-        an ``ok: false`` reply — an in-parent re-run of the query."""
+        """Fold one worker reply into the session: the worker's metrics
+        delta, the plan and answers it just learned, and — for an
+        ``ok: false`` reply — an in-parent re-run of the query."""
         session = self.session
-        for i, value in enumerate(reply["plan_delta"] + reply["answer_delta"]):
-            self.worker_cache[i] += value
         session.metrics_registry.merge_delta(reply.get("metrics_delta"))
         if not reply["ok"]:
             # The engine crashed inside the worker but the process
@@ -367,11 +362,6 @@ class ProcessLane(Lane):
 LANE_KINDS: dict[str, type[Lane]] = {"thread": EngineLane,
                                      "process": ProcessLane}
 
-#: :class:`BatchReport` fields fed by :attr:`Lane.worker_cache`, in its
-#: order.
-_WORKER_CACHE_FIELDS = ("cache_hits", "cache_misses", "cache_evictions",
-                        "answer_hits", "answer_misses", "answer_evictions")
-
 
 def run_batch(session: "Session", workload: list[str], lanes: list[Lane],
               backend: str, timeout: float | None) -> BatchReport:
@@ -402,16 +392,8 @@ def run_batch(session: "Session", workload: list[str], lanes: list[Lane],
             list(pool.map(drain, lanes, assigned))
         return results
 
-    worker_before = _worker_cache(lanes)
-    report = timed_batch(workload, answer_all, session.plan_cache,
-                         session.answer_cache, len(lanes), backend)
-    # A process lane's parent caches move only on fallbacks and imports
-    # of what the worker learned; the workers' own deltas are added on
-    # top so the report reflects cache activity across all processes.
-    for field, before, after in zip(_WORKER_CACHE_FIELDS, worker_before,
-                                    _worker_cache(lanes)):
-        setattr(report, field, getattr(report, field) + after - before)
-    return report
+    return timed_batch(workload, answer_all, session.plan_cache,
+                       session.answer_cache, len(lanes), backend)
 
 
 def _answer(session: "Session", lane: Lane, query: str,
@@ -425,8 +407,3 @@ def _answer(session: "Session", lane: Lane, query: str,
         session.metrics_registry.increment("worker_failures_total")
         return run_in_parent(session, query, context, failure.event)
 
-
-def _worker_cache(lanes: list[Lane]) -> list[int]:
-    """The lanes' :attr:`~Lane.worker_cache` counts, summed."""
-    return [sum(counts) for counts in zip(*(lane.worker_cache
-                                            for lane in lanes))]

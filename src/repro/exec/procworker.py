@@ -19,6 +19,9 @@ infers — ships back with the query result, so the parent caches (and
 ``--plan-cache-file`` / ``--answer-cache-file`` persistence) stay warm
 regardless of backend.  Shipping fresh answers is proportional to the
 inference actually performed, so warm queries add nothing to the pipe.
+A query's plan- and answer-cache hits and misses cross inside its
+result's telemetry like every other per-query counter; the evictions of
+a worker's private caches are its own business and are not reported.
 """
 
 from __future__ import annotations
@@ -137,19 +140,8 @@ def initialize_worker(payload: dict) -> None:
                     executor=payload["executor"], plan_cache=plan_cache,
                     answer_cache=answer_cache, metrics=metrics,
                     telemetry=payload.get("telemetry"))
-    _STATE.update(engine=engine, plan_cache=plan_cache,
-                  answer_cache=answer_cache, metrics=metrics,
+    _STATE.update(engine=engine, answer_cache=answer_cache, metrics=metrics,
                   fingerprint=expected)
-
-
-def _cache_deltas(before_plan: tuple[int, int, int],
-                  before_answer: tuple[int, int, int]) -> dict:
-    plan_after = _STATE["plan_cache"].snapshot()
-    answer_after = _STATE["answer_cache"].snapshot()
-    return {
-        "plan_delta": [a - b for a, b in zip(plan_after, before_plan)],
-        "answer_delta": [a - b for a, b in zip(answer_after, before_answer)],
-    }
 
 
 def run_worker_query(query: str, trace: dict | None = None) -> dict:
@@ -165,7 +157,7 @@ def run_worker_query(query: str, trace: dict | None = None) -> dict:
     Returns a JSON-shaped payload: ``{"ok": True, "result": <QueryResult
     dict>, "fresh_plan": <the ``BoundPlan`` dict this query wrote to the
     lane's plan cache, or None>, "fresh_answers": [...],
-    ...cache deltas}`` on any engine outcome (including engine-level
+    "metrics_delta": ...}`` on any engine outcome (including engine-level
     error results), or ``{"ok": False, "error": ..., "traceback": ...}``
     when the engine itself crashed with a non-Repro exception.  Crashes
     are caught here so a poisoned query never kills the worker
@@ -177,8 +169,6 @@ def run_worker_query(query: str, trace: dict | None = None) -> dict:
     answer_cache: _JournalingAnswerCache = _STATE["answer_cache"]
     metrics: MetricsRegistry = _STATE["metrics"]
     answer_cache.journal = []
-    before_plan = _STATE["plan_cache"].snapshot()
-    before_answer = answer_cache.snapshot()
     before_metrics = metrics.raw_state()
     if trace is not None:
         try:
@@ -188,19 +178,15 @@ def run_worker_query(query: str, trace: dict | None = None) -> dict:
     try:
         result = engine.query(query)
     except Exception as exc:  # noqa: BLE001 - crash containment boundary
-        payload = {"ok": False,
-                   "error": f"{type(exc).__name__}: {exc}",
-                   "traceback": traceback.format_exc(limit=8),
-                   "metrics_delta": metrics.delta_since(before_metrics)}
-        payload.update(_cache_deltas(before_plan, before_answer))
-        return payload
+        return {"ok": False,
+                "error": f"{type(exc).__name__}: {exc}",
+                "traceback": traceback.format_exc(limit=8),
+                "metrics_delta": metrics.delta_since(before_metrics)}
     finally:
         engine.trace_context = None
     fresh_plan = engine.last_put
-    payload = {"ok": True, "result": result.to_dict(),
-               "fresh_plan": (PLAN_SPACE.encode(fresh_plan)
-                              if fresh_plan is not None else None),
-               "fresh_answers": answer_cache.drain(),
-               "metrics_delta": metrics.delta_since(before_metrics)}
-    payload.update(_cache_deltas(before_plan, before_answer))
-    return payload
+    return {"ok": True, "result": result.to_dict(),
+            "fresh_plan": (PLAN_SPACE.encode(fresh_plan)
+                           if fresh_plan is not None else None),
+            "fresh_answers": answer_cache.drain(),
+            "metrics_delta": metrics.delta_since(before_metrics)}

@@ -31,7 +31,7 @@ import threading
 from collections import OrderedDict
 
 from repro.obs.context import TraceContext
-from repro.obs.trace import QueryTelemetry
+from repro.obs.trace import QueryTelemetry, span_tree_lines
 
 __all__ = [
     "TraceBuffer",
@@ -127,18 +127,6 @@ def render_trace_record(record: dict) -> str:
     under their logical step like
     :meth:`~repro.obs.trace.QueryTelemetry.render_tree`.
     """
-    def line(prefix: str, span: dict) -> str:
-        text = (f"{prefix}{span.get('name', '?'):<24s} "
-                f"{span.get('duration_ms', 0.0):9.2f}ms  "
-                f"{span.get('token_in', 0):5d} in / "
-                f"{span.get('token_out', 0):4d} out  "
-                f"${span.get('cost_usd', 0.0):.6f}")
-        notes = span.get("notes") or {}
-        if notes:
-            keys = ", ".join(f"{k}={v!r}" for k, v in sorted(notes.items()))
-            text += f"  [{keys}]"
-        return text
-
     lines = [f"trace {record.get('trace_id')}  "
              f"status={record.get('status')}  "
              f"{record.get('duration_ms', 0.0):.2f}ms  "
@@ -148,25 +136,9 @@ def render_trace_record(record: dict) -> str:
     if attributes:
         keys = ", ".join(f"{k}={v}" for k, v in sorted(attributes.items()))
         lines.append(f"attributes: {keys}")
-    spans = record.get("spans", [])
-    root_id = record.get("root_span_id")
-    steps: dict[int, list[dict]] = {}
-    for span in spans:
-        if span.get("span_id") == root_id:
-            lines.append(line("", span))
-        elif span.get("step_index") is None:
-            lines.append(line("├─ ", span))
-        else:
-            steps.setdefault(span["step_index"], []).append(span)
-    for index in sorted(steps):
-        lines.append(f"├─ step {index}")
-        for span in steps[index]:
-            lines.append(line("│  ├─ ", span))
-    counters = record.get("counters") or {}
-    if counters:
-        counts = ", ".join(f"{name}={value}"
-                           for name, value in sorted(counters.items()))
-        lines.append(f"└─ counters: {counts}")
+    lines += span_tree_lines(record.get("spans", []),
+                             record.get("counters") or {},
+                             record.get("root_span_id"))
     return "\n".join(lines)
 
 

@@ -177,33 +177,10 @@ class QueryTelemetry:
         Query-level spans (discovery, planning) sit at the root; mapping
         and operator spans are grouped under their logical step.
         """
-        def line(prefix: str, span: StageTrace) -> str:
-            text = (f"{prefix}{span.stage:<24s} {span.duration_ms:9.2f}ms  "
-                    f"{span.token_in:5d} in / {span.token_out:4d} out  "
-                    f"${span.cost_usd:.6f}")
-            if span.notes:
-                keys = ", ".join(f"{k}={v!r}" for k, v in
-                                 sorted(span.notes.items()))
-                text += f"  [{keys}]"
-            return text
-
-        lines = [f"spans: {len(self.spans)}, tokens: {self.token_in} in / "
-                 f"{self.token_out} out, cost: ${self.cost_usd:.6f}"]
-        steps: dict[int, list[StageTrace]] = {}
-        for span in self.spans:
-            if span.step_index is None:
-                lines.append(line("├─ ", span))
-            else:
-                steps.setdefault(span.step_index, []).append(span)
-        for index in sorted(steps):
-            lines.append(f"├─ step {index}")
-            for span in steps[index]:
-                lines.append(line("│  ├─ ", span))
-        if self.counters:
-            counts = ", ".join(f"{name}={value}" for name, value in
-                               sorted(self.counters.items()))
-            lines.append(f"└─ counters: {counts}")
-        return "\n".join(lines)
+        header = (f"spans: {len(self.spans)}, tokens: {self.token_in} in / "
+                  f"{self.token_out} out, cost: ${self.cost_usd:.6f}")
+        spans = [dict(span.to_dict(), name=span.stage) for span in self.spans]
+        return "\n".join([header, *span_tree_lines(spans, self.counters)])
 
     # ------------------------------------------------------------------
     # Serde
@@ -250,3 +227,45 @@ class QueryTelemetry:
                     for name, value in data.get("counters", {}).items()
                     if name not in LOCALITY_COUNTERS}
         return {"spans": spans, "counters": counters}
+
+
+def span_tree_lines(spans: list[dict], counters: dict,
+                    root_span_id: str | None = None) -> list[str]:
+    """The lines of a span tree, one per span dict (``name``,
+    ``duration_ms``, token and cost figures, ``notes``, ``step_index``).
+
+    The span whose ``span_id`` is *root_span_id* is printed unindented;
+    other query-level spans hang off the root and step-scoped spans are
+    grouped under their logical step; the counters close the tree.
+    Shared by :meth:`QueryTelemetry.render_tree` and
+    :func:`repro.obs.export.render_trace_record`.
+    """
+    def line(prefix: str, span: dict) -> str:
+        text = (f"{prefix}{span.get('name', '?'):<24s} "
+                f"{span.get('duration_ms', 0.0):9.2f}ms  "
+                f"{span.get('token_in', 0):5d} in / "
+                f"{span.get('token_out', 0):4d} out  "
+                f"${span.get('cost_usd', 0.0):.6f}")
+        notes = span.get("notes") or {}
+        if notes:
+            keys = ", ".join(f"{k}={v!r}" for k, v in sorted(notes.items()))
+            text += f"  [{keys}]"
+        return text
+
+    lines = []
+    steps: dict[int, list[dict]] = {}
+    for span in spans:
+        if root_span_id is not None and span.get("span_id") == root_span_id:
+            lines.append(line("", span))
+        elif span.get("step_index") is None:
+            lines.append(line("├─ ", span))
+        else:
+            steps.setdefault(span["step_index"], []).append(span)
+    for index in sorted(steps):
+        lines.append(f"├─ step {index}")
+        lines.extend(line("│  ├─ ", span) for span in steps[index])
+    if counters:
+        counts = ", ".join(f"{name}={value}"
+                           for name, value in sorted(counters.items()))
+        lines.append(f"└─ counters: {counts}")
+    return lines

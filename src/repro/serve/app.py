@@ -99,9 +99,6 @@ class ServeConfig:
     #: cache persistence files flushed on graceful drain.
     plan_cache_file: str | None = None
     answer_cache_file: str | None = None
-    #: shared cache tier the served session connects to
-    #: (:mod:`repro.cachenet`); ``None`` = local caches only.
-    cache_url: str | None = None
     #: JSONL spool every finished job's trace record is appended to;
     #: ``None`` keeps traces in memory only.
     trace_export_file: str | None = None
@@ -135,8 +132,10 @@ async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
     """Parse one HTTP/1.1 request; None on a cleanly closed connection."""
     try:
         line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+    except ConnectionError:
         return None
+    except ValueError:  # what readline raises past the reader's limit
+        raise _BadRequest("request line too long") from None
     if not line:
         return None
     parts = line.decode("latin-1").split()
@@ -145,7 +144,10 @@ async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
     method, path = parts[0].upper(), parts[1]
     headers: dict[str, str] = {}
     for _ in range(_MAX_HEADER_LINES):
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:
+            raise _BadRequest("header line too long") from None
         if line in (b"\r\n", b"\n", b""):
             break
         name, sep, value = line.decode("latin-1").partition(":")
@@ -160,8 +162,8 @@ async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
             length = int(headers["content-length"])
         except ValueError:
             raise _BadRequest("malformed Content-Length") from None
-        if length > _MAX_BODY_BYTES:
-            raise _BadRequest("request body too large")
+        if not 0 <= length <= _MAX_BODY_BYTES:
+            raise _BadRequest("Content-Length out of range")
         body = await reader.readexactly(length) if length else b""
     return _Request(method=method, path=path, headers=headers, body=body)
 
@@ -623,19 +625,14 @@ class ServerHandle:
 # ----------------------------------------------------------------------
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    from repro.cli import add_lake_arguments
     from repro.cliargs import positive_float, positive_int
-    from repro.datasets import DATASET_NAMES
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Serve a long-lived query session over async HTTP "
                     "(submit/poll/stream, admission control, graceful "
                     "drain on SIGTERM).")
-    parser.add_argument("--dataset", required=True, choices=DATASET_NAMES,
-                        help="which synthetic dataset to load")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="dataset generation seed")
-    parser.add_argument("--scale", type=positive_float, default=1.0,
-                        help="lake scale factor (default: 1.0)")
+    add_lake_arguments(parser)
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default: 127.0.0.1)")
     parser.add_argument("--port", type=int, default=8080,
@@ -658,17 +655,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--llm-latency-ms", type=positive_float, default=None,
                         help="simulate remote-planner latency per model "
                              "call (default: the instant simulated brain)")
-    parser.add_argument("--plan-cache-file", metavar="PATH", default=None,
-                        help="plan-cache JSON loaded at boot (if present) "
-                             "and flushed on graceful drain")
-    parser.add_argument("--answer-cache-file", metavar="PATH", default=None,
-                        help="answer-cache JSON loaded at boot (if "
-                             "present) and flushed on graceful drain")
-    parser.add_argument("--cache-url", metavar="URL", default=None,
-                        help="shared cache tier to warm from and feed "
-                             "(tcp://host:port or unix:///path.sock, see "
-                             "'repro cache-server'); a down tier degrades "
-                             "to local caches")
     parser.add_argument("--lane-backend", choices=tuple(LANE_KINDS),
                         default="thread",
                         help="where jobs execute: in-process engines "
@@ -686,28 +672,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_session(args: argparse.Namespace) -> "Session":
-    """A served session from CLI args."""
-    from pathlib import Path
-
-    from repro.datasets import load_lake
-    from repro.llm.brain import SimulatedBrain
-    from repro.session import Session
-    lake = load_lake(args.dataset, seed=args.seed, scale=args.scale)
-    latency_ms = getattr(args, "llm_latency_ms", None)
-    brain = (SimulatedBrain(latency_seconds=latency_ms / 1000.0)
-             if latency_ms else None)
-    session = Session(lake, brain=brain,
-                      cache_url=getattr(args, "cache_url", None))
-    plan_file = getattr(args, "plan_cache_file", None)
-    if plan_file and Path(plan_file).exists():
-        session.load_plan_cache(plan_file)
-    answer_file = getattr(args, "answer_cache_file", None)
-    if answer_file and Path(answer_file).exists():
-        session.load_answer_cache(answer_file)
-    return session
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     config = ServeConfig(
@@ -718,12 +682,16 @@ def main(argv: list[str] | None = None) -> int:
         drain_grace_s=args.drain_grace_s,
         plan_cache_file=args.plan_cache_file,
         answer_cache_file=args.answer_cache_file,
-        cache_url=args.cache_url,
         lane_backend=args.lane_backend,
         trace_export_file=args.trace_export_file,
         trace_buffer=args.trace_buffer,
         slow_query_ms=args.slow_query_ms)
-    session = build_session(args)
+    from repro.cli import build_session
+    from repro.llm.brain import SimulatedBrain
+    latency_ms = args.llm_latency_ms
+    session = build_session(args, brain=(
+        SimulatedBrain(latency_seconds=latency_ms / 1000.0)
+        if latency_ms else None))
 
     async def _serve() -> bool:
         server = QueryServer(session, config)

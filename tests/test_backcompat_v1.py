@@ -5,9 +5,9 @@ pre-columnar row store: table payloads (``Table.to_dict``), per-lake
 fingerprints, plan/answer cache files, and raw cachenet frames.  The
 columnar ``Table`` must load all of them losslessly and reproduce every
 fingerprint byte-for-byte — that is what keeps warmed caches, cachenet
-tiers, and archived reports valid across the storage rewrite.  Batch
-stats and query results archived before per-query telemetry existed
-load through their legacy keys.
+tiers, and archived reports valid across the storage rewrite.  Query
+results archived before per-query telemetry existed load through their
+legacy keys.
 """
 
 import json
@@ -19,7 +19,7 @@ import pytest
 from repro.cachenet.protocol import parse_cache_url, read_frame, write_frame
 from repro.cachenet.server import CacheTierServer
 from repro.core.answer_cache import AnswerCache
-from repro.core.batch import PlanCache, QueryStats
+from repro.core.batch import PlanCache
 from repro.data.table import Table
 from repro.datasets import load_lake
 from repro.session import Session
@@ -96,22 +96,6 @@ def test_v1_answer_cache_file_warms_a_session():
 # ----------------------------------------------------------------------
 # Pre-telemetry records
 # ----------------------------------------------------------------------
-
-
-def test_pre_telemetry_query_stats_record_loads():
-    stat = QueryStats(query="q", kind="value", ok=True,
-                      plan_cache_hit=True, steps=2, total_seconds=1.25,
-                      token_in=100, token_out=10, cost_usd=0.0036)
-    # Serialized stats carry both spellings for old readers, and
-    # from_dict accepts a pre-telemetry record.
-    data = stat.to_dict()
-    assert data["cache_hit"] is True and data["seconds"] == 1.25
-    legacy = QueryStats.from_dict({"query": "q", "kind": "value",
-                                   "ok": True, "cache_hit": True,
-                                   "steps": 2, "seconds": 1.25})
-    assert legacy.plan_cache_hit is True
-    assert legacy.total_seconds == 1.25
-    assert legacy.token_in == 0 and legacy.cost_usd == 0.0
 
 
 def test_pre_telemetry_plan_cache_hit_key_loads_into_telemetry(

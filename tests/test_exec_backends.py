@@ -61,6 +61,29 @@ def test_backends_produce_identical_results(dataset):
     assert reports["process"].backend == "process"
 
 
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_report_counts_cache_activity_once(backend):
+    # A report reads hits and misses off its results' telemetry, the
+    # same counters /metrics sums, whichever process answered a query;
+    # evictions are the session's caches' own.  Small caches make both
+    # caches evict.
+    with Session("rotowire", plan_cache_size=8,
+                 answer_cache_size=64) as session:
+        report = session.batch(workload("rotowire", repeats=2),
+                               workers=1 if backend == "serial" else 2,
+                               backend=backend)
+        counters = session.metrics()["counters"]
+        answer_evictions = session.answer_cache.evictions
+    assert report.num_errors == 0
+    assert (report.cache_hits, report.cache_misses,
+            report.answer_hits, report.answer_misses) == tuple(
+        counters.get(name, 0) for name in (
+            "plan_cache_hits", "plan_cache_misses",
+            "answer_cache_hits", "answer_cache_misses"))
+    assert report.answer_evictions == answer_evictions > 0
+    assert report.answer_evictions <= report.answer_misses
+
+
 def test_default_backend_follows_worker_count(rotowire_lake):
     session = Session(rotowire_lake)
     queries = ["How many players are taller than 200?"]
@@ -216,6 +239,14 @@ def make_worker_payload(session: Session, plans=()) -> dict:
     }
 
 
+def plan_counters(payload: dict) -> dict:
+    """The worker's plan-cache hit / miss, read off the result's
+    telemetry counters."""
+    counters = payload["result"]["trace"]["telemetry"]["counters"]
+    return {name: value for name, value in counters.items()
+            if name in ("plan_cache_hits", "plan_cache_misses")}
+
+
 def test_worker_runtime_roundtrip(monkeypatch):
     from repro.exec import procworker
     monkeypatch.setattr(procworker, "_STATE", {})
@@ -226,14 +257,14 @@ def test_worker_runtime_roundtrip(monkeypatch):
     payload = procworker.run_worker_query(query)
     assert payload["ok"]
     assert payload["fresh_plan"] is not None  # synthesized, ships back
-    assert payload["plan_delta"][1] == 1      # one miss
+    assert plan_counters(payload) == {"plan_cache_misses": 1}
     result = json.loads(json.dumps(payload["result"]))  # JSON-shaped
     assert result["kind"] == "value"
     assert result["value"] == session.query(query).value
 
     warm = procworker.run_worker_query(query)
     assert warm["fresh_plan"] is None         # served from the local cache
-    assert warm["plan_delta"][0] == 1         # one hit
+    assert plan_counters(warm) == {"plan_cache_hits": 1}
 
 
 def test_worker_initializer_seeds_shipped_plans(monkeypatch):
@@ -248,7 +279,7 @@ def test_worker_initializer_seeds_shipped_plans(monkeypatch):
     payload = procworker.run_worker_query(query)
     assert payload["ok"]
     assert payload["fresh_plan"] is None      # never planned: shipped plan
-    assert payload["plan_delta"][0] == 1
+    assert plan_counters(payload) == {"plan_cache_hits": 1}
 
 
 def test_worker_initializer_rejects_fingerprint_mismatch(monkeypatch):

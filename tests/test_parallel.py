@@ -86,19 +86,6 @@ def test_parallel_render_mentions_workers(rotowire_lake):
     assert "answer cache" in text
 
 
-def test_report_to_dict_shape(rotowire_lake):
-    report = Session(rotowire_lake).batch(BATCH[:3], workers=2)
-    record = report.to_dict()
-    assert record["queries"] == 3
-    assert record["workers"] == 2
-    assert record["errors"] == 0
-    assert set(record["stage_seconds"]) == {"discovery", "planning",
-                                            "mapping", "execution"}
-    for cache_key in ("plan_cache", "answer_cache"):
-        assert set(record[cache_key]) == {"hits", "misses", "evictions",
-                                          "hit_rate"}
-
-
 def _plan(tag: str) -> LogicalPlan:
     return LogicalPlan(steps=[LogicalStep(index=1, description=tag)])
 

@@ -11,7 +11,6 @@ import json
 import numpy as np
 
 from repro import Session
-from repro.core.batch import BatchReport
 from repro.core.plan import (ErrorEvent, LogicalPlan, LogicalStep,
                              Observation, PhysicalStep, PlanTrace,
                              QueryResult)
@@ -200,29 +199,6 @@ def test_query_result_error_roundtrip(rotowire_lake):
     assert restored == result
     assert restored.error == result.error
     assert restored.trace.crashed
-
-
-def test_batch_report_roundtrip(rotowire_lake):
-    report = Session(rotowire_lake).batch(
-        ["How many players are taller than 200?",
-         "Plot the average height of players per position.",
-         "How many players are taller than 200?"], workers=2)
-    data = json.loads(json.dumps(report.to_dict(include_results=True)))
-    restored = BatchReport.from_dict(data)
-    assert restored == report
-
-
-def test_batch_report_compact_dict_is_not_lossless(rotowire_lake):
-    report = Session(rotowire_lake).batch(
-        ["How many players are taller than 200?"])
-    compact = report.to_dict()
-    assert "results" not in compact
-    try:
-        BatchReport.from_dict(compact)
-    except ValueError as exc:
-        assert "include_results" in str(exc)
-    else:  # pragma: no cover
-        raise AssertionError("compact record must be rejected")
 
 
 def test_query_result_without_trace_roundtrip():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -358,6 +359,35 @@ def test_http_errors_and_validation(serve):
     response = client.conn.getresponse()
     response.read()
     assert response.status == 400
+    client.close()
+
+
+def _raw_exchange(handle: ServerHandle, request: bytes) -> bytes:
+    """Send *request* bytes as they are; everything the server answers
+    before it closes the connection."""
+    with socket.create_connection(("127.0.0.1", handle.port),
+                                  timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+_OVERLONG = b"a" * (70 * 1024)  # past the stream reader's 64 KiB line limit
+
+
+@pytest.mark.parametrize("request_bytes", [
+    b"GET /" + _OVERLONG + b" HTTP/1.1\r\n\r\n",
+    b"GET /healthz HTTP/1.1\r\nX-Padding: " + _OVERLONG + b"\r\n\r\n",
+    b"POST /queries HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+], ids=["long-request-line", "long-header-line", "negative-length"])
+def test_malformed_request_is_answered_400(serve, request_bytes):
+    handle = serve()
+    assert _raw_exchange(handle, request_bytes).startswith(
+        b"HTTP/1.1 400 ")
+    client = Client(handle)
+    assert client.request("GET", "/healthz")[0] == 200
     client.close()
 
 

@@ -155,7 +155,18 @@ def test_start_pacer_keeps_slots_an_interval_apart_when_sleeps_overshoot(
 # Job manager
 # ----------------------------------------------------------------------
 
-def test_job_manager_spaces_job_starts_across_lanes(rotowire_lake):
+class FrozenClock(FakeClock):
+    """A ``perf_counter`` that never moves and a ``sleep`` that only
+    records, so every start slot is claimed against one instant."""
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+
+
+def test_job_manager_spaces_job_starts_across_lanes(rotowire_lake,
+                                                    monkeypatch):
+    clock = FrozenClock()
+    monkeypatch.setattr(admission, "time", clock)
     session = Session(rotowire_lake)
     manager = JobManager(session, workers=2)
     try:
@@ -163,12 +174,13 @@ def test_job_manager_spaces_job_starts_across_lanes(rotowire_lake):
                 for _ in range(5)]
         for job in jobs:
             assert job.wait(30) and job.result.ok
-        starts = sorted(job.submitted + job.queue_wait_s for job in jobs)
-        gaps = [later - earlier for earlier, later in zip(starts, starts[1:])]
-        # take_for_run stamps the start a moment after the slot came due.
-        assert min(gaps) >= START_INTERVAL_S * 0.5
+        # One schedule across both lanes: the first start is free, each
+        # later one waits one more interval (a per-lane pacer would
+        # hand out each wait twice).
+        assert sorted(clock.sleeps) == pytest.approx(
+            [k * START_INTERVAL_S for k in range(1, 5)])
         assert session.metrics_registry.counters()[
-            "serve_starts_paced_total"] >= 3
+            "serve_starts_paced_total"] == 4
     finally:
         manager.close()
 

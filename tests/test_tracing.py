@@ -20,9 +20,10 @@ import pytest
 from repro.cachenet import CacheTierServer
 from repro.cachenet.protocol import (PROTOCOL_NAME, PROTOCOL_VERSION,
                                      FrameError, read_frame, write_frame)
-from repro.obs import (TraceBuffer, TraceContext, TraceContextError,
-                       TraceExporter, TracePipeline, build_trace_record,
-                       render_prometheus, render_trace_record)
+from repro.obs import (QueryTelemetry, StageTrace, TraceBuffer,
+                       TraceContext, TraceContextError, TraceExporter,
+                       TracePipeline, build_trace_record, render_prometheus,
+                       render_trace_record)
 from repro.obs.tracecli import main as trace_main
 from repro.session import Session
 
@@ -441,3 +442,46 @@ def test_render_trace_record_shows_span_tree():
     assert context.trace_id in text
     assert "planning" in text
     session.close()
+
+
+def test_span_tree_renderings_are_pinned():
+    # README documents render_tree(); both renderers share one span-line
+    # format, step grouping and counters line, byte for byte.
+    telemetry = QueryTelemetry(
+        spans=[StageTrace("discovery", 1.5, 120, 30, 0.0021,
+                          notes={"memo": "absent"}),
+               StageTrace("planning", 2.25, 300, 80, 0.0045),
+               StageTrace("mapping", 0.5, 90, 12, 0.00102, step_index=1),
+               StageTrace("operator:SQL", 3.125, step_index=1,
+                          notes={"engine": "colexec", "rows": 4}),
+               StageTrace("operator:Plot", 0.75, step_index=2)],
+        counters={"plan_cache_misses": 1, "sql_engine_colexec": 1})
+    body = (
+        "├─ discovery                     1.50ms    120 in /   30 out  "
+        "$0.002100  [memo='absent']\n"
+        "├─ planning                      2.25ms    300 in /   80 out  "
+        "$0.004500\n"
+        "├─ step 1\n"
+        "│  ├─ mapping                       0.50ms     90 in /   12 out  "
+        "$0.001020\n"
+        "│  ├─ operator:SQL                  3.12ms      0 in /    0 out  "
+        "$0.000000  [engine='colexec', rows=4]\n"
+        "├─ step 2\n"
+        "│  ├─ operator:Plot                 0.75ms      0 in /    0 out  "
+        "$0.000000\n"
+        "└─ counters: plan_cache_misses=1, sql_engine_colexec=1")
+    assert telemetry.render_tree() == (
+        "spans: 5, tokens: 510 in / 122 out, cost: $0.007620\n" + body)
+    record = build_trace_record(
+        TraceContext(trace_id="ab" * 16, span_id="cd" * 8), "How tall?",
+        telemetry, status="ok", duration_ms=9.5,
+        attributes={"job": "q1", "client": "x"},
+        extra_spans=[{"name": "serve.queue_wait", "duration_ms": 0.25}])
+    assert render_trace_record(record) == (
+        f"trace {'ab' * 16}  status=ok  9.50ms  $0.007620\n"
+        "query: 'How tall?'\n"
+        "attributes: client=x, job=q1\n"
+        "query                         9.50ms    510 in /  122 out  "
+        "$0.007620\n"
+        "├─ serve.queue_wait              0.25ms      0 in /    0 out  "
+        "$0.000000\n" + body)
