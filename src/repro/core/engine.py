@@ -28,13 +28,16 @@ Flow per query:
    step with feedback and backtracking to planning (bounded by
    :data:`MAX_REPLANS`).
 
-Discovery and mapping build their prompt first and reuse the bound reply
+The engine seeds the query's :class:`~repro.llm.interface.Transcript`
+with the entry's replies, and discovery and mapping ask the model through
+:meth:`~repro.llm.interface.Transcript.ask`: a bound reply is reused
 when — and only when — it answered a prompt with the same digest
-(:func:`~repro.core.prompts.prompt_digest`); otherwise the model is asked
-as before and the refreshed ``BoundPlan`` replaces the cache entry.  A
-fully warm query therefore makes no model call, yet the observation-fed
-interleaving stays exact: a step whose observations differ has a
-different prompt and goes back to the model.
+(:func:`~repro.llm.interface.prompt_digest`); otherwise the model is
+asked as before.  Each span reads the outcome of the asks it covers, and
+after a clean run the replies the transcript kept become the refreshed
+``BoundPlan``.  A fully warm query therefore makes no model call, yet the
+observation-fed interleaving stays exact: a step whose observations
+differ has a different prompt and goes back to the model.
 
 Every prompt/response pair actually sent is recorded in
 ``last_transcript`` (a reused reply sends nothing); everything that
@@ -45,22 +48,20 @@ timings.  :class:`repro.session.Session` is the public facade over it.
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.interfaces import (Executor, Mapper, Planner, PromptMapper,
                                    PromptPlanner, RegistryExecutor)
-from repro.core.parsing import MappingDecision
-from repro.core.plan import (BoundPlan, BoundReply, ErrorEvent, LogicalPlan,
-                             LogicalStep, Observation, PhysicalStep,
-                             PlanTrace, QueryResult)
-from repro.core.prompts import ColumnHint, prompt_digest
+from repro.core.plan import (BoundPlan, ErrorEvent, LogicalPlan,
+                             Observation, PhysicalStep, PlanTrace,
+                             QueryResult)
+from repro.core.prompts import ColumnHint
 from repro.data.catalog import DataLake
 from repro.data.table import Table
 from repro.errors import ReproError
 from repro.llm.brain import SimulatedBrain
-from repro.llm.interface import LanguageModel, Transcript
+from repro.llm.interface import BoundReply, LanguageModel, Transcript
 from repro.obs import (MetricsRegistry, StageTrace, TelemetryConfig,
                        TraceContext, pop_trace, push_trace,
                        resolve_cost_model)
@@ -93,16 +94,23 @@ class EngineConfig:
     #: (vectorized kernels over column storage, sqlite fallback) or
     #: ``"sqlite"`` (always the bridge).  Both are byte-identical — the
     #: differential fuzzer (repro.testing.fuzz) asserts it.
-    relational_engine: str = field(default_factory=lambda: os.environ.get(
-        "REPRO_RELATIONAL_ENGINE", "columnar"))
+    relational_engine: str = "columnar"
 
     def __post_init__(self) -> None:
         if self.relational_engine not in RELATIONAL_ENGINES:
             raise ValueError(
                 f"unknown relational engine {self.relational_engine!r} "
-                f"(EngineConfig.relational_engine / "
-                f"REPRO_RELATIONAL_ENGINE); choose one of "
+                f"(EngineConfig.relational_engine); choose one of "
                 f"{', '.join(RELATIONAL_ENGINES)}")
+
+
+def _bound_replies(entry: BoundPlan) -> dict[str, BoundReply]:
+    """*entry*'s replies under the transcript labels that ask for them."""
+    replies = {f"mapping:{step.index}": reply
+               for step, reply in zip(entry.plan, entry.mappings)}
+    if entry.discovery is not None:
+        replies["discovery"] = entry.discovery
+    return replies
 
 
 @dataclass
@@ -111,34 +119,6 @@ class _StepFailure:
 
     event: ErrorEvent
     should_replan: bool
-
-
-@dataclass
-class _Bindings:
-    """One query's view of its plan-cache entry.
-
-    *cached* is what the lookup returned and *stored_mappings* the
-    mapping replies usable for the plan now running (the cached ones
-    when the cached plan runs, none for a fresh plan).  *discovery* and
-    *mappings* collect the replies this run used — reused or freshly
-    asked (*asked* counts the latter) — and become the next entry.
-    *complete* turns false when a reply could not be captured (a role
-    without the prompt/read pair, an attempt with error feedback); the
-    plan is then stored without bound replies.
-    """
-
-    cached: BoundPlan | None
-    stored_mappings: tuple[BoundReply, ...] = ()
-    discovery: BoundReply | None = None
-    mappings: list[BoundReply] = field(default_factory=list)
-    asked: int = 0
-    complete: bool = True
-
-
-def _prompt_pair(role: object, build: str, read: str) -> tuple | None:
-    """``(build prompt, read reply)`` when *role* offers both methods."""
-    pair = getattr(role, build, None), getattr(role, read, None)
-    return pair if None not in pair else None
 
 
 class Engine:
@@ -257,17 +237,19 @@ class Engine:
         # discovery reply too.  The key is computed once and reused by
         # the put in _remember.
         key = (query, self.fingerprint)
-        bindings = _Bindings(self.plan_cache.get(key)
-                             if self.plan_cache is not None else None)
+        cached = (self.plan_cache.get(key)
+                  if self.plan_cache is not None else None)
+        if cached is not None:
+            transcript.bound = _bound_replies(cached)
         hints: list[ColumnHint] = []
         if self.config.use_discovery:
-            hints = self._discover(query, bindings, trace, transcript)
+            hints = self._discover(query, trace, transcript)
 
         replans = 0
         planning_feedback = ""
         while True:
             try:
-                plan, from_cache = self._plan(query, hints, bindings, trace,
+                plan, from_cache = self._plan(query, hints, cached, trace,
                                               transcript,
                                               error_feedback=planning_feedback)
             except ReproError as exc:
@@ -277,14 +259,14 @@ class Engine:
             trace.telemetry.mark_plan_cache(from_cache)
             trace.physical_steps = []
             trace.observations = []
-            bindings.stored_mappings = (bindings.cached.mappings
-                                        if from_cache else ())
-            bindings.mappings = []
-            outcome = self._run_plan(query, plan, hints, bindings, trace,
-                                     transcript)
+            if not from_cache:
+                # The cached mapping replies answered the cached plan.
+                transcript.bound = {}
+            outcome = self._run_plan(query, plan, hints, trace, transcript)
             if isinstance(outcome, QueryResult):
                 if outcome.ok and self.plan_cache is not None:
-                    self._remember(key, plan, from_cache, bindings, trace)
+                    self._remember(key, plan, cached if from_cache else None,
+                                   trace, transcript)
                 return outcome
             # _StepFailure
             if outcome.should_replan and replans < MAX_REPLANS:
@@ -297,94 +279,46 @@ class Engine:
                                trace=trace)
 
     def _remember(self, key: tuple[str, str], plan: LogicalPlan,
-                  from_cache: bool, bindings: _Bindings,
-                  trace: PlanTrace) -> None:
+                  cached: BoundPlan | None, trace: PlanTrace,
+                  transcript: Transcript) -> None:
         """Write this run's plan (and replies) back to the plan cache.
 
         Replies are bound only after a clean run — no failed discovery,
-        no retried step, no replan (each leaves an error event) — with
-        every reply captured.  A fresh plan is always stored; a cached
-        one is re-stored only when some reply had to be asked afresh.
+        no retried step, no replan (each leaves an error event) — in
+        which every prompt was asked through the transcript.  A fresh
+        plan (*cached* is ``None``) is always stored; a cached one is
+        re-stored only when some reply changed.
         """
-        clean = bindings.complete and not trace.errors
-        if from_cache and not (clean and bindings.asked):
+        replies = transcript.replies
+        discovery = replies.get("discovery")
+        mappings = tuple(replies.get(f"mapping:{step.index}")
+                         for step in plan)
+        complete = (not trace.errors and None not in mappings
+                    and (discovery is not None
+                         or not self.config.use_discovery))
+        bound = (BoundPlan(plan, discovery, mappings) if complete
+                 else BoundPlan(plan))
+        if cached is not None and (not complete or bound == cached):
             return
-        bound = (BoundPlan(plan, bindings.discovery,
-                           tuple(bindings.mappings))
-                 if clean else BoundPlan(plan))
         self.plan_cache.put(key, bound)
         self.last_put = bound
 
-    def _bound_or_ask(self, stored: BoundReply | None, build, read, ask,
-                      bindings: _Bindings, trace: PlanTrace,
-                      transcript: Transcript,
-                      notes: dict) -> tuple[object, BoundReply | None]:
-        """``(answer, the reply it came from)`` for one model exchange.
-
-        *stored* is reused — parsed by *read* — only when it answered a
-        prompt with the digest of the one *build* renders now; otherwise
-        *ask* sends the prompt, and the exchange it records (the exact
-        prompt sent, and the reply) becomes the reply to bind.  The
-        outcome is named either way: ``notes["memo"]`` and the matching
-        per-query counter say ``hit`` or why not.
-        """
-        if stored is None:
-            outcome = "absent"
-        elif stored.digest == prompt_digest(build()):
-            self._note_memo("hit", trace, notes)
-            return read(stored.response), stored
-        else:
-            outcome = "digest_changed"
-        self._note_memo(outcome, trace, notes)
-        mark = len(transcript.entries)
-        answer = ask()
-        bindings.asked += 1
-        # Exactly one recorded exchange ties the reply to its prompt;
-        # anything else and nothing is bound for this query.
-        exchanges = transcript.entries[mark:]
-        if len(exchanges) != 1:
-            bindings.complete = False
-            return answer, None
-        sent = exchanges[0]
-        return answer, BoundReply(prompt_digest(sent.messages), sent.response)
-
-    @staticmethod
-    def _note_memo(outcome: str, trace: PlanTrace, notes: dict) -> None:
-        notes[MEMO_NOTE] = outcome
-        trace.telemetry.mark_memo(outcome)
-
-    def _discover(self, query: str, bindings: _Bindings, trace: PlanTrace,
+    def _discover(self, query: str, trace: PlanTrace,
                   transcript: Transcript) -> list[ColumnHint]:
         started = time.perf_counter()
         mark = len(transcript.entries)
-        notes: dict = {}
-        planner, lake = self.planner, self.lake
         try:
-            pair = _prompt_pair(planner, "discovery_prompt",
-                                "read_discovery")
-            if pair is None:
-                bindings.complete = False
-                return planner.discover(lake, query, transcript)
-            build, read = pair
-            cached = bindings.cached
-            hints, bindings.discovery = self._bound_or_ask(
-                cached.discovery if cached is not None else None,
-                lambda: build(lake, query),
-                lambda response: read(lake, response),
-                lambda: planner.discover(lake, query, transcript),
-                bindings, trace, transcript, notes)
-            return hints
+            return self.planner.discover(self.lake, query, transcript)
         except ReproError as exc:
             trace.errors.append(ErrorEvent(
                 "planning", None, f"discovery failed: {exc}", recovered=True))
             return []
         finally:
             self._tick(trace, "discovery", started)
-            self._span(trace, transcript, "discovery", started, mark,
-                       notes=notes)
+            self._span(trace, transcript, "discovery", started, mark)
 
     def _plan(self, query: str, hints: list[ColumnHint],
-              bindings: _Bindings, trace: PlanTrace,
+              cached: BoundPlan | None, trace: PlanTrace,
               transcript: Transcript,
               error_feedback: str = "") -> tuple[LogicalPlan, bool]:
         started = time.perf_counter()
@@ -392,8 +326,8 @@ class Engine:
         try:
             # A replan must not reuse the plan that just failed: bypass the
             # cache whenever error feedback is present.
-            if bindings.cached is not None and not error_feedback:
-                return bindings.cached.plan, True
+            if cached is not None and not error_feedback:
+                return cached.plan, True
             plan = self.planner.plan(self.lake, query, hints, transcript,
                                      error_feedback=error_feedback)
             return plan, False
@@ -401,36 +335,8 @@ class Engine:
             self._tick(trace, "planning", started)
             self._span(trace, transcript, "planning", started, mark)
 
-    def _map(self, tables: dict[str, Table], cards: list, step: LogicalStep,
-             position: int, hints: list[ColumnHint], window: list[str],
-             feedback: str, bindings: _Bindings, trace: PlanTrace,
-             transcript: Transcript, notes: dict) -> MappingDecision:
-        """The mapping decision for the step at *position* of the plan."""
-        mapper = self.mapper
-        pair = _prompt_pair(mapper, "mapping_prompt", "read_mapping")
-        if pair is None or feedback:
-            # A retry (error feedback) is never served from, or bound
-            # into, the cache.
-            bindings.complete = False
-            if pair is not None:
-                self._note_memo("retry", trace, notes)
-            return mapper.map_step(tables, cards, step, hints, window,
-                                   transcript, error_feedback=feedback)
-        build, read = pair
-        stored = bindings.stored_mappings
-        decision, reply = self._bound_or_ask(
-            stored[position] if position < len(stored) else None,
-            lambda: build(tables, cards, step, hints, window), read,
-            lambda: mapper.map_step(tables, cards, step, hints, window,
-                                    transcript),
-            bindings, trace, transcript, notes)
-        if reply is not None:
-            bindings.mappings.append(reply)
-        return decision
-
     def _run_plan(self, query: str, plan: LogicalPlan,
-                  hints: list[ColumnHint], bindings: _Bindings,
-                  trace: PlanTrace,
+                  hints: list[ColumnHint], trace: PlanTrace,
                   transcript: Transcript) -> QueryResult | _StepFailure:
         context = ExecutionContext(
             tables={name: self.lake.table(name)
@@ -446,7 +352,7 @@ class Engine:
         last_table: Table | None = None
         last_plot: PlotSpec | None = None
 
-        for position, step in enumerate(plan):
+        for step in plan:
             feedback = ""
             step_events: list[ErrorEvent] = []
             succeeded = False
@@ -454,19 +360,17 @@ class Engine:
                 phase = "mapping"
                 started = time.perf_counter()
                 mark = len(transcript.entries)
-                notes: dict = {}
                 try:
-                    window = observations[-MAX_OBSERVATIONS:]
-                    decision = self._map(context.tables, cards, step,
-                                         position, hints, window, feedback,
-                                         bindings, trace, transcript, notes)
+                    decision = self.mapper.map_step(
+                        context.tables, cards, step, hints,
+                        observations[-MAX_OBSERVATIONS:], transcript,
+                        error_feedback=feedback)
                     self._tick(trace, "mapping", started)
                     self._span(trace, transcript, "mapping", started, mark,
-                               step_index=step.index, notes=notes)
+                               step_index=step.index)
                     phase = "execution"
                     started = time.perf_counter()
                     mark = len(transcript.entries)
-                    notes = {}
                     execution = self.executor.execute(decision, context)
                     result = execution.result
                     self._tick(trace, "execution", started)
@@ -484,7 +388,7 @@ class Engine:
                     # prompt too — those tokens were spent on this attempt.
                     self._span(trace, transcript, phase, started, mark,
                                step_index=step.index,
-                               notes={**notes, "error": str(exc)[:200]})
+                               notes={"error": str(exc)[:200]})
                     if analysis is not None and analysis.backtrack_to_planning:
                         return _StepFailure(event, should_replan=True)
                     feedback = str(exc)
@@ -542,8 +446,16 @@ class Engine:
 
         Token traffic is attributed by transcript window: *mark* is the
         transcript length when the stage began, so every prompt/response
-        recorded since then belongs to this span.
+        recorded since then belongs to this span.  The outcome of each
+        reply-reuse ask since the last span is counted, and the latest
+        becomes the span's ``memo`` note.
         """
+        outcomes = transcript.outcomes
+        if outcomes:
+            for outcome in outcomes:
+                trace.telemetry.mark_memo(outcome)
+            notes = {MEMO_NOTE: outcomes[-1], **(notes or {})}
+            outcomes.clear()
         if not self.telemetry_config.enabled:
             return
         token_in = token_out = 0

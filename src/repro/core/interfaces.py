@@ -23,15 +23,15 @@ Every method takes the per-query :class:`~repro.llm.interface.Transcript`
 explicitly, so implementations stay stateless and thread-safe — the batch
 layer shares one planner/mapper/executor triple across worker engines.
 
-**Reusable replies.**  The prompt-driven roles split "ask the model" from
-"build the prompt" and "read the reply": :meth:`PromptPlanner.
-discovery_prompt` / :meth:`PromptPlanner.read_discovery` and
-:meth:`PromptMapper.mapping_prompt` / :meth:`PromptMapper.read_mapping`.
-A role that exposes such a pair promises its answer is a function of
-that prompt, and the engine may then skip ``discover`` / ``map_step``
-when the plan cache already holds the reply to the identical prompt
-(:class:`~repro.core.plan.BoundPlan`).  The pairs are optional — a custom
-role without them is simply asked every time.
+**Reusable replies.**  :meth:`PromptPlanner.discover` and
+:meth:`PromptMapper.map_step` reach the model through
+:meth:`Transcript.ask <repro.llm.interface.Transcript.ask>` under the
+labels ``"discovery"`` and ``"mapping:<step index>"``, which returns the
+reply a plan-cache entry (:class:`~repro.core.plan.BoundPlan`) bound to
+the identical prompt instead of asking again.  A custom role takes part
+in reply reuse the same way — by asking through the transcript, so its
+answer is a function of the prompt it sends; a role that calls the model
+itself is asked every time, and its plan is cached without replies.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from repro.core.prompts import (ColumnHint, build_discovery_prompt,
 from repro.data.catalog import DataLake
 from repro.data.table import Table
 from repro.errors import ReproError
-from repro.llm.interface import ChatMessage, LanguageModel, Transcript
+from repro.llm.interface import LanguageModel, Transcript
 from repro.operators.base import (DEFAULT_REGISTRY, ExecutionContext,
                                   OperatorCard, OperatorRegistry,
                                   OperatorResult)
@@ -119,22 +119,12 @@ class PromptPlanner:
     def __init__(self, model: LanguageModel):
         self.model = model
 
-    def discovery_prompt(self, lake: DataLake,
-                         query: str) -> list[ChatMessage]:
-        """The exact prompt :meth:`discover` sends for *query*."""
-        return build_discovery_prompt(lake, query)
-
     def discover(self, lake: DataLake, query: str,
                  transcript: Transcript) -> list[ColumnHint]:
-        messages = self.discovery_prompt(lake, query)
-        response = self.model.complete(messages)
-        transcript.record("discovery", messages, response)
-        return self.read_discovery(lake, response)
-
-    def read_discovery(self, lake: DataLake,
-                       response: str) -> list[ColumnHint]:
-        """Hints from a discovery reply; example values come from the
+        """Hints from the discovery reply; example values come from the
         live *lake*, so a reused reply still shows this lake's content."""
+        response = transcript.ask(self.model, "discovery",
+                                  build_discovery_prompt(lake, query))
         hints: list[ColumnHint] = []
         for table_name, column in parse_relevant_columns(response):
             if table_name not in lake:
@@ -174,28 +164,17 @@ class PromptMapper:
     def __init__(self, model: LanguageModel):
         self.model = model
 
-    def mapping_prompt(self, tables: dict[str, Table],
-                       cards: list[OperatorCard], step: LogicalStep,
-                       hints: list[ColumnHint], observations: list[str],
-                       error_feedback: str = "") -> list[ChatMessage]:
-        """The exact prompt :meth:`map_step` sends for these inputs."""
-        return build_mapping_prompt(tables, cards, step.render(), hints,
-                                    observations,
-                                    error_feedback=error_feedback)
-
     def map_step(self, tables: dict[str, Table],
                  cards: list[OperatorCard], step: LogicalStep,
                  hints: list[ColumnHint], observations: list[str],
                  transcript: Transcript,
                  error_feedback: str = "") -> MappingDecision:
-        messages = self.mapping_prompt(tables, cards, step, hints,
-                                       observations, error_feedback)
-        response = self.model.complete(messages)
-        transcript.record(f"mapping:{step.index}", messages, response)
-        return self.read_mapping(response)
-
-    def read_mapping(self, response: str) -> MappingDecision:
-        """The mapping decision a reply encodes."""
+        messages = build_mapping_prompt(tables, cards, step.render(), hints,
+                                        observations,
+                                        error_feedback=error_feedback)
+        # A retry carries error feedback: never served from the cache.
+        response = transcript.ask(self.model, f"mapping:{step.index}",
+                                  messages, retry=bool(error_feedback))
         return parse_mapping_response(response)
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.data.datatypes import decode_scalar, encode_scalar
 from repro.data.table import Table
+from repro.llm.interface import BoundReply
 from repro.obs.trace import QueryTelemetry
 from repro.plotting.spec import PlotSpec
 
@@ -136,26 +137,6 @@ class LogicalPlan:
         return cls(steps=[LogicalStep.from_dict(s)
                           for s in data.get("steps", [])],
                    thought=data.get("thought", ""))
-
-
-@dataclass(frozen=True)
-class BoundReply:
-    """One model reply, remembered with the prompt it answered.
-
-    *digest* identifies the exact prompt (:func:`repro.core.prompts.
-    prompt_digest`); *response* is the model's reply text, verbatim, so a
-    reuse goes through the same parser a live reply does.
-    """
-
-    digest: str
-    response: str
-
-    def to_dict(self) -> dict:
-        return {"digest": self.digest, "response": self.response}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BoundReply":
-        return cls(digest=data["digest"], response=data["response"])
 
 
 @dataclass(frozen=True)

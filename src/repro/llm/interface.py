@@ -3,11 +3,16 @@
 CAESURA talks to the model exclusively through rendered chat prompts — the
 same contract as a remote GPT-4 endpoint.  Any object implementing
 :class:`LanguageModel` can be plugged in.
+
+A query's :class:`Transcript` records every exchange, and its
+:meth:`Transcript.ask` is where a reply bound to a plan-cache entry
+(:class:`BoundReply`) is reused instead of asking the model again.
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -63,6 +68,41 @@ class LanguageModel(Protocol):
         ...
 
 
+def prompt_digest(messages: list[ChatMessage]) -> str:
+    """Digest of one rendered chat prompt (roles and contents, in order).
+
+    Two prompts digest equally iff the model would be sent the same
+    text; a :class:`BoundReply` is reused on exactly that condition.
+    """
+    digest = hashlib.sha256()
+    for message in messages:
+        digest.update(message.role.value.encode("ascii"))
+        digest.update(b"\0")
+        digest.update(message.content.encode("utf-8"))
+        digest.update(b"\0")
+    return digest.hexdigest()[:32]
+
+
+@dataclass(frozen=True)
+class BoundReply:
+    """One model reply, remembered with the prompt it answered.
+
+    *digest* identifies the exact prompt (:func:`prompt_digest`);
+    *response* is the model's reply text, verbatim, so a reuse goes
+    through the same parser a live reply does.
+    """
+
+    digest: str
+    response: str
+
+    def to_dict(self) -> dict:
+        return {"digest": self.digest, "response": self.response}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "BoundReply":
+        return cls(digest=data["digest"], response=data["response"])
+
+
 @dataclass
 class TranscriptEntry:
     """One prompt/response exchange, kept for inspection and tests."""
@@ -74,13 +114,49 @@ class TranscriptEntry:
 
 @dataclass
 class Transcript:
-    """Ordered record of every LLM call made while answering a query."""
+    """Ordered record of every LLM call made while answering a query.
+
+    *entries* lists only prompts actually sent.  *bound* holds the
+    replies a plan-cache entry carries, by label, for :meth:`ask` to
+    reuse; *replies* the reply behind each label's latest ask (``None``
+    after a retry) — what a clean run binds back into the cache; and
+    *outcomes* the outcome of every ask the engine has not yet reported.
+    """
 
     entries: list[TranscriptEntry] = field(default_factory=list)
+    bound: dict[str, BoundReply] = field(default_factory=dict)
+    replies: dict[str, BoundReply | None] = field(default_factory=dict)
+    outcomes: list[str] = field(default_factory=list)
 
     def record(self, label: str, messages: list[ChatMessage],
                response: str) -> None:
         self.entries.append(TranscriptEntry(label, list(messages), response))
+
+    def ask(self, model: LanguageModel, label: str,
+            messages: list[ChatMessage], retry: bool = False) -> str:
+        """The reply to *messages*, reused or fresh from *model*.
+
+        The reply bound under *label* is reused only when it answered a
+        prompt with the same digest; otherwise *model* is asked and the
+        exchange recorded.  The outcome is kept either way — ``"hit"``,
+        or why not (``"absent"``, ``"digest_changed"``, ``"retry"``).  A
+        *retry* (a prompt carrying error feedback) is never served from,
+        or kept for, the cache.
+        """
+        stored = None if retry else self.bound.get(label)
+        digest = None if retry else prompt_digest(messages)
+        if stored is not None and stored.digest == digest:
+            self.outcomes.append("hit")
+            self.replies[label] = stored
+            return stored.response
+        self.outcomes.append("retry" if retry else "absent" if stored is None
+                             else "digest_changed")
+        self.replies[label] = None
+        response = model.complete(messages)
+        self.record(label, messages, response)
+        if not retry:
+            self.replies[label] = BoundReply(digest, response)
+        return response
 
     def __len__(self) -> int:
         return len(self.entries)

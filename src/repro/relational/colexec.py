@@ -45,7 +45,7 @@ from repro.data.datatypes import DataType
 from repro.data.schema import ColumnSpec, Schema
 from repro.data.table import Table
 from repro.relational.sqlexec import (_adapt_cell, _infer_sql_dtype,
-                                      join_renames)
+                                      dedup_names, join_renames)
 
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
@@ -842,15 +842,6 @@ def _guard_aggregate(table: Table, item: AggItem,
 # ----------------------------------------------------------------------
 
 
-def _dedup_names(names: Sequence[str]) -> list[str]:
-    unique: list[str] = []
-    counts: dict[str, int] = {}
-    for name in names:
-        counts[name] = counts.get(name, 0) + 1
-        unique.append(f"{name}_{counts[name]}" if counts[name] > 1 else name)
-    return unique
-
-
 def _take_sql_column(storage: object, indices: Sequence[int] | None
                      ) -> tuple[Column, DataType] | None:
     """Gather a projected result column straight from typed storage.
@@ -885,7 +876,7 @@ def _build_result(named_columns: list[tuple[str, object,
     A :class:`Column` entry is the :func:`_take_sql_column` fast path:
     its dtype is precomputed and the packed column goes straight into
     the table."""
-    names = _dedup_names([name for name, _, _ in named_columns])
+    names = dedup_names([name for name, _, _ in named_columns])
     specs = []
     columns = {}
     for unique, (_, values, modality) in zip(names, named_columns):

@@ -100,6 +100,26 @@ def build_join_sql(left_name: str, right_name: str,
             f"{_quote_ident(right_name)}.{_quote_ident(right_on)}")
 
 
+def dedup_names(names: Sequence[str]) -> list[str]:
+    """Result column *names* made unique, as both relational engines do.
+
+    The k-th occurrence of a name (k > 1) becomes ``name_k``; a suffix
+    another column already takes is skipped, so no name repeats.
+    """
+    taken = set(names)
+    counts: dict[str, int] = {}
+    unique: list[str] = []
+    for name in names:
+        counts[name] = counts.get(name, 0) + 1
+        if counts[name] > 1:
+            while f"{name}_{counts[name]}" in taken:
+                counts[name] += 1
+            name = f"{name}_{counts[name]}"
+            taken.add(name)
+        unique.append(name)
+    return unique
+
+
 class SQLBridge:
     """A connection-lifetime sqlite database that memoizes registrations.
 
@@ -242,14 +262,7 @@ class SQLBridge:
         names = [d[0] for d in cursor.description]
         raw_rows = cursor.fetchall()
         # sqlite can return duplicate column names; make them unique.
-        unique_names: list[str] = []
-        counts: dict[str, int] = {}
-        for name in names:
-            counts[name] = counts.get(name, 0) + 1
-            if counts[name] > 1:
-                unique_names.append(f"{name}_{counts[name]}")
-            else:
-                unique_names.append(name)
+        unique_names = dedup_names(names)
         columns = {n: [] for n in unique_names}
         for raw in raw_rows:
             for name, value in zip(unique_names, raw):

@@ -11,6 +11,7 @@ payloads and the shaping of outbound ones, so the HTTP layer
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 #: Hard cap on an inbound query string; anything longer is a client bug,
@@ -48,9 +49,11 @@ def parse_submit(payload: object) -> SubmitRequest:
             f"'query' exceeds {MAX_QUERY_CHARS} characters")
     timeout_s = payload.get("timeout_s")
     if timeout_s is not None:
+        # json parses NaN and Infinity; neither is a usable timeout.
         if not isinstance(timeout_s, (int, float)) \
-                or isinstance(timeout_s, bool) or timeout_s <= 0:
-            raise SchemaError("'timeout_s' must be a positive number")
+                or isinstance(timeout_s, bool) \
+                or not math.isfinite(timeout_s) or timeout_s <= 0:
+            raise SchemaError("'timeout_s' must be a positive finite number")
         timeout_s = float(timeout_s)
     return SubmitRequest(query=query.strip(), timeout_s=timeout_s)
 

@@ -14,20 +14,26 @@ from __future__ import annotations
 import json
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.cachenet import CacheTierServer
 from repro.core.batch import PlanCache
 from repro.core.interfaces import PromptMapper, PromptPlanner
+from repro.core.parsing import parse_mapping_response
 from repro.core.plan import BoundPlan, BoundReply, LogicalPlan, LogicalStep
+from repro.core.prompts import build_mapping_prompt
 from repro.datasets import load_lake
 from repro.errors import PlanParseError
 from repro.llm.brain import SimulatedBrain
+from repro.llm.interface import (BoundReply as InterfaceBoundReply,
+                                 Transcript, human, prompt_digest, system)
 from repro.obs import render_prometheus
 from repro.session import Session
 from repro.testing.workloads import workload
 
+BOUND_FIXTURE = Path(__file__).parent / "fixtures" / "v1_bound_plan_cache.json"
 QUERY = "How many players are taller than 200?"
 TEXT_QUERY = "How many games did the Heat win?"
 
@@ -191,16 +197,19 @@ def test_a_stale_digest_is_a_miss_not_a_wrong_answer(rotowire):
 
 
 class FlakyMapper(PromptMapper):
-    """Fails the first mapping attempt of every query's first step."""
+    """Fails the first mapping attempt of every query's first step,
+    after asking the model."""
 
     def map_step(self, tables, cards, step, hints, observations,
                  transcript, error_feedback=""):
+        decision = super().map_step(tables, cards, step, hints,
+                                    observations, transcript,
+                                    error_feedback=error_feedback)
         if step.index == 1 and not error_feedback:
             # "unknown operator" makes the error analysis answer "retry
             # the step", not "backtrack to planning".
             raise PlanParseError("flaky mapper: unknown operator 'Nope'")
-        return super().map_step(tables, cards, step, hints, observations,
-                                transcript, error_feedback=error_feedback)
+        return decision
 
 
 def test_retried_step_binds_nothing(rotowire):
@@ -308,6 +317,26 @@ def test_save_load_round_trips_the_replies(tmp_path, rotowire):
     assert "bindings" not in json.dumps(want.to_dict())
 
 
+@pytest.mark.parametrize("dataset", ("artwork", "rotowire"))
+def test_a_bound_plan_cache_file_from_an_earlier_release_runs_warm(
+        request, dataset):
+    # The fixture holds both workloads' entries, saved cold by an engine
+    # that reused replies through prompt/read method pairs on the roles.
+    lake = request.getfixturevalue(dataset)
+    queries = list(workload(dataset))
+    want = [Session(lake).query(query).describe() for query in queries]
+    brain = CountingBrain()
+    with Session(lake, brain=brain,
+                 plan_cache=PlanCache.load(BOUND_FIXTURE)) as session:
+        got = [session.query(query) for query in queries]
+    assert brain.calls == 0
+    assert [result.describe() for result in got] == want
+    for result in got:
+        assert result.telemetry.plan_cache_hit
+        assert memo_counters(result) == \
+            {"binding_memo_hits": 1 + len(result.trace.logical_plan)}
+
+
 # ----------------------------------------------------------------------
 # (f) the cache tier carries the replies
 # ----------------------------------------------------------------------
@@ -363,22 +392,39 @@ def test_racing_workers_never_serve_a_reply_for_the_wrong_step(rotowire):
 
 
 class OpaqueMapper:
-    """A Mapper that offers no prompt/read pair: its decision may depend
-    on anything, so the engine must ask it every time."""
+    """A Mapper that calls the model itself instead of asking through
+    the transcript: its decision may depend on anything, so it must be
+    asked every time."""
 
     def __init__(self, model):
-        self.inner = PromptMapper(model)
+        self.model = model
         self.calls = 0
 
     def map_step(self, tables, cards, step, hints, observations,
                  transcript, error_feedback=""):
         self.calls += 1
+        messages = build_mapping_prompt(tables, cards, step.render(), hints,
+                                        observations,
+                                        error_feedback=error_feedback)
+        response = self.model.complete(messages)
+        transcript.record(f"mapping:{step.index}", messages, response)
+        return parse_mapping_response(response)
+
+
+class ComposedMapper:
+    """A Mapper that delegates to a PromptMapper it holds."""
+
+    def __init__(self, model):
+        self.inner = PromptMapper(model)
+
+    def map_step(self, tables, cards, step, hints, observations,
+                 transcript, error_feedback=""):
         return self.inner.map_step(tables, cards, step, hints, observations,
                                    transcript, error_feedback=error_feedback)
 
 
 class MarkedPlanner(PromptPlanner):
-    """A PromptPlanner subclass: inherits the prompt/read pair."""
+    """A PromptPlanner subclass: inherits its ask through the transcript."""
 
 
 def test_role_overrides_are_memoised_or_bypassed_never_wrong(rotowire):
@@ -402,4 +448,104 @@ def test_role_overrides_are_memoised_or_bypassed_never_wrong(rotowire):
         asked = brain.calls
         second = session.query(QUERY)
     assert first.value == second.value == want.value
-    assert asked > 0 and brain.calls == asked  # memoised through the pair
+    assert asked > 0 and brain.calls == asked  # memoised through the ask
+
+
+def test_a_mapper_composing_prompt_mapper_is_memoised(rotowire):
+    brain = CountingBrain()
+    with Session(rotowire, brain=brain,
+                 mapper=ComposedMapper(brain)) as session:
+        first = session.query(QUERY)
+        asked = brain.calls
+        second = session.query(QUERY)
+        entry = session.plan_cache.get((QUERY, rotowire.fingerprint()))
+    assert first.value == second.value == Session(rotowire).query(QUERY).value
+    assert asked > 0 and brain.calls == asked
+    assert len(entry.mappings) == len(entry.plan)
+    assert memo_counters(second) == {"binding_memo_hits": 3}
+
+
+# ----------------------------------------------------------------------
+# (i) Transcript.ask: the one place a bound reply is reused
+# ----------------------------------------------------------------------
+
+
+class NumberingModel:
+    """Answers every prompt with the number of the call."""
+
+    name = "numbering"
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def complete(self, messages) -> str:
+        self.calls += 1
+        return f"reply {self.calls}"
+
+
+PROMPT = [system("You map steps."), human("Step 1: count the rows.")]
+
+
+def test_prompt_digest_covers_roles_contents_and_order():
+    same = [system("You map steps."), human("Step 1: count the rows.")]
+    assert prompt_digest(same) == prompt_digest(PROMPT)
+    for other in ([human("You map steps."), human("Step 1: count the rows.")],
+                  [system("You map steps."), human("Step 1: count rows.")],
+                  list(reversed(PROMPT)),
+                  [system("You map steps.Step 1: count the rows.")]):
+        assert prompt_digest(other) != prompt_digest(PROMPT)
+    assert BoundReply is InterfaceBoundReply
+
+
+def test_ask_reuses_a_bound_reply_iff_the_digests_are_equal():
+    model = NumberingModel()
+    bound = BoundReply(prompt_digest(PROMPT), "stored")
+    transcript = Transcript(bound={"mapping:1": bound})
+    assert transcript.ask(model, "mapping:1", PROMPT) == "stored"
+    assert model.calls == 0 and transcript.replies["mapping:1"] is bound
+    changed = [*PROMPT, human("Observation: 3 rows.")]
+    assert transcript.ask(model, "mapping:1", changed) == "reply 1"
+    assert transcript.outcomes == ["hit", "digest_changed"]
+    assert transcript.replies["mapping:1"] == \
+        BoundReply(prompt_digest(changed), "reply 1")
+
+
+def test_ask_names_an_absent_reply_and_keeps_the_fresh_one():
+    model = NumberingModel()
+    transcript = Transcript(
+        bound={"discovery": BoundReply(prompt_digest(PROMPT), "stored")})
+    assert transcript.ask(model, "mapping:1", PROMPT) == "reply 1"
+    assert transcript.outcomes == ["absent"]
+    assert transcript.replies == \
+        {"mapping:1": BoundReply(prompt_digest(PROMPT), "reply 1")}
+
+
+def test_a_retry_is_asked_named_and_never_kept():
+    model = NumberingModel()
+    transcript = Transcript(
+        bound={"mapping:1": BoundReply(prompt_digest(PROMPT), "stored")})
+    assert transcript.ask(model, "mapping:1", PROMPT) == "stored"
+    # Even with a matching digest, a retry goes to the model ...
+    assert transcript.ask(model, "mapping:1", PROMPT, retry=True) == \
+        "reply 1"
+    assert transcript.outcomes == ["hit", "retry"]
+    # ... and leaves nothing to bind for its label.
+    assert transcript.replies == {"mapping:1": None}
+
+
+def test_entries_list_only_prompts_actually_sent():
+    model = NumberingModel()
+    changed = [system("You map steps."), human("Step 2: plot it.")]
+    transcript = Transcript(
+        bound={"mapping:1": BoundReply(prompt_digest(PROMPT), "stored"),
+               "mapping:2": BoundReply(prompt_digest(PROMPT), "stored")})
+    transcript.ask(model, "mapping:1", PROMPT)
+    transcript.ask(model, "mapping:2", changed)
+    transcript.ask(model, "mapping:3", PROMPT, retry=True)
+    assert transcript.outcomes == ["hit", "digest_changed", "retry"]
+    assert len(transcript) == model.calls == 2
+    assert transcript.labels() == ["mapping:2", "mapping:3"]
+    assert [entry.messages for entry in transcript.entries] == \
+        [changed, PROMPT]
+    assert [entry.response for entry in transcript.entries] == \
+        ["reply 1", "reply 2"]

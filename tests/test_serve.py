@@ -362,6 +362,25 @@ def test_http_errors_and_validation(serve):
     client.close()
 
 
+@pytest.mark.parametrize("timeout_s", (float("nan"), float("inf")))
+def test_non_finite_timeout_is_rejected_and_replaces_no_lane(serve,
+                                                             timeout_s):
+    # json.dumps writes NaN / Infinity, and the server's json parses them.
+    handle = serve(workers=1)
+    client = Client(handle)
+    status, _, body = client.request(
+        "POST", "/queries",
+        {"query": "Who is the tallest player?", "timeout_s": timeout_s})
+    assert status == 400 and "timeout_s" in body["detail"]
+    _, _, ok = client.request(
+        "POST", "/queries", {"query": "Who is the tallest player?"})
+    assert client.poll_done(ok["id"])["ok"] is True
+    counters = client.request("GET", "/metrics")[2]["counters"]
+    assert "serve_job_timeouts_total" not in counters
+    assert "serve_worker_failures_total" not in counters
+    client.close()
+
+
 def _raw_exchange(handle: ServerHandle, request: bytes) -> bytes:
     """Send *request* bytes as they are; everything the server answers
     before it closes the connection."""

@@ -33,6 +33,8 @@ def test_parse_submit_validation():
     for bad in (None, [], {"query": 3}, {"query": " "}, {},
                 {"query": "q", "timeout_s": 0},
                 {"query": "q", "timeout_s": True},
+                {"query": "q", "timeout_s": float("nan")},
+                {"query": "q", "timeout_s": float("inf")},
                 {"query": "q", "extra": 1},
                 {"query": "x" * 10_001}):
         with pytest.raises(SchemaError):

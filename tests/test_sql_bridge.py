@@ -6,6 +6,7 @@ from repro.data.datatypes import DataType
 from repro.errors import SQLExecutionError
 from repro.data.schema import ColumnSpec, Schema
 from repro.data.table import Table
+from repro.operators.base import ExecutionContext
 from repro.relational.sqlexec import SQLBridge, run_sql
 from repro.session import Session
 
@@ -137,3 +138,21 @@ def test_bridge_object_store_stops_growing_after_one_round():
             sizes.append(len(session._engine.sql_bridge._objects))
     assert sizes[0] > 0
     assert sizes == sizes[:1] * 4, sizes
+
+
+# ----------------------------------------------------------------------
+# Duplicate result column names
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("engine", ("columnar", "sqlite"))
+def test_a_repeated_name_skips_a_suffix_another_column_takes(engine):
+    table = Table(Schema([ColumnSpec("x", DataType.INTEGER),
+                          ColumnSpec("y", DataType.INTEGER)]),
+                  {"x": [1, 2], "y": [3, 4]})
+    context = ExecutionContext(tables={"t": table}, relational_engine=engine)
+    result = context.execute_sql("SELECT x, y AS x_2, x FROM t",
+                                 context.tables, operator="SQL")
+    assert result.column_names == ["x", "x_2", "x_3"]
+    assert [result.column(name) for name in result.column_names] == \
+        [[1, 2], [3, 4], [1, 2]]

@@ -411,7 +411,7 @@ def test_engine_counts_fold_into_labelled_session_metrics():
 
 
 @pytest.mark.parametrize("engine", ["native", "colunmar", ""])
-def test_unknown_relational_engine_is_rejected(engine, monkeypatch):
+def test_unknown_relational_engine_is_rejected(engine):
     # An unknown engine must fail loudly instead of silently running
     # colexec under a bogus sql_engine_total{engine="..."} label.
     from repro.core.engine import RELATIONAL_ENGINES, EngineConfig
@@ -419,11 +419,6 @@ def test_unknown_relational_engine_is_rejected(engine, monkeypatch):
     assert RELATIONAL_ENGINES == ("columnar", "sqlite")
     with pytest.raises(ValueError, match="columnar, sqlite"):
         EngineConfig(relational_engine=engine)
-    monkeypatch.setenv("REPRO_RELATIONAL_ENGINE", engine)
-    with pytest.raises(ValueError, match="REPRO_RELATIONAL_ENGINE"):
-        EngineConfig()
-    monkeypatch.setenv("REPRO_RELATIONAL_ENGINE", "sqlite")
-    assert EngineConfig().relational_engine == "sqlite"
 
 
 # ----------------------------------------------------------------------
