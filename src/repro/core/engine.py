@@ -516,6 +516,16 @@ class Engine:
             metrics.increment("token_in_total", telemetry.token_in)
             metrics.increment("token_out_total", telemetry.token_out)
             metrics.increment("cost_usd_total", telemetry.cost_usd)
+            # The same prompt tokens by phase: the span stage up to any
+            # ':' ("mapping", "planning", ...; "execution" holds
+            # error-analysis prompts).  A separate family, so it never
+            # adds into token_in_total.
+            for span in telemetry.spans:
+                if span.token_in:
+                    phase = span.stage.partition(":")[0]
+                    metrics.increment(
+                        f'token_in_phase_total{{phase="{phase}"}}',
+                        span.token_in)
         for phase, seconds in trace.timings.items():
             metrics.observe(f"latency_{phase}", seconds)
 

@@ -169,7 +169,7 @@ class PromptMapper:
                  hints: list[ColumnHint], observations: list[str],
                  transcript: Transcript,
                  error_feedback: str = "") -> MappingDecision:
-        messages = build_mapping_prompt(tables, cards, step.render(), hints,
+        messages = build_mapping_prompt(tables, cards, step, hints,
                                         observations,
                                         error_feedback=error_feedback)
         # A retry carries error feedback: never served from the cache.

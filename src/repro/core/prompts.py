@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.plan import LogicalStep
 from repro.data.catalog import DataLake
 from repro.data.table import Table
 from repro.llm.interface import ChatMessage, human, system
@@ -156,16 +157,46 @@ def context_prompt_repr(tables: dict[str, Table]) -> str:
         for name, table in tables.items())
 
 
+def step_tables(tables: dict[str, Table],
+                step: LogicalStep) -> dict[str, Table]:
+    """The context tables *step* reads: its ``Input:`` tables, in that
+    order, or the whole context when ``inputs`` is empty or names a
+    table the context does not hold."""
+    if not step.inputs or any(name not in tables for name in step.inputs):
+        return tables
+    return {name: tables[name] for name in step.inputs}
+
+
+def usable_cards(cards: list[OperatorCard],
+                 tables: dict[str, Table]) -> list[OperatorCard]:
+    """The *cards* some column of *tables* can feed: a card that
+    ``reads`` a datatype needs a column of it, one with ``reads=None``
+    is always kept."""
+    dtypes = {spec.dtype for table in tables.values()
+              for spec in table.schema.columns}
+    return [card for card in cards
+            if card.reads is None or card.reads in dtypes]
+
+
 def build_mapping_prompt(tables: dict[str, Table], cards: list[OperatorCard],
-                         step_text: str, hints: list[ColumnHint],
+                         step: LogicalStep, hints: list[ColumnHint],
                          observations: list[str],
                          error_feedback: str = "") -> list[ChatMessage]:
     """The Mapping Phase prompt (Figure 3, right) for *one* logical step.
 
-    *tables* is the current execution context, so the model sees every
-    intermediate table (and the columns added by previous operators) —
-    this is what interleaved execution buys us.
+    *tables* is the current execution context, so an input that an
+    earlier step produced shows the columns its operator added — this is
+    what interleaved execution buys us.
+
+    Unlike the paper's Figure 3 prompt, which lists every table and every
+    operator, this prompt is scoped to the step: it shows only the
+    tables the step names as inputs (:func:`step_tables`) and only the
+    operator cards those tables can feed (:func:`usable_cards`), and the
+    output format's operator list names exactly those cards.  Hints,
+    observations and error feedback are not scoped.
     """
+    tables = step_tables(tables, step)
+    cards = usable_cards(cards, tables)
     sections = [f"You are CAESURA, and {MAPPING_MARKER}:"]
     sections.append("The database contains the following tables:\n"
                     + context_prompt_repr(tables))
@@ -184,7 +215,7 @@ def build_mapping_prompt(tables: dict[str, Table], cards: list[OperatorCard],
         body_parts.append(f"The previous attempt failed: {error_feedback}\n"
                           "Choose the operator and arguments again, avoiding "
                           "this error.")
-    body_parts.append(step_text)
+    body_parts.append(step.render())
     return [system("\n\n".join(sections)), human("\n\n".join(body_parts))]
 
 

@@ -230,6 +230,8 @@ class Table:
         """Up to *limit* distinct non-null example values of a column.
 
         Used by prompt construction ("These are some relevant values...").
+        A modality value that is not already a ``str`` (an image) is shown
+        as its ``repr``; a TEXT document is its own display form.
         Memoized: a column with fewer than *limit* distinct values forces
         a full scan, and discovery asks for the same samples every query.
         """
@@ -239,7 +241,8 @@ class Table:
             for value in self.iter_column(name):
                 if value is None:
                     continue
-                display = value if not modality else repr(value)
+                display = (repr(value) if modality
+                           and not isinstance(value, str) else value)
                 if display not in seen:
                     seen.append(display)
                 if len(seen) >= limit:

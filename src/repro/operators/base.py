@@ -118,6 +118,10 @@ class OperatorCard:
     name: str
     purpose: str
     argument_format: str
+    #: the datatype of the column the operator consumes: the card is shown
+    #: in a mapping prompt only when some input table has a column of it.
+    #: ``None`` (relational and custom operators) shows it in every prompt.
+    reads: DataType | None = None
 
     def prompt_repr(self) -> str:
         return (f"{self.name}: {self.purpose}\n"

@@ -33,7 +33,8 @@ class TextQAOperator(PhysicalOperator):
                  "adds the answers as a new column."),
         argument_format=("(table; text_column; new_column; "
                          "question_template; answer_type one of "
-                         "int/float/str)"))
+                         "int/float/str)"),
+        reads=DataType.TEXT)
 
     def run(self, context: ExecutionContext, args: list[str]) -> OperatorResult:
         table_name, text_column, new_column, template, answer_type = (

@@ -95,7 +95,8 @@ class VisualQAOperator(PhysicalOperator):
                  "(answered 'yes'/'no'). It adds the answers as a new "
                  "column."),
         argument_format=("(table; image_column; new_column; question; "
-                         "answer_type one of int/float/str)"))
+                         "answer_type one of int/float/str)"),
+        reads=DataType.IMAGE)
 
     def run(self, context: ExecutionContext, args: list[str]) -> OperatorResult:
         table_name, image_column, new_column, question, answer_type = (
@@ -123,7 +124,8 @@ class ImageSelectOperator(PhysicalOperator):
         purpose=("It is useful for when you want to select tuples based on "
                  "what is depicted in images, e.g. keep only the paintings "
                  "depicting a certain object."),
-        argument_format="(table; image_column; description of what to keep)")
+        argument_format="(table; image_column; description of what to keep)",
+        reads=DataType.IMAGE)
 
     def run(self, context: ExecutionContext, args: list[str]) -> OperatorResult:
         table_name, image_column, description = self.require_args(args, 3)

@@ -321,20 +321,32 @@ def test_save_load_round_trips_the_replies(tmp_path, rotowire):
 def test_a_bound_plan_cache_file_from_an_earlier_release_runs_warm(
         request, dataset):
     # The fixture holds both workloads' entries, saved cold by an engine
-    # that reused replies through prompt/read method pairs on the roles.
+    # that reused replies through prompt/read method pairs on the roles
+    # and sent every table and operator card in each mapping prompt.
+    # Its plans and discovery replies still serve; each mapping reply
+    # answered a prompt that has since been scoped to the step, so it is
+    # asked again once, rebound, and served from then on.
     lake = request.getfixturevalue(dataset)
     queries = list(workload(dataset))
     want = [Session(lake).query(query).describe() for query in queries]
     brain = CountingBrain()
     with Session(lake, brain=brain,
                  plan_cache=PlanCache.load(BOUND_FIXTURE)) as session:
-        got = [session.query(query) for query in queries]
-    assert brain.calls == 0
-    assert [result.describe() for result in got] == want
-    for result in got:
-        assert result.telemetry.plan_cache_hit
-        assert memo_counters(result) == \
-            {"binding_memo_hits": 1 + len(result.trace.logical_plan)}
+        first = [session.query(query) for query in queries]
+        steps = [len(result.trace.logical_plan) for result in first]
+        assert brain.calls == sum(steps)
+        assert [result.describe() for result in first] == want
+        for result, plan_steps in zip(first, steps):
+            assert result.telemetry.plan_cache_hit
+            assert memo_counters(result) == {
+                "binding_memo_hits": 1,
+                "binding_memo_misses_digest_changed": plan_steps}
+
+        second = [session.query(query) for query in queries]
+    assert brain.calls == sum(steps)
+    assert [result.describe() for result in second] == want
+    for result, plan_steps in zip(second, steps):
+        assert memo_counters(result) == {"binding_memo_hits": 1 + plan_steps}
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +415,7 @@ class OpaqueMapper:
     def map_step(self, tables, cards, step, hints, observations,
                  transcript, error_feedback=""):
         self.calls += 1
-        messages = build_mapping_prompt(tables, cards, step.render(), hints,
+        messages = build_mapping_prompt(tables, cards, step, hints,
                                         observations,
                                         error_feedback=error_feedback)
         response = self.model.complete(messages)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.parsing import (parse_logical_plan, parse_mapping_response,
                                 parse_prompt_tables, parse_relevant_columns)
+from repro.core.plan import LogicalStep
 from repro.core.prompts import (build_discovery_prompt, build_mapping_prompt,
                                 build_planning_prompt)
 from repro.errors import LLMError
@@ -79,13 +80,11 @@ def test_brain_planning_response_parses(artwork_lake):
 
 def test_brain_mapping_response_parses(rotowire_lake):
     brain = SimulatedBrain()
-    step_text = ("Step 1: Count the number of rows of the 'teams' table "
-                 "into the 'count' column.\n"
-                 "Input: ['teams']\nOutput: result_table\n"
-                 "New Columns: ['count']")
+    step = LogicalStep(1, "Count the number of rows of the 'teams' table "
+                          "into the 'count' column.", ["teams"],
+                       "result_table", ["count"])
     messages = build_mapping_prompt(
-        {"teams": rotowire_lake.table("teams")}, all_cards(), step_text,
-        [], [])
+        {"teams": rotowire_lake.table("teams")}, all_cards(), step, [], [])
     decision = parse_mapping_response(brain.complete(messages))
     assert decision.operator == "SQL"
     assert "COUNT(*)" in decision.arguments[0]

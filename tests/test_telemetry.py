@@ -410,7 +410,20 @@ def test_engine_counts_fold_into_labelled_session_metrics():
     assert f'repro_sql_engine_total{{engine="columnar"}} {ran}' in exposition
 
 
-@pytest.mark.parametrize("engine", ["native", "colunmar", ""])
+def test_prompt_tokens_per_phase_sum_to_token_in_total():
+    with Session("rotowire") as session:
+        session.batch(list(workload("rotowire")))
+        counters = session.metrics()["counters"]
+    prefix = "token_in_phase_total{phase=\""
+    phases = {name[len(prefix):-2]: value
+              for name, value in counters.items() if name.startswith(prefix)}
+    assert {"discovery", "planning", "mapping"} <= set(phases) \
+        <= {"discovery", "planning", "mapping", "execution"}
+    assert all(value > 0 for value in phases.values())
+    assert sum(phases.values()) == counters["token_in_total"]
+
+
+@pytest.mark.parametrize("engine",["native", "colunmar", ""])
 def test_unknown_relational_engine_is_rejected(engine):
     # An unknown engine must fail loudly instead of silently running
     # colexec under a bogus sql_engine_total{engine="..."} label.
