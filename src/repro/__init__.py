@@ -27,7 +27,7 @@ from repro.core.plan import (ErrorEvent, LogicalPlan, LogicalStep,
                              QueryResult)
 from repro.data.catalog import DataLake
 from repro.data.table import Table
-from repro.datasets import DATASET_NAMES, LakeSpec, load_lake
+from repro.datasets import DATASET_NAMES, load_lake
 from repro.obs import (CostModel, MetricsRegistry, QueryTelemetry,
                        StageTrace, TelemetryConfig)
 from repro.plotting.spec import PlotSpec
@@ -43,7 +43,6 @@ __all__ = [
     "EngineConfig",
     "ErrorEvent",
     "Executor",
-    "LakeSpec",
     "LogicalPlan",
     "LogicalStep",
     "Mapper",

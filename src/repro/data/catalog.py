@@ -43,29 +43,24 @@ class DataSource:
         """Schema line for a CAESURA prompt (Figure 3 format)."""
         return self.table.schema.prompt_repr(self.name, self.table.num_rows)
 
-    def summary_text(self) -> str:
-        """Natural-language summary used for dense retrieval in discovery."""
-        columns = ", ".join(
-            f"{c.name} ({c.dtype.value})" for c in self.table.schema.columns)
-        return (f"{self.name}: {self.description or self.table.schema.description} "
-                f"kind={self.kind.value} columns: {columns}")
-
 
 @dataclass
 class DataLake:
-    """A registry of data sources plus lake-level metadata."""
+    """A registry of data sources plus lake-level metadata.
+
+    A lake is one picklable object, however it was built: process lanes
+    ship it to their workers as it is (:mod:`repro.exec.lanes`).
+    """
 
     name: str = "lake"
     sources: dict[str, DataSource] = field(default_factory=dict)
-    #: optional :class:`repro.datasets.LakeSpec` describing how to
-    #: regenerate this lake deterministically (set by
-    #: :func:`repro.datasets.load_lake`).  The process execution backend
-    #: ships this spec to worker processes instead of the lake itself, so
-    #: tables and images never cross the pipe.
-    spec: object | None = field(default=None, compare=False, repr=False)
+    #: bumped by every :meth:`add`; a session's warm lanes were built
+    #: for one version and are rebuilt when it moves.
+    version: int = field(default=0, init=False, compare=False, repr=False)
 
     def add(self, source: DataSource) -> "DataLake":
         self.sources[source.name] = source
+        self.version += 1
         return self
 
     def add_table(self, name: str, table: Table, description: str = "",
@@ -122,12 +117,12 @@ class DataLake:
 
         :meth:`fingerprint` is deliberately shape-only (two seeds of the
         same dataset share plans), so it cannot tell two same-shaped
-        lakes apart.  The process execution backend needs exactly that
-        distinction — a worker must never serve answers about a
-        same-shaped-but-different lake — so it verifies this digest,
-        which folds in each table's content hash
+        lakes apart; this digest folds in each table's content hash
         (:meth:`repro.data.table.Table.fingerprint`, memoized per
-        table).
+        table).  It pins the dataset generators' determinism: the same
+        ``(dataset, seed, scale)`` must give the same digest on every
+        host.  It renders and hashes every image, so no query path
+        calls it.
         """
         digest = hashlib.sha256()
         digest.update(self.fingerprint().encode("ascii"))

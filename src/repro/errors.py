@@ -74,9 +74,5 @@ class PlanParseError(ReproError):
     """An LLM response could not be parsed into a plan / operator choice."""
 
 
-class RetrievalError(ReproError):
-    """The discovery phase could not retrieve any relevant data source."""
-
-
 class LLMError(ReproError):
     """The (simulated) language model could not answer a prompt."""

@@ -10,10 +10,9 @@ the two callers.  Two kinds share that interface:
   per-query timeout can abandon a stuck engine; spans reach the caller
   live, as they are recorded.
 - ``process`` (:class:`ProcessLane`) — a worker process, talked to over
-  one pipe, that rebuilds the lake from its
-  :class:`~repro.datasets.LakeSpec` and runs a full engine with
-  shared-nothing local caches (:mod:`repro.exec.procworker`).  Warm
-  plans and answers ship in when the worker starts; every reply ships
+  one pipe, that runs a full engine over the parent's lake with
+  shared-nothing local caches (:mod:`repro.exec.procworker`).  The lake,
+  warm plans and answers ship in when the worker starts; every reply ships
   back the result, the worker's metrics delta, and whatever the worker
   just learned (a synthesized plan, freshly inferred modality answers),
   which :meth:`ProcessLane._fold` merges into the session so
@@ -40,8 +39,10 @@ land on the lane that already planned it and cached its modality
 answers, and per-lane caches behave like the serial shared cache.
 Each lane's queries run in workload order on one thread of its own, and
 results come back in submission order.  Workers start with ``fork``
-where available (Linux — instant, inherits imported modules) and
-``spawn`` elsewhere; the spec-based initializer makes both equivalent.
+where available (Linux — instant, inherits the lake and imported
+modules) and ``spawn`` elsewhere, which pickles the lake into the
+worker; either way the worker answers over the lake the parent has
+when the lane starts.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class BackendError(ValueError):
-    """A batch cannot run as asked (unknown backend, lake without spec)."""
+    """A batch names an execution backend that does not exist."""
 
 
 #: Held while a worker process starts, until the parent has closed its
@@ -228,18 +229,10 @@ class ProcessLane(Lane):
     def __init__(self, session: "Session", index: int,
                  failure_counter: str = "worker_failures_total",
                  start_method: str | None = None):
-        if getattr(session.lake, "spec", None) is None:
-            raise BackendError(
-                "process lanes need a lake that knows its generation "
-                "parameters (lake.spec is None); build the lake with "
-                "repro.datasets.load_lake / LakeSpec.build, or use "
-                "thread lanes for ad-hoc lakes")
         super().__init__(session, index, failure_counter)
         self._start_method = start_method or default_start_method()
-        # Workers verify the *content* fingerprint; plan-cache keys use
-        # the shape fingerprint (plans transfer between same-shaped
-        # lakes by design).
-        self._content_fingerprint = session.lake.content_fingerprint()
+        # Plan-cache keys use the shape fingerprint (plans transfer
+        # between same-shaped lakes by design).
         self._plan_fingerprint = session.lake.fingerprint()
         # The worker process and the parent's end of its pipe.
         self._process = None
@@ -321,7 +314,7 @@ class ProcessLane(Lane):
         return QueryResult.from_dict(reply["result"])
 
     def _init_payload(self) -> dict:
-        """What a fresh worker needs: spec, brain / roles, warm caches.
+        """What a fresh worker needs: lake, brain / roles, warm caches.
 
         Answer keys are content fingerprints, so a lane can safely take
         the whole parent answer cache (e.g. one rehydrated from
@@ -343,8 +336,7 @@ class ProcessLane(Lane):
                        for key, answer in session.answer_cache.items()]
         return {
             "cache_url": session.cache_url,
-            "lake_spec": session.lake.spec.to_dict(),
-            "content_fingerprint": self._content_fingerprint,
+            "lake": session.lake,
             "brain": session.brain,
             "config": session.config,
             "planner": session.planner,

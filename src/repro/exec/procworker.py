@@ -5,11 +5,11 @@ main loop is :func:`serve_lane`.  The contract with the parent
 (:class:`repro.exec.lanes.ProcessLane`, whose ``_fold`` is the one
 reader of these replies) is JSON-shaped on the hot path: cache entries
 cross it encoded by their space's codecs (:mod:`repro.core.cache`) and
-results as ``QueryResult.to_dict()`` payloads, so big objects (tables,
-rendered images) never cross the pipe — the worker rebuilds its own lake
-deterministically from the :class:`~repro.datasets.LakeSpec` generation
-parameters in the per-process initializer and verifies the fingerprint
-matches the parent's before serving anything.
+results as ``QueryResult.to_dict()`` payloads.  The lake itself crosses
+once, in the initialization payload: a forked worker inherits the
+parent's lake object, a spawned one unpickles it, so a worker answers
+over exactly the lake the parent had when the lane started — generated,
+hand-built or changed since it was loaded.
 
 Each worker owns a full engine with *local* plan and answer caches
 (shared-nothing: no cross-process locking, no cache coherence traffic).
@@ -33,7 +33,6 @@ from typing import Iterable
 from repro.core.answer_cache import AnswerCache, AnswerKey
 from repro.core.batch import PLAN_SPACE, PlanCache
 from repro.core.engine import Engine
-from repro.datasets import LakeSpec
 from repro.obs import MetricsRegistry, TraceContext, TraceContextError
 
 #: per-process engine state, populated by :func:`initialize_worker`.
@@ -94,27 +93,13 @@ def serve_lane(conn, payload: dict) -> None:
 
 
 def initialize_worker(payload: dict) -> None:
-    """Worker initializer: rebuild the lake and stand up a local engine.
+    """Worker initializer: stand up a local engine over the shipped lake.
 
-    *payload* carries the lake spec + the parent's *content* fingerprint
-    (cell-level, not just shape — see :meth:`~repro.data.catalog.
-    DataLake.content_fingerprint`), the (pickled) brain / role overrides
-    / engine config, local cache capacities, and the parent's warm plans
-    and answers as cache-file entries (:meth:`~repro.core.cache.Space.
-    entry`).  A fingerprint mismatch means
-    ``(dataset, seed, scale)`` generation is not deterministic on this
-    host — that must fail loudly, not serve answers about a silently
-    different lake.
+    *payload* carries the parent's lake, the (pickled) brain / role
+    overrides / engine config, local cache capacities, and the parent's
+    warm plans and answers as cache-file entries
+    (:meth:`~repro.core.cache.Space.entry`).
     """
-    spec = LakeSpec.from_dict(payload["lake_spec"])
-    lake = spec.build()
-    fingerprint = lake.content_fingerprint()
-    expected = payload["content_fingerprint"]
-    if fingerprint != expected:
-        raise RuntimeError(
-            f"worker lake content fingerprint {fingerprint} does not match "
-            f"the parent's {expected} for spec {spec!r}; lake generation "
-            "is not deterministic across processes")
     # Worker-local registry: per-query deltas ship back over the pipe
     # (run_worker_query) and the parent folds them into the session
     # registry, so session.metrics() stays complete under this backend —
@@ -135,13 +120,12 @@ def initialize_worker(payload: dict) -> None:
     plan_cache.install(map(plan_cache.space.read_entry, payload["plans"]))
     answer_cache.install(
         map(answer_cache.space.read_entry, payload["answers"]))
-    engine = Engine(lake, model=payload["brain"], config=payload["config"],
-                    planner=payload["planner"], mapper=payload["mapper"],
-                    executor=payload["executor"], plan_cache=plan_cache,
-                    answer_cache=answer_cache, metrics=metrics,
-                    telemetry=payload.get("telemetry"))
-    _STATE.update(engine=engine, answer_cache=answer_cache, metrics=metrics,
-                  fingerprint=expected)
+    engine = Engine(payload["lake"], model=payload["brain"],
+                    config=payload["config"], planner=payload["planner"],
+                    mapper=payload["mapper"], executor=payload["executor"],
+                    plan_cache=plan_cache, answer_cache=answer_cache,
+                    metrics=metrics, telemetry=payload.get("telemetry"))
+    _STATE.update(engine=engine, answer_cache=answer_cache, metrics=metrics)
 
 
 def run_worker_query(query: str, trace: dict | None = None) -> dict:

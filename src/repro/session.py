@@ -130,11 +130,10 @@ class Session:
                                                   answer_cache_size))
         # The engine behind query(), built on first use.
         self._engine: Engine | None = None
-        # Warm batch lanes by kind, and the lake content they were built
-        # for: two seeds of one dataset share a shape fingerprint (plans
-        # transfer) but must never share warm process lanes.
+        # Warm batch lanes by kind, and the lake version they were built
+        # for: a lane must never answer over a lake that changed since.
         self._lanes: dict[str, list] = {}
-        self._lanes_fingerprint: str | None = None
+        self._lanes_version: int | None = None
         self._lock = threading.Lock()
 
     def _connect_cache_tier(self, cache_url: str):
@@ -195,8 +194,9 @@ class Session:
         throughput.
 
         Lanes are built on first use and kept warm across batches until
-        the lake's content changes or :meth:`close`.  Consecutive calls
-        share cache warmth, but each report accounts only its own run.
+        a source is added to the lake (:attr:`DataLake.version`) or
+        :meth:`close`.  Consecutive calls share cache warmth, but each
+        report accounts only its own run.
         """
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
@@ -405,16 +405,15 @@ class Session:
 
     def _batch_lanes(self, kind: str, workers: int) -> list:
         """The first *workers* warm batch lanes of *kind*, growing them
-        as needed; all lanes are rebuilt when the lake's content
-        changed since they were built."""
+        as needed; all lanes are rebuilt when the lake changed
+        (``lake.version`` moved) since they were built."""
         from repro.exec.lanes import LANE_KINDS, BackendError
         if kind not in LANE_KINDS:
             raise BackendError(f"unknown execution backend {kind!r}; "
                                f"available: {', '.join(BACKENDS)}")
-        fingerprint = self.lake.content_fingerprint()
-        if fingerprint != self._lanes_fingerprint:
+        if self.lake.version != self._lanes_version:
             self._close_lanes()
-            self._lanes_fingerprint = fingerprint
+            self._lanes_version = self.lake.version
         with self._lock:
             lanes = self._lanes.setdefault(kind, [])
             while len(lanes) < workers:

@@ -18,6 +18,7 @@ import pytest
 from _poison import (EXIT_MARKER, POISON_MARKER, SLEEP_MARKER,
                      HardExitPlanner, PoisonPlanner, SleepyPlanner,
                      WorkerOnlyPoisonPlanner)
+from repro.datasets import load_lake
 from repro.exec.lanes import ProcessLane
 from repro.llm.brain import SimulatedBrain
 from repro.session import Session
@@ -208,12 +209,19 @@ def test_start_methods_answer_correctly(start_method):
     import multiprocessing
     if start_method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"{start_method} unavailable on this platform")
+    values = []
     with Session("rotowire") as session:
-        serial = session.query(HEALTHY[0])
-        lane = ProcessLane(session, 0, start_method=start_method)
-        try:
-            result = lane.run(HEALTHY[0])
-        finally:
-            lane.close()
-    assert result.ok
-    assert result.value == serial.value
+        for _ in ("loaded", "changed"):
+            serial = session.query(HEALTHY[1])
+            lane = ProcessLane(session, 0, start_method=start_method)
+            try:
+                result = lane.run(HEALTHY[1])
+            finally:
+                lane.close()
+            assert result.ok
+            assert result.value == serial.value
+            values.append(result.value)
+            # The next lane answers over the changed lake itself, not a
+            # regenerated one: under spawn it runs on the pickled lake.
+            session.lake.add(load_lake("rotowire", seed=2).sources["players"])
+    assert values[0] != values[1]  # the lakes differ

@@ -1,5 +1,5 @@
 """Tests for colexec's WHERE kernels and its declines, differential
-against the sqlite bridge, and for the dense-retrieval stack."""
+against the sqlite bridge."""
 
 from datetime import date
 
@@ -9,12 +9,10 @@ from repro.data.csvio import read_csv_text
 from repro.data.datatypes import DataType
 from repro.data.schema import ColumnSpec, Schema
 from repro.data.table import Table
-from repro.errors import RetrievalError
 from repro.obs.trace import QueryTelemetry
 from repro.operators.base import ExecutionContext
 from repro.operators.sql_ops import SQLOperator
 from repro.relational import colexec, run_sql
-from repro.retrieval import HashEmbedder, VectorIndex, tokenize
 
 
 # ----------------------------------------------------------------------
@@ -129,40 +127,3 @@ def test_shapes_without_a_typed_kernel_decline_to_sqlite(sql):
     reference = run_sql(sql, tables)
     assert result.to_dict() == reference.to_dict()
     assert result.fingerprint() == reference.fingerprint()
-
-
-# ----------------------------------------------------------------------
-# retrieval
-# ----------------------------------------------------------------------
-
-
-def test_tokenize_drops_stopwords():
-    assert tokenize("How many paintings are in the museum?") == \
-        ["paintings", "museum"]
-
-
-def test_embedder_similarity_orders_related_texts():
-    embedder = HashEmbedder(dim=512)
-    related = embedder.similarity("paintings of the museum",
-                                  "museum paintings and artists")
-    unrelated = embedder.similarity("paintings of the museum",
-                                    "basketball game score report")
-    assert related > unrelated
-    with pytest.raises(ValueError):
-        HashEmbedder(dim=0)
-
-
-def test_vector_index_top_k():
-    index = VectorIndex()
-    index.add("paintings", "metadata about paintings and artists")
-    index.add("reports", "textual reports of basketball games")
-    index.add("teams", "basketball teams and their cities")
-    assert len(index) == 3
-    hits = index.search("which artist painted the most paintings", k=2)
-    assert hits[0].key == "paintings"
-    assert len(hits) <= 2
-
-
-def test_vector_index_empty_search_raises():
-    with pytest.raises(RetrievalError):
-        VectorIndex().search("anything")
