@@ -252,12 +252,6 @@ class CacheClient:
             request["ns"] = ns
         return self.request(request).get("stored", 0)
 
-    def invalidate_plans(self, ns: str) -> int:
-        """Drop the tier's plans for lake namespace *ns*; returns count."""
-        reply = self.request({"op": "invalidate", "space": "plan",
-                              "ns": ns})
-        return reply.get("dropped", 0)
-
     def stats(self, timeout: float | None = None,
               retries: int | None = None) -> dict:
         """The server's own STATS snapshot (entries, hits, counters).

@@ -22,7 +22,6 @@ Operations (the ``op`` field of a request):
 ``put``        one insert: ``space`` + ``ns`` + ``key`` + ``value``
 ``mget``       batched ``get`` over ``keys`` (one round trip)
 ``mput``       batched ``put`` over ``entries``
-``invalidate`` drop a namespace (plan space) or a whole space
 ``stats``      the server's counter snapshot (entries, hits, misses, …)
 ``flush``      persist both spaces to the configured files now
 =============  ========================================================
@@ -37,10 +36,11 @@ which clients fold into their ``cachenet:<op>`` spans.
 
 Spaces mirror the two process-local caches: ``plan`` entries are
 namespaced by the lake fingerprint (the same fingerprint
-:class:`~repro.core.batch.PlanCache` keys on, so invalidating a changed
-lake's namespace drops exactly its plans), while ``answer`` keys are
-per-object content fingerprints and therefore self-invalidating — a
-changed object produces a different key, so stale entries can never hit.
+:class:`~repro.core.batch.PlanCache` keys on, so a changed lake reads
+its own namespace), while ``answer`` keys are per-object content
+fingerprints.  Both are therefore self-invalidating — a changed lake or
+object produces a different key, so stale entries can never hit, and the
+LRU evicts them.
 """
 
 from __future__ import annotations

@@ -292,8 +292,6 @@ class CacheTierServer:
                     self._handle_put({**request, **item})
                 return {"ok": True,
                         "stored": len(request.get("entries", []))}
-            if op == "invalidate":
-                return self._handle_invalidate(request)
             if op == "stats":
                 return {"ok": True, "stats": self.stats()}
             if op == "flush":
@@ -330,18 +328,6 @@ class CacheTierServer:
         cache.put(cache.space.wire_key(request),
                   cache.space.decode(request["value"]))
         return {"ok": True}
-
-    def _handle_invalidate(self, request: dict) -> dict:
-        """Drop one plan namespace (``ns``: a lake fingerprint), or the
-        whole answer space (its keys are content-addressed)."""
-        space = request["space"]
-        self._count("invalidations_total")
-        if space == "plan":
-            return {"ok": True,
-                    "dropped": self.plans.drop_fingerprint(request.get("ns"))}
-        if space == "answer":
-            return {"ok": True, "dropped": self.answers.clear()}
-        raise ValueError(f"unknown space {space!r}")
 
     # ------------------------------------------------------------------
     # Introspection

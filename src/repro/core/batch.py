@@ -58,8 +58,8 @@ PLAN_CACHE_FORMAT = "repro-plan-cache/v1"
 
 
 #: The plan space: ``(query, lake fingerprint)`` → :class:`BoundPlan`.
-#: On the tier the fingerprint is the namespace (``ns``), so invalidating
-#: a changed lake drops exactly its plans; values travel as
+#: On the tier the fingerprint is the namespace (``ns``), so a changed
+#: lake never reads another lake's plans; values travel as
 #: ``BoundPlan.to_dict()`` and re-enter through ``BoundPlan.from_dict``.
 PLAN_SPACE = Space(
     name="plan", file_format=PLAN_CACHE_FORMAT, capacity=128,
@@ -83,20 +83,6 @@ class PlanCache(Cache):
     """
 
     space = PLAN_SPACE
-
-    def drop_fingerprint(self, fingerprint: str) -> int:
-        """Drop every plan cached for *fingerprint*; returns the count.
-
-        This is the invalidation primitive of the shared cache tier
-        (:mod:`repro.cachenet`): a lake whose structure changed gets its
-        namespace — exactly the plans keyed on its fingerprint — dropped,
-        leaving every other lake's plans warm.
-        """
-        with self._lock:
-            doomed = [key for key in self._entries if key[1] == fingerprint]
-            for key in doomed:
-                del self._entries[key]
-            return len(doomed)
 
 
 @dataclass

@@ -54,7 +54,7 @@ class Space:
     value_field: str
     #: what a lookup returns for an absent key
     miss: object
-    #: stored value -> JSON and back (files, tier values, lane pipe)
+    #: stored value -> JSON and back (files, tier values)
     encode: Callable[[Any], Any]
     decode: Callable[[Any], Any]
     #: key -> the tier's ``{"key": ..., "ns": ...}`` request item and back
@@ -64,7 +64,7 @@ class Space:
     admit: Callable[[Any], Any] = lambda value: value
 
     def entry(self, key: tuple, value: object) -> dict:
-        """The cache-file (and lane pipe) entry of one cached pair."""
+        """The cache-file entry of one cached pair."""
         entry = dict(zip(self.key_fields, key))
         entry[self.value_field] = self.encode(value)
         return entry

@@ -166,10 +166,6 @@ class Engine:
         self.vision_model = Blip2Sim()
         self.text_model = BartQASim()
         self.last_transcript = Transcript()
-        #: the :class:`~repro.core.plan.BoundPlan` the most recent query
-        #: wrote to the plan cache, ``None`` when it wrote nothing —
-        #: worker lanes ship it back to the parent's cache.
-        self.last_put: BoundPlan | None = None
         #: optional per-span hook called with each
         #: :class:`~repro.obs.StageTrace` the moment it is recorded —
         #: a thread worker lane (:mod:`repro.exec.lanes`) attaches the
@@ -178,12 +174,6 @@ class Engine:
         #: telemetry is enabled; exceptions are swallowed so a broken
         #: listener can never fail a query.
         self.span_listener = None
-        #: optional :class:`~repro.obs.TraceContext` the next query runs
-        #: under — set by a caller that already owns a trace (the serve
-        #: layer, a process-backend parent) before calling :meth:`query`;
-        #: when ``None`` the engine mints a fresh root context, so every
-        #: query has a trace id.
-        self.trace_context = None
         #: optional session-level :class:`~repro.obs.MetricsRegistry`;
         #: every finished query records counters and latencies into it.
         self.metrics = metrics
@@ -195,13 +185,19 @@ class Engine:
     # Public API
     # ------------------------------------------------------------------
 
-    def query(self, query: str) -> QueryResult:
-        """Answer *query*, returning a :class:`QueryResult` with full trace."""
-        context = self.trace_context or TraceContext.new()
+    def query(self, query: str,
+              context: TraceContext | None = None) -> QueryResult:
+        """Answer *query*, returning a :class:`QueryResult` with full trace.
+
+        *context* is the :class:`~repro.obs.TraceContext` to run under,
+        passed by a caller that already owns a trace (the serve layer, a
+        lane); ``None`` mints a fresh root context, so every query has a
+        trace id.
+        """
+        context = context or TraceContext.new()
         trace = PlanTrace(query=query, trace_id=context.trace_id)
         transcript = Transcript()
         self.last_transcript = transcript
-        self.last_put = None
         started = time.perf_counter()
         # Activate the trace on this thread so components below the
         # engine (cachenet RPCs) attach their spans to this query.
@@ -301,7 +297,6 @@ class Engine:
         if cached is not None and (not complete or bound == cached):
             return
         self.plan_cache.put(key, bound)
-        self.last_put = bound
 
     def _discover(self, query: str, trace: PlanTrace,
                   transcript: Transcript) -> list[ColumnHint]:

@@ -228,12 +228,6 @@ class PromptTable:
         if self.foreign_keys is None:
             self.foreign_keys = []
 
-    def dtype_of(self, column: str) -> str | None:
-        for name, dtype in self.columns:
-            if name == column:
-                return dtype
-        return None
-
     @property
     def column_names(self) -> list[str]:
         return [name for name, _ in self.columns]

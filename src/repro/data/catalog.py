@@ -54,8 +54,8 @@ class DataLake:
 
     name: str = "lake"
     sources: dict[str, DataSource] = field(default_factory=dict)
-    #: bumped by every :meth:`add`; a session's warm lanes were built
-    #: for one version and are rebuilt when it moves.
+    #: bumped by every :meth:`add`; a process lane restarts its worker
+    #: when it moves, so no lane answers over an older lake.
     version: int = field(default=0, init=False, compare=False, repr=False)
 
     def add(self, source: DataSource) -> "DataLake":

@@ -75,9 +75,6 @@ class ArtworkDataset:
                          "painting image.")))
         return lake
 
-    def scene_of(self, img_path: str) -> SceneSpec:
-        return self.scenes[img_path]
-
 
 def _painting_stream(num_paintings: int, seed: int,
                      image_size: int) -> Iterator[tuple]:

@@ -105,13 +105,6 @@ class RotowireDataset:
                          "that participated in each game.")))
         return lake
 
-    def games_of(self, team: str) -> list[int]:
-        return [box.game_id for box in self.box_scores
-                if team in (box.home_team, box.away_team)]
-
-    def losses_of(self, team: str) -> int:
-        return sum(1 for box in self.box_scores if box.loser == team)
-
 
 def generate_rotowire_dataset(num_games: int = 30, seed: int = 11,
                               players_per_team: int = 4,

@@ -11,11 +11,14 @@ the two callers.  Two kinds share that interface:
   live, as they are recorded.
 - ``process`` (:class:`ProcessLane`) — a worker process, talked to over
   one pipe, that runs a full engine over the parent's lake with
-  shared-nothing local caches (:mod:`repro.exec.procworker`).  The lake,
-  warm plans and answers ship in when the worker starts; every reply ships
-  back the result, the worker's metrics delta, and whatever the worker
-  just learned (a synthesized plan, freshly inferred modality answers),
-  which :meth:`ProcessLane._fold` merges into the session so
+  shared-nothing local caches (:mod:`repro.exec.procworker`).  The lake
+  and the warm caches' ``(key, value)`` pairs ship in when the worker
+  starts, and the lane restarts its worker before a query whenever
+  :attr:`~repro.data.catalog.DataLake.version` has moved since, so batch
+  and serve lanes alike answer over the lake as it is now.  Every reply
+  ships back the result, the metrics the worker recorded, and the pairs
+  it just put (a synthesized plan, freshly inferred modality answers),
+  which :meth:`ProcessLane._fold` puts into the session's caches so
   ``--plan-cache-file`` / ``--answer-cache-file`` persistence stays
   complete.  Spans and the query's cache counters cross the pipe inside
   the result, whose telemetry is all a batch report counts; spans are
@@ -39,10 +42,9 @@ land on the lane that already planned it and cached its modality
 answers, and per-lane caches behave like the serial shared cache.
 Each lane's queries run in workload order on one thread of its own, and
 results come back in submission order.  Workers start with ``fork``
-where available (Linux — instant, inherits the lake and imported
-modules) and ``spawn`` elsewhere, which pickles the lake into the
-worker; either way the worker answers over the lake the parent has
-when the lane starts.
+where available (Linux — instant, inherits the lake, the warm caches
+and imported modules) and ``spawn`` elsewhere, which pickles them into
+the worker.
 """
 
 from __future__ import annotations
@@ -108,10 +110,8 @@ def run_in_parent(session: "Session", query: str,
     recovered; when the re-run crashes too, the result is an error
     carrying *event* and the parent's crash.
     """
-    engine = session.make_engine()
-    engine.trace_context = context
     try:
-        result = engine.query(query)
+        result = session.make_engine().query(query, context)
     except Exception as exc:  # noqa: BLE001 - the query is poisoned
         trace = PlanTrace(query=query,
                           trace_id=context.trace_id if context else None)
@@ -201,8 +201,8 @@ class EngineLane(Lane):
 
     def _call(self, query, context, on_span, timeout):
         self._engine.span_listener = on_span
-        self._engine.trace_context = context
-        return self._inner.submit(self._engine.query, query).result(timeout)
+        return self._inner.submit(self._engine.query, query,
+                                  context).result(timeout)
 
     def _replace(self) -> None:
         # The inner thread may still be running the stuck query: abandon
@@ -212,7 +212,6 @@ class EngineLane(Lane):
 
     def _finish(self, query, context, result, on_span) -> QueryResult:
         self._engine.span_listener = None
-        self._engine.trace_context = None
         return result
 
     def close(self) -> None:
@@ -231,18 +230,23 @@ class ProcessLane(Lane):
                  start_method: str | None = None):
         super().__init__(session, index, failure_counter)
         self._start_method = start_method or default_start_method()
-        # Plan-cache keys use the shape fingerprint (plans transfer
-        # between same-shaped lakes by design).
-        self._plan_fingerprint = session.lake.fingerprint()
-        # The worker process and the parent's end of its pipe.
+        # The worker process, the parent's end of its pipe, and the lake
+        # version the worker was started over.
         self._process = None
         self._conn = None
+        self._version = None
 
     def start(self) -> None:
         """Start the worker process if it is not running, seeded with the
-        session's caches as they are now (warm lanes keep theirs)."""
+        session's lake and caches as they are now (warm lanes keep
+        theirs).  A worker started over an older lake version is closed
+        first: no lane answers over a lake that changed since."""
+        version = self.session.lake.version
         if self._process is not None:
-            return
+            if version == self._version:
+                return
+            self.close()
+        self._version = version
         context = multiprocessing.get_context(self._start_method)
         self._conn, child = context.Pipe()
         self._process = context.Process(
@@ -261,8 +265,7 @@ class ProcessLane(Lane):
 
     def _call(self, query, context, on_span, timeout):
         self.start()
-        self._conn.send(
-            (query, context.to_dict() if context is not None else None))
+        self._conn.send((query, context))
         ready = wait([self._conn, self._process.sentinel], timeout)
         if not ready:
             raise FutureTimeoutError()
@@ -289,11 +292,11 @@ class ProcessLane(Lane):
 
     def _fold(self, query: str, context: TraceContext | None,
               reply: dict) -> QueryResult:
-        """Fold one worker reply into the session: the worker's metrics
-        delta, the plan and answers it just learned, and — for an
-        ``ok: false`` reply — an in-parent re-run of the query."""
+        """Fold one worker reply into the session: the worker's metrics,
+        the plans and answers it just learned, and — for an ``ok: false``
+        reply — an in-parent re-run of the query."""
         session = self.session
-        session.metrics_registry.merge_delta(reply.get("metrics_delta"))
+        session.metrics_registry.merge(reply["metrics"])
         if not reply["ok"]:
             # The engine crashed inside the worker but the process
             # survived; re-run in the parent for a full trace.
@@ -303,37 +306,30 @@ class ProcessLane(Lane):
                 f"{reply['error']}", worker_id=self.index)
             return run_in_parent(session, query, context, event)
         # Puts do not touch hit/miss counters; each costs at most one
-        # tier RPC, however many answers the worker inferred.
-        plans, answers = session.plan_cache, session.answer_cache
-        fresh_plan = reply.get("fresh_plan")
-        if fresh_plan is not None:
-            plans.put((query, self._plan_fingerprint),
-                      plans.space.decode(fresh_plan))
-        answers.put_many(map(answers.space.read_entry,
-                             reply.get("fresh_answers", [])))
+        # tier RPC, however many entries the worker put.
+        session.plan_cache.put_many(reply["plans"])
+        session.answer_cache.put_many(reply["answers"])
         return QueryResult.from_dict(reply["result"])
 
     def _init_payload(self) -> dict:
         """What a fresh worker needs: lake, brain / roles, warm caches.
 
-        Answer keys are content fingerprints, so a lane can safely take
-        the whole parent answer cache (e.g. one rehydrated from
-        ``--answer-cache-file``).  With a session *cache_url* the warm
-        payloads ship **empty** and the worker consults the shared tier
-        lazily instead, so the pipe does not scale with cache size.
+        The caches ship as ``(key, value)`` pairs: the plans keyed on
+        the lake's fingerprint, and the whole answer cache (its keys are
+        content fingerprints, so every answer is safe to take — e.g. one
+        rehydrated from ``--answer-cache-file``).  With a session
+        *cache_url* they ship **empty** and the worker consults the
+        shared tier lazily instead, so the payload does not scale with
+        cache size.
         """
         session = self.session
         plans: list = []
         answers: list = []
         if session.cache_url is None:
-            space = session.plan_cache.space
-            plans = [space.entry((query, fingerprint), plan)
-                     for (query, fingerprint), plan
-                     in session.plan_cache.items()
-                     if fingerprint == self._plan_fingerprint]
-            space = session.answer_cache.space
-            answers = [space.entry(key, answer)
-                       for key, answer in session.answer_cache.items()]
+            fingerprint = session.lake.fingerprint()
+            plans = [(key, plan) for key, plan in session.plan_cache.items()
+                     if key[1] == fingerprint]
+            answers = session.answer_cache.items()
         return {
             "cache_url": session.cache_url,
             "lake": session.lake,

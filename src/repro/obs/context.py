@@ -8,9 +8,8 @@ each boundary).  It crosses every process boundary the system has:
 - HTTP: clients hand ``repro serve`` a ``traceparent`` header
   (``00-<trace_id>-<span_id>-<flags>``); the serve layer derives a child
   context per job (:func:`TraceContext.child` — same trace, fresh span).
-- Process lanes: the context rides the process backend's JSON wire as a
-  plain dict (:meth:`TraceContext.to_dict`) so worker-lane spans land in
-  the parent's trace.
+- Process lanes: the context crosses a lane's pipe with the query, so
+  worker-lane spans land in the parent's trace.
 - cachenet: every RPC carries the context as an optional ``trace``
   request field, so the cache server's handling shows up as
   ``cachenet:<op>`` child spans in the caller's tree.
@@ -46,7 +45,7 @@ _TRACEPARENT = re.compile(
 
 
 class TraceContextError(ValueError):
-    """A ``traceparent`` header (or trace dict) is malformed."""
+    """A ``traceparent`` header is malformed."""
 
 
 @dataclass(frozen=True)
@@ -101,26 +100,11 @@ class TraceContext:
         return cls(trace_id=trace_id, span_id=span_id)
 
     # ------------------------------------------------------------------
-    # Dict form (process-lane wire, cachenet request field)
+    # Dict form (the cachenet request field)
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
         return {"trace_id": self.trace_id, "span_id": self.span_id}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceContext":
-        try:
-            trace_id = data["trace_id"]
-            span_id = data["span_id"]
-        except (TypeError, KeyError):
-            raise TraceContextError(
-                f"trace dict {data!r} lacks trace_id/span_id") from None
-        if (not isinstance(trace_id, str) or not isinstance(span_id, str)
-                or not re.fullmatch(r"[0-9a-f]{32}", trace_id)
-                or not re.fullmatch(r"[0-9a-f]{16}", span_id)):
-            raise TraceContextError(
-                f"trace dict {data!r} carries malformed ids")
-        return cls(trace_id=trace_id, span_id=span_id)
 
 
 # ----------------------------------------------------------------------

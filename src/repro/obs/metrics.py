@@ -5,9 +5,9 @@ and accumulates across every query and batch of that session — the
 numbers a ``/metrics`` endpoint of the ROADMAP's query service would
 scrape.  Engines record into it after every query (counts, cache
 locality, token/cost totals, per-phase latencies); the process backend's
-worker lanes keep a local registry and ship per-query deltas back over
-the JSON pipe (:meth:`delta_since` / :meth:`merge_delta`), so the parent
-registry stays complete under every execution backend.
+worker lanes keep a local registry, take what it recorded after every
+query and ship it back over the pipe (:meth:`take` / :meth:`merge`), so
+the parent registry stays complete under every execution backend.
 
 Thread safety: one internal lock guards all state — any number of
 concurrent thread-backend engines may record into one registry.
@@ -147,15 +147,11 @@ class _Histogram:
         self.total += 1
         self.sum_seconds += seconds
 
-    def state(self) -> dict:
-        return {"counts": list(self.counts), "total": self.total,
-                "sum_seconds": self.sum_seconds}
-
-    def merge_state(self, state: dict) -> None:
-        for i, value in enumerate(state.get("counts", [])):
+    def merge(self, other: "_Histogram") -> None:
+        for i, value in enumerate(other.counts):
             self.counts[i] += value
-        self.total += state.get("total", 0)
-        self.sum_seconds += state.get("sum_seconds", 0.0)
+        self.total += other.total
+        self.sum_seconds += other.sum_seconds
 
 
 class MetricsRegistry:
@@ -243,61 +239,29 @@ class MetricsRegistry:
         }
 
     # ------------------------------------------------------------------
-    # Cross-process transport (the worker-lane delta protocol)
+    # Cross-process transport (what a worker lane ships per query)
     # ------------------------------------------------------------------
 
-    def raw_state(self) -> dict:
-        """A consistent raw copy of all state — the ``delta_since``
-        baseline."""
-        with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "histograms": {name: histogram.state()
-                               for name, histogram in
-                               self._histograms.items()},
-            }
+    def take(self) -> dict:
+        """Everything recorded since the last take, and an empty registry.
 
-    def delta_since(self, before: dict) -> dict:
-        """What this registry accumulated since *before*, JSON-shaped.
-
-        Worker lanes call this per query (against a :meth:`raw_state`
-        taken before the query) and ship the delta back alongside the
-        result payload; the parent folds it in with :meth:`merge_delta`.
+        A worker lane takes after every query and ships the take back
+        with the result; the parent folds it in with :meth:`merge`.
         """
-        current = self.raw_state()
-        counters_before = before.get("counters", {})
-        counters = {}
-        for name, value in current["counters"].items():
-            delta = value - counters_before.get(name, 0)
-            if delta:
-                counters[name] = delta
-        histograms = {}
-        for name, state in current["histograms"].items():
-            prior = before.get("histograms", {}).get(name)
-            if prior is None:
-                histograms[name] = state
-                continue
-            counts = [a - b for a, b in zip(state["counts"],
-                                            prior["counts"])]
-            total = state["total"] - prior["total"]
-            if total:
-                histograms[name] = {
-                    "counts": counts, "total": total,
-                    "sum_seconds": state["sum_seconds"]
-                    - prior["sum_seconds"],
-                }
-        return {"counters": counters, "histograms": histograms}
-
-    def merge_delta(self, delta: dict | None) -> None:
-        """Fold a :meth:`delta_since` payload (e.g. from a worker lane)
-        into this registry."""
-        if not delta:
-            return
         with self._lock:
-            for name, value in delta.get("counters", {}).items():
+            taken = {"counters": self._counters,
+                     "histograms": self._histograms}
+            self._counters, self._histograms = {}, {}
+        return taken
+
+    def merge(self, taken: dict) -> None:
+        """Fold a :meth:`take` (e.g. from a worker lane) into this
+        registry."""
+        with self._lock:
+            for name, value in taken["counters"].items():
                 self._counters[name] = self._counters.get(name, 0) + value
-            for name, state in delta.get("histograms", {}).items():
+            for name, other in taken["histograms"].items():
                 histogram = self._histograms.get(name)
                 if histogram is None:
                     histogram = self._histograms[name] = _Histogram()
-                histogram.merge_state(state)
+                histogram.merge(other)

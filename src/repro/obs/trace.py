@@ -9,7 +9,8 @@ collects every span of one query plus a small integer counter map (cache
 locality, replans, per-operator activity) and is stored on the
 :class:`~repro.core.plan.PlanTrace`, so telemetry rides the existing
 lossless IR: ``to_dict``/``from_dict`` round trips, plan/answer cache
-files, and the process backend's JSON pipe all carry it unchanged.
+files, and the results a process lane's worker sends back all carry it
+unchanged.
 
 Cross-backend parity needs a *canonical* form: wall-clock durations are
 never reproducible, and any counter that reflects cache locality (a

@@ -145,11 +145,6 @@ class AdmissionController:
         with self._lock:
             self._draining = True
 
-    @property
-    def draining(self) -> bool:
-        with self._lock:
-            return self._draining
-
     def occupancy(self) -> dict:
         """Current queue occupancy (the ``/healthz`` payload core)."""
         with self._lock:

@@ -130,10 +130,8 @@ class Session:
                                                   answer_cache_size))
         # The engine behind query(), built on first use.
         self._engine: Engine | None = None
-        # Warm batch lanes by kind, and the lake version they were built
-        # for: a lane must never answer over a lake that changed since.
+        # Warm batch lanes by kind.
         self._lanes: dict[str, list] = {}
-        self._lanes_version: int | None = None
         self._lock = threading.Lock()
 
     def _connect_cache_tier(self, cache_url: str):
@@ -170,12 +168,7 @@ class Session:
         already owns a trace — the serve layer — passes its context so
         this query's spans join it); ``None`` mints a fresh trace.
         """
-        engine = self._query_engine()
-        engine.trace_context = trace_context
-        try:
-            return engine.query(query)
-        finally:
-            engine.trace_context = None
+        return self._query_engine().query(query, trace_context)
 
     def batch(self, queries: Sequence[str] | Iterable[str],
               workers: int = 1, backend: str | None = None,
@@ -194,9 +187,10 @@ class Session:
         throughput.
 
         Lanes are built on first use and kept warm across batches until
-        a source is added to the lake (:attr:`DataLake.version`) or
-        :meth:`close`.  Consecutive calls share cache warmth, but each
-        report accounts only its own run.
+        :meth:`close`; they always answer over the lake as it is now (a
+        process lane restarts its worker when :attr:`DataLake.version`
+        moves).  Consecutive calls share cache warmth, but each report
+        accounts only its own run.
         """
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
@@ -405,15 +399,11 @@ class Session:
 
     def _batch_lanes(self, kind: str, workers: int) -> list:
         """The first *workers* warm batch lanes of *kind*, growing them
-        as needed; all lanes are rebuilt when the lake changed
-        (``lake.version`` moved) since they were built."""
+        as needed."""
         from repro.exec.lanes import LANE_KINDS, BackendError
         if kind not in LANE_KINDS:
             raise BackendError(f"unknown execution backend {kind!r}; "
                                f"available: {', '.join(BACKENDS)}")
-        if self.lake.version != self._lanes_version:
-            self._close_lanes()
-            self._lanes_version = self.lake.version
         with self._lock:
             lanes = self._lanes.setdefault(kind, [])
             while len(lanes) < workers:

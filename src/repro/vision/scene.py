@@ -114,9 +114,6 @@ class SceneSpec:
     def count(self, category: str) -> int:
         return sum(1 for o in self.objects if o.category == category)
 
-    def depicts(self, category: str) -> bool:
-        return self.count(category) > 0
-
     @property
     def categories(self) -> list[str]:
         seen: list[str] = []

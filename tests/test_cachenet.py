@@ -199,35 +199,6 @@ class TestServerOps:
         assert results[0]["hit"] and not results[1]["hit"]
         client.close()
 
-    def test_invalidate_drops_exactly_one_lake_namespace(self, server):
-        client = CacheClient(server.url)
-        for ns in ("lake-a", "lake-b"):
-            put_plan(client, ns, QUERY, make_plan())
-        assert client.invalidate_plans("lake-a") == 1
-        assert get_plan(client, "lake-a", QUERY) is None
-        assert get_plan(client, "lake-b", QUERY) is not None
-        # A plan invalidate without a namespace names no lake: it drops
-        # nothing rather than the whole fleet's plans.
-        reply = client.request({"op": "invalidate", "space": "plan"})
-        assert reply["ok"] and reply["dropped"] == 0
-        assert client.stats()["plan"]["entries"] == 1
-        client.close()
-
-    def test_invalidate_answer_space_drops_every_answer(self, server):
-        client = CacheClient(server.url)
-        put_answers(client, [(("fp-a", "q", "int"), 1),
-                             (("fp-b", "q", "int"), 2)])
-        # Answer keys are content-addressed, so there is no namespace to
-        # drop: any answer-space invalidate clears the space, "ns" or not.
-        reply = client.request({"op": "invalidate", "space": "answer",
-                                "ns": "fp-a"})
-        assert reply["ok"] and reply["dropped"] == 2
-        assert client.stats()["answer"]["entries"] == 0
-        put_answers(client, [(("fp-a", "q", "int"), 1)])
-        reply = client.request({"op": "invalidate", "space": "answer"})
-        assert reply["ok"] and reply["dropped"] == 1
-        client.close()
-
     def test_lru_bound_evicts_oldest(self):
         server = CacheTierServer(bind="tcp://127.0.0.1:0",
                                  answer_capacity=3).start()

@@ -12,11 +12,13 @@ import pytest
 
 from repro.cachenet import CacheTierServer
 from repro.core.batch import BatchReport
+from repro.core.cache import Space
 from repro.core.plan import ERROR_PHASES, ErrorEvent
-from repro.data.catalog import DataLake
+from repro.data.catalog import DataLake, DataSource
 from repro.data.csvio import read_csv_text, write_csv_text
 from repro.datasets import load_lake
 from repro.exec import BackendError
+from repro.exec.lanes import ProcessLane
 from repro.session import Session
 from repro.testing.workloads import workload, workload_datasets
 
@@ -255,21 +257,55 @@ def test_batches_never_fingerprint_the_lake(monkeypatch):
     assert counters.get("worker_failures_total", 0) == 0
 
 
+def worker_pids(lanes) -> list[int]:
+    return [lane._process.pid for lane in lanes
+            if isinstance(lane, ProcessLane)]
+
+
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_lanes_are_kept_until_the_lake_changes(backend):
-    queries = ["How many players are taller than 200?"]
-    with Session("rotowire") as session:
-        session.batch(queries, workers=2, backend=backend)
+    # A session keeps its lane objects; a process lane keeps its worker
+    # until lake.version moves, then restarts it over the new lake.
+    query = "How many players are taller than 200?"
+    lake = load_lake("rotowire")
+    with Session(lake) as session:
+        session.batch([query], workers=2, backend=backend)
         built = list(session._lanes[backend])
-        session.batch(queries, workers=2, backend=backend)
+        pids = worker_pids(built)
+        session.batch([query], workers=2, backend=backend)
         assert session._lanes[backend] == built  # the same lane objects
-        # Any add moves lake.version, even one that changes no content.
-        session.lake.add(session.lake.source("teams"))
-        report = session.batch(queries, workers=2, backend=backend)
-        rebuilt = session._lanes[backend]
+        assert worker_pids(built) == pids        # and the same workers
+        players = lake.source("players")
+        lake.add(DataSource(players.name, players.table.head(10),
+                            kind=players.kind,
+                            description=players.description))
+        report = session.batch([query], workers=2, backend=backend)
+        assert session._lanes[backend] == built
+        restarted = worker_pids(built)
+    assert len(restarted) == len(pids)
+    assert not set(restarted) & set(pids)
     assert report.num_errors == 0
-    assert len(rebuilt) == 2
-    assert not any(lane is old for lane in rebuilt for old in built)
+    assert report.results[0].value == Session(lake).query(query).value
+
+
+def test_warm_process_batches_ship_no_cache_file_entries(monkeypatch):
+    # Warm caches cross the pipe as (key, value) pairs, never as cache
+    # file entries (a forked worker inherits the patch).
+    query = "How many paintings are depicting a sword?"
+    with Session("artwork") as session:
+        session.query(query)
+
+        def refuse(*args):
+            raise AssertionError("cache file entry built for the pipe")
+        monkeypatch.setattr(Space, "entry", refuse)
+        monkeypatch.setattr(Space, "read_entry", refuse)
+        report = session.batch(
+            [query, "What is the earliest inception date of all paintings?"],
+            workers=2, backend="process")
+        counters = session.metrics()["counters"]
+    assert report.num_errors == 0
+    assert report.cache_misses == 1 and report.answer_misses == 0
+    assert counters.get("worker_failures_total", 0) == 0
 
 
 # ----------------------------------------------------------------------
@@ -279,6 +315,7 @@ def test_lanes_are_kept_until_the_lake_changes(backend):
 
 def make_worker_payload(session: Session, plans=()) -> dict:
     return {
+        "cache_url": None,
         "lake": session.lake,
         "brain": session.brain,
         "config": session.config,
@@ -289,6 +326,7 @@ def make_worker_payload(session: Session, plans=()) -> dict:
         "answer_cache_capacity": 1024,
         "plans": list(plans),
         "answers": [],
+        "telemetry": session.telemetry,
     }
 
 
@@ -309,14 +347,15 @@ def test_worker_runtime_roundtrip(monkeypatch):
 
     payload = procworker.run_worker_query(query)
     assert payload["ok"]
-    assert payload["fresh_plan"] is not None  # synthesized, ships back
+    shipped = payload["plans"]                # synthesized, ships back
     assert plan_counters(payload) == {"plan_cache_misses": 1}
     result = json.loads(json.dumps(payload["result"]))  # JSON-shaped
     assert result["kind"] == "value"
     assert result["value"] == session.query(query).value
+    assert shipped == session.plan_cache.items()  # what the parent plans
 
     warm = procworker.run_worker_query(query)
-    assert warm["fresh_plan"] is None         # served from the local cache
+    assert warm["plans"] == []                # served from the local cache
     assert plan_counters(warm) == {"plan_cache_hits": 1}
 
 
@@ -326,12 +365,11 @@ def test_worker_initializer_seeds_shipped_plans(monkeypatch):
     query = "How many players are taller than 200?"
     session = Session("rotowire")
     session.query(query)
-    (key, entry), = session.plan_cache.items()
-    shipped = session.plan_cache.space.entry(key, entry)  # what the parent ships
-    procworker.initialize_worker(make_worker_payload(session, plans=[shipped]))
+    shipped = session.plan_cache.items()      # what the parent ships
+    procworker.initialize_worker(make_worker_payload(session, plans=shipped))
     payload = procworker.run_worker_query(query)
     assert payload["ok"]
-    assert payload["fresh_plan"] is None      # never planned: shipped plan
+    assert payload["plans"] == []             # never planned: shipped plan
     assert plan_counters(payload) == {"plan_cache_hits": 1}
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from _poison import (EXIT_MARKER, POISON_MARKER, HardExitPlanner,
                      PoisonPlanner, WorkerOnlyPoisonPlanner)
+from repro.data.catalog import DataSource
 from repro.datasets import load_lake
 from repro.llm.brain import SimulatedBrain
 from repro.obs import MetricsRegistry
@@ -303,6 +304,28 @@ def test_process_lane_worker_only_crash_is_recovered_in_parent():
         assert counters["serve_worker_failures_total"] == 1
     finally:
         manager.close()
+
+
+@pytest.mark.parametrize("lane_backend", ["thread", "process"])
+def test_serve_lanes_follow_lake_changes(lane_backend):
+    query = "How many players are taller than 200?"
+    lake = load_lake("rotowire")
+    session = Session(lake)
+    manager = JobManager(session, workers=1, lane_backend=lane_backend)
+    try:
+        before = manager.submit(query, "a")
+        assert before.wait(60) and before.result.ok
+        players = lake.source("players")
+        lake.add(DataSource(players.name, players.table.head(10),
+                            kind=players.kind,
+                            description=players.description))
+        after = manager.submit(query, "a")
+        assert after.wait(60) and after.result.ok
+    finally:
+        manager.close()
+    expected = Session(lake).query(query).value
+    assert expected != before.result.value  # the change shows
+    assert after.result.value == expected
 
 
 def test_finished_jobs_are_frozen_and_cheap_to_keep(artwork_lake,

@@ -9,6 +9,7 @@ across serial, thread, and process execution.
 
 import json
 import os
+import pickle
 
 import pytest
 
@@ -261,21 +262,27 @@ def test_metrics_snapshot_is_deterministic_across_runs(rotowire_lake):
         == first["counters"]["queries_total"]
 
 
+def record(registry: MetricsRegistry, step: int) -> None:
+    registry.increment("queries_total")
+    registry.increment("cost_usd_total", 0.25 * step)
+    registry.observe("latency_total", 0.004 * step)
+    registry.observe(f"latency_step_{step}", 0.5)
+
+
 def test_metrics_delta_protocol_merges_worker_state():
-    parent, worker = MetricsRegistry(), MetricsRegistry()
-    worker.increment("queries_total")
-    before = worker.raw_state()
-    worker.increment("queries_total")
-    worker.increment("cost_usd_total", 0.25)
-    worker.observe("latency_total", 0.5)
-    delta = worker.delta_since(before)
-    assert delta["counters"]["queries_total"] == 1  # only the new one
-    parent.merge_delta(delta)
-    parent.merge_delta(None)  # tolerated: worker predates the protocol
-    snapshot = parent.snapshot()
-    assert snapshot["counters"]["queries_total"] == 1
-    assert snapshot["counters"]["cost_usd_total"] == 0.25
-    assert snapshot["histograms"]["latency_total"]["count"] == 1
+    # A worker takes what it recorded after each query; merging the
+    # takes equals recording into the parent directly.
+    parent, worker, direct = (MetricsRegistry(), MetricsRegistry(),
+                              MetricsRegistry())
+    for step in (1, 2):
+        record(worker, step)
+        record(direct, step)
+        taken = worker.take()
+        assert taken["counters"]["queries_total"] == 1  # only the new one
+        assert worker.take() == {"counters": {}, "histograms": {}}
+        parent.merge(taken)
+    assert worker.snapshot()["counters"] == {}
+    assert parent.snapshot() == direct.snapshot()
 
 
 @pytest.mark.parametrize("backend,workers",
@@ -445,35 +452,20 @@ def test_worker_pipe_ships_spans_and_metrics_delta(monkeypatch):
     from repro.exec import procworker
     monkeypatch.setattr(procworker, "_STATE", {})
     session = Session("rotowire")
-    payload = make_worker_payload(session)
-    payload["telemetry"] = session.telemetry
-    procworker.initialize_worker(payload)
+    procworker.initialize_worker(make_worker_payload(session))
 
     answer = procworker.run_worker_query(QUERY)
     assert answer["ok"]
-    wire = json.loads(json.dumps(answer))  # what the pipe actually moves
-    trace = wire["result"]["trace"]
-    stages = [span["stage"] for span in trace["telemetry"]["spans"]]
+    result = json.loads(json.dumps(answer["result"]))  # JSON-shaped
+    stages = [span["stage"]
+              for span in result["trace"]["telemetry"]["spans"]]
     assert "planning" in stages
     assert any(stage.startswith("operator:") for stage in stages)
-    delta = wire["metrics_delta"]
-    assert delta["counters"]["queries_total"] == 1
+    wire = pickle.loads(pickle.dumps(answer))  # what the pipe moves
+    assert wire["metrics"]["counters"]["queries_total"] == 1
     registry = MetricsRegistry()
-    registry.merge_delta(delta)
+    registry.merge(wire["metrics"])
     assert registry.snapshot()["counters"]["queries_ok"] == 1
-
-
-def test_worker_pipe_tolerates_payload_without_telemetry(monkeypatch):
-    # An old parent that predates TelemetryConfig still initializes the
-    # worker (tracing defaults on) — the init payload key is optional.
-    from test_exec_backends import make_worker_payload
-
-    from repro.exec import procworker
-    monkeypatch.setattr(procworker, "_STATE", {})
-    procworker.initialize_worker(make_worker_payload(Session("rotowire")))
-    answer = procworker.run_worker_query(QUERY)
-    assert answer["ok"]
-    assert answer["result"]["trace"]["telemetry"]["spans"]
 
 
 # ----------------------------------------------------------------------

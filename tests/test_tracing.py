@@ -116,7 +116,7 @@ def test_serve_rejects_malformed_traceparent(serve):  # noqa: F811
 
 
 # ----------------------------------------------------------------------
-# Boundary 2: job → process worker lane (across the JSON pipe)
+# Boundary 2: job → process worker lane (across the pipe)
 # ----------------------------------------------------------------------
 
 def test_worker_lane_joins_parent_trace(monkeypatch):
@@ -128,7 +128,7 @@ def test_worker_lane_joins_parent_trace(monkeypatch):
     procworker.initialize_worker(make_worker_payload(session))
     context = TraceContext.new()
 
-    payload = procworker.run_worker_query(QUERY, context.to_dict())
+    payload = procworker.run_worker_query(QUERY, context)
     assert payload["ok"]
     assert payload["result"]["trace"]["trace_id"] == context.trace_id
 
