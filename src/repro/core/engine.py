@@ -32,12 +32,16 @@ The engine seeds the query's :class:`~repro.llm.interface.Transcript`
 with the entry's replies, and discovery and mapping ask the model through
 :meth:`~repro.llm.interface.Transcript.ask`: a bound reply is reused
 when — and only when — it answered a prompt with the same digest
-(:func:`~repro.llm.interface.prompt_digest`); otherwise the model is
-asked as before.  Each span reads the outcome of the asks it covers, and
-after a clean run the replies the transcript kept become the refreshed
-``BoundPlan``.  A fully warm query therefore makes no model call, yet the
-observation-fed interleaving stays exact: a step whose observations
-differ has a different prompt and goes back to the model.
+(:attr:`~repro.llm.interface.Prompt.digest`); otherwise the model is
+asked as before, and the miss names the first prompt section that
+changed.  A prompt is a set of named sections whose digests are memoised
+on what they show (:mod:`repro.core.prompts`), so a warm query digests
+its prompts without rendering any text.  Each span reads the outcome of
+the asks it covers, and after a clean run the replies the transcript
+kept become the refreshed ``BoundPlan``.  A fully warm query therefore
+makes no model call, yet the observation-fed interleaving stays exact: a
+step whose observations differ has a different prompt and goes back to
+the model.
 
 Every prompt/response pair actually sent is recorded in
 ``last_transcript`` (a reused reply sends nothing); everything that
@@ -65,7 +69,7 @@ from repro.llm.interface import BoundReply, LanguageModel, Transcript
 from repro.obs import (MetricsRegistry, StageTrace, TelemetryConfig,
                        TraceContext, pop_trace, push_trace,
                        resolve_cost_model)
-from repro.obs.trace import MEMO_MISS_REASONS, MEMO_NOTE
+from repro.obs.trace import MEMO_MISS_REASONS, MEMO_NOTE, SECTION_CHANGED
 from repro.operators.base import ExecutionContext
 from repro.plotting.spec import PlotSpec
 from repro.relational.sqlexec import SQLBridge
@@ -217,9 +221,10 @@ class Engine:
     def fingerprint(self) -> str:
         """Fingerprint of the lake, used as part of the plan-cache key.
 
-        Recomputed per access — once per query — so a lake mutated
+        Read once per query.  The lake memoises it per
+        :attr:`~repro.data.catalog.DataLake.version`, so a lake changed
         through ``DataLake.add`` after engine construction never reuses
-        stale cache keys.
+        stale cache keys, and an unchanged lake is not rehashed.
         """
         return self.lake.fingerprint()
 
@@ -494,6 +499,12 @@ class Engine:
             if value:
                 metrics.increment(
                     f'binding_memo_misses_total{{reason="{reason}"}}', value)
+        for name, value in telemetry.counters.items():
+            if name.startswith(SECTION_CHANGED):
+                section = name[len(SECTION_CHANGED):]
+                metrics.increment(
+                    f'binding_memo_section_changed_total{{section="{section}"}}',
+                    value)
         for engine in RELATIONAL_ENGINES:
             value = telemetry.counters.get(f"sql_engine_{engine}")
             if value:

@@ -46,7 +46,7 @@ from repro.core.parsing import (ErrorAnalysis, MappingDecision,
 from repro.core.plan import LogicalPlan, LogicalStep
 from repro.core.prompts import (ColumnHint, build_discovery_prompt,
                                 build_error_prompt, build_mapping_prompt,
-                                build_planning_prompt)
+                                build_planning_prompt, column_hint)
 from repro.data.catalog import DataLake
 from repro.data.table import Table
 from repro.errors import ReproError
@@ -125,34 +125,29 @@ class PromptPlanner:
         live *lake*, so a reused reply still shows this lake's content."""
         response = transcript.ask(self.model, "discovery",
                                   build_discovery_prompt(lake, query))
-        hints: list[ColumnHint] = []
-        for table_name, column in parse_relevant_columns(response):
-            if table_name not in lake:
-                continue
-            table = lake.table(table_name)
-            if column not in table.column_names:
-                continue
-            hints.append(ColumnHint(table_name, column,
-                                    table.sample_values(column)))
-        return hints
+        return [column_hint(lake, table_name, column)
+                for table_name, column in parse_relevant_columns(response)
+                if table_name in lake
+                and column in lake.table(table_name).column_names]
 
     def plan(self, lake: DataLake, query: str, hints: list[ColumnHint],
              transcript: Transcript, *,
              error_feedback: str = "") -> LogicalPlan:
-        messages = build_planning_prompt(lake, query, hints,
-                                         error_feedback=error_feedback)
-        response = self.model.complete(messages)
-        transcript.record("planning", messages, response)
+        prompt = build_planning_prompt(lake, query, hints,
+                                       error_feedback=error_feedback)
+        response = self.model.complete(prompt.messages)
+        transcript.record("planning", prompt.messages, response)
         return parse_logical_plan(response)
 
     def analyze_error(self, query: str, plan: LogicalPlan,
                       step: LogicalStep, error: Exception,
                       transcript: Transcript) -> ErrorAnalysis | None:
         try:
-            messages = build_error_prompt(query, plan.render(), step.render(),
-                                          str(error))
-            response = self.model.complete(messages)
-            transcript.record(f"error:{step.index}", messages, response)
+            prompt = build_error_prompt(query, plan.render(), step.render(),
+                                        str(error))
+            response = self.model.complete(prompt.messages)
+            transcript.record(f"error:{step.index}", prompt.messages,
+                              response)
             return parse_error_analysis(response)
         except ReproError:
             return None
@@ -169,12 +164,12 @@ class PromptMapper:
                  hints: list[ColumnHint], observations: list[str],
                  transcript: Transcript,
                  error_feedback: str = "") -> MappingDecision:
-        messages = build_mapping_prompt(tables, cards, step, hints,
-                                        observations,
-                                        error_feedback=error_feedback)
+        prompt = build_mapping_prompt(tables, cards, step, hints,
+                                      observations,
+                                      error_feedback=error_feedback)
         # A retry carries error feedback: never served from the cache.
         response = transcript.ask(self.model, f"mapping:{step.index}",
-                                  messages, retry=bool(error_feedback))
+                                  prompt, retry=bool(error_feedback))
         return parse_mapping_response(response)
 
 

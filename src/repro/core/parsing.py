@@ -10,6 +10,7 @@ any other failure.
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import re
 import threading
@@ -112,8 +113,23 @@ _REASONING_RE = re.compile(r"Reasoning:\s*(?P<text>.*?)(?=\nOperator:)",
                            re.DOTALL)
 
 
+#: Distinct replies whose parse is kept: a reply bound to a plan-cache
+#: entry is read again by every warm query that reuses it.
+PARSED_REPLIES = 1024
+
+
 def parse_mapping_response(text: str) -> MappingDecision:
-    """Parse a Mapping Phase response into operator + arguments."""
+    """Parse a Mapping Phase response into operator + arguments.
+
+    Memoised by reply text; each call returns its own decision.
+    """
+    decision = _parse_mapping(text)
+    return MappingDecision(decision.operator, list(decision.arguments),
+                           decision.reasoning)
+
+
+@functools.lru_cache(maxsize=PARSED_REPLIES)
+def _parse_mapping(text: str) -> MappingDecision:
     if not text or not text.strip():
         raise PlanParseError("empty mapping response")
     operator_match = _OPERATOR_RE.search(text)
@@ -180,7 +196,15 @@ _RELEVANT_RE = re.compile(r"Relevant Columns:\s*(?P<list>\[.*?\])", re.DOTALL)
 
 
 def parse_relevant_columns(text: str) -> list[tuple[str, str]]:
-    """Parse the discovery response into ``(table, column)`` pairs."""
+    """Parse the discovery response into ``(table, column)`` pairs.
+
+    Memoised by reply text, like :func:`parse_mapping_response`.
+    """
+    return list(_parse_relevant(text))
+
+
+@functools.lru_cache(maxsize=PARSED_REPLIES)
+def _parse_relevant(text: str) -> tuple[tuple[str, str], ...]:
     match = _RELEVANT_RE.search(text or "")
     if match is None:
         raise PlanParseError(
@@ -193,7 +217,7 @@ def parse_relevant_columns(text: str) -> list[tuple[str, str]]:
                 f"relevant column {item!r} is not table.column")
         table, column = item.split(".", 1)
         pairs.append((table.strip(), column.strip()))
-    return pairs
+    return tuple(pairs)
 
 
 # ----------------------------------------------------------------------

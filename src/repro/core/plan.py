@@ -83,14 +83,23 @@ class LogicalStep:
     params: dict = field(default_factory=dict)
 
     def render(self) -> str:
-        lines = [f"Step {self.index}: {self.description}"]
-        lines.append(f"Input: {self.inputs!r}")
-        lines.append(f"Output: {self.output}")
-        lines.append(f"New Columns: {self.new_columns!r}")
-        if self.params:
-            lines.append("Params: " + json.dumps(encode_params(self.params),
-                                                 sort_keys=True))
-        return "\n".join(lines)
+        """The step as plan text and mapping prompts show it.
+
+        Memoised: a step is not changed once built — the plan cache
+        already shares one step between queries and threads — and every
+        mapping prompt of a warm query shows it again.
+        """
+        text = self.__dict__.get("_text")
+        if text is None:
+            lines = [f"Step {self.index}: {self.description}"]
+            lines.append(f"Input: {self.inputs!r}")
+            lines.append(f"Output: {self.output}")
+            lines.append(f"New Columns: {self.new_columns!r}")
+            if self.params:
+                lines.append("Params: " + json.dumps(
+                    encode_params(self.params), sort_keys=True))
+            text = self.__dict__["_text"] = "\n".join(lines)
+        return text
 
     def to_dict(self) -> dict:
         return {"index": self.index, "description": self.description,

@@ -4,16 +4,29 @@ Each prompt contains all the information the model needs: (1) a description
 of the data, (2) the capabilities / available operators, (3) an output
 format description, and (4) the user query / current instruction.  The
 planning prompt additionally carries few-shot example translations.
+
+Every builder returns a :class:`~repro.llm.interface.Prompt` of named
+sections — ``role``, ``tables``, ``cards``, ``format`` in the system
+message; ``task``, ``hints``, ``observations``, ``error`` and ``step``
+in the human one (the planning prompt adds ``examples``).  A section's
+digest is memoised on the object it comes from: a table's schema line
+on the table, the schema block on the lake (per
+:attr:`~repro.data.catalog.DataLake.version`), the card block per card
+tuple, a hint per lake column, the static texts at import.  So a warm
+query identifies each prompt by digest and renders no text; the text
+is built only for the model or the transcript.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.plan import LogicalStep
 from repro.data.catalog import DataLake
 from repro.data.table import Table
-from repro.llm.interface import ChatMessage, human, system
+from repro.llm.interface import Prompt, Section, combine_digests, text_digest
 from repro.operators.base import OperatorCard
 
 PLANNING_MARKER = "you generate plans to retrieve data from databases"
@@ -101,13 +114,13 @@ New Columns: []
 Step 6: Plan completed."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColumnHint:
     """A relevant column identified during discovery, with example values."""
 
     table: str
     column: str
-    examples: list[object] = field(default_factory=list)
+    examples: Sequence[object] = ()
 
     def render(self) -> str:
         text = (f"- The '{self.column}' column of the '{self.table}' table "
@@ -118,43 +131,92 @@ class ColumnHint:
                      f"[{rendered}]")
         return text
 
+    @functools.cached_property
+    def digest(self) -> str:
+        """Digest of :meth:`render`, taken once per hint: discovery keeps
+        one hint per lake column (:func:`column_hint`)."""
+        return text_digest(self.render())
 
-def render_hints(hints: list[ColumnHint]) -> str:
+
+def column_hint(lake: DataLake, table_name: str, column: str) -> ColumnHint:
+    """The hint for one lake column, with example values from the lake,
+    memoised on the table so a warm query neither samples nor renders."""
+    table = lake.table(table_name)
+    return table.derived(("hint", table_name, column), lambda: ColumnHint(
+        table_name, column, table.sample_values(column)))
+
+
+def render_hints(hints: Sequence[ColumnHint]) -> str:
     if not hints:
         return ""
     return ("These columns are potentially relevant:\n"
             + "\n".join(h.render() for h in hints))
 
 
+TABLES_HEADER = "The database contains the following tables:\n"
+
+# The static sections, digested once at import.
+_PLANNING_EXAMPLES = Section.of("examples", FEW_SHOT_EXAMPLES)
+_PLANNING_ROLE = Section.of("role", f"You are CAESURA and {PLANNING_MARKER}:")
+_CAPABILITIES = Section.of("cards", CAPABILITIES_TEXT)
+_PLANNING_FORMAT = Section.of("format", PLANNING_FORMAT)
+_MAPPING_ROLE = Section.of("role", f"You are CAESURA, and {MAPPING_MARKER}:")
+_MAPPING_TASK = Section.of("task", "Map the steps one by one.")
+_DISCOVERY_ROLE = Section.of(
+    "role", f"You are CAESURA, and {DISCOVERY_MARKER} to a user request.")
+_DISCOVERY_FORMAT = Section.of(
+    "format", "Use the following output format:\n"
+              "Relevant Columns: ['table.column', ...]")
+
+
+def _lake_tables_section(lake: DataLake) -> Section:
+    """Every source's schema line, built once per
+    :attr:`DataLake.version` and digested the way a mapping prompt
+    digests the tables it shows, so equal tables sections digest equally
+    in every prompt."""
+    return lake.derived(("tables_section",), lambda: Section(
+        "tables",
+        combine_digests([source.table.prompt_digest(name)
+                         for name, source in lake.sources.items()]),
+        TABLES_HEADER + lake.prompt_repr()))
+
+
+_NO_HINTS = Section.of("hints", "")
+_NO_OBSERVATIONS = Section.of("observations", "")
+_NO_ERROR = Section.of("error", "")
+
+
+def _hints_section(hints: Sequence[ColumnHint]) -> Section:
+    if not hints:
+        return _NO_HINTS
+    hints = tuple(hints)
+    return Section("hints", combine_digests([hint.digest for hint in hints]),
+                   lambda: render_hints(hints))
+
+
 def build_planning_prompt(lake: DataLake, query: str,
-                          hints: list[ColumnHint],
-                          error_feedback: str = "") -> list[ChatMessage]:
+                          hints: Sequence[ColumnHint],
+                          error_feedback: str = "") -> Prompt:
     """The Planning Phase prompt (Figure 3, left), few-shot examples first.
 
     *error_feedback* carries the failure that triggered a replan, so the
     model can avoid repeating the flawed plan (Section 3.2 backtracking).
     """
-    sections = [FEW_SHOT_EXAMPLES,
-                f"You are CAESURA and {PLANNING_MARKER}:",
-                "The database contains the following tables:\n"
-                + lake.prompt_repr(),
-                CAPABILITIES_TEXT,
-                PLANNING_FORMAT]
-    body = f"My request is: {query}"
-    hint_text = render_hints(hints)
-    if hint_text:
-        body += "\n" + hint_text
-    if error_feedback:
-        body += (f"\nA previous plan failed with this error: "
-                 f"{error_feedback}\nProduce a plan that avoids it.")
-    return [system("\n\n".join(sections)), human(body)]
+    error = (Section.of("error", "A previous plan failed with this error: "
+                        f"{error_feedback}\nProduce a plan that avoids it.")
+             if error_feedback else _NO_ERROR)
+    return Prompt(
+        [_PLANNING_EXAMPLES, _PLANNING_ROLE, _lake_tables_section(lake),
+         _CAPABILITIES, _PLANNING_FORMAT],
+        [Section.of("step", f"My request is: {query}"), _hints_section(hints),
+         error],
+        human_separator="\n")
 
 
 def context_prompt_repr(tables: dict[str, Table]) -> str:
     """Schema lines for the *current execution context* tables."""
-    return "\n".join(
-        f" - {table.schema.prompt_repr(name, table.num_rows)}"
-        for name, table in tables.items())
+    return "\n".join(f" - {table.prompt_line(name)}"
+                     for name, table in tables.items())
 
 
 def step_tables(tables: dict[str, Table],
@@ -167,7 +229,7 @@ def step_tables(tables: dict[str, Table],
     return {name: tables[name] for name in step.inputs}
 
 
-def usable_cards(cards: list[OperatorCard],
+def usable_cards(cards: Sequence[OperatorCard],
                  tables: dict[str, Table]) -> list[OperatorCard]:
     """The *cards* some column of *tables* can feed: a card that
     ``reads`` a datatype needs a column of it, one with ``reads=None``
@@ -178,10 +240,46 @@ def usable_cards(cards: list[OperatorCard],
             if card.reads is None or card.reads in dtypes]
 
 
-def build_mapping_prompt(tables: dict[str, Table], cards: list[OperatorCard],
-                         step: LogicalStep, hints: list[ColumnHint],
-                         observations: list[str],
-                         error_feedback: str = "") -> list[ChatMessage]:
+@functools.lru_cache(maxsize=64)
+def _card_sections(cards: tuple[OperatorCard, ...]) -> tuple[Section,
+                                                              Section]:
+    """The operator list and the output format naming it, built and
+    digested once per card tuple."""
+    operator_list = "\n".join(card.prompt_repr() for card in cards)
+    return (Section.of("cards", "You can use the following operators:\n"
+                       + operator_list),
+            Section.of("format", MAPPING_FORMAT.format(
+                operator_names=", ".join(card.name for card in cards))))
+
+
+def _context_tables_section(tables: dict[str, Table]) -> Section:
+    """The shown tables, digested from each table's memoised
+    :meth:`~repro.data.table.Table.prompt_digest` — an intermediate
+    table is digested without rendering its schema line.  The tables
+    are copied: the execution context binds more after this prompt."""
+    tables = dict(tables)
+    digest = combine_digests([table.prompt_digest(name)
+                              for name, table in tables.items()])
+    return Section("tables", digest,
+                   lambda: TABLES_HEADER + context_prompt_repr(tables))
+
+
+def _observations_section(observations: Sequence[str]) -> Section:
+    if not observations:
+        return _NO_OBSERVATIONS
+    observations = tuple(observations)
+    return Section(
+        "observations",
+        combine_digests([text_digest(text) for text in observations]),
+        lambda: "\n\n".join(f"Observation: {text}"
+                             for text in observations))
+
+
+def build_mapping_prompt(tables: dict[str, Table],
+                         cards: Sequence[OperatorCard],
+                         step: LogicalStep, hints: Sequence[ColumnHint],
+                         observations: Sequence[str],
+                         error_feedback: str = "") -> Prompt:
     """The Mapping Phase prompt (Figure 3, right) for *one* logical step.
 
     *tables* is the current execution context, so an input that an
@@ -194,29 +292,23 @@ def build_mapping_prompt(tables: dict[str, Table], cards: list[OperatorCard],
     operator cards those tables can feed (:func:`usable_cards`), and the
     output format's operator list names exactly those cards.  Hints,
     observations and error feedback are not scoped.
+
+    The step, the observations, intermediate tables and the error are
+    digested as they are; every other section's digest is memoised.
     """
     tables = step_tables(tables, step)
-    cards = usable_cards(cards, tables)
-    sections = [f"You are CAESURA, and {MAPPING_MARKER}:"]
-    sections.append("The database contains the following tables:\n"
-                    + context_prompt_repr(tables))
-    operator_list = "\n".join(f"{card.prompt_repr()}" for card in cards)
-    sections.append("You can use the following operators:\n" + operator_list)
-    sections.append(MAPPING_FORMAT.format(
-        operator_names=", ".join(card.name for card in cards)))
-
-    body_parts = ["Map the steps one by one."]
-    hint_text = render_hints(hints)
-    if hint_text:
-        body_parts.append(hint_text)
-    for observation in observations:
-        body_parts.append(f"Observation: {observation}")
-    if error_feedback:
-        body_parts.append(f"The previous attempt failed: {error_feedback}\n"
-                          "Choose the operator and arguments again, avoiding "
-                          "this error.")
-    body_parts.append(step.render())
-    return [system("\n\n".join(sections)), human("\n\n".join(body_parts))]
+    card_block, output_format = _card_sections(
+        tuple(usable_cards(cards, tables)))
+    error = (Section.of("error", f"The previous attempt failed: "
+                        f"{error_feedback}\nChoose the operator and "
+                        "arguments again, avoiding this error.")
+             if error_feedback else _NO_ERROR)
+    return Prompt(
+        [_MAPPING_ROLE, _context_tables_section(tables), card_block,
+         output_format],
+        [_MAPPING_TASK, _hints_section(hints),
+         _observations_section(observations), error,
+         Section.of("step", step.render())])
 
 
 ERROR_QUESTIONS = """\
@@ -236,25 +328,23 @@ Answer 4: Yes/No
 Answer 5: Yes/No
 Answer 6: Yes/No"""
 
+_ERROR_ROLE = Section.of("role", f"You are CAESURA, and {ERROR_MARKER}.")
+_ERROR_FORMAT = Section.of("format", ERROR_QUESTIONS)
+
 
 def build_error_prompt(query: str, plan_text: str, step_text: str,
-                       error_message: str) -> list[ChatMessage]:
+                       error_message: str) -> Prompt:
     """The error-handling prompt (Section 3.2)."""
-    sections = [f"You are CAESURA, and {ERROR_MARKER}.",
-                ERROR_QUESTIONS]
     body = (f"My request was: {query}\n\n"
             f"The plan was:\n{plan_text}\n\n"
             f"While executing:\n{step_text}\n\n"
             f"This error occurred: {error_message}")
-    return [system("\n\n".join(sections)), human(body)]
+    return Prompt([_ERROR_ROLE, _ERROR_FORMAT], [Section.of("step", body)])
 
 
-def build_discovery_prompt(lake: DataLake, query: str) -> list[ChatMessage]:
+def build_discovery_prompt(lake: DataLake, query: str) -> Prompt:
     """Prompt asking the model which columns are relevant to the query."""
-    sections = [f"You are CAESURA, and {DISCOVERY_MARKER} to a user request.",
-                "The database contains the following tables:\n"
-                + lake.prompt_repr(),
-                "Use the following output format:\n"
-                "Relevant Columns: ['table.column', ...]"]
-    return [system("\n\n".join(sections)),
-            human(f"My request is: {query}\nWhich columns are relevant?")]
+    return Prompt(
+        [_DISCOVERY_ROLE, _lake_tables_section(lake), _DISCOVERY_FORMAT],
+        [Section.of("step",
+                    f"My request is: {query}\nWhich columns are relevant?")])

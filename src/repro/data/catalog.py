@@ -13,9 +13,13 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from repro.data.table import Table
 from repro.errors import UnknownTableError
+
+_ABSENT = object()
+_T = TypeVar("_T")
 
 
 class SourceKind(enum.Enum):
@@ -40,8 +44,9 @@ class DataSource:
         return self.kind is not SourceKind.TABLE
 
     def prompt_repr(self) -> str:
-        """Schema line for a CAESURA prompt (Figure 3 format)."""
-        return self.table.schema.prompt_repr(self.name, self.table.num_rows)
+        """Schema line for a CAESURA prompt (Figure 3 format), memoised
+        on the table (:meth:`~repro.data.table.Table.prompt_line`)."""
+        return self.table.prompt_line(self.name)
 
 
 @dataclass
@@ -54,14 +59,34 @@ class DataLake:
 
     name: str = "lake"
     sources: dict[str, DataSource] = field(default_factory=dict)
-    #: bumped by every :meth:`add`; a process lane restarts its worker
-    #: when it moves, so no lane answers over an older lake.
+    #: bumped by every :meth:`add`, the only way a lake changes; a
+    #: process lane restarts its worker when it moves, so no lane answers
+    #: over an older lake, and :meth:`derived` forgets what it memoised.
     version: int = field(default=0, init=False, compare=False, repr=False)
+    _derived: tuple = field(default=(-1, None), init=False, compare=False,
+                            repr=False)
 
     def add(self, source: DataSource) -> "DataLake":
         self.sources[source.name] = source
         self.version += 1
         return self
+
+    def derived(self, key: tuple, compute: Callable[[], _T]) -> _T:
+        """What *compute* derives from the lake's sources, memoised under
+        *key* until the next :meth:`add`.
+
+        The schema block, the shape fingerprint and the prompt section
+        built from them are computed once per :attr:`version`.  Two
+        threads that miss together both compute; either value is right.
+        """
+        version, memo = self._derived
+        if version != self.version:
+            memo = {}
+            self._derived = (self.version, memo)
+        value = memo.get(key, _ABSENT)
+        if value is _ABSENT:
+            value = memo[key] = compute()
+        return value  # type: ignore[return-value]
 
     def add_table(self, name: str, table: Table, description: str = "",
                   kind: SourceKind = SourceKind.TABLE) -> "DataLake":
@@ -95,16 +120,20 @@ class DataLake:
 
     def prompt_repr(self) -> str:
         """All schema lines, one per source, for prompt construction."""
-        return "\n".join(f" - {s.prompt_repr()}"
-                         for s in self.sources.values())
+        return self.derived(("prompt_repr",), lambda: "\n".join(
+            f" - {s.prompt_repr()}" for s in self.sources.values()))
 
     def fingerprint(self) -> str:
         """Stable digest of the lake's shape (names, schemas, row counts).
 
         Two lakes with the same sources, schemas, and cardinalities share a
         fingerprint; plan caches key on ``(query, fingerprint)`` so cached
-        plans never leak across structurally different lakes.
+        plans never leak across structurally different lakes.  Hashes
+        the memoised schema lines, once per :attr:`version`.
         """
+        return self.derived(("fingerprint",), self._shape_digest)
+
+    def _shape_digest(self) -> str:
         digest = hashlib.sha256()
         for name in sorted(self.sources):
             source = self.sources[name]

@@ -17,8 +17,9 @@ byte-identical with the historical row store, so old caches still load.
 All relational operators in :mod:`repro.relational` and all multi-modal
 operators in :mod:`repro.operators` consume and produce ``Table`` values.
 Anything computed from a table's content — its fingerprint, sample
-values, sqlite-adapted columns, generated-UDF outputs — is memoised in
-one slot, :meth:`Table.derived`.
+values, sqlite-adapted columns, generated-UDF outputs, its schema line
+and digest as a prompt shows them — is memoised in one slot,
+:meth:`Table.derived`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from repro.errors import SchemaError, UnknownColumnError
 #: entry is evicted.
 DERIVED_ENTRIES = 8
 
-#: Guards every table's derived memo; held only to look up or store.
+#: Guards every table's derived memo; held only to store (a lookup is
+#: one atomic dict read).
 _DERIVED_LOCK = threading.Lock()
 _ABSENT = object()
 
@@ -230,6 +232,7 @@ class Table:
         """Up to *limit* distinct non-null example values of a column.
 
         Used by prompt construction ("These are some relevant values...").
+        NULL and NaN are skipped.
         A modality value that is not already a ``str`` (an image) is shown
         as its ``repr``; a TEXT document is its own display form.
         Memoized: a column with fewer than *limit* distinct values forces
@@ -243,13 +246,36 @@ class Table:
                     continue
                 display = (repr(value) if modality
                            and not isinstance(value, str) else value)
-                if display not in seen:
+                # NaN != NaN: it would pass the dedup every time, and
+                # sqlite binds it as NULL anyway, so it is no example.
+                if display not in seen and display == display:
                     seen.append(display)
                 if len(seen) >= limit:
                     break
             return seen
 
         return list(self.derived(("samples", name, limit), scan))
+
+    def prompt_line(self, name: str) -> str:
+        """This table's schema line under *name*, as a prompt shows it
+        (:meth:`~repro.data.schema.Schema.prompt_repr`); memoised."""
+        return self.derived(("prompt_line", name), lambda:
+                            self.schema.prompt_repr(name, self.num_rows))
+
+    def prompt_digest(self, name: str) -> str:
+        """A digest of :meth:`prompt_line`, taken from the schema's parts
+        (name, row count, columns and dtypes, description, foreign keys)
+        so it is known without rendering the line; memoised."""
+        def digest() -> str:
+            schema = self.schema
+            parts = [name, str(self.num_rows), schema.description,
+                     str(len(schema.columns)),
+                     *(f"{c.name}:{c.dtype.value}" for c in schema.columns),
+                     *(fk.prompt_repr(name) for fk in schema.foreign_keys)]
+            return hashlib.sha256("\0".join(parts).encode("utf-8")
+                                  ).hexdigest()[:32]
+
+        return self.derived(("prompt_digest", name), digest)
 
     def derived(self, key: tuple, compute: Callable[[], _T]) -> _T:
         """What *compute* derives from this table, memoised under *key*.
@@ -263,8 +289,7 @@ class Table:
         together, both compute and both get the value stored first.
         """
         memo = self._derived
-        with _DERIVED_LOCK:
-            value = memo.get(key, _ABSENT)
+        value = memo.get(key, _ABSENT)
         if value is not _ABSENT:
             return value  # type: ignore[return-value]
         value = compute()

@@ -12,9 +12,11 @@ A query's :class:`Transcript` records every exchange, and its
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import (Callable, Iterable, Mapping, Protocol, Sequence,
+                    runtime_checkable)
 
 
 class Role(enum.Enum):
@@ -68,39 +70,150 @@ class LanguageModel(Protocol):
         ...
 
 
-def prompt_digest(messages: list[ChatMessage]) -> str:
-    """Digest of one rendered chat prompt (roles and contents, in order).
+@functools.lru_cache(maxsize=2048)
+def text_digest(text: str) -> str:
+    """sha256 of *text* (UTF-8), as 32 hex digits.
 
-    Two prompts digest equally iff the model would be sent the same
-    text; a :class:`BoundReply` is reused on exactly that condition.
+    Memoised per distinct string: an observation or a step's text is
+    digested once, however many prompts carry it.
     """
-    digest = hashlib.sha256()
-    for message in messages:
-        digest.update(message.role.value.encode("ascii"))
-        digest.update(b"\0")
-        digest.update(message.content.encode("utf-8"))
-        digest.update(b"\0")
-    return digest.hexdigest()[:32]
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
+
+
+class Section:
+    """One named part of a prompt: a digest now, its text only on demand.
+
+    *digest* must change exactly when the text does, and must not depend
+    on the process (no ``hash()``): it is stored in plan-cache files, on
+    the cache tier and on a process lane's pipe.  *text* is the text, or
+    a callable that builds it the first time :attr:`text` is read (it
+    must read only what the digest was taken from).  An empty text is
+    left out of the rendered message.
+    """
+
+    __slots__ = ("name", "digest", "_text")
+
+    def __init__(self, name: str, digest: str,
+                 text: str | Callable[[], str]):
+        self.name = name
+        self.digest = digest
+        self._text = text
+
+    @classmethod
+    def of(cls, name: str, text: str) -> "Section":
+        """A section whose text is already at hand, digested as it is."""
+        return cls(name, text_digest(text), text)
+
+    @property
+    def text(self) -> str:
+        if not isinstance(self._text, str):
+            self._text = self._text()
+        return self._text
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Section({self.name!r}, {self.digest!r})"
+
+
+def combine_digests(digests: Iterable[str]) -> str:
+    """One digest of an ordered sequence of digests."""
+    return hashlib.sha256(" ".join(digests).encode("ascii")).hexdigest()[:32]
+
+
+class Prompt:
+    """A chat prompt as named sections: a system message, then a human one.
+
+    Each message is its sections' non-empty texts joined by a blank line
+    (the human message by *human_separator*).  :attr:`digest` is a hash
+    of the section digests, so a prompt is identified without building
+    its text; :attr:`messages` renders the text, once, for the model or
+    the transcript.  Section names are unique within a prompt and name
+    the section a changed digest comes from (:meth:`first_changed`).
+    """
+
+    __slots__ = ("system", "human", "human_separator", "_digest",
+                 "_messages")
+
+    def __init__(self, system: Sequence[Section], human: Sequence[Section],
+                 human_separator: str = "\n\n"):
+        self.system = tuple(system)
+        self.human = tuple(human)
+        self.human_separator = human_separator
+        self._digest: str | None = None
+        self._messages: list[ChatMessage] | None = None
+
+    @property
+    def sections(self) -> tuple[Section, ...]:
+        return self.system + self.human
+
+    @property
+    def digest(self) -> str:
+        """The prompt's identity: equal exactly when the messages are.
+
+        Section texts in the same order under the same split and
+        separator render the same messages, so the section digests
+        suffice; the names only say which section changed.
+        """
+        if self._digest is None:
+            self._digest = combine_digests(
+                [*(s.digest for s in self.system),
+                 repr(self.human_separator),
+                 *(s.digest for s in self.human)])
+        return self._digest
+
+    def section_digests(self) -> dict[str, str]:
+        """Each section's digest by name, in prompt order."""
+        return {section.name: section.digest for section in self.sections}
+
+    def first_changed(self, digests: Mapping[str, str]) -> str:
+        """The name of the first section whose digest differs from
+        *digests* (what a bound reply answered), or ``"unknown"`` when
+        none was kept or none differs by name."""
+        if digests:
+            for section in self.sections:
+                if digests.get(section.name) != section.digest:
+                    return section.name
+        return "unknown"
+
+    @property
+    def messages(self) -> list[ChatMessage]:
+        """The rendered chat messages, built on first use."""
+        if self._messages is None:
+            self._messages = [
+                system("\n\n".join(_texts(self.system))),
+                human(self.human_separator.join(_texts(self.human)))]
+        return self._messages
+
+
+def _texts(sections: tuple[Section, ...]) -> list[str]:
+    return [text for text in (section.text for section in sections) if text]
 
 
 @dataclass(frozen=True)
 class BoundReply:
     """One model reply, remembered with the prompt it answered.
 
-    *digest* identifies the exact prompt (:func:`prompt_digest`);
+    *digest* identifies the exact prompt (:attr:`Prompt.digest`);
     *response* is the model's reply text, verbatim, so a reuse goes
-    through the same parser a live reply does.
+    through the same parser a live reply does.  *sections* keeps the
+    prompt's section digests by name, so a later miss can say which
+    section changed; a reply stored before sections existed has none.
     """
 
     digest: str
     response: str
+    sections: Mapping[str, str] = field(default_factory=dict,
+                                        compare=False)
 
     def to_dict(self) -> dict:
-        return {"digest": self.digest, "response": self.response}
+        data = {"digest": self.digest, "response": self.response}
+        if self.sections:
+            data["sections"] = dict(self.sections)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "BoundReply":
-        return cls(digest=data["digest"], response=data["response"])
+        return cls(digest=data["digest"], response=data["response"],
+                   sections=dict(data.get("sections") or {}))
 
 
 @dataclass
@@ -132,30 +245,37 @@ class Transcript:
                response: str) -> None:
         self.entries.append(TranscriptEntry(label, list(messages), response))
 
-    def ask(self, model: LanguageModel, label: str,
-            messages: list[ChatMessage], retry: bool = False) -> str:
-        """The reply to *messages*, reused or fresh from *model*.
+    def ask(self, model: LanguageModel, label: str, prompt: Prompt,
+            retry: bool = False) -> str:
+        """The reply to *prompt*, reused or fresh from *model*.
 
         The reply bound under *label* is reused only when it answered a
-        prompt with the same digest; otherwise *model* is asked and the
-        exchange recorded.  The outcome is kept either way — ``"hit"``,
-        or why not (``"absent"``, ``"digest_changed"``, ``"retry"``).  A
-        *retry* (a prompt carrying error feedback) is never served from,
-        or kept for, the cache.
+        prompt with the same :attr:`~Prompt.digest`; otherwise *model* is
+        sent the rendered messages and the exchange recorded.  The
+        outcome is kept either way — ``"hit"``, or why not
+        (``"absent"``, ``"digest_changed:<section>"`` naming the first
+        section that differs, ``"retry"``).  A *retry* (a prompt
+        carrying error feedback) is never served from, or kept for, the
+        cache.
         """
         stored = None if retry else self.bound.get(label)
-        digest = None if retry else prompt_digest(messages)
-        if stored is not None and stored.digest == digest:
+        if stored is not None and stored.digest == prompt.digest:
             self.outcomes.append("hit")
             self.replies[label] = stored
             return stored.response
-        self.outcomes.append("retry" if retry else "absent" if stored is None
-                             else "digest_changed")
+        if retry:
+            self.outcomes.append("retry")
+        elif stored is None:
+            self.outcomes.append("absent")
+        else:
+            self.outcomes.append(
+                f"digest_changed:{prompt.first_changed(stored.sections)}")
         self.replies[label] = None
-        response = model.complete(messages)
-        self.record(label, messages, response)
+        response = model.complete(prompt.messages)
+        self.record(label, prompt.messages, response)
         if not retry:
-            self.replies[label] = BoundReply(digest, response)
+            self.replies[label] = BoundReply(prompt.digest, response,
+                                             prompt.section_digests())
         return response
 
     def __len__(self) -> int:

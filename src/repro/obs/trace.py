@@ -31,8 +31,14 @@ from dataclasses import dataclass, field
 #: plan cache was consulted: no reply is bound to the plan (``absent``),
 #: the bound reply answered a different prompt (``digest_changed``), or
 #: the attempt carries error feedback and is never served from the cache
-#: (``retry``).
+#: (``retry``).  A ``digest_changed`` outcome names the first prompt
+#: section that differs (``digest_changed:<section>``, ``unknown`` for a
+#: reply stored without section digests), counted apart as
+#: ``binding_memo_section_changed_<section>``.
 MEMO_MISS_REASONS = ("absent", "digest_changed", "retry")
+
+#: Counter prefix of the section a ``digest_changed`` miss names.
+SECTION_CHANGED = "binding_memo_section_changed_"
 
 #: Counters that reflect cache locality rather than query semantics;
 #: blanked by :meth:`QueryTelemetry.canonicalize` because a thread race
@@ -126,9 +132,15 @@ class QueryTelemetry:
 
     def mark_memo(self, outcome: str) -> None:
         """Record one bound-reply lookup: ``"hit"``, or the reason
-        (:data:`MEMO_MISS_REASONS`) the prompt went to the model."""
-        self.count("binding_memo_hits" if outcome == "hit"
-                   else f"binding_memo_misses_{outcome}")
+        (:data:`MEMO_MISS_REASONS`) the prompt went to the model, with
+        the changed section after a ``:``."""
+        if outcome == "hit":
+            self.count("binding_memo_hits")
+            return
+        reason, _, section = outcome.partition(":")
+        self.count(f"binding_memo_misses_{reason}")
+        if section:
+            self.count(SECTION_CHANGED + section)
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -206,7 +218,8 @@ class QueryTelemetry:
         (:data:`_LOCALITY_STAGES`), drops
         spans that only exist on a cache miss against a remote tier
         (:data:`_LOCALITY_SPAN_PREFIXES`), and drops
-        :data:`LOCALITY_COUNTERS`; everything else must be byte-identical
+        :data:`LOCALITY_COUNTERS` and the :data:`SECTION_CHANGED`
+        counters; everything else must be byte-identical
         across serial, thread, and process backends.
         """
         spans = []
@@ -226,7 +239,8 @@ class QueryTelemetry:
             spans.append(span)
         counters = {name: value
                     for name, value in data.get("counters", {}).items()
-                    if name not in LOCALITY_COUNTERS}
+                    if name not in LOCALITY_COUNTERS
+                    and not name.startswith(SECTION_CHANGED)}
         return {"spans": spans, "counters": counters}
 
 

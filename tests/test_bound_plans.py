@@ -27,8 +27,8 @@ from repro.core.prompts import build_mapping_prompt
 from repro.datasets import load_lake
 from repro.errors import PlanParseError
 from repro.llm.brain import SimulatedBrain
-from repro.llm.interface import (BoundReply as InterfaceBoundReply,
-                                 Transcript, human, prompt_digest, system)
+from repro.llm.interface import (BoundReply as InterfaceBoundReply, Prompt,
+                                 Section, Transcript)
 from repro.obs import render_prometheus
 from repro.session import Session
 from repro.testing.workloads import workload
@@ -186,7 +186,10 @@ def test_a_stale_digest_is_a_miss_not_a_wrong_answer(rotowire):
                   for reply in entry.mappings)))
         got = session.query(QUERY)
         assert got.value == want.value
-        assert memo_counters(got) == {"binding_memo_misses_digest_changed": 3}
+        # The stored replies kept no section digests to compare.
+        assert memo_counters(got) == {
+            "binding_memo_misses_digest_changed": 3,
+            "binding_memo_section_changed_unknown": 3}
         # The refreshed entry replaced the stale one.
         assert memo_counters(session.query(QUERY)) == {"binding_memo_hits": 3}
 
@@ -317,11 +320,12 @@ def test_save_load_round_trips_the_replies(tmp_path, rotowire):
 def test_a_bound_plan_cache_file_from_an_earlier_release_runs_warm(
         request, dataset):
     # The fixture holds both workloads' entries, saved cold by an engine
-    # that reused replies through prompt/read method pairs on the roles
-    # and sent every table and operator card in each mapping prompt.
-    # Its plans and discovery replies still serve; each mapping reply
-    # answered a prompt that has since been scoped to the step, so it is
-    # asked again once, rebound, and served from then on.
+    # that reused replies through prompt/read method pairs on the roles,
+    # sent every table and operator card in each mapping prompt, and
+    # digested each prompt from its rendered text.  Its plans still
+    # serve; every reply was stored under a digest of the rendered text
+    # (and without section digests), so discovery and each mapping step
+    # are asked again once, rebound, and served from then on.
     lake = request.getfixturevalue(dataset)
     queries = list(workload(dataset))
     want = [Session(lake).query(query).describe() for query in queries]
@@ -330,16 +334,16 @@ def test_a_bound_plan_cache_file_from_an_earlier_release_runs_warm(
                  plan_cache=PlanCache.load(BOUND_FIXTURE)) as session:
         first = [session.query(query) for query in queries]
         steps = [len(result.trace.logical_plan) for result in first]
-        assert brain.calls == sum(steps)
+        assert brain.calls == sum(steps) + len(queries)
         assert [result.describe() for result in first] == want
         for result, plan_steps in zip(first, steps):
             assert result.telemetry.plan_cache_hit
             assert memo_counters(result) == {
-                "binding_memo_hits": 1,
-                "binding_memo_misses_digest_changed": plan_steps}
+                "binding_memo_misses_digest_changed": plan_steps + 1,
+                "binding_memo_section_changed_unknown": plan_steps + 1}
 
         second = [session.query(query) for query in queries]
-    assert brain.calls == sum(steps)
+    assert brain.calls == sum(steps) + len(queries)
     assert [result.describe() for result in second] == want
     for result, plan_steps in zip(second, steps):
         assert memo_counters(result) == {"binding_memo_hits": 1 + plan_steps}
@@ -413,7 +417,7 @@ class OpaqueMapper:
         self.calls += 1
         messages = build_mapping_prompt(tables, cards, step, hints,
                                         observations,
-                                        error_feedback=error_feedback)
+                                        error_feedback=error_feedback).messages
         response = self.model.complete(messages)
         transcript.record(f"mapping:{step.index}", messages, response)
         return parse_mapping_response(response)
@@ -491,47 +495,57 @@ class NumberingModel:
         return f"reply {self.calls}"
 
 
-PROMPT = [system("You map steps."), human("Step 1: count the rows.")]
+def prompt(role: str, step: str) -> Prompt:
+    return Prompt([Section.of("role", role)], [Section.of("step", step)])
+
+
+PROMPT = prompt("You map steps.", "Step 1: count the rows.")
 
 
 def test_prompt_digest_covers_roles_contents_and_order():
-    same = [system("You map steps."), human("Step 1: count the rows.")]
-    assert prompt_digest(same) == prompt_digest(PROMPT)
-    for other in ([human("You map steps."), human("Step 1: count the rows.")],
-                  [system("You map steps."), human("Step 1: count rows.")],
-                  list(reversed(PROMPT)),
-                  [system("You map steps.Step 1: count the rows.")]):
-        assert prompt_digest(other) != prompt_digest(PROMPT)
+    same = prompt("You map steps.", "Step 1: count the rows.")
+    assert same.digest == PROMPT.digest
+    for other in (Prompt([], [Section.of("role", "You map steps."),
+                              Section.of("step", "Step 1: count the rows.")]),
+                  prompt("You map steps.", "Step 1: count rows."),
+                  prompt("Step 1: count the rows.", "You map steps."),
+                  Prompt([Section.of(
+                      "role", "You map steps.Step 1: count the rows.")], [])):
+        assert other.digest != PROMPT.digest
     assert BoundReply is InterfaceBoundReply
 
 
 def test_ask_reuses_a_bound_reply_iff_the_digests_are_equal():
     model = NumberingModel()
-    bound = BoundReply(prompt_digest(PROMPT), "stored")
+    bound = BoundReply(PROMPT.digest, "stored", PROMPT.section_digests())
     transcript = Transcript(bound={"mapping:1": bound})
     assert transcript.ask(model, "mapping:1", PROMPT) == "stored"
     assert model.calls == 0 and transcript.replies["mapping:1"] is bound
-    changed = [*PROMPT, human("Observation: 3 rows.")]
+    changed = Prompt(PROMPT.system, [
+        *PROMPT.human, Section.of("observations", "Observation: 3 rows.")])
     assert transcript.ask(model, "mapping:1", changed) == "reply 1"
-    assert transcript.outcomes == ["hit", "digest_changed"]
+    # The miss names the first section the bound reply did not see.
+    assert transcript.outcomes == ["hit", "digest_changed:observations"]
     assert transcript.replies["mapping:1"] == \
-        BoundReply(prompt_digest(changed), "reply 1")
+        BoundReply(changed.digest, "reply 1")
+    assert transcript.replies["mapping:1"].sections == \
+        changed.section_digests()
 
 
 def test_ask_names_an_absent_reply_and_keeps_the_fresh_one():
     model = NumberingModel()
     transcript = Transcript(
-        bound={"discovery": BoundReply(prompt_digest(PROMPT), "stored")})
+        bound={"discovery": BoundReply(PROMPT.digest, "stored")})
     assert transcript.ask(model, "mapping:1", PROMPT) == "reply 1"
     assert transcript.outcomes == ["absent"]
     assert transcript.replies == \
-        {"mapping:1": BoundReply(prompt_digest(PROMPT), "reply 1")}
+        {"mapping:1": BoundReply(PROMPT.digest, "reply 1")}
 
 
 def test_a_retry_is_asked_named_and_never_kept():
     model = NumberingModel()
     transcript = Transcript(
-        bound={"mapping:1": BoundReply(prompt_digest(PROMPT), "stored")})
+        bound={"mapping:1": BoundReply(PROMPT.digest, "stored")})
     assert transcript.ask(model, "mapping:1", PROMPT) == "stored"
     # Even with a matching digest, a retry goes to the model ...
     assert transcript.ask(model, "mapping:1", PROMPT, retry=True) == \
@@ -543,17 +557,19 @@ def test_a_retry_is_asked_named_and_never_kept():
 
 def test_entries_list_only_prompts_actually_sent():
     model = NumberingModel()
-    changed = [system("You map steps."), human("Step 2: plot it.")]
+    changed = prompt("You map steps.", "Step 2: plot it.")
     transcript = Transcript(
-        bound={"mapping:1": BoundReply(prompt_digest(PROMPT), "stored"),
-               "mapping:2": BoundReply(prompt_digest(PROMPT), "stored")})
+        bound={"mapping:1": BoundReply(PROMPT.digest, "stored",
+                                       PROMPT.section_digests()),
+               "mapping:2": BoundReply(PROMPT.digest, "stored",
+                                       PROMPT.section_digests())})
     transcript.ask(model, "mapping:1", PROMPT)
     transcript.ask(model, "mapping:2", changed)
     transcript.ask(model, "mapping:3", PROMPT, retry=True)
-    assert transcript.outcomes == ["hit", "digest_changed", "retry"]
+    assert transcript.outcomes == ["hit", "digest_changed:step", "retry"]
     assert len(transcript) == model.calls == 2
     assert transcript.labels() == ["mapping:2", "mapping:3"]
     assert [entry.messages for entry in transcript.entries] == \
-        [changed, PROMPT]
+        [changed.messages, PROMPT.messages]
     assert [entry.response for entry in transcript.entries] == \
         ["reply 1", "reply 2"]

@@ -72,7 +72,8 @@ def test_map_step_unknown_description_raises():
 def test_brain_planning_response_parses(artwork_lake):
     brain = SimulatedBrain()
     messages = build_planning_prompt(
-        artwork_lake, "For each movement, how many paintings are there?", [])
+        artwork_lake, "For each movement, how many paintings are there?",
+        []).messages
     plan = parse_logical_plan(brain.complete(messages))
     assert len(plan) >= 1
     assert plan.thought
@@ -84,7 +85,8 @@ def test_brain_mapping_response_parses(rotowire_lake):
                           "into the 'count' column.", ["teams"],
                        "result_table", ["count"])
     messages = build_mapping_prompt(
-        {"teams": rotowire_lake.table("teams")}, all_cards(), step, [], [])
+        {"teams": rotowire_lake.table("teams")}, all_cards(), step, [],
+        []).messages
     decision = parse_mapping_response(brain.complete(messages))
     assert decision.operator == "SQL"
     assert "COUNT(*)" in decision.arguments[0]
@@ -93,6 +95,6 @@ def test_brain_mapping_response_parses(rotowire_lake):
 def test_brain_discovery_names_real_columns(rotowire_lake):
     brain = SimulatedBrain()
     messages = build_discovery_prompt(
-        rotowire_lake, "How many players are taller than 200?")
+        rotowire_lake, "How many players are taller than 200?").messages
     pairs = parse_relevant_columns(brain.complete(messages))
     assert ("players", "height_cm") in pairs

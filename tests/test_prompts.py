@@ -55,7 +55,8 @@ def listed_operators(messages) -> list[str]:
 
 def test_only_the_input_tables_are_shown_with_earlier_columns(context):
     messages = build_mapping_prompt(context, all_cards(),
-                                    step("tall_players", "teams"), [], [])
+                                    step("tall_players", "teams"), [],
+                                    []).messages
     tables = shown_tables(messages)
     assert list(tables) == ["tall_players", "teams"]
     assert ("is_tall", "bool") in tables["tall_players"].columns
@@ -68,7 +69,7 @@ def test_only_the_input_tables_are_shown_with_earlier_columns(context):
                          ids=["empty", "unknown"])
 def test_empty_or_unknown_inputs_show_the_full_context(context, inputs):
     messages = build_mapping_prompt(context, all_cards(), step(*inputs),
-                                    [], [])
+                                    [], []).messages
     assert list(shown_tables(messages)) == list(context)
     assert shown_cards(messages) == {card.name for card in all_cards()}
 
@@ -82,7 +83,7 @@ def test_empty_or_unknown_inputs_show_the_full_context(context, inputs):
 def test_modality_cards_follow_the_input_dtypes(context, inputs, kept,
                                                 dropped):
     messages = build_mapping_prompt(context, all_cards(), step(*inputs),
-                                    [], [])
+                                    [], []).messages
     cards = shown_cards(messages)
     assert kept <= cards
     assert not dropped & cards
@@ -94,7 +95,8 @@ def test_a_card_that_reads_nothing_is_always_shown(context):
     custom = OperatorCard("Date Range", "Keep rows inside a date range.",
                           "(table; column; start; end)")
     assert custom.reads is None
-    messages = build_mapping_prompt(context, [custom], step("teams"), [], [])
+    messages = build_mapping_prompt(context, [custom], step("teams"), [],
+                                    []).messages
     assert shown_cards(messages) == set()
     assert custom.prompt_repr() in messages[0].content
     assert listed_operators(messages) == ["Date Range"]
@@ -104,7 +106,7 @@ def test_a_card_that_reads_nothing_is_always_shown(context):
                                     ("game_reports",), ()])
 def test_the_format_lists_exactly_the_cards_shown(context, inputs):
     messages = build_mapping_prompt(context, all_cards(), step(*inputs),
-                                    [], [])
+                                    [], []).messages
     listed = listed_operators(messages)
     assert set(listed) == shown_cards(messages)
     assert listed == [card.name for card in all_cards()
@@ -117,7 +119,8 @@ def test_hints_observations_and_step_text_are_not_scoped(context):
     observations = ["Step 1 produced a table with 240 rows."]
     logical = step("teams")
     scoped = build_mapping_prompt(context, all_cards(), logical, hints,
-                                  observations, error_feedback="boom")
+                                  observations,
+                                  error_feedback="boom").messages
     assert scoped[1].content == "\n\n".join([
         "Map the steps one by one.",
         render_hints(hints),
@@ -129,7 +132,7 @@ def test_hints_observations_and_step_text_are_not_scoped(context):
     # prompt is the same however much else the context holds.
     alone = build_mapping_prompt({"teams": context["teams"]}, all_cards(),
                                  logical, hints, observations,
-                                 error_feedback="boom")
+                                 error_feedback="boom").messages
     assert [m.content for m in alone] == [m.content for m in scoped]
 
 

@@ -212,3 +212,12 @@ def test_date_column_boundaries_survive_take_and_concat():
     assert merged.column("d") == [date.min, None, date.max, date.max,
                                   date.min]
     assert Table.from_dict(merged.to_dict()) == merged
+
+
+def test_sample_values_skip_nan_as_they_skip_null():
+    # sqlite binds NaN as NULL, and NaN != NaN would defeat the dedup:
+    # three NaNs used to be the column's three "examples".
+    nan = float("nan")
+    table = Table.infer({"x": [nan, None, nan, nan, 1.0, 2.0, 1.0]})
+    assert table.sample_values("x") == [1.0, 2.0]
+    assert Table.infer({"x": [nan, nan]}).sample_values("x") == []
