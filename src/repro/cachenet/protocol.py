@@ -35,12 +35,10 @@ carry ``server_ms``, the server-side handling time of that request,
 which clients fold into their ``cachenet:<op>`` spans.
 
 Spaces mirror the two process-local caches: ``plan`` entries are
-namespaced by the lake fingerprint (the same fingerprint
-:class:`~repro.core.batch.PlanCache` keys on, so a changed lake reads
-its own namespace), while ``answer`` keys are per-object content
-fingerprints.  Both are therefore self-invalidating — a changed lake or
-object produces a different key, so stale entries can never hit, and the
-LRU evicts them.
+namespaced by the lake name, while ``answer`` keys are per-object
+content fingerprints.  Neither serves a stale value: a plan entry's
+replies are reused only for digest-identical prompts, and a changed
+object has another answer key.
 """
 
 from __future__ import annotations

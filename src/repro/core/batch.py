@@ -7,12 +7,11 @@ aggregate statistics.  This module provides all three:
 
 - :class:`PlanCache` — a thread-safe LRU cache of bound plans
   (:class:`~repro.core.plan.BoundPlan`: the logical plan plus the model's
-  discovery and mapping replies from its last clean run) keyed on
-  ``(query, lake fingerprint)``.  The fingerprint
-  (:meth:`~repro.data.catalog.DataLake.fingerprint`) guarantees a cached
-  plan is only reused against a structurally identical lake.  Because the
-  plan IR is serializable, a cache can be persisted with :meth:`PlanCache.
-  save` and rehydrated with :meth:`PlanCache.load`, so warm plans survive
+  planning, discovery and mapping replies from its last clean run) keyed
+  on ``(query, lake name)``; each reply in an entry is reused only for a
+  digest-identical prompt.  Because the plan IR
+  is serializable, a cache can be persisted with :meth:`PlanCache.save`
+  and rehydrated with :meth:`PlanCache.load`, so warm plans survive
   across runs (``--plan-cache-file`` in the CLI).
 - :func:`timed_batch` — times one run of a workload and wraps its results
   in a report.  Where the queries run is
@@ -57,16 +56,17 @@ DEFAULT_ANSWER_CACHE_SIZE = AnswerCache.space.capacity
 PLAN_CACHE_FORMAT = "repro-plan-cache/v1"
 
 
-#: The plan space: ``(query, lake fingerprint)`` → :class:`BoundPlan`.
-#: On the tier the fingerprint is the namespace (``ns``), so a changed
-#: lake never reads another lake's plans; values travel as
+#: The plan space: ``(query, lake name)`` → :class:`BoundPlan`.  On the
+#: tier the lake name is the namespace (``ns``); values travel as
 #: ``BoundPlan.to_dict()`` and re-enter through ``BoundPlan.from_dict``.
+#: The file field keeps its name, ``lake_fingerprint``, from when plans
+#: were keyed by the lake's shape; a ``Session`` re-keys such entries.
 PLAN_SPACE = Space(
     name="plan", file_format=PLAN_CACHE_FORMAT, capacity=128,
     key_fields=("query", "lake_fingerprint"), value_field="plan", miss=None,
     encode=BoundPlan.to_dict, decode=BoundPlan.from_dict,
     wire_item=lambda key: {"key": key[0], "ns": key[1]},
-    wire_key=lambda item: (item["key"], item["ns"]), admit=BoundPlan.of)
+    wire_key=lambda item: (item["key"], item["ns"]))
 
 
 class PlanCache(Cache):
@@ -74,12 +74,11 @@ class PlanCache(Cache):
     Cache` over :data:`PLAN_SPACE`).
 
     ``get`` returns the :class:`~repro.core.plan.BoundPlan` or ``None``;
-    ``put`` also takes a bare ``LogicalPlan`` (stored as an entry without
-    bound replies).  A plan's bound replies are evicted, dropped and
-    persisted with it: in the file they ride inside its ``"plan"`` dict
-    under the additive ``"bindings"`` key, emitted only when present, so
-    files written before bindings existed load unchanged and re-save
-    byte-identically.
+    ``put`` takes a ``BoundPlan``.  A plan's bound replies are evicted,
+    dropped and persisted with it: in the file they ride inside its
+    ``"plan"`` dict under the additive ``"bindings"`` key, emitted only
+    when present, so files written before bindings existed load
+    unchanged and re-save byte-identically.
     """
 
     space = PLAN_SPACE

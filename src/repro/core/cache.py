@@ -60,8 +60,6 @@ class Space:
     #: key -> the tier's ``{"key": ..., "ns": ...}`` request item and back
     wire_item: Callable[[tuple], dict]
     wire_key: Callable[[dict], tuple]
-    #: a value as :meth:`Cache.put` stores it
-    admit: Callable[[Any], Any] = lambda value: value
 
     def entry(self, key: tuple, value: object) -> dict:
         """The cache-file entry of one cached pair."""
@@ -171,8 +169,7 @@ class Cache:
     def put_many(self, entries: Iterable[tuple[tuple, object]]) -> None:
         """Store every ``(key, value)`` pair under one lock acquisition;
         with a tier, then forward them in one best-effort ``mput``."""
-        admit = self.space.admit
-        entries = [(key, admit(value)) for key, value in entries]
+        entries = list(entries)
         self.install(entries)
         if self.tier is not None and entries:
             self._ask_tier(self.tier.mput,
@@ -190,6 +187,13 @@ class Cache:
                 if len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
                     self._evictions += 1
+
+    def rewrite(self, change: Callable[[tuple, Any], tuple]) -> None:
+        """Replace each local ``(key, value)`` with ``change(key, value)``,
+        in LRU order; nothing is forwarded and no lookup is counted."""
+        with self._lock:
+            self._entries = OrderedDict(
+                change(key, value) for key, value in self._entries.items())
 
     def _ask_tier(self, rpc: Callable[[str, list], object],
                   payload: list) -> object:

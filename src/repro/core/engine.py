@@ -16,10 +16,10 @@ three pluggable parts (:mod:`repro.core.interfaces`):
 Flow per query:
 
 0. *Lookup*: fetch the plan cache's :class:`~repro.core.plan.BoundPlan`
-   for ``(query, lake fingerprint)`` — the logical plan plus the model's
-   discovery and mapping replies from the plan's last clean run.
+   for ``(query, lake name)`` — the logical plan plus the model's
+   replies from the plan's last clean run.
 1. *Discovery*: ask the planner which columns are relevant.
-2. *Planning*: ask for a logical plan (or reuse the cached one).
+2. *Planning*: ask for a logical plan.
 3. For each logical step, interleaved: *Mapping* (bind the step to a
    physical operator + arguments) then *Execution* (run the operator over
    the shared :class:`~repro.operators.base.ExecutionContext`).  Each
@@ -29,19 +29,19 @@ Flow per query:
    :data:`MAX_REPLANS`).
 
 The engine seeds the query's :class:`~repro.llm.interface.Transcript`
-with the entry's replies, and discovery and mapping ask the model through
-:meth:`~repro.llm.interface.Transcript.ask`: a bound reply is reused
-when — and only when — it answered a prompt with the same digest
-(:attr:`~repro.llm.interface.Prompt.digest`); otherwise the model is
-asked as before, and the miss names the first prompt section that
-changed.  A prompt is a set of named sections whose digests are memoised
-on what they show (:mod:`repro.core.prompts`), so a warm query digests
-its prompts without rendering any text.  Each span reads the outcome of
-the asks it covers, and after a clean run the replies the transcript
-kept become the refreshed ``BoundPlan``.  A fully warm query therefore
+with the entry's replies, and discovery, planning and mapping ask the
+model through :meth:`~repro.llm.interface.Transcript.ask`: a bound reply
+is reused when — and only when — it answered a prompt with the same
+digest (:attr:`~repro.llm.interface.Prompt.digest`); otherwise the model
+is asked, and the miss names the first prompt section that changed.  A
+prompt is a set of named sections whose digests are memoised on what
+they show (:mod:`repro.core.prompts`), so a warm query digests its
+prompts without rendering any text.  Each span reads the outcome of the
+asks it covers, and after a run the replies the transcript kept
+become the refreshed ``BoundPlan``.  A fully warm query therefore
 makes no model call, yet the observation-fed interleaving stays exact: a
 step whose observations differ has a different prompt and goes back to
-the model.
+the model, and a lake change re-asks only the prompts that show it.
 
 Every prompt/response pair actually sent is recorded in
 ``last_transcript`` (a reused reply sends nothing); everything that
@@ -108,13 +108,11 @@ class EngineConfig:
                 f"{', '.join(RELATIONAL_ENGINES)}")
 
 
-def _bound_replies(entry: BoundPlan) -> dict[str, BoundReply]:
-    """*entry*'s replies under the transcript labels that ask for them."""
-    replies = {f"mapping:{step.index}": reply
-               for step, reply in zip(entry.plan, entry.mappings)}
-    if entry.discovery is not None:
-        replies["discovery"] = entry.discovery
-    return replies
+def _bound_replies(entry: BoundPlan) -> dict[str, BoundReply | None]:
+    """*entry*'s replies (``None``: absent) by the label that asks."""
+    return {"planning": entry.planning, "discovery": entry.discovery,
+            **{f"mapping:{step.index}": reply
+               for step, reply in zip(entry.plan, entry.mappings)}}
 
 
 @dataclass
@@ -217,27 +215,14 @@ class Engine:
         self._record_metrics(trace, result.ok)
         return result
 
-    @property
-    def fingerprint(self) -> str:
-        """Fingerprint of the lake, used as part of the plan-cache key.
-
-        Read once per query.  The lake memoises it per
-        :attr:`~repro.data.catalog.DataLake.version`, so a lake changed
-        through ``DataLake.add`` after engine construction never reuses
-        stale cache keys, and an unchanged lake is not rehashed.
-        """
-        return self.lake.fingerprint()
-
     # ------------------------------------------------------------------
     # Phases
     # ------------------------------------------------------------------
 
     def _answer(self, query: str, trace: PlanTrace,
                 transcript: Transcript) -> QueryResult:
-        # One lookup per query, before discovery: the entry carries the
-        # discovery reply too.  The key is computed once and reused by
-        # the put in _remember.
-        key = (query, self.fingerprint)
+        # One lookup per query, before discovery; _remember reuses the key.
+        key = (query, self.lake.name)
         cached = (self.plan_cache.get(key)
                   if self.plan_cache is not None else None)
         if cached is not None:
@@ -250,24 +235,18 @@ class Engine:
         planning_feedback = ""
         while True:
             try:
-                plan, from_cache = self._plan(query, hints, cached, trace,
-                                              transcript,
-                                              error_feedback=planning_feedback)
+                plan = self._plan(query, hints, trace, transcript,
+                                  error_feedback=planning_feedback)
             except ReproError as exc:
                 trace.errors.append(ErrorEvent("planning", None, str(exc)))
                 return QueryResult(kind="error", error=str(exc), trace=trace)
             trace.logical_plan = plan
-            trace.telemetry.mark_plan_cache(from_cache)
             trace.physical_steps = []
             trace.observations = []
-            if not from_cache:
-                # The cached mapping replies answered the cached plan.
-                transcript.bound = {}
             outcome = self._run_plan(query, plan, hints, trace, transcript)
             if isinstance(outcome, QueryResult):
                 if outcome.ok and self.plan_cache is not None:
-                    self._remember(key, plan, cached if from_cache else None,
-                                   trace, transcript)
+                    self._remember(key, plan, cached, transcript)
                 return outcome
             # _StepFailure
             if outcome.should_replan and replans < MAX_REPLANS:
@@ -280,28 +259,20 @@ class Engine:
                                trace=trace)
 
     def _remember(self, key: tuple[str, str], plan: LogicalPlan,
-                  cached: BoundPlan | None, trace: PlanTrace,
-                  transcript: Transcript) -> None:
-        """Write this run's plan (and replies) back to the plan cache.
-
-        Replies are bound only after a clean run — no failed discovery,
-        no retried step, no replan (each leaves an error event) — in
-        which every prompt was asked through the transcript.  A fresh
-        plan (*cached* is ``None``) is always stored; a cached one is
-        re-stored only when some reply changed.
-        """
+                  cached: BoundPlan | None, transcript: Transcript) -> None:
+        """Store this run's plan, with the reply behind each label's
+        latest ask, unless it equals *cached*.  A reply that led to an
+        error is not among them: a retry or replan asks with error
+        feedback, which keeps no reply, and :meth:`_discover` drops a
+        failed one.  Mapping replies are bound only as a full set."""
         replies = transcript.replies
-        discovery = replies.get("discovery")
         mappings = tuple(replies.get(f"mapping:{step.index}")
                          for step in plan)
-        complete = (not trace.errors and None not in mappings
-                    and (discovery is not None
-                         or not self.config.use_discovery))
-        bound = (BoundPlan(plan, discovery, mappings) if complete
-                 else BoundPlan(plan))
-        if cached is not None and (not complete or bound == cached):
-            return
-        self.plan_cache.put(key, bound)
+        bound = BoundPlan(plan, replies.get("discovery"),
+                          () if None in mappings else mappings,
+                          replies.get("planning"))
+        if bound != cached:
+            self.plan_cache.put(key, bound)
 
     def _discover(self, query: str, trace: PlanTrace,
                   transcript: Transcript) -> list[ColumnHint]:
@@ -310,6 +281,7 @@ class Engine:
         try:
             return self.planner.discover(self.lake, query, transcript)
         except ReproError as exc:
+            transcript.replies["discovery"] = None  # never bind it
             trace.errors.append(ErrorEvent(
                 "planning", None, f"discovery failed: {exc}", recovered=True))
             return []
@@ -317,23 +289,20 @@ class Engine:
             self._tick(trace, "discovery", started)
             self._span(trace, transcript, "discovery", started, mark)
 
-    def _plan(self, query: str, hints: list[ColumnHint],
-              cached: BoundPlan | None, trace: PlanTrace,
+    def _plan(self, query: str, hints: list[ColumnHint], trace: PlanTrace,
               transcript: Transcript,
-              error_feedback: str = "") -> tuple[LogicalPlan, bool]:
+              error_feedback: str = "") -> LogicalPlan:
         started = time.perf_counter()
         mark = len(transcript.entries)
         try:
-            # A replan must not reuse the plan that just failed: bypass the
-            # cache whenever error feedback is present.
-            if cached is not None and not error_feedback:
-                return cached.plan, True
             plan = self.planner.plan(self.lake, query, hints, transcript,
                                      error_feedback=error_feedback)
-            return plan, False
         finally:
             self._tick(trace, "planning", started)
-            self._span(trace, transcript, "planning", started, mark)
+            memo = self._span(trace, transcript, "planning", started, mark)
+        # A plan-cache hit: a bound planning reply served the plan.
+        trace.telemetry.mark_plan_cache(memo == "hit")
+        return plan
 
     def _run_plan(self, query: str, plan: LogicalPlan,
                   hints: list[ColumnHint], trace: PlanTrace,
@@ -441,23 +410,24 @@ class Engine:
 
     def _span(self, trace: PlanTrace, transcript: Transcript, stage: str,
               started: float, mark: int, step_index: int | None = None,
-              notes: dict | None = None) -> None:
+              notes: dict | None = None) -> str | None:
         """Emit one :class:`~repro.obs.StageTrace` onto the query telemetry.
 
         Token traffic is attributed by transcript window: *mark* is the
         transcript length when the stage began, so every prompt/response
         recorded since then belongs to this span.  The outcome of each
         reply-reuse ask since the last span is counted, and the latest
-        becomes the span's ``memo`` note.
+        becomes the span's ``memo`` note and the return value.
         """
         outcomes = transcript.outcomes
+        memo = outcomes[-1] if outcomes else None
         if outcomes:
             for outcome in outcomes:
                 trace.telemetry.mark_memo(outcome)
-            notes = {MEMO_NOTE: outcomes[-1], **(notes or {})}
+            notes = {MEMO_NOTE: memo, **(notes or {})}
             outcomes.clear()
         if not self.telemetry_config.enabled:
-            return
+            return memo
         token_in = token_out = 0
         for entry in transcript.entries[mark:]:
             t_in, t_out = self.cost_model.usage(entry.messages,
@@ -477,6 +447,7 @@ class Engine:
                 listener(span)
             except Exception:  # noqa: BLE001 - listeners must never fail a query
                 pass
+        return memo
 
     def _record_metrics(self, trace: PlanTrace, ok: bool) -> None:
         """Fold one finished query into the session metrics registry."""

@@ -23,15 +23,14 @@ Every method takes the per-query :class:`~repro.llm.interface.Transcript`
 explicitly, so implementations stay stateless and thread-safe — the batch
 layer shares one planner/mapper/executor triple across worker engines.
 
-**Reusable replies.**  :meth:`PromptPlanner.discover` and
-:meth:`PromptMapper.map_step` reach the model through
+**Reusable replies.**  The three prompt roles reach the model through
 :meth:`Transcript.ask <repro.llm.interface.Transcript.ask>` under the
-labels ``"discovery"`` and ``"mapping:<step index>"``, which returns the
-reply a plan-cache entry (:class:`~repro.core.plan.BoundPlan`) bound to
-the identical prompt instead of asking again.  A custom role takes part
-in reply reuse the same way — by asking through the transcript, so its
-answer is a function of the prompt it sends; a role that calls the model
-itself is asked every time, and its plan is cached without replies.
+labels ``"discovery"``, ``"planning"`` and ``"mapping:<step index>"``,
+which returns the reply a plan-cache entry (:class:`~repro.core.plan.
+BoundPlan`) bound to the identical prompt instead of asking again.  A
+custom role takes part the same way — by asking through the transcript,
+so its answer is a function of the prompt it sends; a role that calls
+the model itself is asked every time, its replies absent from the entry.
 """
 
 from __future__ import annotations
@@ -135,8 +134,9 @@ class PromptPlanner:
              error_feedback: str = "") -> LogicalPlan:
         prompt = build_planning_prompt(lake, query, hints,
                                        error_feedback=error_feedback)
-        response = self.model.complete(prompt.messages)
-        transcript.record("planning", prompt.messages, response)
+        # A replan carries error feedback: never served from the cache.
+        response = transcript.ask(self.model, "planning", prompt,
+                                  retry=bool(error_feedback))
         return parse_logical_plan(response)
 
     def analyze_error(self, query: str, plan: LogicalPlan,

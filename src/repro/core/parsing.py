@@ -39,6 +39,10 @@ _THOUGHT_RE = re.compile(r"Thought:\s*(.*?)(?=\nStep\s+\d+:|\Z)", re.DOTALL)
 
 _COMPLETED_RE = re.compile(r"plan completed", re.IGNORECASE)
 
+#: Distinct replies whose parse is kept (and shared: no caller changes a
+#: plan); a reply bound to a plan-cache entry is read by every warm query.
+PARSED_REPLIES = 1024
+
 
 def _literal_list(text: str | None, what: str) -> list[str]:
     if text is None:
@@ -66,6 +70,7 @@ def _parse_params(text: str | None) -> dict:
     return decode_params(value)
 
 
+@functools.lru_cache(maxsize=PARSED_REPLIES)
 def parse_logical_plan(text: str) -> LogicalPlan:
     """Parse a Planning Phase response into a :class:`LogicalPlan`."""
     if not text or not text.strip():
@@ -111,11 +116,6 @@ _ARGUMENTS_RE = re.compile(r"Arguments:\s*\((?P<args>.*)\)\s*$",
                            re.DOTALL)
 _REASONING_RE = re.compile(r"Reasoning:\s*(?P<text>.*?)(?=\nOperator:)",
                            re.DOTALL)
-
-
-#: Distinct replies whose parse is kept: a reply bound to a plan-cache
-#: entry is read again by every warm query that reuses it.
-PARSED_REPLIES = 1024
 
 
 def parse_mapping_response(text: str) -> MappingDecision:

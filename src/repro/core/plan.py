@@ -150,15 +150,15 @@ class LogicalPlan:
 
 @dataclass(frozen=True)
 class BoundPlan:
-    """What the plan cache stores under ``(query, lake fingerprint)``: a
-    logical plan plus what the model answered while that plan last ran.
+    """What the plan cache stores under ``(query, lake name)``: a logical
+    plan plus what the model answered while that plan last ran cleanly.
 
-    *discovery* is the discovery reply and *mappings* holds one mapping
-    reply per logical step, in plan order; both are empty for a plan that
-    has not (yet) run cleanly end to end.  The engine reuses a reply only
-    when the prompt it is about to send digests to the stored value —
-    the cache key alone is not enough, because the lake fingerprint is
-    shape-only while mapping prompts carry observations (content).
+    *planning* is the reply the plan was parsed from, *discovery* the
+    discovery reply, and *mappings* one mapping reply per logical step,
+    in plan order; a reply that was not asked through the transcript, or
+    led to an error, is absent (``None`` / empty).  The engine reuses
+    each reply only when the prompt it is about to send digests to the
+    stored value.
 
     Instances are immutable: a refreshed binding is a new ``BoundPlan``
     that replaces the old one through ``PlanCache.put``, so concurrent
@@ -172,30 +172,29 @@ class BoundPlan:
     plan: LogicalPlan
     discovery: BoundReply | None = None
     mappings: tuple[BoundReply, ...] = ()
-
-    @classmethod
-    def of(cls, plan: "LogicalPlan | BoundPlan") -> "BoundPlan":
-        """*plan* itself when already bound, else a binding-less entry."""
-        return plan if isinstance(plan, cls) else cls(plan)
+    planning: BoundReply | None = None
 
     def to_dict(self) -> dict:
         data = self.plan.to_dict()
-        if self.discovery is not None or self.mappings:
+        if self.planning or self.discovery or self.mappings:
             data["bindings"] = {
-                "discovery": (self.discovery.to_dict()
-                              if self.discovery is not None else None),
+                "planning": self.planning and self.planning.to_dict(),
+                "discovery": self.discovery and self.discovery.to_dict(),
                 "mappings": [reply.to_dict() for reply in self.mappings]}
         return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "BoundPlan":
         bindings = data.get("bindings") or {}
-        discovery = bindings.get("discovery")
         return cls(plan=LogicalPlan.from_dict(data),
-                   discovery=(BoundReply.from_dict(discovery)
-                              if discovery is not None else None),
+                   discovery=_reply(bindings.get("discovery")),
                    mappings=tuple(BoundReply.from_dict(reply)
-                                  for reply in bindings.get("mappings", [])))
+                                  for reply in bindings.get("mappings", [])),
+                   planning=_reply(bindings.get("planning")))
+
+
+def _reply(data: dict | None) -> BoundReply | None:
+    return BoundReply.from_dict(data) if data is not None else None
 
 
 @dataclass

@@ -127,9 +127,9 @@ class DataLake:
         """Stable digest of the lake's shape (names, schemas, row counts).
 
         Two lakes with the same sources, schemas, and cardinalities share a
-        fingerprint; plan caches key on ``(query, fingerprint)`` so cached
-        plans never leak across structurally different lakes.  Hashes
-        the memoised schema lines, once per :attr:`version`.
+        fingerprint; plans stored under it (before plans were keyed by
+        lake name) are re-keyed by :class:`~repro.session.Session`.
+        Hashes the memoised schema lines, once per :attr:`version`.
         """
         return self.derived(("fingerprint",), self._shape_digest)
 

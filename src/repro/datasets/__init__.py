@@ -23,7 +23,8 @@ def load_lake(name: str, seed: int | None = None,
     harness; *seed* of ``None`` means the dataset's default seed, *scale*
     multiplies the dataset's base cardinality (10k+ paintings / 1k+ games
     are a ``--scale`` flag away).  Generation is deterministic in
-    ``(name, seed, scale)``.
+    ``(name, seed, scale)``.  A lake at another scale is named
+    ``<name>@<scale>``, so it keeps its own plan-cache entries.
     """
     if name not in _GENERATORS:
         raise KeyError(f"unknown dataset {name!r}; available: "
@@ -32,7 +33,10 @@ def load_lake(name: str, seed: int | None = None,
     kwargs: dict[str, object] = {"scale": scale}
     if seed is not None:
         kwargs["seed"] = seed
-    return generator(**kwargs).as_lake()
+    lake = generator(**kwargs).as_lake()
+    if scale != 1.0:
+        lake.name = f"{name}@{scale:g}"
+    return lake
 
 
 __all__ = [

@@ -314,10 +314,9 @@ class ProcessLane(Lane):
     def _init_payload(self) -> dict:
         """What a fresh worker needs: lake, brain / roles, warm caches.
 
-        The caches ship as ``(key, value)`` pairs: the plans keyed on
-        the lake's fingerprint, and the whole answer cache (its keys are
-        content fingerprints, so every answer is safe to take — e.g. one
-        rehydrated from ``--answer-cache-file``).  With a session
+        The caches ship whole as ``(key, value)`` pairs: a bound reply
+        serves only a digest-identical prompt and answer keys are content
+        fingerprints, so every entry is safe to take.  With a session
         *cache_url* they ship **empty** and the worker consults the
         shared tier lazily instead, so the payload does not scale with
         cache size.
@@ -326,9 +325,7 @@ class ProcessLane(Lane):
         plans: list = []
         answers: list = []
         if session.cache_url is None:
-            fingerprint = session.lake.fingerprint()
-            plans = [(key, plan) for key, plan in session.plan_cache.items()
-                     if key[1] == fingerprint]
+            plans = session.plan_cache.items()
             answers = session.answer_cache.items()
         return {
             "cache_url": session.cache_url,

@@ -15,8 +15,8 @@ import enum
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import (Callable, Iterable, Mapping, Protocol, Sequence,
-                    runtime_checkable)
+from typing import (Callable, ClassVar, Iterable, Mapping, Protocol,
+                    Sequence, runtime_checkable)
 
 
 class Role(enum.Enum):
@@ -199,6 +199,11 @@ class BoundReply:
     section changed; a reply stored before sections existed has none.
     """
 
+    #: the *digest* of a plan stored when plans were keyed by the lake's
+    #: shape: it serves the first prompt asked under its label, and is
+    #: bound to that prompt from then on
+    UNBOUND: ClassVar[str] = ""
+
     digest: str
     response: str
     sections: Mapping[str, str] = field(default_factory=dict,
@@ -237,7 +242,7 @@ class Transcript:
     """
 
     entries: list[TranscriptEntry] = field(default_factory=list)
-    bound: dict[str, BoundReply] = field(default_factory=dict)
+    bound: dict[str, BoundReply | None] = field(default_factory=dict)
     replies: dict[str, BoundReply | None] = field(default_factory=dict)
     outcomes: list[str] = field(default_factory=list)
 
@@ -250,18 +255,21 @@ class Transcript:
         """The reply to *prompt*, reused or fresh from *model*.
 
         The reply bound under *label* is reused only when it answered a
-        prompt with the same :attr:`~Prompt.digest`; otherwise *model* is
-        sent the rendered messages and the exchange recorded.  The
-        outcome is kept either way — ``"hit"``, or why not
-        (``"absent"``, ``"digest_changed:<section>"`` naming the first
-        section that differs, ``"retry"``).  A *retry* (a prompt
-        carrying error feedback) is never served from, or kept for, the
-        cache.
+        prompt with the same :attr:`~Prompt.digest` (or is
+        :attr:`~BoundReply.UNBOUND`); otherwise *model* is sent the
+        rendered messages and the exchange recorded.  The outcome is kept
+        either way — ``"hit"``, or why not (``"absent"``,
+        ``"digest_changed:<section>"`` naming the first section that
+        differs, ``"retry"``).  A *retry* (a prompt carrying error
+        feedback) is never served from, or kept for, the cache.
         """
         stored = None if retry else self.bound.get(label)
-        if stored is not None and stored.digest == prompt.digest:
+        if stored is not None and stored.digest in (prompt.digest,
+                                                    BoundReply.UNBOUND):
             self.outcomes.append("hit")
-            self.replies[label] = stored
+            self.replies[label] = (
+                stored if stored.digest else BoundReply(
+                    prompt.digest, stored.response, prompt.section_digests()))
             return stored.response
         if retry:
             self.outcomes.append("retry")

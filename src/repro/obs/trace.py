@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Why a discovery or mapping prompt went to the model although the
-#: plan cache was consulted: no reply is bound to the plan (``absent``),
+#: Why a discovery, planning or mapping prompt went to the model although
+#: the plan cache was consulted: no reply is bound to the plan (``absent``),
 #: the bound reply answered a different prompt (``digest_changed``), or
 #: the attempt carries error feedback and is never served from the cache
 #: (``retry``).  A ``digest_changed`` outcome names the first prompt
@@ -54,8 +54,8 @@ LOCALITY_COUNTERS = frozenset({
 })
 
 #: Stage names whose token/cost figures depend on cache locality (a
-#: cached plan skips the planner call entirely, a bound reply skips the
-#: discovery or mapping call), zeroed in canonical form.
+#: bound reply skips the discovery, planning or mapping call), zeroed in
+#: canonical form.
 _LOCALITY_STAGES = ("discovery", "planning", "mapping")
 
 #: Span note recording whether a bound reply served the stage (``"hit"``)

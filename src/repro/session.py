@@ -12,8 +12,8 @@ the engine configuration, and the two caches — behind two methods:
 
 The CLI, the query service, the benchmark and the test suite all drive
 the system through this facade.  Both caches are shared by every query
-and batch of the session, so repeated workloads run warm — a repeated query reuses its
-plan *and* the model's discovery and mapping replies bound to it
+and batch of the session, so repeated workloads run warm — a repeated
+query reuses the model's planning, discovery and mapping replies
 (:class:`~repro.core.plan.BoundPlan`), so it makes no LLM call; plans
 survive across runs via :meth:`save_plan_cache` / :meth:`load_plan_cache`
 (the serializable plan IR makes the cache file portable).
@@ -36,6 +36,7 @@ Example::
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -45,10 +46,10 @@ from repro.core.batch import (BACKENDS, DEFAULT_ANSWER_CACHE_SIZE,
 from repro.core.cache import Cache, Space
 from repro.core.engine import Engine, EngineConfig
 from repro.core.interfaces import Executor, Mapper, Planner
-from repro.core.plan import QueryResult
+from repro.core.plan import BoundPlan, QueryResult
 from repro.data.catalog import DataLake
 from repro.llm.brain import SimulatedBrain
-from repro.llm.interface import LanguageModel, Transcript
+from repro.llm.interface import BoundReply, LanguageModel, Transcript
 from repro.obs import MetricsRegistry, TelemetryConfig
 
 
@@ -123,7 +124,7 @@ class Session:
         self.cache_url = cache_url
         self._cache_client = (self._connect_cache_tier(cache_url)
                               if cache_url is not None else None)
-        self.plan_cache = (plan_cache if plan_cache is not None
+        self.plan_cache = (self._adopt(plan_cache) if plan_cache is not None
                            else self._new_cache(PlanCache, plan_cache_size))
         self.answer_cache = (answer_cache if answer_cache is not None
                              else self._new_cache(AnswerCache,
@@ -154,6 +155,23 @@ class Session:
         """An empty *cache_cls*, fronting the tier when there is one."""
         return cache_cls(capacity, tier=self._cache_client,
                          metrics=self.metrics_registry)
+
+    def _adopt(self, cache: Cache) -> Cache:
+        """*cache*, its plans stored under this lake's shape fingerprint
+        (as before plans were keyed by lake name) re-keyed to the lake's
+        name, each plan an unbound planning reply (:attr:`BoundReply.
+        UNBOUND`), served as such a plan was then."""
+        if isinstance(cache, PlanCache):
+            shape, name = self.lake.fingerprint(), self.lake.name
+
+            def adopt(key: tuple, entry: BoundPlan) -> tuple:
+                if key[1] != shape:
+                    return key, entry
+                return (key[0], name), replace(entry, planning=BoundReply(
+                    BoundReply.UNBOUND, entry.plan.render()))
+
+            cache.rewrite(adopt)
+        return cache
 
     # ------------------------------------------------------------------
     # Querying
@@ -302,9 +320,9 @@ class Session:
         """Replace the plan cache with one rehydrated from *path*.
 
         *capacity* overrides the capacity persisted in the file.  Returns
-        the number of plans loaded.  Cached plans are only served for
-        matching ``(query, lake fingerprint)`` keys, so loading a file
-        saved against a different lake is safe — it just never hits.
+        the number of plans loaded.  A bound reply serves only a
+        digest-identical prompt, so a file saved against another lake is
+        safe; plans keyed by this lake's shape (older files) still serve.
 
         With a *cache_url*, the loaded plans land in a fresh tier-backed
         cache and are published to the tier (best-effort), so a
@@ -316,7 +334,7 @@ class Session:
                     path: str | Path, capacity: int | None) -> int:
         """Swap in *path* rehydrated as this session's *attribute* cache,
         in front of the tier (and published to it) when there is one."""
-        loaded = cache_cls.load(path, capacity=capacity)
+        loaded = self._adopt(cache_cls.load(path, capacity=capacity))
         cache = self._new_cache(cache_cls, loaded.capacity)
         entries = loaded.items()
         cache.install(entries)

@@ -25,12 +25,8 @@ def key(cache, tag: str, fingerprint: str = "fp") -> tuple:
 def value(cache, tag: str) -> object:
     """A value of *cache*'s space told apart by *tag*."""
     if cache.space.name == "plan":
-        return LogicalPlan(steps=[LogicalStep(index=1, description=tag,
-                                              inputs=["t"], output="out")],
-                           thought=tag)
+        return BoundPlan(LogicalPlan(
+            steps=[LogicalStep(index=1, description=tag, inputs=["t"],
+                               output="out")],
+            thought=tag))
     return tag
-
-
-def unwrap(found: object) -> object:
-    """A looked-up value, comparable with :func:`value`."""
-    return found.plan if isinstance(found, BoundPlan) else found

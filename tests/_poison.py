@@ -1,7 +1,8 @@
-"""Failure-injection planners for process-backend tests.
+"""Failure injection: poisoned plan-cache entries, and planners for
+process-backend tests.
 
-These live in an importable module (not inline in a test) because the
-process backend pickles the session's planner into each worker
+The planners live in an importable module (not inline in a test) because
+the process backend pickles the session's planner into each worker
 initializer — classes defined inside a test function cannot cross that
 boundary.  Each planner wraps the default prompt planner and misbehaves
 only for queries carrying its marker, so the rest of a workload runs
@@ -14,10 +15,25 @@ import os
 import time
 
 from repro.core.interfaces import PromptPlanner
+from repro.core.plan import BoundPlan, BoundReply, LogicalPlan
+from repro.core.prompts import build_planning_prompt
+from repro.llm.brain import SimulatedBrain
+from repro.llm.interface import Transcript
 
 POISON_MARKER = "POISON"
 EXIT_MARKER = "HARD-EXIT"
 SLEEP_MARKER = "SLOW"
+
+
+def poisoned_entry(lake, query: str, plan: LogicalPlan) -> BoundPlan:
+    """A plan-cache entry whose planning reply is *plan*'s text, bound
+    under the digest of the planning prompt *query* sends on *lake*: the
+    engine serves it as if the model had answered *plan*."""
+    hints = PromptPlanner(SimulatedBrain()).discover(lake, query,
+                                                     Transcript())
+    prompt = build_planning_prompt(lake, query, hints)
+    return BoundPlan(plan, planning=BoundReply(
+        prompt.digest, plan.render(), prompt.section_digests()))
 
 
 class PoisonPlanner(PromptPlanner):

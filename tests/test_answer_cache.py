@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from _caches import CACHE_CLASSES, key, unwrap, value
+from _caches import CACHE_CLASSES, key, value
 
 from repro import Session
 from repro.core.answer_cache import MISS, AnswerCache, text_fingerprint
@@ -28,7 +28,7 @@ def test_hit_miss_eviction_accounting(each_cache):
         a, b, c = (key(cache, tag) for tag in "abc")
         cache.put(a, value(cache, "a"))
         cache.put(b, value(cache, "b"))
-        assert unwrap(cache.get(a)) == value(cache, "a")  # refresh "a"
+        assert cache.get(a) == value(cache, "a")  # refresh "a"
         cache.put(c, value(cache, "c"))                   # evicts "b"
         assert cache.evictions == 1, label
         assert b not in cache, label
@@ -38,7 +38,7 @@ def test_hit_miss_eviction_accounting(each_cache):
         else:
             # The front evicted "b", the tier still holds it: a hit, and
             # installing it evicts the front's oldest entry, "a".
-            assert unwrap(cache.get(b)) == value(cache, "b"), label
+            assert cache.get(b) == value(cache, "b"), label
             assert a not in cache, label
             expected, hit_rate = (2, 0, 2), 1.0
         assert cache.snapshot() == expected, label

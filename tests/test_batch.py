@@ -1,7 +1,7 @@
 """Tests for the batch runner and the LRU contract of both caches."""
 
 import pytest
-from _caches import CACHE_CLASSES, key, unwrap, value
+from _caches import CACHE_CLASSES, key, value
 
 from repro import Session
 
@@ -25,7 +25,7 @@ def test_cache_hits_and_misses(each_cache):
     for label, cache in each_cache(capacity=4):
         assert cache.get(key(cache, "q")) is cache.space.miss, label
         cache.put(key(cache, "q"), value(cache, "a"))
-        assert unwrap(cache.get(key(cache, "q"))) == value(cache, "a"), label
+        assert cache.get(key(cache, "q")) == value(cache, "a"), label
         assert key(cache, "q") in cache
         assert cache.hits == 1 and cache.misses == 1, label
         assert cache.hit_rate == 0.5

@@ -1,12 +1,12 @@
-"""Bound plans: a plan-cache entry carries the model's discovery and
-mapping replies, and a warm query pays no LLM call.
+"""Bound plans: a plan-cache entry carries the model's planning,
+discovery and mapping replies, and a warm query pays no LLM call.
 
-The contract under test: a stored reply is reused only when the prompt
-about to be sent digests to the value the reply was stored with — so a
-warm pass is byte-identical (in canonical form) to the cold pass, makes
-no model call, and anything that changes a prompt (different lake
-content behind the same shape fingerprint, a retry's error feedback, a
-replan) goes back to the model.
+The contract under test: a stored reply — the plan's too — is reused
+only when the prompt about to be sent digests to the value the reply was
+stored with — so a warm pass is byte-identical (in canonical form) to
+the cold pass, makes no model call, and anything that changes a prompt
+(different lake content under the same lake name, a lake change, a
+retry's error feedback, a replan) goes back to the model.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import threading
 from pathlib import Path
 
 import pytest
+from _poison import poisoned_entry
 
 from repro.cachenet import CacheTierServer
 from repro.core.batch import PlanCache
@@ -24,6 +25,8 @@ from repro.core.interfaces import PromptMapper, PromptPlanner
 from repro.core.parsing import parse_mapping_response
 from repro.core.plan import BoundPlan, BoundReply, LogicalPlan, LogicalStep
 from repro.core.prompts import build_mapping_prompt
+from repro.data.catalog import DataLake
+from repro.data.table import Table
 from repro.datasets import load_lake
 from repro.errors import PlanParseError
 from repro.llm.brain import SimulatedBrain
@@ -36,6 +39,8 @@ from repro.testing.workloads import workload
 BOUND_FIXTURE = Path(__file__).parent / "fixtures" / "v1_bound_plan_cache.json"
 QUERY = "How many players are taller than 200?"
 TEXT_QUERY = "How many games did the Heat win?"
+#: an unrelated table: adding it changes the lake, not what a query reads
+WEATHER = Table.infer({"day": ["mon", "tue"], "rain_mm": [1.5, 0.0]})
 
 
 class CountingBrain:
@@ -56,6 +61,16 @@ class CountingBrain:
 
 def canonical(report) -> str:
     return json.dumps(report.canonical_results(), sort_keys=True)
+
+
+#: the stages that ask the model through the transcript
+ASKED_STAGES = ("discovery", "planning", "mapping")
+
+
+def memo_spans(result, stage: str) -> list[str]:
+    """The ``memo`` note of each *stage* span of *result*."""
+    return [span.notes["memo"] for span in result.telemetry.spans
+            if span.stage == stage]
 
 
 def memo_counters(result) -> dict:
@@ -108,6 +123,38 @@ def test_warm_pass_equals_cold_pass_and_asks_nothing(
         assert asked_cold > 0 and asked_warm == 0
 
 
+def memo_misses(session) -> int:
+    """Every model call a session's queries made through the transcript,
+    wherever they ran (process lanes ship their metrics back)."""
+    return sum(value for name, value in session.metrics()["counters"].items()
+               if name.startswith("binding_memo_misses_total"))
+
+
+@pytest.mark.parametrize("dataset,calls", (("artwork", 20), ("rotowire", 24)))
+@pytest.mark.parametrize("backend,workers",
+                         (("serial", 1), ("thread", 2), ("process", 2)))
+def test_a_lake_change_re_asks_only_discovery_and_planning(
+        dataset, calls, backend, workers):
+    lake = load_lake(dataset, scale=2)
+    queries = list(workload(dataset))
+    with Session(lake) as session:
+        session.batch(queries, workers=workers, backend=backend)
+        lake.add_table("weather_log", WEATHER)
+        before = memo_misses(session)
+        changed = session.batch(queries, workers=workers, backend=backend)
+        asked = memo_misses(session) - before
+    assert changed.num_errors == 0
+    # One discovery and one planning call per query: both prompts list
+    # the lake's tables.  No mapping prompt shows the new table.
+    assert asked == calls == 2 * len(queries)
+    for result in changed.results:
+        assert memo_spans(result, "discovery") == \
+            memo_spans(result, "planning") == ["digest_changed:tables"]
+        assert set(memo_spans(result, "mapping")) == {"hit"}
+    with Session(lake) as fresh:
+        assert canonical(changed) == canonical(fresh.batch(queries))
+
+
 def test_memo_outcomes_are_named_in_spans_counters_and_metrics(rotowire):
     with Session(rotowire) as session:
         cold = session.query(QUERY)
@@ -117,31 +164,32 @@ def test_memo_outcomes_are_named_in_spans_counters_and_metrics(rotowire):
         assert len(session.last_transcript) == 0
         counters = session.metrics()["counters"]
         exposition = render_prometheus(session.observability_snapshot())
-    assert memo_counters(cold) == {"binding_memo_misses_absent": 3}
-    assert memo_counters(warm) == {"binding_memo_hits": 3}
+    assert memo_counters(cold) == {"binding_memo_misses_absent": 4}
+    assert memo_counters(warm) == {"binding_memo_hits": 4}
     memo_spans = [span for span in warm.telemetry.spans
-                  if span.stage in ("discovery", "mapping")]
+                  if span.stage in ASKED_STAGES]
     assert [span.stage for span in memo_spans] == \
         [span.stage for span in cold.telemetry.spans
-         if span.stage in ("discovery", "mapping")]
+         if span.stage in ASKED_STAGES] == \
+        ["discovery", "planning", "mapping", "mapping"]
     for span in memo_spans:
         assert span.notes == {"memo": "hit"}
         assert span.token_in == span.token_out == 0
     assert {span.notes["memo"] for span in cold.telemetry.spans
-            if span.stage in ("discovery", "mapping")} == {"absent"}
+            if span.stage in ASKED_STAGES} == {"absent"}
     assert "memo='hit'" in warm.telemetry.render_tree()
-    assert counters["binding_memo_hits_total"] == 3
-    assert counters['binding_memo_misses_total{reason="absent"}'] == 3
-    assert 'repro_binding_memo_misses_total{reason="absent"} 3' in exposition
-    assert "repro_binding_memo_hits_total 3" in exposition
+    assert counters["binding_memo_hits_total"] == 4
+    assert counters['binding_memo_misses_total{reason="absent"}'] == 4
+    assert 'repro_binding_memo_misses_total{reason="absent"} 4' in exposition
+    assert "repro_binding_memo_hits_total 4" in exposition
 
 
 # ----------------------------------------------------------------------
-# (b) exactness: the fingerprint is shape-only, observations are content
+# (b) exactness: lakes share a name, prompts show content
 # ----------------------------------------------------------------------
 
 
-def test_same_shape_lakes_sharing_a_cache_stay_exact():
+def test_same_shape_lakes_sharing_a_cache_stay_exact(monkeypatch):
     lakes = [load_lake("rotowire", seed=seed) for seed in (1, 2)]
     assert lakes[0].fingerprint() == lakes[1].fingerprint()
     assert lakes[0].content_fingerprint() != lakes[1].content_fingerprint()
@@ -153,49 +201,94 @@ def test_same_shape_lakes_sharing_a_cache_stay_exact():
 
     cache = PlanCache(16)
     sessions = [Session(lake, plan_cache=cache) for lake in lakes]
+
+    def check(session, query, want):
+        got = session.query(query)
+        assert got.describe() == want.describe()
+        assert got.trace.logical_plan == want.trace.logical_plan
+        assert ([s.to_dict() for s in got.trace.physical_steps]
+                == [s.to_dict() for s in want.trace.physical_steps])
+        assert got.trace.observations == want.trace.observations
+        return got
+
     for _round in range(2):
         for session, wanted in zip(sessions, expected):
             for query, want in zip(queries, wanted):
-                got = session.query(query)
-                assert got.describe() == want.describe()
-                assert ([s.to_dict() for s in got.trace.physical_steps]
-                        == [s.to_dict() for s in want.trace.physical_steps])
-                assert got.trace.observations == want.trace.observations
-    # The second lake found the first lake's entry, but its mapping
-    # prompts (hints and observations carry content) digest differently,
-    # so those steps went back to the model.
-    second = sessions[1].query(TEXT_QUERY)
+                check(session, query, want)
+    # Both lakes key the one entry by their shared name.  The second
+    # lake's planning and mapping prompts show its own sample values
+    # (hints) and observations, so those go back to the model.
     sessions[0].query(TEXT_QUERY)
-    again = sessions[1].query(TEXT_QUERY)
-    assert second.telemetry.plan_cache_hit and again.telemetry.plan_cache_hit
+    again = check(sessions[1], TEXT_QUERY, expected[1][1])
+    assert memo_spans(again, "planning") == ["digest_changed:hints"]
+    assert not again.telemetry.plan_cache_hit  # the plan was asked again
     assert memo_counters(again).get("binding_memo_misses_digest_changed")
-    assert again.value == expected[1][1].value
+
+    # Warm, and after a lake change, no query hashes the lake's shape.
+    with monkeypatch.context() as patched:
+        patched.setattr(DataLake, "fingerprint", _no_fingerprint)
+        for session, wanted in zip(sessions, expected):
+            for query, want in zip(queries, wanted):
+                # The other lake may have rebound the entry last.
+                check(session, query, want)
+                assert memo_counters(check(session, query, want)) \
+                    .keys() == {"binding_memo_hits"}
+        lakes[1].add_table("weather_log", WEATHER)
+        for query, want in zip(queries, expected[1]):
+            got = check(sessions[1], query, want)
+            assert memo_spans(got, "discovery") == \
+                memo_spans(got, "planning") == ["digest_changed:tables"]
+
+
+def _no_fingerprint(lake):
+    raise AssertionError("a query path hashed the lake's shape")
+
+
+def test_scales_of_one_dataset_sharing_a_cache_keep_their_entries():
+    # The plan key is the lake's name; a dataset's lake at another scale
+    # is named for it, so alternating scales never evict each other.
+    lakes = [load_lake("rotowire"), load_lake("rotowire", scale=2)]
+    assert [lake.name for lake in lakes] == ["rotowire", "rotowire@2"]
+    brain = CountingBrain()
+    cache = PlanCache(16)
+    sessions = [Session(lake, brain=brain, plan_cache=cache)
+                for lake in lakes]
+    queries = [QUERY, TEXT_QUERY]
+    cold = [session.batch(queries) for session in sessions]
+    asked = brain.calls
+    for session, want in zip(sessions, cold):
+        warm = session.batch(queries)
+        assert canonical(warm) == canonical(want)
+        assert all(stat.plan_cache_hit for stat in warm.stats)
+    assert brain.calls == asked
 
 
 def test_a_stale_digest_is_a_miss_not_a_wrong_answer(rotowire):
     with Session(rotowire) as session:
         want = session.query(QUERY)
-        key = (QUERY, rotowire.fingerprint())
+        key = (QUERY, rotowire.name)
         entry = session.plan_cache.get(key)
-        # Keep the replies, break every digest — and make the replies
-        # wrong, so reusing one would show in the answer.
+        # Keep the replies, break every digest but planning's — and make
+        # the replies wrong, so reusing one would show in the answer.
         session.plan_cache.put(key, BoundPlan(
             entry.plan,
             BoundReply("0" * 32, "Relevant Columns: ['teams.city']"),
             tuple(BoundReply("0" * 32, reply.response.replace("200", "100"))
-                  for reply in entry.mappings)))
+                  for reply in entry.mappings),
+            entry.planning))
         got = session.query(QUERY)
         assert got.value == want.value
         # The stored replies kept no section digests to compare.
         assert memo_counters(got) == {
+            "binding_memo_hits": 1,
             "binding_memo_misses_digest_changed": 3,
             "binding_memo_section_changed_unknown": 3}
         # The refreshed entry replaced the stale one.
-        assert memo_counters(session.query(QUERY)) == {"binding_memo_hits": 3}
+        assert memo_counters(session.query(QUERY)) == {"binding_memo_hits": 4}
 
 
 # ----------------------------------------------------------------------
-# (c) retries, replans and errors never bind a reply
+# (c) a reply that led to a retry, a replan or an error is never bound
 # ----------------------------------------------------------------------
 
 
@@ -220,17 +313,48 @@ def test_retried_step_binds_nothing(rotowire):
     with Session(rotowire, mapper=FlakyMapper(brain), brain=brain) as session:
         first = session.query(QUERY)
         assert first.ok and first.trace.errors  # recovered by a retry
-        entry = session.plan_cache.get((QUERY, rotowire.fingerprint()))
-        assert entry.discovery is None and entry.mappings == ()
+        entry = session.plan_cache.get((QUERY, rotowire.name))
+        # The failed mapping reply is not bound, nor are its siblings;
+        # the plan's replies are.
+        assert entry.mappings == ()
+        assert entry.planning is not None and entry.discovery is not None
         asked = brain.calls
         second = session.query(QUERY)
         assert second.ok and second.value == first.value
-        assert brain.calls > asked  # nothing bound, so the model is asked
+        assert second.telemetry.plan_cache_hit
+        assert memo_spans(second, "discovery") == ["hit"]
+        assert brain.calls > asked  # no mapping bound: the model is asked
         retry_notes = [span.notes.get("memo")
                        for span in second.telemetry.spans
                        if span.stage == "mapping" and span.step_index == 1]
         assert retry_notes == ["absent", "retry"]
         assert memo_counters(second)["binding_memo_misses_retry"] == 1
+
+
+class FlakyDiscoveryPlanner(PromptPlanner):
+    """Rejects its first discovery reply, after asking the model."""
+
+    failed = False
+
+    def discover(self, lake, query, transcript):
+        hints = super().discover(lake, query, transcript)
+        if not self.failed:
+            self.failed = True
+            raise PlanParseError("flaky discovery: no columns")
+        return hints
+
+
+def test_a_failed_discovery_binds_no_discovery_reply(rotowire):
+    brain = SimulatedBrain()
+    with Session(rotowire, planner=FlakyDiscoveryPlanner(brain),
+                 brain=brain) as session:
+        first = session.query(QUERY)
+        assert first.ok and first.trace.errors  # planned without hints
+        entry = session.plan_cache.get((QUERY, rotowire.name))
+        assert entry.discovery is None and entry.planning is not None
+        second = session.query(QUERY)
+    assert memo_spans(second, "discovery") == ["absent"]
+    assert second.value == Session(rotowire).query(QUERY).value
 
 
 def test_replan_and_error_bind_nothing(rotowire):
@@ -245,17 +369,20 @@ def test_replan_and_error_bind_nothing(rotowire):
                        "column.",
                     inputs=["joined_table"], output="result_table",
                     new_columns=["avg_height_cm"])])
-    key = (query, rotowire.fingerprint())
+    key = (query, rotowire.name)
     with Session(rotowire) as session:
-        session.plan_cache.put(key, poisoned)
+        session.plan_cache.put(key, poisoned_entry(rotowire, query,
+                                                   poisoned))
         result = session.query(query)
         assert result.ok and result.trace.replans == 1
         entry = session.plan_cache.get(key)
         assert entry.plan != poisoned  # the recovered plan is cached ...
-        assert entry.discovery is None and entry.mappings == ()  # ... bare
-        # The next clean run binds it.
-        assert session.query(query).value == result.value
-        assert len(session.plan_cache.get(key).mappings) == len(entry.plan)
+        assert entry.planning is None  # ... without the reply that failed
+        # The next run asks planning afresh, without a replan, and binds.
+        again = session.query(query)
+        assert again.value == result.value and again.trace.replans == 0
+        assert memo_spans(again, "planning") == ["absent"]
+        assert session.plan_cache.get(key).planning is not None
 
         failed = session.query("Colorless green ideas sleep furiously")
         assert failed.kind == "error"
@@ -271,12 +398,12 @@ def test_eviction_drops_the_replies(rotowire):
     other = "Who is the tallest player?"
     with Session(rotowire, plan_cache_size=1) as session:
         session.query(QUERY)
-        assert memo_counters(session.query(QUERY)) == {"binding_memo_hits": 3}
+        assert memo_counters(session.query(QUERY)) == {"binding_memo_hits": 4}
         session.query(other)  # evicts QUERY's entry, replies included
         assert session.plan_cache.evictions == 1
         assert memo_counters(session.query(QUERY)) == \
-            {"binding_memo_misses_absent": 3}
-        assert memo_counters(session.query(QUERY)) == {"binding_memo_hits": 3}
+            {"binding_memo_misses_absent": 4}
+        assert memo_counters(session.query(QUERY)) == {"binding_memo_hits": 4}
 
 
 # ----------------------------------------------------------------------
@@ -288,9 +415,9 @@ def test_save_load_round_trips_the_replies(tmp_path, rotowire):
     path = tmp_path / "plans.json"
     with Session(rotowire) as session:
         want = session.query(TEXT_QUERY)
-        session.plan_cache.put(("bare", "fp"), LogicalPlan(
-            steps=[LogicalStep(1, "a step", inputs=["t"], output="out")]))
-        key = (TEXT_QUERY, rotowire.fingerprint())
+        session.plan_cache.put(("bare", "lake"), BoundPlan(LogicalPlan(
+            steps=[LogicalStep(1, "a step", inputs=["t"], output="out")])))
+        key = (TEXT_QUERY, rotowire.name)
         assert session.save_plan_cache(path) == 2
         entry = session.plan_cache.get(key)
     saved = {item["query"]: item["plan"]
@@ -298,6 +425,8 @@ def test_save_load_round_trips_the_replies(tmp_path, rotowire):
     # The additive key is emitted only for entries that have replies.
     assert "bindings" in saved[TEXT_QUERY] and "bindings" not in saved["bare"]
     assert len(saved[TEXT_QUERY]["bindings"]["mappings"]) == len(entry.plan)
+    assert saved[TEXT_QUERY]["bindings"]["planning"] == \
+        entry.planning.to_dict()
 
     restored = PlanCache.load(path)
     assert restored.get(key) == entry
@@ -309,7 +438,7 @@ def test_save_load_round_trips_the_replies(tmp_path, rotowire):
     # A plan dict without the key (every file written before bindings
     # existed) loads as a bare entry and encodes back unchanged.
     bare = BoundPlan.from_dict(saved["bare"])
-    assert bare.discovery is None and bare.mappings == ()
+    assert bare == BoundPlan(bare.plan)
     assert bare.to_dict() == saved["bare"] == bare.plan.to_dict()
     # The replies never leak into the plan IR or a trace payload.
     assert "bindings" not in entry.plan.to_dict()
@@ -320,12 +449,15 @@ def test_save_load_round_trips_the_replies(tmp_path, rotowire):
 def test_a_bound_plan_cache_file_from_an_earlier_release_runs_warm(
         request, dataset):
     # The fixture holds both workloads' entries, saved cold by an engine
-    # that reused replies through prompt/read method pairs on the roles,
-    # sent every table and operator card in each mapping prompt, and
-    # digested each prompt from its rendered text.  Its plans still
-    # serve; every reply was stored under a digest of the rendered text
-    # (and without section digests), so discovery and each mapping step
-    # are asked again once, rebound, and served from then on.
+    # that keyed plans by the lake's shape fingerprint, bound no
+    # planning reply, reused replies through prompt/read method pairs on
+    # the roles, sent every table and operator card in each mapping
+    # prompt, and digested each prompt from its rendered text.  The
+    # session re-keys its entries to the lake's name, and each plan
+    # serves as an unbound planning reply; every other reply was stored
+    # under a digest of the rendered text (and without section digests),
+    # so discovery and each mapping step are asked again once, rebound,
+    # and served from then on.
     lake = request.getfixturevalue(dataset)
     queries = list(workload(dataset))
     want = [Session(lake).query(query).describe() for query in queries]
@@ -339,6 +471,7 @@ def test_a_bound_plan_cache_file_from_an_earlier_release_runs_warm(
         for result, plan_steps in zip(first, steps):
             assert result.telemetry.plan_cache_hit
             assert memo_counters(result) == {
+                "binding_memo_hits": 1,
                 "binding_memo_misses_digest_changed": plan_steps + 1,
                 "binding_memo_section_changed_unknown": plan_steps + 1}
 
@@ -346,7 +479,7 @@ def test_a_bound_plan_cache_file_from_an_earlier_release_runs_warm(
     assert brain.calls == sum(steps) + len(queries)
     assert [result.describe() for result in second] == want
     for result, plan_steps in zip(second, steps):
-        assert memo_counters(result) == {"binding_memo_hits": 1 + plan_steps}
+        assert memo_counters(result) == {"binding_memo_hits": 2 + plan_steps}
 
 
 # ----------------------------------------------------------------------
@@ -446,12 +579,15 @@ def test_role_overrides_are_memoised_or_bypassed_never_wrong(rotowire):
     mapper = OpaqueMapper(brain)
     with Session(rotowire, brain=brain, mapper=mapper) as session:
         first, second = session.query(QUERY), session.query(QUERY)
-        entry = session.plan_cache.get((QUERY, rotowire.fingerprint()))
+        entry = session.plan_cache.get((QUERY, rotowire.name))
     assert first.value == second.value == want.value
     assert mapper.calls == 2 * len(entry.plan)  # asked on both passes
-    assert entry.discovery is None and entry.mappings == ()  # bypassed
+    assert entry.mappings == ()  # bypassed ...
     assert "memo" not in {key for span in second.telemetry.spans
                           if span.stage == "mapping" for key in span.notes}
+    # ... while the plan is still reused through its planning reply.
+    assert entry.planning is not None and entry.discovery is not None
+    assert memo_counters(second) == {"binding_memo_hits": 2}
 
     brain = CountingBrain()
     with Session(rotowire, brain=brain,
@@ -470,11 +606,11 @@ def test_a_mapper_composing_prompt_mapper_is_memoised(rotowire):
         first = session.query(QUERY)
         asked = brain.calls
         second = session.query(QUERY)
-        entry = session.plan_cache.get((QUERY, rotowire.fingerprint()))
+        entry = session.plan_cache.get((QUERY, rotowire.name))
     assert first.value == second.value == Session(rotowire).query(QUERY).value
     assert asked > 0 and brain.calls == asked
     assert len(entry.mappings) == len(entry.plan)
-    assert memo_counters(second) == {"binding_memo_hits": 3}
+    assert memo_counters(second) == {"binding_memo_hits": 4}
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.cachenet.protocol import (MAX_FRAME_BYTES, read_frame,
                                      write_frame)
 from repro.core.answer_cache import MISS, AnswerCache
 from repro.core.batch import PlanCache
-from repro.core.plan import LogicalPlan
+from repro.core.plan import BoundPlan
 from repro.data.datatypes import decode_scalar, encode_scalar
 from repro.obs import MetricsRegistry
 from repro.session import Session
@@ -79,7 +79,7 @@ def get_plan(client: CacheClient, ns: str, query: str) -> dict | None:
 
 
 def make_plan(description="count paintings"):
-    return LogicalPlan.from_dict({
+    return BoundPlan.from_dict({
         "thought": "one SQL aggregate does it",
         "steps": [{"index": 0, "description": description,
                    "inputs": ["paintings"], "output": "result",
@@ -391,7 +391,7 @@ class TestPersistence:
         try:
             client = CacheClient(server.url)
             assert client.stats()["plan"]["entries"] == 1
-            fetched = get_plan(client, artwork_lake.fingerprint(),
+            fetched = get_plan(client, artwork_lake.name,
                                "How many paintings are there?")
             assert fetched is not None
             client.close()
@@ -449,7 +449,7 @@ class TestRemoteCaches:
         assert fetched.to_dict() == plan.to_dict()
         assert reader.get(key) is fetched      # the local front answers
         assert reader.get(("unknown query", "lake-fp")) is None
-        # A plan lookup is a one-key mget, namespaced by the fingerprint.
+        # A plan lookup is a one-key mget, namespaced by the lake name.
         assert [(p["op"], p["space"], p["keys"]) for p in sent] == [
             ("mget", "plan", [{"key": QUERY, "ns": "lake-fp"}]),
             ("mget", "plan", [{"key": "unknown query", "ns": "lake-fp"}])]

@@ -7,6 +7,7 @@ recovery, single-measure degeneracy, open-ended date ranges).
 from datetime import date
 
 import pytest
+from _poison import poisoned_entry
 
 from repro import Session
 from repro.core.batch import PlanCache
@@ -151,8 +152,9 @@ def test_join_operator_missing_key_names_available_columns(rotowire_lake):
 
 
 def test_poisoned_join_plan_recovers_via_bounded_replanning(rotowire_lake):
-    """A cached plan joining on a key missing on one side fails at
-    execution; bounded replanning bypasses the cache and recovers."""
+    """A bound planning reply joining on a key missing on one side fails
+    at execution; bounded replanning asks afresh and recovers, and the
+    reply that failed is never served again."""
     query = ("What is the average height of players in the Eastern "
              "conference?")
     poisoned = LogicalPlan(steps=[
@@ -166,17 +168,34 @@ def test_poisoned_join_plan_recovers_via_bounded_replanning(rotowire_lake):
                     new_columns=["avg_height_cm"]),
     ], thought="poisoned")
     session = Session(rotowire_lake, plan_cache=PlanCache(8))
-    fingerprint = rotowire_lake.fingerprint()
-    session.plan_cache.put((query, fingerprint), poisoned)
+    session.plan_cache.put((query, rotowire_lake.name),
+                           poisoned_entry(rotowire_lake, query, poisoned))
 
     result = session.query(query)
     assert result.ok, result.error
     assert result.trace.replans == 1
     assert result.trace.errors and all(e.recovered
                                        for e in result.trace.errors)
-    # The recovery synthesized the real cross-column join.
+    # The poisoned plan ran first, then the recovery synthesized the
+    # real cross-column join.
+    assert [span.notes["memo"] for span in result.telemetry.spans
+            if span.stage == "planning"] == ["hit", "retry"]
     assert any("'team' and 'name' columns" in s.description
                for s in result.trace.logical_plan.steps)
+
+    # The errored run replaced the entry with its plan, without the
+    # planning reply that failed, so the next query asks planning afresh
+    # and runs clean ...
+    again = session.query(query)
+    assert again.ok and again.trace.replans == 0 and not again.trace.errors
+    assert [span.notes["memo"] for span in again.telemetry.spans
+            if span.stage == "planning"] == ["absent"]
+    assert again.value == result.value
+    assert len(session.last_transcript) > 0
+    # ... and binds every reply: the third query makes no call.
+    third = session.query(query)
+    assert third.value == result.value
+    assert len(session.last_transcript) == 0
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from _caches import CACHE_CLASSES, key, unwrap, value
+from _caches import CACHE_CLASSES, key, value
 
 from repro import Session
 from repro.core.answer_cache import ANSWER_CACHE_FORMAT
@@ -21,8 +21,8 @@ def test_save_and_load_restore_entries(tmp_path):
         restored = cache_cls.load(path)
         assert len(restored) == 2
         assert restored.capacity == 8
-        assert unwrap(restored.get(key(cache, "q1"))) == value(cache, "one")
-        assert unwrap(restored.get(key(cache, "q2"))) == value(cache, "two")
+        assert restored.get(key(cache, "q1")) == value(cache, "one")
+        assert restored.get(key(cache, "q2")) == value(cache, "two")
         assert restored.get(key(cache, "q3")) is cache.space.miss
         # Counters start fresh: 2 hits + 1 miss from the lines above only.
         assert restored.snapshot() == (2, 1, 0)

@@ -199,12 +199,15 @@ def test_a_changed_digest_names_the_first_changed_section():
     # tables section, which comes before the hints — differs first.
     assert notes == (["digest_changed:hints"] * 3
                      + ["digest_changed:tables"] * 3)
+    # The planning prompt shows the same hints.
+    assert [span.notes["memo"] for span in result.telemetry.spans
+            if span.stage == "planning"] == ["digest_changed:hints"]
     sections = {name: value for name, value in counters.items()
                 if name.startswith("binding_memo_section_changed_total")}
     assert sections == {
-        'binding_memo_section_changed_total{section="hints"}': 3,
+        'binding_memo_section_changed_total{section="hints"}': 4,
         'binding_memo_section_changed_total{section="tables"}': 3}
-    assert counters['binding_memo_misses_total{reason="digest_changed"}'] == 6
+    assert counters['binding_memo_misses_total{reason="digest_changed"}'] == 7
 
 
 def test_the_lake_memo_follows_the_lake_version(monkeypatch):
