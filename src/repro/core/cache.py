@@ -104,6 +104,7 @@ class Cache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+        self._memo_scope = object()
 
     def __len__(self) -> int:
         with self._lock:
@@ -187,6 +188,7 @@ class Cache:
                 if len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
                     self._evictions += 1
+                    self._memo_scope = object()
 
     def rewrite(self, change: Callable[[tuple, Any], tuple]) -> None:
         """Replace each local ``(key, value)`` with ``change(key, value)``,
@@ -194,6 +196,7 @@ class Cache:
         with self._lock:
             self._entries = OrderedDict(
                 change(key, value) for key, value in self._entries.items())
+            self._memo_scope = object()
 
     def _ask_tier(self, rpc: Callable[[str, list], object],
                   payload: list) -> object:
@@ -217,7 +220,26 @@ class Cache:
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
+            self._memo_scope = object()
             return dropped
+
+    @property
+    def memo_scope(self) -> object:
+        """The token a memo of this cache's entries is filed under.
+
+        It is replaced whenever an entry leaves or changes (:meth:`clear`,
+        an eviction, :meth:`rewrite`), so a memo filed under the current
+        token only holds answers the cache still holds.  A cache built by
+        :meth:`load` is a new object with a token of its own.
+        """
+        return self._memo_scope
+
+    def count_hits(self, lookups: int) -> None:
+        """Count *lookups* hits served from a memo filed under
+        :attr:`memo_scope`: entries the cache holds, found without a
+        lookup."""
+        with self._lock:
+            self._hits += lookups
 
     @property
     def hits(self) -> int:

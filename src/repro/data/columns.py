@@ -7,8 +7,10 @@ null mask (a null cell holds 0 / ``False``), and int32 dictionary codes
 (``-1`` for null) into a list of interned strings — so a million-row
 column costs megabytes instead of a Python object per cell, and
 :mod:`repro.relational.colexec`'s kernels read the arrays as they are.
-:class:`ObjectColumn` is the fallback for modality columns (IMAGE/TEXT)
-and for any value stream the typed stores cannot represent exactly.
+IMAGE and TEXT columns are pooled the same way: int32 codes into a pool
+of images (pooled by object identity) or of documents (pooled by value).
+:class:`ObjectColumn` is the fallback for any value stream those stores
+cannot represent exactly.
 
 Exactness is the contract: a typed column only accepts a value when the
 round trip back to Python reproduces an **identical** object ``repr`` —
@@ -26,9 +28,11 @@ otherwise.  Columns are never appended to.  There is one way to read
 one: each store family (fixed-width, date, string) decodes a row range
 with ``tolist()`` in :meth:`Column._decode`, which both the lazy
 :meth:`Column.iter_values` and the memoized :meth:`Column.materialize`
-call.  :meth:`Column.take` is one numpy fancy-index; a string column
-and every take of it share the pool and one memo of what is derived
-from it (the code index, the numpy unicode view, the rank table).
+call.  :meth:`Column.take` is one numpy fancy-index; a pooled column (string,
+image, text) and every take of it share the pool and one memo of what
+is derived from it (the code index, the numpy unicode view, the rank
+table; a modality step's answers, :mod:`repro.operators.modality`).
+The memo is not pickled: an unpickled column derives it again.
 """
 
 from __future__ import annotations
@@ -47,6 +51,12 @@ from repro.data.datatypes import DataType
 #: a prompt — pays for one small chunk, a full scan for a few.  A column
 #: no longer than one chunk is decoded whole and kept.
 DECODE_CHUNK = 8
+
+#: Values :meth:`Column.distinct` scans one by one before it hands a
+#: typed or pooled store to ``np.unique`` whole: a column whose first
+#: values are distinct enough stops early, and below this numpy's
+#: per-call cost is more than the scan.
+DISTINCT_SCAN = 64
 
 _T = TypeVar("_T")
 
@@ -93,6 +103,35 @@ class Column:
     def get(self, index: int) -> object:
         return self.materialize()[index]
 
+    def _distinct_keys(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(keys, valid)``: per-row numpy keys that are equal where the
+        values are, and which rows hold a value (not NULL or NaN); ``None``
+        when the store has none."""
+        return None
+
+    def distinct(self, limit: int) -> list[object]:
+        """The first *limit* distinct non-null values, in row order.
+
+        NaN is skipped: NaN != NaN would pass the dedup every time, and
+        sqlite binds it as NULL anyway.  The first :data:`DISTINCT_SCAN`
+        values are scanned as they decode; past them, a store with numpy
+        keys is deduplicated whole by one stable ``np.unique``.
+        """
+        seen: list[object] = []
+        for scanned, value in enumerate(self.iter_values()):
+            if scanned == DISTINCT_SCAN:
+                keys = self._distinct_keys()
+                if keys is not None:
+                    return self._values_at(_first_rows(*keys, limit))
+            if value is not None and value == value and value not in seen:
+                seen.append(value)
+                if len(seen) >= limit:
+                    break
+        return seen
+
+    def _values_at(self, rows: np.ndarray) -> list[object]:
+        return self.take(rows)._decode(0, len(rows))
+
 
 class ObjectColumn(Column):
     """Plain-list storage: modality cells and mixed types."""
@@ -109,6 +148,8 @@ class ObjectColumn(Column):
 
     def take(self, indices: Sequence[int]) -> "ObjectColumn":
         values = self.values
+        if isinstance(indices, np.ndarray):
+            indices = indices.tolist()
         return ObjectColumn([values[i] for i in indices])
 
 
@@ -136,6 +177,13 @@ class _MaskedColumn(Column):
     def take(self, indices: Sequence[int]) -> "Column":
         idx = np.asarray(indices, dtype=np.intp)
         return type(self)(self.data[idx], self.nulls[idx])
+
+    def _distinct_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        valid = ~self.nulls
+        if self.data.dtype.kind == "f":
+            # -0.0 == 0.0 in numpy as in Python; the first is kept.
+            valid &= ~np.isnan(self.data)
+        return self.data, valid
 
 
 class IntColumn(_MaskedColumn):
@@ -171,17 +219,23 @@ class DateColumn(_MaskedColumn):
                 for raw, null in zip(ordinals, nulls.tolist())]
 
 
-class StringColumn(Column):
-    """Dictionary-encoded interned strings: int32 codes into a pool."""
+class PooledColumn(Column):
+    """int32 codes (``-1`` for null) into a pool of values, and one memo
+    of what is derived from the pool.
+
+    Every take shares the pool and the memo: the pool is immutable by
+    convention, so a value derived from it (keyed by :meth:`pool_derived`)
+    serves every intermediate table gathered from the column.  Pickling
+    keeps the codes and the pool and drops the memo and the decoded list.
+    """
 
     __slots__ = ("codes", "pool", "_memo")
 
-    def __init__(self, codes: np.ndarray, pool: list[str],
-                 memo: dict[str, object] | None = None) -> None:
+    def __init__(self, codes: np.ndarray, pool: list,
+                 memo: dict[object, object] | None = None) -> None:
         super().__init__()
         self.codes = codes
         self.pool = pool
-        # Shared by every take: the pool is immutable by convention.
         self._memo = {} if memo is None else memo
 
     def __len__(self) -> int:
@@ -192,20 +246,55 @@ class StringColumn(Column):
         return [None if code < 0 else pool[code]
                 for code in self.codes[start:stop].tolist()]
 
-    def take(self, indices: Sequence[int]) -> "StringColumn":
-        return StringColumn(self.codes[np.asarray(indices, dtype=np.intp)],
-                            self.pool, self._memo)
+    def take(self, indices: Sequence[int]) -> "PooledColumn":
+        return type(self)(self.codes[np.asarray(indices, dtype=np.intp)],
+                          self.pool, self._memo)
 
-    def _pool_derived(self, key: str, build: Callable[[], _T]) -> _T:
+    def distinct(self, limit: int) -> list[object]:
+        """The first *limit* distinct pool entries the rows hold, in row
+        order: distinct codes, as a pool holds each value once (an image
+        pool each object), so no two values are ever compared."""
+        codes = self.codes
+        rows: dict[int, int] = {}  # code -> first row
+        for row, code in enumerate(codes[:DISTINCT_SCAN].tolist()):
+            if code >= 0 and code not in rows:
+                rows[code] = row
+                if len(rows) >= limit:
+                    break
+        else:
+            if len(codes) > DISTINCT_SCAN:
+                return self._values_at(_first_rows(codes, codes >= 0, limit))
+        if not rows:
+            return []
+        prefix = self._decode(0, max(rows.values()) + 1)
+        return [prefix[row] for row in rows.values()]
+
+    def pool_derived(self, key: object, build: Callable[[], _T]) -> _T:
+        """What *build* derives from the pool, memoised under *key* for
+        this column and every take of it."""
         memo = self._memo
         if key not in memo:
             # Racing builders compute equal values; either may stay.
             memo[key] = build()
         return memo[key]  # type: ignore[return-value]
 
+    def __getstate__(self) -> tuple[np.ndarray, list]:
+        return self.codes, self.pool
+
+    def __setstate__(self, state: tuple[np.ndarray, list]) -> None:
+        self.codes, self.pool = state
+        self._memo = {}
+        self._cache = None
+
+
+class StringColumn(PooledColumn):
+    """Dictionary-encoded interned strings."""
+
+    __slots__ = ()
+
     def code_of(self, text: str) -> int | None:
         """The dictionary code for *text*, or ``None`` when absent."""
-        return self._pool_derived(
+        return self.pool_derived(
             "index", lambda: {t: i for i, t in enumerate(self.pool)}
         ).get(text)
 
@@ -214,7 +303,7 @@ class StringColumn(Column):
         holds a NUL: numpy pads with U+0000, so its code-point order is
         only Python's for NUL-free strings."""
         pool = self.pool
-        return self._pool_derived("unicode", lambda: None if any(
+        return self.pool_derived("unicode", lambda: None if any(
             "\x00" in text for text in pool) else np.array(pool, dtype=str))
 
     def pool_ranks(self) -> np.ndarray | None:
@@ -228,7 +317,31 @@ class StringColumn(Column):
             ranks[np.argsort(unicode, kind="stable")] = \
                 np.arange(len(unicode))
             return ranks
-        return self._pool_derived("ranks", build)
+        return self.pool_derived("ranks", build)
+
+
+class ImageColumn(PooledColumn):
+    """An IMAGE column: codes into a pool of objects, one entry per
+    distinct object (by identity), so a lazy image keeps one entry however
+    many rows or takes show it."""
+
+    __slots__ = ()
+
+
+class TextColumn(PooledColumn):
+    """A TEXT column of ``str`` documents: codes into a pool of distinct
+    documents (by value)."""
+
+    __slots__ = ()
+
+
+def _first_rows(keys: np.ndarray, valid: np.ndarray,
+                limit: int) -> np.ndarray:
+    """Ascending rows of the first *limit* distinct *keys* among the
+    *valid* rows (a stable unique keeps each key's first row)."""
+    rows = np.flatnonzero(valid)
+    _, first = np.unique(keys[rows], return_index=True)
+    return rows[np.sort(first)[:limit]]
 
 
 #: The one Python type each typed store accepts (``type(v) is T``).
@@ -238,15 +351,44 @@ _EXACT_TYPES = {
     DataType.BOOLEAN: bool,
     DataType.DATE: date,
     DataType.STRING: str,
+    DataType.TEXT: str,
 }
 _NONE_TYPE = type(None)
 
 
+def pooled(storage: Column) -> PooledColumn:
+    """*storage* as codes into a pool: itself when it is pooled, else its
+    values pooled by identity afresh (with a memo that dies with it)."""
+    if isinstance(storage, PooledColumn):
+        return storage
+    return PooledColumn(*_pool_by_identity(storage.materialize()))
+
+
+def _pool_by_identity(values: list[object]) -> tuple[np.ndarray, list]:
+    """*values* as codes into a pool of its distinct objects (by
+    identity), in first-occurrence order."""
+    pool: list[object] = []
+    index: dict[int, int] = {}  # id -> code; *values* keeps every id alive
+    codes = []
+    for value in values:
+        if value is None:
+            codes.append(-1)
+            continue
+        code = index.setdefault(id(value), len(pool))
+        if code == len(pool):
+            pool.append(value)
+        codes.append(code)
+    return np.array(codes, dtype=np.int32), pool
+
+
 def _pack(values: list[object], dtype: DataType) -> Column | None:
     """*values* packed into *dtype*'s typed store in bulk, or ``None``
-    for object storage: a modality dtype, any value whose type is not
-    exactly the store's (bool in ints, datetime in dates, ``str``
-    subclasses, mixes), or an int past int64."""
+    for object storage: any value whose type is not exactly the store's
+    (bool in ints, datetime in dates, ``str`` subclasses or non-strings
+    in TEXT, mixes), or an int past int64.  An IMAGE column always pools
+    its objects."""
+    if dtype is DataType.IMAGE:
+        return ImageColumn(*_pool_by_identity(values))
     exact = _EXACT_TYPES.get(dtype)
     if exact is None:
         return None
@@ -257,14 +399,15 @@ def _pack(values: list[object], dtype: DataType) -> Column | None:
         return None
     if exact is str:
         # The pool keeps first-occurrence order.
-        pool = [sys.intern(text) for text in dict.fromkeys(values)
-                if text is not None]
-        lookup: dict[object, int] = {text: code
-                                     for code, text in enumerate(pool)}
+        text = dtype is DataType.TEXT
+        pool = [value if text else sys.intern(value)
+                for value in dict.fromkeys(values) if value is not None]
+        lookup: dict[object, int] = {value: code
+                                     for code, value in enumerate(pool)}
         lookup[None] = -1
-        return StringColumn(np.fromiter(map(lookup.__getitem__, values),
-                                        dtype=np.int32, count=len(values)),
-                            pool)
+        codes = np.fromiter(map(lookup.__getitem__, values),
+                            dtype=np.int32, count=len(values))
+        return TextColumn(codes, pool) if text else StringColumn(codes, pool)
     nulls = (np.array([value is None for value in values], dtype=bool)
              if nullable else np.zeros(len(values), dtype=bool))
     if exact is bool:

@@ -28,7 +28,9 @@ import hashlib
 import threading
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from repro.data.columns import Column, build_column
+import numpy as np
+
+from repro.data.columns import Column, PooledColumn, build_column
 from repro.data.datatypes import (DataType, decode_scalar, encode_scalar,
                                   infer_column_type)
 from repro.data.schema import ColumnSpec, Schema
@@ -184,8 +186,8 @@ class Table:
         if len(mask) != self.num_rows:
             raise SchemaError(
                 f"mask length {len(mask)} != num_rows {self.num_rows}")
-        indices = [i for i, keep in enumerate(mask) if keep]
-        return self.take(indices)
+        return self.take(np.flatnonzero(np.fromiter(
+            map(bool, mask), dtype=bool, count=len(mask))))
 
     def head(self, n: int = 5) -> "Table":
         return self.take(list(range(min(n, self.num_rows))))
@@ -229,32 +231,36 @@ class Table:
     # ------------------------------------------------------------------
 
     def sample_values(self, name: str, limit: int = 3) -> list[object]:
-        """Up to *limit* distinct non-null example values of a column.
+        """Up to *limit* distinct non-null example values of a column, in
+        row order.
 
         Used by prompt construction ("These are some relevant values...").
-        NULL and NaN are skipped.
-        A modality value that is not already a ``str`` (an image) is shown
-        as its ``repr``; a TEXT document is its own display form.
-        Memoized: a column with fewer than *limit* distinct values forces
-        a full scan, and discovery asks for the same samples every query.
+        NULL and NaN are skipped.  The store finds them
+        (:meth:`~repro.data.columns.Column.distinct`): a typed or pooled
+        store with numpy over its arrays or codes, object storage by a
+        scan.  A modality value that is not already a ``str`` (an image)
+        is shown as its ``repr``, and values are distinct as shown.
+        Memoized: discovery asks for the same samples every query.
         """
-        def scan() -> list[object]:
-            modality = self.dtype(name).is_modality
-            seen: list[object] = []
-            for value in self.iter_column(name):
+        def find() -> list[object]:
+            storage = self.storage(name)
+            if not self.dtype(name).is_modality:
+                return storage.distinct(limit)
+            values = (storage.distinct(len(storage))
+                      if isinstance(storage, PooledColumn)
+                      else storage.iter_values())
+            shown: list[object] = []
+            for value in values:
                 if value is None:
                     continue
-                display = (repr(value) if modality
-                           and not isinstance(value, str) else value)
-                # NaN != NaN: it would pass the dedup every time, and
-                # sqlite binds it as NULL anyway, so it is no example.
-                if display not in seen and display == display:
-                    seen.append(display)
-                if len(seen) >= limit:
-                    break
-            return seen
+                display = value if isinstance(value, str) else repr(value)
+                if display not in shown:
+                    shown.append(display)
+                    if len(shown) >= limit:
+                        break
+            return shown
 
-        return list(self.derived(("samples", name, limit), scan))
+        return list(self.derived(("samples", name, limit), find))
 
     def prompt_line(self, name: str) -> str:
         """This table's schema line under *name*, as a prompt shows it

@@ -1,5 +1,7 @@
 """Synthetic multi-modal datasets mirroring the paper's two workloads."""
 
+import inspect
+
 from repro.data.catalog import DataLake
 from repro.datasets.artwork import (ArtworkDataset, GENRE_OBJECT_POOLS,
                                     MOVEMENT_ERAS, generate_artwork_dataset)
@@ -24,7 +26,9 @@ def load_lake(name: str, seed: int | None = None,
     multiplies the dataset's base cardinality (10k+ paintings / 1k+ games
     are a ``--scale`` flag away).  Generation is deterministic in
     ``(name, seed, scale)``.  A lake at another scale is named
-    ``<name>@<scale>``, so it keeps its own plan-cache entries.
+    ``<name>@<scale>``, and one from another seed than the dataset's
+    default ``<name>#<seed>`` (``rotowire@2#1``), so each keeps its own
+    plan-cache entries.
     """
     if name not in _GENERATORS:
         raise KeyError(f"unknown dataset {name!r}; available: "
@@ -35,7 +39,10 @@ def load_lake(name: str, seed: int | None = None,
         kwargs["seed"] = seed
     lake = generator(**kwargs).as_lake()
     if scale != 1.0:
-        lake.name = f"{name}@{scale:g}"
+        lake.name += f"@{scale:g}"
+    if seed is not None \
+            and seed != inspect.signature(generator).parameters["seed"].default:
+        lake.name += f"#{seed}"
     return lake
 
 

@@ -1,90 +1,181 @@
 """The batch seam shared by VisualQA, Image Select and TextQA.
 
 A modality operator answers one question about every object of a column.
-:func:`answer_column` does that a batch of rows at a time: look the
-batch's distinct answer-cache keys up with one ``AnswerCache.get_many``
-(one ``mget`` against a cache tier), run the model on the distinct misses
-only, store them with one ``put_many``.
+The objects are the entries of a pool: an IMAGE or TEXT column is int32
+codes into a pool (:class:`~repro.data.columns.PooledColumn`), and TextQA
+pools the distinct (document, placeholder values) rows of its step.
+:func:`answer_column` answers each distinct entry a step reads once,
+then gathers the rows' answers with numpy, ``memo.values[codes]``.
+
+The answers are kept in an :class:`AnswerMemo` per (pool, question,
+answer type), filed under the answer cache's
+:attr:`~repro.core.cache.Cache.memo_scope`.  An IMAGE pool keeps its
+memos in the pool's memo (:func:`pool_memo`), which every take of the
+column shares, so a warm step over a per-query intermediate table
+builds no answer-cache key at all.  An entry the memo lacks is filled a
+batch at a time: key the batch, look its distinct keys up with one
+``AnswerCache.get_many`` (one ``mget`` against a cache tier), run the
+model on the distinct misses only, store them with one ``put_many``.
+The answer cache stays the source of truth and the persisted file: a
+memo only holds answers its cache holds, and a new scope (a ``clear``,
+an eviction, a loaded cache, another cache) starts an empty memo.
 
 Counters read as a row-at-a-time ``get`` / infer / ``put`` loop would
-have left them: every non-null row is one cache lookup, and a key that
-repeats inside a batch (the same image after a join) is looked up again
-once the first occurrence's answer is stored — one miss and n-1 hits.
-Without a cache the keys go unused and every non-null row is inferred.
+have left them: every non-null row is one cache lookup, and only the
+first lookup of a key the cache lacks is a miss.  Rows answered from
+the memo count as hits on the cache too (``count_hits``).  Without a
+cache there is no memo: every non-null row is inferred.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Iterable, Sequence
+import threading
+from typing import Callable, Sequence, TypeVar
+
+import numpy as np
 
 from repro.core.answer_cache import MISS, AnswerKey
+from repro.data.columns import (Column, ObjectColumn, PooledColumn,
+                                build_column)
+from repro.data.datatypes import DataType
 from repro.operators.base import ExecutionContext
 
-#: Rows looked up and inferred together: one ``mget`` and at most one
-#: ``mput`` against a cache tier per this many rows.  It also bounds what
-#: a batch keeps alive — 64 transient 64x64 rasters are 768 KB — which is
-#: why it is not larger: throughput is flat from 64 to 256 rows, peak
-#: memory is not.
+#: Pool entries looked up and inferred together: one ``mget`` and at most
+#: one ``mput`` against a cache tier per this many entries.  It also
+#: bounds what a batch keeps alive — 64 transient 64x64 rasters are
+#: 768 KB — which is why it is not larger: throughput is flat from 64 to
+#: 256, peak memory is not.
 BATCH_ROWS = 64
 
+#: Answer memos one pool keeps, one per question and answer type; the
+#: oldest is dropped.
+POOL_MEMOS = 64
 
-def answer_column(context: ExecutionContext,
-                  items: Iterable[tuple[AnswerKey, object] | None],
+_MEMO_LOCK = threading.Lock()
+
+_M = TypeVar("_M")
+
+#: ``subjects(entries) -> [(answer-cache key, object for the model)]``,
+#: one pair per pool entry.
+Subjects = Callable[[list[int]], list[tuple[AnswerKey, object]]]
+
+
+class AnswerMemo:
+    """Answers to one question about the entries of one pool, as the
+    cache filed under *scope* holds them."""
+
+    __slots__ = ("scope", "values", "known", "_packed")
+
+    def __init__(self, size: int, scope: object) -> None:
+        self.scope = scope
+        # values[size] stays None: what a null cell's code -1 gathers.
+        self.values = np.full(size + 1, None, dtype=object)
+        self.known = np.zeros(size, dtype=bool)
+        self._packed: tuple[np.ndarray, Column] | None = None
+
+    def column(self, codes: np.ndarray, dtype: DataType) -> Column:
+        """The answers at *codes* (all known, or -1) as a *dtype* column,
+        gathered from the memo packed once into the same store a list of
+        those answers packs into."""
+        packed = self._packed
+        present = codes[codes >= 0]
+        if packed is None or not packed[0][present].all():
+            # Known entries were stored before they were marked known.
+            known = self.known.copy()
+            packed = self._packed = (known,
+                                     build_column(self.values.tolist(), dtype))
+        if isinstance(packed[1], ObjectColumn):
+            # An answer outside these rows kept the memo from packing.
+            return build_column(self.values[codes].tolist(), dtype)
+        return packed[1].take(codes)
+
+
+def pool_memo(storage: PooledColumn, cache, key: tuple,
+              make: Callable[[object], _M] | None = None) -> _M:
+    """The answer memo of *storage*'s pool for *key* (question, answer
+    type) under *cache*'s current scope; a memo of another scope is
+    replaced by an empty one, ``make(scope)`` (by default an
+    :class:`AnswerMemo` over the pool's entries)."""
+    memos = storage.pool_derived("answers", dict)
+    memo = memos.get(key)
+    scope = cache.memo_scope
+    if memo is None or memo.scope is not scope:
+        memo = (AnswerMemo(len(storage.pool), scope) if make is None
+                else make(scope))
+        with _MEMO_LOCK:
+            memos.pop(key, None)
+            memos[key] = memo
+            if len(memos) > POOL_MEMOS:
+                del memos[next(iter(memos))]
+    return memo
+
+
+def answer_column(context: ExecutionContext, codes: np.ndarray,
+                  memo: AnswerMemo | None, subjects: Subjects,
                   infer: Callable[[list], Sequence[object]],
-                  inference_counter: str) -> list[object]:
-    """One answer per item of *items*.
+                  inference_counter: str, dtype: DataType) -> Column:
+    """One answer per row as a *dtype* column.
 
-    An item is ``(answer-cache key, object)``, or ``None`` for a null
-    cell, which answers ``None``.  Equal keys mean interchangeable
-    objects.  *infer* answers a list of objects (already cast to the
-    operator's answer type) and is counted per object under
+    *codes* are the rows' pool entries (``-1`` for a null cell, which
+    answers ``None``); *memo* holds the entries' answers under the
+    context's answer cache (``None`` without one).  Equal keys mean
+    interchangeable objects.  *infer* answers a list of objects (already
+    cast to the operator's answer type) and is counted per object under
     *inference_counter*.
-
-    *items* is consumed :data:`BATCH_ROWS` at a time and a finished
-    batch is dropped, so an iterable that materializes its objects
-    lazily (rendered images) keeps one batch of them alive.
     """
-    answers: list[object] = []
-    stream = iter(items)
-    while batch := list(itertools.islice(stream, BATCH_ROWS)):
-        answers.extend(_answer_batch(context, batch, infer,
-                                     inference_counter))
-    return answers
-
-
-def _answer_batch(context: ExecutionContext,
-                  batch: list[tuple[AnswerKey, object] | None],
-                  infer: Callable[[list], Sequence[object]],
-                  inference_counter: str) -> list[object]:
-    pairs = [item for item in batch if item is not None]
     cache = context.answer_cache
+    present = codes[codes >= 0]
     if cache is None:
-        fresh = iter(_infer(context, [item for _, item in pairs], infer,
-                            inference_counter))
-        return [None if item is None else next(fresh) for item in batch]
-
-    objects: dict[AnswerKey, object] = {}  # distinct keys, first seen
-    for key, item in pairs:
-        objects.setdefault(key, item)
-    known = dict(zip(objects, cache.get_many(list(objects))))
-    missed = [key for key, answer in known.items() if answer is MISS]
-    if missed:
-        fresh = _infer(context, [objects[key] for key in missed], infer,
-                       inference_counter)
-        known.update(zip(missed, fresh))
-        cache.put_many(list(zip(missed, fresh)))
-    misses = len(missed)
-    if len(objects) < len(pairs):
-        # Repeats are looked up now that their first occurrence is
-        # stored: hits, unless the cache is too small to hold the batch.
-        seen: set[AnswerKey] = set()
-        repeats = [key for key, _ in pairs
-                   if key in seen or seen.add(key)]
-        misses += sum(answer is MISS for answer in cache.get_many(repeats))
-    context.record_answer_lookup(True, len(pairs) - misses)
+        answers = np.full(len(codes) + 1, None, dtype=object)
+        rows = np.flatnonzero(codes >= 0)
+        for start in range(0, len(rows), BATCH_ROWS):
+            batch = rows[start:start + BATCH_ROWS]
+            keyed = subjects(codes[batch].tolist())
+            fresh = _infer(context, [item for _, item in keyed], infer,
+                           inference_counter)
+            for row, answer in zip(batch.tolist(), fresh):
+                answers[row] = answer
+        return build_column(answers[:-1].tolist(), dtype)
+    assert memo is not None
+    entries, first = np.unique(present, return_index=True)
+    wanted = entries[np.argsort(first, kind="stable")]  # first-seen order
+    looked_up, misses = _fill(context, cache, memo,
+                              wanted[~memo.known[wanted]].tolist(),
+                              subjects, infer, inference_counter)
+    rows = len(present)
+    context.record_answer_lookup(True, rows - misses)
     context.record_answer_lookup(False, misses)
-    return [None if item is None else known[item[0]] for item in batch]
+    cache.count_hits(rows - looked_up)
+    return memo.column(codes, dtype)
+
+
+def _fill(context: ExecutionContext, cache, memo: AnswerMemo,
+          missing: list[int], subjects: Subjects,
+          infer: Callable[[list], Sequence[object]],
+          inference_counter: str) -> tuple[int, int]:
+    """Answer the *missing* entries into *memo*; returns how many keys
+    were looked up and how many of them missed."""
+    looked_up = misses = 0
+    values, known = memo.values, memo.known
+    for start in range(0, len(missing), BATCH_ROWS):
+        batch = missing[start:start + BATCH_ROWS]
+        keyed = subjects(batch)
+        objects: dict[AnswerKey, object] = {}  # distinct keys, first seen
+        for key, item in keyed:
+            objects.setdefault(key, item)
+        found = dict(zip(objects, cache.get_many(list(objects))))
+        looked_up += len(objects)
+        missed = [key for key, answer in found.items() if answer is MISS]
+        if missed:
+            fresh = _infer(context, [objects[key] for key in missed], infer,
+                           inference_counter)
+            found.update(zip(missed, fresh))
+            cache.put_many(list(zip(missed, fresh)))
+            misses += len(missed)
+        for entry, (key, _) in zip(batch, keyed):
+            values[entry] = found[key]
+        known[batch] = True
+    return looked_up, misses
 
 
 def _infer(context: ExecutionContext, objects: list,

@@ -4,20 +4,62 @@
 to questions by inserting different team names from the values in the table"
 (Figure 4).  Placeholders ``<column>`` in the template are instantiated from
 each row before the extractive QA model answers from the row's text.
+
+A question depends only on the row's document and its placeholder values,
+so the step answers each distinct (document code, placeholder codes) row
+once: ``np.unique`` finds them, and their answers are memoised on the
+document pool per (template, answer type) and answer-cache scope, keyed by
+the document code and the placeholder values as the question shows them.
+A warm step hashes no report and instantiates no question.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import numpy as np
 
-from repro.core.answer_cache import AnswerKey, text_fingerprint
+from repro.core.answer_cache import MISS, AnswerKey, text_fingerprint
+from repro.data.columns import Column, PooledColumn, pooled
 from repro.data.datatypes import DataType
+from repro.data.table import Table
+from repro.errors import OperatorError
 from repro.operators.base import (ExecutionContext, OperatorCard,
                                   OperatorResult, PhysicalOperator,
                                   register_operator)
-from repro.operators.modality import answer_column
+from repro.operators.modality import AnswerMemo, answer_column, pool_memo
 from repro.operators.visual_qa import answer_dtype, cast_answer
-from repro.text.qa import instantiate_template
+from repro.text.qa import instantiate_template, template_columns
+
+
+def _row_codes(storage: Column) -> np.ndarray:
+    """Per-row codes, equal where two rows show the same value in a
+    question (``-1`` for NULL, shown as ``None``)."""
+    if isinstance(storage, PooledColumn):
+        return storage.codes
+    data = getattr(storage, "data", None)
+    if data is None:
+        return pooled(storage).codes
+    if data.dtype.kind == "f":
+        # By bit pattern: -0.0 and 0.0 show differently.
+        data = np.ascontiguousarray(data).view(np.int64)
+    codes = np.unique(data, return_inverse=True)[1].reshape(-1)
+    return np.where(storage.nulls, -1, codes)
+
+
+def _entries(table: Table, documents: PooledColumn, rows: np.ndarray,
+             names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (document code, placeholder codes) *rows*, numbered
+    in first-seen order: each row's entry (``-1`` off *rows*), and one
+    row per entry."""
+    stacked = np.stack([documents.codes[rows]] + [
+        _row_codes(table.storage(name))[rows] for name in names], axis=1)
+    _, first, inverse = np.unique(stacked, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    codes = np.full(len(documents), -1, dtype=np.intp)
+    codes[rows] = number[inverse.reshape(-1)]
+    return codes, rows[first[order]]
 
 
 class TextQAOperator(PhysicalOperator):
@@ -42,31 +84,80 @@ class TextQAOperator(PhysicalOperator):
         table = self.require_column(context, table_name, text_column,
                                     DataType.TEXT)
         cache_type = answer_type.strip().lower()
+        dtype = answer_dtype(answer_type)
         model = context.text_model
+        documents = pooled(table.storage(text_column))
+        rows = np.flatnonzero(documents.codes >= 0)
+        names = template_columns(template)
+        if len(rows):
+            for name in names:
+                if name not in table:
+                    raise OperatorError(
+                        f"question template references unknown column "
+                        f"<{name}>", operator=self.name)
 
-        def instantiated() -> Iterator[tuple[AnswerKey, tuple] | None]:
-            for row in table.rows():
-                if row[text_column] is None:
-                    yield None
-                    continue
-                document = str(row[text_column])
-                question = instantiate_template(template, row)
-                yield ((text_fingerprint(document), question, cache_type),
-                       (document, question))
+        codes, shown = _entries(table, documents, rows, names)
+        doc_codes = documents.codes[shown].tolist()
+        values = [table.storage(name).take(shown).materialize()
+                  for name in names]
+        fingerprints = documents.pool_derived("fingerprints", dict)
+
+        def subjects(entries: list[int]) -> list[tuple[AnswerKey, tuple]]:
+            keyed = []
+            for entry in entries:
+                code = doc_codes[entry]
+                document = str(documents.pool[code])
+                if code not in fingerprints:
+                    fingerprints[code] = text_fingerprint(document)
+                question = instantiate_template(template, {
+                    name: column[entry] for name, column in zip(names, values)})
+                keyed.append(((fingerprints[code], question, cache_type),
+                              (document, question)))
+            return keyed
+
+        cache = context.answer_cache
+        memo = None
+        if cache is not None:
+            # The pool's memo answers by document code and placeholder
+            # values as the question shows them; this step reads it into
+            # a memo over its own distinct rows.
+            asked = pool_memo(documents, cache, (template, cache_type),
+                              _Asked)
+            asked_keys = list(zip(doc_codes, *(map(str, column)
+                                               for column in values)))
+            memo = AnswerMemo(len(doc_codes), None)
+            found = [asked.get(key, MISS) for key in asked_keys]
+            memo.known[:] = [answer is not MISS for answer in found]
+            memo.values[:-1] = [None if answer is MISS else answer
+                                for answer in found]
+            fresh = np.flatnonzero(~memo.known).tolist()
 
         answers = answer_column(
-            context, instantiated(),
-            lambda asked: [
+            context, codes, memo, subjects,
+            lambda asked_now: [
                 cast_answer(model.answer(document, question), answer_type,
-                            self.name) for document, question in asked],
-            "text_inferences")
-        result = table.with_column(new_column, answer_dtype(answer_type),
-                                   answers)
+                            self.name) for document, question in asked_now],
+            "text_inferences", dtype)
+        if memo is not None:
+            for entry in fresh:
+                asked[asked_keys[entry]] = memo.values[entry]
+        result = table.with_column(new_column, dtype, answers)
         samples = result.sample_values(new_column)
         observation = (
             f"New column {new_column!r} has been added to the table. "
             f"Example values: {samples}")
         return OperatorResult(table=result, observation=observation)
+
+
+class _Asked(dict):
+    """Answers of one (template, answer type) under one cache scope, by
+    (document code, placeholder values as the question shows them)."""
+
+    __slots__ = ("scope",)
+
+    def __init__(self, scope: object) -> None:
+        super().__init__()
+        self.scope = scope
 
 
 register_operator(TextQAOperator)

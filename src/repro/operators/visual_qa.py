@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.core.answer_cache import AnswerKey
+from repro.data.columns import Column, pooled
 from repro.data.datatypes import DataType
 from repro.data.table import Table
 from repro.errors import OperatorError
 from repro.operators.base import (ExecutionContext, OperatorCard,
                                   OperatorResult, PhysicalOperator,
                                   register_operator)
-from repro.operators.modality import answer_column
+from repro.operators.modality import answer_column, pool_memo
 from repro.vision.image import Image
 
 _ANSWER_CASTS = {
@@ -54,34 +55,41 @@ def answer_images(operator: PhysicalOperator, context: ExecutionContext,
                   table_name: str, image_column: str, question: str,
                   answer_type: str,
                   infer: Callable[[list[Image]], Sequence[object]],
-                  ) -> tuple[Table, list[object]]:
+                  dtype: DataType) -> tuple[Table, Column]:
     """What VisualQA and Image Select share: *question* asked of every
     image of a column through the modality batch seam.  Returns ``(table,
-    one answer per row)``; null cells answer ``None``.
+    one answer per row as a *dtype* column)``; null cells answer ``None``.
 
-    Cache keys are ``(image fingerprint, question, answer_type)``.
-    Images are keyed batch by batch (:meth:`Image.keyed`): a lazy lake
-    image without a digest is rendered once, that raster is what *infer*
-    sees on a cache miss, and it is dropped with its batch instead of
-    staying on the lake.
+    The column's images are pool entries (pooled by identity), and the
+    answers are memoised per entry on the pool (:func:`~repro.operators.
+    modality.pool_memo`), so a warm step keys no image.  Cache keys are
+    ``(image fingerprint, question, answer_type)``; an image the memo
+    lacks is keyed once (:meth:`Image.keyed`): a lazy lake image without
+    a digest is rendered once, that raster is what *infer* sees on a
+    cache miss, and it is dropped with its batch instead of staying on
+    the lake.
     """
     table = operator.require_column(context, table_name, image_column,
                                     DataType.IMAGE)
+    images = pooled(table.storage(image_column))
+    pool = images.pool
 
-    def keyed() -> Iterator[tuple[AnswerKey, Image] | None]:
-        for image in table.column(image_column):
-            if image is None:
-                yield None
-                continue
+    def subjects(entries: list[int]) -> list[tuple[AnswerKey, Image]]:
+        keyed = []
+        for image in map(pool.__getitem__, entries):
             if not isinstance(image, Image):
                 raise OperatorError(
                     f"column {image_column!r} holds {type(image).__name__}, "
                     "not images", operator=operator.name)
             view = image.keyed()
-            yield (view.fingerprint(), question, answer_type), view
+            keyed.append(((view.fingerprint(), question, answer_type), view))
+        return keyed
 
-    answers = answer_column(context, keyed(), infer, "vision_inferences")
-    return table, answers
+    cache = context.answer_cache
+    memo = (None if cache is None
+            else pool_memo(images, cache, (question, answer_type)))
+    return table, answer_column(context, images.codes, memo, subjects,
+                                infer, "vision_inferences", dtype)
 
 
 class VisualQAOperator(PhysicalOperator):
@@ -101,14 +109,14 @@ class VisualQAOperator(PhysicalOperator):
     def run(self, context: ExecutionContext, args: list[str]) -> OperatorResult:
         table_name, image_column, new_column, question, answer_type = (
             self.require_args(args, 5))
+        dtype = answer_dtype(answer_type)
         table, answers = answer_images(
             self, context, table_name, image_column, question,
             answer_type.strip().lower(),
             lambda images: [
                 cast_answer(raw, answer_type, self.name) for raw in
-                context.vision_model.answer_many(images, question)])
-        result = table.with_column(new_column, answer_dtype(answer_type),
-                                   answers)
+                context.vision_model.answer_many(images, question)], dtype)
+        result = table.with_column(new_column, dtype, answers)
         samples = result.sample_values(new_column)
         observation = (
             f"New column {new_column!r} has been added to the table. "
@@ -132,8 +140,9 @@ class ImageSelectOperator(PhysicalOperator):
         table, matches = answer_images(
             self, context, table_name, image_column, description, "select",
             lambda images: context.vision_model.matches_many(images,
-                                                             description))
-        result = table.filter([bool(keep) for keep in matches])
+                                                             description),
+            DataType.BOOLEAN)
+        result = table.filter(matches.materialize())
         observation = (
             f"Image Select kept {result.num_rows} of {table.num_rows} rows "
             f"matching {description!r}.")

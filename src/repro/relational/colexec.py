@@ -39,8 +39,8 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from repro.data.columns import (BoolColumn, Column, DateColumn, FloatColumn,
-                                IntColumn, ObjectColumn, StringColumn,
-                                build_column)
+                                IntColumn, ObjectColumn, PooledColumn,
+                                StringColumn, build_column)
 from repro.data.datatypes import DataType
 from repro.data.schema import ColumnSpec, Schema
 from repro.data.table import Table
@@ -52,6 +52,8 @@ _INT64_MAX = 2 ** 63 - 1
 # Above 2**53 a float cannot represent every integer, so Python's exact
 # int arithmetic and sqlite's double-based AVG start disagreeing.
 _EXACT_FLOAT_INT = 2 ** 53
+#: ``date(1970, 1, 1).toordinal()``: numpy's day zero.
+_EPOCH_ORDINAL = 719163
 
 
 class UnsupportedSQL(Exception):
@@ -504,7 +506,7 @@ def _adapted_column(table: Table, name: str) -> list[object]:
 
     def adapt() -> list[object]:
         adapted = list(map(_adapt_cell, storage.iter_values()))
-        if isinstance(storage, ObjectColumn):
+        if not isinstance(storage, (BoolColumn, DateColumn)):
             # Typed bool / date stores hold nothing else.
             for value in adapted:
                 if value is not None and type(value) not in _SCALARS:
@@ -670,7 +672,7 @@ def _compile_mask(table: Table, expr: Expr) -> np.ndarray:
 def _notnull_mask(storage: Column) -> np.ndarray:
     if isinstance(storage, StringColumn):
         return storage.codes >= 0
-    if isinstance(storage, ObjectColumn):
+    if isinstance(storage, (ObjectColumn, PooledColumn)):
         raise _no_kernel("IS NULL", storage)
     return ~storage.nulls
 
@@ -728,10 +730,12 @@ def _aggregate(table: Table, column: str | None, item: AggItem,
         # Tokens are unique per cell, so sqlite's COUNT and
         # COUNT(DISTINCT) both equal the non-null count.
         values = storage.materialize()
-        return sum(1 for i in members if values[i] is not None)
+        return sum(1 for i in np.asarray(members).tolist()
+                   if values[i] is not None)
     if item.distinct:
         values = _adapted_column(table, column)
-        return len({values[i] for i in members} - {None})
+        return len({values[i] for i in np.asarray(members).tolist()}
+                   - {None})
     func = item.func
     if isinstance(storage, StringColumn):
         codes = storage.codes[members]
@@ -846,14 +850,25 @@ def _take_sql_column(storage: object, indices: Sequence[int] | None
                      ) -> tuple[Column, DataType] | None:
     """Gather a projected result column straight from typed storage.
 
-    Only stores whose adapted form equals the raw values qualify (int /
-    float / dictionary-encoded strings); the returned dtype is exactly
-    what :func:`_infer_sql_dtype` would assign to the gathered list, so
-    result assembly can skip the per-cell builder path without changing
-    the result's schema, values, or fingerprint.  ``indices=None`` is
-    the identity projection: the storage itself is shared (columns are
-    immutable once inside a table).
+    Stores whose adapted form equals the raw values qualify (int /
+    float / dictionary-encoded strings), and date stores, whose adapted
+    form is the ISO text: they gather into a string column of the
+    distinct dates, formatted once by numpy.  The returned dtype is
+    exactly what :func:`_infer_sql_dtype` would assign to the gathered
+    list, so result assembly can skip the per-cell builder path without
+    changing the result's schema, values, or fingerprint.
+    ``indices=None`` is the identity projection: the storage itself is
+    shared (columns are immutable once inside a table).
     """
+    if isinstance(storage, DateColumn):
+        taken = storage if indices is None else storage.take(indices)
+        present = ~taken.nulls
+        days, codes = np.unique(taken.data[present], return_inverse=True)
+        iso = np.datetime_as_string(
+            (days - _EPOCH_ORDINAL).astype("datetime64[D]")).tolist()
+        gathered = np.full(len(taken), -1, dtype=np.int32)
+        gathered[present] = codes.reshape(-1)
+        return StringColumn(gathered, iso), DataType.STRING
     if not isinstance(storage, (StringColumn, IntColumn, FloatColumn)):
         return None
     taken = storage if indices is None else storage.take(indices)
@@ -905,6 +920,120 @@ def _index_sort_key(value: object) -> tuple[int, object]:
     return (2, value)
 
 
+#: Join indexes a string pool keeps its key numbers for.
+_PROBES_PER_POOL = 4
+
+
+@dataclass(frozen=True, eq=False)
+class _JoinIndex:
+    """The right side of an equi-join on one key column, as sqlite's
+    automatic covering index orders it.
+
+    ``lookup`` numbers the distinct non-null adapted keys (Python value
+    equality, as sqlite's: a bool key equals an int key); the rows of
+    key *k* are ``rows[starts[k]:starts[k + 1]]``, ordered by the
+    remaining non-modality right columns in table order, then rowid.
+    ``ints`` / ``floats`` are the numeric keys sorted, as int64 / float64,
+    with their numbers, for a typed left column to probe with
+    ``searchsorted`` (``None`` when a numeric key is not exact in that
+    dtype).
+    """
+
+    lookup: dict[object, int]
+    starts: np.ndarray
+    rows: np.ndarray
+    duplicates: bool
+    ints: tuple[np.ndarray, np.ndarray] | None
+    floats: tuple[np.ndarray, np.ndarray] | None
+
+
+def _join_index(right: Table, right_on: str) -> _JoinIndex:
+    """The join index of *right* on *right_on*, built once per table
+    (:meth:`Table.derived`)."""
+    return right.derived(("join_index", right_on),
+                         lambda: _build_join_index(right, right_on))
+
+
+def _build_join_index(right: Table, right_on: str) -> _JoinIndex:
+    keys = _adapted_column(right, right_on)
+    lookup: dict[object, int] = {}
+    codes = np.fromiter((-1 if key is None
+                         else lookup.setdefault(key, len(lookup))
+                         for key in keys), dtype=np.intp, count=len(keys))
+    valid = np.flatnonzero(codes >= 0)
+    rows = valid[np.argsort(codes[valid], kind="stable")]
+    counts = np.bincount(codes[valid], minlength=len(lookup))
+    starts = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+    duplicates = bool((counts > 1).any())
+    if duplicates:
+        order_columns = [_adapted_column(right, name)
+                         for name in right.column_names
+                         if name != right_on
+                         and not right.dtype(name).is_modality]
+        for code in np.flatnonzero(counts > 1).tolist():
+            group = rows[starts[code]:starts[code + 1]].tolist()
+            group.sort(key=lambda j: tuple(_index_sort_key(values[j])
+                                           for values in order_columns))
+            rows[starts[code]:starts[code + 1]] = group
+    numeric = [(key, code) for key, code in lookup.items()
+               if type(key) in (int, float)]
+    ints = floats = None
+    if numeric:
+        values = [key for key, _ in numeric]
+        numbers = np.array([code for _, code in numeric], dtype=np.intp)
+        if all(type(key) is int and _INT64_MIN <= key <= _INT64_MAX
+               for key in values):
+            as_int = np.array(values, dtype=np.int64)
+            order = np.argsort(as_int, kind="stable")
+            ints = (as_int[order], numbers[order])
+        if all(type(key) is float or abs(key) <= _EXACT_FLOAT_INT
+               for key in values):
+            as_float = np.array(values, dtype=np.float64)
+            order = np.argsort(as_float, kind="stable")
+            floats = (as_float[order], numbers[order])
+    return _JoinIndex(lookup, starts, rows, duplicates, ints, floats)
+
+
+def _probe_codes(index: _JoinIndex, table: Table, name: str) -> np.ndarray:
+    """Each row's key code in *index* (``-1``: NULL or no match)."""
+    storage = table.storage(name)
+    lookup = index.lookup
+    if isinstance(storage, StringColumn):
+        # Each pool entry's key number, kept on the pool for the last
+        # few indexes it probed (the index object itself is the key).
+        probed = storage.pool_derived("join_probes", dict)
+        found = probed.get(index)
+        if found is None:
+            found = np.array([lookup.get(text, -1) for text in storage.pool]
+                             + [-1], dtype=np.intp)
+            if len(probed) >= _PROBES_PER_POOL:
+                probed.clear()
+            probed[index] = found
+        return found[storage.codes]
+    if isinstance(storage, (IntColumn, BoolColumn, FloatColumn)):
+        data = storage.data
+        if isinstance(storage, FloatColumn):
+            search = index.floats
+        elif index.ints is not None:
+            search, data = index.ints, data.astype(np.int64, copy=False)
+        elif not len(data) or np.abs(data).max() <= _EXACT_FLOAT_INT:
+            search = index.floats
+        else:
+            search = None
+        if search is not None:
+            keys, codes = search
+            if not len(keys):
+                return np.full(len(data), -1, dtype=np.intp)
+            at = np.minimum(np.searchsorted(keys, data), len(keys) - 1)
+            hit = (keys[at] == data) & ~storage.nulls
+            return np.where(hit, codes[at], -1)
+    if not index.lookup:
+        return np.full(len(storage), -1, dtype=np.intp)
+    return np.fromiter((-1 if key is None else lookup.get(key, -1)
+                        for key in _adapted_column(table, name)),
+                       dtype=np.intp, count=len(storage))
+
+
 def _sqlite_join(left: Table, right: Table,
                  left_on: str, right_on: str) -> Table:
     """An equi-join with :func:`~repro.relational.sqlexec.build_join_sql`'s
@@ -915,53 +1044,34 @@ def _sqlite_join(left: Table, right: Table,
     rows are left-row-major and the matches of one key follow the index
     sort: (key, remaining referenced right columns in table order,
     rowid).  Keys match by sqlite value equality (adapted cells), so
-    e.g. a bool key equals an int key.
+    e.g. a bool key equals an int key.  The right side's index is built
+    once per table (:func:`_join_index`); each left row's matches are a
+    range of it, gathered with ``repeat``.
     """
     renames = join_renames(left.column_names, right.column_names,
                            left_on, right_on)
-    left_keys = _adapted_column(left, left_on)
-    right_keys = _adapted_column(right, right_on)
-
-    order_columns: list[list[object]] = []
-    modality_right = False
-    for name in right.column_names:
-        if name == right_on:
-            continue
-        if right.dtype(name).is_modality:
-            modality_right = True
-        else:
-            order_columns.append(_adapted_column(right, name))
-
-    index: dict[object, list[int]] = {}
-    for j, key in enumerate(right_keys):
-        if key is None:
-            continue
-        index.setdefault(key, []).append(j)
-    if modality_right and any(len(rows) > 1 for rows in index.values()):
+    index = _join_index(right, right_on)
+    if index.duplicates and any(
+            right.dtype(name).is_modality
+            for name in right.column_names if name != right_on):
         # The covering index would order duplicate-key matches by token
         # text, which depends on the executor's registration history.
         raise UnsupportedSQL("join with duplicate keys into a table "
                              "with modality columns")
-    for rows in index.values():
-        if len(rows) > 1:
-            rows.sort(key=lambda j: tuple(_index_sort_key(values[j])
-                                          for values in order_columns))
-
-    left_indices: list[int] = []
-    right_indices: list[int] = []
-    for i, key in enumerate(left_keys):
-        if key is None:
-            continue
-        for j in index.get(key, ()):
-            left_indices.append(i)
-            right_indices.append(j)
-
+    codes = _probe_codes(index, left, left_on)
+    matched = np.flatnonzero(codes >= 0)
+    first = index.starts[codes[matched]]
+    counts = index.starts[codes[matched] + 1] - first
+    left_indices = np.repeat(matched, counts)
+    # Row r of the output is match (r - start of its run) of its left row.
+    offsets = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    right_indices = index.rows[np.arange(len(left_indices)) + offsets]
     return _assemble_join(left, right, left_indices, right_indices,
                           renames, right_on if right_on == left_on else None)
 
 
-def _assemble_join(left: Table, right: Table, left_indices: list[int],
-                   right_indices: list[int], renames: dict[str, str],
+def _assemble_join(left: Table, right: Table, left_indices: Sequence[int],
+                   right_indices: Sequence[int], renames: dict[str, str],
                    merged_key: str | None) -> Table:
     """The joined table, gathered column by column from both sides'
     storage.  Its schema is the one appending each right column with
@@ -1154,11 +1264,9 @@ def _group_plan(statement: SelectStatement, items: list[object],
 def _execute_columnar(statement: SelectStatement, table: Table,
                       resolve: Callable[[tuple[str | None, str]], str]
                       ) -> Table:
-    if statement.where is not None:
-        indices = np.flatnonzero(
-            _compile_mask(table, statement.where)).tolist()
-    else:
-        indices = list(range(table.num_rows))
+    indices: Sequence[int] = (
+        np.flatnonzero(_compile_mask(table, statement.where))
+        if statement.where is not None else np.arange(table.num_rows))
 
     items = _output_items(statement, table)
     names = [item.output_name if isinstance(item, ColItem) else item.alias
@@ -1201,7 +1309,7 @@ def _execute_columnar(statement: SelectStatement, table: Table,
         order_column = resolve((qualifier, name))
         if table.dtype(order_column).is_modality:
             raise UnsupportedSQL("ORDER BY over a modality column")
-        indices = _order_indices(indices,
+        indices = _order_indices(indices.tolist(),
                                  _adapted_column(table, order_column),
                                  descending)
     if statement.limit is not None and not statement.distinct:
@@ -1215,9 +1323,12 @@ def _execute_columnar(statement: SelectStatement, table: Table,
         column = resolve((item.qualifier, item.name))
         dtype = table.dtype(column)
         if dtype.is_modality:
-            values = table.storage(column).materialize()
-            named.append((item.output_name,
-                          [values[i] for i in indices], dtype))
+            # A gather shares the pool, and with it the answer memos.
+            taken = table.storage(column).take(indices)
+            if not isinstance(taken, PooledColumn) \
+                    or not (taken.codes >= 0).any():
+                taken = taken.materialize()  # typed like the bridge
+            named.append((item.output_name, taken, dtype))
             continue
         if not statement.distinct:
             taken = _take_sql_column(table.storage(column),
@@ -1226,8 +1337,9 @@ def _execute_columnar(statement: SelectStatement, table: Table,
                 named.append((item.output_name, taken[0], taken[1]))
                 continue
         values = _adapted_column(table, column)
-        named.append((item.output_name,
-                      [values[i] for i in indices], None))
+        named.append((item.output_name, [values[i] for i in (
+            indices.tolist() if isinstance(indices, np.ndarray)
+            else indices)], None))
 
     if statement.distinct:
         if any(modality is not None for _, _, modality in named):

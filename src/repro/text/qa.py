@@ -60,6 +60,12 @@ def split_sentences(text: str) -> list[str]:
     return [s.strip() for s in _SENTENCE_SPLIT_RE.split(text) if s.strip()]
 
 
+def template_columns(template: str) -> list[str]:
+    """The columns a question template's ``<column>`` placeholders name,
+    each once, in order."""
+    return list(dict.fromkeys(_PLACEHOLDER_RE.findall(template)))
+
+
 def instantiate_template(template: str, row: dict[str, object]) -> str:
     """Replace ``<column>`` placeholders in a question template."""
     def replace(match: re.Match[str]) -> str:

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.data.columns import (BoolColumn, Column, DateColumn, FloatColumn,
-                                IntColumn, ObjectColumn, StringColumn,
+                                ImageColumn, IntColumn, ObjectColumn,
+                                PooledColumn, StringColumn, TextColumn,
                                 build_column)
 from repro.data.datatypes import DataType, infer_column_type, infer_type
 from repro.data.schema import ColumnSpec, ForeignKey, Schema
@@ -51,7 +52,7 @@ _STORE_DTYPES = {IntColumn: np.int64, FloatColumn: np.float64,
 #: Each typed store and the one Python type it accepts exactly.
 _TYPED_STORES = {DT.INTEGER: (IntColumn, int), DT.FLOAT: (FloatColumn, float),
                  DT.BOOLEAN: (BoolColumn, bool), DT.DATE: (DateColumn, date),
-                 DT.STRING: (StringColumn, str)}
+                 DT.STRING: (StringColumn, str), DT.TEXT: (TextColumn, str)}
 
 
 def _fits(value, exact: type) -> bool:
@@ -63,18 +64,28 @@ def reference_column(values, dtype: DataType) -> Column:
     """One value at a time: the typed store while every value fits it
     exactly, else object storage of the same values."""
     values = list(values)
+    if dtype is DT.IMAGE:
+        # Any objects, pooled by identity.
+        pool: list[object] = []
+        codes = np.zeros(len(values), dtype=np.int32)
+        for i, value in enumerate(values):
+            if value is not None and not any(seen is value for seen in pool):
+                pool.append(value)
+            codes[i] = -1 if value is None else next(
+                code for code, seen in enumerate(pool) if seen is value)
+        return ImageColumn(codes, pool)
     store, exact = _TYPED_STORES.get(dtype, (ObjectColumn, None))
     if exact is None or not all(value is None or _fits(value, exact)
                                 for value in values):
         return ObjectColumn(values)
-    if store is StringColumn:
-        pool: list[str] = []
+    if store in (StringColumn, TextColumn):
+        pool = []
         codes = np.zeros(len(values), dtype=np.int32)
         for i, value in enumerate(values):
             if value is not None and value not in pool:
                 pool.append(value)
             codes[i] = -1 if value is None else pool.index(value)
-        return StringColumn(codes, pool)
+        return store(codes, pool)
     data = np.zeros(len(values), dtype=_STORE_DTYPES[store])
     nulls = np.zeros(len(values), dtype=bool)
     for i, value in enumerate(values):
@@ -105,8 +116,8 @@ def reference_take(column: Column, indices) -> Column:
     """Per-index gathers, as every store did before numpy."""
     if isinstance(column, ObjectColumn):
         return ObjectColumn([column.values[i] for i in indices])
-    if isinstance(column, StringColumn):
-        return StringColumn(np.array([column.codes[i] for i in indices],
+    if isinstance(column, PooledColumn):
+        return type(column)(np.array([column.codes[i] for i in indices],
                                      dtype=np.int32), column.pool)
     nulls = np.array([column.nulls[i] for i in indices], dtype=bool)
     return type(column)(np.array([column.data[i] for i in indices],
@@ -181,7 +192,7 @@ def assert_same_column(bulk: Column, reference: Column,
     assert type(bulk) is type(reference)
     assert len(bulk) == len(reference)
     assert cells(bulk) == cells(reference)
-    if isinstance(reference, StringColumn):
+    if isinstance(reference, PooledColumn):
         assert bulk.codes.dtype == np.int32
         if same_pool:
             assert bulk.pool == reference.pool
@@ -213,6 +224,7 @@ _SPECIALS = {
     DT.FLOAT: [float("nan"), -0.0, 0.0, float("inf"), float("-inf"),
                1e-323, 5e-324, 1.5e308, 3, True],
     DT.STRING: ["", "a", "Ünïcode", "a b c", Text("sub"), 3, 2.0],
+    DT.TEXT: ["", "a longer report.", Text("sub"), 3],
     DT.BOOLEAN: [True, False, 1, 0],
     DT.DATE: [date(1, 1, 1), date(9999, 12, 31), date(1889, 1, 15),
               datetime(2020, 1, 2, 3, 4), "2020-01-01"],
@@ -400,7 +412,7 @@ def test_sample_values_decodes_a_prefix_of_a_long_column(monkeypatch,
 
 def test_take_sql_column_keeps_the_bridge_dtype_rule():
     rng = random.Random(3)
-    for dtype in (DT.INTEGER, DT.FLOAT, DT.STRING):
+    for dtype in (DT.INTEGER, DT.FLOAT, DT.STRING, DT.DATE):
         for values in value_lists(dtype, seed=5, count=20):
             storage = build_column(list(values), dtype)
             for indices in [None, *_index_sets(len(values), rng)]:
@@ -411,9 +423,11 @@ def test_take_sql_column_keeps_the_bridge_dtype_rule():
                 column, result_dtype = taken
                 expected = (values if indices is None
                             else [values[i] for i in indices])
-                assert result_dtype == _infer_sql_dtype(
-                    [_adapt_cell(v) for v in expected])
-                assert cells(column) == cells(build_column(expected, dtype))
+                adapted = [_adapt_cell(v) for v in expected]
+                assert result_dtype == _infer_sql_dtype(adapted)
+                # Dates gather as the ISO text sqlite holds.
+                assert cells(column) == cells(build_column(adapted,
+                                                           result_dtype))
 
 
 # ----------------------------------------------------------------------
