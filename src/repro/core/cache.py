@@ -188,7 +188,6 @@ class Cache:
                 if len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
                     self._evictions += 1
-                    self._memo_scope = object()
 
     def rewrite(self, change: Callable[[tuple, Any], tuple]) -> None:
         """Replace each local ``(key, value)`` with ``change(key, value)``,
@@ -227,19 +226,30 @@ class Cache:
     def memo_scope(self) -> object:
         """The token a memo of this cache's entries is filed under.
 
-        It is replaced whenever an entry leaves or changes (:meth:`clear`,
-        an eviction, :meth:`rewrite`), so a memo filed under the current
-        token only holds answers the cache still holds.  A cache built by
-        :meth:`load` is a new object with a token of its own.
+        It is replaced when every entry leaves or may change
+        (:meth:`clear`, :meth:`rewrite`), so a memo filed under another
+        token is stale.  One filed under the current token may still
+        name keys the cache has evicted since: :meth:`touch` finds them.
+        A cache built by :meth:`load` is a new object with a token of
+        its own.
         """
         return self._memo_scope
 
-    def count_hits(self, lookups: int) -> None:
-        """Count *lookups* hits served from a memo filed under
-        :attr:`memo_scope`: entries the cache holds, found without a
-        lookup."""
+    def touch(self, keys: Sequence[tuple]) -> bool:
+        """Look *keys* up in order without reading their values, if the
+        local entries hold them all: each moves to the most recent end
+        and counts one hit, as :meth:`get_many` would leave it.  Returns
+        ``False``, changing nothing, when one is absent (the tier is not
+        asked)."""
         with self._lock:
-            self._hits += lookups
+            entries = self._entries
+            if not all(map(entries.__contains__, keys)):
+                return False
+            move = entries.move_to_end
+            for key in keys:
+                move(key)
+            self._hits += len(keys)
+        return True
 
     @property
     def hits(self) -> int:

@@ -1,17 +1,17 @@
 """Synthetic multi-modal datasets mirroring the paper's two workloads."""
 
-import inspect
-
 from repro.data.catalog import DataLake
+from repro.datasets import artwork, rotowire
 from repro.datasets.artwork import (ArtworkDataset, GENRE_OBJECT_POOLS,
                                     MOVEMENT_ERAS, generate_artwork_dataset)
 from repro.datasets.rotowire import (RotowireDataset, TEAMS,
                                      generate_rotowire_dataset)
 
 
+#: Each dataset's generator and its default seed.
 _GENERATORS = {
-    "artwork": generate_artwork_dataset,
-    "rotowire": generate_rotowire_dataset,
+    "artwork": (generate_artwork_dataset, artwork.DEFAULT_SEED),
+    "rotowire": (generate_rotowire_dataset, rotowire.DEFAULT_SEED),
 }
 
 DATASET_NAMES = tuple(sorted(_GENERATORS))
@@ -33,15 +33,13 @@ def load_lake(name: str, seed: int | None = None,
     if name not in _GENERATORS:
         raise KeyError(f"unknown dataset {name!r}; available: "
                        f"{', '.join(DATASET_NAMES)}")
-    generator = _GENERATORS[name]
-    kwargs: dict[str, object] = {"scale": scale}
-    if seed is not None:
-        kwargs["seed"] = seed
-    lake = generator(**kwargs).as_lake()
+    generator, default_seed = _GENERATORS[name]
+    if seed is None:
+        seed = default_seed
+    lake = generator(seed=seed, scale=scale).as_lake()
     if scale != 1.0:
         lake.name += f"@{scale:g}"
-    if seed is not None \
-            and seed != inspect.signature(generator).parameters["seed"].default:
+    if seed != default_seed:
         lake.name += f"#{seed}"
     return lake
 

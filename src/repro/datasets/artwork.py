@@ -111,7 +111,12 @@ def _painting_stream(num_paintings: int, seed: int,
         yield (title, artist, inception, movement, genre, img_path, scene)
 
 
-def generate_artwork_dataset(num_paintings: int = 120, seed: int = 7,
+#: The seed a lake is generated from when none is given.
+DEFAULT_SEED = 7
+
+
+def generate_artwork_dataset(num_paintings: int = 120,
+                             seed: int = DEFAULT_SEED,
                              image_size: int = 64, scale: float = 1.0,
                              ) -> ArtworkDataset:
     """Generate a seeded artwork dataset of ``num_paintings * scale``

@@ -106,7 +106,11 @@ class RotowireDataset:
         return lake
 
 
-def generate_rotowire_dataset(num_games: int = 30, seed: int = 11,
+#: The seed a lake is generated from when none is given.
+DEFAULT_SEED = 11
+
+
+def generate_rotowire_dataset(num_games: int = 30, seed: int = DEFAULT_SEED,
                               players_per_team: int = 4,
                               scale: float = 1.0) -> RotowireDataset:
     """Generate a seeded rotowire dataset with ``num_games * scale`` games.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.answer_cache import MISS, AnswerKey, text_fingerprint
+from repro.core.answer_cache import AnswerKey, text_fingerprint
 from repro.data.columns import Column, PooledColumn, pooled
 from repro.data.datatypes import DataType
 from repro.data.table import Table
@@ -83,18 +83,35 @@ class TextQAOperator(PhysicalOperator):
             self.require_args(args, 5))
         table = self.require_column(context, table_name, text_column,
                                     DataType.TEXT)
-        cache_type = answer_type.strip().lower()
         dtype = answer_dtype(answer_type)
-        model = context.text_model
         documents = pooled(table.storage(text_column))
         rows = np.flatnonzero(documents.codes >= 0)
-        names = template_columns(template)
         if len(rows):
-            for name in names:
-                if name not in table:
-                    raise OperatorError(
-                        f"question template references unknown column "
-                        f"<{name}>", operator=self.name)
+            answers = self._answer(context, table, documents, rows,
+                                   template, answer_type)
+        else:
+            # No document to ask: the template is never instantiated.
+            answers = [None] * table.num_rows
+        result = table.with_column(new_column, dtype, answers)
+        samples = result.sample_values(new_column)
+        observation = (
+            f"New column {new_column!r} has been added to the table. "
+            f"Example values: {samples}")
+        return OperatorResult(table=result, observation=observation)
+
+    def _answer(self, context: ExecutionContext, table: Table,
+                documents: PooledColumn, rows: np.ndarray, template: str,
+                answer_type: str) -> Column:
+        """The answers of the non-null document *rows*, one per row of
+        *table* (``None`` elsewhere)."""
+        cache_type = answer_type.strip().lower()
+        model = context.text_model
+        names = template_columns(template)
+        for name in names:
+            if name not in table:
+                raise OperatorError(
+                    f"question template references unknown column "
+                    f"<{name}>", operator=self.name)
 
         codes, shown = _entries(table, documents, rows, names)
         doc_codes = documents.codes[shown].tolist()
@@ -123,41 +140,51 @@ class TextQAOperator(PhysicalOperator):
             # a memo over its own distinct rows.
             asked = pool_memo(documents, cache, (template, cache_type),
                               _Asked)
-            asked_keys = list(zip(doc_codes, *(map(str, column)
-                                               for column in values)))
-            memo = AnswerMemo(len(doc_codes), None)
-            found = [asked.get(key, MISS) for key in asked_keys]
-            memo.known[:] = [answer is not MISS for answer in found]
-            memo.values[:-1] = [None if answer is MISS else answer
-                                for answer in found]
-            fresh = np.flatnonzero(~memo.known).tolist()
+            memo = _StepMemo(asked, list(zip(
+                doc_codes, *(map(str, column) for column in values))))
 
-        answers = answer_column(
+        return answer_column(
             context, codes, memo, subjects,
             lambda asked_now: [
                 cast_answer(model.answer(document, question), answer_type,
                             self.name) for document, question in asked_now],
-            "text_inferences", dtype)
-        if memo is not None:
-            for entry in fresh:
-                asked[asked_keys[entry]] = memo.values[entry]
-        result = table.with_column(new_column, dtype, answers)
-        samples = result.sample_values(new_column)
-        observation = (
-            f"New column {new_column!r} has been added to the table. "
-            f"Example values: {samples}")
-        return OperatorResult(table=result, observation=observation)
+            "text_inferences", answer_dtype(answer_type))
 
 
 class _Asked(dict):
-    """Answers of one (template, answer type) under one cache scope, by
-    (document code, placeholder values as the question shows them)."""
+    """Answers of one (template, answer type) under one cache scope, as
+    ``(answer, answer-cache key)`` by (document code, placeholder values
+    as the question shows them)."""
 
     __slots__ = ("scope",)
 
     def __init__(self, scope: object) -> None:
         super().__init__()
         self.scope = scope
+
+
+class _StepMemo(AnswerMemo):
+    """A step's memo over its distinct rows, read from the pool's
+    :class:`_Asked` answers (*asked_keys*: each row's key there) and
+    written through to them."""
+
+    __slots__ = ("asked", "asked_keys")
+
+    def __init__(self, asked: _Asked, asked_keys: list[tuple]) -> None:
+        super().__init__(len(asked_keys), asked.scope)
+        self.asked, self.asked_keys = asked, asked_keys
+        found = [(entry, pair) for entry, pair
+                 in enumerate(map(asked.get, asked_keys)) if pair is not None]
+        if found:
+            entries, pairs = zip(*found)
+            answers, keys = zip(*pairs)
+            self.key(list(entries), keys)
+            AnswerMemo.store(self, list(entries), answers)
+
+    def store(self, entries: list[int], answers: list[object]) -> None:
+        super().store(entries, answers)
+        for entry, answer in zip(entries, answers):
+            self.asked[self.asked_keys[entry]] = (answer, self.keys[entry])
 
 
 register_operator(TextQAOperator)

@@ -52,8 +52,6 @@ _INT64_MAX = 2 ** 63 - 1
 # Above 2**53 a float cannot represent every integer, so Python's exact
 # int arithmetic and sqlite's double-based AVG start disagreeing.
 _EXACT_FLOAT_INT = 2 ** 53
-#: ``date(1970, 1, 1).toordinal()``: numpy's day zero.
-_EPOCH_ORDINAL = 719163
 
 
 class UnsupportedSQL(Exception):
@@ -850,25 +848,14 @@ def _take_sql_column(storage: object, indices: Sequence[int] | None
                      ) -> tuple[Column, DataType] | None:
     """Gather a projected result column straight from typed storage.
 
-    Stores whose adapted form equals the raw values qualify (int /
-    float / dictionary-encoded strings), and date stores, whose adapted
-    form is the ISO text: they gather into a string column of the
-    distinct dates, formatted once by numpy.  The returned dtype is
-    exactly what :func:`_infer_sql_dtype` would assign to the gathered
-    list, so result assembly can skip the per-cell builder path without
-    changing the result's schema, values, or fingerprint.
-    ``indices=None`` is the identity projection: the storage itself is
-    shared (columns are immutable once inside a table).
+    Only stores whose adapted form equals the raw values qualify (int /
+    float / dictionary-encoded strings); the returned dtype is exactly
+    what :func:`_infer_sql_dtype` would assign to the gathered list, so
+    result assembly can skip the per-cell builder path without changing
+    the result's schema, values, or fingerprint.  ``indices=None`` is
+    the identity projection: the storage itself is shared (columns are
+    immutable once inside a table).
     """
-    if isinstance(storage, DateColumn):
-        taken = storage if indices is None else storage.take(indices)
-        present = ~taken.nulls
-        days, codes = np.unique(taken.data[present], return_inverse=True)
-        iso = np.datetime_as_string(
-            (days - _EPOCH_ORDINAL).astype("datetime64[D]")).tolist()
-        gathered = np.full(len(taken), -1, dtype=np.int32)
-        gathered[present] = codes.reshape(-1)
-        return StringColumn(gathered, iso), DataType.STRING
     if not isinstance(storage, (StringColumn, IntColumn, FloatColumn)):
         return None
     taken = storage if indices is None else storage.take(indices)
@@ -933,10 +920,9 @@ class _JoinIndex:
     equality, as sqlite's: a bool key equals an int key); the rows of
     key *k* are ``rows[starts[k]:starts[k + 1]]``, ordered by the
     remaining non-modality right columns in table order, then rowid.
-    ``ints`` / ``floats`` are the numeric keys sorted, as int64 / float64,
-    with their numbers, for a typed left column to probe with
-    ``searchsorted`` (``None`` when a numeric key is not exact in that
-    dtype).
+    ``ints`` is the keys sorted as int64, with their numbers, for an
+    integer left column to probe with ``searchsorted`` (``None`` unless
+    every numeric key is an int64).
     """
 
     lookup: dict[object, int]
@@ -944,7 +930,6 @@ class _JoinIndex:
     rows: np.ndarray
     duplicates: bool
     ints: tuple[np.ndarray, np.ndarray] | None
-    floats: tuple[np.ndarray, np.ndarray] | None
 
 
 def _join_index(right: Table, right_on: str) -> _JoinIndex:
@@ -977,21 +962,14 @@ def _build_join_index(right: Table, right_on: str) -> _JoinIndex:
             rows[starts[code]:starts[code + 1]] = group
     numeric = [(key, code) for key, code in lookup.items()
                if type(key) in (int, float)]
-    ints = floats = None
-    if numeric:
-        values = [key for key, _ in numeric]
-        numbers = np.array([code for _, code in numeric], dtype=np.intp)
-        if all(type(key) is int and _INT64_MIN <= key <= _INT64_MAX
-               for key in values):
-            as_int = np.array(values, dtype=np.int64)
-            order = np.argsort(as_int, kind="stable")
-            ints = (as_int[order], numbers[order])
-        if all(type(key) is float or abs(key) <= _EXACT_FLOAT_INT
-               for key in values):
-            as_float = np.array(values, dtype=np.float64)
-            order = np.argsort(as_float, kind="stable")
-            floats = (as_float[order], numbers[order])
-    return _JoinIndex(lookup, starts, rows, duplicates, ints, floats)
+    ints = None
+    if all(type(key) is int and _INT64_MIN <= key <= _INT64_MAX
+           for key, _ in numeric):
+        as_int = np.array([key for key, _ in numeric], dtype=np.int64)
+        order = np.argsort(as_int, kind="stable")
+        ints = (as_int[order],
+                np.array([code for _, code in numeric], dtype=np.intp)[order])
+    return _JoinIndex(lookup, starts, rows, duplicates, ints)
 
 
 def _probe_codes(index: _JoinIndex, table: Table, name: str) -> np.ndarray:
@@ -1010,23 +988,13 @@ def _probe_codes(index: _JoinIndex, table: Table, name: str) -> np.ndarray:
                 probed.clear()
             probed[index] = found
         return found[storage.codes]
-    if isinstance(storage, (IntColumn, BoolColumn, FloatColumn)):
-        data = storage.data
-        if isinstance(storage, FloatColumn):
-            search = index.floats
-        elif index.ints is not None:
-            search, data = index.ints, data.astype(np.int64, copy=False)
-        elif not len(data) or np.abs(data).max() <= _EXACT_FLOAT_INT:
-            search = index.floats
-        else:
-            search = None
-        if search is not None:
-            keys, codes = search
-            if not len(keys):
-                return np.full(len(data), -1, dtype=np.intp)
-            at = np.minimum(np.searchsorted(keys, data), len(keys) - 1)
-            hit = (keys[at] == data) & ~storage.nulls
-            return np.where(hit, codes[at], -1)
+    if isinstance(storage, IntColumn) and index.ints is not None:
+        keys, codes = index.ints
+        if not len(keys):
+            return np.full(len(storage), -1, dtype=np.intp)
+        at = np.minimum(np.searchsorted(keys, storage.data), len(keys) - 1)
+        hit = (keys[at] == storage.data) & ~storage.nulls
+        return np.where(hit, codes[at], -1)
     if not index.lookup:
         return np.full(len(storage), -1, dtype=np.intp)
     return np.fromiter((-1 if key is None else lookup.get(key, -1)

@@ -13,11 +13,14 @@ read from the store.  Checked here:
 - a memo only serves the cache it was filled from: another cache, a
   cleared or a loaded one counts exactly what it counts on a lake no
   memo was ever filled on, lanes agree, and the memos are not pickled;
+- a cache smaller than the workload counts, evicts and orders its
+  entries as the batch loop without memos did;
 - ``sample_values`` equals the scan it replaced on every store type.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import pickle
@@ -41,6 +44,10 @@ from repro.data.datatypes import DataType
 from repro.data.schema import ColumnSpec, Schema
 from repro.data.table import Table
 from repro.datasets import load_lake
+from repro.obs import QueryTelemetry
+from repro.operators import (ExecutionContext, TextQAOperator,
+                             VisualQAOperator)
+from repro.operators.modality import BATCH_ROWS
 from repro.relational import colexec
 from repro.session import Session
 from repro.testing.workloads import WORKLOADS, workload
@@ -88,6 +95,20 @@ REBUILDERS = (
 )
 
 
+@contextlib.contextmanager
+def refusing_rebuilders():
+    """Every name of :data:`REBUILDERS` raises while inside."""
+    saved = [(owner, name, getattr(owner, name))
+             for owner, name in REBUILDERS]
+    for owner, name, _ in saved:
+        setattr(owner, name, _refuse(f"{owner.__name__}.{name}"))
+    try:
+        yield
+    finally:
+        for owner, name, original in saved:
+            setattr(owner, name, original)
+
+
 def assert_warm_pass_rebuilds_nothing(dataset: str, scale: float) -> None:
     """After one pass over *dataset*'s workload queries at *scale*, a
     second pass runs with every rebuilder patched to raise and answers
@@ -96,15 +117,8 @@ def assert_warm_pass_rebuilds_nothing(dataset: str, scale: float) -> None:
     with Session(load_lake(dataset, scale=scale)) as session:
         first = session.batch(queries)
         assert first.num_errors == 0
-        saved = [(owner, name, getattr(owner, name))
-                 for owner, name in REBUILDERS]
-        for owner, name, _ in saved:
-            setattr(owner, name, _refuse(f"{owner.__name__}.{name}"))
-        try:
+        with refusing_rebuilders():
             second = session.batch(queries)
-        finally:
-            for owner, name, original in saved:
-                setattr(owner, name, original)
     assert canonical(second) == canonical(first)
 
 
@@ -187,6 +201,108 @@ def test_another_cleared_or_loaded_cache_counts_as_on_a_fresh_lake(
     warm.answer_cache.clear()
     assert modality_counts(warm.batch(queries)) == cold
     warm.close()
+
+
+#: Per pass (forward, reversed, interleaved) ``MODALITY_COUNTERS`` and the
+#: cache's final ``(hits, misses, evictions)``, as the batch-at-a-time
+#: loop that keyed every row in every step counted them, for answer
+#: caches smaller than the workload's 360 (artwork) and 158 (rotowire)
+#: keys.  Memos change none of it: a memo-served step looks its keys up
+#: in the loop's order, so the LRU evicts what the loop's did.
+UNDER_PRESSURE = {
+    ("artwork", 16): ([(360, 0, 0, 360)] * 3, (0, 1080, 1064)),
+    ("artwork", 180): ([(360, 0, 0, 360), (236, 0, 124, 236),
+                        (240, 0, 120, 240)], (244, 836, 656)),
+    ("rotowire", 16): ([(0, 158, 0, 158), (0, 158, 0, 158),
+                        (0, 142, 16, 142)], (16, 458, 442)),
+    ("rotowire", 79): ([(0, 158, 0, 158), (0, 92, 66, 92),
+                        (0, 92, 66, 92)], (132, 342, 263)),
+}
+
+
+@pytest.mark.parametrize("dataset, capacity", sorted(UNDER_PRESSURE))
+def test_a_small_cache_counts_as_the_batch_loop_did(dataset, capacity):
+    queries = workload(dataset)
+    cache = AnswerCache(capacity=capacity)
+    with Session(load_lake(dataset), answer_cache=cache) as session:
+        passes = [tuple(modality_counts(session.batch(order)).values())
+                  for order in (queries, queries[::-1],
+                                queries[::2] + queries[1::2])]
+    assert (passes, cache.snapshot()) == UNDER_PRESSURE[dataset, capacity]
+
+
+def test_a_memo_served_step_keeps_its_keys_recent():
+    # Fill a cache with the workload's answers, then with unrelated
+    # entries up to capacity: the workload's keys are the oldest.  A
+    # warm pass served from the memos must make them the most recent
+    # again, so the next fill evicts the unrelated ones, and the memos
+    # outlive those evictions.
+    queries = workload("artwork")
+    with Session(load_lake("artwork")) as session:
+        session.batch(queries)
+        held = len(session.answer_cache)
+    cache = AnswerCache(capacity=2 * held)
+    with Session(load_lake("artwork"), answer_cache=cache) as session:
+        session.batch(queries)
+        cache.put_many([(("other", str(i), "int"), i) for i in range(held)])
+        assert modality_counts(session.batch(queries))[
+            "answer_cache_misses"] == 0
+        cache.put_many([(("later", str(i), "int"), i) for i in range(held)])
+        assert cache.evictions == held
+        with refusing_rebuilders():
+            again = modality_counts(session.batch(queries))
+    assert again["vision_inferences"] == 0
+    assert again["answer_cache_misses"] == 0
+
+
+def test_a_memo_served_step_looks_its_keys_up_in_the_batch_order():
+    # Repeats inside a batch and across batches, and a null.
+    images = load_lake("artwork").table("painting_images").column("image")
+    column = list(images[:BATCH_ROWS + 30])
+    column[3] = None
+    column[10] = column[11] = column[2]
+    column[BATCH_ROWS + 5] = column[7]
+    schema = Schema([ColumnSpec("image", DataType.IMAGE)])
+    args = ["t", "image", "n", "How many swords are depicted?", "int"]
+
+    def step(table: Table, cache: AnswerCache) -> dict[str, int]:
+        context = ExecutionContext(tables={"t": table}, answer_cache=cache,
+                                   telemetry=QueryTelemetry())
+        VisualQAOperator().run(context, args)
+        return context.telemetry.counters
+
+    table = Table(schema, {"image": column})
+    served = AnswerCache()
+    step(table, served)
+    looked_up = AnswerCache()
+    looked_up.install(served.items())
+    order = list(range(len(column)))[::-1] + [11, 2, 10, 3, 40]
+    before = served.snapshot()
+    with refusing_rebuilders():
+        counters = step(table.take(order), served)   # from the memo
+    # The same rows in a new pool: keyed and looked up batch by batch.
+    assert step(Table(schema, {"image": [column[i] for i in order]}),
+                looked_up) == counters
+    assert counters == {"answer_cache_hits": len(order) - 2}
+    assert [now - then for now, then in zip(served.snapshot(), before)] \
+        == list(looked_up.snapshot())
+    assert [key for key, _ in served.items()] \
+        == [key for key, _ in looked_up.items()]
+
+
+def test_text_qa_over_no_document_instantiates_nothing():
+    # A template naming a missing column is only an error once a
+    # question is asked; with no document none is.
+    schema = Schema([ColumnSpec("report", DataType.TEXT)])
+    args = ["t", "report", "points", "How many points did <nope> score?",
+            "int"]
+    for rows in ([], [None, None]):
+        table = Table(schema, {"report": rows})
+        for cache in (None, AnswerCache()):
+            result = TextQAOperator().run(
+                ExecutionContext(tables={"t": table}, answer_cache=cache),
+                args)
+            assert result.table.column("points") == [None] * len(rows)
 
 
 def test_lanes_and_a_session_without_answer_cache_agree():
