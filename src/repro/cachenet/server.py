@@ -45,12 +45,14 @@ from pathlib import Path
 from repro.cachenet.protocol import (PROTOCOL_NAME, PROTOCOL_VERSION,
                                      FrameError, parse_cache_url,
                                      read_frame, write_frame)
-from repro.core.answer_cache import AnswerCache
+from repro.core.answer_cache import ANSWER_SPACE, AnswerCache
 from repro.core.batch import PlanCache
 from repro.core.cache import Cache
 
+#: The tier is the fleet-wide store, so it holds more plans than one
+#: session's cache (``PLAN_SPACE.capacity``); answers share one default.
 DEFAULT_PLAN_CAPACITY = 4096
-DEFAULT_ANSWER_CAPACITY = 65536
+DEFAULT_ANSWER_CAPACITY = ANSWER_SPACE.capacity
 
 
 def _boot(cache_cls: type[Cache], capacity: int, path: str | None) -> Cache:
@@ -337,12 +339,8 @@ class CacheTierServer:
         """Counter snapshot: per-space entries/hits/misses/evictions plus
         server-level request counters.  Deterministically ordered and
         wall-clock free, so two identical runs snapshot identically."""
-        spaces = {}
-        for name, cache in self._spaces.items():
-            hits, misses, evictions = cache.snapshot()
-            spaces[name] = {"entries": len(cache),
-                            "capacity": cache.capacity, "hits": hits,
-                            "misses": misses, "evictions": evictions}
+        spaces = {name: cache.stats()
+                  for name, cache in self._spaces.items()}
         with self._counter_lock:
             counters = {name: self._counters[name]
                         for name in sorted(self._counters)}

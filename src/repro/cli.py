@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from repro.cliargs import positive_float, positive_int
-from repro.core.batch import BACKENDS
+from repro.core.batch import BACKENDS, PLAN_SPACE
 from repro.core.engine import EngineConfig
 from repro.core.plan import QueryResult
 from repro.datasets import DATASET_NAMES, load_lake
@@ -86,8 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("file", help="file with one query per line ('#' "
                                     "comments and blank lines are skipped)")
     batch.add_argument("--cache-size", type=positive_int, default=None,
-                       help="LRU plan-cache capacity (default: 128, or "
-                            "the capacity persisted in --plan-cache-file)")
+                       help="LRU plan-cache capacity (default: "
+                            f"{PLAN_SPACE.capacity}, or the capacity "
+                            "persisted in --plan-cache-file if larger)")
     batch.add_argument("--workers", type=positive_int, default=1,
                        help="worker count for the thread/process backends "
                             "(default: 1)")
@@ -163,12 +164,13 @@ def build_session(args: argparse.Namespace, cache_size: int | None = None,
     config = EngineConfig(
         use_discovery=not getattr(args, "no_discovery", False))
     session = Session(lake, brain=brain, config=config,
-                      plan_cache_size=cache_size or 128,
+                      plan_cache_size=cache_size,
                       cache_url=args.cache_url)
     if args.plan_cache_file and Path(args.plan_cache_file).exists():
         # An explicit --cache-size wins over the capacity persisted in
-        # the file; otherwise the file's own capacity is kept, so a
-        # flag-less run never truncates a larger persisted cache.
+        # the file; otherwise the larger of the file's capacity and the
+        # session's default is kept, so a flag-less run never truncates a
+        # larger persisted cache and a smaller file never shrinks it.
         session.load_plan_cache(args.plan_cache_file, capacity=cache_size)
     if args.answer_cache_file and Path(args.answer_cache_file).exists():
         session.load_answer_cache(args.answer_cache_file)

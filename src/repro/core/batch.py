@@ -50,8 +50,6 @@ _STAGES = ("discovery", "planning", "mapping", "execution")
 #: :mod:`repro.exec.lanes`.
 BACKENDS = ("serial", "thread", "process")
 
-DEFAULT_ANSWER_CACHE_SIZE = AnswerCache.space.capacity
-
 #: Format marker written into persisted plan-cache files.
 PLAN_CACHE_FORMAT = "repro-plan-cache/v1"
 
@@ -61,8 +59,14 @@ PLAN_CACHE_FORMAT = "repro-plan-cache/v1"
 #: ``BoundPlan.to_dict()`` and re-enter through ``BoundPlan.from_dict``.
 #: The file field keeps its name, ``lake_fingerprint``, from when plans
 #: were keyed by the lake's shape; a ``Session`` re-keys such entries.
+#:
+#: Its capacity is the one default plan-cache size (``Session``, ``repro
+#: batch``): an evicted plan costs a full round of model calls when its
+#: query comes back, so the default holds a working set of queries.
+#: Encoded entries measure 3.6 KB median, 9.1 KB at most
+#: (``docs/caching.md``, "Capacity"), so a full cache stays within ~10 MB.
 PLAN_SPACE = Space(
-    name="plan", file_format=PLAN_CACHE_FORMAT, capacity=128,
+    name="plan", file_format=PLAN_CACHE_FORMAT, capacity=1024,
     key_fields=("query", "lake_fingerprint"), value_field="plan", miss=None,
     encode=BoundPlan.to_dict, decode=BoundPlan.from_dict,
     wire_item=lambda key: {"key": key[0], "ns": key[1]},

@@ -274,6 +274,15 @@ class Cache:
         with self._lock:
             return self._hits, self._misses, self._evictions
 
+    def stats(self) -> dict[str, int]:
+        """A consistent ``entries`` / ``capacity`` / ``hits`` / ``misses``
+        / ``evictions`` record: the block a metrics scrape reports for
+        this cache (the tier's STATS, a session's ``local_caches``)."""
+        with self._lock:
+            return {"entries": len(self._entries),
+                    "capacity": self.capacity, "hits": self._hits,
+                    "misses": self._misses, "evictions": self._evictions}
+
     def items(self) -> list[tuple[tuple, object]]:
         """A consistent snapshot of ``(key, value)`` pairs in LRU order
         (least recent first); values are immutable, so sharing is safe."""

@@ -71,10 +71,12 @@ def render_prometheus(snapshot: dict) -> str:
     in a counter's name becomes the sample's label set), derived rates
     as ``gauge``,
     histograms as the standard ``_bucket``/``_sum``/``_count`` triple
-    (bucket counts are already cumulative in the snapshot).  The nested
-    ``cachenet_server`` block a tier-backed
-    :meth:`~repro.session.Session.observability_snapshot` includes is
-    flattened to ``repro_cachenet_server_*`` gauges, numeric leaves
+    (bucket counts are already cumulative in the snapshot).  The
+    ``local_caches`` block of
+    :meth:`~repro.session.Session.observability_snapshot` renders as
+    ``repro_local_cache_*`` gauges labelled ``{space="..."}``; the nested
+    ``cachenet_server`` block a tier-backed session's snapshot includes
+    is flattened to ``repro_cachenet_server_*`` gauges, numeric leaves
     only.  Serve with ``GET /metrics?format=prometheus``; content type
     ``text/plain; version=0.0.4``.
     """
@@ -115,6 +117,12 @@ def render_prometheus(snapshot: dict) -> str:
             continue
         metric = _prom_name(name)
         emit(metric, "gauge", [f"{metric} {_prom_value(value)}"])
+    caches = sorted(snapshot.get("local_caches", {}).items())
+    for field in sorted({field for _, stats in caches for field in stats}):
+        metric = _prom_name(f"local_cache_{field}")
+        emit(metric, "gauge", [f'{metric}{{space="{space}"}} '
+                               f'{_prom_value(stats[field])}'
+                               for space, stats in caches])
     server = snapshot.get("cachenet_server")
     if isinstance(server, dict):
         for name in sorted(server):

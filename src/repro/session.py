@@ -41,8 +41,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.core.answer_cache import AnswerCache
-from repro.core.batch import (BACKENDS, DEFAULT_ANSWER_CACHE_SIZE,
-                              BatchReport, PlanCache, timed_batch)
+from repro.core.batch import BACKENDS, BatchReport, PlanCache, timed_batch
 from repro.core.cache import Cache, Space
 from repro.core.engine import Engine, EngineConfig
 from repro.core.interfaces import Executor, Mapper, Planner
@@ -69,9 +68,12 @@ class Session:
     shared across lane engines and must be stateless across calls.
 
     *plan_cache* / *answer_cache* default to fresh caches of
-    *plan_cache_size* / *answer_cache_size*; pass existing instances to
-    share warmth between sessions or to start from a cache rehydrated
-    with :meth:`~repro.core.batch.PlanCache.load`.
+    *plan_cache_size* / *answer_cache_size* entries; ``None`` takes the
+    space's own capacity (``PLAN_SPACE.capacity`` in
+    :mod:`repro.core.batch`, ``ANSWER_SPACE.capacity`` in
+    :mod:`repro.core.answer_cache`), the one place each default lives.
+    Pass existing instances to share warmth between sessions or to start
+    from a cache rehydrated with :meth:`~repro.core.batch.PlanCache.load`.
 
     *telemetry* is a :class:`~repro.obs.TelemetryConfig` controlling span
     collection and cost accounting (default: enabled, cost model resolved
@@ -101,8 +103,8 @@ class Session:
                  planner: Planner | None = None,
                  mapper: Mapper | None = None,
                  executor: Executor | None = None,
-                 plan_cache_size: int = 128,
-                 answer_cache_size: int = DEFAULT_ANSWER_CACHE_SIZE,
+                 plan_cache_size: int | None = None,
+                 answer_cache_size: int | None = None,
                  telemetry: TelemetryConfig | None = None,
                  cache_url: str | None = None):
         if isinstance(lake, str):
@@ -151,7 +153,8 @@ class Session:
             self.metrics_registry.increment("cachenet_fallbacks")
         return client
 
-    def _new_cache(self, cache_cls: type[Cache], capacity: int) -> Cache:
+    def _new_cache(self, cache_cls: type[Cache],
+                   capacity: int | None) -> Cache:
         """An empty *cache_cls*, fronting the tier when there is one."""
         return cache_cls(capacity, tier=self._cache_client,
                          metrics=self.metrics_registry)
@@ -270,14 +273,18 @@ class Session:
             return None
 
     def observability_snapshot(self) -> dict:
-        """The :meth:`metrics` snapshot plus the cache tier's STATS.
+        """The :meth:`metrics` snapshot plus the caches' own figures.
 
         The one record the service's ``GET /metrics`` endpoint and
         ``repro batch --metrics-file`` emit (rendered with
         :func:`repro.obs.render_snapshot`): session counters, latency
-        histograms, derived rates, and — when a tier is connected — its
-        server-side view under ``"cachenet_server"``, so tier hit ratios
-        read straight off the same document.
+        histograms, derived rates, the session's own plan and answer
+        caches under ``"local_caches"`` (``entries``, ``capacity``,
+        ``hits``, ``misses`` and ``evictions`` per space, read at scrape
+        time, so evictions that cause misses show without a trace), and
+        — when a tier is connected — its server-side view under
+        ``"cachenet_server"``, so tier hit ratios read straight off the
+        same document.
 
         The STATS round trip runs under a small fixed budget
         (:data:`CACHENET_STATS_TIMEOUT`, single attempt), so a hung or
@@ -285,6 +292,9 @@ class Session:
         instead of stalling a ``/metrics`` scrape.
         """
         snapshot = self.metrics_registry.snapshot()
+        snapshot["local_caches"] = {
+            cache.space.name: cache.stats()
+            for cache in (self.plan_cache, self.answer_cache)}
         stats = self.cachenet_stats(timeout=self.CACHENET_STATS_TIMEOUT)
         if stats is not None:
             snapshot["cachenet_server"] = stats
@@ -307,8 +317,10 @@ class Session:
                           capacity: int | None = None) -> int:
         """Replace the answer cache with one rehydrated from *path*.
 
-        *capacity* overrides the capacity persisted in the file.  Returns
-        the number of answers loaded.  Keys are content fingerprints, so
+        *capacity* sets the loaded cache's capacity; without it the cache
+        keeps the larger of the file's capacity and the session's current
+        one (see :meth:`load_plan_cache`).  Returns the number of answers
+        loaded.  Keys are content fingerprints, so
         loading a file saved against different objects is safe — it just
         never hits.  With a *cache_url* the loaded answers are also
         published to the tier (see :meth:`load_plan_cache`).
@@ -319,8 +331,11 @@ class Session:
                         capacity: int | None = None) -> int:
         """Replace the plan cache with one rehydrated from *path*.
 
-        *capacity* overrides the capacity persisted in the file.  Returns
-        the number of plans loaded.  A bound reply serves only a
+        *capacity* sets the loaded cache's capacity.  Without it the
+        cache keeps the larger of the capacity persisted in the file and
+        the session's current one: a file saved by a smaller cache never
+        shrinks the session's, and a larger file is never truncated.
+        Returns the number of plans loaded.  A bound reply serves only a
         digest-identical prompt, so a file saved against another lake is
         safe; plans keyed by this lake's shape (older files) still serve.
 
@@ -335,7 +350,9 @@ class Session:
         """Swap in *path* rehydrated as this session's *attribute* cache,
         in front of the tier (and published to it) when there is one."""
         loaded = self._adopt(cache_cls.load(path, capacity=capacity))
-        cache = self._new_cache(cache_cls, loaded.capacity)
+        if capacity is None:
+            capacity = max(loaded.capacity, getattr(self, attribute).capacity)
+        cache = self._new_cache(cache_cls, capacity)
         entries = loaded.items()
         cache.install(entries)
         self._publish(cache.space, entries)

@@ -346,7 +346,7 @@ class TestPersistence:
                              ids=lambda cls: cls.space.name)
     def test_boot_from_a_file_keeps_the_configured_capacity(self, tmp_path,
                                                             cache_cls):
-        """The file's own capacity (a session's 128-entry plan cache, say)
+        """The file's own capacity (a smaller session cache's, say)
         never shrinks or grows the space the operator configured."""
         small = cache_cls(2)
         for tag in ("a", "b"):

@@ -7,7 +7,7 @@ from _caches import CACHE_CLASSES, key, value
 
 from repro import Session
 from repro.core.answer_cache import ANSWER_CACHE_FORMAT
-from repro.core.batch import PLAN_CACHE_FORMAT, PlanCache
+from repro.core.batch import PLAN_CACHE_FORMAT, PLAN_SPACE, PlanCache
 
 
 def test_save_and_load_restore_entries(tmp_path):
@@ -128,21 +128,24 @@ def test_session_load_plan_cache_capacity_override(tmp_path, rotowire_lake):
 
 
 def test_cli_flagless_run_keeps_persisted_capacity(tmp_path, capsys):
-    """A --plan-cache-file run without --cache-size must not truncate."""
+    """A --plan-cache-file run without --cache-size must not truncate a
+    file saved by a cache larger than the default."""
     from repro.cli import main
 
     batch = tmp_path / "queries.txt"
     batch.write_text("How many players are taller than 200?\n"
                      "Who is the tallest player?\n", encoding="utf-8")
     path = tmp_path / "plans.json"
+    larger = 2 * PLAN_SPACE.capacity
     assert main(["batch", "--dataset", "rotowire", str(batch),
-                 "--cache-size", "512", "--plan-cache-file", str(path)]) == 0
+                 "--cache-size", str(larger),
+                 "--plan-cache-file", str(path)]) == 0
     payload = json.loads(path.read_text(encoding="utf-8"))
-    assert payload["capacity"] == 512 and len(payload["entries"]) == 2
+    assert payload["capacity"] == larger and len(payload["entries"]) == 2
 
     # No --cache-size: the file's capacity and entries are preserved.
     assert main(["batch", "--dataset", "rotowire", str(batch),
                  "--plan-cache-file", str(path)]) == 0
     payload = json.loads(path.read_text(encoding="utf-8"))
-    assert payload["capacity"] == 512 and len(payload["entries"]) == 2
+    assert payload["capacity"] == larger and len(payload["entries"]) == 2
     assert "hit rate 100%" in capsys.readouterr().out

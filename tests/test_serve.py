@@ -421,10 +421,12 @@ def test_metrics_endpoint_matches_render_snapshot(serve, rotowire_lake):
     raw = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
     raw.request("GET", "/metrics")
     text = raw.getresponse().read().decode("utf-8")
-    # Byte-identical to the shared helper over the same registry state.
-    assert text == render_snapshot(session.metrics())
+    # Byte-identical to the shared helper over the same session state:
+    # the registry's metrics plus the local caches' figures.
+    assert text == render_snapshot(session.observability_snapshot())
     snapshot = json.loads(text)
     assert snapshot["counters"]["queries_total"] == 1
+    assert snapshot["local_caches"]["plan"]["misses"] == 1
     assert "serve_queue_wait" in snapshot["histograms"]
     assert "serve_job_latency" in snapshot["histograms"]
     raw.close()
