@@ -265,6 +265,6 @@ class CacheClient:
         return reply.get("stats", {})
 
     def flush(self) -> dict:
-        """Ask the server to persist both spaces now."""
+        """Ask the server to persist the plan and answer spaces now."""
         return self.request({"op": "flush"})
 

@@ -23,7 +23,7 @@ Operations (the ``op`` field of a request):
 ``mget``       batched ``get`` over ``keys`` (one round trip)
 ``mput``       batched ``put`` over ``entries``
 ``stats``      the server's counter snapshot (entries, hits, misses, …)
-``flush``      persist both spaces to the configured files now
+``flush``      persist the plan and answer spaces to their files now
 =============  ========================================================
 
 Additive fields (version-compatible, ignored by peers that predate
@@ -34,11 +34,14 @@ handling to the caller's distributed trace; any non-``hello`` reply MAY
 carry ``server_ms``, the server-side handling time of that request,
 which clients fold into their ``cachenet:<op>`` spans.
 
-Spaces mirror the two process-local caches: ``plan`` entries are
-namespaced by the lake name, while ``answer`` keys are per-object
-content fingerprints.  Neither serves a stale value: a plan entry's
-replies are reused only for digest-identical prompts, and a changed
-object has another answer key.
+Spaces mirror the process-local caches: ``plan`` entries are
+namespaced by the lake name, ``answer`` keys are per-object content
+fingerprints, and ``render`` keys are the scene keys of lazy images,
+whose values are their raster digests.  None serves a stale value: a
+plan entry's replies are reused only for digest-identical prompts, a
+changed object has another answer key, and a changed scene or renderer
+another scene key.  A server that predates the ``render`` space answers
+its requests with an error reply, which a client reads as all misses.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ PROTOCOL_VERSION = 1
 #: cachenet client accidentally pointed at some other JSON service).
 PROTOCOL_NAME = "repro-cachenet"
 
-#: The two cache spaces the tier serves.
-SPACES = ("plan", "answer")
+#: The cache spaces the tier serves.
+SPACES = ("plan", "answer", "render")
 
 #: Hard bound on one frame; a 32 MiB frame is already far beyond any
 #: legitimate plan or answer payload, so anything bigger is a framing

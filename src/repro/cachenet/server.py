@@ -1,13 +1,21 @@
 """The shared cache tier server (``repro cache-server``).
 
-One :class:`CacheTierServer` holds the fleet's warm state: a ``plan``
-space and an ``answer`` space, stored in the very same
-:class:`~repro.core.batch.PlanCache` / :class:`~repro.core.answer_cache.
-AnswerCache` structures every process already uses locally — which is
-what makes file persistence free (``--plan-file`` / ``--answer-file``
-write the exact ``repro-plan-cache/v1`` / ``repro-answer-cache/v1``
-formats, so a tier snapshot and a ``--plan-cache-file`` from any session
-are interchangeable).  Requests are read with each space's codecs
+One :class:`CacheTierServer` holds the fleet's warm state in three
+spaces, stored in the very same :class:`~repro.core.cache.Cache`
+structures every process already uses locally:
+
+- ``plan`` (:class:`~repro.core.batch.PlanCache`) and ``answer``
+  (:class:`~repro.core.answer_cache.AnswerCache`), whose file
+  persistence is free: ``--plan-file`` / ``--answer-file`` write the
+  exact ``repro-plan-cache/v1`` / ``repro-answer-cache/v1`` formats, so
+  a tier snapshot and a ``--plan-cache-file`` from any session are
+  interchangeable;
+- ``render`` (:class:`~repro.core.answer_cache.RenderCache`), the raster
+  digest of each lazy lake image by scene key, so a fresh replica keys
+  its images' answers without rendering them.  It is sized like the
+  answer space and lives in memory only: no flag, no file.
+
+Requests are read with each space's codecs
 (:class:`~repro.core.cache.Space`), so values are validated on the way
 in: a ``put`` into the plan space round-trips through
 :meth:`~repro.core.plan.BoundPlan.from_dict` (the plan dict plus its
@@ -45,7 +53,7 @@ from pathlib import Path
 from repro.cachenet.protocol import (PROTOCOL_NAME, PROTOCOL_VERSION,
                                      FrameError, parse_cache_url,
                                      read_frame, write_frame)
-from repro.core.answer_cache import ANSWER_SPACE, AnswerCache
+from repro.core.answer_cache import ANSWER_SPACE, AnswerCache, RenderCache
 from repro.core.batch import PlanCache
 from repro.core.cache import Cache
 
@@ -132,7 +140,7 @@ else:  # pragma: no cover - platforms without AF_UNIX
 
 
 class CacheTierServer:
-    """The shared plan/answer cache tier behind a socket.
+    """The shared cache tier behind a socket.
 
     *bind* is a cachenet URL (``tcp://host:port``, port 0 for ephemeral,
     or ``unix:///path.sock``).  *plan_file* / *answer_file* enable
@@ -155,8 +163,12 @@ class CacheTierServer:
         self.quiet = quiet
         self.plans = _boot(PlanCache, plan_capacity, plan_file)
         self.answers = _boot(AnswerCache, answer_capacity, answer_file)
+        # One digest per lake image an answer is keyed by: never more
+        # entries than the answer space, and kept in memory only.
+        self.renders = RenderCache(answer_capacity)
         self._spaces: dict[str, Cache] = {"plan": self.plans,
-                                          "answer": self.answers}
+                                          "answer": self.answers,
+                                          "render": self.renders}
         self._counters: dict[str, int] = {}
         self._counter_lock = threading.Lock()
         self._server: socketserver.BaseServer | None = None
@@ -251,7 +263,8 @@ class CacheTierServer:
             Path(self._unix_path).unlink(missing_ok=True)
 
     def flush(self) -> tuple[int, int]:
-        """Persist both spaces; returns ``(plans, answers)`` written."""
+        """Persist the plan and answer spaces (the render space is
+        memory-only); returns ``(plans, answers)`` written."""
         self._count("flushes_total")
         plans_written = answers_written = 0
         if self.plan_file:

@@ -78,3 +78,32 @@ class AnswerCache(Cache):
     module docstring for the key discipline."""
 
     space = ANSWER_SPACE
+
+
+def _digest(value: object) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a digest string, got {value!r}")
+    return value
+
+
+#: The render space: ``(scene key,)`` → the raster digest
+#: (:meth:`~repro.vision.image.Image.fingerprint`) of a lazy image
+#: (:meth:`~repro.vision.renderer.LazyImage.map_key`).  A process that
+#: finds an image's digest here keys the image's answers without
+#: rendering it.  Kept in memory only: its file format is never written
+#: by a session or by the tier.
+RENDER_SPACE = Space(
+    name="render", file_format="repro-render-cache/v1",
+    capacity=ANSWER_SPACE.capacity, key_fields=("scene",),
+    value_field="fingerprint", miss=MISS, encode=_digest, decode=_digest,
+    wire_item=lambda key: {"key": key[0]},
+    wire_key=lambda item: (_digest(item["key"]),))
+
+
+class RenderCache(Cache):
+    """Raster digests by scene key (:data:`RENDER_SPACE`): the map that
+    lets a fresh replica over a warm tier key its lake images without
+    rendering them.  A digest found here is only ever used as an
+    answer-cache key; :meth:`Image.fingerprint` still hashes pixels."""
+
+    space = RENDER_SPACE

@@ -138,7 +138,7 @@ class Engine:
                  planner: Planner | None = None,
                  mapper: Mapper | None = None,
                  executor: Executor | None = None,
-                 plan_cache=None, answer_cache=None,
+                 plan_cache=None, answer_cache=None, render_cache=None,
                  metrics: MetricsRegistry | None = None,
                  telemetry: TelemetryConfig | None = None):
         self.lake = lake
@@ -158,6 +158,10 @@ class Engine:
         #: modality operators memoize (object, question) answers.  Shared
         #: across engines by the batch layer.
         self.answer_cache = answer_cache
+        #: optional :class:`repro.core.answer_cache.RenderCache`, the
+        #: raster digests of lazy images by scene key; handed to every
+        #: execution context beside the answer cache.
+        self.render_cache = render_cache
         #: engine-lifetime sqlite bridge: tables are registered into sqlite
         #: once per content fingerprint instead of once per SQL step (the
         #: registration copy dominated warm batches on 10k-row lakes).
@@ -313,6 +317,7 @@ class Engine:
             vision_model=self.vision_model,
             text_model=self.text_model,
             answer_cache=self.answer_cache,
+            render_cache=self.render_cache,
             sql_bridge=self.sql_bridge,
             telemetry=trace.telemetry,
             relational_engine=self.config.relational_engine)
@@ -482,7 +487,8 @@ class Engine:
                 metrics.increment(f'sql_engine_total{{engine="{engine}"}}',
                                   value)
         for name in ("colexec_declined", "udf_rows_evaluated",
-                     "udf_memo_hits"):
+                     "udf_memo_hits", "images_rendered",
+                     "image_keys_from_map"):
             value = telemetry.counters.get(name)
             if value:
                 metrics.increment(f"{name}_total", value)

@@ -67,8 +67,11 @@ class Schema:
     primary_key: str | None = None
 
     def __post_init__(self) -> None:
-        names = [c.name for c in self.columns]
-        if len(names) != len(set(names)):
+        # Name lookups go through this map; columns are never changed
+        # after construction (with_column builds a new schema).
+        self._by_name = {spec.name: spec for spec in self.columns}
+        if len(self._by_name) != len(self.columns):
+            names = [c.name for c in self.columns]
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise SchemaError(f"duplicate column names: {', '.join(dupes)}")
 
@@ -82,16 +85,16 @@ class Schema:
         return [c.name for c in self.columns]
 
     def __contains__(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
+        return name in self._by_name
 
     def __len__(self) -> int:
         return len(self.columns)
 
     def column(self, name: str) -> ColumnSpec:
-        for spec in self.columns:
-            if spec.name == name:
-                return spec
-        raise UnknownColumnError(name, self.column_names)
+        spec = self._by_name.get(name)
+        if spec is None:
+            raise UnknownColumnError(name, self.column_names)
+        return spec
 
     def dtype(self, name: str) -> DataType:
         return self.column(name).dtype

@@ -33,7 +33,7 @@ import signal
 import traceback
 from typing import Iterable
 
-from repro.core.answer_cache import ANSWER_SPACE
+from repro.core.answer_cache import ANSWER_SPACE, RenderCache
 from repro.core.batch import PLAN_SPACE
 from repro.core.cache import Cache, Space
 from repro.core.engine import Engine
@@ -122,11 +122,16 @@ def initialize_worker(payload: dict) -> None:
                                     metrics)
     plan_cache.install(payload["plans"])
     answer_cache.install(payload["answers"])
+    # Digests a worker computes go to the tier, not back to the parent:
+    # the parent's own lake images are keyed by whoever asks there.
+    render_cache = (RenderCache(tier=tier, metrics=metrics)
+                    if tier is not None else None)
     engine = Engine(payload["lake"], model=payload["brain"],
                     config=payload["config"], planner=payload["planner"],
                     mapper=payload["mapper"], executor=payload["executor"],
                     plan_cache=plan_cache, answer_cache=answer_cache,
-                    metrics=metrics, telemetry=payload["telemetry"])
+                    render_cache=render_cache, metrics=metrics,
+                    telemetry=payload["telemetry"])
     _STATE.update(engine=engine, plan_cache=plan_cache,
                   answer_cache=answer_cache, metrics=metrics)
 

@@ -42,13 +42,15 @@ SECTION_CHANGED = "binding_memo_section_changed_"
 
 #: Counters that reflect cache locality rather than query semantics;
 #: blanked by :meth:`QueryTelemetry.canonicalize` because a thread race
-#: or a worker-local cache (a process lane's own UDF output memo, too)
-#: can legitimately flip them between backends.
+#: or a worker-local cache (a process lane's own UDF output memo, its
+#: own images and their digests, too) can legitimately flip them between
+#: backends.
 LOCALITY_COUNTERS = frozenset({
     "plan_from_cache", "plan_cache_hits", "plan_cache_misses",
     "answer_cache_hits", "answer_cache_misses",
     "vision_inferences", "text_inferences",
     "udf_rows_evaluated", "udf_memo_hits",
+    "images_rendered", "image_keys_from_map",
     "binding_memo_hits", *(f"binding_memo_misses_{reason}"
                            for reason in MEMO_MISS_REASONS),
 })

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.answer_cache import AnswerCache
+from repro.core.answer_cache import AnswerCache, RenderCache
 from repro.data.datatypes import DataType
 from repro.data.table import Table
 from repro.errors import OperatorError, ReproError, UnknownTableError
@@ -41,6 +41,10 @@ class ExecutionContext:
     #: set, the VQA / TextQA / Image Select operators memoize model answers
     #: through it instead of re-running inference.
     answer_cache: AnswerCache | None = None
+    #: optional :class:`~repro.core.answer_cache.RenderCache` (a session
+    #: with a cache tier has one); when set, VQA and Image Select take a
+    #: lazy image's answer-cache key from it instead of rendering.
+    render_cache: RenderCache | None = None
     #: the sqlite :class:`~repro.relational.sqlexec.SQLBridge` statements
     #: colexec declines run on; an engine passes its engine-lifetime
     #: bridge, so a table is re-registered only when its content

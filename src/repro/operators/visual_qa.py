@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.core.answer_cache import AnswerKey
+from repro.core.answer_cache import MISS, AnswerKey
 from repro.data.columns import Column, pooled
 from repro.data.datatypes import DataType
 from repro.data.table import Table
@@ -14,6 +14,7 @@ from repro.operators.base import (ExecutionContext, OperatorCard,
                                   register_operator)
 from repro.operators.modality import answer_column, pool_memo
 from repro.vision.image import Image
+from repro.vision.renderer import renders_in_thread
 
 _ANSWER_CASTS = {
     "int": int,
@@ -64,10 +65,9 @@ def answer_images(operator: PhysicalOperator, context: ExecutionContext,
     answers are memoised per entry on the pool (:func:`~repro.operators.
     modality.pool_memo`), so a warm step keys no image.  Cache keys are
     ``(image fingerprint, question, answer_type)``; an image the memo
-    lacks is keyed once (:meth:`Image.keyed`): a lazy lake image without
-    a digest is rendered once, that raster is what *infer* sees on a
-    cache miss, and it is dropped with its batch instead of staying on
-    the lake.
+    lacks is keyed once, by :func:`key_images`.  The rasters the step
+    rendered, to key images or to show them to the model, are counted as
+    ``images_rendered``.
     """
     table = operator.require_column(context, table_name, image_column,
                                     DataType.IMAGE)
@@ -75,21 +75,60 @@ def answer_images(operator: PhysicalOperator, context: ExecutionContext,
     pool = images.pool
 
     def subjects(entries: list[int]) -> list[tuple[AnswerKey, Image]]:
-        keyed = []
-        for image in map(pool.__getitem__, entries):
+        batch = list(map(pool.__getitem__, entries))
+        for image in batch:
             if not isinstance(image, Image):
                 raise OperatorError(
                     f"column {image_column!r} holds {type(image).__name__}, "
                     "not images", operator=operator.name)
-            view = image.keyed()
-            keyed.append(((view.fingerprint(), question, answer_type), view))
-        return keyed
+        return [((digest, question, answer_type), view)
+                for digest, view in key_images(context, batch)]
 
     cache = context.answer_cache
     memo = (None if cache is None
             else pool_memo(images, cache, (question, answer_type)))
-    return table, answer_column(context, images.codes, memo, subjects,
-                                infer, "vision_inferences", dtype)
+    before = renders_in_thread()
+    answers = answer_column(context, images.codes, memo, subjects, infer,
+                            "vision_inferences", dtype)
+    rendered = renders_in_thread() - before
+    if rendered:
+        context.count("images_rendered", rendered)
+    return table, answers
+
+
+def key_images(context: ExecutionContext,
+               images: list[Image]) -> list[tuple[str, Image]]:
+    """Each image's digest for its answer-cache key, and the image to
+    show the model on a miss.
+
+    An image whose keying would render it (a lazy lake image without a
+    digest, :meth:`Image.map_key`) is looked up in the context's render
+    map first, all of them with one ``get_many`` (one ``mget`` on a
+    tier).  A digest found there keys the image as it is, unrendered.
+    The other images are keyed by :meth:`Image.keyed`, which renders such
+    an image once and returns that raster for the model, to be dropped
+    with its batch.  The digests the map lacked are published with one
+    ``put_many``.
+    """
+    renders = context.render_cache
+    scene_keys = ([image.map_key() for image in images]
+                  if renders is not None else [None] * len(images))
+    wanted = [(key,) for key in scene_keys if key is not None]
+    found = dict(zip(wanted, renders.get_many(wanted))) if wanted else {}
+    keyed, fresh = [], []
+    for image, key in zip(images, scene_keys):
+        digest = found.get((key,), MISS)
+        if digest is MISS:
+            image = image.keyed()
+            digest = image.fingerprint()
+            if key is not None:
+                fresh.append(((key,), digest))
+        keyed.append((digest, image))
+    if len(fresh) < len(wanted):
+        context.count("image_keys_from_map", len(wanted) - len(fresh))
+    if fresh:
+        renders.put_many(fresh)
+    return keyed
 
 
 class VisualQAOperator(PhysicalOperator):

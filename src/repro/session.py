@@ -40,7 +40,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.core.answer_cache import AnswerCache
+from repro.core.answer_cache import AnswerCache, RenderCache
 from repro.core.batch import BACKENDS, BatchReport, PlanCache, timed_batch
 from repro.core.cache import Cache, Space
 from repro.core.engine import Engine, EngineConfig
@@ -86,7 +86,9 @@ class Session:
     served by ``repro cache-server``): the default caches take its client
     as their ``tier`` and become local LRU fronts over it
     (:mod:`repro.core.cache`), so this session warms from, and
-    contributes to, the fleet-wide warm set.  A server that is down
+    contributes to, the fleet-wide warm set.  A :attr:`render_cache`
+    over the tier then shares the raster digests of lazy lake images,
+    so a fresh replica keys them without rendering.  A server that is down
     degrades the session to local-only operation (counted in
     ``cachenet_fallbacks``, never failing a query); a protocol-version
     mismatch raises :class:`~repro.cachenet.CacheProtocolError` here, at
@@ -131,6 +133,11 @@ class Session:
         self.answer_cache = (answer_cache if answer_cache is not None
                              else self._new_cache(AnswerCache,
                                                   answer_cache_size))
+        #: raster digests of lazy images by scene key, shared with the
+        #: tier; ``None`` without one (an image keyed here keeps its
+        #: digest, so only another process has use for the map).
+        self.render_cache = (self._new_cache(RenderCache, None)
+                             if self._cache_client is not None else None)
         # The engine behind query(), built on first use.
         self._engine: Engine | None = None
         # Warm batch lanes by kind.
@@ -279,7 +286,8 @@ class Session:
         ``repro batch --metrics-file`` emit (rendered with
         :func:`repro.obs.render_snapshot`): session counters, latency
         histograms, derived rates, the session's own plan and answer
-        caches under ``"local_caches"`` (``entries``, ``capacity``,
+        caches (and the render cache, with a tier) under
+        ``"local_caches"`` (``entries``, ``capacity``,
         ``hits``, ``misses`` and ``evictions`` per space, read at scrape
         time, so evictions that cause misses show without a trace), and
         — when a tier is connected — its server-side view under
@@ -294,7 +302,8 @@ class Session:
         snapshot = self.metrics_registry.snapshot()
         snapshot["local_caches"] = {
             cache.space.name: cache.stats()
-            for cache in (self.plan_cache, self.answer_cache)}
+            for cache in (self.plan_cache, self.answer_cache,
+                          self.render_cache) if cache is not None}
         stats = self.cachenet_stats(timeout=self.CACHENET_STATS_TIMEOUT)
         if stats is not None:
             snapshot["cachenet_server"] = stats
@@ -467,5 +476,6 @@ class Session:
             planner=self.planner, mapper=self.mapper,
             executor=self.executor, plan_cache=self.plan_cache,
             answer_cache=self.answer_cache,
+            render_cache=self.render_cache,
             metrics=self.metrics_registry,
             telemetry=self.telemetry)

@@ -126,8 +126,12 @@ class Blip2Sim:
     def _encode(self, images: Sequence[Image]) -> list[tuple[Detection, ...]]:
         """Noise-free detections per image, segmenting only rasters the
         memo lacks — :data:`SEGMENT_CHUNK` at a time, read through
-        :meth:`Image.loaded` so a lazy lake image never keeps its pixels."""
+        :meth:`Image.loaded` so a lazy lake image never keeps its pixels.
+        An image is hashed through :meth:`Image.keyed`, so one whose
+        digest is not known yet is rendered once for both the hash and
+        the segmentation."""
         memo = self._memo
+        images = [image.keyed() for image in images]
         fingerprints = [image.fingerprint() for image in images]
         found: dict[str, tuple[Detection, ...]] = {}
         unseen: dict[str, Image] = {}
@@ -136,7 +140,9 @@ class Blip2Sim:
                 memo.move_to_end(fingerprint)
                 found[fingerprint] = memo[fingerprint]
             else:
-                unseen[fingerprint] = image
+                # The first of equal images: a rendered twin before the
+                # lazy image it was keyed from.
+                unseen.setdefault(fingerprint, image)
         pending = list(unseen.items())
         for start in range(0, len(pending), SEGMENT_CHUNK):
             chunk = pending[start:start + SEGMENT_CHUNK]

@@ -73,6 +73,13 @@ class Image:
         self._fingerprint = view.fingerprint()
         return view
 
+    def map_key(self) -> str | None:
+        """The key under which a render map may hold this image's digest
+        while keying it would render a raster; ``None`` for an image
+        whose pixels are in memory (:class:`~repro.vision.renderer.
+        LazyImage` has one)."""
+        return None
+
     def to_dict(self) -> dict:
         """JSON-safe lossless encoding (raw pixel bytes, base64)."""
         return {

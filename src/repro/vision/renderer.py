@@ -5,9 +5,18 @@ jitter).  Each object is drawn as a solid glyph in its category colour with
 small per-pixel jitter (±8) — close enough that the simulated vision model's
 colour segmentation (tolerance 30) detects it, far enough from every other
 category colour (pairwise L∞ ≥ 60) that no confusion is possible.
+
+A lazy image also has a *scene key* (:meth:`LazyImage.map_key`): a digest
+of what its raster is rendered from, under which a render map (the
+``render`` cache space, :mod:`repro.core.answer_cache`) keeps the
+raster's digest, so a process that never rendered the image can still
+name it.
 """
 
 from __future__ import annotations
+
+import hashlib
+import threading
 
 import numpy as np
 
@@ -18,9 +27,32 @@ BACKGROUND_LOW = 90
 BACKGROUND_HIGH = 140
 COLOR_JITTER = 8
 
+#: Part of every scene key: bump it with any change to this module or to
+#: :data:`~repro.vision.scene.CATEGORIES` that changes a raster, so no
+#: render map serves a digest of the old pixels.
+RENDER_VERSION = 1
+
+_TALLY = threading.local()
+
+
+def renders_in_thread() -> int:
+    """How many rasters :func:`render_scene` has made in the calling
+    thread; a step reads the difference around its own work."""
+    return getattr(_TALLY, "count", 0)
+
+
+def scene_key(scene: SceneSpec, path: str) -> str:
+    """Digest of everything the raster of ``render_scene(scene, path)``
+    is made from: *path*, the scene's repr and :data:`RENDER_VERSION`.
+    The path is length-prefixed, so no two (path, scene) pairs share a
+    key."""
+    text = f"{RENDER_VERSION}:{len(path)}:{path}{scene!r}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
+
 
 def render_scene(scene: SceneSpec, path: str = "") -> Image:
     """Render *scene* into an :class:`Image`."""
+    _TALLY.count = renders_in_thread() + 1
     rng = np.random.default_rng(scene.background_seed)
     base = rng.integers(BACKGROUND_LOW, BACKGROUND_HIGH,
                         size=(scene.height, scene.width, 1), dtype=np.int16)
@@ -55,6 +87,7 @@ class LazyImage(Image):
         self._pixels: np.ndarray | None = None
         self.path = path
         self._fingerprint: str | None = None
+        self._scene_key: str | None = None
 
     @property
     def pixels(self) -> np.ndarray:
@@ -83,6 +116,15 @@ class LazyImage(Image):
         twin = render_scene(self._scene, path=self.path)
         twin._fingerprint = self._fingerprint
         return twin
+
+    def map_key(self) -> str | None:
+        """The :func:`scene_key` while keying this image would render
+        it (no digest and no raster yet), else ``None``."""
+        if self._fingerprint is not None or self._pixels is not None:
+            return None
+        if self._scene_key is None:
+            self._scene_key = scene_key(self._scene, self.path)
+        return self._scene_key
 
     def fingerprint(self) -> str:
         if self._fingerprint is None:

@@ -1,0 +1,227 @@
+"""A fresh replica keys its lake images without rendering them.
+
+A session with a cache tier keeps a render map (the ``render`` space,
+:class:`~repro.core.answer_cache.RenderCache`): a lazy image's scene key
+(:meth:`~repro.vision.renderer.LazyImage.map_key`) to its raster digest.
+VQA and Image Select look an un-keyed lazy image up there before they
+render it, so a replica that joins a warm tier answers from the tier
+without a single render.  Checked here:
+
+- a fresh replica with ``render_scene`` patched to raise answers the
+  artwork workload byte-identically to a cold session, and its metrics
+  read 0 renders and 0 answer misses;
+- a stopped tier falls back to rendering, counted, with the same answers;
+- scene keys tell paths and scenes apart;
+- a cold pass renders each image once, as before the map existed, and
+  so does an answer miss on an image keyed from the map;
+- serial, thread and process lanes agree and none of them renders;
+- a digest from the map only keys answers: ``fingerprint()`` still
+  renders and hashes the raster.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+
+import pytest
+
+from repro.cachenet.server import CacheTierServer
+from repro.datasets import load_lake
+from repro.session import Session
+from repro.testing.workloads import workload
+from repro.vision import LazyImage, build_scene, renderer
+
+SCALE = 1
+
+
+def canonical(report) -> str:
+    return json.dumps(report.canonical_results(), sort_keys=True)
+
+
+@contextlib.contextmanager
+def counting_renders():
+    """Record the path of every raster rendered while inside."""
+    paths: list[str] = []
+    original = renderer.render_scene
+
+    def render(scene, path=""):
+        paths.append(path)
+        return original(scene, path)
+    renderer.render_scene = render
+    try:
+        yield paths
+    finally:
+        renderer.render_scene = original
+
+
+@contextlib.contextmanager
+def refusing_renders():
+    original = renderer.render_scene
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a replica over a warm tier rendered an image")
+    renderer.render_scene = refuse
+    try:
+        yield
+    finally:
+        renderer.render_scene = original
+
+
+def image_count() -> int:
+    return load_lake("artwork", scale=SCALE).table(
+        "painting_images").num_rows
+
+
+@pytest.fixture(scope="module")
+def cold():
+    """The artwork workload answered by a session without a tier."""
+    with Session(load_lake("artwork", scale=SCALE)) as session:
+        report = session.batch(workload("artwork"))
+    assert report.num_errors == 0
+    return canonical(report)
+
+
+@pytest.fixture
+def warm_tier():
+    """A tier one replica has filled by answering the workload cold."""
+    server = CacheTierServer(bind="tcp://127.0.0.1:0").start()
+    with Session(load_lake("artwork", scale=SCALE),
+                 cache_url=server.url) as session:
+        session.batch(workload("artwork"))
+    yield server
+    server.stop()
+
+
+def test_a_fresh_replica_renders_nothing_and_answers_as_a_cold_session(
+        cold, warm_tier):
+    assert len(warm_tier.renders) == image_count()
+    with Session(load_lake("artwork", scale=SCALE),
+                 cache_url=warm_tier.url) as replica:
+        with refusing_renders():
+            report = replica.batch(workload("artwork"))
+        snapshot = replica.observability_snapshot()
+    assert canonical(report) == cold
+    counters = snapshot["counters"]
+    assert counters.get("images_rendered_total", 0) == 0
+    assert counters.get("answer_cache_misses", 0) == 0
+    assert counters["image_keys_from_map_total"] > 0
+    render = snapshot["local_caches"]["render"]
+    assert render["entries"] == image_count()
+    assert render["misses"] == 0
+
+
+def test_a_stopped_tier_falls_back_to_rendering(cold, warm_tier):
+    url = warm_tier.url
+    warm_tier.stop()
+    with Session(load_lake("artwork", scale=SCALE), cache_url=url) as replica:
+        with counting_renders() as rendered:
+            report = replica.batch(workload("artwork"))
+        counters = replica.metrics()["counters"]
+    assert canonical(report) == cold
+    assert counters["cachenet_fallbacks"] > 0
+    assert "image_keys_from_map_total" not in counters
+    assert counters["images_rendered_total"] == len(rendered)
+    assert sorted(rendered) == sorted(set(rendered))  # each image once
+    assert len(rendered) == image_count()
+
+
+def test_scene_keys_tell_paths_and_scenes_apart():
+    one, two = build_scene({"dog": 1}, seed=1), build_scene({"dog": 1}, seed=2)
+    keys = {LazyImage(scene, path=path).map_key()
+            for scene in (one, two) for path in ("a.png", "b.png")}
+    assert len(keys) == 4
+    # The path is length-prefixed: no path absorbs the scene's repr.
+    assert (renderer.scene_key(one, "a") != renderer.scene_key(one, "a ")
+            != renderer.scene_key(one, ""))
+    # An equal scene on an equal path is the same raster: one key.
+    twin = build_scene({"dog": 1}, seed=1)
+    assert (LazyImage(twin, path="a.png").map_key()
+            == LazyImage(one, path="a.png").map_key())
+
+
+def test_a_scene_key_names_the_renderer_version(monkeypatch):
+    scene = build_scene({"sword": 2}, seed=3)
+    before = renderer.scene_key(scene, "x.png")
+    monkeypatch.setattr(renderer, "RENDER_VERSION",
+                        renderer.RENDER_VERSION + 1)
+    assert renderer.scene_key(scene, "x.png") != before
+
+
+def test_a_keyed_or_rendered_image_needs_no_map():
+    image = LazyImage(build_scene({"dog": 1}, seed=4), path="d.png")
+    assert image.map_key() is not None
+    image.fingerprint()
+    assert image.map_key() is None
+    rendered = LazyImage(build_scene({"dog": 1}, seed=4), path="d.png")
+    assert rendered.pixels is not None  # materialises the raster
+    assert rendered.map_key() is None
+    assert renderer.render_scene(build_scene({}, seed=0)).map_key() is None
+
+
+def test_an_answer_miss_renders_a_map_keyed_image_once(warm_tier):
+    """The map names every image, but the tier has no answer to a new
+    question: each image is rendered once, for its digest and for the
+    model alike."""
+    lake = load_lake("artwork", scale=SCALE)
+    with Session(lake, cache_url=warm_tier.url) as replica:
+        with counting_renders() as rendered:
+            result = replica.query("How many paintings are depicting a skull?")
+        counters = result.trace.telemetry.counters
+    assert result.ok
+    assert counters["answer_cache_misses"] == image_count()
+    assert counters["image_keys_from_map"] == image_count()
+    assert len(rendered) == len(set(rendered)) == image_count()
+    assert counters["images_rendered"] == image_count()
+
+
+@pytest.mark.parametrize("with_tier", [False, True])
+def test_a_cold_pass_renders_each_image_once(with_tier):
+    server = (CacheTierServer(bind="tcp://127.0.0.1:0").start()
+              if with_tier else None)
+    try:
+        with Session(load_lake("artwork", scale=SCALE),
+                     cache_url=server.url if server else None) as session:
+            with counting_renders() as rendered:
+                report = session.batch(workload("artwork"))
+            counters = session.metrics()["counters"]
+    finally:
+        if server is not None:
+            server.stop()
+    assert report.num_errors == 0
+    assert len(rendered) == len(set(rendered)) == image_count()
+    assert counters["images_rendered_total"] == image_count()
+    assert "image_keys_from_map_total" not in counters
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_lanes_agree_and_none_renders(cold, warm_tier, backend):
+    with Session(load_lake("artwork", scale=SCALE),
+                 cache_url=warm_tier.url) as replica:
+        report = replica.batch(workload("artwork"),
+                               workers=1 if backend == "serial" else 2,
+                               backend=backend)
+        counters = replica.metrics()["counters"]
+    assert report.num_errors == 0
+    assert canonical(report) == cold
+    assert counters.get("images_rendered_total", 0) == 0
+    assert counters.get("answer_cache_misses", 0) == 0
+    assert counters["image_keys_from_map_total"] > 0
+
+
+def test_a_map_keyed_image_still_renders_for_its_fingerprint(warm_tier):
+    lake = load_lake("artwork", scale=SCALE)
+    with Session(lake, cache_url=warm_tier.url) as replica:
+        with refusing_renders():
+            replica.query("How many paintings are depicting a sword?")
+    images = list(lake.table("painting_images").column("image"))
+    assert not any(image.rendered for image in images)
+    image = images[0]
+    digest = warm_tier.renders.get((image.map_key(),))
+    with counting_renders() as rendered:
+        assert image.fingerprint() == digest
+    assert rendered == [image.path]
+    # The lake's content fingerprint hashes rasters, not map entries.
+    with counting_renders() as rendered:
+        lake.table("painting_images").fingerprint()
+    assert len(rendered) == len(images) - 1
