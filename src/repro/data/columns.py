@@ -30,8 +30,8 @@ with ``tolist()`` in :meth:`Column._decode`, which both the lazy
 :meth:`Column.iter_values` and the memoized :meth:`Column.materialize`
 call.  :meth:`Column.take` is one numpy fancy-index; a pooled column (string,
 image, text) and every take of it share the pool and one memo of what
-is derived from it (the code index, the numpy unicode view, the rank
-table; a modality step's answers, :mod:`repro.operators.modality`).
+is derived from it (the code index, the string pool's Python order; a
+modality step's answers, :mod:`repro.operators.modality`).
 The memo is not pickled: an unpickled column derives it again.
 """
 
@@ -298,26 +298,22 @@ class StringColumn(PooledColumn):
             "index", lambda: {t: i for i, t in enumerate(self.pool)}
         ).get(text)
 
-    def pool_unicode(self) -> np.ndarray | None:
-        """The pool as a numpy unicode array, or ``None`` when a string
-        holds a NUL: numpy pads with U+0000, so its code-point order is
-        only Python's for NUL-free strings."""
+    def pool_order(self) -> tuple[list[str], np.ndarray]:
+        """:func:`build_pool_order` of the pool, built once for this
+        column and every take of it."""
         pool = self.pool
-        return self.pool_derived("unicode", lambda: None if any(
-            "\x00" in text for text in pool) else np.array(pool, dtype=str))
+        return self.pool_derived("order", lambda: build_pool_order(pool))
 
-    def pool_ranks(self) -> np.ndarray | None:
-        """``ranks[code]`` orders codes the way Python orders their
-        strings (``None`` for a NUL-bearing pool)."""
-        def build() -> np.ndarray | None:
-            unicode = self.pool_unicode()
-            if unicode is None:
-                return None
-            ranks = np.empty(len(unicode), dtype=np.int64)
-            ranks[np.argsort(unicode, kind="stable")] = \
-                np.arange(len(unicode))
-            return ranks
-        return self.pool_derived("ranks", build)
+
+def build_pool_order(pool: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """``(texts, ranks)``: *pool* sorted, and ``ranks[code]`` each entry's
+    position in it.  Python compares strings code point by code point,
+    NULs included, which is the order of sqlite's BINARY collation (UTF-8
+    bytes order the way their code points do)."""
+    order = sorted(range(len(pool)), key=pool.__getitem__)
+    ranks = np.empty(len(pool), dtype=np.int32)
+    ranks[order] = np.arange(len(pool), dtype=np.int32)
+    return [pool[code] for code in order], ranks
 
 
 class ImageColumn(PooledColumn):

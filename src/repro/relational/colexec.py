@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import operator
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
 from typing import Callable, Sequence, Union
@@ -549,6 +550,14 @@ def _no_kernel(what: str, storage: Column) -> UnsupportedSQL:
 
 # ----------------------------------------------------------------------
 # Columnar filter kernels
+#
+# Typed stores compare their data arrays.  A string predicate decides
+# once per pool entry, never per row: equality probes the code index,
+# an ordered compare or BETWEEN is a rank cut in the pool's memoised
+# Python order (one bisection per bound; Python orders strings as
+# sqlite's BINARY collation does, NULs included), IN marks its members'
+# codes and LIKE matches each entry once.  One gather by code takes the
+# per-entry verdict to the rows.
 # ----------------------------------------------------------------------
 
 _PY_OPS: dict[str, Callable[[object, object], object]] = {
@@ -566,11 +575,18 @@ def _like_regex(pattern: str) -> re.Pattern:
     return re.compile(regex, re.IGNORECASE | re.ASCII | re.DOTALL)
 
 
-def _pool_matches(storage: StringColumn,
-                  predicate: Callable[[str], bool]) -> np.ndarray:
-    allowed = np.array([i for i, text in enumerate(storage.pool)
-                        if predicate(text)], dtype=np.int32)
-    return np.isin(storage.codes, allowed)
+def _pool_gather(storage: StringColumn, verdict: np.ndarray) -> np.ndarray:
+    """The rows whose pool entry *verdict* holds: one gather by code from
+    the verdict plus a last slot, ``False``, that NULL's code ``-1``
+    reads."""
+    return np.take(np.append(verdict, False), storage.codes)
+
+
+def _rank_cut(storage: StringColumn, start: int, stop: int) -> np.ndarray:
+    """The rows whose string ranks in ``[start, stop)`` of the pool's
+    sorted texts."""
+    ranks = storage.pool_order()[1]
+    return _pool_gather(storage, (ranks >= start) & (ranks < stop))
 
 
 def _comparison_mask(storage: Column, op: str,
@@ -606,17 +622,13 @@ def _comparison_mask(storage: Column, op: str,
                         else np.zeros(len(codes), dtype=bool))
             notnull = codes >= 0
             return notnull if code is None else notnull & (codes != code)
-        # Ordered comparisons (< <= > >=): numpy's unicode compare is the
-        # same code-point ordering as Python's, so the pool scan runs
-        # vectorized instead of through a per-entry lambda.  NUL-bearing
-        # pools or literals take the exact per-entry path.
-        pool_unicode = storage.pool_unicode()
-        if pool_unicode is not None and "\x00" not in literal:
-            allowed = np.flatnonzero(apply_op(pool_unicode, literal)) \
-                .astype(np.int32)
-            return np.isin(storage.codes, allowed)
-        return _pool_matches(storage,
-                             lambda text: bool(apply_op(text, literal)))
+        # < <= > >=: one bisection of the sorted pool gives the cut.
+        texts = storage.pool_order()[0]
+        if op in ("<", "<="):
+            return _rank_cut(storage, 0, (bisect_left if op == "<"
+                                          else bisect_right)(texts, literal))
+        return _rank_cut(storage, (bisect_right if op == ">" else
+                                   bisect_left)(texts, literal), len(texts))
     raise _no_kernel("a comparison", storage)
 
 
@@ -636,8 +648,15 @@ def _compile_mask(table: Table, expr: Expr) -> np.ndarray:
     if isinstance(expr, Comparison):
         return _comparison_mask(storage, expr.op, expr.right.value)
     if isinstance(expr, Between):
-        return (_comparison_mask(storage, ">=", expr.low.value)
-                & _comparison_mask(storage, "<=", expr.high.value))
+        low, high = expr.low.value, expr.high.value
+        if isinstance(storage, StringColumn) and isinstance(low, str) \
+                and isinstance(high, str):
+            # Both cuts fused: one verdict per pool entry, one gather.
+            texts = storage.pool_order()[0]
+            return _rank_cut(storage, bisect_left(texts, low),
+                             bisect_right(texts, high))
+        return (_comparison_mask(storage, ">=", low)
+                & _comparison_mask(storage, "<=", high))
     if isinstance(expr, IsNull):
         notnull = _notnull_mask(storage)
         return notnull if expr.negated else ~notnull
@@ -648,11 +667,10 @@ def _compile_mask(table: Table, expr: Expr) -> np.ndarray:
                                      "column")
             # Map the members to dictionary codes instead of scanning
             # the pool.
-            allowed = np.array(
-                sorted({code for value in expr.values
-                        if (code := storage.code_of(value)) is not None}),
-                dtype=np.int32)
-            base = np.isin(storage.codes, allowed)
+            verdict = np.zeros(len(storage.pool), dtype=bool)
+            verdict[[code for value in expr.values
+                     if (code := storage.code_of(value)) is not None]] = True
+            base = _pool_gather(storage, verdict)
         else:
             base = functools.reduce(operator.or_, (
                 _comparison_mask(storage, "=", value)
@@ -661,8 +679,11 @@ def _compile_mask(table: Table, expr: Expr) -> np.ndarray:
         if not isinstance(storage, StringColumn):
             raise _no_kernel("LIKE", storage)
         regex = _like_regex(expr.pattern)
-        base = _pool_matches(
-            storage, lambda text: regex.fullmatch(text) is not None)
+        pool = storage.pool
+        # sqlite's LIKE reads the value as a C string, so a NUL ends it.
+        base = _pool_gather(storage, np.fromiter(
+            (regex.fullmatch(text.partition("\x00")[0]) is not None
+             for text in pool), dtype=bool, count=len(pool)))
     # NOT IN / NOT LIKE: a NULL cell satisfies neither form.
     return _notnull_mask(storage) & ~base if expr.negated else base
 
@@ -742,17 +763,13 @@ def _aggregate(table: Table, column: str | None, item: AggItem,
             return int(kept.size)
         if kept.size == 0:
             return None
-        ranks = storage.pool_ranks()
-        if ranks is None:
-            raise UnsupportedSQL(f"{func} over a NUL-bearing string pool")
-        # min/max have no unicode ufunc, but the cached per-pool rank
-        # table orders codes like Python orders the strings, so one
-        # integer argmin/argmax does it.  Plain str, not np.str_: cell
-        # reprs feed the fingerprint.
-        kept_ranks = ranks[kept]
+        # min/max have no unicode ufunc, but the per-pool order ranks
+        # codes as Python (and sqlite's BINARY collation) orders their
+        # strings, so one integer argmin/argmax does it.
+        kept_ranks = storage.pool_order()[1][kept]
         winner = int(np.argmin(kept_ranks) if func == "min"
                      else np.argmax(kept_ranks))
-        return str(storage.pool[int(kept[winner])])
+        return storage.pool[int(kept[winner])]
     isnull = storage.nulls[members]
     if func == "count":
         return len(isnull) - int(np.count_nonzero(isnull))

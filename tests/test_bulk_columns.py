@@ -381,9 +381,10 @@ def test_a_string_column_and_its_takes_share_one_pool_memo():
     assert [column.code_of("a"), taken.code_of("c"), twice.code_of("b"),
             twice.code_of("zz")] == [1, 2, 0, None]
     assert pool.scans == 1          # one code index, built once
-    assert taken.pool_ranks() is twice.pool_ranks() is column.pool_ranks()
-    assert taken.pool_unicode() is column.pool_unicode()
-    assert column.pool_ranks().tolist() == [1, 0, 2]
+    order = column.pool_order()     # one Python order, built once
+    assert taken.pool_order() is twice.pool_order() is order
+    texts, ranks = order
+    assert texts == ["a", "b", "c"] and ranks.tolist() == [1, 0, 2]
     assert cells(twice) == [(str, "'b'"), (str, "'b'")]
 
 

@@ -7,9 +7,10 @@ built once per right table (``colexec._join_index``); sample values are
 read from the store.  Checked here:
 
 - a warm pass builds nothing per row: with every key builder, hasher,
-  template instantiation and join-index build patched to raise, it
-  answers byte-identically (:func:`assert_warm_pass_rebuilds_nothing`,
-  also run at scale 20 in CI);
+  template instantiation, join-index and string-pool order build patched
+  to raise, it answers byte-identically
+  (:func:`assert_warm_pass_rebuilds_nothing`, also run at scale 20 in
+  CI), and a string predicate never calls ``numpy.isin``;
 - a memo only serves the cache it was filled from: another cache, a
   cleared or a loaded one counts exactly what it counts on a lake no
   memo was ever filled on, lanes agree, and the memos are not pickled;
@@ -28,9 +29,11 @@ import random
 import time
 from datetime import date
 
+import numpy as np
 import pytest
 
 import repro.core.answer_cache as answer_cache_module
+import repro.data.columns as columns_module
 import repro.operators.text_qa as text_qa_module
 import repro.text.qa as text_qa_model
 from repro.core.answer_cache import AnswerCache
@@ -49,6 +52,7 @@ from repro.operators import (ExecutionContext, TextQAOperator,
                              VisualQAOperator)
 from repro.operators.modality import BATCH_ROWS
 from repro.relational import colexec
+from repro.relational.sqlexec import run_sql
 from repro.session import Session
 from repro.testing.workloads import WORKLOADS, workload
 from repro.vision import LazyImage, build_scene
@@ -82,9 +86,9 @@ def _refuse(what: str):
     return refuse
 
 
-#: ``(owner, attribute)`` of everything that builds a per-row key or a
-#: join index: image keys and digests, report digests, instantiated
-#: questions and the join-index builder.
+#: ``(owner, attribute)`` of everything that builds a per-row key, a
+#: join index or a string pool's order: image keys and digests, report
+#: digests, instantiated questions, the join-index and the order builder.
 REBUILDERS = (
     (Image, "keyed"), (Image, "fingerprint"), (LazyImage, "fingerprint"),
     (text_qa_module, "text_fingerprint"),
@@ -92,6 +96,7 @@ REBUILDERS = (
     (text_qa_module, "instantiate_template"),
     (text_qa_model, "instantiate_template"),
     (colexec, "_build_join_index"),
+    (columns_module, "build_pool_order"),
 )
 
 
@@ -164,7 +169,44 @@ def test_the_rebuilders_are_what_a_cold_pass_calls():
             setattr(owner, name, original)
     assert {"Image.keyed", "repro.operators.text_qa.text_fingerprint",
             "repro.operators.text_qa.instantiate_template",
-            "repro.relational.colexec._build_join_index"} <= called
+            "repro.relational.colexec._build_join_index",
+            "repro.data.columns.build_pool_order"} <= called
+
+
+#: Artwork string predicates of each kernel shape: rank cuts, member
+#: codes and per-entry LIKE, negated forms included.
+STRING_PREDICATES = (
+    "SELECT * FROM paintings_metadata "
+    "WHERE inception BETWEEN '1700-01-01' AND '1740-12-31'",
+    "SELECT title FROM paintings_metadata WHERE inception < '1600-06-15'",
+    "SELECT * FROM paintings_metadata "
+    "WHERE movement IN ('Impressionism', 'Baroque', 'Nope')",
+    "SELECT * FROM paintings_metadata WHERE movement NOT IN ('Baroque')",
+    "SELECT title FROM paintings_metadata WHERE title LIKE '%of the%'",
+    "SELECT * FROM paintings_metadata WHERE genre NOT LIKE 'p%'",
+)
+
+
+def test_a_warm_pass_over_string_predicates_never_calls_isin(monkeypatch):
+    lake = load_lake("artwork", scale=2)
+    tables = {name: source.table for name, source in lake.sources.items()}
+    queries = workload("artwork")  # its date range is a string BETWEEN
+
+    def run(session):
+        answers = [colexec.execute(sql, tables).fingerprint()
+                   for sql in STRING_PREDICATES]
+        return answers, canonical(session.batch(queries))
+    with Session(lake) as session:
+        first = run(session)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a string predicate called numpy.isin")
+        monkeypatch.setattr(np, "isin", refuse)
+        with refusing_rebuilders():
+            second = run(session)
+    assert second == first
+    assert first[0] == [run_sql(sql, tables).fingerprint()
+                        for sql in STRING_PREDICATES]
 
 
 # ----------------------------------------------------------------------
