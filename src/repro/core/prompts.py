@@ -142,7 +142,7 @@ def column_hint(lake: DataLake, table_name: str, column: str) -> ColumnHint:
     """The hint for one lake column, with example values from the lake,
     memoised on the table so a warm query neither samples nor renders."""
     table = lake.table(table_name)
-    return table.derived(("hint", table_name, column), lambda: ColumnHint(
+    return table.memo.get("hint", (table_name, column), lambda: ColumnHint(
         table_name, column, table.sample_values(column)))
 
 
@@ -174,7 +174,7 @@ def _lake_tables_section(lake: DataLake) -> Section:
     :attr:`DataLake.version` and digested the way a mapping prompt
     digests the tables it shows, so equal tables sections digest equally
     in every prompt."""
-    return lake.derived(("tables_section",), lambda: Section(
+    return lake.memo.get("tables_section", (), lambda: Section(
         "tables",
         combine_digests([source.table.prompt_digest(name)
                          for name, source in lake.sources.items()]),

@@ -13,13 +13,10 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
 
+from repro.data.memo import Memo
 from repro.data.table import Table
 from repro.errors import UnknownTableError
-
-_ABSENT = object()
-_T = TypeVar("_T")
 
 
 class SourceKind(enum.Enum):
@@ -61,32 +58,18 @@ class DataLake:
     sources: dict[str, DataSource] = field(default_factory=dict)
     #: bumped by every :meth:`add`, the only way a lake changes; a
     #: process lane restarts its worker when it moves, so no lane answers
-    #: over an older lake, and :meth:`derived` forgets what it memoised.
+    #: over an older lake.
     version: int = field(default=0, init=False, compare=False, repr=False)
-    _derived: tuple = field(default=(-1, None), init=False, compare=False,
-                            repr=False)
+    #: what is derived from this version's sources; every :meth:`add`
+    #: installs a fresh one (not pickled)
+    memo: Memo = field(default_factory=lambda: Memo("lake"), init=False,
+                       compare=False, repr=False)
 
     def add(self, source: DataSource) -> "DataLake":
         self.sources[source.name] = source
         self.version += 1
+        self.memo = Memo("lake")
         return self
-
-    def derived(self, key: tuple, compute: Callable[[], _T]) -> _T:
-        """What *compute* derives from the lake's sources, memoised under
-        *key* until the next :meth:`add`.
-
-        The schema block, the shape fingerprint and the prompt section
-        built from them are computed once per :attr:`version`.  Two
-        threads that miss together both compute; either value is right.
-        """
-        version, memo = self._derived
-        if version != self.version:
-            memo = {}
-            self._derived = (self.version, memo)
-        value = memo.get(key, _ABSENT)
-        if value is _ABSENT:
-            value = memo[key] = compute()
-        return value  # type: ignore[return-value]
 
     def add_table(self, name: str, table: Table, description: str = "",
                   kind: SourceKind = SourceKind.TABLE) -> "DataLake":
@@ -120,7 +103,7 @@ class DataLake:
 
     def prompt_repr(self) -> str:
         """All schema lines, one per source, for prompt construction."""
-        return self.derived(("prompt_repr",), lambda: "\n".join(
+        return self.memo.get("lake_prompt", (), lambda: "\n".join(
             f" - {s.prompt_repr()}" for s in self.sources.values()))
 
     def fingerprint(self) -> str:
@@ -131,7 +114,7 @@ class DataLake:
         lake name) are re-keyed by :class:`~repro.session.Session`.
         Hashes the memoised schema lines, once per :attr:`version`.
         """
-        return self.derived(("fingerprint",), self._shape_digest)
+        return self.memo.get("lake_fingerprint", (), self._shape_digest)
 
     def _shape_digest(self) -> str:
         digest = hashlib.sha256()

@@ -29,10 +29,11 @@ one: each store family (fixed-width, date, string) decodes a row range
 with ``tolist()`` in :meth:`Column._decode`, which both the lazy
 :meth:`Column.iter_values` and the memoized :meth:`Column.materialize`
 call.  :meth:`Column.take` is one numpy fancy-index; a pooled column (string,
-image, text) and every take of it share the pool and one memo of what
-is derived from it (the code index, the string pool's Python order; a
-modality step's answers, :mod:`repro.operators.modality`).
-The memo is not pickled: an unpickled column derives it again.
+image, text) and every take of it share the pool and one
+:class:`~repro.data.memo.Memo` of what is derived from it (the code
+index, the string pool's Python order; a modality step's answers,
+:mod:`repro.operators.modality`).  The memo is not pickled: an
+unpickled column derives it again.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ from __future__ import annotations
 import sys
 from datetime import date
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.data.datatypes import DataType
+from repro.data.memo import Memo
 
 #: Rows :meth:`Column.iter_values` decodes first; each later chunk is
 #: twice the one before.  A caller that stops early — sample values for
@@ -57,8 +59,6 @@ DECODE_CHUNK = 8
 #: values are distinct enough stops early, and below this numpy's
 #: per-call cost is more than the scan.
 DISTINCT_SCAN = 64
-
-_T = TypeVar("_T")
 
 
 class Column:
@@ -154,7 +154,8 @@ class ObjectColumn(Column):
 
 
 class _MaskedColumn(Column):
-    """A fixed-width numpy ``data`` array with a bool ``nulls`` mask."""
+    """A fixed-width numpy ``data`` array with a bool ``nulls`` mask.
+    Pickling keeps the arrays and drops the decoded list."""
 
     __slots__ = ("data", "nulls")
 
@@ -184,6 +185,9 @@ class _MaskedColumn(Column):
             # -0.0 == 0.0 in numpy as in Python; the first is kept.
             valid &= ~np.isnan(self.data)
         return self.data, valid
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.data, self.nulls)
 
 
 class IntColumn(_MaskedColumn):
@@ -220,23 +224,23 @@ class DateColumn(_MaskedColumn):
 
 
 class PooledColumn(Column):
-    """int32 codes (``-1`` for null) into a pool of values, and one memo
-    of what is derived from the pool.
+    """int32 codes (``-1`` for null) into a pool of values, and one
+    :class:`~repro.data.memo.Memo` of what is derived from the pool.
 
     Every take shares the pool and the memo: the pool is immutable by
-    convention, so a value derived from it (keyed by :meth:`pool_derived`)
-    serves every intermediate table gathered from the column.  Pickling
-    keeps the codes and the pool and drops the memo and the decoded list.
+    convention, so a value derived from it serves every intermediate
+    table gathered from the column.  Pickling keeps the codes, the pool
+    and an empty memo (shared by takes pickled together).
     """
 
-    __slots__ = ("codes", "pool", "_memo")
+    __slots__ = ("codes", "pool", "memo")
 
     def __init__(self, codes: np.ndarray, pool: list,
-                 memo: dict[object, object] | None = None) -> None:
+                 memo: Memo | None = None) -> None:
         super().__init__()
         self.codes = codes
         self.pool = pool
-        self._memo = {} if memo is None else memo
+        self.memo = Memo("pool") if memo is None else memo
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -248,7 +252,7 @@ class PooledColumn(Column):
 
     def take(self, indices: Sequence[int]) -> "PooledColumn":
         return type(self)(self.codes[np.asarray(indices, dtype=np.intp)],
-                          self.pool, self._memo)
+                          self.pool, self.memo)
 
     def distinct(self, limit: int) -> list[object]:
         """The first *limit* distinct pool entries the rows hold, in row
@@ -269,22 +273,8 @@ class PooledColumn(Column):
         prefix = self._decode(0, max(rows.values()) + 1)
         return [prefix[row] for row in rows.values()]
 
-    def pool_derived(self, key: object, build: Callable[[], _T]) -> _T:
-        """What *build* derives from the pool, memoised under *key* for
-        this column and every take of it."""
-        memo = self._memo
-        if key not in memo:
-            # Racing builders compute equal values; either may stay.
-            memo[key] = build()
-        return memo[key]  # type: ignore[return-value]
-
-    def __getstate__(self) -> tuple[np.ndarray, list]:
-        return self.codes, self.pool
-
-    def __setstate__(self, state: tuple[np.ndarray, list]) -> None:
-        self.codes, self.pool = state
-        self._memo = {}
-        self._cache = None
+    def __reduce__(self) -> tuple:
+        return type(self), (self.codes, self.pool, self.memo)
 
 
 class StringColumn(PooledColumn):
@@ -294,15 +284,15 @@ class StringColumn(PooledColumn):
 
     def code_of(self, text: str) -> int | None:
         """The dictionary code for *text*, or ``None`` when absent."""
-        return self.pool_derived(
-            "index", lambda: {t: i for i, t in enumerate(self.pool)}
+        return self.memo.get(
+            "index", (), lambda: {t: i for i, t in enumerate(self.pool)}
         ).get(text)
 
     def pool_order(self) -> tuple[list[str], np.ndarray]:
         """:func:`build_pool_order` of the pool, built once for this
         column and every take of it."""
         pool = self.pool
-        return self.pool_derived("order", lambda: build_pool_order(pool))
+        return self.memo.get("order", (), lambda: build_pool_order(pool))
 
 
 def build_pool_order(pool: Sequence[str]) -> tuple[list[str], np.ndarray]:

@@ -16,37 +16,25 @@ byte-identical with the historical row store, so old caches still load.
 
 All relational operators in :mod:`repro.relational` and all multi-modal
 operators in :mod:`repro.operators` consume and produce ``Table`` values.
-Anything computed from a table's content — its fingerprint, sample
-values, sqlite-adapted columns, generated-UDF outputs, its schema line
-and digest as a prompt shows them — is memoised in one slot,
-:meth:`Table.derived`.
+Anything computed from a table's content — its fingerprint,
+sqlite-adapted columns, join indexes, generated-UDF outputs, its schema
+line and digest as a prompt shows them — is memoised in the table's
+:class:`~repro.data.memo.Memo`, :attr:`Table.memo`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.data.columns import Column, PooledColumn, build_column
 from repro.data.datatypes import (DataType, decode_scalar, encode_scalar,
                                   infer_column_type)
+from repro.data.memo import Memo
 from repro.data.schema import ColumnSpec, Schema
 from repro.errors import SchemaError, UnknownColumnError
-
-#: Entries of one kind (a :meth:`Table.derived` key's first element) a
-#: table keeps, or one per column if that is more; the kind's oldest
-#: entry is evicted.
-DERIVED_ENTRIES = 8
-
-#: Guards every table's derived memo; held only to store (a lookup is
-#: one atomic dict read).
-_DERIVED_LOCK = threading.Lock()
-_ABSENT = object()
-
-_T = TypeVar("_T")
 
 
 class Table:
@@ -67,7 +55,8 @@ class Table:
             spec.name: build_column(columns[spec.name], spec.dtype)
             for spec in schema.columns
         }
-        self._derived: dict[tuple, object] = {}
+        #: what is derived from this table's content (not pickled)
+        self.memo = Memo("table")
 
     # ------------------------------------------------------------------
     # Constructors
@@ -240,33 +229,30 @@ class Table:
         store with numpy over its arrays or codes, object storage by a
         scan.  A modality value that is not already a ``str`` (an image)
         is shown as its ``repr``, and values are distinct as shown.
-        Memoized: discovery asks for the same samples every query.
+        Not memoised: discovery memoises its hint per lake column.
         """
-        def find() -> list[object]:
-            storage = self.storage(name)
-            if not self.dtype(name).is_modality:
-                return storage.distinct(limit)
-            values = (storage.distinct(len(storage))
-                      if isinstance(storage, PooledColumn)
-                      else storage.iter_values())
-            shown: list[object] = []
-            for value in values:
-                if value is None:
-                    continue
-                display = value if isinstance(value, str) else repr(value)
-                if display not in shown:
-                    shown.append(display)
-                    if len(shown) >= limit:
-                        break
-            return shown
-
-        return list(self.derived(("samples", name, limit), find))
+        storage = self.storage(name)
+        if not self.dtype(name).is_modality:
+            return storage.distinct(limit)
+        values = (storage.distinct(len(storage))
+                  if isinstance(storage, PooledColumn)
+                  else storage.iter_values())
+        shown: list[object] = []
+        for value in values:
+            if value is None:
+                continue
+            display = value if isinstance(value, str) else repr(value)
+            if display not in shown:
+                shown.append(display)
+                if len(shown) >= limit:
+                    break
+        return shown
 
     def prompt_line(self, name: str) -> str:
         """This table's schema line under *name*, as a prompt shows it
         (:meth:`~repro.data.schema.Schema.prompt_repr`); memoised."""
-        return self.derived(("prompt_line", name), lambda:
-                            self.schema.prompt_repr(name, self.num_rows))
+        return self.memo.get("prompt_line", name, lambda:
+                             self.schema.prompt_repr(name, self.num_rows))
 
     def prompt_digest(self, name: str) -> str:
         """A digest of :meth:`prompt_line`, taken from the schema's parts
@@ -281,31 +267,7 @@ class Table:
             return hashlib.sha256("\0".join(parts).encode("utf-8")
                                   ).hexdigest()[:32]
 
-        return self.derived(("prompt_digest", name), digest)
-
-    def derived(self, key: tuple, compute: Callable[[], _T]) -> _T:
-        """What *compute* derives from this table, memoised under *key*.
-
-        The table is immutable by convention, so a value computed from its
-        content stays valid for the object's lifetime.  ``key[0]`` names
-        the kind of value; a kind keeps at most ``max(DERIVED_ENTRIES,
-        num_columns)`` entries and evicts its oldest, so a kind with one
-        entry per column never evicts.  *compute* runs outside the lock: a
-        *compute* that raises stores nothing, and when two threads miss
-        together, both compute and both get the value stored first.
-        """
-        memo = self._derived
-        value = memo.get(key, _ABSENT)
-        if value is not _ABSENT:
-            return value  # type: ignore[return-value]
-        value = compute()
-        with _DERIVED_LOCK:
-            stored = memo.setdefault(key, value)
-            if stored is value:
-                kind = [k for k in memo if k[0] == key[0]]
-                if len(kind) > max(DERIVED_ENTRIES, len(self._columns)):
-                    del memo[kind[0]]
-        return stored  # type: ignore[return-value]
+        return self.memo.get("prompt_digest", name, digest)
 
     def to_display(self, max_rows: int = 10, max_width: int = 20) -> str:
         """A plain-text rendering for logs, examples, and observations."""
@@ -345,7 +307,7 @@ class Table:
         table is only copied into sqlite again when its content actually
         changed.
         """
-        return self.derived(("fingerprint",), self._content_digest)
+        return self.memo.get("fingerprint", (), self._content_digest)
 
     def _content_digest(self) -> str:
         from repro.vision.image import Image

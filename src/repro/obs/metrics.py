@@ -74,7 +74,8 @@ def render_prometheus(snapshot: dict) -> str:
     (bucket counts are already cumulative in the snapshot).  The
     ``local_caches`` block of
     :meth:`~repro.session.Session.observability_snapshot` renders as
-    ``repro_local_cache_*`` gauges labelled ``{space="..."}``; the nested
+    ``repro_local_cache_*`` gauges labelled ``{space="..."}`` and its
+    ``memo_builds`` as ``repro_memo_builds_total{kind="..."}``; the nested
     ``cachenet_server`` block a tier-backed session's snapshot includes
     is flattened to ``repro_cachenet_server_*`` gauges, numeric leaves
     only.  Serve with ``GET /metrics?format=prometheus``; content type
@@ -86,9 +87,12 @@ def render_prometheus(snapshot: dict) -> str:
         lines.append(f"# TYPE {name} {kind}")
         lines.extend(samples)
 
+    counters = dict(snapshot.get("counters", {}))
+    for kind, count in snapshot.get("memo_builds", {}).items():
+        counters[f'memo_builds_total{{kind="{kind}"}}'] = count
     family = None
-    for name in sorted(snapshot.get("counters", {})):
-        value = snapshot["counters"][name]
+    for name in sorted(counters):
+        value = counters[name]
         if not isinstance(value, (int, float)):
             continue
         # A counter name may carry a label set (``name{reason="..."}``);

@@ -12,12 +12,13 @@ then look the repeated keys up again.
 
 Each entry's key and answer are kept in an :class:`AnswerMemo` per
 (pool, question, answer type), filed under the answer cache's
-:attr:`~repro.core.cache.Cache.memo_scope`.  An IMAGE pool keeps its
-memos in the pool's memo (:func:`pool_memo`), which every take of the
-column shares, so an entry is keyed once, not once per step.  When the
-memo knows every row's entry and the cache still holds every key, a
-step is one ``Cache.touch`` of the keys in the order the batches above
-would look them up, and a numpy gather of the memo's answers,
+:attr:`~repro.core.cache.Cache.memo_scope`.  A pool keeps its answer
+memos in its :class:`~repro.data.memo.Memo` (the ``answers`` kind, read
+by :func:`pool_memo`), which every take of the column shares, so an
+entry is keyed once, not once per step.  When the memo knows every
+row's entry and the cache still holds every key, a step is one
+``Cache.touch`` of the keys in the order the batches above would look
+them up, and a numpy gather of the memo's answers,
 ``memo.values[codes]``: the cache's LRU order and counters end as the
 batches would leave them, with no key built and no answer list made.
 Otherwise (an entry not keyed yet, a key the cache has evicted since)
@@ -34,7 +35,6 @@ Without a cache there is no memo: every non-null row is inferred.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -52,12 +52,6 @@ from repro.operators.base import ExecutionContext
 #: 256, peak memory is not.
 BATCH_ROWS = 64
 
-#: Answer memos one pool keeps, one per question and answer type; the
-#: oldest is dropped.
-POOL_MEMOS = 64
-
-_MEMO_LOCK = threading.Lock()
-
 _M = TypeVar("_M")
 
 #: ``subjects(entries) -> [(answer-cache key, object for the model)]``,
@@ -67,14 +61,12 @@ Subjects = Callable[[list[int]], list[tuple[AnswerKey, object]]]
 
 class AnswerMemo:
     """Answers to one question about the entries of one pool, and their
-    keys in the cache filed under *scope*.  Equal keys mean
-    interchangeable objects, so an answer is a function of its key."""
+    keys in the answer cache.  Equal keys mean interchangeable objects,
+    so an answer is a function of its key."""
 
-    __slots__ = ("scope", "values", "keys", "canon", "known", "_ids",
-                 "_packed")
+    __slots__ = ("values", "keys", "canon", "known", "_ids", "_packed")
 
-    def __init__(self, size: int, scope: object) -> None:
-        self.scope = scope
+    def __init__(self, size: int) -> None:
         # values[size] stays None: what a null cell's code -1 gathers.
         self.values = np.full(size + 1, None, dtype=object)
         self.keys = np.full(size, None, dtype=object)
@@ -118,23 +110,13 @@ class AnswerMemo:
 
 
 def pool_memo(storage: PooledColumn, cache, key: tuple,
-              make: Callable[[object], _M] | None = None) -> _M:
+              make: Callable[[], _M]) -> _M:
     """The answer memo of *storage*'s pool for *key* (question, answer
     type) under *cache*'s current scope; a memo of another scope is
-    replaced by an empty one, ``make(scope)`` (by default an
-    :class:`AnswerMemo` over the pool's entries)."""
-    memos = storage.pool_derived("answers", dict)
-    memo = memos.get(key)
+    replaced by an empty one, ``make()``."""
     scope = cache.memo_scope
-    if memo is None or memo.scope is not scope:
-        memo = (AnswerMemo(len(storage.pool), scope) if make is None
-                else make(scope))
-        with _MEMO_LOCK:
-            memos.pop(key, None)
-            memos[key] = memo
-            if len(memos) > POOL_MEMOS:
-                del memos[next(iter(memos))]
-    return memo
+    return storage.memo.get("answers", key, lambda: (scope, make()),
+                            lambda filed: filed[0] is scope)[1]
 
 
 def answer_column(context: ExecutionContext, codes: np.ndarray,

@@ -6,8 +6,8 @@ source by the recipe-based code generator, validated and compiled by the
 AST sandbox once per source text, and executed per-row.  The sandbox
 allows no I/O, clock or randomness, so the output is a pure function of
 the input column and the source: it is memoised on the input table
-(:meth:`~repro.data.table.Table.derived`), and asking again over the same
-table object runs no row.
+(the ``udf`` kind of :attr:`~repro.data.table.Table.memo`), and asking
+again over the same table object runs no row.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class PythonOperator(PhysicalOperator):
             dtype = infer_column_type(values)
             return dtype, build_column(values, dtype)
 
-        dtype, column = table.derived(("udf", input_column, udf.source),
-                                      evaluate)
+        dtype, column = table.memo.get("udf", (input_column, udf.source),
+                                       evaluate)
         if not evaluated:
             context.count("udf_memo_hits")
         result = table.with_column(new_column, dtype, column)

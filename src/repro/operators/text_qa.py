@@ -117,18 +117,18 @@ class TextQAOperator(PhysicalOperator):
         doc_codes = documents.codes[shown].tolist()
         values = [table.storage(name).take(shown).materialize()
                   for name in names]
-        fingerprints = documents.pool_derived("fingerprints", dict)
 
         def subjects(entries: list[int]) -> list[tuple[AnswerKey, tuple]]:
             keyed = []
             for entry in entries:
                 code = doc_codes[entry]
                 document = str(documents.pool[code])
-                if code not in fingerprints:
-                    fingerprints[code] = text_fingerprint(document)
+                fingerprint = documents.memo.get(
+                    "text_fingerprint", code,
+                    lambda: text_fingerprint(document))
                 question = instantiate_template(template, {
                     name: column[entry] for name, column in zip(names, values)})
-                keyed.append(((fingerprints[code], question, cache_type),
+                keyed.append(((fingerprint, question, cache_type),
                               (document, question)))
             return keyed
 
@@ -139,7 +139,7 @@ class TextQAOperator(PhysicalOperator):
             # values as the question shows them; this step reads it into
             # a memo over its own distinct rows.
             asked = pool_memo(documents, cache, (template, cache_type),
-                              _Asked)
+                              dict)
             memo = _StepMemo(asked, list(zip(
                 doc_codes, *(map(str, column) for column in values))))
 
@@ -151,27 +151,17 @@ class TextQAOperator(PhysicalOperator):
             "text_inferences", answer_dtype(answer_type))
 
 
-class _Asked(dict):
-    """Answers of one (template, answer type) under one cache scope, as
-    ``(answer, answer-cache key)`` by (document code, placeholder values
-    as the question shows them)."""
-
-    __slots__ = ("scope",)
-
-    def __init__(self, scope: object) -> None:
-        super().__init__()
-        self.scope = scope
-
-
 class _StepMemo(AnswerMemo):
     """A step's memo over its distinct rows, read from the pool's
-    :class:`_Asked` answers (*asked_keys*: each row's key there) and
-    written through to them."""
+    *asked* answers of one (template, answer type) and written through to
+    them.  *asked* holds ``(answer, answer-cache key)`` by (document
+    code, placeholder values as the question shows them); *asked_keys*
+    are each row's key there."""
 
     __slots__ = ("asked", "asked_keys")
 
-    def __init__(self, asked: _Asked, asked_keys: list[tuple]) -> None:
-        super().__init__(len(asked_keys), asked.scope)
+    def __init__(self, asked: dict, asked_keys: list[tuple]) -> None:
+        super().__init__(len(asked_keys))
         self.asked, self.asked_keys = asked, asked_keys
         found = [(entry, pair) for entry, pair
                  in enumerate(map(asked.get, asked_keys)) if pair is not None]

@@ -12,7 +12,7 @@ from repro.errors import OperatorError
 from repro.operators.base import (ExecutionContext, OperatorCard,
                                   OperatorResult, PhysicalOperator,
                                   register_operator)
-from repro.operators.modality import answer_column, pool_memo
+from repro.operators.modality import AnswerMemo, answer_column, pool_memo
 from repro.vision.image import Image
 from repro.vision.renderer import renders_in_thread
 
@@ -86,7 +86,8 @@ def answer_images(operator: PhysicalOperator, context: ExecutionContext,
 
     cache = context.answer_cache
     memo = (None if cache is None
-            else pool_memo(images, cache, (question, answer_type)))
+            else pool_memo(images, cache, (question, answer_type),
+                           lambda: AnswerMemo(len(pool))))
     before = renders_in_thread()
     answers = answer_column(context, images.codes, memo, subjects, infer,
                             "vision_inferences", dtype)

@@ -494,10 +494,11 @@ def _adapted_column(table: Table, name: str) -> list[object]:
     For int / float / string columns the memoized ``materialize()`` list
     *is* the adapted form, so repeated queries over a warm lake pay
     nothing.  Bool / date / object adaptations are memoized on the table
-    (:meth:`Table.derived`) for the same reason.  Raises
-    :class:`UnsupportedSQL` for object cells sqlite could not have bound
-    either, and for a NaN cell, which sqlite binds as NULL.  (A typed
-    float column holding NaN never gets here: :func:`_decline_nan`.)
+    (the ``sql_adapted`` kind of :attr:`Table.memo`) for the same
+    reason.  Raises :class:`UnsupportedSQL` for object cells sqlite
+    could not have bound either, and for a NaN cell, which sqlite binds
+    as NULL.  (A typed float column holding NaN never gets here:
+    :func:`_decline_nan`.)
     """
     storage = table.storage(name)
     if isinstance(storage, (IntColumn, FloatColumn, StringColumn)):
@@ -516,7 +517,7 @@ def _adapted_column(table: Table, name: str) -> list[object]:
                     raise UnsupportedSQL(f"column {name!r} holds NaN")
         return adapted
 
-    return table.derived(("sql_adapted", name), adapt)
+    return table.memo.get("sql_adapted", name, adapt)
 
 
 def _strict_iso_date(text: str) -> date | None:
@@ -536,7 +537,7 @@ def _decline_nan(table: Table) -> None:
     """sqlite binds a float NaN as NULL, so a typed float column holding
     NaN would answer differently here: its table declines (checked once
     per table)."""
-    if table.derived(("float_nan",), lambda: any(
+    if table.memo.get("float_nan", (), lambda: any(
             isinstance(storage, FloatColumn)
             and bool(np.isnan(storage.data).any())
             for storage in map(table.storage, table.column_names))):
@@ -924,10 +925,6 @@ def _index_sort_key(value: object) -> tuple[int, object]:
     return (2, value)
 
 
-#: Join indexes a string pool keeps its key numbers for.
-_PROBES_PER_POOL = 4
-
-
 @dataclass(frozen=True, eq=False)
 class _JoinIndex:
     """The right side of an equi-join on one key column, as sqlite's
@@ -947,13 +944,6 @@ class _JoinIndex:
     rows: np.ndarray
     duplicates: bool
     ints: tuple[np.ndarray, np.ndarray] | None
-
-
-def _join_index(right: Table, right_on: str) -> _JoinIndex:
-    """The join index of *right* on *right_on*, built once per table
-    (:meth:`Table.derived`)."""
-    return right.derived(("join_index", right_on),
-                         lambda: _build_join_index(right, right_on))
 
 
 def _build_join_index(right: Table, right_on: str) -> _JoinIndex:
@@ -996,14 +986,9 @@ def _probe_codes(index: _JoinIndex, table: Table, name: str) -> np.ndarray:
     if isinstance(storage, StringColumn):
         # Each pool entry's key number, kept on the pool for the last
         # few indexes it probed (the index object itself is the key).
-        probed = storage.pool_derived("join_probes", dict)
-        found = probed.get(index)
-        if found is None:
-            found = np.array([lookup.get(text, -1) for text in storage.pool]
-                             + [-1], dtype=np.intp)
-            if len(probed) >= _PROBES_PER_POOL:
-                probed.clear()
-            probed[index] = found
+        found = storage.memo.get("join_probes", index, lambda: np.array(
+            [lookup.get(text, -1) for text in storage.pool] + [-1],
+            dtype=np.intp))
         return found[storage.codes]
     if isinstance(storage, IntColumn) and index.ints is not None:
         keys, codes = index.ints
@@ -1030,12 +1015,13 @@ def _sqlite_join(left: Table, right: Table,
     sort: (key, remaining referenced right columns in table order,
     rowid).  Keys match by sqlite value equality (adapted cells), so
     e.g. a bool key equals an int key.  The right side's index is built
-    once per table (:func:`_join_index`); each left row's matches are a
-    range of it, gathered with ``repeat``.
+    once per table (the ``join_index`` kind of :attr:`Table.memo`); each
+    left row's matches are a range of it, gathered with ``repeat``.
     """
     renames = join_renames(left.column_names, right.column_names,
                            left_on, right_on)
-    index = _join_index(right, right_on)
+    index = right.memo.get("join_index", right_on,
+                           lambda: _build_join_index(right, right_on))
     if index.duplicates and any(
             right.dtype(name).is_modality
             for name in right.column_names if name != right_on):

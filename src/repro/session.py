@@ -47,6 +47,7 @@ from repro.core.engine import Engine, EngineConfig
 from repro.core.interfaces import Executor, Mapper, Planner
 from repro.core.plan import BoundPlan, QueryResult
 from repro.data.catalog import DataLake
+from repro.data.memo import memo_builds
 from repro.llm.brain import SimulatedBrain
 from repro.llm.interface import BoundReply, LanguageModel, Transcript
 from repro.obs import MetricsRegistry, TelemetryConfig
@@ -289,10 +290,12 @@ class Session:
         caches (and the render cache, with a tier) under
         ``"local_caches"`` (``entries``, ``capacity``,
         ``hits``, ``misses`` and ``evictions`` per space, read at scrape
-        time, so evictions that cause misses show without a trace), and
-        — when a tier is connected — its server-side view under
-        ``"cachenet_server"``, so tier hit ratios read straight off the
-        same document.
+        time, so evictions that cause misses show without a trace), the
+        process's memo builds per kind under ``"memo_builds"``
+        (:data:`repro.data.memo.memo_builds`; a process lane's worker
+        counts in its own process), and — when a tier is connected — its
+        server-side view under ``"cachenet_server"``, so tier hit ratios
+        read straight off the same document.
 
         The STATS round trip runs under a small fixed budget
         (:data:`CACHENET_STATS_TIMEOUT`, single attempt), so a hung or
@@ -304,6 +307,7 @@ class Session:
             cache.space.name: cache.stats()
             for cache in (self.plan_cache, self.answer_cache,
                           self.render_cache) if cache is not None}
+        snapshot["memo_builds"] = dict(memo_builds)
         stats = self.cachenet_stats(timeout=self.CACHENET_STATS_TIMEOUT)
         if stats is not None:
             snapshot["cachenet_server"] = stats

@@ -3,14 +3,15 @@
 IMAGE and TEXT columns are codes into a shared pool, and a modality
 step's answers are memoised per pool entry under the answer cache they
 came from (:mod:`repro.operators.modality`); a join probes an index
-built once per right table (``colexec._join_index``); sample values are
+built once per right table (its ``join_index`` memo); sample values are
 read from the store.  Checked here:
 
 - a warm pass builds nothing per row: with every key builder, hasher,
   template instantiation, join-index and string-pool order build patched
   to raise, it answers byte-identically
   (:func:`assert_warm_pass_rebuilds_nothing`, also run at scale 20 in
-  CI), and a string predicate never calls ``numpy.isin``;
+  CI), it builds none of the :data:`ZERO_BUILD_KINDS` memo kinds, and a
+  string predicate never calls ``numpy.isin``;
 - a memo only serves the cache it was filled from: another cache, a
   cleared or a loaded one counts exactly what it counts on a lake no
   memo was ever filled on, lanes agree, and the memos are not pickled;
@@ -44,6 +45,7 @@ from repro.data.columns import (DISTINCT_SCAN, BoolColumn, DateColumn,
                                 ObjectColumn, PooledColumn, StringColumn,
                                 TextColumn)
 from repro.data.datatypes import DataType
+from repro.data.memo import memo_builds
 from repro.data.schema import ColumnSpec, Schema
 from repro.data.table import Table
 from repro.datasets import load_lake
@@ -99,6 +101,11 @@ REBUILDERS = (
     (columns_module, "build_pool_order"),
 )
 
+#: Memo kinds (:data:`repro.data.memo.KINDS`) a warm pass never builds:
+#: each is derived once per lake table, pool or lake version.
+ZERO_BUILD_KINDS = ("join_index", "hint", "tables_section", "order",
+                    "answers", "join_probes", "text_fingerprint")
+
 
 @contextlib.contextmanager
 def refusing_rebuilders():
@@ -114,17 +121,21 @@ def refusing_rebuilders():
             setattr(owner, name, original)
 
 
-def assert_warm_pass_rebuilds_nothing(dataset: str, scale: float) -> None:
+def assert_warm_pass_rebuilds_nothing(dataset: str,
+                                     scale: float) -> dict[str, int]:
     """After one pass over *dataset*'s workload queries at *scale*, a
     second pass runs with every rebuilder patched to raise and answers
-    byte-identically."""
+    byte-identically.  Returns the second pass's memo builds per kind."""
     queries = workload(dataset)
     with Session(load_lake(dataset, scale=scale)) as session:
         first = session.batch(queries)
         assert first.num_errors == 0
         with refusing_rebuilders():
+            before = dict(memo_builds)
             second = session.batch(queries)
+            after = dict(memo_builds)
     assert canonical(second) == canonical(first)
+    return {kind: after[kind] - before[kind] for kind in after}
 
 
 def warm_ms_per_query(dataset: str, scale: float, passes: int = 5) -> float:
@@ -145,6 +156,24 @@ def warm_ms_per_query(dataset: str, scale: float, passes: int = 5) -> float:
 @pytest.mark.parametrize("dataset", sorted(WORKLOADS))
 def test_a_warm_pass_builds_no_key_and_no_join_index(dataset):
     assert_warm_pass_rebuilds_nothing(dataset, scale=2)
+
+
+@pytest.mark.parametrize("dataset", sorted(WORKLOADS))
+def test_a_warm_pass_builds_none_of_the_zero_build_kinds(dataset):
+    builds = assert_warm_pass_rebuilds_nothing(dataset, scale=2)
+    assert {kind: builds[kind] for kind in ZERO_BUILD_KINDS} \
+        == dict.fromkeys(ZERO_BUILD_KINDS, 0)
+
+
+def test_a_cold_pass_builds_every_zero_build_kind():
+    # The pin above is only worth something if a cold pass builds them.
+    before = dict(memo_builds)
+    for dataset in sorted(WORKLOADS):
+        with Session(load_lake(dataset)) as session:
+            session.batch(workload(dataset))
+    after = dict(memo_builds)
+    assert [kind for kind in ZERO_BUILD_KINDS
+            if after[kind] == before[kind]] == []
 
 
 def test_the_rebuilders_are_what_a_cold_pass_calls():
@@ -373,7 +402,7 @@ def test_the_memos_are_not_pickled():
         session.batch(queries)
         images = lake.table("painting_images").storage("image")
         assert isinstance(images, ImageColumn)
-        assert images.pool_derived("answers", dict)   # filled by the pass
+        assert len(images.memo)   # filled by the pass
         before = (len(pickle.dumps(lake)),
                   len(pickle.dumps(session.answer_cache.items())))
         session.batch(queries)
@@ -382,7 +411,7 @@ def test_the_memos_are_not_pickled():
     assert after == before
     copy = pickle.loads(pickle.dumps(lake))
     stored = copy.table("painting_images").storage("image")
-    assert stored.pool_derived("answers", dict) == {}
+    assert len(stored.memo) == 0
     assert copy.table("painting_images").column("image") \
         == lake.table("painting_images").column("image")
 
@@ -496,6 +525,6 @@ def test_a_take_shares_the_pool_and_its_memo():
     assert storage.codes.tolist() == [0, 1, 2, 3, 4, 5, 6, 2, -1]
     taken = table.take([7, 2, 8]).storage("image")
     assert taken.pool is storage.pool
-    assert taken.pool_derived("probe", dict) \
-        is storage.pool_derived("probe", dict)
+    assert taken.memo.get("answers", "probe", dict) \
+        is storage.memo.get("answers", "probe", dict)
     assert taken.materialize() == [images[2], images[2], None]

@@ -22,7 +22,8 @@ from repro import Session
 from repro.data.catalog import DataLake, DataSource
 from repro.data.datatypes import DataType
 from repro.data.schema import ColumnSpec, Schema
-from repro.data.table import DERIVED_ENTRIES, Table
+from repro.data.memo import KINDS
+from repro.data.table import Table
 from repro.errors import OperatorError
 from repro.obs import QueryTelemetry
 from repro.operators.base import ExecutionContext
@@ -124,7 +125,7 @@ def test_more_sources_than_the_cap_keep_only_the_newest():
     table = Table(Schema([ColumnSpec("count", DataType.INTEGER)]),
                   {"count": [1, 2, None, 4]})
     descriptions = [f"divide the count by {n}"
-                    for n in range(1, DERIVED_ENTRIES + 3)]
+                    for n in range(1, KINDS["udf"].bound + 3)]
     for description in descriptions:
         _, counters = run(table, description, "count")
         assert counters["udf_rows_evaluated"] == 3
@@ -143,15 +144,17 @@ def test_derived_caps_each_kind_on_its_own():
     def compute(tag):
         return lambda: computed.append(tag) or tag
 
-    assert table.derived(("other",), compute("other")) == "other"
-    for n in range(DERIVED_ENTRIES + 3):
-        assert table.derived(("many", n), compute(n)) == n
+    bound = KINDS["udf"].bound
+    get = table.memo.get
+    assert get("fingerprint", (), compute("other")) == "other"
+    for n in range(bound + 3):
+        assert get("udf", n, compute(n)) == n
     computed.clear()
-    for n in range(3, DERIVED_ENTRIES + 3):
-        assert table.derived(("many", n), compute(-1)) == n
-    assert table.derived(("other",), compute(-1)) == "other"
+    for n in range(3, bound + 3):
+        assert get("udf", n, compute(-1)) == n
+    assert get("fingerprint", (), compute(-1)) == "other"
     assert computed == []
-    assert table.derived(("many", 0), compute(0)) == 0
+    assert get("udf", 0, compute(0)) == 0
     assert computed == [0]
 
 
