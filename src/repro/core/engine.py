@@ -146,7 +146,8 @@ class Engine:
             model = SimulatedBrain()
         self.model = model
         self.planner = planner if planner is not None else PromptPlanner(model)
-        self.mapper = mapper if mapper is not None else PromptMapper(model)
+        self.mapper = (mapper if mapper is not None
+                       else PromptMapper(model, lake))
         self.executor = (executor if executor is not None
                          else RegistryExecutor())
         self.config = config or EngineConfig()
@@ -455,50 +456,50 @@ class Engine:
         return memo
 
     def _record_metrics(self, trace: PlanTrace, ok: bool) -> None:
-        """Fold one finished query into the session metrics registry."""
+        """Fold one finished query into the session metrics registry, in
+        one locked call."""
         if self.metrics is None:
             return
-        metrics = self.metrics
-        metrics.increment("queries_total")
-        metrics.increment("queries_ok" if ok else "queries_error")
+        deltas: list[tuple[str, float]] = [
+            ("queries_total", 1), ("queries_ok" if ok else "queries_error", 1)]
+        add = deltas.append
         telemetry = trace.telemetry
+        counters = telemetry.counters
         for name in ("plan_cache_hits", "plan_cache_misses",
                      "answer_cache_hits", "answer_cache_misses"):
-            value = telemetry.counters.get(name)
+            value = counters.get(name)
             if value:
-                metrics.increment(name, value)
-        value = telemetry.counters.get("binding_memo_hits")
+                add((name, value))
+        value = counters.get("binding_memo_hits")
         if value:
-            metrics.increment("binding_memo_hits_total", value)
+            add(("binding_memo_hits_total", value))
         for reason in MEMO_MISS_REASONS:
-            value = telemetry.counters.get(f"binding_memo_misses_{reason}")
+            value = counters.get(f"binding_memo_misses_{reason}")
             if value:
-                metrics.increment(
-                    f'binding_memo_misses_total{{reason="{reason}"}}', value)
-        for name, value in telemetry.counters.items():
+                add((f'binding_memo_misses_total{{reason="{reason}"}}',
+                     value))
+        for name, value in counters.items():
             if name.startswith(SECTION_CHANGED):
                 section = name[len(SECTION_CHANGED):]
-                metrics.increment(
-                    f'binding_memo_section_changed_total{{section="{section}"}}',
-                    value)
+                add((f'binding_memo_section_changed_total'
+                     f'{{section="{section}"}}', value))
         for engine in RELATIONAL_ENGINES:
-            value = telemetry.counters.get(f"sql_engine_{engine}")
+            value = counters.get(f"sql_engine_{engine}")
             if value:
-                metrics.increment(f'sql_engine_total{{engine="{engine}"}}',
-                                  value)
+                add((f'sql_engine_total{{engine="{engine}"}}', value))
         for name in ("colexec_declined", "udf_rows_evaluated",
                      "udf_memo_hits", "images_rendered",
                      "image_keys_from_map"):
-            value = telemetry.counters.get(name)
+            value = counters.get(name)
             if value:
-                metrics.increment(f"{name}_total", value)
+                add((f"{name}_total", value))
         if trace.replans:
-            metrics.increment("replans_total", trace.replans)
+            add(("replans_total", trace.replans))
         if telemetry.spans:
-            metrics.increment("spans_total", len(telemetry.spans))
-            metrics.increment("token_in_total", telemetry.token_in)
-            metrics.increment("token_out_total", telemetry.token_out)
-            metrics.increment("cost_usd_total", telemetry.cost_usd)
+            add(("spans_total", len(telemetry.spans)))
+            add(("token_in_total", telemetry.token_in))
+            add(("token_out_total", telemetry.token_out))
+            add(("cost_usd_total", telemetry.cost_usd))
             # The same prompt tokens by phase: the span stage up to any
             # ':' ("mapping", "planning", ...; "execution" holds
             # error-analysis prompts).  A separate family, so it never
@@ -506,9 +507,9 @@ class Engine:
             for span in telemetry.spans:
                 if span.token_in:
                     phase = span.stage.partition(":")[0]
-                    metrics.increment(
-                        f'token_in_phase_total{{phase="{phase}"}}',
-                        span.token_in)
-        for phase, seconds in trace.timings.items():
-            metrics.observe(f"latency_{phase}", seconds)
+                    add((f'token_in_phase_total{{phase="{phase}"}}',
+                         span.token_in))
+        self.metrics.record(deltas, [(f"latency_{phase}", seconds)
+                                     for phase, seconds
+                                     in trace.timings.items()])
 

@@ -154,10 +154,15 @@ class PromptPlanner:
 
 
 class PromptMapper:
-    """Mapper that drives a :class:`LanguageModel` through chat prompts."""
+    """Mapper that drives a :class:`LanguageModel` through chat prompts.
 
-    def __init__(self, model: LanguageModel):
+    *lake* is the lake the execution contexts are opened on: a prompt
+    showing one of its sources reads that source's digest from the
+    lake's memo."""
+
+    def __init__(self, model: LanguageModel, lake: DataLake | None = None):
         self.model = model
+        self.lake = lake
 
     def map_step(self, tables: dict[str, Table],
                  cards: list[OperatorCard], step: LogicalStep,
@@ -166,7 +171,8 @@ class PromptMapper:
                  error_feedback: str = "") -> MappingDecision:
         prompt = build_mapping_prompt(tables, cards, step, hints,
                                       observations,
-                                      error_feedback=error_feedback)
+                                      error_feedback=error_feedback,
+                                      lake=self.lake)
         # A retry carries error feedback: never served from the cache.
         response = transcript.ask(self.model, f"mapping:{step.index}",
                                   prompt, retry=bool(error_feedback))

@@ -9,10 +9,12 @@ Every builder returns a :class:`~repro.llm.interface.Prompt` of named
 sections — ``role``, ``tables``, ``cards``, ``format`` in the system
 message; ``task``, ``hints``, ``observations``, ``error`` and ``step``
 in the human one (the planning prompt adds ``examples``).  A section's
-digest is memoised on the object it comes from: a table's schema line
-on the table, the schema block on the lake (per
+digest is memoised on the object it comes from: a source table's
+schema digest and the schema block on the lake (per
 :attr:`~repro.data.catalog.DataLake.version`), the card block per card
-tuple, a hint per lake column, the static texts at import.  So a warm
+tuple, a hint per lake column, the static texts at import; an
+intermediate table's schema digest, which no later query could read,
+is worked out per prompt from its schema.  So a warm
 query identifies each prompt by digest and renders no text; the text
 is built only for the model or the transcript.
 """
@@ -176,8 +178,8 @@ def _lake_tables_section(lake: DataLake) -> Section:
     in every prompt."""
     return lake.memo.get("tables_section", (), lambda: Section(
         "tables",
-        combine_digests([source.table.prompt_digest(name)
-                         for name, source in lake.sources.items()]),
+        combine_digests([lake.prompt_digest(name)
+                         for name in lake.sources]),
         TABLES_HEADER + lake.prompt_repr()))
 
 
@@ -252,14 +254,21 @@ def _card_sections(cards: tuple[OperatorCard, ...]) -> tuple[Section,
                 operator_names=", ".join(card.name for card in cards))))
 
 
-def _context_tables_section(tables: dict[str, Table]) -> Section:
-    """The shown tables, digested from each table's memoised
-    :meth:`~repro.data.table.Table.prompt_digest` — an intermediate
-    table is digested without rendering its schema line.  The tables
-    are copied: the execution context binds more after this prompt."""
+def _context_tables_section(tables: dict[str, Table],
+                            lake: DataLake | None) -> Section:
+    """The shown tables, digested from each table's
+    :meth:`~repro.data.table.Table.prompt_digest` without rendering its
+    schema line: a source of *lake* reads the digest the lake memoises,
+    an intermediate table (which dies with its query) works it out.  The
+    tables are copied: the execution context binds more after this
+    prompt."""
     tables = dict(tables)
-    digest = combine_digests([table.prompt_digest(name)
-                              for name, table in tables.items()])
+    sources = lake.sources if lake is not None else {}
+    digest = combine_digests([
+        lake.prompt_digest(name)  # type: ignore[union-attr]
+        if name in sources and sources[name].table is table
+        else table.prompt_digest(name)
+        for name, table in tables.items()])
     return Section("tables", digest,
                    lambda: TABLES_HEADER + context_prompt_repr(tables))
 
@@ -279,7 +288,8 @@ def build_mapping_prompt(tables: dict[str, Table],
                          cards: Sequence[OperatorCard],
                          step: LogicalStep, hints: Sequence[ColumnHint],
                          observations: Sequence[str],
-                         error_feedback: str = "") -> Prompt:
+                         error_feedback: str = "",
+                         lake: DataLake | None = None) -> Prompt:
     """The Mapping Phase prompt (Figure 3, right) for *one* logical step.
 
     *tables* is the current execution context, so an input that an
@@ -291,7 +301,9 @@ def build_mapping_prompt(tables: dict[str, Table],
     tables the step names as inputs (:func:`step_tables`) and only the
     operator cards those tables can feed (:func:`usable_cards`), and the
     output format's operator list names exactly those cards.  Hints,
-    observations and error feedback are not scoped.
+    observations and error feedback are not scoped.  A shown table that
+    is a source of *lake*, the lake the context was opened on, takes
+    its digest from the lake's memo.
 
     The step, the observations, intermediate tables and the error are
     digested as they are; every other section's digest is memoised.
@@ -304,7 +316,7 @@ def build_mapping_prompt(tables: dict[str, Table],
                         "arguments again, avoiding this error.")
              if error_feedback else _NO_ERROR)
     return Prompt(
-        [_MAPPING_ROLE, _context_tables_section(tables), card_block,
+        [_MAPPING_ROLE, _context_tables_section(tables, lake), card_block,
          output_format],
         [_MAPPING_TASK, _hints_section(hints),
          _observations_section(observations), error,

@@ -101,6 +101,12 @@ class DataLake:
             lake.add(self.source(name))
         return lake
 
+    def prompt_digest(self, name: str) -> str:
+        """Source *name*'s :meth:`~repro.data.table.Table.prompt_digest`
+        under that name, once per :attr:`version`."""
+        return self.memo.get("prompt_digest", name, lambda:
+                             self.table(name).prompt_digest(name))
+
     def prompt_repr(self) -> str:
         """All schema lines, one per source, for prompt construction."""
         return self.memo.get("lake_prompt", (), lambda: "\n".join(

@@ -54,11 +54,16 @@ from repro.data.memo import Memo
 #: no longer than one chunk is decoded whole and kept.
 DECODE_CHUNK = 8
 
-#: Values :meth:`Column.distinct` scans one by one before it hands a
-#: typed or pooled store to ``np.unique`` whole: a column whose first
-#: values are distinct enough stops early, and below this numpy's
-#: per-call cost is more than the scan.
+#: Values :meth:`Column.distinct` scans one by one before it searches a
+#: typed or pooled store's numpy keys whole: a column whose first values
+#: are distinct enough stops early, and below this numpy's per-call cost
+#: is more than the scan.
 DISTINCT_SCAN = 64
+
+#: Up to this many distinct values, a whole-store search finds each next
+#: one with a masked pass over the keys (one ``argmax``); past it, one
+#: stable ``np.unique`` costs less than that many passes.
+DISTINCT_PASSES = 8
 
 
 class Column:
@@ -115,7 +120,7 @@ class Column:
         NaN is skipped: NaN != NaN would pass the dedup every time, and
         sqlite binds it as NULL anyway.  The first :data:`DISTINCT_SCAN`
         values are scanned as they decode; past them, a store with numpy
-        keys is deduplicated whole by one stable ``np.unique``.
+        keys is searched whole (:func:`_first_rows`).
         """
         seen: list[object] = []
         for scanned, value in enumerate(self.iter_values()):
@@ -197,9 +202,27 @@ class IntColumn(_MaskedColumn):
 
 
 class FloatColumn(_MaskedColumn):
-    """float64 storage with a null mask."""
+    """float64 storage with a null mask, and whether any cell is NaN:
+    worked out once per store, known without looking for a take of a
+    NaN-free store, and not pickled."""
 
-    __slots__ = ()
+    __slots__ = ("_nan",)
+
+    def __init__(self, data: np.ndarray, nulls: np.ndarray,
+                 nan: bool | None = None) -> None:
+        super().__init__(data, nulls)
+        self._nan = nan
+
+    def has_nan(self) -> bool:
+        """Whether any cell holds NaN (a NULL cell holds 0.0)."""
+        if self._nan is None:
+            self._nan = bool(np.isnan(self.data).any())
+        return self._nan
+
+    def take(self, indices: Sequence[int]) -> "FloatColumn":
+        idx = np.asarray(indices, dtype=np.intp)
+        return FloatColumn(self.data[idx], self.nulls[idx],
+                           False if self._nan is False else None)
 
 
 class BoolColumn(_MaskedColumn):
@@ -324,10 +347,23 @@ class TextColumn(PooledColumn):
 def _first_rows(keys: np.ndarray, valid: np.ndarray,
                 limit: int) -> np.ndarray:
     """Ascending rows of the first *limit* distinct *keys* among the
-    *valid* rows (a stable unique keeps each key's first row)."""
-    rows = np.flatnonzero(valid)
-    _, first = np.unique(keys[rows], return_index=True)
-    return rows[np.sort(first)[:limit]]
+    *valid* rows.  Up to :data:`DISTINCT_PASSES` of them, each next one
+    is the first valid row whose key is not yet seen (at most *limit*
+    passes); more are a stable unique, which keeps each key's first
+    row."""
+    if limit > DISTINCT_PASSES:
+        rows = np.flatnonzero(valid)
+        _, first = np.unique(keys[rows], return_index=True)
+        return rows[np.sort(first)[:limit]]
+    unseen = valid.copy()
+    found = []
+    for _ in range(limit):
+        row = int(unseen.argmax())
+        if not unseen[row]:
+            break
+        found.append(row)
+        unseen &= keys != keys[row]
+    return np.array(found, dtype=np.intp)
 
 
 #: The one Python type each typed store accepts (``type(v) is T``).

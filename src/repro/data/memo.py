@@ -30,23 +30,23 @@ class Kind(NamedTuple):
 
 
 KINDS: dict[str, Kind] = {
-    # A table's content digest, and its schema line and digest per name.
+    # A table's content digest, and its schema line per name.
     "fingerprint": Kind("table"),
     "prompt_line": Kind("table"),
-    "prompt_digest": Kind("table"),
     "hint": Kind("table"),          # discovery's, per (name, column)
     "sql_adapted": Kind("table"),   # colexec: a column as sqlite cells
-    "float_nan": Kind("table"),
     "join_index": Kind("table"),
     "udf": Kind("table", 8),        # per (input column, source)
     "index": Kind("pool"),          # a string pool's codes by text
     "order": Kind("pool"),          # its Python order
     "answers": Kind("pool", 64),    # per (question, answer type)
+    "udf_values": Kind("pool", 8),  # per source: its value per entry
     "join_probes": Kind("pool", 4),  # per join index
     "text_fingerprint": Kind("pool"),  # per document
     "lake_prompt": Kind("lake"),
     "lake_fingerprint": Kind("lake"),
     "tables_section": Kind("lake"),
+    "prompt_digest": Kind("lake"),  # a source's schema digest, per name
 }
 
 #: Builds per kind in this process (copy it with ``dict()`` to read).

@@ -18,8 +18,10 @@ All relational operators in :mod:`repro.relational` and all multi-modal
 operators in :mod:`repro.operators` consume and produce ``Table`` values.
 Anything computed from a table's content — its fingerprint,
 sqlite-adapted columns, join indexes, generated-UDF outputs, its schema
-line and digest as a prompt shows them — is memoised in the table's
-:class:`~repro.data.memo.Memo`, :attr:`Table.memo`.
+line as a prompt shows it — is memoised in the table's
+:class:`~repro.data.memo.Memo`, :attr:`Table.memo`.  A table built from
+outside data is checked and packed once (:class:`Table`); one gathered
+or projected from packed stores is not checked again.
 """
 
 from __future__ import annotations
@@ -57,6 +59,17 @@ class Table:
         }
         #: what is derived from this table's content (not pickled)
         self.memo = Memo("table")
+
+    @classmethod
+    def _packed(cls, schema: Schema, columns: dict[str, Column]) -> "Table":
+        """A table over *columns*: packed, equally long stores keyed in
+        *schema*'s order, as a gather or a projection of a table already
+        holds them.  Nothing is checked or packed again."""
+        table = cls.__new__(cls)
+        table.schema = schema
+        table._columns = columns
+        table.memo = Memo("table")
+        return table
 
     # ------------------------------------------------------------------
     # Constructors
@@ -167,9 +180,9 @@ class Table:
 
     def take(self, indices: Sequence[int]) -> "Table":
         """Rows at *indices*, in that order (may repeat / reorder)."""
-        columns = {name: column.take(indices)
-                   for name, column in self._columns.items()}
-        return Table(self.schema, columns)
+        return Table._packed(self.schema, {
+            name: column.take(indices)
+            for name, column in self._columns.items()})
 
     def filter(self, mask: Sequence[bool]) -> "Table":
         if len(mask) != self.num_rows:
@@ -184,7 +197,7 @@ class Table:
     def project(self, names: Sequence[str]) -> "Table":
         specs = [self.schema.column(n) for n in names]
         schema = Schema(specs, description=self.schema.description)
-        return Table(schema, {n: self._columns[n] for n in names})
+        return Table._packed(schema, {n: self._columns[n] for n in names})
 
     def rename(self, mapping: Mapping[str, str]) -> "Table":
         for old in mapping:
@@ -193,8 +206,8 @@ class Table:
         specs = [ColumnSpec(mapping.get(c.name, c.name), c.dtype, c.description)
                  for c in self.schema.columns]
         schema = Schema(specs, description=self.schema.description)
-        columns = {mapping.get(n, n): v for n, v in self._columns.items()}
-        return Table(schema, columns)
+        return Table._packed(schema, {mapping.get(n, n): v
+                                      for n, v in self._columns.items()})
 
     def with_column(self, name: str, dtype: DataType,
                     values: Sequence[object] | Column) -> "Table":
@@ -211,9 +224,9 @@ class Table:
         else:
             base = self
         schema = base.schema.with_column(ColumnSpec(name, dtype))
-        columns: dict[str, object] = dict(base._columns)
-        columns[name] = values
-        return Table(schema, columns)
+        columns: dict[str, Column] = dict(base._columns)
+        columns[name] = build_column(values, dtype)
+        return Table._packed(schema, columns)
 
     # ------------------------------------------------------------------
     # Display / comparison helpers
@@ -257,17 +270,16 @@ class Table:
     def prompt_digest(self, name: str) -> str:
         """A digest of :meth:`prompt_line`, taken from the schema's parts
         (name, row count, columns and dtypes, description, foreign keys)
-        so it is known without rendering the line; memoised."""
-        def digest() -> str:
-            schema = self.schema
-            parts = [name, str(self.num_rows), schema.description,
-                     str(len(schema.columns)),
-                     *(f"{c.name}:{c.dtype.value}" for c in schema.columns),
-                     *(fk.prompt_repr(name) for fk in schema.foreign_keys)]
-            return hashlib.sha256("\0".join(parts).encode("utf-8")
-                                  ).hexdigest()[:32]
-
-        return self.memo.get("prompt_digest", name, digest)
+        so it is known without rendering the line.  Not memoised here: a
+        lake source's is, on the lake
+        (:meth:`~repro.data.catalog.DataLake.prompt_digest`)."""
+        schema = self.schema
+        parts = [name, str(self.num_rows), schema.description,
+                 str(len(schema.columns)),
+                 *(f"{c.name}:{c.dtype.value}" for c in schema.columns),
+                 *(fk.prompt_repr(name) for fk in schema.foreign_keys)]
+        return hashlib.sha256("\0".join(parts).encode("utf-8")
+                              ).hexdigest()[:32]
 
     def to_display(self, max_rows: int = 10, max_width: int = 20) -> str:
         """A plain-text rendering for logs, examples, and observations."""

@@ -185,10 +185,25 @@ class MetricsRegistry:
 
     def observe(self, name: str, seconds: float) -> None:
         with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = _Histogram()
-            histogram.observe(seconds)
+            self._observe(name, seconds)
+
+    def record(self, increments: list[tuple[str, float]],
+               observations: list[tuple[str, float]]) -> None:
+        """Apply one query's counter *increments* and latency
+        *observations*, in order, under one lock: the same sums as one
+        :meth:`increment` / :meth:`observe` call each."""
+        with self._lock:
+            counters = self._counters
+            for name, value in increments:
+                counters[name] = counters.get(name, 0) + value
+            for name, seconds in observations:
+                self._observe(name, seconds)
+
+    def _observe(self, name: str, seconds: float) -> None:
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = _Histogram()
+        histogram.observe(seconds)
 
     # ------------------------------------------------------------------
     # Snapshots

@@ -10,6 +10,7 @@ columns survive via object tokens (:mod:`repro.relational.sqlexec`).
 
 from __future__ import annotations
 
+import functools
 import re
 
 from repro.data.table import Table
@@ -27,11 +28,20 @@ def referenced_tables(sql: str, tables: dict[str, Table]) -> dict[str, Table]:
     scan: a name mentioned anywhere in the statement (even in a string
     literal) is registered — a superset of the truly referenced tables.
     Falls back to all tables when nothing matches, so a malformed statement
-    still fails with sqlite's own error message.
+    still fails with sqlite's own error message.  The scan runs once per
+    statement text and table names (:func:`_mentioned`).
     """
-    subset = {name: table for name, table in tables.items()
-              if re.search(rf"\b{re.escape(name)}\b", sql, re.IGNORECASE)}
-    return subset or dict(tables)
+    mentioned = _mentioned(sql, tuple(tables))
+    if not mentioned:
+        return dict(tables)
+    return {name: tables[name] for name in mentioned}
+
+
+@functools.lru_cache(maxsize=1024)
+def _mentioned(sql: str, names: tuple[str, ...]) -> tuple[str, ...]:
+    """The *names* that occur in *sql* as words, in their order."""
+    return tuple(name for name in names
+                 if re.search(rf"\b{re.escape(name)}\b", sql, re.IGNORECASE))
 
 
 class SQLOperator(PhysicalOperator):

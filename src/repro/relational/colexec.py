@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import operator
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
@@ -535,13 +536,12 @@ def _strict_iso_date(text: str) -> date | None:
 
 def _decline_nan(table: Table) -> None:
     """sqlite binds a float NaN as NULL, so a typed float column holding
-    NaN would answer differently here: its table declines (checked once
-    per table)."""
-    if table.memo.get("float_nan", (), lambda: any(
-            isinstance(storage, FloatColumn)
-            and bool(np.isnan(storage.data).any())
-            for storage in map(table.storage, table.column_names))):
-        raise UnsupportedSQL("float column holds NaN")
+    NaN would answer differently here: its table declines.  Each float
+    store knows whether it holds NaN (:meth:`FloatColumn.has_nan`)."""
+    for name in table.column_names:
+        storage = table.storage(name)
+        if isinstance(storage, FloatColumn) and storage.has_nan():
+            raise UnsupportedSQL("float column holds NaN")
 
 
 def _no_kernel(what: str, storage: Column) -> UnsupportedSQL:
@@ -866,14 +866,20 @@ def _take_sql_column(storage: object, indices: Sequence[int] | None
                      ) -> tuple[Column, DataType] | None:
     """Gather a projected result column straight from typed storage.
 
-    Only stores whose adapted form equals the raw values qualify (int /
-    float / dictionary-encoded strings); the returned dtype is exactly
-    what :func:`_infer_sql_dtype` would assign to the gathered list, so
+    Int / float / dictionary-encoded string stores, whose adapted form
+    equals the raw values, are gathered as they are; a date store is
+    gathered into the string column its adapted ISO texts pack into
+    (:func:`_iso_column`).  The returned dtype is exactly what
+    :func:`_infer_sql_dtype` would assign to the gathered list, so
     result assembly can skip the per-cell builder path without changing
     the result's schema, values, or fingerprint.  ``indices=None`` is
     the identity projection: the storage itself is shared (columns are
     immutable once inside a table).
     """
+    if isinstance(storage, DateColumn):
+        taken = storage if indices is None else storage.take(indices)
+        # An ISO text is a str, so every projection infers STRING.
+        return _iso_column(taken), DataType.STRING
     if not isinstance(storage, (StringColumn, IntColumn, FloatColumn)):
         return None
     taken = storage if indices is None else storage.take(indices)
@@ -888,6 +894,24 @@ def _take_sql_column(storage: object, indices: Sequence[int] | None
                    else DataType.FLOAT)
 
 
+def _iso_column(dates: DateColumn) -> StringColumn:
+    """*dates* as the string column the bridge's ISO texts pack into:
+    each distinct date formatted once and interned, the pool in
+    first-occurrence order, NULL as code ``-1``."""
+    valid = ~dates.nulls
+    ordinals, first, inverse = np.unique(dates.data[valid],
+                                         return_index=True,
+                                         return_inverse=True)
+    order = np.argsort(first)
+    ranks = np.empty(len(order), dtype=np.int32)
+    ranks[order] = np.arange(len(order), dtype=np.int32)
+    codes = np.full(len(valid), -1, dtype=np.int32)
+    codes[valid] = ranks[inverse]
+    fromordinal = date.fromordinal
+    return StringColumn(codes, [sys.intern(fromordinal(ordinal).isoformat())
+                                for ordinal in ordinals[order].tolist()])
+
+
 def _build_result(named_columns: list[tuple[str, object,
                                             DataType | None]]) -> Table:
     """Assemble the result table exactly like the sqlite bridge does:
@@ -895,19 +919,20 @@ def _build_result(named_columns: list[tuple[str, object,
     modality columns, which keep their dtype when any object survived.
     A :class:`Column` entry is the :func:`_take_sql_column` fast path:
     its dtype is precomputed and the packed column goes straight into
-    the table."""
+    the table.  Every entry is equally long, so the packed columns make
+    the table as they are."""
     names = dedup_names([name for name, _, _ in named_columns])
     specs = []
-    columns = {}
+    columns: dict[str, Column] = {}
     for unique, (_, values, modality) in zip(names, named_columns):
-        if isinstance(values, Column):
-            specs.append(ColumnSpec(unique, modality))
-        elif modality is not None and any(v is not None for v in values):
-            specs.append(ColumnSpec(unique, modality))
+        if isinstance(values, Column) or (
+                modality is not None and any(v is not None for v in values)):
+            dtype = modality
         else:
-            specs.append(ColumnSpec(unique, _infer_sql_dtype(values)))
-        columns[unique] = values
-    return Table(Schema(specs), columns)
+            dtype = _infer_sql_dtype(values)
+        specs.append(ColumnSpec(unique, dtype))
+        columns[unique] = build_column(values, dtype)
+    return Table._packed(Schema(specs), columns)
 
 
 # ----------------------------------------------------------------------
@@ -1071,12 +1096,13 @@ def _assemble_join(left: Table, right: Table, left_indices: Sequence[int],
             column = build_column(column.values, dtype)
         specs[out] = ColumnSpec(out, dtype)
         columns[out] = column
-    return Table(Schema(list(specs.values()),
-                        description=schema.description,
-                        foreign_keys=[] if clashed
-                        else list(schema.foreign_keys),
-                        primary_key=None if clashed else schema.primary_key),
-                 columns)
+    # A clash moves the spec and the column to the end alike, so
+    # *columns* keeps the schema's order.
+    return Table._packed(
+        Schema(list(specs.values()), description=schema.description,
+               foreign_keys=[] if clashed else list(schema.foreign_keys),
+               primary_key=None if clashed else schema.primary_key),
+        columns)
 
 
 # ----------------------------------------------------------------------

@@ -104,7 +104,15 @@ REBUILDERS = (
 #: Memo kinds (:data:`repro.data.memo.KINDS`) a warm pass never builds:
 #: each is derived once per lake table, pool or lake version.
 ZERO_BUILD_KINDS = ("join_index", "hint", "tables_section", "order",
-                    "answers", "join_probes", "text_fingerprint")
+                    "answers", "join_probes", "text_fingerprint",
+                    "prompt_digest")
+
+#: Python-step questions whose step reads a fresh filtered take of a
+#: lake string column on every ask.
+PYTHON_QUESTIONS = tuple(
+    f"What are the min, max and average year of {adjective} paintings?"
+    for adjective in ("baroque", "expressionist", "impressionist",
+                      "renaissance", "romantic"))
 
 
 @contextlib.contextmanager
@@ -138,6 +146,18 @@ def assert_warm_pass_rebuilds_nothing(dataset: str,
     return {kind: after[kind] - before[kind] for kind in after}
 
 
+def warm_udf_values(scale: float) -> dict[str, int]:
+    """Values handed to generated code by the second ask of each of
+    :data:`PYTHON_QUESTIONS` at artwork@*scale*."""
+    with Session(load_lake("artwork", scale=scale)) as session:
+        first = session.batch(list(PYTHON_QUESTIONS))
+        assert first.num_errors == 0
+        second = session.batch(list(PYTHON_QUESTIONS))
+    assert canonical(second) == canonical(first)
+    return {query: result.telemetry.counters.get("udf_rows_evaluated", 0)
+            for query, result in zip(PYTHON_QUESTIONS, second.results)}
+
+
 def warm_ms_per_query(dataset: str, scale: float, passes: int = 5) -> float:
     """Best of *passes* warm passes over *dataset*'s workload queries at
     *scale*, in milliseconds per query (a report, not a gate)."""
@@ -163,6 +183,10 @@ def test_a_warm_pass_builds_none_of_the_zero_build_kinds(dataset):
     builds = assert_warm_pass_rebuilds_nothing(dataset, scale=2)
     assert {kind: builds[kind] for kind in ZERO_BUILD_KINDS} \
         == dict.fromkeys(ZERO_BUILD_KINDS, 0)
+
+
+def test_a_warm_ask_of_a_python_question_evaluates_no_value():
+    assert warm_udf_values(scale=2) == dict.fromkeys(PYTHON_QUESTIONS, 0)
 
 
 def test_a_cold_pass_builds_every_zero_build_kind():

@@ -151,12 +151,12 @@ def test_builds_are_counted_and_hits_are_not():
     table = small_table()
     before = dict(memo_builds)
     assert set(before) == set(KINDS)
-    table.memo.get("float_nan", (), lambda: False)
-    table.memo.get("float_nan", (), lambda: True)
+    table.memo.get("prompt_line", "t", lambda: "first")
+    table.memo.get("prompt_line", "t", lambda: "second")
     with pytest.raises(RuntimeError):
         table.memo.get("fingerprint", (), _raise)
     after = dict(memo_builds)
-    assert after["float_nan"] - before["float_nan"] == 1
+    assert after["prompt_line"] - before["prompt_line"] == 1
     assert after["fingerprint"] == before["fingerprint"]
 
 

@@ -1,16 +1,21 @@
 """Prepared steps: a step's text is compiled once, a UDF's output is
-computed once per immutable input table.
+computed once per immutable input table, and once per string pool entry.
 
 A Python step's generated source is validated and compiled once per
 process, but every evaluation still gets a fresh function.  Its output
 is memoised on the input table under ``(input column, source)``, so a
 warm step over the same table runs no row, and a memo hit must be
-indistinguishable from a run on a fresh table.  A SQL step's text is
-parsed once into a frozen statement; declines are never memoised.
+indistinguishable from a run on a fresh table.  Over a string column the
+code runs once per pool entry (the pool's ``udf_values`` memo), so a
+fresh take of a column whose entries are known hands the code no value;
+a function with default arguments, which could keep state between
+calls, still runs row by row.  A SQL step's text is parsed once into a
+frozen statement; declines are never memoised.
 """
 
 from __future__ import annotations
 
+import pickle
 import sys
 import threading
 
@@ -20,6 +25,7 @@ from test_python_udf import RECIPES, TABLE
 import repro.operators.python_udf as python_udf
 from repro import Session
 from repro.data.catalog import DataLake, DataSource
+from repro.data.columns import StringColumn
 from repro.data.datatypes import DataType
 from repro.data.schema import ColumnSpec, Schema
 from repro.data.memo import KINDS
@@ -42,6 +48,11 @@ def fresh(table: Table) -> Table:
                                 for name in table.column_names})
 
 
+def copied(table: Table) -> Table:
+    """A copy with new stores: its pools and every memo start empty."""
+    return pickle.loads(pickle.dumps(table))
+
+
 def run(table: Table, description: str, column: str):
     """One Python step over *table*; returns (result, counters)."""
     context = ExecutionContext(tables={"paintings": table},
@@ -62,14 +73,22 @@ def non_null(table: Table, column: str) -> int:
     return len(values) - values.count(None)
 
 
+def handed(table: Table, column: str) -> int:
+    """Values a cold step hands the code: one per distinct string, else
+    one per non-null row."""
+    if isinstance(table.storage(column), StringColumn):
+        return len(set(table.column(column)) - {None})
+    return non_null(table, column)
+
+
 @pytest.mark.parametrize("description,column", RECIPES)
 def test_memo_hit_equals_a_run_on_a_fresh_table(description, column):
-    shared = fresh(TABLE)
+    shared = copied(TABLE)
     cold, cold_counters = run(shared, description, column)
     warm, warm_counters = run(shared, description, column)
     reference, _ = run(fresh(TABLE), description, column)
 
-    assert cold_counters["udf_rows_evaluated"] == non_null(TABLE, column)
+    assert cold_counters["udf_rows_evaluated"] == handed(TABLE, column)
     assert "udf_memo_hits" not in cold_counters
     assert warm_counters["udf_memo_hits"] == 1
     assert "udf_rows_evaluated" not in warm_counters
@@ -90,16 +109,23 @@ def test_stateful_udf_gets_a_fresh_function_on_every_run(monkeypatch):
                         lambda description: GeneratedUDF(description,
                                                          STATEFUL))
     table = Table(Schema([ColumnSpec("title", DataType.STRING)]),
-                  {"title": ["a", None, "b", "c"]})
-    expected = [1, None, 2, 3]
+                  {"title": ["a", None, "b", "c", "a", "a"]})
+    expected = [1, None, 2, 3, 4, 5]
     shared = fresh(table)
     for _ in range(3):
         # A fresh table misses the output memo and runs the code again.
         result, counters = run(fresh(table), "count the titles", "title")
         assert result.table.column("derived") == expected
-        assert counters["udf_rows_evaluated"] == 3
+        assert counters["udf_rows_evaluated"] == 5
         result, _ = run(shared, "count the titles", "title")
         assert result.table.column("derived") == expected
+        # A fresh filtered take shares the pool, yet a function with a
+        # default argument sees every row, repeated values included.
+        result, counters = run(table.take([4, 1, 5, 0]), "count the titles",
+                               "title")
+        assert result.table.column("derived") == [1, None, 2, 3]
+        assert counters["udf_rows_evaluated"] == 3
+        assert "udf_memo_hits" not in counters
     assert [compile_udf(STATEFUL)("x") for _ in range(3)] == [1, 1, 1]
 
 
@@ -191,13 +217,17 @@ def test_threads_share_one_table_without_disagreeing(artwork_lake):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert len(results) == runs_per_thread * workers
-    rows = non_null(table, "inception")
+    entries = handed(table, "inception")
+    evaluated = 0
     for column, observation, counters in results:
         assert column == expected
         assert observation == reference.observation
-        # Each run either evaluated every row or hit the memo.
-        assert (counters.get("udf_rows_evaluated", 0) == rows) != (
+        # Each run either handed the code values or hit a memo.
+        assert (counters.get("udf_rows_evaluated", 0) > 0) != (
             counters.get("udf_memo_hits", 0) == 1)
+        evaluated += counters.get("udf_rows_evaluated", 0)
+    # Threads that miss together may each evaluate an entry, no more.
+    assert evaluated <= workers * entries
     assert sum(c.get("udf_memo_hits", 0) for _, _, c in results) >= (
         len(results) - workers)
 
@@ -206,15 +236,15 @@ def test_replacing_a_lake_table_misses(artwork_lake):
     lake = DataLake(name="artwork")
     for name in artwork_lake.source_names:
         source = artwork_lake.source(name)
-        lake.add(DataSource(name, fresh(source.table), source.kind,
+        lake.add(DataSource(name, copied(source.table), source.kind,
                             source.description))
     session = Session(lake)
     try:
-        rows = non_null(lake.table("paintings_metadata"), "inception")
+        rows = handed(lake.table("paintings_metadata"), "inception")
         first = session.query(CENTURY).telemetry.counters
         second = session.query(CENTURY).telemetry.counters
         replaced = lake.source("paintings_metadata")
-        lake.add(DataSource(replaced.name, fresh(replaced.table),
+        lake.add(DataSource(replaced.name, copied(replaced.table),
                             replaced.kind, replaced.description))
         third = session.query(CENTURY)
     finally:
