@@ -307,7 +307,9 @@ class Cache:
                        for key, value in self._entries.items()]
         payload = {"format": self.space.file_format,
                    "capacity": self.capacity, "entries": entries}
-        atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+        # Compact separators and no indent keep ``json``'s C encoder.
+        atomic_write_text(path, json.dumps(payload, separators=(",", ":"))
+                          + "\n")
         return len(entries)
 
     @classmethod

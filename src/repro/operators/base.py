@@ -60,6 +60,16 @@ class ExecutionContext:
     #: bridge; ``"sqlite"`` always uses the bridge.
     relational_engine: str = "columnar"
 
+    def __post_init__(self) -> None:
+        # The tables the context starts with (a lake's sources) outlive
+        # the query; a table bound later is a per-query intermediate.
+        self._sources = {id(table): table for table in self.tables.values()}
+
+    def is_source(self, table: Table) -> bool:
+        """Whether *table* is one the context started with, which a later
+        query can read again (an intermediate dies with its query)."""
+        return self._sources.get(id(table)) is table
+
     def resolve(self, name: str) -> Table:
         if name not in self.tables:
             raise UnknownTableError(name, list(self.tables))

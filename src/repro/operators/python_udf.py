@@ -5,9 +5,11 @@ code using GPT-4" (Figure 4).  The description is compiled to real Python
 source by the recipe-based code generator, validated and compiled by the
 AST sandbox once per source text, and executed per value.  The sandbox
 allows no I/O, clock or randomness, so the output is a pure function of
-the input column and the source: it is memoised on the input table
-(the ``udf`` kind of :attr:`~repro.data.table.Table.memo`), and asking
-again over the same table object runs no row.
+the input column and the source: over a source table of the execution
+context (a lake table) it is memoised on that table (the ``udf`` kind
+of :attr:`~repro.data.table.Table.memo`), and asking again runs no row.
+A per-query intermediate dies with its query, so nothing is memoised
+on it.
 
 A string column is codes into a pool shared by every take of it, so a
 step over a fresh intermediate (a filtered take of a lake column) reads
@@ -83,8 +85,11 @@ class PythonOperator(PhysicalOperator):
                                       udf.source)
             return self._by_row(context, storage.materialize(), transform)
 
-        dtype, column = table.memo.get("udf", (input_column, udf.source),
-                                       evaluate)
+        if context.is_source(table):
+            dtype, column = table.memo.get(
+                "udf", (input_column, udf.source), evaluate)
+        else:
+            dtype, column = evaluate()
         if not evaluated:
             context.count("udf_memo_hits")
         result = table.with_column(new_column, dtype, column)

@@ -886,10 +886,12 @@ def _take_sql_column(storage: object, indices: Sequence[int] | None
     if isinstance(taken, StringColumn):
         return taken, DataType.STRING
     # _infer_sql_dtype over {int|float, None}: typed if any value
-    # survives, STRING for an all-null (or empty) projection.
+    # survives, STRING for an all-null (or empty) projection, which the
+    # bridge packs as a string store of NULL codes and an empty pool.
     nulls = taken.nulls
     if not len(nulls) or (nulls[0] and nulls.all()):
-        return taken, DataType.STRING
+        return (StringColumn(np.full(len(nulls), -1, dtype=np.int32), []),
+                DataType.STRING)
     return taken, (DataType.INTEGER if isinstance(taken, IntColumn)
                    else DataType.FLOAT)
 

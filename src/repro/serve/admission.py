@@ -16,29 +16,19 @@ per-reason counter) in the session's
 :class:`~repro.obs.MetricsRegistry`, so a dashboard can tell back
 pressure (queue_full) from a noisy neighbour (client_limit).
 
-Behind the queue a :class:`StartPacer` spaces job *starts*: the worker
-lanes and the HTTP loop share one interpreter, and a warm query is pure
-CPU, so lanes left to start jobs back to back saturate it — the
-service's peak rate then merely tracks the host's momentary CPU speed
-and polls queue behind lane work.  Spacing starts keeps the peak rate a
-stated constant with headroom under it.
+Nothing paces job *starts*: a lane takes the next queued job as soon as
+it is free, so a warm service's closed-loop throughput follows the
+host's CPU speed (the lanes and the HTTP loop share one interpreter).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 from repro.obs import MetricsRegistry
 
 #: Rejection reasons an :class:`AdmissionError` can carry.
 REJECTION_REASONS = ("queue_full", "client_limit", "draining")
-
-
-#: Minimum spacing of job starts across all worker lanes: a peak of 200
-#: starts/s, about two thirds of what two thread lanes sustain unpaced
-#: on the reference box (214-330 warm jobs/s from one run to the next).
-START_INTERVAL_S = 0.005
 
 
 class AdmissionError(Exception):
@@ -154,30 +144,3 @@ class AdmissionController:
                     "per_client_limit": self.per_client_limit,
                     "draining": self._draining}
 
-
-class StartPacer:
-    """Spaces job starts at least *interval_s* apart, across all lanes.
-
-    Slots follow a fixed schedule while jobs are waiting (the next slot
-    is the previous one plus *interval_s*, however late a lane woke up),
-    so a backlog drains at exactly ``1 / interval_s``; an idle service
-    starts a job at once.
-    """
-
-    def __init__(self, interval_s: float = START_INTERVAL_S,
-                 metrics: MetricsRegistry | None = None):
-        self.interval_s = interval_s
-        self._metrics = metrics
-        self._lock = threading.Lock()
-        self._next_slot = 0.0
-
-    def wait_turn(self) -> None:
-        """Claim the next start slot and sleep until it is due."""
-        with self._lock:
-            now = time.perf_counter()
-            slot = max(now, self._next_slot)
-            self._next_slot = slot + self.interval_s
-        if slot > now:
-            if self._metrics is not None:
-                self._metrics.increment("serve_starts_paced_total")
-            time.sleep(slot - now)

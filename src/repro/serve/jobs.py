@@ -13,9 +13,11 @@ plus an append-only event log (one entry per
 
 A finished job is *frozen*: its poll bodies are encoded once, when the
 worker resolves it, and every later poll is served from those bytes; the
-live :class:`~repro.core.plan.QueryResult` graph is released.  A job a
-client may still poll thus costs its encoded answer, its deflated trace
-and its event lines — not a tree of Python objects re-serialised per
+live :class:`~repro.core.plan.QueryResult` graph is released.  Its
+event log is joined and deflated into one ``bytes`` too, and its
+done-event is swapped for one shared, already-set event.  A job a client
+may still poll thus costs its encoded answer, its deflated trace and its
+deflated event lines — not a tree of Python objects re-serialised per
 poll.
 
 Failure semantics are the lanes' (:mod:`repro.exec.lanes`): a per-job
@@ -44,8 +46,7 @@ from typing import TYPE_CHECKING
 from repro.core.plan import PlanTrace, QueryResult
 from repro.exec import LANE_KINDS, LaneFailure
 from repro.obs import StageTrace, TraceContext, build_trace_record
-from repro.serve.admission import (AdmissionController, AdmissionError,
-                                   StartPacer)
+from repro.serve.admission import AdmissionController, AdmissionError
 from repro.serve.schemas import job_links
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,6 +60,11 @@ __all__ = ["Job", "JobManager", "AdmissionError"]
 JOB_STATUSES = ("queued", "running", "done", "cancelled")
 
 _STOP = object()
+
+#: The done-event of every resolved job: set once, shared, so a finished
+#: job does not keep an :class:`threading.Event` of its own.
+_RESOLVED = threading.Event()
+_RESOLVED.set()
 
 
 def encode_json(payload: object) -> bytes:
@@ -92,8 +98,9 @@ class Job:
         self.queue_wait_s: float | None = None
         self.run_s: float | None = None
         self._lock = threading.Lock()
-        #: the event log, one encoded NDJSON line per event.
-        self._events: list[bytes] = []
+        #: the event log, one encoded NDJSON line per event; deflated
+        #: into one ``bytes`` of the joined lines once the job resolves.
+        self._events: list[bytes] | bytes = []
         self._finished = threading.Event()
         #: frozen at :meth:`finish`: the poll body (answer, no trace) as
         #: encoded JSON, and the result's ``PlanTrace`` payload as
@@ -116,16 +123,20 @@ class Job:
                 # A span from an abandoned (timed-out) engine arriving
                 # after resolution would confuse stream consumers.
                 return
-            self._events.append(line)
+            self._events.append(line)  # type: ignore[union-attr]
 
     def emit_span(self, span: StageTrace) -> None:
         self.emit({"event": "span", "span": span.to_dict()})
 
     def events_since(self, index: int) -> tuple[list[bytes], bool]:
         """Event lines (encoded NDJSON) appended at or after *index*,
-        plus the finished flag."""
+        plus the finished flag.  A resolved job's lines are inflated
+        from its packed log."""
         with self._lock:
-            return self._events[index:], self._finished.is_set()
+            events = self._events
+            if not isinstance(events, bytes):
+                return events[index:], self._finished.is_set()
+        return zlib.decompress(events).splitlines(True)[index:], True
 
     # ------------------------------------------------------------------
     # Lifecycle transitions (job-manager internal)
@@ -169,7 +180,7 @@ class Job:
             self.run_s = run_s
             self._body = body
             self._trace = trace
-            self._finished.set()
+            self._resolve()
 
     def cancel(self) -> bool:
         """Queued → cancelled; False if the job already left the queue."""
@@ -179,8 +190,17 @@ class Job:
             self.status = "cancelled"
         self.emit({"event": "done", "status": "cancelled"})
         with self._lock:
-            self._finished.set()
+            self._resolve()
         return True
+
+    def _resolve(self) -> None:
+        """Pack the event log, wake the waiters and drop this job's own
+        done-event (the caller holds the lock): later emits are dropped,
+        later waits return at once."""
+        self._events = zlib.compress(
+            b"".join(self._events), 1)  # type: ignore[arg-type]
+        self._finished.set()
+        self._finished = _RESOLVED
 
     # ------------------------------------------------------------------
     # Introspection
@@ -271,7 +291,6 @@ class JobManager:
         self.admission = AdmissionController(
             queue_depth=queue_depth, per_client_limit=per_client_limit,
             retry_after_s=retry_after_s, metrics=self.metrics)
-        self._pacer = StartPacer(metrics=self.metrics)
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._jobs: dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
@@ -395,13 +414,12 @@ class JobManager:
                 return
 
     def _take(self, index: int) -> Job | None:
-        """The next job for lane *index*, moved to ``running`` once its
-        start slot is due; ``None`` when the lane should stop."""
+        """The next job for lane *index*, moved to ``running``; ``None``
+        when the lane should stop."""
         while True:
             item = self._queue.get()
             if item is _STOP:
                 return None
-            self._pacer.wait_turn()
             job: Job = item
             if job.take_for_run(index):
                 self.admission.mark_started()

@@ -105,7 +105,7 @@ REBUILDERS = (
 #: each is derived once per lake table, pool or lake version.
 ZERO_BUILD_KINDS = ("join_index", "hint", "tables_section", "order",
                     "answers", "join_probes", "text_fingerprint",
-                    "prompt_digest")
+                    "prompt_digest", "udf")
 
 #: Python-step questions whose step reads a fresh filtered take of a
 #: lake string column on every ask.

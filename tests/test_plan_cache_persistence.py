@@ -58,6 +58,28 @@ def test_load_clamps_to_capacity(tmp_path):
         assert restored.get(key(cache, "q0")) is cache.space.miss
 
 
+def test_an_indented_file_loads_like_a_compact_one(tmp_path):
+    # A save writes one compact line; a file written indented (as saves
+    # once were) loads to the same entries, LRU order and capacity.
+    for cache_cls in CACHE_CLASSES:
+        cache = cache_cls(capacity=5)
+        for tag in ("a", "b", "c", "d"):
+            cache.put(key(cache, tag), value(cache, tag))
+        cache.get(key(cache, "b"))  # LRU order a, c, d, b
+        compact = tmp_path / f"{cache.space.name}.json"
+        cache.save(compact)
+        text = compact.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        indented = tmp_path / f"{cache.space.name}-indented.json"
+        indented.write_text(json.dumps(json.loads(text), indent=2) + "\n")
+        for path in (compact, indented):
+            restored = cache_cls.load(path)
+            assert restored.capacity == 5
+            assert restored.items() == cache.items()
+            assert [entry for entry, _ in restored.items()] == [
+                key(cache, tag) for tag in ("a", "c", "d", "b")]
+
+
 def test_load_rejects_foreign_json(tmp_path):
     for cache_cls in CACHE_CLASSES:
         for foreign in ({"hello": "world"}, {"format": "something-else"}):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -13,11 +14,9 @@ from _poison import (EXIT_MARKER, POISON_MARKER, HardExitPlanner,
 from repro.data.catalog import DataSource
 from repro.datasets import load_lake
 from repro.llm.brain import SimulatedBrain
-from repro.obs import MetricsRegistry
-from repro.serve import admission
-from repro.serve.admission import (START_INTERVAL_S, AdmissionController,
-                                   AdmissionError, StartPacer)
-from repro.serve.jobs import JobManager
+from repro.serve import jobs as jobs_module
+from repro.serve.admission import AdmissionController, AdmissionError
+from repro.serve.jobs import Job, JobManager
 from repro.serve.schemas import SchemaError, parse_submit
 from repro.session import Session
 
@@ -95,97 +94,94 @@ def test_admission_rejections_counted_in_metrics(rotowire_lake):
         manager.close()
 
 
-class FakeClock:
-    """A ``perf_counter`` / ``sleep`` pair over a counter: each sleep
-    advances the clock by its request plus *overshoot_s*."""
-
-    def __init__(self, overshoot_s: float = 0.0):
-        self.now = 100.0
-        self.overshoot_s = overshoot_s
-        self.sleeps: list[float] = []
-
-    def perf_counter(self) -> float:
-        return self.now
-
-    def sleep(self, seconds: float) -> None:
-        self.sleeps.append(seconds)
-        self.now += seconds + self.overshoot_s
-
-
-def _paced_turn(pacer: StartPacer, clock: FakeClock) -> float:
-    """One turn; returns how long it slept (0 when it did not sleep)."""
-    before = len(clock.sleeps)
-    pacer.wait_turn()
-    return sum(clock.sleeps[before:])
-
-
-def test_start_pacer_spaces_a_backlog_and_starts_an_idle_lane_at_once(
-        monkeypatch):
-    clock = FakeClock()
-    monkeypatch.setattr(admission, "time", clock)
-    metrics = MetricsRegistry()
-    pacer = StartPacer(interval_s=0.02, metrics=metrics)
-    assert _paced_turn(pacer, clock) == 0                 # idle: no wait
-    # Four more turns claimed back to back sit on a fixed schedule, one
-    # interval apart.
-    assert [_paced_turn(pacer, clock) for _ in range(4)] == \
-        pytest.approx([0.02] * 4)
-    assert metrics.counters()["serve_starts_paced_total"] == 4
-    clock.now += 0.03
-    assert _paced_turn(pacer, clock) == 0                 # idle again
-    assert metrics.counters()["serve_starts_paced_total"] == 4
-
-
-def test_start_pacer_keeps_slots_an_interval_apart_when_sleeps_overshoot(
-        monkeypatch):
-    clock = FakeClock(overshoot_s=0.005)
-    monkeypatch.setattr(admission, "time", clock)
-    pacer = StartPacer(interval_s=0.02)
-    start = clock.now
-    pacer.wait_turn()
-    slots = []
-    for _ in range(4):
-        woke = clock.now
-        pacer.wait_turn()
-        slots.append(woke + clock.sleeps[-1] - start)    # the slot aimed at
-    # Each late wake-up shortens the next sleep instead of shifting the
-    # schedule.
-    assert slots == pytest.approx([0.02, 0.04, 0.06, 0.08])
-    assert clock.sleeps == pytest.approx([0.02, 0.015, 0.015, 0.015])
-
-
 # ----------------------------------------------------------------------
 # Job manager
 # ----------------------------------------------------------------------
 
-class FrozenClock(FakeClock):
-    """A ``perf_counter`` that never moves and a ``sleep`` that only
-    records, so every start slot is claimed against one instant."""
+def test_a_burst_starts_jobs_without_sleeping(rotowire_lake, monkeypatch):
+    # A lane takes the next queued job as soon as it is free: nothing on
+    # the start path waits for a slot.
+    def refuse(seconds: float) -> None:
+        raise AssertionError(f"time.sleep({seconds}) on the start path")
 
-    def sleep(self, seconds: float) -> None:
-        self.sleeps.append(seconds)
-
-
-def test_job_manager_spaces_job_starts_across_lanes(rotowire_lake,
-                                                    monkeypatch):
-    clock = FrozenClock()
-    monkeypatch.setattr(admission, "time", clock)
     session = Session(rotowire_lake)
+    session.query("Who is the tallest player?")  # warm: no LLM call
+    monkeypatch.setattr(time, "sleep", refuse)
     manager = JobManager(session, workers=2)
     try:
         jobs = [manager.submit("Who is the tallest player?", "burst")
                 for _ in range(5)]
         for job in jobs:
             assert job.wait(30) and job.result.ok
-        # One schedule across both lanes: the first start is free, each
-        # later one waits one more interval (a per-lane pacer would
-        # hand out each wait twice).
-        assert sorted(clock.sleeps) == pytest.approx(
-            [k * START_INTERVAL_S for k in range(1, 5)])
+        assert {job.worker_id for job in jobs} <= {0, 1}
         assert session.metrics_registry.counters()[
-            "serve_starts_paced_total"] == 4
+            "serve_jobs_completed_total"] == 5
     finally:
         manager.close()
+
+
+def _record_live_logs(monkeypatch) -> dict[str, list[bytes]]:
+    """Patch :meth:`Job._resolve` to record, per job id, the lines a live
+    reader of ``events_since(0)`` got just before the log was packed."""
+    live: dict[str, list[bytes]] = {}
+    original = Job._resolve
+
+    def resolve(job: Job) -> None:
+        live[job.id] = list(job._events)
+        original(job)
+
+    monkeypatch.setattr(Job, "_resolve", resolve)
+    return live
+
+
+def _assert_packed_log_replays(job: Job, lines: list[bytes]) -> None:
+    assert lines and lines[-1].endswith(b"\n")
+    for index in range(len(lines) + 2):
+        assert job.events_since(index) == (lines[index:], True)
+    job.emit({"event": "late"})  # dropped after resolution
+    assert job.events_since(0) == (lines, True)
+
+
+def test_a_finished_jobs_packed_log_replays_the_live_lines(rotowire_lake,
+                                                          monkeypatch):
+    live = _record_live_logs(monkeypatch)
+    manager = JobManager(Session(rotowire_lake), workers=1)
+    try:
+        job = manager.submit("Who is the tallest player?", "reader")
+        assert job.wait(30) and job.result.ok
+    finally:
+        manager.close()
+    lines = live[job.id]
+    events = [json.loads(line)["event"] for line in lines]
+    assert events[:2] == ["queued", "started"] and events[-1] == "done"
+    assert "span" in events
+    _assert_packed_log_replays(job, lines)
+
+
+def test_a_cancelled_jobs_packed_log_replays_the_live_lines(monkeypatch):
+    live = _record_live_logs(monkeypatch)
+    job = Job("q000001-abcdef", "Who is the tallest player?", "reader",
+              timeout_s=None)
+    assert job.cancel()
+    lines = live[job.id]
+    assert [json.loads(line)["event"] for line in lines] == ["queued", "done"]
+    _assert_packed_log_replays(job, lines)
+
+
+def test_a_finished_job_holds_the_shared_event_and_a_packed_log(
+        rotowire_lake):
+    manager = JobManager(Session(rotowire_lake), workers=1)
+    try:
+        done = manager.submit("Who is the tallest player?", "keeper")
+        assert done.wait(30)
+    finally:
+        manager.close()
+    cancelled = Job("q000002-abcdef", "q", "keeper", timeout_s=None)
+    assert cancelled.cancel()
+    for job in (done, cancelled):
+        assert job._finished is jobs_module._RESOLVED
+        assert type(job._events) is bytes
+        assert job.finished and job.wait(0)
 
 
 def test_job_manager_runs_jobs_and_records_metrics(rotowire_lake):

@@ -6,7 +6,8 @@ the intermediate gives:
 
 - a Python step over a string column evaluates each pool entry once
   (the pool's ``udf_values`` memo), and its output, its failures and its
-  counters match the row-by-row loop;
+  counters match the row-by-row loop; only a lake table keeps the step's
+  column in its own memo;
 - a small ``Column.distinct`` finds each next value with a masked pass,
   a large one with ``np.unique``, and both equal a plain scan;
 - a projected DATE column gathers into the string column the sqlite
@@ -38,6 +39,7 @@ from repro import Session
 from repro.data.columns import (DISTINCT_PASSES, DateColumn, FloatColumn,
                                 IntColumn, StringColumn, build_column)
 from repro.data.datatypes import DataType, infer_column_type
+from repro.data.memo import memo_builds
 from repro.data.schema import ColumnSpec, Schema
 from repro.data.table import Table
 from repro.datasets import load_lake
@@ -93,6 +95,34 @@ def test_a_warm_python_step_over_a_filtered_take_hands_the_code_nothing():
         assert "udf_rows_evaluated" not in counters
         assert counters["udf_memo_hits"] == 1
     assert len({result.table.fingerprint() for result in asks}) == 1
+
+
+def test_only_a_source_table_keeps_a_python_steps_column():
+    # A step over a table the context starts with (a lake table) is
+    # memoised on it; a step over an intermediate bound later reads the
+    # pool's values and stores nothing on a table that dies with its query.
+    source = _string_table(random.Random(5), 300)
+    context = ExecutionContext(tables={"t": source},
+                               telemetry=QueryTelemetry())
+    context.bind("s", source.take(list(range(0, 300, 3))))
+    args = ["out", "extract the century"]
+    before = memo_builds["udf"]
+    outputs = []
+    for name in ("t", "t", "s", "s"):
+        context.telemetry = QueryTelemetry()
+        result = PythonOperator().run(context, [name, "inception", *args])
+        outputs.append((result.table.storage("out"),
+                        context.telemetry.counters))
+    assert memo_builds["udf"] - before == 1
+    assert len(context.resolve("s").memo) == 0
+    (first, cold), (again, warm), (_, take), (_, take_again) = outputs
+    assert cold["udf_rows_evaluated"] > 0
+    assert again is first and "udf_rows_evaluated" not in warm
+    assert warm["udf_memo_hits"] == 1
+    # The source's ask filled the pool: the take hands the code nothing.
+    for counters in (take, take_again):
+        assert "udf_rows_evaluated" not in counters
+        assert counters["udf_memo_hits"] == 1
 
 
 def _string_table(rng: random.Random, size: int) -> Table:
@@ -265,11 +295,17 @@ DATES = [date(2018, 11, 3), None, date(2017, 1, 9), date(2018, 11, 3),
          date(1, 1, 1), None, date(2019, 12, 31), date(2017, 1, 9),
          date(9999, 12, 31), date(2018, 11, 3)]
 
+#: A float column with NULLs beside the dates, so an all-NULL int or
+#: float projection shows too.
+FLOATS = [1.5, None, 0.25, 2.25, None, 7.0, None, 3.5, 0.5, None]
+
 DATE_STATEMENTS = (
     "SELECT d FROM t",
     "SELECT * FROM t",
     "SELECT d, x FROM t WHERE x > 3",
     "SELECT x, d FROM t WHERE x > 100",
+    "SELECT x, y FROM t WHERE x > 100",
+    "SELECT y, d FROM t WHERE y IS NULL",
     "SELECT d FROM t WHERE x IN (1, 5)",
     "SELECT d FROM t ORDER BY x DESC",
     "SELECT d, x FROM t ORDER BY d LIMIT 4",
@@ -280,15 +316,20 @@ DATE_STATEMENTS = (
 @pytest.mark.parametrize("sql", DATE_STATEMENTS)
 def test_date_projection_matches_the_sqlite_bridge(sql):
     table = Table(Schema([ColumnSpec("x", DT.INTEGER),
+                          ColumnSpec("y", DT.FLOAT),
                           ColumnSpec("d", DT.DATE)]),
-                  {"x": list(range(len(DATES))), "d": DATES})
+                  {"x": list(range(len(DATES))), "y": FLOATS, "d": DATES})
     assert isinstance(table.storage("d"), DateColumn)
     ours = colexec.execute(sql, {"t": table})
     theirs = run_sql(sql, {"t": table})
     assert ours.schema == theirs.schema
     for name in theirs.column_names:
         assert ours.dtype(name) is theirs.dtype(name)
+        assert type(ours.storage(name)) is type(theirs.storage(name)), name
         assert cells(ours.storage(name)) == cells(theirs.storage(name))
+    if "d" not in theirs.column_names:
+        assert ours.fingerprint() == theirs.fingerprint()
+        return
     mine, bridge = ours.storage("d"), theirs.storage("d")
     assert type(mine) is type(bridge) is StringColumn
     assert mine.codes.tolist() == bridge.codes.tolist()
