@@ -299,9 +299,7 @@ class CacheTierServer:
             if op == "put":
                 return self._handle_put(request)
             if op == "mget":
-                return {"ok": True,
-                        "results": [self._handle_get({**request, **item})
-                                    for item in request.get("keys", [])]}
+                return {"ok": True, "results": self._handle_mget(request)}
             if op == "mput":
                 for item in request.get("entries", []):
                     self._handle_put({**request, **item})
@@ -330,11 +328,27 @@ class CacheTierServer:
         return self._spaces[space]
 
     def _handle_get(self, request: dict) -> dict:
-        cache = self._cache(request)
-        value = cache.get(cache.space.wire_key(request))
-        if value is cache.space.miss:
-            return {"ok": True, "hit": False}
-        return {"ok": True, "hit": True, "value": cache.space.encode(value)}
+        return self._handle_mget({"keys": [request]})[0]
+
+    def _handle_mget(self, request: dict) -> list[dict]:
+        """What a ``get`` of ``{**request, **item}`` answers, per item of
+        ``keys``: every key is read before any is looked up, then each
+        space's keys with one ``get_many``, in item order."""
+        items = [{**request, **item} for item in request.get("keys", [])]
+        caches = [self._cache(item) for item in items]
+        keys = [cache.space.wire_key(item)
+                for cache, item in zip(caches, items)]
+        replies: list[dict] = [{}] * len(items)
+        for cache in {id(cache): cache for cache in caches}.values():
+            slots = [slot for slot, other in enumerate(caches)
+                     if other is cache]
+            miss, encode = cache.space.miss, cache.space.encode
+            found = cache.get_many([keys[slot] for slot in slots])
+            for slot, value in zip(slots, found):
+                replies[slot] = ({"ok": True, "hit": False} if value is miss
+                                 else {"ok": True, "hit": True,
+                                       "value": encode(value)})
+        return replies
 
     def _handle_put(self, request: dict) -> dict:
         # The decode round trip validates at the wire, and the get path

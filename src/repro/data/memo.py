@@ -43,6 +43,7 @@ KINDS: dict[str, Kind] = {
     "udf_values": Kind("pool", 8),  # per source: its value per entry
     "join_probes": Kind("pool", 4),  # per join index
     "text_fingerprint": Kind("pool"),  # per document
+    "map_digests": Kind("pool"),    # the render map's digest per entry
     "lake_prompt": Kind("lake"),
     "lake_fingerprint": Kind("lake"),
     "tables_section": Kind("lake"),

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.core.answer_cache import MISS, AnswerKey
-from repro.data.columns import Column, pooled
+from repro.data.columns import Column, PooledColumn, pooled
 from repro.data.datatypes import DataType
 from repro.data.table import Table
 from repro.errors import OperatorError
@@ -65,7 +65,9 @@ def answer_images(operator: PhysicalOperator, context: ExecutionContext,
     answers are memoised per entry on the pool (:func:`~repro.operators.
     modality.pool_memo`), so a warm step keys no image.  Cache keys are
     ``(image fingerprint, question, answer_type)``; an image the memo
-    lacks is keyed once, by :func:`key_images`.  The rasters the step
+    lacks is keyed once, by :func:`key_images`, which files a digest the
+    render map serves on the pool (:func:`map_digests`), so the next
+    question about the entry asks the map nothing.  The rasters the step
     rendered, to key images or to show them to the model, are counted as
     ``images_rendered``.
     """
@@ -82,7 +84,8 @@ def answer_images(operator: PhysicalOperator, context: ExecutionContext,
                     f"column {image_column!r} holds {type(image).__name__}, "
                     "not images", operator=operator.name)
         return [((digest, question, answer_type), view)
-                for digest, view in key_images(context, batch)]
+                for digest, view in key_images(
+                    context, batch, entries, map_digests(images, context))]
 
     cache = context.answer_cache
     memo = (None if cache is None
@@ -97,33 +100,58 @@ def answer_images(operator: PhysicalOperator, context: ExecutionContext,
     return table, answers
 
 
-def key_images(context: ExecutionContext,
-               images: list[Image]) -> list[tuple[str, Image]]:
+def map_digests(images: PooledColumn,
+                context: ExecutionContext) -> dict[int, str] | None:
+    """The digests the context's render map has served for *images*'
+    pool entries, by entry (``None`` without a render map).
+
+    Filed in the pool's memo under the render cache's scope, like the
+    answer memos (:func:`~repro.operators.modality.pool_memo`): a digest
+    only ever keys answers, so it lives beside the entry, never in
+    :meth:`Image.fingerprint`."""
+    renders = context.render_cache
+    if renders is None:
+        return None
+    scope = renders.memo_scope
+    return images.memo.get("map_digests", (), lambda: (scope, {}),
+                           lambda filed: filed[0] is scope)[1]
+
+
+def key_images(context: ExecutionContext, images: list[Image],
+               entries: list[int],
+               digests: dict[int, str] | None) -> list[tuple[str, Image]]:
     """Each image's digest for its answer-cache key, and the image to
-    show the model on a miss.
+    show the model on a miss.  *entries* are the images' pool entries and
+    *digests* what the render map served for them before
+    (:func:`map_digests`).
 
     An image whose keying would render it (a lazy lake image without a
-    digest, :meth:`Image.map_key`) is looked up in the context's render
-    map first, all of them with one ``get_many`` (one ``mget`` on a
-    tier).  A digest found there keys the image as it is, unrendered.
-    The other images are keyed by :meth:`Image.keyed`, which renders such
-    an image once and returns that raster for the model, to be dropped
-    with its batch.  The digests the map lacked are published with one
+    digest, :meth:`Image.map_key`) and whose entry *digests* lacks is
+    looked up in the context's render map first, all of them with one
+    ``get_many`` (one ``mget`` on a tier).  A digest found there keys the
+    image as it is, unrendered, and is filed in *digests*.  The other
+    images are keyed by :meth:`Image.keyed`, which renders such an image
+    once and returns that raster for the model, to be dropped with its
+    batch.  The digests the map lacked are published with one
     ``put_many``.
     """
     renders = context.render_cache
-    scene_keys = ([image.map_key() for image in images]
-                  if renders is not None else [None] * len(images))
+    served = {} if digests is None else digests
+    scene_keys = [None if renders is None or entry in served
+                  else image.map_key()
+                  for entry, image in zip(entries, images)]
     wanted = [(key,) for key in scene_keys if key is not None]
     found = dict(zip(wanted, renders.get_many(wanted))) if wanted else {}
     keyed, fresh = [], []
-    for image, key in zip(images, scene_keys):
-        digest = found.get((key,), MISS)
+    for entry, image, key in zip(entries, images, scene_keys):
+        digest = served.get(entry) or found.get((key,), MISS)
         if digest is MISS:
             image = image.keyed()
             digest = image.fingerprint()
             if key is not None:
                 fresh.append(((key,), digest))
+        elif key is not None:
+            served[entry] = digest
         keyed.append((digest, image))
     if len(fresh) < len(wanted):
         context.count("image_keys_from_map", len(wanted) - len(fresh))

@@ -1,10 +1,18 @@
 """Rasterize scene specifications into RGB images.
 
-The background is a muted gray texture (channels in [90, 140] with ±10
+The background is a muted gray texture (channels in [90, 140) with ±10
 jitter).  Each object is drawn as a solid glyph in its category colour with
 small per-pixel jitter (±8) — close enough that the simulated vision model's
 colour segmentation (tolerance 30) detects it, far enough from every other
 category colour (pairwise L∞ ≥ 60) that no confusion is possible.
+
+The kernel draws from one ``default_rng(background_seed)``, in a fixed
+order: the gray level per pixel, the jitter per channel, then per glyph
+one jitter per set pixel.  Every raster is a function of the scene alone,
+and its bytes are pinned (``tests/test_render_kernel.py``): a change to
+any of them must bump :data:`RENDER_VERSION`.  A glyph is stamped from
+its mask over its bounding box, memoised per (shape, size) and sliced
+where the glyph crosses a frame edge.
 
 A lazy image also has a *scene key* (:meth:`LazyImage.map_key`): a digest
 of what its raster is rendered from, under which a render map (the
@@ -22,6 +30,11 @@ import numpy as np
 
 from repro.vision.image import Image
 from repro.vision.scene import CATEGORIES, SceneObject, SceneSpec
+
+try:  # the clip ufunc itself, without np.clip's argument handling
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 BACKGROUND_LOW = 90
 BACKGROUND_HIGH = 140
@@ -56,9 +69,14 @@ def render_scene(scene: SceneSpec, path: str = "") -> Image:
     rng = np.random.default_rng(scene.background_seed)
     base = rng.integers(BACKGROUND_LOW, BACKGROUND_HIGH,
                         size=(scene.height, scene.width, 1), dtype=np.int16)
-    jitter = rng.integers(-10, 11, size=(scene.height, scene.width, 3),
+    pixels = rng.integers(-10, 11, size=(scene.height, scene.width, 3),
                           dtype=np.int16)
-    pixels = np.clip(base + jitter, 0, 255)
+    # The gray level plus its jitter lies in [80, 149]: nothing to clip.
+    # Three channel copies and one contiguous add beat a broadcast add,
+    # whose inner loop is three elements long.
+    gray = np.empty_like(pixels)
+    gray[:, :, 0] = gray[:, :, 1] = gray[:, :, 2] = base[:, :, 0]
+    pixels += gray
 
     for obj in scene.objects:
         _draw_object(pixels, obj, rng)
@@ -135,19 +153,64 @@ class LazyImage(Image):
         return self._fingerprint
 
 
+#: Glyph sizes whose stamps are memoised; a larger glyph is drawn from
+#: its patch, so the memo stays under 0.5 MB whatever a scene holds.
+STAMP_MAX_SIZE = 32
+
+_STAMPS: dict[tuple[str, int], tuple[np.ndarray, int]] = {}
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+#: Each category's colour as an int16 array.
+_COLORS = {name: _read_only(np.array(category.color, dtype=np.int16))
+           for name, category in CATEGORIES.items()}
+
+
 def _draw_object(pixels: np.ndarray, obj: SceneObject,
                  rng: np.random.Generator) -> None:
     category = CATEGORIES[obj.category]
-    rows, columns, mask = _glyph_patch(pixels.shape[0], pixels.shape[1],
-                                       category.shape, obj.cx, obj.cy,
-                                       obj.size)
-    count = int(mask.sum())
+    height, width = pixels.shape[0], pixels.shape[1]
+    cx, cy, size = obj.cx, obj.cy, obj.size
+    if type(size) is int and abs(size) <= STAMP_MAX_SIZE:
+        stamp, count = _stamp(category.shape, size)
+        reach = stamp.shape[0] // 2
+        top, left = cy - reach, cx - reach
+        r0, r1 = max(top, 0), min(cy + reach + 1, height)
+        c0, c1 = max(left, 0), min(cx + reach + 1, width)
+        if r0 >= r1 or c0 >= c1:
+            return  # wholly outside the frame
+        rows, columns, mask = slice(r0, r1), slice(c0, c1), stamp
+        if (r1 - r0, c1 - c0) != stamp.shape:  # cut by a frame edge
+            mask = stamp[r0 - top:r1 - top, c0 - left:c1 - left]
+            count = int(np.count_nonzero(mask))
+    else:
+        rows, columns, mask = _glyph_patch(height, width, category.shape,
+                                           cx, cy, size)
+        count = int(np.count_nonzero(mask))
     if count == 0:
         return
-    color = np.array(category.color, dtype=np.int16)
     noise = rng.integers(-COLOR_JITTER, COLOR_JITTER + 1,
                          size=(count, 3), dtype=np.int16)
-    pixels[rows, columns][mask] = np.clip(color[None, :] + noise, 0, 255)
+    noise += _COLORS[obj.category]
+    pixels[rows, columns][mask] = _clip(noise, 0, 255, out=noise)
+
+
+def _stamp(shape: str, size: int) -> tuple[np.ndarray, int]:
+    """The glyph's mask over its whole bounding box (a read-only square
+    of side ``2 * reach + 1``, centred on the glyph) and its pixel count,
+    memoised per (*shape*, *size*) for the life of the process."""
+    stamp = _STAMPS.get((shape, size))
+    if stamp is None:
+        reach = _reach(shape, size)
+        side = 2 * reach + 1
+        _, _, mask = _glyph_patch(side, side, shape, reach, reach, size)
+        stamp = _STAMPS.setdefault(
+            (shape, size), (_read_only(mask), int(np.count_nonzero(mask))))
+    return stamp
 
 
 def glyph_mask(height: int, width: int, shape: str,
@@ -168,8 +231,7 @@ def _glyph_patch(height: int, width: int, shape: str, cx: int, cy: int,
     pixels from its centre, so everything outside the box is background
     and the row-major order of the set pixels is that of the whole frame.
     """
-    thickness = max(1, size // 2)
-    reach = max(abs(size), thickness) if shape == "cross" else abs(size)
+    reach = _reach(shape, size)
     rows = slice(max(cy - reach, 0), max(min(cy + reach + 1, height), 0))
     columns = slice(max(cx - reach, 0), max(min(cx + reach + 1, width), 0))
     dy = np.arange(rows.start, rows.stop)[:, None] - cy
@@ -181,6 +243,7 @@ def _glyph_patch(height: int, width: int, shape: str, cx: int, cy: int,
     elif shape == "diamond":
         mask = np.abs(dx) + np.abs(dy) <= size
     elif shape == "cross":
+        thickness = max(1, size // 2)
         vertical = (np.abs(dx) <= thickness) & (np.abs(dy) <= size)
         horizontal = (np.abs(dy) <= thickness) & (np.abs(dx) <= size)
         mask = vertical | horizontal
@@ -190,3 +253,10 @@ def _glyph_patch(height: int, width: int, shape: str, cx: int, cy: int,
     else:
         raise ValueError(f"unknown glyph shape {shape!r}")
     return rows, columns, mask
+
+
+def _reach(shape: str, size: int) -> int:
+    """How far from its centre a glyph's pixels may lie."""
+    if shape == "cross":
+        return max(abs(size), max(1, size // 2))
+    return abs(size)

@@ -199,6 +199,57 @@ class TestServerOps:
         assert results[0]["hit"] and not results[1]["hit"]
         client.close()
 
+    def test_mget_answers_as_one_get_per_key(self):
+        """A batched ``mget`` replies byte for byte as a ``get`` per item
+        would, with one hit or miss per key and the same LRU order; an
+        item's ``ns`` and ``space`` override the request's."""
+        def filled() -> CacheTierServer:
+            tier = CacheTierServer(bind="tcp://127.0.0.1:0")
+            for i in range(6):
+                tier._dispatch("put", {"space": "answer",
+                                       "key": ["fp", f"q{i}", "int"],
+                                       "value": i})
+            for ns in ("lake-a", "lake-b"):
+                tier._dispatch("put", {"space": "plan", "ns": ns,
+                                       "key": QUERY,
+                                       "value": make_plan(ns).to_dict()})
+            return tier
+
+        request = {"space": "answer", "ns": "lake-a", "keys": [
+            {"key": ["fp", "q3", "int"]}, {"key": ["fp", "q9", "int"]},
+            {"key": ["fp", "q0", "int"]}, {"key": ["fp", "q3", "int"]},
+            {"space": "plan", "key": QUERY},
+            {"space": "plan", "key": QUERY, "ns": "lake-b"},
+            {"space": "plan", "key": QUERY, "ns": "lake-c"},
+            {"key": ["fp", "q5", "int"]}]}
+        batched, single = filled(), filled()
+        reply = batched._dispatch("mget", dict(request, op="mget"))
+        expected = {"ok": True, "results": [
+            single._dispatch("get", {**request, **item})
+            for item in request["keys"]]}
+        assert json.dumps(reply) == json.dumps(expected)
+        assert [result["hit"] for result in reply["results"]] == [
+            True, False, True, True, True, True, False, True]
+        assert reply["results"][5]["value"]["steps"][0]["description"] \
+            == "lake-b"
+        for space in ("answer", "plan"):
+            assert (batched._spaces[space].stats()
+                    == single._spaces[space].stats())
+            assert (batched._spaces[space].items()
+                    == single._spaces[space].items())
+
+    def test_a_malformed_mget_item_looks_no_key_up(self):
+        tier = CacheTierServer(bind="tcp://127.0.0.1:0")
+        tier._dispatch("put", {"space": "answer",
+                               "key": ["fp", "q1", "int"], "value": 1})
+        before = tier._spaces["answer"].stats()
+        reply = tier._dispatch("mget", {"space": "answer", "keys": [
+            {"key": ["fp", "q1", "int"]}, {"key": ["fp", "q2"]}]})
+        assert not reply["ok"] and reply["error"].startswith("bad mget")
+        # Every key is read before any is looked up: the good item
+        # counted no hit.
+        assert tier._spaces["answer"].stats() == before
+
     def test_lru_bound_evicts_oldest(self):
         server = CacheTierServer(bind="tcp://127.0.0.1:0",
                                  answer_capacity=3).start()

@@ -1,6 +1,10 @@
 """Tests for the command-line entry point (subcommand syntax)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,3 +168,14 @@ def test_cli_plan_cache_file_on_single_query(tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 0  # second run loads the file and still answers
     assert "value:" in capsys.readouterr().out
+
+
+def test_python_dash_m_repro_runs_the_cli():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "repro", "--help"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage: repro" in done.stdout

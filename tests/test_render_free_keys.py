@@ -16,7 +16,9 @@ without a single render.  Checked here:
   so does an answer miss on an image keyed from the map;
 - serial, thread and process lanes agree and none of them renders;
 - a digest from the map only keys answers: ``fingerprint()`` still
-  renders and hashes the raster.
+  renders and hashes the raster;
+- a replica asks the map once per image, not once per image per
+  question: the digest it served is kept per pool entry.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import pytest
 
 from repro.cachenet.server import CacheTierServer
 from repro.datasets import load_lake
+from repro.obs import QueryTelemetry
+from repro.operators import ExecutionContext, ImageSelectOperator
 from repro.session import Session
 from repro.testing.workloads import workload
 from repro.vision import LazyImage, build_scene, renderer
@@ -105,7 +109,8 @@ def test_a_fresh_replica_renders_nothing_and_answers_as_a_cold_session(
     counters = snapshot["counters"]
     assert counters.get("images_rendered_total", 0) == 0
     assert counters.get("answer_cache_misses", 0) == 0
-    assert counters["image_keys_from_map_total"] > 0
+    # One lookup per image, not one per image per image question.
+    assert counters["image_keys_from_map_total"] == image_count()
     render = snapshot["local_caches"]["render"]
     assert render["entries"] == image_count()
     assert render["misses"] == 0
@@ -173,6 +178,62 @@ def test_an_answer_miss_renders_a_map_keyed_image_once(warm_tier):
     assert counters["image_keys_from_map"] == image_count()
     assert len(rendered) == len(set(rendered)) == image_count()
     assert counters["images_rendered"] == image_count()
+
+
+#: Image questions asked of one replica, in order: the ``query`` ones
+#: plan to Visual Question Answering (the artwork workload's two, then one
+#: the tier cannot answer), the others run Image Select on the lake's
+#: image table directly.  With the images each should render.
+IMAGE_QUESTIONS = (
+    ("query", "How many paintings are depicting a sword?", 0),
+    ("select", "a crown", SCALE * 120),   # no answer in the tier
+    ("query", "How many paintings are depicting a dog?", 0),
+    ("select", "a crown", 0),
+    ("query", "How many paintings are depicting a skull?", SCALE * 120),
+)
+
+
+def test_a_replica_asks_the_map_once_per_image_across_questions(warm_tier):
+    """The first image question keys every image from the map; later
+    ones, Image Select's included, key them from the digests the pool
+    kept.  An answer miss still renders each image once, for the model."""
+    lake = load_lake("artwork", scale=SCALE)
+    with Session(lake, cache_url=warm_tier.url) as replica:
+        from_map, renders = [], []
+        for kind, question, _ in IMAGE_QUESTIONS:
+            with counting_renders() as rendered:
+                if kind == "query":
+                    result = replica.query(question)
+                    assert result.ok
+                    assert ("Visual Question Answering"
+                            in result.trace.operators_used())
+                    counters = result.trace.telemetry.counters
+                else:
+                    context = ExecutionContext(
+                        tables={"paintings": lake.table("painting_images")},
+                        answer_cache=replica.answer_cache,
+                        render_cache=replica.render_cache,
+                        telemetry=QueryTelemetry())
+                    ImageSelectOperator().run(
+                        context, ["paintings", "image", question])
+                    counters = context.telemetry.counters
+            from_map.append(counters.get("image_keys_from_map", 0))
+            renders.append(len(rendered))
+        total = replica.metrics()["counters"]
+    assert image_count() == SCALE * 120
+    assert from_map == [image_count()] + [0] * (len(IMAGE_QUESTIONS) - 1)
+    assert renders == [expected for _, _, expected in IMAGE_QUESTIONS]
+    assert total["image_keys_from_map_total"] == image_count()
+
+
+def test_a_cleared_render_map_drops_the_kept_digests(warm_tier):
+    with Session(load_lake("artwork", scale=SCALE),
+                 cache_url=warm_tier.url) as replica:
+        replica.query("How many paintings are depicting a sword?")
+        replica.render_cache.clear()
+        result = replica.query("How many paintings are depicting a dog?")
+    assert result.trace.telemetry.counters["image_keys_from_map"] \
+        == image_count()
 
 
 @pytest.mark.parametrize("with_tier", [False, True])
