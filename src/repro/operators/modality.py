@@ -110,12 +110,12 @@ class AnswerMemo:
 
 
 def pool_memo(storage: PooledColumn, cache, key: tuple,
-              make: Callable[[], _M]) -> _M:
-    """The answer memo of *storage*'s pool for *key* (question, answer
-    type) under *cache*'s current scope; a memo of another scope is
-    replaced by an empty one, ``make()``."""
+              make: Callable[[], _M], kind: str = "answers") -> _M:
+    """The *kind* memo of *storage*'s pool for *key* (for answers: the
+    question and answer type) under *cache*'s current scope; a memo of
+    another scope is replaced by an empty one, ``make()``."""
     scope = cache.memo_scope
-    return storage.memo.get("answers", key, lambda: (scope, make()),
+    return storage.memo.get(kind, key, lambda: (scope, make()),
                             lambda filed: filed[0] is scope)[1]
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.core.answer_cache import MISS, AnswerKey
-from repro.data.columns import Column, PooledColumn, pooled
+from repro.data.columns import Column, pooled
 from repro.data.datatypes import DataType
 from repro.data.table import Table
 from repro.errors import OperatorError
@@ -65,10 +65,12 @@ def answer_images(operator: PhysicalOperator, context: ExecutionContext,
     answers are memoised per entry on the pool (:func:`~repro.operators.
     modality.pool_memo`), so a warm step keys no image.  Cache keys are
     ``(image fingerprint, question, answer_type)``; an image the memo
-    lacks is keyed once, by :func:`key_images`, which files a digest the
-    render map serves on the pool (:func:`map_digests`), so the next
-    question about the entry asks the map nothing.  The rasters the step
-    rendered, to key images or to show them to the model, are counted as
+    lacks is keyed once, by :func:`key_images`.  A digest the render map
+    serves is filed per entry in the pool's ``map_digests`` memo, under
+    the render cache's scope, so the next question about the entry asks
+    the map nothing; it only ever keys answers, never
+    :meth:`Image.fingerprint`.  The rasters the step rendered, to key
+    images or to show them to the model, are counted as
     ``images_rendered``.
     """
     table = operator.require_column(context, table_name, image_column,
@@ -83,9 +85,12 @@ def answer_images(operator: PhysicalOperator, context: ExecutionContext,
                 raise OperatorError(
                     f"column {image_column!r} holds {type(image).__name__}, "
                     "not images", operator=operator.name)
+        renders = context.render_cache
+        digests = (None if renders is None
+                   else pool_memo(images, renders, (), dict, "map_digests"))
         return [((digest, question, answer_type), view)
-                for digest, view in key_images(
-                    context, batch, entries, map_digests(images, context))]
+                for digest, view in key_images(context, batch, entries,
+                                               digests)]
 
     cache = context.answer_cache
     memo = (None if cache is None
@@ -100,30 +105,13 @@ def answer_images(operator: PhysicalOperator, context: ExecutionContext,
     return table, answers
 
 
-def map_digests(images: PooledColumn,
-                context: ExecutionContext) -> dict[int, str] | None:
-    """The digests the context's render map has served for *images*'
-    pool entries, by entry (``None`` without a render map).
-
-    Filed in the pool's memo under the render cache's scope, like the
-    answer memos (:func:`~repro.operators.modality.pool_memo`): a digest
-    only ever keys answers, so it lives beside the entry, never in
-    :meth:`Image.fingerprint`."""
-    renders = context.render_cache
-    if renders is None:
-        return None
-    scope = renders.memo_scope
-    return images.memo.get("map_digests", (), lambda: (scope, {}),
-                           lambda filed: filed[0] is scope)[1]
-
-
 def key_images(context: ExecutionContext, images: list[Image],
                entries: list[int],
                digests: dict[int, str] | None) -> list[tuple[str, Image]]:
     """Each image's digest for its answer-cache key, and the image to
     show the model on a miss.  *entries* are the images' pool entries and
-    *digests* what the render map served for them before
-    (:func:`map_digests`).
+    *digests* what the render map served for them before, by entry
+    (``None`` without a render map).
 
     An image whose keying would render it (a lazy lake image without a
     digest, :meth:`Image.map_key`) and whose entry *digests* lacks is

@@ -31,11 +31,6 @@ import numpy as np
 from repro.vision.image import Image
 from repro.vision.scene import CATEGORIES, SceneObject, SceneSpec
 
-try:  # the clip ufunc itself, without np.clip's argument handling
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy < 2
-    from numpy.core.umath import clip as _clip
-
 BACKGROUND_LOW = 90
 BACKGROUND_HIGH = 140
 COLOR_JITTER = 8
@@ -71,12 +66,7 @@ def render_scene(scene: SceneSpec, path: str = "") -> Image:
                         size=(scene.height, scene.width, 1), dtype=np.int16)
     pixels = rng.integers(-10, 11, size=(scene.height, scene.width, 3),
                           dtype=np.int16)
-    # The gray level plus its jitter lies in [80, 149]: nothing to clip.
-    # Three channel copies and one contiguous add beat a broadcast add,
-    # whose inner loop is three elements long.
-    gray = np.empty_like(pixels)
-    gray[:, :, 0] = gray[:, :, 1] = gray[:, :, 2] = base[:, :, 0]
-    pixels += gray
+    pixels += base  # in [80, 149]: nothing to clip
 
     for obj in scene.objects:
         _draw_object(pixels, obj, rng)
@@ -153,8 +143,8 @@ class LazyImage(Image):
         return self._fingerprint
 
 
-#: Glyph sizes whose stamps are memoised; a larger glyph is drawn from
-#: its patch, so the memo stays under 0.5 MB whatever a scene holds.
+#: Glyph sizes whose stamps are memoised; a larger glyph's stamp is
+#: built afresh, so the memo stays under 0.5 MB whatever a scene holds.
 STAMP_MAX_SIZE = 32
 
 _STAMPS: dict[tuple[str, int], tuple[np.ndarray, int]] = {}
@@ -174,42 +164,39 @@ def _draw_object(pixels: np.ndarray, obj: SceneObject,
                  rng: np.random.Generator) -> None:
     category = CATEGORIES[obj.category]
     height, width = pixels.shape[0], pixels.shape[1]
-    cx, cy, size = obj.cx, obj.cy, obj.size
-    if type(size) is int and abs(size) <= STAMP_MAX_SIZE:
-        stamp, count = _stamp(category.shape, size)
-        reach = stamp.shape[0] // 2
-        top, left = cy - reach, cx - reach
-        r0, r1 = max(top, 0), min(cy + reach + 1, height)
-        c0, c1 = max(left, 0), min(cx + reach + 1, width)
-        if r0 >= r1 or c0 >= c1:
-            return  # wholly outside the frame
-        rows, columns, mask = slice(r0, r1), slice(c0, c1), stamp
-        if (r1 - r0, c1 - c0) != stamp.shape:  # cut by a frame edge
-            mask = stamp[r0 - top:r1 - top, c0 - left:c1 - left]
-            count = int(np.count_nonzero(mask))
-    else:
-        rows, columns, mask = _glyph_patch(height, width, category.shape,
-                                           cx, cy, size)
+    cx, cy = obj.cx, obj.cy
+    stamp, count = _stamp(category.shape, obj.size)
+    reach = stamp.shape[0] // 2
+    top, left = cy - reach, cx - reach
+    r0, r1 = max(top, 0), min(cy + reach + 1, height)
+    c0, c1 = max(left, 0), min(cx + reach + 1, width)
+    if r0 >= r1 or c0 >= c1:
+        return  # wholly outside the frame
+    mask = stamp
+    if (r1 - r0, c1 - c0) != stamp.shape:  # cut by a frame edge
+        mask = stamp[r0 - top:r1 - top, c0 - left:c1 - left]
         count = int(np.count_nonzero(mask))
     if count == 0:
         return
     noise = rng.integers(-COLOR_JITTER, COLOR_JITTER + 1,
                          size=(count, 3), dtype=np.int16)
     noise += _COLORS[obj.category]
-    pixels[rows, columns][mask] = _clip(noise, 0, 255, out=noise)
+    pixels[r0:r1, c0:c1][mask] = np.clip(noise, 0, 255, out=noise)
 
 
 def _stamp(shape: str, size: int) -> tuple[np.ndarray, int]:
     """The glyph's mask over its whole bounding box (a read-only square
     of side ``2 * reach + 1``, centred on the glyph) and its pixel count,
-    memoised per (*shape*, *size*) for the life of the process."""
+    memoised per (*shape*, *size*) for the life of the process while
+    ``abs(size) <= STAMP_MAX_SIZE``."""
     stamp = _STAMPS.get((shape, size))
     if stamp is None:
         reach = _reach(shape, size)
         side = 2 * reach + 1
         _, _, mask = _glyph_patch(side, side, shape, reach, reach, size)
-        stamp = _STAMPS.setdefault(
-            (shape, size), (_read_only(mask), int(np.count_nonzero(mask))))
+        stamp = (_read_only(mask), int(np.count_nonzero(mask)))
+        if abs(size) <= STAMP_MAX_SIZE:
+            stamp = _STAMPS.setdefault((shape, size), stamp)
     return stamp
 
 

@@ -162,7 +162,8 @@ def test_threads_render_the_same_scenes_byte_for_byte():
 
 
 def test_the_stamp_memo_keeps_no_size_past_its_limit():
-    # Larger glyphs are drawn from their patch; the pin covers their bytes.
+    # Larger glyphs are stamped from a mask built afresh; the pin covers
+    # their bytes.
     for scene in odd_size_scenes():
         render_scene(scene)
     assert max(abs(size) for _, size in renderer._STAMPS) \
