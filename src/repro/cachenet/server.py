@@ -301,10 +301,7 @@ class CacheTierServer:
             if op == "mget":
                 return {"ok": True, "results": self._handle_mget(request)}
             if op == "mput":
-                for item in request.get("entries", []):
-                    self._handle_put({**request, **item})
-                return {"ok": True,
-                        "stored": len(request.get("entries", []))}
+                return {"ok": True, "stored": self._handle_mput(request)}
             if op == "stats":
                 return {"ok": True, "stats": self.stats()}
             if op == "flush":
@@ -351,12 +348,26 @@ class CacheTierServer:
         return replies
 
     def _handle_put(self, request: dict) -> dict:
+        self._handle_mput({"entries": [request]})
+        return {"ok": True}
+
+    def _handle_mput(self, request: dict) -> int:
+        """Store what a ``put`` of ``{**request, **item}`` stores, per
+        item of ``entries``: every entry is decoded before any is stored
+        (a malformed one fails the request with nothing stored), then
+        each space's entries go in with one ``put_many``, in item order.
+        Returns how many were stored."""
         # The decode round trip validates at the wire, and the get path
         # serves a canonical re-encoding, never raw client bytes.
-        cache = self._cache(request)
-        cache.put(cache.space.wire_key(request),
-                  cache.space.decode(request["value"]))
-        return {"ok": True}
+        items = [{**request, **item} for item in request.get("entries", [])]
+        caches = [self._cache(item) for item in items]
+        entries = [(cache.space.wire_key(item),
+                    cache.space.decode(item["value"]))
+                   for cache, item in zip(caches, items)]
+        for cache in {id(cache): cache for cache in caches}.values():
+            cache.put_many([entry for entry, other in zip(entries, caches)
+                            if other is cache])
+        return len(entries)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from repro.data import (ColumnSpec, DataLake, DataSource, DataType,
                         ForeignKey, Schema, SourceKind, Table)
-from repro.vision import LazyImage, SceneSpec, build_scene
+from repro.vision import LazyImage, SceneRecipe, SceneSpec
 
 MOVEMENT_ERAS = {
     "Renaissance": (1420, 1600),
@@ -58,8 +58,15 @@ class ArtworkDataset:
 
     metadata: Table
     images: Table
-    scenes: dict[str, SceneSpec]
+    #: each image path's scene recipe, the one its lazy image renders
+    recipes: dict[str, SceneRecipe]
     seed: int
+
+    @property
+    def scenes(self) -> dict[str, SceneSpec]:
+        """Each image path's ground-truth scene, built on every access."""
+        return {path: recipe.build()
+                for path, recipe in self.recipes.items()}
 
     def as_lake(self) -> DataLake:
         """Package both sources as a data lake (the planner's view)."""
@@ -80,14 +87,18 @@ def _painting_stream(num_paintings: int, seed: int,
                      image_size: int) -> Iterator[tuple]:
     """Seeded per-painting row stream.
 
-    Yields ``(title, artist, inception, movement, genre, img_path, scene)``
-    one painting at a time — the RNG draw order per painting is frozen
-    (old caches key on lake fingerprints), so extend only by appending
-    draws at the end of the loop body.
+    Yields ``(title, artist, inception, movement, genre, img_path,
+    recipe)`` one painting at a time — the RNG draw order per painting is
+    frozen (old caches key on lake fingerprints), so extend only by
+    appending draws at the end of the loop body.  The scene itself is
+    not built here: the :class:`~repro.vision.SceneRecipe` holds the
+    ``build_scene`` arguments, its seed drawn where the scene's would
+    be, and paintings that draw equal counts share one counts tuple.
     """
     rng = random.Random(seed)
     movements = list(MOVEMENT_ERAS)
     genres = list(GENRE_OBJECT_POOLS)
+    interned: dict[tuple, tuple] = {}
     for index in range(num_paintings):
         movement = rng.choice(movements)
         genre = rng.choice(genres)
@@ -106,9 +117,10 @@ def _painting_stream(num_paintings: int, seed: int,
         object_counts: dict[str, int] = {}
         for category in rng.sample(pool, k=rng.randint(1, min(3, len(pool)))):
             object_counts[category] = rng.randint(1, 3)
-        scene = build_scene(object_counts, seed=rng.randrange(2 ** 31),
-                            width=image_size, height=image_size)
-        yield (title, artist, inception, movement, genre, img_path, scene)
+        counts = tuple(sorted(object_counts.items()))
+        recipe = SceneRecipe(interned.setdefault(counts, counts),
+                             rng.randrange(2 ** 31), image_size, image_size)
+        yield (title, artist, inception, movement, genre, img_path, recipe)
 
 
 #: The seed a lake is generated from when none is given.
@@ -127,9 +139,9 @@ def generate_artwork_dataset(num_paintings: int = 120,
     ``(seed, scale)``: the same pair always produces byte-identical tables
     and rasters.  The seeded row stream is split into one list per
     column, and each table is packed once into typed columnar storage.
-    Each image cell is a :class:`~repro.vision.LazyImage` that rasterizes
-    on first pixel access — a scale-1000 lake never materializes its
-    rasters.
+    Each image cell is a :class:`~repro.vision.LazyImage` over its scene
+    recipe that builds the scene and rasterizes on pixel access — a
+    scale-1000 lake never materializes its scenes or its rasters.
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
@@ -156,16 +168,16 @@ def generate_artwork_dataset(num_paintings: int = 120,
 
     metadata: list[list[object]] = [[] for _ in metadata_schema.columns]
     images: list[LazyImage] = []
-    scenes: dict[str, SceneSpec] = {}
-    for *row, scene in _painting_stream(num_paintings, seed, image_size):
+    recipes: dict[str, SceneRecipe] = {}
+    for *row, recipe in _painting_stream(num_paintings, seed, image_size):
         for column, value in zip(metadata, row):
             column.append(value)
         img_path = row[-1]
-        scenes[img_path] = scene
-        images.append(LazyImage(scene, path=img_path))
+        recipes[img_path] = recipe
+        images.append(LazyImage(recipe, path=img_path))
     img_paths = metadata[-1]    # packing copies, so both tables may share it
     return ArtworkDataset(
         metadata=Table(metadata_schema,
                        dict(zip(metadata_schema.column_names, metadata))),
         images=Table(images_schema, {"img_path": img_paths, "image": images}),
-        scenes=scenes, seed=seed)
+        recipes=recipes, seed=seed)

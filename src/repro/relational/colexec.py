@@ -874,7 +874,8 @@ def _take_sql_column(storage: object, indices: Sequence[int] | None
     result assembly can skip the per-cell builder path without changing
     the result's schema, values, or fingerprint.  ``indices=None`` is
     the identity projection: the storage itself is shared (columns are
-    immutable once inside a table).
+    immutable once inside a table).  A float ``-0.0`` is gathered as
+    ``0.0``, the value sqlite hands the bridge back.
     """
     if isinstance(storage, DateColumn):
         taken = storage if indices is None else storage.take(indices)
@@ -892,8 +893,18 @@ def _take_sql_column(storage: object, indices: Sequence[int] | None
     if not len(nulls) or (nulls[0] and nulls.all()):
         return (StringColumn(np.full(len(nulls), -1, dtype=np.int32), []),
                 DataType.STRING)
-    return taken, (DataType.INTEGER if isinstance(taken, IntColumn)
-                   else DataType.FLOAT)
+    if isinstance(taken, IntColumn):
+        return taken, DataType.INTEGER
+    return _positive_zeros(taken), DataType.FLOAT
+
+
+def _positive_zeros(floats: FloatColumn) -> FloatColumn:
+    """*floats* with every ``-0.0`` made ``0.0``; the store itself when
+    it holds none, a copy otherwise."""
+    data = floats.data
+    if not (np.signbit(data) & (data == 0.0)).any():
+        return floats
+    return FloatColumn(data + 0.0, floats.nulls)
 
 
 def _iso_column(dates: DateColumn) -> StringColumn:

@@ -3,9 +3,9 @@
 from repro.vision.blip import Blip2Sim, Detection
 from repro.vision.image import Image
 from repro.vision.renderer import LazyImage, glyph_mask, render_scene
-from repro.vision.scene import (CATEGORIES, Category, SceneObject, SceneSpec,
-                                build_scene, categories_in_phrase,
-                                category_for_word)
+from repro.vision.scene import (CATEGORIES, Category, SceneObject,
+                                SceneRecipe, SceneSpec, build_scene,
+                                categories_in_phrase, category_for_word)
 
 __all__ = [
     "Blip2Sim",
@@ -15,6 +15,7 @@ __all__ = [
     "Image",
     "LazyImage",
     "SceneObject",
+    "SceneRecipe",
     "SceneSpec",
     "build_scene",
     "categories_in_phrase",

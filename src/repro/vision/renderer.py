@@ -15,10 +15,11 @@ its mask over its bounding box, memoised per (shape, size) and sliced
 where the glyph crosses a frame edge.
 
 A lazy image also has a *scene key* (:meth:`LazyImage.map_key`): a digest
-of what its raster is rendered from, under which a render map (the
+of what its raster is rendered from (a lake image's
+:class:`~repro.vision.scene.SceneRecipe`), under which a render map (the
 ``render`` cache space, :mod:`repro.core.answer_cache`) keeps the
-raster's digest, so a process that never rendered the image can still
-name it.
+raster's digest, so a process that never built the scene nor rendered
+the image can still name it.
 """
 
 from __future__ import annotations
@@ -29,15 +30,17 @@ import threading
 import numpy as np
 
 from repro.vision.image import Image
-from repro.vision.scene import CATEGORIES, SceneObject, SceneSpec
+from repro.vision.scene import CATEGORIES, SceneObject, SceneRecipe, SceneSpec
 
 BACKGROUND_LOW = 90
 BACKGROUND_HIGH = 140
 COLOR_JITTER = 8
 
-#: Part of every scene key: bump it with any change to this module or to
-#: :data:`~repro.vision.scene.CATEGORIES` that changes a raster, so no
-#: render map serves a digest of the old pixels.
+#: Part of every scene key: bump it with any change to this module, to
+#: :data:`~repro.vision.scene.CATEGORIES` or to the placement of
+#: :func:`~repro.vision.scene.build_scene` that changes a raster, so no
+#: render map serves a digest of the old pixels (a recipe's key names
+#: only the arguments of ``build_scene``, not the scene they place).
 RENDER_VERSION = 1
 
 _TALLY = threading.local()
@@ -49,11 +52,13 @@ def renders_in_thread() -> int:
     return getattr(_TALLY, "count", 0)
 
 
-def scene_key(scene: SceneSpec, path: str) -> str:
-    """Digest of everything the raster of ``render_scene(scene, path)``
-    is made from: *path*, the scene's repr and :data:`RENDER_VERSION`.
-    The path is length-prefixed, so no two (path, scene) pairs share a
-    key."""
+def scene_key(scene: SceneSpec | SceneRecipe, path: str) -> str:
+    """Digest of everything the raster of
+    ``render_scene(scene.build(), path)`` is made from: *path*, the repr
+    of *scene* (a spec, or the recipe that builds one) and
+    :data:`RENDER_VERSION`.  The path is length-prefixed, so no two
+    (path, scene) pairs share a key; a recipe is keyed without building
+    its scene."""
     text = f"{RENDER_VERSION}:{len(path)}:{path}{scene!r}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
 
@@ -76,22 +81,26 @@ def render_scene(scene: SceneSpec, path: str = "") -> Image:
 class LazyImage(Image):
     """An :class:`Image` whose raster is rendered on first pixel access.
 
-    Lake generation stores one of these per painting instead of
-    an eagerly rendered raster: the scene spec it wraps is a few dozen
-    bytes, so a scale-1000 image collection fits in memory while the
-    rasters (12 KB each) only ever exist for images a query touches.
+    It wraps what its raster is rendered from: a
+    :class:`~repro.vision.scene.SceneSpec`, or a
+    :class:`~repro.vision.scene.SceneRecipe` whose scene is built only
+    when the image renders.  Lake generation stores one of these per
+    painting over a recipe (a few dozen bytes), so a scale-1000 image
+    collection fits in memory while the scenes and the rasters (12 KB
+    each) only ever exist for images a query touches.
 
-    Rendering is deterministic in the scene spec, so every derived value
+    Rendering is deterministic in the scene, so every derived value
     (pixels, :meth:`fingerprint`, ``to_dict``) is byte-identical with the
-    eager ``render_scene(scene, path)`` image.  :meth:`fingerprint` on an
-    un-rendered image hashes a *transient* raster and keeps only the
-    digest — a full-lake content fingerprint pass stays one-raster-peak
-    instead of materializing the whole collection.
+    eager ``render_scene(scene.build(), path)`` image.
+    :meth:`fingerprint` on an un-rendered image hashes a *transient*
+    raster and keeps only the digest — a full-lake content fingerprint
+    pass stays one-raster-peak instead of materializing the whole
+    collection.  Nor is a built scene kept: each render builds it afresh.
     """
 
-    def __init__(self, scene: SceneSpec, path: str = ""):
+    def __init__(self, scene: SceneSpec | SceneRecipe, path: str = ""):
         # Deliberately no super().__init__: pixels is lazy here.
-        self._scene = scene
+        self._scene = scene  # what the raster is rendered from
         self._pixels: np.ndarray | None = None
         self.path = path
         self._fingerprint: str | None = None
@@ -100,7 +109,7 @@ class LazyImage(Image):
     @property
     def pixels(self) -> np.ndarray:
         if self._pixels is None:
-            self._pixels = render_scene(self._scene, path=self.path).pixels
+            self._pixels = self._render().pixels
         return self._pixels
 
     @property
@@ -121,9 +130,12 @@ class LazyImage(Image):
         un-rendered, so the lake never retains a raster for a reader."""
         if self._pixels is not None:
             return self
-        twin = render_scene(self._scene, path=self.path)
+        twin = self._render()
         twin._fingerprint = self._fingerprint
         return twin
+
+    def _render(self) -> Image:
+        return render_scene(self._scene.build(), path=self.path)
 
     def map_key(self) -> str | None:
         """The :func:`scene_key` while keying this image would render

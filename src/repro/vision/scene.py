@@ -122,6 +122,32 @@ class SceneSpec:
                 seen.append(obj.category)
         return seen
 
+    def build(self) -> SceneSpec:
+        """This scene: a spec is already built (see :class:`SceneRecipe`)."""
+        return self
+
+
+@dataclass(frozen=True, slots=True)
+class SceneRecipe:
+    """The arguments of one :func:`build_scene` call, kept in place of
+    the scene it builds: a lake holds one per painting and builds the
+    scene only when the painting is rendered.
+
+    *counts* is ``sorted(object_counts.items())`` as a tuple, so equal
+    recipes have equal reprs and a generator can share one tuple among
+    the paintings that draw the same counts.
+    """
+
+    counts: tuple[tuple[str, int], ...]
+    seed: int
+    width: int = 64
+    height: int = 64
+
+    def build(self) -> SceneSpec:
+        """The scene these arguments place, built afresh."""
+        return build_scene(dict(self.counts), self.seed, self.width,
+                           self.height)
+
 
 def build_scene(object_counts: dict[str, int], seed: int,
                 width: int = 64, height: int = 64,
@@ -130,35 +156,39 @@ def build_scene(object_counts: dict[str, int], seed: int,
 
     If an object genuinely cannot be placed after many attempts it is
     dropped — and therefore also absent from the returned ground truth, so
-    spec and pixels always agree.
+    spec and pixels always agree.  Draws go through ``randrange``;
+    ``randint(a, b)`` is defined as ``randrange(a, b + 1)``, so both
+    spellings draw one stream, and that stream is pinned (every lake
+    image's raster follows from it).
     """
-    rng = random.Random(seed)
+    randrange = random.Random(seed).randrange
     scene = SceneSpec(width=width, height=height,
-                      background_seed=rng.randrange(2 ** 31))
+                      background_seed=randrange(2 ** 31))
     placed: list[SceneObject] = []
     for category, count in sorted(object_counts.items()):
         for _ in range(count):
-            size = rng.randint(min_size, max_size)
-            position = _find_spot(rng, placed, size, width, height)
-            if position is None:
-                continue
-            obj = SceneObject(category, position[0], position[1], size)
-            placed.append(obj)
+            size = randrange(min_size, max_size + 1)
+            position = _find_spot(randrange, placed, size, width, height)
+            if position is not None:
+                placed.append(SceneObject(category, position[0],
+                                          position[1], size))
     scene.objects = placed
     return scene
 
 
-def _find_spot(rng: random.Random, placed: list[SceneObject], size: int,
+def _find_spot(randrange, placed: list[SceneObject], size: int,
                width: int, height: int,
                attempts: int = 200) -> tuple[int, int] | None:
+    """A centre farther (L-infinity) from each placed centre than the
+    two sizes plus 2, or ``None`` after *attempts* draws."""
     margin = size + 1
     for _ in range(attempts):
-        cx = rng.randint(margin, width - margin - 1)
-        cy = rng.randint(margin, height - margin - 1)
-        clear = all(
-            max(abs(cx - other.cx), abs(cy - other.cy))
-            > size + other.size + 2
-            for other in placed)
-        if clear:
+        cx = randrange(margin, width - margin)
+        cy = randrange(margin, height - margin)
+        for other in placed:
+            gap = size + other.size + 2
+            if abs(cx - other.cx) <= gap and abs(cy - other.cy) <= gap:
+                break
+        else:
             return cx, cy
     return None

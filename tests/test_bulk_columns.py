@@ -426,6 +426,9 @@ def test_take_sql_column_keeps_the_bridge_dtype_rule():
                             else [values[i] for i in indices])
                 assert result_dtype == _infer_sql_dtype(
                     [_adapt_cell(v) for v in expected])
+                if dtype is DT.FLOAT:  # sqlite hands -0.0 back as 0.0
+                    expected = [None if v is None else v + 0.0
+                                for v in expected]
                 assert cells(column) == cells(build_column(expected, dtype))
 
 

@@ -250,6 +250,49 @@ class TestServerOps:
         # counted no hit.
         assert tier._spaces["answer"].stats() == before
 
+    def test_mput_stores_as_one_put_per_entry(self):
+        """A batched ``mput`` leaves the entries, LRU order and stats a
+        ``put`` per item would, evictions included; an item's ``ns`` and
+        ``space`` override the request's."""
+        request = {"space": "answer", "ns": "lake-a", "entries": [
+            {"key": ["fp", "q3", "int"], "value": 3},
+            {"space": "plan", "key": QUERY,
+             "value": make_plan("lake-a").to_dict()},
+            {"key": ["fp", "q0", "int"], "value": 0},
+            {"space": "plan", "key": QUERY, "ns": "lake-b",
+             "value": make_plan("lake-b").to_dict()},
+            {"key": ["fp", "q1", "int"], "value": 1},
+            {"key": ["fp", "q3", "int"], "value": 33},
+            {"key": ["fp", "q5", "int"], "value": 5}]}
+        batched, single = (CacheTierServer(bind="tcp://127.0.0.1:0",
+                                           answer_capacity=3)
+                           for _ in range(2))
+        reply = batched._dispatch("mput", dict(request, op="mput"))
+        assert reply == {"ok": True, "stored": 7}
+        for item in request["entries"]:
+            assert single._dispatch("put", {**request, **item}) == {
+                "ok": True}
+        for space in ("answer", "plan"):
+            assert (batched._spaces[space].items()
+                    == single._spaces[space].items())
+        assert batched.stats() == single.stats()
+        assert [key for key, _ in batched._spaces["answer"].items()] == [
+            ("fp", "q1", "int"), ("fp", "q3", "int"), ("fp", "q5", "int")]
+        assert batched.stats()["answer"]["evictions"] == 1
+
+    @pytest.mark.parametrize("bad", [
+        {"key": ["fp", "q2"], "value": 2},
+        {"space": "plan", "key": QUERY, "value": None}])
+    def test_a_malformed_mput_entry_stores_nothing(self, bad):
+        tier = CacheTierServer(bind="tcp://127.0.0.1:0")
+        reply = tier._dispatch("mput", {"space": "answer", "ns": "x",
+                                        "entries": [
+            {"key": ["fp", "q1", "int"], "value": 1}, bad]})
+        assert not reply["ok"] and reply["error"].startswith("bad mput")
+        # Every entry is decoded before any is stored.
+        assert tier._spaces["answer"].items() == []
+        assert tier._spaces["plan"].items() == []
+
     def test_lru_bound_evicts_oldest(self):
         server = CacheTierServer(bind="tcp://127.0.0.1:0",
                                  answer_capacity=3).start()

@@ -7,11 +7,12 @@ VQA and Image Select look an un-keyed lazy image up there before they
 render it, so a replica that joins a warm tier answers from the tier
 without a single render.  Checked here:
 
-- a fresh replica with ``render_scene`` patched to raise answers the
-  artwork workload byte-identically to a cold session, and its metrics
-  read 0 renders and 0 answer misses;
+- a fresh replica with ``render_scene`` and ``build_scene`` patched to
+  raise answers the artwork workload byte-identically to a cold
+  session, and its metrics read 0 renders and 0 answer misses;
 - a stopped tier falls back to rendering, counted, with the same answers;
-- scene keys tell paths and scenes apart;
+- scene keys tell paths and scenes apart, and a lake image's key is
+  its scene recipe's: keying it builds no scene;
 - a cold pass renders each image once, as before the map existed, and
   so does an answer miss on an image keyed from the map;
 - serial, thread and process lanes agree and none of them renders;
@@ -34,7 +35,8 @@ from repro.obs import QueryTelemetry
 from repro.operators import ExecutionContext, ImageSelectOperator
 from repro.session import Session
 from repro.testing.workloads import workload
-from repro.vision import LazyImage, build_scene, renderer
+from repro.vision import (LazyImage, SceneRecipe, build_scene, renderer,
+                          scene)
 
 SCALE = 1
 
@@ -61,15 +63,17 @@ def counting_renders():
 
 @contextlib.contextmanager
 def refusing_renders():
-    original = renderer.render_scene
+    """Make every render and every scene build raise while inside."""
+    render, build = renderer.render_scene, scene.build_scene
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("a replica over a warm tier rendered an image")
-    renderer.render_scene = refuse
+        raise AssertionError("a replica over a warm tier rendered an "
+                             "image or built a scene")
+    renderer.render_scene = scene.build_scene = refuse
     try:
         yield
     finally:
-        renderer.render_scene = original
+        renderer.render_scene, scene.build_scene = render, build
 
 
 def image_count() -> int:
@@ -146,11 +150,33 @@ def test_scene_keys_tell_paths_and_scenes_apart():
 
 
 def test_a_scene_key_names_the_renderer_version(monkeypatch):
-    scene = build_scene({"sword": 2}, seed=3)
-    before = renderer.scene_key(scene, "x.png")
+    spec = build_scene({"sword": 2}, seed=3)
+    recipe = SceneRecipe((("sword", 2),), seed=3)
+    before = [renderer.scene_key(spec, "x.png"),
+              renderer.scene_key(recipe, "x.png")]
     monkeypatch.setattr(renderer, "RENDER_VERSION",
                         renderer.RENDER_VERSION + 1)
-    assert renderer.scene_key(scene, "x.png") != before
+    after = [renderer.scene_key(spec, "x.png"),
+             renderer.scene_key(recipe, "x.png")]
+    assert not set(before) & set(after)
+
+
+def test_a_recipe_key_names_every_argument_and_builds_no_scene():
+    recipe = SceneRecipe((("dog", 1), ("sword", 2)), seed=5)
+
+    def key(recipe, path="a.png"):
+        return LazyImage(recipe, path=path).map_key()
+    with refusing_renders():
+        # Equal recipes on one path name one raster: one key.
+        assert key(recipe) == key(SceneRecipe((("dog", 1), ("sword", 2)),
+                                              seed=5))
+        changed = [SceneRecipe(recipe.counts, seed=6),
+                   SceneRecipe((("dog", 1), ("sword", 3)), seed=5),
+                   SceneRecipe((("dog", 1),), seed=5),
+                   SceneRecipe(recipe.counts, seed=5, width=32)]
+        keys = {key(recipe), key(recipe, "b.png"),
+                *(key(other) for other in changed)}
+        assert len(keys) == 2 + len(changed)
 
 
 def test_a_keyed_or_rendered_image_needs_no_map():

@@ -1,18 +1,23 @@
 """Lake generation: pinned fingerprints, lazy image decode, memory budget.
 
 The contract: each lake table is packed once from whole columns, every
-raster is deferred, so a stress-scale artwork lake costs megabytes, not
-gigabytes — and generation reproduces its fingerprints byte for byte
-(old plan and answer caches key on them).
+scene and every raster is deferred (a painting is a scene recipe until
+a query looks at its pixels), so a stress-scale artwork lake costs
+megabytes, not gigabytes — and generation reproduces its fingerprints
+byte for byte (old plan and answer caches key on them).
 """
 
+import contextlib
 import tracemalloc
 
 import pytest
 
 from repro.data.catalog import DataLake
 from repro.datasets import load_lake
-from repro.vision import LazyImage, build_scene, render_scene
+from repro.session import Session
+from repro.testing.workloads import WORKLOADS
+from repro.vision import (LazyImage, SceneRecipe, build_scene, render_scene,
+                          scene)
 
 
 # ----------------------------------------------------------------------
@@ -73,6 +78,50 @@ def test_lazy_image_fingerprint_never_caches_the_raster():
     assert lazy.fingerprint() == eager.fingerprint()  # memoized
 
 
+def test_a_recipe_renders_as_the_scene_it_builds():
+    recipe = SceneRecipe((("dog", 1), ("sword", 2)), seed=99, width=32,
+                         height=32)
+    built = recipe.build()
+    assert built == make_scene() and built.build() is built
+    lazy, twin = LazyImage(recipe, "img/1.png"), LazyImage(built, "img/1.png")
+    assert (lazy.width, lazy.height) == (32, 32)
+    assert lazy.fingerprint() == twin.fingerprint()
+    assert lazy.pixels.tobytes() == twin.pixels.tobytes()
+    assert (lazy.pixels.tobytes()
+            == render_scene(built, path="img/1.png").pixels.tobytes())
+
+
+@contextlib.contextmanager
+def refusing_scene_builds():
+    """Make every scene build raise while inside: :func:`build_scene`,
+    through which :meth:`SceneRecipe.build` builds, and so every render
+    of a recipe's image."""
+    original = scene.build_scene
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a scene was built")
+    scene.build_scene = refuse
+    try:
+        yield
+    finally:
+        scene.build_scene = original
+
+
+def test_relational_questions_over_a_fresh_lake_build_no_scene():
+    queries = [query for query in WORKLOADS["artwork"]
+               if "depicting" not in query]
+    assert len(queries) == 7
+    with refusing_scene_builds():
+        lake = load_lake("artwork", scale=100)
+        with Session(lake) as session:
+            report = session.batch(queries)
+            counters = session.metrics()["counters"]
+    assert report.num_errors == 0
+    assert "images_rendered_total" not in counters
+    images = lake.table("painting_images").iter_column("image")
+    assert not any(image.rendered for image in images)
+
+
 def test_artwork_lake_defers_rendering_through_fingerprints():
     lake = load_lake("artwork", scale=0.5)
     images = lake.sources["painting_images"].table
@@ -90,23 +139,25 @@ def test_artwork_lake_defers_rendering_through_fingerprints():
 # Per-row memory budget
 # ----------------------------------------------------------------------
 
-#: Traced-peak budget per painting: 320 MB over a scale-500 lake (60,000
-#: paintings), ≈ 5.6 KB.  One eagerly rendered 64×64×3 raster alone is
-#: 12,288 B, so the budget fails at any scale if images ever render
-#: eagerly again; the generator holds scene specs + typed columns
-#: (~1.4 KB per painting traced).
-BUDGET_BYTES_PER_ROW = 320 * 1024 * 1024 / 60_000
+#: Traced-peak budget per painting.  The generator holds scene recipes
+#: + typed columns, ~880 B per painting traced at artwork@100 (Python
+#: 3.11).  Building each scene at generation traces ~1,420 B and one
+#: eagerly rendered 64×64×3 raster alone is 12,288 B, so the budget
+#: fails at any scale if scenes are built or images rendered eagerly
+#: again.
+BUDGET_BYTES_PER_ROW = 1_200
 
 
 def assert_artwork_generation_in_budget(scale: float) -> DataLake:
     """Generate the artwork lake at *scale* under tracemalloc, assert
-    nothing rendered and the traced peak stays within the per-row budget,
-    and return the lake.  Tier-1 runs it at scale 100; the CI soak
-    (``fuzz``) job at scale 500.
+    no scene was built, nothing rendered and the traced peak stays
+    within the per-row budget, and return the lake.  Tier-1 runs it at
+    scale 100; the CI soak (``fuzz``) job at scale 500.
     """
     tracemalloc.start()
     try:
-        lake = load_lake("artwork", scale=scale)
+        with refusing_scene_builds():
+            lake = load_lake("artwork", scale=scale)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

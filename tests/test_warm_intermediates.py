@@ -296,8 +296,9 @@ DATES = [date(2018, 11, 3), None, date(2017, 1, 9), date(2018, 11, 3),
          date(9999, 12, 31), date(2018, 11, 3)]
 
 #: A float column with NULLs beside the dates, so an all-NULL int or
-#: float projection shows too.
-FLOATS = [1.5, None, 0.25, 2.25, None, 7.0, None, 3.5, 0.5, None]
+#: float projection shows too, and a -0.0, which both engines return
+#: as 0.0 (sqlite drops the sign).
+FLOATS = [1.5, None, -0.0, 2.25, None, 7.0, None, 3.5, 0.5, None]
 
 DATE_STATEMENTS = (
     "SELECT d FROM t",
@@ -310,6 +311,8 @@ DATE_STATEMENTS = (
     "SELECT d FROM t ORDER BY x DESC",
     "SELECT d, x FROM t ORDER BY d LIMIT 4",
     "SELECT d FROM t WHERE d > '2017-06-01' LIMIT 3",
+    "SELECT y FROM t",
+    "SELECT y FROM t ORDER BY y",
 )
 
 
