@@ -34,7 +34,6 @@ KINDS: dict[str, Kind] = {
     "fingerprint": Kind("table"),
     "prompt_line": Kind("table"),
     "hint": Kind("table"),          # discovery's, per (name, column)
-    "sql_adapted": Kind("table"),   # colexec: a column as sqlite cells
     "join_index": Kind("table"),
     "udf": Kind("table", 8),        # per (input column, source)
     "index": Kind("pool"),          # a string pool's codes by text

@@ -16,9 +16,9 @@ byte-identical with the historical row store, so old caches still load.
 
 All relational operators in :mod:`repro.relational` and all multi-modal
 operators in :mod:`repro.operators` consume and produce ``Table`` values.
-Anything computed from a table's content — its fingerprint,
-sqlite-adapted columns, join indexes, generated-UDF outputs, its schema
-line as a prompt shows it — is memoised in the table's
+Anything computed from a table's content — its fingerprint, join
+indexes, generated-UDF outputs, its schema line as a prompt shows it —
+is memoised in the table's
 :class:`~repro.data.memo.Memo`, :attr:`Table.memo`.  A table built from
 outside data is checked and packed once (:class:`Table`); one gathered
 or projected from packed stores is not checked again.

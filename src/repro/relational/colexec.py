@@ -24,7 +24,11 @@ them, and aggregates reduce them; a predicate, group key or aggregate
 over storage without such a kernel (object-stored or float columns,
 non-ISO date literals, integer sums near the exact bound) declines, and
 so does a value sqlite binds differently (a float NaN, bound as NULL).
-Ordering and DISTINCT run over adapted (sqlite-representation) values.
+Ordering, grouping, DISTINCT, COUNT(DISTINCT) and join keys all read one
+array, each row's rank among its distinct values in sqlite's order
+(:func:`_ranks`); an object-stored column has none and declines, and so
+does a join whose keys are stored in different classes (sqlite would
+compare them under its affinity rules).
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from repro.data.columns import (BoolColumn, Column, DateColumn, FloatColumn,
 from repro.data.datatypes import DataType
 from repro.data.schema import ColumnSpec, Schema
 from repro.data.table import Table
-from repro.relational.sqlexec import (_adapt_cell, _infer_sql_dtype,
-                                      dedup_names, join_renames)
+from repro.relational.sqlexec import (_infer_sql_dtype, dedup_names,
+                                      join_renames)
 
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
@@ -483,42 +487,8 @@ def parse_select(sql: str) -> SelectStatement:
 
 
 # ----------------------------------------------------------------------
-# Adapted column access (sqlite cell representation)
+# Typed-store guards
 # ----------------------------------------------------------------------
-
-_SCALARS = (int, float, str)
-
-
-def _adapted_column(table: Table, name: str) -> list[object]:
-    """The column in sqlite's cell representation (bool→int, date→ISO).
-
-    For int / float / string columns the memoized ``materialize()`` list
-    *is* the adapted form, so repeated queries over a warm lake pay
-    nothing.  Bool / date / object adaptations are memoized on the table
-    (the ``sql_adapted`` kind of :attr:`Table.memo`) for the same
-    reason.  Raises :class:`UnsupportedSQL` for object cells sqlite
-    could not have bound either, and for a NaN cell, which sqlite binds
-    as NULL.  (A typed float column holding NaN never gets here:
-    :func:`_decline_nan`.)
-    """
-    storage = table.storage(name)
-    if isinstance(storage, (IntColumn, FloatColumn, StringColumn)):
-        return storage.materialize()
-
-    def adapt() -> list[object]:
-        adapted = list(map(_adapt_cell, storage.iter_values()))
-        if not isinstance(storage, (BoolColumn, DateColumn)):
-            # Typed bool / date stores hold nothing else.
-            for value in adapted:
-                if value is not None and type(value) not in _SCALARS:
-                    raise UnsupportedSQL(
-                        f"column {name!r} holds non-SQL values "
-                        f"({type(value).__name__})")
-                if value != value:
-                    raise UnsupportedSQL(f"column {name!r} holds NaN")
-        return adapted
-
-    return table.memo.get("sql_adapted", name, adapt)
 
 
 def _strict_iso_date(text: str) -> date | None:
@@ -702,32 +672,39 @@ def _notnull_mask(storage: Column) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _order_indices(indices: Sequence[int], values: Sequence[object],
-                   descending: bool) -> list[int]:
-    """Stable sort of *indices* by *values*, with sqlite NULL placement:
-    NULLs first ascending, last descending."""
-    nulls = [i for i in indices if values[i] is None]
-    rest = [i for i in indices if values[i] is not None]
-    try:
-        rest.sort(key=lambda i: values[i], reverse=descending)
-    except TypeError as exc:
-        raise UnsupportedSQL("mixed-type ORDER BY column") from exc
-    return rest + nulls if descending else nulls + rest
+def _sort_keys(storage: Column, rows: np.ndarray | slice
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """``(valid, keys)`` for *rows* of *storage*: which rows are not NULL,
+    and a number per such row that orders as sqlite orders the values.
+    A string keys by its rank in the pool's Python order (sqlite's
+    BINARY collation), a date by its ordinal and a bool as 0 / 1;
+    ``-0.0`` compares equal to ``0.0`` as in sqlite.  An object store
+    has no such number and declines."""
+    if isinstance(storage, StringColumn):
+        codes = storage.codes[rows]
+        valid = codes >= 0
+        return valid, storage.pool_order()[1][codes[valid]]
+    if not isinstance(storage, (IntColumn, FloatColumn, DateColumn,
+                                BoolColumn)):
+        raise _no_kernel("ordering", storage)
+    valid = ~storage.nulls[rows]
+    keys = storage.data[rows][valid]
+    return valid, keys.astype(np.int64) if keys.dtype == bool else keys
 
 
-def _ordered_group_keys(keys: Sequence[object],
-                        descending: bool) -> list[object]:
-    """Group keys in sqlite output order: sorted, NULL group first
-    ascending / last descending (keys of one typed store never mix
-    types)."""
-    rest = sorted((k for k in keys if k is not None), reverse=descending)
-    if None not in keys:
-        return rest
-    return rest + [None] if descending else [None] + rest
+def _ranks(storage: Column, rows: np.ndarray | slice) -> np.ndarray:
+    """Each of *rows*' rank among the distinct values they hold: 0 for
+    NULL, then 1, 2, ... in sqlite's order (:func:`_sort_keys`).  A
+    stable argsort of the ranks is sqlite's ORDER BY and its GROUP BY
+    order, and a group's largest rank is its COUNT(DISTINCT)."""
+    valid, keys = _sort_keys(storage, rows)
+    ranks = np.zeros(len(valid), dtype=np.intp)
+    ranks[valid] = np.unique(keys, return_inverse=True)[1] + 1
+    return ranks
 
 
-#: Storage an aggregate has a typed kernel for (COUNT(DISTINCT) runs
-#: over adapted cells, and COUNT over a modality column counts objects).
+#: Storage an aggregate has a typed kernel for (COUNT(DISTINCT) reads
+#: :func:`_ranks`, and COUNT over a modality column counts objects).
 _AGG_KERNELS = {
     "count": (IntColumn, DateColumn, StringColumn, FloatColumn, BoolColumn),
     "sum": (IntColumn,),
@@ -753,9 +730,7 @@ def _aggregate(table: Table, column: str | None, item: AggItem,
         return sum(1 for i in np.asarray(members).tolist()
                    if values[i] is not None)
     if item.distinct:
-        values = _adapted_column(table, column)
-        return len({values[i] for i in np.asarray(members).tolist()}
-                   - {None})
+        return int(_ranks(storage, members).max(initial=0))
     func = item.func
     if isinstance(storage, StringColumn):
         codes = storage.codes[members]
@@ -789,43 +764,19 @@ def _aggregate(table: Table, column: str | None, item: AggItem,
 
 
 def _build_groups(table: Table, key: str,
-                  indices: Sequence[int]) -> dict[object, Sequence[int]]:
-    """Group *indices* by the adapted key values, members ascending —
-    exactly the dict produced by a setdefault loop over the adapted
-    column, built with one stable sort over the typed buffers."""
+                  indices: np.ndarray) -> list[np.ndarray]:
+    """*indices* split by the key's value, groups in key order (the NULL
+    group first) and members ascending: one stable argsort of the key's
+    ranks."""
     storage = table.storage(key)
-    if not isinstance(storage, (IntColumn, DateColumn, BoolColumn,
-                                StringColumn)):
+    if isinstance(storage, FloatColumn):
         raise _no_kernel("GROUP BY", storage)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size == 0:
-        return {}
-    if isinstance(storage, StringColumn):
-        raw = storage.codes[idx]
-        isnull = raw < 0
-    else:
-        raw = storage.data[idx]
-        isnull = storage.nulls[idx]
-    # Stored null sentinels are uniform per store (code -1 / 0 / False),
-    # so (isnull, raw) pairs split the sort into exact groups.
-    order = np.lexsort((raw, isnull))
-    sorted_raw = raw[order]
-    sorted_null = isnull[order]
-    breaks = np.flatnonzero((sorted_raw[1:] != sorted_raw[:-1])
-                            | (sorted_null[1:] != sorted_null[:-1])) + 1
-    groups: dict[object, Sequence[int]] = {}
-    for chunk in np.split(order, breaks):
-        first = chunk[0]
-        if isnull[first]:
-            group_key: object = None
-        elif isinstance(storage, StringColumn):
-            group_key = storage.pool[int(raw[first])]
-        elif isinstance(storage, DateColumn):
-            group_key = date.fromordinal(int(raw[first])).isoformat()
-        else:
-            group_key = int(raw[first])
-        groups[group_key] = idx[chunk]
-    return groups
+    ranks = _ranks(storage, indices)
+    if not len(ranks):
+        return []
+    order = np.argsort(ranks, kind="stable")
+    return np.split(indices[order],
+                    np.flatnonzero(np.diff(ranks[order])) + 1)
 
 
 def _guard_aggregate(table: Table, item: AggItem,
@@ -862,30 +813,32 @@ def _guard_aggregate(table: Table, item: AggItem,
 # ----------------------------------------------------------------------
 
 
-def _take_sql_column(storage: object, indices: Sequence[int] | None
-                     ) -> tuple[Column, DataType] | None:
+def _take_sql_column(storage: Column, indices: Sequence[int] | None
+                     ) -> tuple[Column, DataType]:
     """Gather a projected result column straight from typed storage.
 
-    Int / float / dictionary-encoded string stores, whose adapted form
-    equals the raw values, are gathered as they are; a date store is
-    gathered into the string column its adapted ISO texts pack into
-    (:func:`_iso_column`).  The returned dtype is exactly what
-    :func:`_infer_sql_dtype` would assign to the gathered list, so
-    result assembly can skip the per-cell builder path without changing
-    the result's schema, values, or fingerprint.  ``indices=None`` is
-    the identity projection: the storage itself is shared (columns are
-    immutable once inside a table).  A float ``-0.0`` is gathered as
-    ``0.0``, the value sqlite hands the bridge back.
+    Int / float / dictionary-encoded string stores, whose sqlite cells
+    equal the raw values, are gathered as they are; a bool store is
+    gathered as the int store of its 0 / 1 cells, and a date store into
+    the string column its ISO texts pack into (:func:`_iso_column`).
+    The returned dtype is exactly what :func:`_infer_sql_dtype` would
+    assign to the gathered cells, so the result has the bridge's
+    schema, values and fingerprint.  ``indices=None`` is the identity
+    projection: the storage itself is shared (columns are immutable
+    once inside a table).  A float ``-0.0`` is gathered as ``0.0``, the
+    value sqlite hands the bridge back.  An object store declines.
     """
-    if isinstance(storage, DateColumn):
-        taken = storage if indices is None else storage.take(indices)
+    if not isinstance(storage, (IntColumn, FloatColumn, BoolColumn,
+                                DateColumn, StringColumn)):
+        raise _no_kernel("a projection", storage)
+    taken = storage if indices is None else storage.take(indices)
+    if isinstance(taken, DateColumn):
         # An ISO text is a str, so every projection infers STRING.
         return _iso_column(taken), DataType.STRING
-    if not isinstance(storage, (StringColumn, IntColumn, FloatColumn)):
-        return None
-    taken = storage if indices is None else storage.take(indices)
     if isinstance(taken, StringColumn):
         return taken, DataType.STRING
+    if isinstance(taken, BoolColumn):
+        taken = IntColumn(taken.data.astype(np.int64), taken.nulls)
     # _infer_sql_dtype over {int|float, None}: typed if any value
     # survives, STRING for an all-null (or empty) projection, which the
     # bridge packs as a string store of NULL codes and an empty pool.
@@ -927,13 +880,13 @@ def _iso_column(dates: DateColumn) -> StringColumn:
 
 def _build_result(named_columns: list[tuple[str, object,
                                             DataType | None]]) -> Table:
-    """Assemble the result table exactly like the sqlite bridge does:
-    dtypes are re-inferred from the (adapted) result values, except
-    modality columns, which keep their dtype when any object survived.
-    A :class:`Column` entry is the :func:`_take_sql_column` fast path:
-    its dtype is precomputed and the packed column goes straight into
-    the table.  Every entry is equally long, so the packed columns make
-    the table as they are."""
+    """Assemble the result table exactly like the sqlite bridge does.
+    A :class:`Column` entry (a :func:`_take_sql_column` gather or a
+    modality take) goes straight into the table with its dtype; a list
+    of cells (aggregates, a materialized modality column) gets the dtype
+    the bridge infers, except that a modality column keeps its own when
+    any object survived.  Every entry is equally long, so the packed
+    columns make the table as they are."""
     names = dedup_names([name for name, _, _ in named_columns])
     specs = []
     columns: dict[str, Column] = {}
@@ -953,93 +906,73 @@ def _build_result(named_columns: list[tuple[str, object,
 # ----------------------------------------------------------------------
 
 
-def _index_sort_key(value: object) -> tuple[int, object]:
-    """sqlite BINARY index ordering over adapted cells:
-    NULL < numeric < text."""
-    if value is None:
-        return (0, 0)
-    if isinstance(value, (int, float)):
-        return (1, value)
-    return (2, value)
-
-
 @dataclass(frozen=True, eq=False)
 class _JoinIndex:
     """The right side of an equi-join on one key column, as sqlite's
     automatic covering index orders it.
 
-    ``lookup`` numbers the distinct non-null adapted keys (Python value
-    equality, as sqlite's: a bool key equals an int key); the rows of
-    key *k* are ``rows[starts[k]:starts[k + 1]]``, ordered by the
-    remaining non-modality right columns in table order, then rowid.
-    ``ints`` is the keys sorted as int64, with their numbers, for an
-    integer left column to probe with ``searchsorted`` (``None`` unless
-    every numeric key is an int64).
+    ``keys`` is the distinct non-null key values in sqlite's order: the
+    :func:`_sort_keys` numbers of a numeric or date key, the texts of a
+    string key.  Key *k*'s rows are ``rows[starts[k]:starts[k + 1]]``,
+    ordered by the remaining non-modality right columns in table order,
+    then rowid.
     """
 
-    lookup: dict[object, int]
+    keys: np.ndarray | list[str]
     starts: np.ndarray
     rows: np.ndarray
     duplicates: bool
-    ints: tuple[np.ndarray, np.ndarray] | None
 
 
 def _build_join_index(right: Table, right_on: str) -> _JoinIndex:
-    keys = _adapted_column(right, right_on)
-    lookup: dict[object, int] = {}
-    codes = np.fromiter((-1 if key is None
-                         else lookup.setdefault(key, len(lookup))
-                         for key in keys), dtype=np.intp, count=len(keys))
-    valid = np.flatnonzero(codes >= 0)
-    rows = valid[np.argsort(codes[valid], kind="stable")]
-    counts = np.bincount(codes[valid], minlength=len(lookup))
+    storage = right.storage(right_on)
+    valid, keys = _sort_keys(storage, slice(None))
+    distinct, numbers = np.unique(keys, return_inverse=True)
+    counts = np.bincount(numbers, minlength=len(distinct))
     starts = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
     duplicates = bool((counts > 1).any())
-    if duplicates:
-        order_columns = [_adapted_column(right, name)
-                         for name in right.column_names
-                         if name != right_on
-                         and not right.dtype(name).is_modality]
-        for code in np.flatnonzero(counts > 1).tolist():
-            group = rows[starts[code]:starts[code + 1]].tolist()
-            group.sort(key=lambda j: tuple(_index_sort_key(values[j])
-                                           for values in order_columns))
-            rows[starts[code]:starts[code + 1]] = group
-    numeric = [(key, code) for key, code in lookup.items()
-               if type(key) in (int, float)]
-    ints = None
-    if all(type(key) is int and _INT64_MIN <= key <= _INT64_MAX
-           for key, _ in numeric):
-        as_int = np.array([key for key, _ in numeric], dtype=np.int64)
-        order = np.argsort(as_int, kind="stable")
-        ints = (as_int[order],
-                np.array([code for _, code in numeric], dtype=np.intp)[order])
-    return _JoinIndex(lookup, starts, rows, duplicates, ints)
+    rows = np.flatnonzero(valid)
+    # lexsort's last key is its primary one, and it is stable: rowid
+    # breaks the remaining ties.
+    ties = [_ranks(right.storage(name), rows)
+            for name in reversed(right.column_names)
+            if name != right_on and not right.dtype(name).is_modality
+            ] if duplicates else []
+    rows = rows[np.lexsort((*ties, numbers))]
+    if isinstance(storage, StringColumn):
+        texts = storage.pool_order()[0]
+        distinct = [texts[rank] for rank in distinct.tolist()]
+    return _JoinIndex(distinct, starts, rows, duplicates)
 
 
 def _probe_codes(index: _JoinIndex, table: Table, name: str) -> np.ndarray:
-    """Each row's key code in *index* (``-1``: NULL or no match)."""
+    """Each row's key number in *index* (``-1``: NULL or no match)."""
     storage = table.storage(name)
-    lookup = index.lookup
+    keys = index.keys
     if isinstance(storage, StringColumn):
+        def probe() -> np.ndarray:
+            found = np.full(len(storage.pool) + 1, -1, dtype=np.intp)
+            for code, text in enumerate(storage.pool):
+                at = bisect_left(keys, text)
+                if at < len(keys) and keys[at] == text:
+                    found[code] = at
+            return found
+
         # Each pool entry's key number, kept on the pool for the last
         # few indexes it probed (the index object itself is the key).
-        found = storage.memo.get("join_probes", index, lambda: np.array(
-            [lookup.get(text, -1) for text in storage.pool] + [-1],
-            dtype=np.intp))
-        return found[storage.codes]
-    if isinstance(storage, IntColumn) and index.ints is not None:
-        keys, codes = index.ints
-        if not len(keys):
-            return np.full(len(storage), -1, dtype=np.intp)
-        at = np.minimum(np.searchsorted(keys, storage.data), len(keys) - 1)
-        hit = (keys[at] == storage.data) & ~storage.nulls
-        return np.where(hit, codes[at], -1)
-    if not index.lookup:
-        return np.full(len(storage), -1, dtype=np.intp)
-    return np.fromiter((-1 if key is None else lookup.get(key, -1)
-                        for key in _adapted_column(table, name)),
-                       dtype=np.intp, count=len(storage))
+        return storage.memo.get("join_probes", index, probe)[storage.codes]
+    valid, values = _sort_keys(storage, slice(None))
+    codes = np.full(len(valid), -1, dtype=np.intp)
+    if len(keys):
+        at = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+        codes[valid] = np.where(keys[at] == values, at, -1)
+    return codes
+
+
+def _key_class(storage: Column) -> type:
+    """The storage class a join key compares within: sqlite stores bools
+    as integers, so the two mix."""
+    return IntColumn if isinstance(storage, BoolColumn) else type(storage)
 
 
 def _sqlite_join(left: Table, right: Table,
@@ -1051,11 +984,16 @@ def _sqlite_join(left: Table, right: Table,
     covering index on the right (verified stable across table sizes), so
     rows are left-row-major and the matches of one key follow the index
     sort: (key, remaining referenced right columns in table order,
-    rowid).  Keys match by sqlite value equality (adapted cells), so
-    e.g. a bool key equals an int key.  The right side's index is built
-    once per table (the ``join_index`` kind of :attr:`Table.memo`); each
-    left row's matches are a range of it, gathered with ``repeat``.
+    rowid).  Keys match by value within one storage class (a bool key
+    equals an int key); keys of different classes decline, since sqlite
+    would compare them under its affinity rules (a text ``'07'`` equals
+    an integer ``7``).  The right side's index is built once per table
+    (the ``join_index`` kind of :attr:`Table.memo`); each left row's
+    matches are a range of it, gathered with ``repeat``.
     """
+    if _key_class(left.storage(left_on)) \
+            is not _key_class(right.storage(right_on)):
+        raise UnsupportedSQL("join keys of different storage classes")
     renames = join_renames(left.column_names, right.column_names,
                            left_on, right_on)
     index = right.memo.get("join_index", right_on,
@@ -1274,9 +1212,8 @@ def _group_plan(statement: SelectStatement, items: list[object],
 def _execute_columnar(statement: SelectStatement, table: Table,
                       resolve: Callable[[tuple[str | None, str]], str]
                       ) -> Table:
-    indices: Sequence[int] = (
-        np.flatnonzero(_compile_mask(table, statement.where))
-        if statement.where is not None else np.arange(table.num_rows))
+    indices = (np.flatnonzero(_compile_mask(table, statement.where))
+               if statement.where is not None else np.arange(table.num_rows))
 
     items = _output_items(statement, table)
     names = [item.output_name if isinstance(item, ColItem) else item.alias
@@ -1290,15 +1227,16 @@ def _execute_columnar(statement: SelectStatement, table: Table,
         groups = _build_groups(table, key, indices)
         sources = [_guard_aggregate(table, item, resolve, indices)
                    for item in aggregates]
-        ordered_keys = _ordered_group_keys(list(groups), descending)
-        if statement.limit is not None:
-            ordered_keys = ordered_keys[:statement.limit]
-        named: list[tuple[str, list[object], DataType | None]] = [
-            (key_item.output_name, ordered_keys, None)]
+        if descending:
+            groups.reverse()
+        groups = groups[:statement.limit]
+        named: list[tuple[str, object, DataType | None]] = [
+            (key_item.output_name, *_take_sql_column(
+                table.storage(key), [members[0] for members in groups]))]
         for item, column in zip(aggregates, sources):
             named.append((item.alias,
-                          [_aggregate(table, column, item, groups[group_key])
-                           for group_key in ordered_keys], None))
+                          [_aggregate(table, column, item, members)
+                           for members in groups], None))
         return _build_result(named)
 
     columns, aggregates = _split_items(items)
@@ -1314,62 +1252,51 @@ def _execute_columnar(statement: SelectStatement, table: Table,
             result = result.head(statement.limit)
         return result
 
+    sources = [resolve((item.qualifier, item.name)) for item in columns]
     if statement.order_by is not None:
         qualifier, name, descending = statement.order_by
         order_column = resolve((qualifier, name))
         if table.dtype(order_column).is_modality:
             raise UnsupportedSQL("ORDER BY over a modality column")
-        indices = _order_indices(indices.tolist(),
-                                 _adapted_column(table, order_column),
-                                 descending)
-    if statement.limit is not None and not statement.distinct:
-        indices = indices[:statement.limit]
+        ranks = _ranks(table.storage(order_column), indices)
+        # Negated, NULL's rank 0 sorts last, as sqlite's DESC has it.
+        indices = indices[np.argsort(-ranks if descending else ranks,
+                                     kind="stable")]
+    if statement.distinct:
+        indices = _first_occurrences(table, sources, indices)
+    indices = indices[:statement.limit]
 
     identity = (statement.where is None and statement.order_by is None
-                and (statement.limit is None
-                     or statement.limit >= table.num_rows))
+                and not statement.distinct
+                and len(indices) == table.num_rows)
     named = []
-    for item in columns:
-        column = resolve((item.qualifier, item.name))
+    for item, column in zip(columns, sources):
+        storage = table.storage(column)
         dtype = table.dtype(column)
         if dtype.is_modality:
             # A gather shares the pool, and with it the answer memos.
-            taken = table.storage(column).take(indices)
+            taken = storage.take(indices)
             if not isinstance(taken, PooledColumn) \
                     or not (taken.codes >= 0).any():
                 taken = taken.materialize()  # typed like the bridge
             named.append((item.output_name, taken, dtype))
-            continue
-        if not statement.distinct:
-            taken = _take_sql_column(table.storage(column),
-                                     None if identity else indices)
-            if taken is not None:
-                named.append((item.output_name, taken[0], taken[1]))
-                continue
-        values = _adapted_column(table, column)
-        named.append((item.output_name, [values[i] for i in (
-            indices.tolist() if isinstance(indices, np.ndarray)
-            else indices)], None))
-
-    if statement.distinct:
-        if any(modality is not None for _, _, modality in named):
-            raise UnsupportedSQL("DISTINCT over a modality column")
-        seen: set[tuple[object, ...]] = set()
-        keep: list[int] = []
-        for row_index in range(len(indices)):
-            row_key = tuple(values[row_index] for _, values, _ in named)
-            try:
-                fresh = row_key not in seen
-            except TypeError as exc:
-                raise UnsupportedSQL("unhashable DISTINCT values") from exc
-            if fresh:
-                seen.add(row_key)
-                keep.append(row_index)
-        if statement.limit is not None:
-            keep = keep[:statement.limit]
-        named = [(name, [values[i] for i in keep], modality)
-                 for name, values, modality in named]
+        else:
+            named.append((item.output_name, *_take_sql_column(
+                storage, None if identity else indices)))
     return _build_result(named)
+
+
+def _first_occurrences(table: Table, columns: list[str],
+                       indices: np.ndarray) -> np.ndarray:
+    """The first of *indices* to hold each distinct row of *columns*:
+    each column's ranks are folded into one row number, kept dense so
+    the fold never overflows."""
+    row = np.zeros(len(indices), dtype=np.intp)
+    for name in columns:
+        ranks = _ranks(table.storage(name), indices)
+        row = np.unique(row * (int(ranks.max(initial=0)) + 1) + ranks,
+                        return_inverse=True)[1]
+    return indices[np.sort(np.unique(row, return_index=True)[1])]
 
 
 def execute(sql: str, tables: dict[str, Table]) -> Table:

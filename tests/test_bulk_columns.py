@@ -141,13 +141,27 @@ def reference_join_assembly(left: Table, right: Table,
     return result
 
 
+def sql_cells(table: Table, name: str) -> list[object]:
+    """A column as the sqlite bridge binds it (bool -> int, date -> ISO)."""
+    return [_adapt_cell(value) for value in table.column(name)]
+
+
+def index_sort_key(value: object) -> tuple[int, object]:
+    """sqlite's BINARY index order over bound cells: NULL < numeric < text."""
+    if value is None:
+        return (0, 0)
+    if isinstance(value, (int, float)):
+        return (1, value)
+    return (2, value)
+
+
 def reference_sqlite_join(left: Table, right: Table,
                           left_on: str, right_on: str) -> Table:
-    """colexec's join before bulk assembly: row order unchanged, columns
+    """An equi-join in sqlite's row order over bound cells, its columns
     appended one ``with_column`` at a time."""
-    left_keys = colexec._adapted_column(left, left_on)
-    right_keys = colexec._adapted_column(right, right_on)
-    order_columns = [colexec._adapted_column(right, name)
+    left_keys = sql_cells(left, left_on)
+    right_keys = sql_cells(right, right_on)
+    order_columns = [sql_cells(right, name)
                      for name in right.column_names
                      if name != right_on and not right.dtype(name).is_modality]
     index: dict[object, list[int]] = {}
@@ -160,7 +174,7 @@ def reference_sqlite_join(left: Table, right: Table,
         raise colexec.UnsupportedSQL("duplicate keys into modality columns")
     for rows in index.values():
         if len(rows) > 1:
-            rows.sort(key=lambda j: tuple(colexec._index_sort_key(values[j])
+            rows.sort(key=lambda j: tuple(index_sort_key(values[j])
                                           for values in order_columns))
     left_indices, right_indices = [], []
     for i, key in enumerate(left_keys):
@@ -413,23 +427,32 @@ def test_sample_values_decodes_a_prefix_of_a_long_column(monkeypatch,
 
 def test_take_sql_column_keeps_the_bridge_dtype_rule():
     rng = random.Random(3)
-    for dtype in (DT.INTEGER, DT.FLOAT, DT.STRING):
+    for dtype in (DT.INTEGER, DT.FLOAT, DT.STRING, DT.BOOLEAN, DT.DATE):
         for values in value_lists(dtype, seed=5, count=20):
             storage = build_column(list(values), dtype)
+            if isinstance(storage, ObjectColumn):
+                # No typed kernel: colexec declines, and the bridge
+                # answers what sqlite can bind (no int past int64).
+                with pytest.raises(colexec.UnsupportedSQL):
+                    colexec._take_sql_column(storage, None)
+                if all(_fits(v, int) for v in values if type(v) is int):
+                    table = Table(Schema([ColumnSpec("c", dtype)]),
+                                  {"c": storage})
+                    assert run_sql("SELECT c FROM t",
+                                   {"t": table}).num_rows == len(values)
+                continue
             for indices in [None, *_index_sets(len(values), rng)]:
-                taken = colexec._take_sql_column(storage, indices)
-                if taken is None:
-                    assert isinstance(storage, ObjectColumn)
-                    continue
-                column, result_dtype = taken
-                expected = (values if indices is None
-                            else [values[i] for i in indices])
-                assert result_dtype == _infer_sql_dtype(
-                    [_adapt_cell(v) for v in expected])
+                column, result_dtype = colexec._take_sql_column(storage,
+                                                                indices)
+                expected = [_adapt_cell(v) for v in (
+                    values if indices is None
+                    else [values[i] for i in indices])]
+                assert result_dtype == _infer_sql_dtype(expected)
                 if dtype is DT.FLOAT:  # sqlite hands -0.0 back as 0.0
                     expected = [None if v is None else v + 0.0
                                 for v in expected]
-                assert cells(column) == cells(build_column(expected, dtype))
+                assert cells(column) == cells(build_column(expected,
+                                                           result_dtype))
 
 
 # ----------------------------------------------------------------------
@@ -562,15 +585,28 @@ def test_workload_join_shapes_match_the_reference(lakes):
 
 def test_duplicate_key_join_matches_the_reference():
     left, right = _join_tables()
-    plain = right.project(["id", "name", "flag", "born"])
-    for left_on, right_on in (("id", "id"), ("name", "name"),
-                              ("score", "flag")):
-        reference = reference_sqlite_join(left, plain, left_on, right_on)
-        bulk = colexec._sqlite_join(left, plain, left_on, right_on)
+    typed = right.project(["id", "name", "born"])
+    for left_on, right_on in (("id", "id"), ("name", "name")):
+        reference = reference_sqlite_join(left, typed, left_on, right_on)
+        bulk = colexec._sqlite_join(left, typed, left_on, right_on)
         assert_same_table(bulk, reference, same_pool=False)
     assert any(math.isnan(v) for v in
-               colexec._sqlite_join(left, plain, "id", "id").column("score")
+               colexec._sqlite_join(left, typed, "id", "id").column("score")
                if isinstance(v, float))
+
+
+def test_joins_over_an_object_stored_column_decline():
+    # "flag" mixes a bool into ints, so it is object-stored: it can order
+    # no duplicate-key matches and key no join.  The bridge answers both.
+    left, right = _join_tables()
+    plain = right.project(["id", "name", "flag", "born"])
+    assert isinstance(plain.storage("flag"), ObjectColumn)
+    for left_on, right_on in (("id", "id"), ("score", "flag")):
+        with pytest.raises(colexec.UnsupportedSQL):
+            colexec._sqlite_join(left, plain, left_on, right_on)
+        sql = build_join_sql("l", "r", left_on, right_on,
+                             left.column_names, plain.column_names)
+        assert run_sql(sql, {"l": left, "r": plain}).num_rows
 
 
 def test_join_operator_clashing_rename_matches_sqlite_on_both_engines():

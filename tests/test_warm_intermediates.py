@@ -313,6 +313,8 @@ DATE_STATEMENTS = (
     "SELECT d FROM t WHERE d > '2017-06-01' LIMIT 3",
     "SELECT y FROM t",
     "SELECT y FROM t ORDER BY y",
+    "SELECT DISTINCT y FROM t",
+    "SELECT DISTINCT x, y FROM t",
 )
 
 
